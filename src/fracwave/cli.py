@@ -10,8 +10,9 @@ Verbs:
 
 Shared flags (per verb): --config PATH, --out DIR, --seed N, --quiet.
 
-Exit codes: 0 success, 2 configuration problem, 3 numerical gate failure
-(norm cap, resolution, series range), 4 fixed-point divergence.  All output
+Exit codes: 0 success, 1 a validate check failed, 2 configuration problem
+(or an unknown validate --only id), 3 numerical gate failure (norm cap,
+resolution, series range), 4 fixed-point divergence.  All output
 files are deterministic for a fixed config, so run directories can be
 compared byte for byte.
 """
@@ -517,7 +518,7 @@ def cmd_validate(out: Optional[str], quiet: bool, only: Optional[list]) -> int:
             "total": len(results),
         }
         _write_json(out_dir / "validation.json", payload)
-    return 0
+    return 0 if n_pass == len(results) else 1
 
 
 def cmd_noise_dump(cfg: RunConfig, out: Optional[str], quiet: bool) -> int:
@@ -584,6 +585,21 @@ def _load_config(path: Optional[str], seed: Optional[int]) -> RunConfig:
     return cfg
 
 
+def _parse_only(text: Optional[str]) -> Optional[list]:
+    """Check ids named by validate --only; None (flag absent) selects all."""
+    if text is None:
+        return None
+    from .validation import CRITERIA
+
+    known = {spec.index for spec in CRITERIA}
+    parts = [part.strip() for part in text.split(",") if part.strip()]
+    bad = [part for part in parts if not part.isdigit() or int(part) not in known]
+    if bad or not parts:
+        what = f"unknown check id(s) {', '.join(bad)}" if bad else "no check id given"
+        raise ConfigError([(None, f"--only: {what}; known ids are {min(known)}-{max(known)}")])
+    return [int(part) for part in parts]
+
+
 def _build_parser() -> argparse.ArgumentParser:
     common = argparse.ArgumentParser(add_help=False)
     common.add_argument("--config", metavar="PATH", help="configuration file (defaults apply when omitted)")
@@ -617,10 +633,7 @@ def main(argv=None) -> int:
     if args.verb == "ml":
         return cmd_ml(args, args.quiet)
     if args.verb == "validate":
-        only = None
-        if args.only:
-            only = [int(part) for part in args.only.split(",") if part.strip()]
-        return cmd_validate(args.out, args.quiet, only)
+        return cmd_validate(args.out, args.quiet, _parse_only(args.only))
     cfg = _load_config(args.config, args.seed)
     if args.verb == "run":
         return cmd_run(cfg, args.out, args.quiet)

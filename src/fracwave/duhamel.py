@@ -6,10 +6,7 @@ trajectory.  Both representations iterate the same Picard map over the whole
 window; they differ in how the memory integral against the forcing is
 realized:
 
-* kernel form: the weakly singular kernel acts directly on f(U) + P, summed
-  by exchanging the operator series with fractional integrals so each sweep
-  is a Horner chain of one fixed product-quadrature matrix and one operator
-  application per level;
+* kernel form: the weakly singular kernel acts directly on f(U) + P;
 * derivative form: the forcing enters through a fractional derivative of
   order 2 - alpha under an order-one integral of the propagator.  The
   initial forcing value is split off analytically (its convolution has a
@@ -19,6 +16,14 @@ realized:
 Both reduce to the same trapezoid-free product-integration toolbox, but the
 discretizations are genuinely different, which is what makes their agreement
 a meaningful cross-check.
+
+Every memory integral that meets the operator (both forms and the curvature
+identity check) is the same lower-triangular discrete Volterra system
+y = W (g + A y), with W a product-quadrature matrix and A the operator.  One
+blocked forward march solves it (once per Picard sweep): per block of rows,
+one dense product sums the history of the earlier rows, and a short operator
+series, certified at the block's own time span, resolves the rows inside the
+block.
 """
 
 from __future__ import annotations
@@ -35,6 +40,7 @@ from .fractional import (
     SpatialGrid,
     TimeMesh,
     Trajectory,
+    _weights_product,  # real-view product of weights with complex samples
     caputo_derivative,
     first_difference,
     pi_weights,
@@ -66,6 +72,9 @@ __all__ = [
 ]
 
 _ZERO_TOL = 1e-12
+# rows per block of the Volterra march: large enough that the history product
+# is a real matrix product, small enough that the in-block series stays short
+_BLOCK_ROWS = 64
 
 
 @dataclass(frozen=True)
@@ -248,11 +257,6 @@ class SolverReport:
         return Trajectory(self.mesh, self.trajectory, grid)
 
 
-def _apply_weights(weights: np.ndarray, arr: np.ndarray) -> np.ndarray:
-    flat = arr.reshape(arr.shape[0], -1)
-    return (weights @ flat).reshape(arr.shape)
-
-
 def _row_sup(arr: np.ndarray, weight: float) -> float:
     flat = arr.reshape(arr.shape[0], -1)
     return float(np.sqrt(weight) * np.linalg.norm(flat, axis=1).max())
@@ -270,9 +274,57 @@ def _base_trajectory(p: CauchyProblem, series_tol: float) -> np.ndarray:
     return base
 
 
-def _series_levels(p: CauchyProblem, beta_eff: float, series_tol: float) -> int:
-    z = p.mesh.t_max**p.alpha * p.action.norm_bound
-    return series_term_count(p.alpha, beta_eff, z, series_tol)
+def _block_plan(p: CauchyProblem, head_beta: float, series_tol: float) -> list:
+    """Row blocks [s, e) of the Volterra march with their series level counts.
+
+    A block's levels come from the certified majorant at the time span its
+    quadrature rows reach.  The head block has no history, so it is exactly
+    the full-horizon series of the caller's output (order head_beta) on a
+    shorter mesh; later blocks add a history that enters unsmoothed, hence
+    order one.
+    """
+    nodes = p.mesh.nodes.tolist()
+    plan = []
+    for s in range(0, len(nodes), _BLOCK_ROWS):
+        e = min(s + _BLOCK_ROWS, len(nodes))
+        # the hat functions of rows s..e-1 reach back to node s - 1 (to 0 in the head)
+        span, beta = (nodes[e - 1], head_beta) if s == 0 else (nodes[e - 1] - nodes[s - 1], 1.0)
+        z = span**p.alpha * p.action.norm_bound
+        plan.append((s, e, series_term_count(p.alpha, beta, z, series_tol)))
+    return plan
+
+
+def _plan_meta(plan: list) -> dict:
+    return {
+        "series_levels": max(levels for _, _, levels in plan),
+        "volterra_block_rows": _BLOCK_ROWS,
+        "volterra_blocks": len(plan),
+    }
+
+
+def _volterra(weights: np.ndarray, action: LinearAction, g: np.ndarray, plan: list) -> tuple:
+    """Solve y = W (g + A y) by blocked forward substitution; returns (y, v).
+
+    v = g + A y is what the summed operator series leaves before the final
+    quadrature.  Per block B = [s, e) the history h = W[B, :s] v[:s] is one
+    product; the block is then a short fixed-point chain
+    v_B <- g_B + A (h + W_BB v_B) and y_B = h + W_BB v_B.
+    """
+    shape = g.shape
+    flat = g.reshape(shape[0], -1)
+    y = np.empty(flat.shape, dtype=complex)
+    v = np.empty(flat.shape, dtype=complex)
+    for s, e, levels in plan:
+        w_bb = weights[s:e, s:e]
+        h = _weights_product(weights[s:e, :s], v[:s]) if s else 0.0
+        g_b = flat[s:e]
+        acc = g_b
+        for _ in range(levels):
+            rows = (h + _weights_product(w_bb, acc)).reshape((e - s,) + shape[1:])
+            acc = g_b + action.apply_rows(rows).reshape(e - s, -1)
+        v[s:e] = acc
+        y[s:e] = h + _weights_product(w_bb, acc)
+    return y.reshape(shape), v.reshape(shape)
 
 
 def _window_bounds(n_steps: int, n_windows: int) -> list:
@@ -350,21 +402,18 @@ def _picard(p: CauchyProblem, opts: SolverOptions, integral_term, form: str, ext
 def solve_kernel_form(p: CauchyProblem, opts: SolverOptions = SolverOptions()) -> SolverReport:
     """Picard iteration with the weakly singular kernel acting on f(U) + P.
 
-    The memory integral is summed by exchanging the operator series with
-    fractional integrals: each truncation level costs one product-quadrature
-    pass and one operator application, nested Horner style.
+    Each sweep solves the memory integral's discrete Volterra system
+    y = W (g + A y) by one blocked forward march in time: a dense product
+    for each block's history, then an operator series over the block's own
+    span, certified at that span.
     """
     weights = pi_weights(p.alpha, p.mesh.n_nodes, p.mesh.dt)
-    levels = _series_levels(p, p.alpha + 1.0, opts.series_tol)
-    action = p.action
+    plan = _block_plan(p, p.alpha + 1.0, opts.series_tol)
 
     def integral_term(g: np.ndarray) -> np.ndarray:
-        acc = g
-        for _ in range(levels):
-            acc = g + action.apply_rows(_apply_weights(weights, acc))
-        return _apply_weights(weights, acc)
+        return _volterra(weights, p.action, g, plan)[0]
 
-    return _picard(p, opts, integral_term, "kernel", {"series_levels": levels})
+    return _picard(p, opts, integral_term, "kernel", _plan_meta(plan))
 
 
 def solve_rl_form(
@@ -378,7 +427,8 @@ def solve_rl_form(
     integral of the propagator.  The initial forcing value F(0) is split off
     exactly (constant part of the derivative) and its convolution evaluated
     in closed Mittag-Leffler form; the regular remainder runs through the
-    discrete derivative and a Horner chain under an order-two integral.
+    discrete derivative and the blocked Volterra march under an order-two
+    integral.
 
     derivative = "caputo" asserts the variant that is only valid when
     F(0) = 0; if F(0) is nonzero the solve falls back to the full form and
@@ -389,7 +439,6 @@ def solve_rl_form(
     if p.alpha >= 2.0:
         raise SingularOrderError("the derivative form needs time order strictly below 2")
     gamma_ord = 2.0 - p.alpha
-    action = p.action
     mesh = p.mesh
     f0 = p.nonlinearity.fn(p.state0) + p.forcing_at(0)
     f0_norm = float(np.linalg.norm(np.atleast_1d(f0).ravel()))
@@ -401,25 +450,23 @@ def solve_rl_form(
 
     weights_alpha = pi_weights(p.alpha, mesh.n_nodes, mesh.dt)
     weights_two = pi_weights(2.0, mesh.n_nodes, mesh.dt)
-    levels = _series_levels(p, 3.0, opts.series_tol)
+    plan = _block_plan(p, 3.0, opts.series_tol)
 
     if f0_norm > 0.0:
         shape = (mesh.n_nodes,) + (1,) * p.state0.ndim
         singular = mesh.nodes.reshape(shape) ** p.alpha * ml_trajectory(
-            p.alpha, p.alpha + 1.0, action, f0, mesh.nodes, tol=opts.series_tol
+            p.alpha, p.alpha + 1.0, p.action, f0, mesh.nodes, tol=opts.series_tol
         )
     else:
         singular = 0.0
 
     def integral_term(g: np.ndarray) -> np.ndarray:
         w_reg = rl_derivative(g - f0, gamma_ord, mesh)
-        acc = w_reg
-        for _ in range(levels):
-            acc = w_reg + action.apply_rows(_apply_weights(weights_alpha, acc))
-        return singular + _apply_weights(weights_two, acc)
+        acc = _volterra(weights_alpha, p.action, w_reg, plan)[1]
+        return singular + _weights_product(weights_two, acc)
 
     meta = {
-        "series_levels": levels,
+        **_plan_meta(plan),
         "derivative_variant": variant,
         "initial_forcing_norm": f0_norm,
         "caputo_fallback_to_rl": fell_back,
@@ -455,14 +502,11 @@ def second_derivative_identity_check(report: SolverReport, p: CauchyProblem) -> 
     power[1:] = mesh.nodes[1:] ** (p.alpha - 2.0) / gamma(p.alpha - 1.0)
     term_singular = power.reshape(shape) * np.asarray(g0)[None, ...]
 
-    beta_eff = 2.0 * p.alpha - 1.0
-    levels = _series_levels(p, beta_eff, report.options.series_tol)
+    plan = _block_plan(p, 2.0 * p.alpha - 1.0, report.options.series_tol)
     weights_alpha = pi_weights(p.alpha, mesh.n_nodes, mesh.dt)
     weights_low = pi_weights(2.0 * p.alpha - 2.0, mesh.n_nodes, mesh.dt)
-    acc = g
-    for _ in range(levels):
-        acc = g + p.action.apply_rows(_apply_weights(weights_alpha, acc))
-    term_smoothed = p.action.apply_rows(_apply_weights(weights_low, acc))
+    acc = _volterra(weights_alpha, p.action, g, plan)[1]
+    term_smoothed = p.action.apply_rows(_weights_product(weights_low, acc))
 
     rhs = term_derivative + term_singular + term_smoothed
     k0 = max(1, mesh.n_steps // 4)

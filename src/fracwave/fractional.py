@@ -198,10 +198,22 @@ def rl_integral(samples: np.ndarray, gamma_ord: float, mesh: TimeMesh) -> np.nda
         )
     if gamma_ord == 0.0:
         return arr.copy()
-    w = pi_weights(gamma_ord, mesh.n_nodes, mesh.dt)
-    flat = arr.reshape(mesh.n_nodes, -1)
-    out = w @ flat
-    return out.reshape(arr.shape)
+    return _weights_product(pi_weights(gamma_ord, mesh.n_nodes, mesh.dt), arr)
+
+
+def _weights_product(weights: np.ndarray, samples: np.ndarray) -> np.ndarray:
+    """weights @ samples along axis 0 for a real weight matrix.
+
+    Complex samples go through one real product on their float view: numpy
+    would otherwise promote the weights to complex and double the flops.
+    """
+    arr = np.asarray(samples)
+    flat = arr.reshape(arr.shape[0], -1)
+    if flat.dtype == np.complex128:
+        out = (weights @ np.ascontiguousarray(flat).view(np.float64)).view(np.complex128)
+    else:
+        out = weights @ flat
+    return out.reshape((weights.shape[0],) + arr.shape[1:])
 
 
 def first_difference(samples: np.ndarray, dt: float) -> np.ndarray:

@@ -1,5 +1,6 @@
 """End-to-end command-line contract: artifacts, determinism, exit codes."""
 
+import dataclasses
 import hashlib
 import json
 import math
@@ -284,6 +285,25 @@ def test_validate_verb_single_criterion(tmp_path, capsys):
     payload = json.loads((tmp_path / "v" / "validation.json").read_text())
     assert payload["passed"] == 1 and payload["total"] == 1
     assert payload["results"][0]["index"] == 1
+
+
+def test_validate_exits_1_on_a_failed_check(tmp_path, monkeypatch, capsys):
+    from fracwave import validation
+
+    forced = dataclasses.replace(validation.CRITERIA[0], fn=lambda th: (False, {}, "forced failure"))
+    monkeypatch.setattr(validation, "CRITERIA", (forced,) + validation.CRITERIA[1:])
+    assert entrypoint(["validate", "--only", "1", "--out", str(tmp_path / "v")]) == 1
+    assert "[FAIL]  1" in capsys.readouterr().out
+    payload = json.loads((tmp_path / "v" / "validation.json").read_text())
+    assert payload["passed"] == 0 and payload["total"] == 1
+
+
+@pytest.mark.parametrize("only", ["99", "0", "1,99", "abc", ",", ""])
+def test_validate_rejects_an_empty_or_unknown_selection(only, capsys):
+    assert entrypoint(["validate", "--only", only]) == 2
+    captured = capsys.readouterr()
+    assert "--only" in captured.err and "known ids are 1-15" in captured.err
+    assert "criteria passed" not in captured.out
 
 
 def test_seed_override_and_quiet(tmp_path, capsys):

@@ -15,19 +15,27 @@ from fracwave import (
     SizeError,
     SolutionOperatorEvaluator,
     SolverOptions,
+    SpatialGrid,
     TimeMesh,
+    TruncationError,
+    build_operator,
     cubic_saturating,
     gronwall_stability_probe,
+    make_mollifier,
     mittag_leffler,
     moderateness_scan,
     multiplier_action,
     nonlinearity_from_callable,
+    pi_weights,
     scaled_sine,
     second_derivative_identity_check,
+    series_term_count,
     solve_kernel_form,
     solve_rl_form,
     zero_nonlinearity,
 )
+from fracwave import duhamel
+from fracwave.duhamel import _block_plan, _volterra
 
 ALPHA, C, Q = 1.5, 0.5, 1.0
 OP = multiplier_action(np.array([C]))
@@ -202,3 +210,124 @@ def test_moderateness_scan_flags_failed_rungs():
     assert report.statuses[:2] == ["ok", "ok"]
     assert report.statuses[2].startswith("failed:")
     assert np.isfinite(report.fitted_n)
+
+
+# ------------------------------------------------------------ Volterra march
+
+
+def _dense_solve(weights, a_mat, g):
+    """Exact solution of y = W (g + A y) for a matrix A acting on rows."""
+    n, d = g.shape
+    system = np.eye(n * d) - np.kron(weights, a_mat)
+    return np.linalg.solve(system, np.kron(weights, np.eye(d)) @ g.ravel()).reshape(n, d)
+
+
+def _horner_chain(weights, action, g, levels):
+    """The truncated Neumann series the march replaced; returns (y, v)."""
+    acc = g
+    for _ in range(levels):
+        acc = g + action.apply_rows(weights @ acc)
+    return weights @ acc, acc
+
+
+def _full_levels(p, head_beta, extra=0):
+    z = p.mesh.t_max**p.alpha * p.action.norm_bound
+    return series_term_count(p.alpha, head_beta, z, 1e-12) + extra
+
+
+@pytest.mark.parametrize("n_nodes", [40, 64, 65, 130])
+def test_march_matches_dense_solve_matrix_action(n_nodes):
+    rng = np.random.default_rng(n_nodes)
+    dim = 6
+    a_mat = rng.standard_normal((dim, dim)) + 1j * rng.standard_normal((dim, dim))
+    a_mat *= 3.0 / np.linalg.norm(a_mat, 2)
+    mesh = TimeMesh(1.0, n_nodes - 1)
+    p = CauchyProblem(ALPHA, a_mat, zero_nonlinearity(), np.zeros(dim), mesh)
+    g = rng.standard_normal((n_nodes, dim)) + 1j * rng.standard_normal((n_nodes, dim))
+    weights = pi_weights(ALPHA, n_nodes, mesh.dt)
+    y, v = _volterra(weights, p.action, g, _block_plan(p, ALPHA + 1.0, 1e-12))
+    exact = _dense_solve(weights, a_mat, g)
+    scale = np.abs(exact).max()
+    assert np.abs(y - exact).max() <= 1e-11 * scale
+    assert np.abs(v - (g + exact @ a_mat.T)).max() <= 1e-11 * np.abs(v).max()
+
+
+def test_march_matches_dense_solve_scalar_action():
+    n_nodes, c = 130, -2.5
+    mesh = TimeMesh(1.0, n_nodes - 1)
+    p = CauchyProblem(ALPHA, c, zero_nonlinearity(), np.zeros(3), mesh)
+    g = np.cos(np.outer(mesh.nodes, [1.0, 2.0, 3.0]))
+    weights = pi_weights(ALPHA, n_nodes, mesh.dt)
+    y, _ = _volterra(weights, p.action, g, _block_plan(p, ALPHA + 1.0, 1e-12))
+    exact = _dense_solve(weights, c * np.eye(3), g)
+    assert np.abs(y - exact).max() <= 1e-11 * np.abs(exact).max()
+
+
+def test_march_matches_long_chain_variable_coefficient():
+    grid = SpatialGrid(16.0, 64)
+    coeff = 1.0 + 0.25 / np.cosh(grid.x)
+    op = build_operator("second_derivative", 2.0, coeff, make_mollifier("bump", 1.0, grid), grid)
+    mesh = TimeMesh(1.0, 200)
+    u0 = np.exp(-grid.x**2 / 4.0)
+    p = CauchyProblem(ALPHA, op, zero_nonlinearity(), u0, mesh, grid=grid)
+    g = np.outer(1.0 + mesh.nodes, u0) + 0.3j * np.outer(mesh.nodes**2, np.sin(grid.x))
+    weights = pi_weights(ALPHA, mesh.n_nodes, mesh.dt)
+    y, v = _volterra(weights, p.action, g, _block_plan(p, ALPHA + 1.0, 1e-12))
+    ref_y, ref_v = _horner_chain(weights, p.action, g, _full_levels(p, ALPHA + 1.0, extra=14))
+    assert np.abs(y - ref_y).max() <= 1e-11 * np.abs(ref_y).max()
+    assert np.abs(v - ref_v).max() <= 1e-11 * np.abs(ref_v).max()
+
+
+def test_rl_form_and_identity_check_match_their_chains(monkeypatch):
+    mesh = TimeMesh(1.0, 150)
+    dim = 4
+    a_mat = -np.diag([0.5, 1.0, 2.0, 4.0]) + 0.1 * np.ones((dim, dim))
+    forcing = np.outer(np.sin(3.0 * mesh.nodes), np.arange(1.0, dim + 1.0))
+    p = CauchyProblem(ALPHA, a_mat, scaled_sine(0.1), np.ones(dim), mesh, forcing=forcing)
+    rl = solve_rl_form(p)
+    kernel = solve_kernel_form(p)
+    identity = second_derivative_identity_check(kernel, p)
+
+    levels = _full_levels(p, 2.0 * ALPHA - 1.0, extra=14)  # the larger of the two old counts
+    monkeypatch.setattr(duhamel, "_volterra", lambda w, a, g, plan: _horner_chain(w, a, g, levels))
+    rl_ref = solve_rl_form(p)
+    identity_ref = second_derivative_identity_check(kernel, p)
+    assert rl.iterations == rl_ref.iterations
+    scale = np.abs(rl_ref.trajectory).max()
+    assert np.abs(rl.trajectory - rl_ref.trajectory).max() <= 1e-11 * scale
+    assert abs(identity - identity_ref) <= 1e-11 * scale
+
+
+def test_block_levels_never_exceed_full_horizon_count():
+    for alpha in (1.1, 1.5, 1.9):
+        for head_beta in (alpha + 1.0, 3.0, 2.0 * alpha - 1.0):
+            for norm in (0.5, 5.0, 50.0, 500.0):
+                for n_steps in (2, 17, 63, 64, 65, 100, 127, 128, 129, 300):
+                    mesh = TimeMesh(1.0, n_steps)
+                    p = CauchyProblem(alpha, norm, zero_nonlinearity(), np.ones(1), mesh)
+                    plan = _block_plan(p, head_beta, 1e-12)
+                    full = _full_levels(p, head_beta)
+                    assert max(levels for _, _, levels in plan) <= full
+                    if mesh.n_nodes <= 64:
+                        # one block: exactly the old certificate, so the same
+                        # meshes raise TruncationError as before
+                        assert plan == [(0, mesh.n_nodes, full)]
+
+
+def test_block_truncation_error_matches_full_horizon():
+    mesh = TimeMesh(1.0, 40)
+    p = CauchyProblem(1.01, 1e6, zero_nonlinearity(), np.ones(1), mesh)
+    with pytest.raises(TruncationError):
+        _full_levels(p, 2.01)
+    with pytest.raises(TruncationError):
+        _block_plan(p, 2.01, 1e-12)
+
+
+def test_solver_metadata_reports_the_march():
+    mesh = TimeMesh(1.0, 150)
+    p = _problem(mesh, forcing=np.full((mesh.n_nodes, 1), 0.3))
+    for report in (solve_kernel_form(p), solve_rl_form(p)):
+        meta = report.metadata
+        assert meta["volterra_block_rows"] == 64
+        assert meta["volterra_blocks"] == 3
+        assert 1 <= meta["series_levels"] <= _full_levels(p, ALPHA + 1.0)

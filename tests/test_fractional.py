@@ -21,7 +21,7 @@ from fracwave import (
     second_difference,
     sobolev_norm,
 )
-from fracwave.fractional import caputo_derivative_01
+from fracwave.fractional import _weights_product, caputo_derivative_01
 
 G = math.gamma
 
@@ -46,6 +46,18 @@ def test_fractional_integral_of_quadratic():
         exact_gap.append(np.max(np.abs(out - G(3) / G(3.5) * t**2.5)))
     assert exact_gap[0] <= 5e-5
     assert exact_gap[1] < exact_gap[0]
+
+
+def test_weights_product_matches_complex_product():
+    rng = np.random.default_rng(5)
+    w = pi_weights(1.5, 70, 0.01)
+    z = rng.standard_normal((70, 3, 4)) + 1j * rng.standard_normal((70, 3, 4))
+    # contiguous, strided (every other node) and real samples
+    for ww, samples in ((w, z), (w[:, :35], z[::2]), (w, z.real)):
+        ref = np.einsum("ij,jkl->ikl", ww.astype(samples.dtype), samples)
+        out = _weights_product(ww, samples)
+        assert out.shape == (70, 3, 4) and out.dtype == samples.dtype
+        assert np.max(np.abs(out - ref)) <= 1e-14 * np.max(np.abs(ref))
 
 
 def test_caputo_exact_on_cubic():
