@@ -64,7 +64,11 @@ class Expression:
         if not np.issubdtype(arr.dtype, np.complexfloating):
             arr = arr.astype(float)
         with np.errstate(all="ignore"):
-            return np.asarray(_eval(self.root, arr))
+            out = _eval(self.root, arr)
+        # constants stay scalar inside the tree; only a constant result is spread
+        if np.shape(out) != arr.shape:
+            out = np.full(arr.shape, out)
+        return np.asarray(out)
 
     def __call__(self, values) -> np.ndarray:
         return self.evaluate(values)
@@ -73,7 +77,7 @@ class Expression:
 def _eval(node: tuple, var: np.ndarray):
     kind = node[0]
     if kind == "num":
-        return np.full(var.shape, node[1]) if var.ndim else node[1]
+        return np.float64(node[1])
     if kind == "var":
         return var
     if kind == "neg":

@@ -132,19 +132,21 @@ def _time_kernel(shape: str, sharpness: float, mesh: TimeMesh) -> np.ndarray:
 
 
 def _convolve_time(values: np.ndarray, taps: np.ndarray, dt: float) -> np.ndarray:
-    """Discrete convolution along axis 0 with zero extension."""
+    """Discrete convolution of real values along axis 0 with zero extension.
+
+    Row i is sum_m dt taps[m_max + m] values[i - m] over the nodes inside
+    the window.  Taps with |m| > n - 1 reach no node and are dropped; the
+    rest run as one linear FFT convolution, zero-padded to a power of two
+    >= n + m so that rows [m, m + n) see no wrap-around.
+    """
     n = values.shape[0]
     m_max = (taps.size - 1) // 2
-    out = np.zeros_like(values)
-    for k, m in enumerate(range(-m_max, m_max + 1)):
-        w = taps[k] * dt
-        if w == 0.0:
-            continue
-        if m >= 0:
-            out[m:] += w * values[: n - m]
-        else:
-            out[:m] += w * values[-m:]
-    return out
+    m = min(m_max, n - 1)
+    kept = taps[m_max - m : m_max + m + 1] * dt
+    size = 1 << (n + m - 1).bit_length()
+    spectrum = np.fft.rfft(values, n=size, axis=0)
+    spectrum *= np.fft.rfft(kept, n=size)[:, None]
+    return np.fft.irfft(spectrum, n=size, axis=0)[m : m + n].copy()
 
 
 def white_noise_representative(

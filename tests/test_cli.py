@@ -2,6 +2,7 @@
 
 import dataclasses
 import hashlib
+import io
 import json
 import math
 from pathlib import Path
@@ -10,7 +11,7 @@ import numpy as np
 import pytest
 
 from fracwave import ml_trajectory, parse_config, render_config
-from fracwave.cli import assemble_scenario, entrypoint
+from fracwave.cli import _write_field_csv, _write_manifest, assemble_scenario, entrypoint
 from fracwave.solution import SolutionOperatorEvaluator
 
 BASE = """
@@ -103,6 +104,40 @@ def test_runs_are_byte_stable(tmp_path):
     assert da.name == db.name
     for name in ("config.txt", "trajectory.csv", "metadata.json", "manifest.json"):
         assert (da / name).read_bytes() == (db / name).read_bytes()
+
+
+def _savetxt_bytes(nodes, xs, values):
+    tt = np.repeat(nodes, xs.size)
+    xx = np.tile(xs, values.shape[0])
+    table = np.column_stack([tt, xx, values.real.ravel(), values.imag.ravel()])
+    buf = io.BytesIO()
+    np.savetxt(buf, table, fmt="%.17g", delimiter=",")
+    return buf.getvalue()
+
+
+def test_field_csv_has_the_bytes_of_savetxt(tmp_path):
+    rng = np.random.Generator(np.random.Philox(key=0xC5))
+    nodes = np.array([0.0, 0.1, 1.0 / 3.0, 2.0])
+    xs = np.array([-16.0, -0.0, 1e-300, 0.7, 5.0])
+    values = rng.standard_normal((4, 5)) + 1j * rng.standard_normal((4, 5))
+    values[0, :] = [complex(-0.0, -0.0), complex(5e-324, -5e-324), 1e300, -1e300j, 0.0]
+    values[1, :3] = [complex(3.0, -7.0), 12345678901234567.0, complex(0.0, 2.0)]
+    for name, t, u in (("field.csv", nodes, values), ("initial.csv", nodes[:1], values[2][None, :])):
+        path = tmp_path / name
+        _write_field_csv(path, t, xs, u)
+        head, _, body = path.read_bytes().partition(b"\n")
+        assert head == b"t,x,re_u,im_u"
+        assert body == _savetxt_bytes(t, xs, u)
+
+
+def test_manifest_hashes_files_larger_than_a_chunk(tmp_path):
+    blob = bytes(range(256)) * 10_000  # about 2.4 MiB: several read chunks
+    (tmp_path / "big.bin").write_bytes(blob)
+    (tmp_path / "empty.txt").write_bytes(b"")
+    _write_manifest(tmp_path, ["empty.txt", "big.bin"])
+    files = json.loads((tmp_path / "manifest.json").read_text())["files"]
+    assert files["big.bin"] == {"sha256": hashlib.sha256(blob).hexdigest(), "bytes": len(blob)}
+    assert files["empty.txt"] == {"sha256": hashlib.sha256(b"").hexdigest(), "bytes": 0}
 
 
 def test_run_reduces_to_propagator_without_forcing(tmp_path):
@@ -212,6 +247,18 @@ def test_noise_dump_artifacts(tmp_path):
     assert meta["initial_provenance"]["tag"] == 1
     manifest = json.loads((run_dir / "manifest.json").read_text())
     assert set(manifest["files"]) == {"config.txt", "noise.csv", "initial.csv", "metadata.json"}
+
+
+def test_temporal_kernel_wider_than_the_horizon(tmp_path):
+    # support radius 2.5 against a 0.5 horizon: most taps reach no node
+    wide = BASE + "[noise]\nintensity = 0.1\nspatial_sharpness = 1.0\ntemporal_sharpness = 0.4\n"
+    cfg = _cfg_file(tmp_path, wide)
+    assert entrypoint(["run", "--config", cfg, "--out", str(tmp_path / "a"), "--quiet"]) == 0
+    u = _read_field(_run_dir(tmp_path / "a") / "trajectory.csv", 65, 256)
+    assert np.all(np.isfinite(u))
+    assert entrypoint(["noise-dump", "--config", cfg, "--out", str(tmp_path / "b"), "--quiet"]) == 0
+    noise = np.loadtxt(_run_dir(tmp_path / "b") / "noise.csv", delimiter=",", skiprows=1)
+    assert np.all(np.isfinite(noise)) and np.any(noise[:, 2])
 
 
 def test_noise_dump_zero_intensity(tmp_path):

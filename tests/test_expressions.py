@@ -52,6 +52,22 @@ def test_complex_states_stay_complex():
     assert np.max(np.abs(out - 0.1 * np.sin(z))) <= 1e-14
 
 
+def test_constants_combine_exactly_as_grid_arrays():
+    rng = np.random.Generator(np.random.Philox(key=0x5C))
+    z = rng.standard_normal((7, 9)) + 1j * rng.standard_normal((7, 9))
+    out = parse_expression("0.5*sin(u)", "u").evaluate(z)
+    old = np.full(z.shape, 0.5) * np.sin(z)
+    assert np.array_equal(out.view(float), old.view(float))
+
+
+@pytest.mark.parametrize("pts", [X, X.reshape(13, 1), X + 0j, np.float64(0.5)])
+def test_constant_expression_keeps_grid_shape(pts):
+    for text, value in (("2", 2.0), ("-3*2^2", -12.0), ("1/0", np.inf)):
+        out = parse_expression(text, "x").evaluate(pts)
+        assert out.shape == np.shape(pts) and out.dtype == np.float64
+        assert np.all(out == value)
+
+
 def test_nonfinite_values_pass_through_silently():
     expr = parse_expression("exp(x)", "x")
     with warnings.catch_warnings():

@@ -22,6 +22,7 @@ from fracwave import (
     white_noise_representative,
     zero_nonlinearity,
 )
+from fracwave.stochastic import _convolve_time
 
 GRID = SpatialGrid(16.0, 64)
 MESH = TimeMesh(0.25, 64)
@@ -31,6 +32,20 @@ EPS = 2.0**-6
 def _spec(member=0, intensity=0.05, seed=77, hx=0.5, ht=32.0):
     return NoiseSpec(intensity=intensity, master_seed=seed, member=member,
                      spatial_sharpness=hx, temporal_sharpness=ht)
+
+
+@pytest.mark.parametrize("n, m_max", [(40, 3), (40, 40), (40, 57), (1, 4), (33, 32)])
+def test_time_convolution_matches_direct_convolution(n, m_max):
+    rng = np.random.Generator(np.random.Philox(key=0xC0))
+    values = rng.standard_normal((n, 5))
+    taps = rng.uniform(0.0, 1.0, 2 * m_max + 1)
+    dt = 0.01
+    got = _convolve_time(values, taps, dt)
+    want = np.column_stack(
+        [np.convolve(values[:, j], taps * dt)[m_max : m_max + n] for j in range(values.shape[1])]
+    )
+    assert got.shape == values.shape
+    assert np.max(np.abs(got - want)) <= 1e-13 * np.max(np.abs(want))
 
 
 def test_bit_exact_reproducibility():
