@@ -44,7 +44,6 @@ from .fractional import (
     Trajectory,
     caputo_derivative,
     first_difference,
-    inequality_diagnostic,
     liouville_multiplier,
     pi_weights,
     rl_derivative,
@@ -70,15 +69,12 @@ from .solution import (
     GeneratorProbe,
     LinearAction,
     SolutionOperatorEvaluator,
-    TruncationCertificate,
     as_action,
     caputo_of_S_diagnostic,
     exp_bound_check,
     generator_recovery,
     ml_trajectory,
     multiplier_action,
-    op_ml_apply,
-    solution_apply,
     volterra_residual,
 )
 from .special import (

@@ -34,6 +34,7 @@ from . import __version__
 from .config import RunConfig, config_hash, parse_config, parse_config_file, render_config
 from .duhamel import (
     CauchyProblem,
+    Nonlinearity,
     SolverOptions,
     moderateness_scan,
     nonlinearity_from_callable,
@@ -130,6 +131,96 @@ def _coefficient_samples(cfg: RunConfig, grid: SpatialGrid) -> np.ndarray:
     return raw
 
 
+def _frame(cfg: RunConfig) -> tuple:
+    """Grid, time mesh, width schedule (None when unmollified) and run epsilon."""
+    grid = SpatialGrid(cfg.half_length, cfg.n_points)
+    mesh = TimeMesh(cfg.horizon, cfg.n_steps)
+    schedule = _build_schedule(cfg) if cfg.mollify else None
+    return grid, mesh, schedule, 2.0 ** (-cfg.run_k)
+
+
+def _displacement(cfg: RunConfig, grid: SpatialGrid) -> GridFunction:
+    return GridFunction(
+        grid, cfg.displacement_scale * _profile_samples(cfg.displacement, grid, "initial.displacement")
+    )
+
+
+def _noise_spec(cfg: RunConfig, schedule: Optional[EpsilonSchedule], member: int = 0) -> NoiseSpec:
+    """The configured noise; without a schedule both sharpness values must be set."""
+    if schedule is None and (cfg.spatial_sharpness is None or cfg.temporal_sharpness is None):
+        raise ConfigError(
+            [(None, "noise: set spatial and temporal sharpness explicitly when operator.mollify = false")]
+        )
+    return NoiseSpec(
+        intensity=cfg.noise_intensity,
+        master_seed=cfg.master_seed,
+        member=member,
+        spatial_sharpness=cfg.spatial_sharpness,
+        temporal_sharpness=cfg.temporal_sharpness,
+        schedule=schedule,
+        shape=cfg.noise_shape,
+    )
+
+
+def _regularized_operator(
+    cfg: RunConfig, grid: SpatialGrid, field: CoefficientField, schedule: EpsilonSchedule, eps: float
+):
+    """The mollified operator at one ladder point (not yet norm-gated)."""
+    smoothed = field.smoothed(eps, schedule)
+    moll = make_mollifier(cfg.mollifier_shape, schedule.h(eps), grid)
+    return build_operator(cfg.resolved_operator_kind(), cfg.space_order, smoothed, moll, grid, eps=eps)
+
+
+@dataclasses.dataclass(frozen=True)
+class _ProblemData:
+    """The epsilon-independent data of a problem, read once per verb."""
+
+    nonlinearity: Nonlinearity
+    displacement: GridFunction
+    velocity: np.ndarray
+    noise: Optional[NoiseSpec]
+
+
+def _problem_data(
+    cfg: RunConfig, grid: SpatialGrid, schedule: Optional[EpsilonSchedule], member: int = 0
+) -> _ProblemData:
+    nonlinearity = _build_nonlinearity(cfg)
+    q = _displacement(cfg, grid)
+    v_vals = cfg.velocity_scale * _profile_samples(cfg.velocity, grid, "initial.velocity")
+    spec = _noise_spec(cfg, schedule, member) if cfg.noise_intensity > 0.0 else None
+    return _ProblemData(nonlinearity, q, v_vals, spec)
+
+
+def _problem(
+    cfg: RunConfig, grid: SpatialGrid, mesh: TimeMesh, operator, data: _ProblemData, eps: float
+) -> tuple:
+    """The problem at one epsilon, with the provenance of the noise it drew."""
+    forcing = None
+    q = data.displacement
+    noise_meta = []
+    spec = data.noise
+    if spec is not None:
+        if cfg.noise_target in ("forcing", "both"):
+            rep = white_noise_representative(spec, eps, grid, mesh)
+            forcing = rep.trajectory
+            noise_meta.append({"target": "forcing", **rep.provenance})
+        if cfg.noise_target in ("initial", "both"):
+            q = stochastic_initial_data(q, spec, eps, grid)
+            noise_meta.append({"target": "initial", **spec.provenance(eps, 1)})
+    problem = CauchyProblem(
+        alpha=cfg.alpha,
+        operator=operator,
+        nonlinearity=data.nonlinearity,
+        initial_data=q,
+        mesh=mesh,
+        forcing=forcing,
+        initial_velocity=data.velocity,
+        grid=grid,
+        sobolev_order=None,
+    )
+    return problem, noise_meta
+
+
 @dataclasses.dataclass
 class ScenarioParts:
     """Everything `run` needs, assembled once from a config."""
@@ -148,74 +239,26 @@ class ScenarioParts:
 
 def assemble_scenario(cfg: RunConfig, member: int = 0, gate: bool = True) -> ScenarioParts:
     """Build grid, operator, noise, and problem from a validated config."""
-    grid = SpatialGrid(cfg.half_length, cfg.n_points)
-    mesh = TimeMesh(cfg.horizon, cfg.n_steps)
+    grid, mesh, schedule, eps = _frame(cfg)
     kind = cfg.resolved_operator_kind()
-
-    schedule = eps = measured = cap = None
-    if cfg.mollify:
-        schedule = _build_schedule(cfg)
-        eps = 2.0 ** (-cfg.run_k)
-        coeff_raw = _coefficient_samples(cfg, grid)
+    coeff_raw = _coefficient_samples(cfg, grid)
+    measured = cap = None
+    if schedule is not None:
         field = CoefficientField(grid, coeff_raw, shape=cfg.mollifier_shape)
-        smoothed = field.smoothed(eps, schedule)
-        moll = make_mollifier(cfg.mollifier_shape, schedule.h(eps), grid)
-        operator = build_operator(kind, cfg.space_order, smoothed, moll, grid, eps=eps)
+        operator = _regularized_operator(cfg, grid, field, schedule, eps)
         cap = schedule.cap(eps)
         measured = check_norm_gate(operator, schedule) if gate else operator.norm_estimate().value
     else:
-        coeff_raw = _coefficient_samples(cfg, grid)
-        level = float(coeff_raw[0])
         if kind == "second_derivative":
             base = -(grid.xi.astype(complex) ** 2)
         else:
             name = {"liouville_left": "left", "liouville_right": "right", "riesz": "riesz"}[kind]
             base = liouville_multiplier(name, cfg.space_order, grid)
-        operator = multiplier_action(level * base, label=kind)
-
-    nonlinearity = _build_nonlinearity(cfg)
-    q = GridFunction(
-        grid, cfg.displacement_scale * _profile_samples(cfg.displacement, grid, "initial.displacement")
-    )
-    v_vals = cfg.velocity_scale * _profile_samples(cfg.velocity, grid, "initial.velocity")
-
-    forcing = None
-    noise_meta = []
-    if cfg.noise_intensity > 0.0:
-        if schedule is None and (cfg.spatial_sharpness is None or cfg.temporal_sharpness is None):
-            raise ConfigError(
-                [(None, "noise: set spatial and temporal sharpness explicitly when operator.mollify = false")]
-            )
-        spec = NoiseSpec(
-            intensity=cfg.noise_intensity,
-            master_seed=cfg.master_seed,
-            member=member,
-            spatial_sharpness=cfg.spatial_sharpness,
-            temporal_sharpness=cfg.temporal_sharpness,
-            schedule=schedule,
-            shape=cfg.noise_shape,
-        )
-        noise_eps = eps if eps is not None else 2.0 ** (-cfg.run_k)
-        if cfg.noise_target in ("forcing", "both"):
-            rep = white_noise_representative(spec, noise_eps, grid, mesh)
-            forcing = rep.trajectory
-            noise_meta.append({"target": "forcing", **rep.provenance})
-        if cfg.noise_target in ("initial", "both"):
-            q = stochastic_initial_data(q, spec, noise_eps, grid)
-            noise_meta.append({"target": "initial", **spec.provenance(noise_eps, 1)})
-
-    problem = CauchyProblem(
-        alpha=cfg.alpha,
-        operator=operator,
-        nonlinearity=nonlinearity,
-        initial_data=q,
-        mesh=mesh,
-        forcing=forcing,
-        initial_velocity=v_vals,
-        grid=grid,
-        sobolev_order=None,
-    )
-    return ScenarioParts(cfg, grid, mesh, schedule, eps, operator, measured, cap, problem, noise_meta)
+        operator = multiplier_action(float(coeff_raw[0]) * base, label=kind)
+    data = _problem_data(cfg, grid, schedule, member)
+    problem, noise_meta = _problem(cfg, grid, mesh, operator, data, eps)
+    run_eps = eps if schedule is not None else None
+    return ScenarioParts(cfg, grid, mesh, schedule, run_eps, operator, measured, cap, problem, noise_meta)
 
 
 def _solver_options(cfg: RunConfig) -> SolverOptions:
@@ -373,26 +416,18 @@ def cmd_run(cfg: RunConfig, out: Optional[str], quiet: bool) -> int:
 def cmd_sweep(cfg: RunConfig, out: Optional[str], quiet: bool) -> int:
     if not cfg.mollify:
         raise ConfigError([(None, "sweep-epsilon needs operator.mollify = true")])
-    grid = SpatialGrid(cfg.half_length, cfg.n_points)
-    mesh = TimeMesh(cfg.horizon, cfg.n_steps)
-    schedule = _build_schedule(cfg)
+    grid, mesh, schedule, _ = _frame(cfg)
     kind = cfg.resolved_operator_kind()
     coeff_raw = _coefficient_samples(cfg, grid)
     field = CoefficientField(grid, coeff_raw, shape=cfg.mollifier_shape)
-    nonlinearity = _build_nonlinearity(cfg)
-    q = GridFunction(
-        grid, cfg.displacement_scale * _profile_samples(cfg.displacement, grid, "initial.displacement")
-    )
-    v_vals = cfg.velocity_scale * _profile_samples(cfg.velocity, grid, "initial.velocity")
+    data = _problem_data(cfg, grid, schedule)
 
     operators = {}
     build_errors = {}
     for eps in schedule.epsilons:
         eps = float(eps)
         try:
-            smoothed = field.smoothed(eps, schedule)
-            moll = make_mollifier(cfg.mollifier_shape, schedule.h(eps), grid)
-            op = build_operator(kind, cfg.space_order, smoothed, moll, grid, eps=eps)
+            op = _regularized_operator(cfg, grid, field, schedule, eps)
             check_norm_gate(op, schedule)
             operators[eps] = op
         except FracwaveError as exc:
@@ -401,33 +436,7 @@ def cmd_sweep(cfg: RunConfig, out: Optional[str], quiet: bool) -> int:
     def build_problem(eps: float) -> CauchyProblem:
         if eps in build_errors:
             raise build_errors[eps]
-        forcing = None
-        state0 = q
-        if cfg.noise_intensity > 0.0:
-            spec = NoiseSpec(
-                intensity=cfg.noise_intensity,
-                master_seed=cfg.master_seed,
-                member=0,
-                spatial_sharpness=cfg.spatial_sharpness,
-                temporal_sharpness=cfg.temporal_sharpness,
-                schedule=schedule,
-                shape=cfg.noise_shape,
-            )
-            if cfg.noise_target in ("forcing", "both"):
-                forcing = white_noise_representative(spec, eps, grid, mesh).trajectory
-            if cfg.noise_target in ("initial", "both"):
-                state0 = stochastic_initial_data(q, spec, eps, grid)
-        return CauchyProblem(
-            alpha=cfg.alpha,
-            operator=operators[eps],
-            nonlinearity=nonlinearity,
-            initial_data=state0,
-            mesh=mesh,
-            forcing=forcing,
-            initial_velocity=v_vals,
-            grid=grid,
-            sobolev_order=None,
-        )
+        return _problem(cfg, grid, mesh, operators[eps], data, eps)[0]
 
     moder = moderateness_scan(build_problem, schedule, _solver_options(cfg))
 
@@ -533,23 +542,8 @@ def cmd_validate(out: Optional[str], quiet: bool, only: Optional[list]) -> int:
 
 
 def cmd_noise_dump(cfg: RunConfig, out: Optional[str], quiet: bool) -> int:
-    grid = SpatialGrid(cfg.half_length, cfg.n_points)
-    mesh = TimeMesh(cfg.horizon, cfg.n_steps)
-    schedule = _build_schedule(cfg) if cfg.mollify else None
-    if schedule is None and (cfg.spatial_sharpness is None or cfg.temporal_sharpness is None):
-        raise ConfigError(
-            [(None, "noise: set spatial and temporal sharpness explicitly when operator.mollify = false")]
-        )
-    eps = 2.0 ** (-cfg.run_k)
-    spec = NoiseSpec(
-        intensity=cfg.noise_intensity,
-        master_seed=cfg.master_seed,
-        member=0,
-        spatial_sharpness=cfg.spatial_sharpness,
-        temporal_sharpness=cfg.temporal_sharpness,
-        schedule=schedule,
-        shape=cfg.noise_shape,
-    )
+    grid, mesh, schedule, eps = _frame(cfg)
+    spec = _noise_spec(cfg, schedule)
     rep = white_noise_representative(spec, eps, grid, mesh)
     run_dir = _prepare_dir(cfg, out, "noise")
     (run_dir / "config.txt").write_text(render_config(cfg), encoding="utf-8")
@@ -566,11 +560,7 @@ def cmd_noise_dump(cfg: RunConfig, out: Optional[str], quiet: bool) -> int:
         "seed": cfg.master_seed,
     }
     if cfg.noise_target in ("initial", "both"):
-        u0 = GridFunction(
-            grid,
-            cfg.displacement_scale * _profile_samples(cfg.displacement, grid, "initial.displacement"),
-        )
-        perturbed = stochastic_initial_data(u0, spec, eps, grid)
+        perturbed = stochastic_initial_data(_displacement(cfg, grid), spec, eps, grid)
         _write_field_csv(run_dir / "initial.csv", mesh.nodes[:1], grid.x, perturbed.values[None, :])
         names.insert(2, "initial.csv")
         meta["initial_provenance"] = spec.provenance(eps, 1)

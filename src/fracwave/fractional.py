@@ -16,8 +16,8 @@ zero frequency always mapped to zero.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
-from typing import Callable, Optional
+from dataclasses import dataclass
+from typing import Optional
 
 import numpy as np
 
@@ -39,8 +39,6 @@ __all__ = [
     "liouville_multiplier",
     "apply_multiplier",
     "sobolev_norm",
-    "InequalityReport",
-    "inequality_diagnostic",
 ]
 
 
@@ -333,102 +331,3 @@ def sobolev_norm(u: GridFunction, beta: float) -> float:
         dxu = apply_multiplier(1j * u.grid.xi, u)
         total += dxu.l2_norm() ** 2
     return math.sqrt(total)
-
-
-@dataclass
-class InequalityReport:
-    """Left/right sides and their ratio for a fractional product or
-    composition estimate; constants are unspecified so only the ratio is
-    reported.  violation flags a nonzero left side against a vanishing right
-    side."""
-
-    case: str
-    order: float
-    lhs: float
-    rhs: float
-
-    @property
-    def ratio(self) -> float:
-        if self.lhs == 0.0:
-            return 0.0
-        if self.rhs == 0.0:
-            return math.inf
-        return self.lhs / self.rhs
-
-    @property
-    def violation(self) -> bool:
-        return self.rhs == 0.0 and self.lhs > 0.0
-
-
-def _d_norm(u: GridFunction, order: float) -> float:
-    return apply_multiplier(liouville_multiplier("left", order, u.grid), u).l2_norm()
-
-
-def _d_sup(u: GridFunction, order: float) -> float:
-    out = apply_multiplier(liouville_multiplier("left", order, u.grid), u)
-    return float(np.max(np.abs(out.values)))
-
-
-def _dx_sup(u: GridFunction) -> float:
-    out = apply_multiplier(1j * u.grid.xi, u)
-    return float(np.max(np.abs(out.values)))
-
-
-def inequality_diagnostic(
-    case: str,
-    order: float,
-    *,
-    u: Optional[GridFunction] = None,
-    fn: Optional[Callable] = None,
-    fn_prime: Optional[Callable] = None,
-    f: Optional[GridFunction] = None,
-    g: Optional[GridFunction] = None,
-) -> InequalityReport:
-    """Measured two-sided data for the fractional chain and product rules.
-
-    Cases:
-      chain_low     order in (0,1):  |D^a f(u)|        vs |f'(u)|_inf |D^a u|
-      product_low   order in (0,1):  |D^a (fg)|        vs |f|_inf |D^a g| + |D^a f| |g|_inf
-      chain_high    order in (1,2):  |D^a f(u)|        vs |f'(u)|_inf |D^a u|
-                                          + |D^(a-1) f'(u)|_inf * H^a-norm of u
-      product_high  order in (1,2):  |D^a (fg)|        vs the four-term right side
-                                          with first-derivative sup factors
-
-    Only ratios are meaningful; the report never asserts a constant.
-    """
-    if case in ("chain_low", "chain_high"):
-        if u is None or fn is None or fn_prime is None:
-            raise ValueError(f"case {case!r} needs u, fn and fn_prime")
-        if case == "chain_low" and not (0.0 < order < 1.0):
-            raise SingularOrderError("chain_low needs order in (0, 1)")
-        if case == "chain_high" and not (1.0 < order < 2.0):
-            raise SingularOrderError("chain_high needs order in (1, 2)")
-        fu = GridFunction(u.grid, fn(u.values))
-        fpu = GridFunction(u.grid, fn_prime(u.values))
-        lhs = _d_norm(fu, order)
-        rhs = float(np.max(np.abs(fpu.values))) * _d_norm(u, order)
-        if case == "chain_high":
-            rhs += _d_sup(fpu, order - 1.0) * sobolev_norm(u, order)
-        return InequalityReport(case, order, lhs, rhs)
-    if case in ("product_low", "product_high"):
-        if f is None or g is None:
-            raise ValueError(f"case {case!r} needs the factor pair f, g")
-        if case == "product_low" and not (0.0 < order < 1.0):
-            raise SingularOrderError("product_low needs order in (0, 1)")
-        if case == "product_high" and not (1.0 < order < 2.0):
-            raise SingularOrderError("product_high needs order in (1, 2)")
-        prod = GridFunction(f.grid, f.values * g.values)
-        lhs = _d_norm(prod, order)
-        f_sup = float(np.max(np.abs(f.values)))
-        g_sup = float(np.max(np.abs(g.values)))
-        if case == "product_low":
-            rhs = f_sup * _d_norm(g, order) + _d_norm(f, order) * g_sup
-        else:
-            rhs = (
-                _dx_sup(f) * _d_norm(g, order - 1.0)
-                + _d_norm(f, order) * g_sup
-                + f_sup * _d_norm(g, order)
-                + _d_norm(f, order - 1.0) * _dx_sup(g)
-            )
-        return InequalityReport(case, order, lhs, rhs)
-    raise ValueError(f"unknown case {case!r}")

@@ -10,11 +10,9 @@ width-schedule machinery, which is what makes the series route viable.
 
 from __future__ import annotations
 
-import hashlib
 import math
 import numbers
-import threading
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from typing import Callable, Optional
 
 import numpy as np
@@ -28,11 +26,8 @@ __all__ = [
     "LinearAction",
     "as_action",
     "multiplier_action",
-    "TruncationCertificate",
-    "op_ml_apply",
     "ml_trajectory",
     "SolutionOperatorEvaluator",
-    "solution_apply",
     "volterra_residual",
     "caputo_of_S_diagnostic",
     "GeneratorProbe",
@@ -80,7 +75,7 @@ def as_action(operator, norm_bound: Optional[float] = None) -> LinearAction:
     """
     if isinstance(operator, LinearAction):
         if norm_bound is not None and norm_bound != operator.norm_bound:
-            return LinearAction(operator.matvec, float(norm_bound), operator.dim, operator.label)
+            return replace(operator, norm_bound=float(norm_bound))
         return operator
     if isinstance(operator, numbers.Number):
         c = complex(operator)
@@ -132,73 +127,11 @@ def multiplier_action(symbol: np.ndarray, label: str = "multiplier") -> LinearAc
     return LinearAction(matvec, bound, sym.size, label, batch_matvec=matvec)
 
 
-@dataclass(frozen=True)
-class TruncationCertificate:
-    """Majorant-based remainder certificate for a truncated operator series."""
-
-    n_terms: int
-    tail_bound: float
-    majorant_arg: float
-
-
-def _tail_bound(alpha: float, beta_prime: float, z_abs: float, n_terms: int) -> float:
-    """Geometric bound on the scalar majorant tail past term n_terms."""
-    if z_abs == 0.0:
-        return 0.0
-    n1 = n_terms + 1
-    lead = math.exp(n1 * math.log(z_abs) - math.lgamma(beta_prime + n1 * alpha))
-    ratio = z_abs * math.exp(
-        math.lgamma(beta_prime + n1 * alpha) - math.lgamma(beta_prime + (n1 + 1) * alpha)
-    )
-    if ratio >= 1.0:
-        return math.inf
-    return lead / (1.0 - ratio)
-
-
 def _check_orders(alpha: float, beta_prime: float) -> None:
     if not (0.0 < alpha <= 2.0):
         raise SingularOrderError(f"series order must lie in (0, 2], got {alpha:g}")
     if beta_prime <= 0.0:
         raise SingularOrderError(f"second parameter must be positive, got {beta_prime:g}")
-
-
-def op_ml_apply(
-    alpha: float,
-    beta_prime: float,
-    operator,
-    t: float,
-    x: np.ndarray,
-    tol: float = 1e-12,
-    with_certificate: bool = False,
-):
-    """Apply the two-parameter Mittag-Leffler sum of t**alpha * A to x.
-
-    Powers of the operator are built by repeated application, never
-    materialized.  The term count comes from the scalar majorant at
-    |z| = t**alpha * ||A||, so the reported tail bound dominates the true
-    remainder.  Raises a truncation error (from the majorant sizing) when
-    tol is unreachable within the term budget.
-    """
-    _check_orders(alpha, beta_prime)
-    if t < 0.0 or not np.isfinite(t):
-        raise ValueError(f"time must be finite and >= 0, got {t!r}")
-    action = as_action(operator)
-    vec = np.asarray(x)
-    z_abs = t**alpha * action.norm_bound
-    n_terms = series_term_count(alpha, beta_prime, z_abs, tol)
-
-    acc = vec * math.exp(-math.lgamma(beta_prime))
-    power = vec
-    log_t = math.log(t) if t > 0.0 else -math.inf
-    for n in range(1, n_terms + 1):
-        power = action(power)
-        coeff = math.exp(n * alpha * log_t - math.lgamma(beta_prime + n * alpha))
-        acc = acc + coeff * power
-    if not with_certificate:
-        return acc
-    x_scale = float(np.linalg.norm(np.asarray(vec, dtype=complex).ravel()))
-    cert = TruncationCertificate(n_terms, _tail_bound(alpha, beta_prime, z_abs, n_terms) * x_scale, z_abs)
-    return acc, cert
 
 
 def ml_trajectory(
@@ -247,19 +180,10 @@ def ml_trajectory(
     return out.reshape((ts.size,) + vec.shape)
 
 
-def _x_key(x: np.ndarray) -> tuple:
-    arr = np.ascontiguousarray(x)
-    digest = hashlib.sha256(arr.tobytes()).hexdigest()
-    return (arr.dtype.str, arr.shape, digest)
-
-
 class SolutionOperatorEvaluator:
-    """Propagator family S(t) = E_alpha(t**alpha A) with a per-node cache.
+    """Propagator family S(t) = E_alpha(t**alpha A) bound to one operator.
 
-    The evaluator is immutable after construction apart from the cache,
-    which is guard-locked: identical (t, second parameter, input) triples
-    return bit-identical results no matter how calls interleave.  The
-    second parameter generalizes the family to the kernel and forcing
+    The second parameter generalizes the family to the kernel and forcing
     variants the fixed-point solver needs.
     """
 
@@ -271,37 +195,17 @@ class SolutionOperatorEvaluator:
         self.alpha = float(alpha)
         self.action = as_action(operator, norm_bound)
         self.tol = float(tol)
-        self._cache: dict = {}
-        self._lock = threading.Lock()
 
     @property
     def norm_bound(self) -> float:
         return self.action.norm_bound
 
     def apply(self, t: float, x: np.ndarray, beta_prime: float = 1.0) -> np.ndarray:
-        key = (float(beta_prime), float(t), _x_key(x))
-        with self._lock:
-            hit = self._cache.get(key)
-        if hit is not None:
-            return hit.copy()
-        value = op_ml_apply(self.alpha, beta_prime, self.action, t, x, tol=self.tol)
-        value = np.asarray(value)
-        value.flags.writeable = False
-        with self._lock:
-            stored = self._cache.setdefault(key, value)
-        return stored.copy()
+        """E_{alpha,beta'}(t**alpha A) x: the trajectory at the single node t."""
+        return self.trajectory(np.array([float(t)]), x, beta_prime)[0]
 
     def trajectory(self, times: np.ndarray, x: np.ndarray, beta_prime: float = 1.0) -> np.ndarray:
         return ml_trajectory(self.alpha, beta_prime, self.action, x, times, tol=self.tol)
-
-    def cache_size(self) -> int:
-        with self._lock:
-            return len(self._cache)
-
-
-def solution_apply(ev: SolutionOperatorEvaluator, t: float, x: np.ndarray) -> np.ndarray:
-    """Action of the solution operator at time t (second parameter 1)."""
-    return ev.apply(t, x, beta_prime=1.0)
 
 
 def _row_norms(rows: np.ndarray) -> np.ndarray:

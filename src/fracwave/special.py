@@ -1,10 +1,9 @@
 """Scalar special functions for fractional evolution problems.
 
-The module provides the gamma function with pole guards, the integrable power
-kernel t**(alpha-1)/Gamma(alpha), a two-parameter Mittag-Leffler evaluator
-with a certified truncation rule, and an empirical certificate for the
-exponential growth envelope of the Mittag-Leffler function on a rate/time
-grid.
+The module provides the gamma function with pole guards, a two-parameter
+Mittag-Leffler evaluator with a certified truncation rule, and an empirical
+certificate for the exponential growth envelope of the Mittag-Leffler
+function on a rate/time grid.
 
 Evaluation strategy for the series sum_{n>=0} z**n / Gamma(beta + n*alpha):
 
@@ -37,7 +36,6 @@ __all__ = [
     "MlParams",
     "GrowthEnvelope",
     "gamma",
-    "g_alpha",
     "mittag_leffler",
     "mittag_leffler_hp",
     "series_term_count",
@@ -61,22 +59,6 @@ def gamma(x: float) -> float:
     if x <= 0.0 and x == math.floor(x):
         raise SingularOrderError(f"gamma pole at x = {x:g}")
     return math.gamma(x)
-
-
-def g_alpha(t, alpha: float):
-    """Integrable power kernel t**(alpha-1)/Gamma(alpha) for t > 0, else 0.
-
-    Accepts scalars or arrays; alpha must be positive.
-    """
-    if alpha <= 0.0:
-        raise SingularOrderError(f"kernel order must be positive, got {alpha:g}")
-    t_arr = np.asarray(t, dtype=float)
-    scale = 1.0 / gamma(alpha)
-    with np.errstate(invalid="ignore", divide="ignore"):
-        out = np.where(t_arr > 0.0, np.power(np.maximum(t_arr, 0.0), alpha - 1.0) * scale, 0.0)
-    if np.isscalar(t) or t_arr.ndim == 0:
-        return float(out)
-    return out
 
 
 @dataclass(frozen=True)

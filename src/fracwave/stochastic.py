@@ -9,8 +9,8 @@ joint measurability here: same (spec, eps, seed), same bits.
 Spatial smoothing is the periodic kernel machinery wholesale; temporal
 smoothing convolves against a compactly supported kernel with zero extension
 outside the time window, so early and late nodes see a truncated kernel mass
-(their variance dips accordingly; the closed-form variance below refers to
-interior nodes).
+(their variance dips accordingly; the closed-form variance below is that
+of the central node, which is interior whenever the kernel fits the window).
 """
 
 from __future__ import annotations
@@ -175,20 +175,26 @@ def white_noise_representative(
 
 
 def mollified_variance(spec: NoiseSpec, eps: float, grid: SpatialGrid, mesh: TimeMesh) -> float:
-    """Interior-node variance of the mollified field, in closed form.
+    """Variance of the mollified field at the central node, in closed form.
 
     Independence of the cell draws turns the double smoothing into a product
-    of discrete kernel energies: sigma^2 (dx sum phi_x^2)(dt sum phi_t^2).
-    Valid away from the time-window ends where zero extension trims the
-    kernel.
+    of discrete kernel energies: sigma^2 (dx sum phi_x^2)(dt sum phi_t^2),
+    the time sum running over the taps that reach the central node
+    i = (n - 1) // 2 inside the window.  When the kernel fits in the window
+    that node sees every tap, and the value is the interior variance shared
+    by all nodes away from the window ends.
     """
     if spec.intensity == 0.0:
         return 0.0
     hx, ht = spec.sharpness_at(eps)
     moll = make_mollifier(spec.shape, hx, grid)
     taps = _time_kernel(spec.shape, ht, mesh)
+    m_max = (taps.size - 1) // 2
+    centre = (mesh.n_nodes - 1) // 2
+    # node i sees values[i - m] for offsets m in [i - (n - 1), i]
+    reach = taps[m_max - min(m_max, mesh.n_nodes - 1 - centre) : m_max + min(m_max, centre) + 1]
     space_energy = float(np.sum(moll.samples**2)) * grid.dx
-    time_energy = float(np.sum(taps**2)) * mesh.dt
+    time_energy = float(np.sum(reach**2)) * mesh.dt
     return spec.intensity**2 * space_energy * time_energy
 
 

@@ -297,6 +297,44 @@ run_k = 5
     assert meta["moderateness"]["statuses"] == ["ok", "ok", "ok"]
 
 
+def test_run_and_sweep_build_the_same_problem(tmp_path):
+    # one noisy rung solved twice: by `run` at run_k = 5 and by the sweep
+    text = """
+[run]
+alpha = 1.5
+[grid]
+half_length = 16
+n_points = 256
+[mesh]
+horizon = 0.25
+n_steps = 64
+[operator]
+coefficient = 1+0.25*sech(x)
+[schedule]
+k_min = 4
+k_max = 6
+run_k = 5
+[initial]
+velocity = gaussian_bump
+velocity_scale = 0.3
+[noise]
+intensity = 0.02
+master_seed = 7
+temporal_sharpness = 16.0
+target = both
+"""
+    cfg = _cfg_file(tmp_path, text)
+    assert entrypoint(["run", "--config", cfg, "--out", str(tmp_path / "a"), "--quiet"]) == 0
+    assert entrypoint(["sweep-epsilon", "--config", cfg, "--out", str(tmp_path / "b"), "--quiet"]) == 0
+    u = _read_field(_run_dir(tmp_path / "a") / "trajectory.csv", 65, 256)
+    want = math.sqrt(32.0 / 256) * np.linalg.norm(u, axis=1).max()
+    header, *rows = (_run_dir(tmp_path / "b") / "sweep.csv").read_text().splitlines()
+    rung = next(row.split(",") for row in rows if row.startswith("5,"))
+    got = float(rung[header.split(",").index("sup_state")])
+    assert rung[-1] == "ok"
+    assert abs(got - want) <= 1e-12 * want
+
+
 def test_sweep_flags_unresolvable_rungs(tmp_path):
     # on the coarse grid the deepest rungs cannot resolve the coefficient
     # kernel; they must come back flagged, not crash the sweep

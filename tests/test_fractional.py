@@ -13,7 +13,6 @@ from fracwave import (
     TimeMesh,
     caputo_derivative,
     first_difference,
-    inequality_diagnostic,
     liouville_multiplier,
     pi_weights,
     rl_derivative,
@@ -178,14 +177,3 @@ def test_mesh_and_grid_geometry():
     assert grid.dx == 0.25
     assert grid.x[0] == -8.0 and grid.x[-1] == 8.0 - 0.25
 
-
-def test_chain_rule_diagnostic_shape():
-    grid = SpatialGrid(16.0, 256)
-    u = GridFunction(grid, np.exp(-grid.x**2 / 4))
-    rep = inequality_diagnostic("chain_low", 0.6, u=u, fn=np.sin, fn_prime=np.cos)
-    assert rep.ratio > 0.0 and np.isfinite(rep.ratio)
-    assert isinstance(rep.violation, (bool, np.bool_))
-    with pytest.raises(SingularOrderError):
-        inequality_diagnostic("chain_low", 1.2, u=u, fn=np.sin, fn_prime=np.cos)
-    with pytest.raises(ValueError):
-        inequality_diagnostic("chain_low", 0.6, u=u)

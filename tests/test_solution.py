@@ -1,4 +1,4 @@
-"""Propagator family: truncated operator series, cache, and diagnostics."""
+"""Propagator family: truncated operator series and diagnostics."""
 
 import math
 
@@ -18,8 +18,6 @@ from fracwave import (
     mittag_leffler,
     ml_trajectory,
     multiplier_action,
-    op_ml_apply,
-    solution_apply,
     volterra_residual,
 )
 
@@ -46,6 +44,18 @@ def test_action_wrapping():
     assert act_c.norm_bound == 2.0
 
 
+def test_rebounded_action_keeps_its_batch_path():
+    sym = np.array([0.5, -1.0, 2.0j, 0.25])
+    base = multiplier_action(sym)
+    loose = as_action(base, norm_bound=4.0)
+    assert loose.norm_bound == 4.0 and base.norm_bound == 2.0
+    assert loose.batch_matvec is base.batch_matvec and loose.label == base.label
+    rows = np.arange(12.0).reshape(3, 4) + 1j
+    assert np.array_equal(loose.apply_rows(rows), base.apply_rows(rows))
+    ev = SolutionOperatorEvaluator(1.5, base, norm_bound=4.0)
+    assert ev.action.batch_matvec is not None
+
+
 def test_series_matches_eigendecomposition():
     mat, vec = _symmetric(6, 0xB0)
     lam, Q = np.linalg.eigh(mat)
@@ -54,50 +64,40 @@ def test_series_matches_eigendecomposition():
     oracle = Q @ (
         np.array([mittag_leffler(p, complex(l) * t**1.5) for l in lam]) * (Q.T @ vec)
     )
-    val, cert = op_ml_apply(1.5, 1.0, mat, t, vec, tol=1e-9, with_certificate=True)
-    err = np.linalg.norm(val - oracle)
-    assert err <= 1e-8
-    # the majorant certificate must dominate the true remainder
-    assert cert.tail_bound >= err
-    assert cert.n_terms > 0
-    assert abs(cert.majorant_arg - t**1.5) <= 1e-12  # unit norm up to rounding
+    val = SolutionOperatorEvaluator(1.5, mat, tol=1e-9).apply(t, vec)
+    assert np.linalg.norm(val - oracle) <= 1e-8
 
 
 def test_trajectory_consistent_with_single_applies():
-    # the batched path accumulates in a different order, so agreement is
-    # to rounding, not bit-for-bit
+    # each single apply sizes its truncation at its own time, so agreement
+    # with the ladder (sized at the largest time) is to rounding
     mat, vec = _symmetric(4, 0xB1)
     times = np.linspace(0.0, 2.0, 9)
     rows = ml_trajectory(1.5, 1.0, mat, vec, times)
+    ev = SolutionOperatorEvaluator(1.5, mat)
     for k, t in enumerate(times):
-        one = op_ml_apply(1.5, 1.0, mat, float(t), vec)
-        assert np.max(np.abs(rows[k] - one)) <= 1e-10
+        assert np.max(np.abs(rows[k] - ev.apply(float(t), vec))) <= 1e-10
 
 
 def test_series_order_validation():
     vec = np.ones(3)
     mat = np.eye(3)
     with pytest.raises(SingularOrderError):
-        op_ml_apply(2.5, 1.0, mat, 1.0, vec)
+        ml_trajectory(2.5, 1.0, mat, vec, np.array([1.0]))
     with pytest.raises(SingularOrderError):
-        op_ml_apply(1.5, 0.0, mat, 1.0, vec)
+        ml_trajectory(1.5, 0.0, mat, vec, np.array([1.0]))
     with pytest.raises(ValueError):
-        op_ml_apply(1.5, 1.0, mat, -1.0, vec)
+        ml_trajectory(1.5, 1.0, mat, vec, np.array([-1.0]))
+    with pytest.raises(ValueError):
+        SolutionOperatorEvaluator(1.5, mat).apply(-1.0, vec)
 
 
-def test_evaluator_identity_at_zero_and_cache():
+def test_evaluator_identity_at_zero():
     mat, vec = _symmetric(5, 0xB2)
     ev = SolutionOperatorEvaluator(1.5, mat)
     out0 = ev.apply(0.0, vec)
     assert np.max(np.abs(out0 - vec)) == 0.0
-    a = ev.apply(0.8, vec)
-    b = ev.apply(0.8, vec)
-    assert np.array_equal(a, b)
-    assert a is not b  # callers get copies, the cache stays frozen
-    a[:] = 0.0
-    assert np.array_equal(ev.apply(0.8, vec), b)
-    assert ev.cache_size() == 2
-    assert np.array_equal(solution_apply(ev, 0.8, vec), b)
+    assert np.array_equal(ev.apply(0.8, vec), ev.apply(0.8, vec))
     with pytest.raises(SingularOrderError):
         SolutionOperatorEvaluator(0.9, mat)
 

@@ -16,13 +16,14 @@ from fracwave import (
     SpatialGrid,
     TimeMesh,
     ensemble_run,
+    make_mollifier,
     mollified_variance,
     multiplier_action,
     stochastic_initial_data,
     white_noise_representative,
     zero_nonlinearity,
 )
-from fracwave.stochastic import _convolve_time
+from fracwave.stochastic import _convolve_time, _time_kernel
 
 GRID = SpatialGrid(16.0, 64)
 MESH = TimeMesh(0.25, 64)
@@ -69,6 +70,31 @@ def test_interior_variance_matches_closed_form():
         samples[m] = rep.trajectory.values[k0:k1].real
     z = (samples.var(axis=0).mean() - var_cf) / (var_cf * math.sqrt(2.0 / (n_mem - 1)))
     assert abs(z) <= 3.0
+
+
+def _impulse_variance(spec, eps, grid, mesh):
+    """Per-node variance summed over the responses to every single cell draw."""
+    hx, ht = spec.sharpness_at(eps)
+    moll = make_mollifier(spec.shape, hx, grid)
+    taps = _time_kernel(spec.shape, ht, mesh)
+    var = np.zeros((mesh.n_nodes, grid.n_points))
+    for k in range(mesh.n_nodes):
+        for j in range(grid.n_points):
+            cell = np.zeros_like(var)
+            cell[k, j] = 1.0
+            var += _convolve_time(moll.convolve(cell).real, taps, mesh.dt) ** 2
+    return spec.intensity**2 / (grid.dx * mesh.dt) * var
+
+
+@pytest.mark.parametrize("ht", [0.4, 1.0, 8.0])
+def test_variance_is_that_of_the_central_node(ht):
+    # sharpness 0.4 and 1.0 give kernels wider than the horizon: no node
+    # sees every tap, and the central one sees fewest of the trimmed kernel
+    grid, mesh = SpatialGrid(4.0, 32), TimeMesh(1.0, 16)
+    spec = NoiseSpec(intensity=0.1, master_seed=1, spatial_sharpness=1.0, temporal_sharpness=ht)
+    oracle = _impulse_variance(spec, EPS, grid, mesh)[(mesh.n_nodes - 1) // 2]
+    got = mollified_variance(spec, EPS, grid, mesh)
+    assert np.max(np.abs(oracle - got)) <= 1e-12 * got
 
 
 def test_variance_scales_with_intensity():
