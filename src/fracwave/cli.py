@@ -44,10 +44,11 @@ from .duhamel import (
 )
 from .errors import ConfigError, DivergenceError, FracwaveError
 from .expressions import parse_expression
-from .fractional import GridFunction, SpatialGrid, TimeMesh, liouville_multiplier
+from .fractional import GridFunction, SpatialGrid, TimeMesh
 from .regularization import (
     CoefficientField,
     EpsilonSchedule,
+    _base_multiplier,
     association_diagnostic,
     build_operator,
     check_norm_gate,
@@ -249,11 +250,7 @@ def assemble_scenario(cfg: RunConfig, member: int = 0, gate: bool = True) -> Sce
         cap = schedule.cap(eps)
         measured = check_norm_gate(operator, schedule) if gate else operator.norm_estimate().value
     else:
-        if kind == "second_derivative":
-            base = -(grid.xi.astype(complex) ** 2)
-        else:
-            name = {"liouville_left": "left", "liouville_right": "right", "riesz": "riesz"}[kind]
-            base = liouville_multiplier(name, cfg.space_order, grid)
+        base = _base_multiplier(kind, cfg.space_order, grid)
         operator = multiplier_action(float(coeff_raw[0]) * base, label=kind)
     data = _problem_data(cfg, grid, schedule, member)
     problem, noise_meta = _problem(cfg, grid, mesh, operator, data, eps)

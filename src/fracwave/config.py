@@ -23,11 +23,13 @@ from __future__ import annotations
 
 import dataclasses
 import hashlib
+import math
 from dataclasses import dataclass
 from typing import Callable, Optional
 
 from .errors import ConfigError
 from .expressions import parse_expression
+from .regularization import _KINDS, _SCENARIOS, _SHAPES
 
 __all__ = ["RunConfig", "parse_config", "parse_config_file", "render_config", "config_hash"]
 
@@ -96,156 +98,55 @@ def _nonlinearity(text: str) -> str:
     return value
 
 
-@dataclass(frozen=True)
-class _Field:
-    parse: Callable[[str], object]
-    default: object
+def _key(section: str, parse: Callable[[str], object], default, key: str = ""):
+    """A RunConfig field read from ``key = value`` in ``[section]``.
 
-
-_SCHEMA: dict = {
-    "run": {
-        "scenario": _Field(_choice("time_fractional", "time_space_fractional", "custom"), "time_fractional"),
-        "alpha": _Field(_parse_float, 1.5),
-        "label": _Field(str.strip, "run"),
-    },
-    "grid": {
-        "half_length": _Field(_parse_float, 16.0),
-        "n_points": _Field(_parse_int, 256),
-    },
-    "mesh": {
-        "horizon": _Field(_parse_float, 1.0),
-        "n_steps": _Field(_parse_int, 256),
-    },
-    "operator": {
-        # blank kind defers to the scenario default
-        "kind": _Field(_choice("second_derivative", "liouville_left", "liouville_right", "riesz", ""), ""),
-        "space_order": _Field(_parse_float, 2.0),
-        "coefficient": _Field(_profile(allow_modes=False), "constant"),
-        "coefficient_scale": _Field(_parse_float, 1.0),
-        "mollify": _Field(_parse_bool, True),
-    },
-    "schedule": {
-        "scenario": _Field(_choice("theorem", "wave_time", "wave_timespace"), "wave_time"),
-        "k_min": _Field(_parse_int, 4),
-        "k_max": _Field(_parse_int, 12),
-        "run_k": _Field(_parse_int, 8),
-        "kappa": _Field(_parse_float, 2.0),
-        "kappa_cap": _Field(_parse_float, 60.0),
-        "h_min": _Field(_parse_float, 1.0),
-        "coeff_width_factor": _Field(_parse_float, 2.0),
-        "mollifier_shape": _Field(_choice("bump", "truncated_gaussian"), "bump"),
-    },
-    "initial": {
-        "displacement": _Field(_profile(allow_modes=True), "gaussian_bump"),
-        "displacement_scale": _Field(_parse_float, 1.0),
-        "velocity": _Field(_profile(allow_modes=True), "zero"),
-        "velocity_scale": _Field(_parse_float, 1.0),
-    },
-    "nonlinearity": {
-        "f": _Field(_nonlinearity, "zero"),
-    },
-    "noise": {
-        "intensity": _Field(_parse_float, 0.0),
-        "master_seed": _Field(_parse_int, 0),
-        "target": _Field(_choice("forcing", "initial", "both"), "forcing"),
-        "spatial_sharpness": _Field(_parse_optional_float, None),
-        "temporal_sharpness": _Field(_parse_optional_float, None),
-        "shape": _Field(_choice("bump", "truncated_gaussian"), "bump"),
-    },
-    "solver": {
-        "form": _Field(_choice("kernel", "derivative"), "kernel"),
-        "tol": _Field(_parse_float, 1e-10),
-        "max_iter": _Field(_parse_int, 50),
-        "n_windows": _Field(_parse_int, 1),
-        "series_tol": _Field(_parse_float, 1e-12),
-    },
-    "output": {
-        "directory": _Field(str.strip, "runs"),
-    },
-}
-
-_ATTR_OF = {
-    ("run", "scenario"): "scenario",
-    ("run", "alpha"): "alpha",
-    ("run", "label"): "label",
-    ("grid", "half_length"): "half_length",
-    ("grid", "n_points"): "n_points",
-    ("mesh", "horizon"): "horizon",
-    ("mesh", "n_steps"): "n_steps",
-    ("operator", "kind"): "operator_kind",
-    ("operator", "space_order"): "space_order",
-    ("operator", "coefficient"): "coefficient",
-    ("operator", "coefficient_scale"): "coefficient_scale",
-    ("operator", "mollify"): "mollify",
-    ("schedule", "scenario"): "schedule_scenario",
-    ("schedule", "k_min"): "k_min",
-    ("schedule", "k_max"): "k_max",
-    ("schedule", "run_k"): "run_k",
-    ("schedule", "kappa"): "kappa",
-    ("schedule", "kappa_cap"): "kappa_cap",
-    ("schedule", "h_min"): "h_min",
-    ("schedule", "coeff_width_factor"): "coeff_width_factor",
-    ("schedule", "mollifier_shape"): "mollifier_shape",
-    ("initial", "displacement"): "displacement",
-    ("initial", "displacement_scale"): "displacement_scale",
-    ("initial", "velocity"): "velocity",
-    ("initial", "velocity_scale"): "velocity_scale",
-    ("nonlinearity", "f"): "nonlinearity",
-    ("noise", "intensity"): "noise_intensity",
-    ("noise", "master_seed"): "master_seed",
-    ("noise", "target"): "noise_target",
-    ("noise", "spatial_sharpness"): "spatial_sharpness",
-    ("noise", "temporal_sharpness"): "temporal_sharpness",
-    ("noise", "shape"): "noise_shape",
-    ("solver", "form"): "solver_form",
-    ("solver", "tol"): "solver_tol",
-    ("solver", "max_iter"): "max_iter",
-    ("solver", "n_windows"): "n_windows",
-    ("solver", "series_tol"): "series_tol",
-    ("output", "directory"): "output_directory",
-}
+    The key defaults to the field name; the field order is the rendering order.
+    """
+    return dataclasses.field(default=default, metadata={"section": section, "key": key, "parse": parse})
 
 
 @dataclass(frozen=True)
 class RunConfig:
-    scenario: str = "time_fractional"
-    alpha: float = 1.5
-    label: str = "run"
-    half_length: float = 16.0
-    n_points: int = 256
-    horizon: float = 1.0
-    n_steps: int = 256
-    operator_kind: str = ""
-    space_order: float = 2.0
-    coefficient: str = "constant"
-    coefficient_scale: float = 1.0
-    mollify: bool = True
-    schedule_scenario: str = "wave_time"
-    k_min: int = 4
-    k_max: int = 12
-    run_k: int = 8
-    kappa: float = 2.0
-    kappa_cap: float = 60.0
-    h_min: float = 1.0
-    coeff_width_factor: float = 2.0
-    mollifier_shape: str = "bump"
-    displacement: str = "gaussian_bump"
-    displacement_scale: float = 1.0
-    velocity: str = "zero"
-    velocity_scale: float = 1.0
-    nonlinearity: str = "zero"
-    noise_intensity: float = 0.0
-    master_seed: int = 0
-    noise_target: str = "forcing"
-    spatial_sharpness: Optional[float] = None
-    temporal_sharpness: Optional[float] = None
-    noise_shape: str = "bump"
-    solver_form: str = "kernel"
-    solver_tol: float = 1e-10
-    max_iter: int = 50
-    n_windows: int = 1
-    series_tol: float = 1e-12
-    output_directory: str = "runs"
+    scenario: str = _key("run", _choice("time_fractional", "time_space_fractional", "custom"), "time_fractional")
+    alpha: float = _key("run", _parse_float, 1.5)
+    label: str = _key("run", str.strip, "run")
+    half_length: float = _key("grid", _parse_float, 16.0)
+    n_points: int = _key("grid", _parse_int, 256)
+    horizon: float = _key("mesh", _parse_float, 1.0)
+    n_steps: int = _key("mesh", _parse_int, 256)
+    # blank kind defers to the scenario default
+    operator_kind: str = _key("operator", _choice(*_KINDS, ""), "", key="kind")
+    space_order: float = _key("operator", _parse_float, 2.0)
+    coefficient: str = _key("operator", _profile(allow_modes=False), "constant")
+    coefficient_scale: float = _key("operator", _parse_float, 1.0)
+    mollify: bool = _key("operator", _parse_bool, True)
+    schedule_scenario: str = _key("schedule", _choice(*_SCENARIOS), "wave_time", key="scenario")
+    k_min: int = _key("schedule", _parse_int, 4)
+    k_max: int = _key("schedule", _parse_int, 12)
+    run_k: int = _key("schedule", _parse_int, 8)
+    kappa: float = _key("schedule", _parse_float, 2.0)
+    kappa_cap: float = _key("schedule", _parse_float, 60.0)
+    h_min: float = _key("schedule", _parse_float, 1.0)
+    coeff_width_factor: float = _key("schedule", _parse_float, 2.0)
+    mollifier_shape: str = _key("schedule", _choice(*_SHAPES), "bump")
+    displacement: str = _key("initial", _profile(allow_modes=True), "gaussian_bump")
+    displacement_scale: float = _key("initial", _parse_float, 1.0)
+    velocity: str = _key("initial", _profile(allow_modes=True), "zero")
+    velocity_scale: float = _key("initial", _parse_float, 1.0)
+    nonlinearity: str = _key("nonlinearity", _nonlinearity, "zero", key="f")
+    noise_intensity: float = _key("noise", _parse_float, 0.0, key="intensity")
+    master_seed: int = _key("noise", _parse_int, 0)
+    noise_target: str = _key("noise", _choice("forcing", "initial", "both"), "forcing", key="target")
+    spatial_sharpness: Optional[float] = _key("noise", _parse_optional_float, None)
+    temporal_sharpness: Optional[float] = _key("noise", _parse_optional_float, None)
+    noise_shape: str = _key("noise", _choice(*_SHAPES), "bump", key="shape")
+    solver_form: str = _key("solver", _choice("kernel", "derivative"), "kernel", key="form")
+    solver_tol: float = _key("solver", _parse_float, 1e-10, key="tol")
+    max_iter: int = _key("solver", _parse_int, 50)
+    n_windows: int = _key("solver", _parse_int, 1)
+    series_tol: float = _key("solver", _parse_float, 1e-12)
+    output_directory: str = _key("output", str.strip, "runs", key="directory")
 
     def resolved_operator_kind(self) -> str:
         if self.operator_kind:
@@ -253,15 +154,22 @@ class RunConfig:
         return "second_derivative" if self.scenario == "time_fractional" else "riesz"
 
 
+# section -> key -> RunConfig field, in rendering order
+_SCHEMA: dict = {}
+for _f in dataclasses.fields(RunConfig):
+    _SCHEMA.setdefault(_f.metadata["section"], {})[_f.metadata["key"] or _f.name] = _f
+del _f
+
+
 def _semantic_issues(cfg: RunConfig) -> list:
     issues = []
     if not 1.0 < cfg.alpha <= 2.0:
         issues.append(f"run.alpha: must lie in (1, 2], got {cfg.alpha}")
-    if cfg.half_length <= 0.0:
+    if not cfg.half_length > 0.0:
         issues.append("grid.half_length: must be positive")
-    if cfg.n_points < 8 or cfg.n_points % 2:
-        issues.append(f"grid.n_points: need an even count of at least 8, got {cfg.n_points}")
-    if cfg.horizon <= 0.0:
+    if cfg.n_points < 8 or cfg.n_points & (cfg.n_points - 1):
+        issues.append(f"grid.n_points: need a power of two of at least 8, got {cfg.n_points}")
+    if not cfg.horizon > 0.0:
         issues.append("mesh.horizon: must be positive")
     if cfg.n_steps < 2:
         issues.append(f"mesh.n_steps: need at least 2 steps, got {cfg.n_steps}")
@@ -275,22 +183,24 @@ def _semantic_issues(cfg: RunConfig) -> list:
         issues.append(f"schedule: need 1 <= k_min <= k_max, got k_min={cfg.k_min}, k_max={cfg.k_max}")
     elif not cfg.k_min <= cfg.run_k <= cfg.k_max:
         issues.append(f"schedule.run_k: must lie in [k_min, k_max] = [{cfg.k_min}, {cfg.k_max}], got {cfg.run_k}")
-    if cfg.kappa <= 0.0 or cfg.kappa_cap < cfg.kappa:
+    if not 0.0 < cfg.kappa <= cfg.kappa_cap:
         issues.append(f"schedule: need 0 < kappa <= kappa_cap, got kappa={cfg.kappa}, kappa_cap={cfg.kappa_cap}")
-    if cfg.h_min <= 0.0:
+    if not cfg.h_min > 0.0:
         issues.append("schedule.h_min: must be positive")
-    if cfg.coeff_width_factor <= 0.0:
+    if not cfg.coeff_width_factor > 0.0:
         issues.append("schedule.coeff_width_factor: must be positive")
-    if cfg.noise_intensity < 0.0:
-        issues.append(f"noise.intensity: must be nonnegative, got {cfg.noise_intensity}")
+    if not (math.isfinite(cfg.noise_intensity) and cfg.noise_intensity >= 0.0):
+        issues.append(f"noise.intensity: must be finite and nonnegative, got {cfg.noise_intensity}")
     if cfg.master_seed < 0:
         issues.append("noise.master_seed: must be nonnegative")
     for name in ("spatial_sharpness", "temporal_sharpness"):
         value = getattr(cfg, name)
-        if value is not None and value <= 0.0:
+        if value is not None and not value > 0.0:
             issues.append(f"noise.{name}: must be positive when given")
-    if cfg.solver_tol <= 0.0 or cfg.series_tol <= 0.0:
-        issues.append("solver: tol and series_tol must be positive")
+    if not 0.0 < cfg.solver_tol < 1.0:
+        issues.append(f"solver.tol: must lie in (0, 1), got {cfg.solver_tol}")
+    if not cfg.series_tol > 0.0:
+        issues.append("solver.series_tol: must be positive")
     if cfg.max_iter < 1 or cfg.n_windows < 1:
         issues.append("solver: max_iter and n_windows must be at least 1")
     return [(None, msg) for msg in issues]
@@ -321,25 +231,19 @@ def parse_config(text: str) -> RunConfig:
             continue
         key, _, value = line.partition("=")
         key = key.strip()
-        fields = _SCHEMA[section]
-        if key not in fields:
+        spec = _SCHEMA[section].get(key)
+        if spec is None:
             issues.append((lineno, f"unknown key {key!r} in section [{section}]"))
             continue
-        if (section, key) in values:
+        if spec.name in values:
             issues.append((lineno, f"duplicate key {key!r} in section [{section}]"))
             continue
         try:
-            values[(section, key)] = fields[key].parse(value.strip())
+            values[spec.name] = spec.metadata["parse"](value.strip())
         except ValueError as err:
             issues.append((lineno, f"[{section}] {key}: {err}"))
 
-    kwargs = {}
-    for (section, key), attr in _ATTR_OF.items():
-        if (section, key) in values:
-            kwargs[attr] = values[(section, key)]
-        else:
-            kwargs[attr] = _SCHEMA[section][key].default
-    cfg = RunConfig(**kwargs)
+    cfg = RunConfig(**values)
     issues.extend(_semantic_issues(cfg))
     if issues:
         raise ConfigError(issues)
@@ -356,8 +260,8 @@ def render_config(cfg: RunConfig) -> str:
     lines = []
     for section in _SCHEMA:
         lines.append(f"[{section}]")
-        for key in _SCHEMA[section]:
-            value = getattr(cfg, _ATTR_OF[(section, key)])
+        for key, spec in _SCHEMA[section].items():
+            value = getattr(cfg, spec.name)
             if value is None:
                 rendered = ""
             elif isinstance(value, bool):
@@ -373,7 +277,3 @@ def render_config(cfg: RunConfig) -> str:
 
 def config_hash(cfg: RunConfig) -> str:
     return hashlib.sha256(render_config(cfg).encode("utf-8")).hexdigest()[:16]
-
-
-def replace(cfg: RunConfig, **changes) -> RunConfig:
-    return dataclasses.replace(cfg, **changes)

@@ -645,5 +645,4 @@ def _sup_spatial_norm(values: np.ndarray, p: CauchyProblem) -> float:
         return max(
             sobolev_norm(GridFunction(p.grid, row), p.sobolev_order) for row in values
         )
-    flat = values.reshape(values.shape[0], -1)
-    return float(np.sqrt(p.state_weight) * np.linalg.norm(flat, axis=1).max())
+    return _row_sup(values, p.state_weight)

@@ -1,19 +1,24 @@
 """Scalar special functions for fractional evolution problems.
 
 The module provides the gamma function with pole guards, a two-parameter
-Mittag-Leffler evaluator with a certified truncation rule, and an empirical
-certificate for the exponential growth envelope of the Mittag-Leffler
-function on a rate/time grid.
+Mittag-Leffler evaluator with a certified truncation rule, the term count
+that sizes operator-valued series from their scalar majorant, and an
+empirical certificate for the exponential growth envelope of the
+Mittag-Leffler function on a rate/time grid.
 
-Evaluation strategy for the series sum_{n>=0} z**n / Gamma(beta + n*alpha):
+One term-ratio loop, `_series`, sums sum_{n>=0} z**n / Gamma(beta + n*alpha)
+for every caller, with compensated (Kahan) summation and a running sum of
+term magnitudes; once the magnitude ratio of consecutive terms drops below
+1/2 the geometric tail bound certifies the truncation.  Its callers pass in
+their arithmetic:
 
-* compensated (Kahan) summation in double precision with a term-ratio
-  stopping rule; once the magnitude ratio of consecutive terms drops below
-  1/2 the geometric tail bound certifies the truncation error;
-* a running bound on the accumulated rounding error (machine epsilon times
-  the sum of term magnitudes) detects catastrophic cancellation, in which
-  case the sum is redone in software high precision (mpmath) at increasing
-  working precision until the requested tolerance is certified.
+* the double path (lgamma ratios) also bounds the rounding error by machine
+  epsilon times the sum of term magnitudes; on catastrophic cancellation
+  the sum is redone in mpmath (gammaprod ratios) at increasing working
+  precision until the requested tolerance is certified;
+* `series_term_count` sums the majorant and rejects one that overflows.
+
+`mittag_leffler_hp` keeps a loop of its own: it is the independent oracle.
 
 Documented argument ranges: |z| <= 50 is guaranteed for the double path with
 alpha >= 0.5; up to |z| <= 200 the high-precision retry covers whatever the
@@ -83,31 +88,29 @@ class MlParams:
             raise ValueError(f"tol must lie in (0, 1), got {self.tol!r}")
 
 
-def _series_double(alpha: float, beta: float, z: complex, tol: float):
-    """Compensated double-precision series sum.
+def _series(z, first, ratio, stop, tiny):
+    """Compensated (Kahan) term-ratio sum of sum_{n>=0} c_n z**n.
 
-    Returns (value, certified, n_terms, tail_bound).  certified is False when
-    the rounding-error estimate or the truncation tail cannot be brought under
-    tol relative to the computed value.
+    The caller supplies its arithmetic: the first term c_0, ratio(n) =
+    c_{n+1}/c_n, the relative stop level and the floor under |total|.  The
+    sum stops once |z|*ratio(n) < 1/2 and the geometric tail bound is below
+    stop*max(|total|, tiny).  Returns (total, stopped, n_terms, tail,
+    abs_sum); a stop certifies the truncation only while abs_sum is finite.
     """
-    term = complex(math.exp(-math.lgamma(beta)))
+    term = first
     total = term
-    comp = 0.0 + 0.0j
+    comp = term - term  # a zero of the caller's number type
     abs_sum = abs(term)
     az = abs(z)
     tail = math.inf
-    stopped = False
     n = 0
     while n < _MAX_TERMS:
-        lg_n = math.lgamma(beta + n * alpha)
-        lg_n1 = math.lgamma(beta + (n + 1) * alpha)
-        step = math.exp(lg_n - lg_n1)
-        ratio = az * step
-        if ratio < 0.5:
-            tail = (abs(term) * ratio) / (1.0 - ratio)
-            if tail <= tol * max(abs(total), 1e-300):
-                stopped = True
-                break
+        step = ratio(n)
+        r = az * step
+        if r < 0.5:
+            tail = (abs(term) * r) / (1 - r)
+            if tail <= stop * max(abs(total), tiny):
+                return total, True, n, tail, abs_sum
         term = term * z * step
         y = term - comp
         t = total + y
@@ -115,14 +118,12 @@ def _series_double(alpha: float, beta: float, z: complex, tol: float):
         total = t
         abs_sum += abs(term)
         n += 1
-    round_err = 4.0 * _EPS * abs_sum
-    certified = (
-        stopped
-        and np.isfinite(abs_sum)
-        and abs(total) > 0.0
-        and (round_err + tail) <= tol * abs(total)
-    )
-    return total, certified, n, tail
+    return total, False, n, tail, abs_sum
+
+
+def _lgamma_ratio(alpha: float, beta: float):
+    """Gamma(beta + n*alpha) / Gamma(beta + (n+1)*alpha) in double precision."""
+    return lambda n: math.exp(math.lgamma(beta + n * alpha) - math.lgamma(beta + (n + 1) * alpha))
 
 
 def _series_hp(alpha: float, beta: float, z: complex, tol: float) -> complex:
@@ -136,26 +137,17 @@ def _series_hp(alpha: float, beta: float, z: complex, tol: float) -> complex:
     zc = mpmath.mpmathify(z)
     for dps in (40, 80, 160, 320, 640, 1280, 2560):
         with mpmath.workdps(dps):
-            term = 1 / mpmath.gamma(beta)
-            total = term
-            abs_sum = abs(term)
-            n = 0
-            stopped = False
-            while n < _MAX_TERMS:
-                g_n = mpmath.gammaprod([beta + n * alpha], [beta + (n + 1) * alpha])
-                ratio = abs(zc) * g_n
-                if ratio < 0.5:
-                    tail = (abs(term) * ratio) / (1 - ratio)
-                    if tail <= mpmath.mpf(10) ** (-dps + 5) * max(abs(total), mpmath.mpf(10) ** -3000):
-                        stopped = True
-                        break
-                term = term * zc * g_n
-                total += term
-                abs_sum += abs(term)
-                n += 1
+            ulp = mpmath.mpf(10) ** (-dps + 5)
+            total, stopped, _, _, abs_sum = _series(
+                zc,
+                1 / mpmath.gamma(beta),
+                lambda n: mpmath.gammaprod([beta + n * alpha], [beta + (n + 1) * alpha]),
+                ulp,
+                mpmath.mpf(10) ** -3000,
+            )
             if not stopped:
                 continue
-            round_bound = abs_sum * mpmath.mpf(10) ** (-dps + 5)
+            round_bound = abs_sum * ulp
             if abs(total) > 0 and round_bound <= tol * abs(total):
                 return complex(total)
             if abs(total) == 0 and round_bound <= mpmath.mpf(tol):
@@ -182,8 +174,12 @@ def mittag_leffler(p: MlParams, z: complex) -> complex:
             f"|z| = {az:.6g} exceeds the documented range {ML_HP_RANGE:g}; "
             "the series truncation cannot be certified there"
         )
-    value, certified, _, _ = _series_double(p.alpha, p.beta, zc, p.tol)
-    if certified:
+    first = complex(math.exp(-math.lgamma(p.beta)))
+    value, stopped, _, tail, abs_sum = _series(
+        zc, first, _lgamma_ratio(p.alpha, p.beta), p.tol, 1e-300
+    )
+    round_err = 4.0 * _EPS * abs_sum
+    if stopped and math.isfinite(abs_sum) and abs(value) > 0.0 and round_err + tail <= p.tol * abs(value):
         return value
     hp = _series_hp(p.alpha, p.beta, zc, p.tol)
     if not (np.isfinite(hp.real) and np.isfinite(hp.imag)):
@@ -223,29 +219,25 @@ def series_term_count(alpha: float, beta: float, z_abs: float, tol: float) -> in
     argument magnitude z_abs is below tol relative to the partial sum.
 
     Used to size certified truncations of operator-valued series from their
-    scalar majorant.  Raises TruncationError when the cap is exhausted.
+    scalar majorant.  Raises TruncationError when the majorant overflows
+    double precision or the cap is exhausted.
     """
     if z_abs < 0 or not np.isfinite(z_abs):
         raise ValueError("z_abs must be finite and nonnegative")
-    term = math.exp(-math.lgamma(beta))
-    total = term
-    n = 0
-    while n < _MAX_TERMS:
-        lg_n = math.lgamma(beta + n * alpha)
-        lg_n1 = math.lgamma(beta + (n + 1) * alpha)
-        step = math.exp(lg_n - lg_n1)
-        ratio = z_abs * step
-        if ratio < 0.5:
-            tail = (term * ratio) / (1.0 - ratio)
-            if tail <= tol * max(total, 1e-300):
-                return n
-        term *= z_abs * step
-        total += term
-        n += 1
-    raise TruncationError(
-        f"majorant tail for orders ({alpha:g},{beta:g}) at |z| = {z_abs:.3g} "
-        f"not below {tol:g} within {_MAX_TERMS} terms"
+    _, stopped, n, _, abs_sum = _series(
+        float(z_abs), math.exp(-math.lgamma(beta)), _lgamma_ratio(alpha, beta), tol, 1e-300
     )
+    if not math.isfinite(abs_sum):
+        raise TruncationError(
+            f"majorant of orders ({alpha:g},{beta:g}) at |z| = {z_abs:.3g} overflows "
+            "double precision; shorten the horizon or reduce the operator norm"
+        )
+    if not stopped:
+        raise TruncationError(
+            f"majorant tail for orders ({alpha:g},{beta:g}) at |z| = {z_abs:.3g} "
+            f"not below {tol:g} within {_MAX_TERMS} terms"
+        )
+    return n
 
 
 def _pow_nonneg(base: float, expo: float) -> float:

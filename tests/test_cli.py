@@ -228,6 +228,41 @@ def test_divergence_exits_4(tmp_path):
     assert entrypoint(["run", "--config", _cfg_file(tmp_path, DIVERGING), "--out", str(tmp_path / "a")]) == 4
 
 
+OVERFLOW = """
+[run]
+alpha = 1.1
+[grid]
+n_points = 1024
+[mesh]
+n_steps = 64
+[operator]
+mollify = false
+"""
+
+
+def test_overflowing_majorant_exits_3(tmp_path, capsys):
+    out = tmp_path / "out"
+    assert entrypoint(["run", "--config", _cfg_file(tmp_path, OVERFLOW), "--out", str(out), "--quiet"]) == 3
+    err = capsys.readouterr().err
+    assert err.startswith("numerical gate: ") and "overflows" in err
+    assert not list(tmp_path.rglob("trajectory.csv"))
+
+
+@pytest.mark.parametrize(
+    "text, key",
+    [
+        ("[grid]\nn_points = 24\n", "grid.n_points"),
+        ("[solver]\ntol = 2\n", "solver.tol"),
+        ("[grid]\nhalf_length = nan\n", "grid.half_length"),
+        ("[noise]\nintensity = inf\n", "noise.intensity"),
+    ],
+)
+def test_config_rejects_what_the_constructors_reject(tmp_path, capsys, text, key):
+    out = tmp_path / "out"
+    assert entrypoint(["run", "--config", _cfg_file(tmp_path, text), "--out", str(out), "--quiet"]) == 2
+    lines = capsys.readouterr().err.splitlines()
+    assert len(lines) == 1 and lines[0].startswith(f"config error: {key}: ")
+
 def test_ml_verb_prints_value(capsys):
     assert entrypoint(["ml", "--alpha", "0.5", "--z-re", "1.0"]) == 0
     re, im = map(float, capsys.readouterr().out.split())

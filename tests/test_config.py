@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from fracwave import ConfigError, config_hash, parse_config, parse_config_file, render_config
+from fracwave import ConfigError, RunConfig, config_hash, parse_config, parse_config_file, render_config
 
 
 def test_empty_document_is_complete():
@@ -48,6 +48,63 @@ f = 0.1*sin(u)
     assert config_hash(again) == config_hash(cfg)
     assert render_config(again) == render_config(cfg)
 
+
+# (section, key, a valid non-default value, RunConfig field) for every key
+EVERY_KEY = [
+    ("run", "scenario", "time_space_fractional", "scenario"),
+    ("run", "alpha", "1.7", "alpha"),
+    ("run", "label", "other", "label"),
+    ("grid", "half_length", "12.5", "half_length"),
+    ("grid", "n_points", "128", "n_points"),
+    ("mesh", "horizon", "0.75", "horizon"),
+    ("mesh", "n_steps", "100", "n_steps"),
+    ("operator", "kind", "riesz", "operator_kind"),
+    ("operator", "space_order", "1.5", "space_order"),
+    ("operator", "coefficient", "1+0.25*sech(x)", "coefficient"),
+    ("operator", "coefficient_scale", "2.0", "coefficient_scale"),
+    ("operator", "mollify", "false", "mollify"),
+    ("schedule", "scenario", "theorem", "schedule_scenario"),
+    ("schedule", "k_min", "5", "k_min"),
+    ("schedule", "k_max", "10", "k_max"),
+    ("schedule", "run_k", "6", "run_k"),
+    ("schedule", "kappa", "3.0", "kappa"),
+    ("schedule", "kappa_cap", "50.0", "kappa_cap"),
+    ("schedule", "h_min", "0.5", "h_min"),
+    ("schedule", "coeff_width_factor", "1.5", "coeff_width_factor"),
+    ("schedule", "mollifier_shape", "truncated_gaussian", "mollifier_shape"),
+    ("initial", "displacement", "mode:3", "displacement"),
+    ("initial", "displacement_scale", "0.5", "displacement_scale"),
+    ("initial", "velocity", "tanh_step", "velocity"),
+    ("initial", "velocity_scale", "0.25", "velocity_scale"),
+    ("nonlinearity", "f", "0.5*sin(u)", "nonlinearity"),
+    ("noise", "intensity", "0.1", "noise_intensity"),
+    ("noise", "master_seed", "9", "master_seed"),
+    ("noise", "target", "both", "noise_target"),
+    ("noise", "spatial_sharpness", "4.0", "spatial_sharpness"),
+    ("noise", "temporal_sharpness", "8.0", "temporal_sharpness"),
+    ("noise", "shape", "truncated_gaussian", "noise_shape"),
+    ("solver", "form", "derivative", "solver_form"),
+    ("solver", "tol", "1e-9", "solver_tol"),
+    ("solver", "max_iter", "30", "max_iter"),
+    ("solver", "n_windows", "2", "n_windows"),
+    ("solver", "series_tol", "1e-11", "series_tol"),
+    ("output", "directory", "elsewhere", "output_directory"),
+]
+
+
+def test_every_key_round_trips():
+    assert [attr for *_, attr in EVERY_KEY] == [f.name for f in dataclasses.fields(RunConfig)]
+    default = parse_config("")
+    for section, key, text, attr in EVERY_KEY:
+        cfg = parse_config(f"[{section}]\n{key} = {text}\n")
+        assert getattr(cfg, attr) != getattr(default, attr), (section, key)
+        assert f"[{section}]" in render_config(cfg)
+        assert parse_config(render_config(cfg)) == cfg, (section, key)
+
+
+def test_default_hash_is_pinned():
+    # run-directory names embed this hash; a change here renames every run
+    assert config_hash(parse_config("")) == "d8675d077c30f8f2"
 
 def test_hash_tracks_content():
     a = parse_config("[run]\nalpha = 1.5\n")

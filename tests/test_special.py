@@ -92,6 +92,13 @@ def test_term_count_monotonicity():
         series_term_count(0.1, 1.0, 150.0, 1e-300)
 
 
+def test_term_count_rejects_an_overflowing_majorant():
+    # the partial sum overflows to inf before the tail test passes, so a
+    # stop there would certify nothing
+    with pytest.raises(TruncationError, match="overflows"):
+        series_term_count(1.05, 1.0, 1065.54, 1e-12)
+
+
 def test_growth_envelope():
     env = check_growth_bound(MlParams(1.5, 1.0), np.linspace(0.0, 4.0, 9), np.linspace(0.0, 5.0, 11))
     assert isinstance(env, GrowthEnvelope)
