@@ -146,7 +146,7 @@ def _displacement(cfg: RunConfig, grid: SpatialGrid) -> GridFunction:
     )
 
 
-def _noise_spec(cfg: RunConfig, schedule: Optional[EpsilonSchedule], member: int = 0) -> NoiseSpec:
+def _noise_spec(cfg: RunConfig, schedule: Optional[EpsilonSchedule]) -> NoiseSpec:
     """The configured noise; without a schedule both sharpness values must be set."""
     if schedule is None and (cfg.spatial_sharpness is None or cfg.temporal_sharpness is None):
         raise ConfigError(
@@ -155,12 +155,18 @@ def _noise_spec(cfg: RunConfig, schedule: Optional[EpsilonSchedule], member: int
     return NoiseSpec(
         intensity=cfg.noise_intensity,
         master_seed=cfg.master_seed,
-        member=member,
         spatial_sharpness=cfg.spatial_sharpness,
         temporal_sharpness=cfg.temporal_sharpness,
         schedule=schedule,
         shape=cfg.noise_shape,
     )
+
+
+def _check_mollified_order(cfg: RunConfig) -> None:
+    # a mollified fractional kind needs an order below 2; parse_config cannot
+    # ask for it, since the default order is 2.0 and `kind = riesz` must parse
+    if cfg.mollify and cfg.resolved_operator_kind() != "second_derivative" and cfg.space_order == 2.0:
+        raise ConfigError([(None, "operator.space_order: must lie in (0, 2) when operator.mollify = true, got 2.0")])
 
 
 def _regularized_operator(
@@ -182,13 +188,11 @@ class _ProblemData:
     noise: Optional[NoiseSpec]
 
 
-def _problem_data(
-    cfg: RunConfig, grid: SpatialGrid, schedule: Optional[EpsilonSchedule], member: int = 0
-) -> _ProblemData:
+def _problem_data(cfg: RunConfig, grid: SpatialGrid, schedule: Optional[EpsilonSchedule]) -> _ProblemData:
     nonlinearity = _build_nonlinearity(cfg)
     q = _displacement(cfg, grid)
     v_vals = cfg.velocity_scale * _profile_samples(cfg.velocity, grid, "initial.velocity")
-    spec = _noise_spec(cfg, schedule, member) if cfg.noise_intensity > 0.0 else None
+    spec = _noise_spec(cfg, schedule) if cfg.noise_intensity > 0.0 else None
     return _ProblemData(nonlinearity, q, v_vals, spec)
 
 
@@ -238,8 +242,9 @@ class ScenarioParts:
     noise_meta: list
 
 
-def assemble_scenario(cfg: RunConfig, member: int = 0, gate: bool = True) -> ScenarioParts:
+def assemble_scenario(cfg: RunConfig) -> ScenarioParts:
     """Build grid, operator, noise, and problem from a validated config."""
+    _check_mollified_order(cfg)
     grid, mesh, schedule, eps = _frame(cfg)
     kind = cfg.resolved_operator_kind()
     coeff_raw = _coefficient_samples(cfg, grid)
@@ -248,11 +253,11 @@ def assemble_scenario(cfg: RunConfig, member: int = 0, gate: bool = True) -> Sce
         field = CoefficientField(grid, coeff_raw, shape=cfg.mollifier_shape)
         operator = _regularized_operator(cfg, grid, field, schedule, eps)
         cap = schedule.cap(eps)
-        measured = check_norm_gate(operator, schedule) if gate else operator.norm_estimate().value
+        measured = check_norm_gate(operator, schedule)
     else:
         base = _base_multiplier(kind, cfg.space_order, grid)
         operator = multiplier_action(float(coeff_raw[0]) * base, label=kind)
-    data = _problem_data(cfg, grid, schedule, member)
+    data = _problem_data(cfg, grid, schedule)
     problem, noise_meta = _problem(cfg, grid, mesh, operator, data, eps)
     run_eps = eps if schedule is not None else None
     return ScenarioParts(cfg, grid, mesh, schedule, run_eps, operator, measured, cap, problem, noise_meta)
@@ -267,9 +272,9 @@ def _solver_options(cfg: RunConfig) -> SolverOptions:
     )
 
 
-def run_scenario(cfg: RunConfig, member: int = 0):
+def run_scenario(cfg: RunConfig):
     """Assemble and solve; returns (parts, report)."""
-    parts = assemble_scenario(cfg, member=member)
+    parts = assemble_scenario(cfg)
     opts = _solver_options(cfg)
     if cfg.solver_form == "kernel":
         report = solve_kernel_form(parts.problem, opts)
@@ -413,6 +418,7 @@ def cmd_run(cfg: RunConfig, out: Optional[str], quiet: bool) -> int:
 def cmd_sweep(cfg: RunConfig, out: Optional[str], quiet: bool) -> int:
     if not cfg.mollify:
         raise ConfigError([(None, "sweep-epsilon needs operator.mollify = true")])
+    _check_mollified_order(cfg)
     grid, mesh, schedule, _ = _frame(cfg)
     kind = cfg.resolved_operator_kind()
     coeff_raw = _coefficient_samples(cfg, grid)

@@ -173,8 +173,11 @@ def _semantic_issues(cfg: RunConfig) -> list:
         issues.append("mesh.horizon: must be positive")
     if cfg.n_steps < 2:
         issues.append(f"mesh.n_steps: need at least 2 steps, got {cfg.n_steps}")
-    if cfg.resolved_operator_kind() != "second_derivative" and not 0.0 < cfg.space_order <= 2.0:
+    kind = cfg.resolved_operator_kind()
+    if kind != "second_derivative" and not 0.0 < cfg.space_order <= 2.0:
         issues.append(f"operator.space_order: must lie in (0, 2], got {cfg.space_order}")
+    elif kind == "riesz" and abs(math.cos(cfg.space_order * math.pi / 2.0)) < 1e-12:
+        issues.append(f"operator.space_order: the riesz symbol is singular at order 1, got {cfg.space_order}")
     if not cfg.mollify and cfg.coefficient != "constant":
         issues.append("operator.mollify: only constant coefficients admit the exact (unmollified) route")
     if cfg.mollify and cfg.alpha >= 2.0:

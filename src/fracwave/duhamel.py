@@ -75,6 +75,8 @@ _ZERO_TOL = 1e-12
 # rows per block of the Volterra march: large enough that the history product
 # is a real matrix product, small enough that the in-block series stays short
 _BLOCK_ROWS = 64
+# consecutive rises of the Picard change that count as divergence
+_DIVERGENCE_PATIENCE = 5
 
 
 @dataclass(frozen=True)
@@ -93,10 +95,6 @@ class Nonlinearity:
     fprime_at_zero: float
 
     @property
-    def is_zero(self) -> bool:
-        return self.lipschitz == 0.0
-
-    @property
     def derivative_vanishes_at_zero(self) -> bool:
         return abs(self.fprime_at_zero) <= 1e-9
 
@@ -109,17 +107,12 @@ class Nonlinearity:
         }
 
 
-def nonlinearity_from_callable(
-    fn: Callable[[np.ndarray], np.ndarray],
-    label: str,
-    u_range: float = 4.0,
-    n_samples: int = 2001,
-) -> Nonlinearity:
-    """Wrap an elementwise callable, verifying f(0) = 0 and sampling slopes."""
+def nonlinearity_from_callable(fn: Callable[[np.ndarray], np.ndarray], label: str) -> Nonlinearity:
+    """Wrap an elementwise callable, verifying f(0) = 0 and sampling slopes on [-4, 4]."""
     f0 = complex(np.asarray(fn(np.zeros(1)))[0])
     if abs(f0) > _ZERO_TOL:
         raise ValueError(f"nonlinearity must vanish at zero, got f(0) = {f0:.3e}")
-    u = np.linspace(-u_range, u_range, n_samples)
+    u = np.linspace(-4.0, 4.0, 2001)
     values = np.asarray(fn(u))
     if not np.all(np.isfinite(values)):
         raise ValueError("nonlinearity must be finite on the sampling range")
@@ -215,11 +208,6 @@ class CauchyProblem:
     def forcing_values(self) -> Optional[np.ndarray]:
         return self._forcing
 
-    def forcing_at(self, k: int) -> np.ndarray:
-        if self._forcing is None:
-            return np.zeros_like(self._q, dtype=float)
-        return self._forcing[k]
-
     @property
     def state_weight(self) -> float:
         """Quadrature weight of the discrete spatial L2 norm."""
@@ -232,13 +220,12 @@ class SolverOptions:
     max_iter: int = 50
     n_windows: int = 1
     series_tol: float = 1e-12
-    divergence_patience: int = 5
 
     def __post_init__(self):
         if not (0.0 < self.tol < 1.0):
             raise ValueError("tol must lie in (0, 1)")
-        if self.max_iter < 1 or self.n_windows < 1 or self.divergence_patience < 2:
-            raise ValueError("max_iter, n_windows >= 1 and divergence_patience >= 2")
+        if self.max_iter < 1 or self.n_windows < 1:
+            raise ValueError("max_iter and n_windows must be at least 1")
 
 
 @dataclass
@@ -252,9 +239,6 @@ class SolverReport:
     final_change: float
     options: SolverOptions
     metadata: dict = field(default_factory=dict)
-
-    def state_trajectory(self, grid: Optional[SpatialGrid] = None) -> Trajectory:
-        return Trajectory(self.mesh, self.trajectory, grid)
 
 
 def _row_sup(arr: np.ndarray, weight: float) -> float:
@@ -371,7 +355,7 @@ def _picard(p: CauchyProblem, opts: SolverOptions, integral_term, form: str, ext
                 )
             if history and change > history[-1]:
                 rises += 1
-                if rises >= opts.divergence_patience:
+                if rises >= _DIVERGENCE_PATIENCE:
                     raise DivergenceError(
                         f"picard change grew {rises} times in a row (last {change:.3e}); "
                         "shorten the horizon, refine the mesh, or use more windows"
@@ -416,37 +400,24 @@ def solve_kernel_form(p: CauchyProblem, opts: SolverOptions = SolverOptions()) -
     return _picard(p, opts, integral_term, "kernel", _plan_meta(plan))
 
 
-def solve_rl_form(
-    p: CauchyProblem,
-    opts: SolverOptions = SolverOptions(),
-    derivative: str = "rl",
-) -> SolverReport:
+def solve_rl_form(p: CauchyProblem, opts: SolverOptions = SolverOptions()) -> SolverReport:
     """Picard iteration through the fractional-derivative representation.
 
     The forcing enters as a derivative of order 2 - alpha under an order-one
     integral of the propagator.  The initial forcing value F(0) is split off
     exactly (constant part of the derivative) and its convolution evaluated
-    in closed Mittag-Leffler form; the regular remainder runs through the
+    in closed Mittag-Leffler form.  What remains, the Riemann-Liouville
+    derivative of F - F(0), is the Caputo derivative of F; it runs through the
     discrete derivative and the blocked Volterra march under an order-two
-    integral.
-
-    derivative = "caputo" asserts the variant that is only valid when
-    F(0) = 0; if F(0) is nonzero the solve falls back to the full form and
-    records the fallback.
+    integral.  One solve therefore covers both derivative conventions.
     """
-    if derivative not in ("rl", "caputo"):
-        raise ValueError(f"derivative must be 'rl' or 'caputo', got {derivative!r}")
     if p.alpha >= 2.0:
         raise SingularOrderError("the derivative form needs time order strictly below 2")
     gamma_ord = 2.0 - p.alpha
     mesh = p.mesh
-    f0 = p.nonlinearity.fn(p.state0) + p.forcing_at(0)
+    forcing = p.forcing_values
+    f0 = p.nonlinearity.fn(p.state0) + (forcing[0] if forcing is not None else 0.0)
     f0_norm = float(np.linalg.norm(np.atleast_1d(f0).ravel()))
-    variant = derivative
-    fell_back = False
-    if derivative == "caputo" and f0_norm > _ZERO_TOL * max(1.0, float(np.linalg.norm(p.state0.ravel()))):
-        variant = "rl"
-        fell_back = True
 
     weights_alpha = pi_weights(p.alpha, mesh.n_nodes, mesh.dt)
     weights_two = pi_weights(2.0, mesh.n_nodes, mesh.dt)
@@ -465,13 +436,7 @@ def solve_rl_form(
         acc = _volterra(weights_alpha, p.action, w_reg, plan)[1]
         return singular + _weights_product(weights_two, acc)
 
-    meta = {
-        **_plan_meta(plan),
-        "derivative_variant": variant,
-        "initial_forcing_norm": f0_norm,
-        "caputo_fallback_to_rl": fell_back,
-    }
-    return _picard(p, opts, integral_term, "rl", meta)
+    return _picard(p, opts, integral_term, "rl", {**_plan_meta(plan), "initial_forcing_norm": f0_norm})
 
 
 def second_derivative_identity_check(report: SolverReport, p: CauchyProblem) -> float:
@@ -535,7 +500,6 @@ def gronwall_stability_probe(
     delta_q: np.ndarray,
     opts: SolverOptions = SolverOptions(),
     scales: tuple = (1.0, 0.1),
-    solve=solve_kernel_form,
 ) -> StabilityReport:
     """Growth factor of a solution difference against its data perturbation.
 
@@ -549,7 +513,7 @@ def gronwall_stability_probe(
         raise SizeError("perturbation shape does not match the initial data")
     weight = p.state_weight
     dq_norm = float(np.sqrt(weight) * np.linalg.norm(dq.ravel()))
-    nominal = solve(p, opts).trajectory
+    nominal = solve_kernel_form(p, opts).trajectory
     ks = []
     for s in scales:
         if s == 0.0 or dq_norm == 0.0:
@@ -566,7 +530,7 @@ def gronwall_stability_probe(
             grid=p.grid,
             sobolev_order=p.sobolev_order,
         )
-        diff = solve(shifted, opts).trajectory - nominal
+        diff = solve_kernel_form(shifted, opts).trajectory - nominal
         ks.append(_row_sup(diff, weight) / (abs(s) * dq_norm))
     return StabilityReport(np.asarray(scales, dtype=float), np.asarray(ks), dq_norm)
 
@@ -582,10 +546,6 @@ class ModerationReport:
     fitted_n: float
     statuses: list
     sobolev_order: Optional[float]
-
-    @property
-    def all_finite(self) -> bool:
-        return all(np.all(np.isfinite(v)) for v in self.norms.values())
 
 
 _FAMILIES = ("state", "velocity", "fractional_derivative")

@@ -140,16 +140,6 @@ class Trajectory:
             raise SizeError("state dimension does not match the grid")
         self.values = vals
 
-    def frame(self, k: int) -> GridFunction:
-        if self.grid is None:
-            raise SizeError("trajectory has no spatial grid attached")
-        return GridFunction(self.grid, self.values[k])
-
-    def norms(self, weight: Optional[float] = None) -> np.ndarray:
-        """Euclidean (or dx-weighted when attached to a grid) norm per node."""
-        w = self.grid.dx if self.grid is not None else (weight or 1.0)
-        return np.sqrt(w * np.sum(np.abs(self.values) ** 2, axis=1))
-
 
 def pi_weights(gamma_ord: float, n_nodes: int, dt: float) -> np.ndarray:
     """Product-integration weight matrix W for the fractional integral.

@@ -221,30 +221,18 @@ class EpsilonSchedule:
         return h_schedule(eps, self.alpha, "theorem", self.kappa_cap, self.h_min)
 
 
-def _h2_norm(values: np.ndarray, grid: SpatialGrid) -> float:
-    """Discrete H^2 norm via spectral derivatives."""
-    hat = np.fft.fft(values)
-    xi = grid.xi
-    total = 0.0
-    for mult in (np.ones_like(xi), 1j * xi, -(xi**2)):
-        comp = np.fft.ifft(mult * hat)
-        total += grid.dx * float(np.sum(np.abs(comp) ** 2))
-    return math.sqrt(total)
-
-
 @dataclass
 class CoefficientField:
     """A bounded coefficient profile and its smoothed representatives.
 
     Smoothing convolves the raw samples with the kernel family at the
-    schedule's coefficient width; the discrete H^2 norm of every smoothed
-    profile is recorded next to it.
+    schedule's coefficient width; each smoothed profile is cached per eps.
     """
 
     grid: SpatialGrid
     raw: np.ndarray
     shape: str = "bump"
-    entries: Dict[float, tuple] = field(default_factory=dict, repr=False)
+    entries: Dict[float, np.ndarray] = field(default_factory=dict, repr=False)
 
     def __post_init__(self):
         arr = np.asarray(self.raw, dtype=float)
@@ -265,13 +253,8 @@ class CoefficientField:
                 width = schedule.coeff_width(eps)
                 moll = make_mollifier(self.shape, width, self.grid)
                 values = moll.convolve(self.raw).real
-            self.entries[eps] = (values, _h2_norm(values, self.grid))
-        return self.entries[eps][0]
-
-    def h2_norm(self, eps: float) -> float:
-        if eps not in self.entries:
-            raise KeyError(f"eps {eps!r} has not been smoothed yet")
-        return self.entries[eps][1]
+            self.entries[eps] = values
+        return self.entries[eps]
 
 
 _KINDS = ("second_derivative", "liouville_left", "liouville_right", "riesz")
@@ -384,12 +367,13 @@ class NormEstimate:
     converged: bool
 
 
-def operator_norm_estimate(op, tol: float = 1e-6, max_iter: int = 10_000) -> NormEstimate:
+def operator_norm_estimate(op) -> NormEstimate:
     """Largest-singular-value estimate by power iteration.
 
     The start vector is drawn from a fixed counter-based generator so the
-    estimate is reproducible.  A non-converged iteration returns its last
-    value flagged, never raises.
+    estimate is reproducible.  The iteration stops at a relative change of
+    1e-6; one still unconverged after 10 000 steps returns its last value
+    flagged, never raises.
     """
     n = op.dim
     rng = np.random.Generator(np.random.Philox(key=0x9E3779B97F4A7C15))
@@ -397,7 +381,7 @@ def operator_norm_estimate(op, tol: float = 1e-6, max_iter: int = 10_000) -> Nor
     nv = np.linalg.norm(v)
     v = v / nv
     sigma = 0.0
-    for it in range(1, max_iter + 1):
+    for it in range(1, 10_001):
         w = op.apply(v)
         y = op.apply_adjoint(w)
         ny = np.linalg.norm(y)
@@ -405,10 +389,10 @@ def operator_norm_estimate(op, tol: float = 1e-6, max_iter: int = 10_000) -> Nor
             return NormEstimate(0.0, it, True)
         sigma_new = math.sqrt(float(np.real(np.vdot(v, y))))
         v = y / ny
-        if it > 1 and abs(sigma_new - sigma) <= tol * max(sigma_new, 1e-300):
+        if it > 1 and abs(sigma_new - sigma) <= 1e-6 * max(sigma_new, 1e-300):
             return NormEstimate(sigma_new, it, True)
         sigma = sigma_new
-    return NormEstimate(sigma, max_iter, False)
+    return NormEstimate(sigma, it, False)
 
 
 def check_norm_gate(op: RegularizedOperator, schedule: EpsilonSchedule) -> float:

@@ -226,15 +226,10 @@ def volterra_residual(ev: SolutionOperatorEvaluator, mesh: TimeMesh, x: np.ndarr
     return float(_row_norms(defect).max())
 
 
-def caputo_of_S_diagnostic(
-    ev: SolutionOperatorEvaluator,
-    mesh: TimeMesh,
-    x: np.ndarray,
-    skip_fraction: float = 0.25,
-) -> float:
+def caputo_of_S_diagnostic(ev: SolutionOperatorEvaluator, mesh: TimeMesh, x: np.ndarray) -> float:
     """Max deviation of the fractional time derivative of S(t)x from A S(t)x.
 
-    Measured on the interior window t >= skip_fraction * t_max: the leading
+    Measured on the interior window t >= t_max / 4: the leading
     t**alpha power of the trajectory has an unbounded second derivative at
     zero, so nodes near the origin carry an O(1) stencil error that never
     refines away.  On the interior window the deviation decays like
@@ -242,12 +237,10 @@ def caputo_of_S_diagnostic(
     """
     if mesh.n_nodes < 8:
         raise SizeError("diagnostic needs at least eight nodes")
-    if not (0.0 <= skip_fraction < 1.0):
-        raise ValueError("skip_fraction must lie in [0, 1)")
     traj = ev.trajectory(mesh.nodes, x)
     lhs = caputo_derivative(traj, ev.alpha, mesh)
     rhs = ev.action.apply_rows(traj)
-    k0 = max(1, int(round(skip_fraction * mesh.n_steps)))
+    k0 = max(1, int(round(0.25 * mesh.n_steps)))
     dev = lhs[k0:] - rhs[k0:]
     return float(_row_norms(dev).max())
 
@@ -306,51 +299,44 @@ class ExponentialBound:
         return float(self.norms.max())
 
 
-_PROBE_SEED = 0x9E3779B97F4A7C15
+# largest dimension whose propagator matrix is assembled for an exact norm
+_MAX_EXACT_DIM = 64
 
 
-def _norm_samples(ev: SolutionOperatorEvaluator, times: np.ndarray, n_probes: int) -> np.ndarray:
-    """Estimated operator norm of S(t) on each grid time.
+def _norm_samples(ev: SolutionOperatorEvaluator, times: np.ndarray) -> np.ndarray:
+    """Operator norm of S(t) on each grid time.
 
-    Scalar actions are exact; small dimensions assemble the matrix column by
-    column for the exact spectral norm; larger ones fall back to a seeded
-    random-probe lower estimate.
+    Scalar actions are exact; matrices up to _MAX_EXACT_DIM are assembled
+    column by column for the exact spectral norm.
     """
     action = ev.action
     if action.dim is None:
         params = MlParams(ev.alpha, 1.0)
         c = action(np.ones(1))[0]
         return np.array([abs(mittag_leffler(params, c * t**ev.alpha)) for t in times])
-    dim = action.dim
-    if dim <= 64:
-        basis = np.eye(dim)
-        out = np.empty(times.size)
-        for j, t in enumerate(times):
-            mat = np.column_stack([ev.apply(float(t), basis[:, k]) for k in range(dim)])
-            out[j] = np.linalg.norm(mat, 2)
-        return out
-    rng = np.random.Generator(np.random.Philox(key=_PROBE_SEED))
-    probes = rng.standard_normal((n_probes, dim))
-    probes /= np.linalg.norm(probes, axis=1, keepdims=True)
-    out = np.zeros(times.size)
+    basis = np.eye(action.dim)
+    out = np.empty(times.size)
     for j, t in enumerate(times):
-        for q in probes:
-            out[j] = max(out[j], float(np.linalg.norm(ev.apply(float(t), q))))
+        mat = np.column_stack([ev.apply(float(t), col) for col in basis.T])
+        out[j] = np.linalg.norm(mat, 2)
     return out
 
 
-def exp_bound_check(ev: SolutionOperatorEvaluator, times: np.ndarray, n_probes: int = 4) -> ExponentialBound:
+def exp_bound_check(ev: SolutionOperatorEvaluator, times: np.ndarray) -> ExponentialBound:
     """Fit the smallest exponential envelope over the sampled times.
 
     The rate is the norm bound to the power 1/alpha; the certificate fails
-    loudly if any sampled norm is non-finite.
+    loudly if any sampled norm is non-finite.  Norms are exact, so the
+    generator may have at most _MAX_EXACT_DIM dimensions.
     """
     ts = np.asarray(times, dtype=float)
     if ts.ndim != 1 or ts.size == 0:
         raise SizeError("need a nonempty time grid")
     if np.any(ts < 0.0):
         raise ValueError("times must be >= 0")
-    norms = _norm_samples(ev, ts, n_probes)
+    if (ev.action.dim or 0) > _MAX_EXACT_DIM:
+        raise SizeError(f"exact propagator norms need dimension at most {_MAX_EXACT_DIM}, got {ev.action.dim}")
+    norms = _norm_samples(ev, ts)
     if not np.all(np.isfinite(norms)):
         raise FracwaveError("non-finite propagator norm sample; series range exceeded")
     omega = ev.norm_bound ** (1.0 / ev.alpha)

@@ -36,7 +36,6 @@ import numpy as np
 from .errors import MittagLefflerRangeError, SingularOrderError, TruncationError
 
 __all__ = [
-    "ML_DOUBLE_RANGE",
     "ML_HP_RANGE",
     "MlParams",
     "GrowthEnvelope",
@@ -47,7 +46,6 @@ __all__ = [
     "check_growth_bound",
 ]
 
-ML_DOUBLE_RANGE = 50.0
 ML_HP_RANGE = 200.0
 
 _MAX_TERMS = 10_000
@@ -95,7 +93,8 @@ def _series(z, first, ratio, stop, tiny):
     c_{n+1}/c_n, the relative stop level and the floor under |total|.  The
     sum stops once |z|*ratio(n) < 1/2 and the geometric tail bound is below
     stop*max(|total|, tiny).  Returns (total, stopped, n_terms, tail,
-    abs_sum); a stop certifies the truncation only while abs_sum is finite.
+    abs_sum); a stop certifies the truncation only while abs_sum is finite,
+    so the first term that overflows to infinity ends the sum unstopped.
     """
     term = first
     total = term
@@ -112,11 +111,14 @@ def _series(z, first, ratio, stop, tiny):
             if tail <= stop * max(abs(total), tiny):
                 return total, True, n, tail, abs_sum
         term = term * z * step
+        mag = abs(term)
+        if mag == math.inf:
+            return total, False, n + 1, tail, mag
         y = term - comp
         t = total + y
         comp = (t - total) - y
         total = t
-        abs_sum += abs(term)
+        abs_sum += mag
         n += 1
     return total, False, n, tail, abs_sum
 

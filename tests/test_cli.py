@@ -255,6 +255,10 @@ def test_overflowing_majorant_exits_3(tmp_path, capsys):
         ("[solver]\ntol = 2\n", "solver.tol"),
         ("[grid]\nhalf_length = nan\n", "grid.half_length"),
         ("[noise]\nintensity = inf\n", "noise.intensity"),
+        ("[operator]\nkind = riesz\nspace_order = 2.0\n", "operator.space_order"),
+        ("[operator]\nkind = riesz\nspace_order = 1.0\n", "operator.space_order"),
+        ("[operator]\nkind = riesz\nspace_order = 1.0\nmollify = false\n", "operator.space_order"),
+        ("[operator]\nkind = liouville_left\nspace_order = 2.0\n", "operator.space_order"),
     ],
 )
 def test_config_rejects_what_the_constructors_reject(tmp_path, capsys, text, key):
@@ -262,6 +266,13 @@ def test_config_rejects_what_the_constructors_reject(tmp_path, capsys, text, key
     assert entrypoint(["run", "--config", _cfg_file(tmp_path, text), "--out", str(out), "--quiet"]) == 2
     lines = capsys.readouterr().err.splitlines()
     assert len(lines) == 1 and lines[0].startswith(f"config error: {key}: ")
+
+
+def test_sharp_fractional_kind_runs_at_order_two(tmp_path):
+    # only the mollified operator needs an order below 2
+    text = BASE + "[operator]\nkind = liouville_left\nspace_order = 2.0\nmollify = false\n"
+    assert entrypoint(["run", "--config", _cfg_file(tmp_path, text), "--out", str(tmp_path / "out"), "--quiet"]) == 0
+
 
 def test_ml_verb_prints_value(capsys):
     assert entrypoint(["ml", "--alpha", "0.5", "--z-re", "1.0"]) == 0

@@ -84,25 +84,13 @@ def test_constant_forcing_closed_form_both_routes():
     assert rep_k.form == "kernel" and rep_rl.form == "rl"
 
 
-def test_caputo_variant_fallback_at_nonzero_start():
-    # F(0) != 0 puts the two derivatives a constant apart; the solver
-    # handles that by exact subtraction and flags the reduction
-    mesh = TimeMesh(1.0, 128)
-    p = _problem(mesh, forcing=np.full((mesh.n_nodes, 1), 0.3))
-    rep_rl = solve_rl_form(p)
-    rep_cap = solve_rl_form(p, derivative="caputo")
-    assert rep_cap.metadata["caputo_fallback_to_rl"] is True
-    assert rep_cap.metadata["derivative_variant"] == "rl"
-    assert np.array_equal(rep_cap.trajectory, rep_rl.trajectory)
-
-
 def test_caputo_variant_direct_at_vanishing_start():
+    # F(0) = 0 leaves nothing to split off: the derivative form is then the
+    # Caputo one directly
     mesh = TimeMesh(1.0, 128)
     ramp = 0.4 * mesh.nodes**2
     p = _problem(mesh, forcing=ramp[:, None])
-    rep = solve_rl_form(p, derivative="caputo")
-    assert rep.metadata["derivative_variant"] == "caputo"
-    assert rep.metadata["caputo_fallback_to_rl"] is False
+    rep = solve_rl_form(p)
     assert rep.metadata["initial_forcing_norm"] == 0.0
     assert np.all(np.isfinite(rep.trajectory))
 
@@ -114,6 +102,17 @@ def test_windowed_iteration_matches_single_window():
     r4 = solve_kernel_form(p, SolverOptions(n_windows=4))
     assert r1.converged and r4.converged
     assert np.max(np.abs(r1.trajectory - r4.trajectory)) <= 1e-12
+
+
+def test_windows_rescue_a_long_horizon():
+    # one window over the whole horizon makes the Picard change grow until the
+    # patience runs out; two half-windows each contract
+    mesh = TimeMesh(4.0, 128)
+    p = CauchyProblem(ALPHA, multiplier_action(np.array([1.0])), scaled_sine(20.0), np.array([1.0]), mesh)
+    with pytest.raises(DivergenceError, match="grew 5 times"):
+        solve_kernel_form(p, SolverOptions(max_iter=100))
+    report = solve_kernel_form(p, SolverOptions(max_iter=100, n_windows=2))
+    assert report.converged
 
 
 def test_divergence_detection():
@@ -145,8 +144,6 @@ def test_nonlinearity_contracts():
     assert gflags["derivative_vanishes_at_zero"] is False
     assert abs(gflags["fprime_at_zero"] - 0.2) <= 1e-6
     assert gflags["sampled_lipschitz"] <= 0.2 + 1e-6
-    assert zero_nonlinearity().is_zero
-    assert not f.is_zero
 
 
 def test_problem_validation():
@@ -161,8 +158,6 @@ def test_problem_validation():
                       forcing=np.zeros((3, 1)))
     with pytest.raises(ValueError):
         SolverOptions(tol=2.0)
-    with pytest.raises(ValueError):
-        SolverOptions(divergence_patience=1)
 
 
 def test_identity_defect_refines():
@@ -195,7 +190,7 @@ def test_moderateness_scan_flat_family():
     assert report.statuses == ["ok"] * 5
     assert abs(report.fitted_n) <= 1e-10
     assert all(abs(v) <= 1e-10 for v in report.exponents.values())
-    assert report.all_finite
+    assert all(np.all(np.isfinite(v)) for v in report.norms.values())
 
 
 def test_moderateness_scan_flags_failed_rungs():

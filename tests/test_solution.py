@@ -144,3 +144,6 @@ def test_exponential_bound_dominates_samples():
         exp_bound_check(ev, np.array([]))
     with pytest.raises(ValueError):
         exp_bound_check(ev, np.array([-1.0]))
+    # exact norms only: a generator above 64 dimensions is refused
+    with pytest.raises(SizeError):
+        exp_bound_check(SolutionOperatorEvaluator(1.5, 0.01 * np.eye(65)), times)

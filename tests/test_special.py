@@ -16,6 +16,7 @@ from fracwave import (
     mittag_leffler_hp,
     series_term_count,
 )
+from fracwave import special
 
 # 60-digit series sums, computed once with mpmath and frozen
 REFERENCE = [
@@ -97,6 +98,16 @@ def test_term_count_rejects_an_overflowing_majorant():
     # stop there would certify nothing
     with pytest.raises(TruncationError, match="overflows"):
         series_term_count(1.05, 1.0, 1065.54, 1e-12)
+
+
+def test_series_stops_at_the_first_infinite_term():
+    # term 466 of this majorant overflows; summing on to the term cap
+    # cannot certify anything
+    _, stopped, n, _, abs_sum = special._series(
+        1065.54, 1.0, special._lgamma_ratio(1.05, 1.0), 1e-12, 1e-300
+    )
+    assert not stopped and abs_sum == math.inf
+    assert n < special._MAX_TERMS
 
 
 def test_growth_envelope():
