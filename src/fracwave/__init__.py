@@ -68,7 +68,6 @@ from .regularization import (
 from .solution import (
     GeneratorProbe,
     LinearAction,
-    SolutionOperatorEvaluator,
     as_action,
     caputo_of_S_diagnostic,
     exp_bound_check,

@@ -12,7 +12,8 @@ Shared flags (per verb): --config PATH, --out DIR, --seed N, --quiet.
 
 Exit codes: 0 success, 1 a validate check failed, 2 configuration problem
 (or an unknown validate --only id), 3 numerical gate failure (norm cap,
-resolution, series range), 4 fixed-point divergence.  All output
+resolution, series range), 4 fixed-point divergence (for `run`, also no
+convergence within solver.max_iter).  All output
 files are deterministic for a fixed config, so run directories can be
 compared byte for byte.
 """
@@ -92,10 +93,11 @@ def _profile_samples(source: str, grid: SpatialGrid, what: str) -> np.ndarray:
             raise ConfigError(
                 [(None, f"{what}: {path!r} must have {grid.n_points} rows of 1 or 2 columns")]
             )
-        return table[:, 0] if table.shape[1] == 1 else table[:, 0] + 1j * table[:, 1]
-    values = parse_expression(source, "x").evaluate(x)
+        values = table[:, 0] if table.shape[1] == 1 else table[:, 0] + 1j * table[:, 1]
+    else:
+        values = parse_expression(source, "x").evaluate(x)
     if not np.all(np.isfinite(values)):
-        raise ConfigError([(None, f"{what}: expression takes non-finite values on the grid")])
+        raise ConfigError([(None, f"{what}: profile takes non-finite values on the grid")])
     return values
 
 
@@ -160,13 +162,6 @@ def _noise_spec(cfg: RunConfig, schedule: Optional[EpsilonSchedule]) -> NoiseSpe
         schedule=schedule,
         shape=cfg.noise_shape,
     )
-
-
-def _check_mollified_order(cfg: RunConfig) -> None:
-    # a mollified fractional kind needs an order below 2; parse_config cannot
-    # ask for it, since the default order is 2.0 and `kind = riesz` must parse
-    if cfg.mollify and cfg.resolved_operator_kind() != "second_derivative" and cfg.space_order == 2.0:
-        raise ConfigError([(None, "operator.space_order: must lie in (0, 2) when operator.mollify = true, got 2.0")])
 
 
 def _regularized_operator(
@@ -244,7 +239,6 @@ class ScenarioParts:
 
 def assemble_scenario(cfg: RunConfig) -> ScenarioParts:
     """Build grid, operator, noise, and problem from a validated config."""
-    _check_mollified_order(cfg)
     grid, mesh, schedule, eps = _frame(cfg)
     kind = cfg.resolved_operator_kind()
     coeff_raw = _coefficient_samples(cfg, grid)
@@ -368,6 +362,13 @@ def _say(quiet: bool, message: str) -> None:
 
 def cmd_run(cfg: RunConfig, out: Optional[str], quiet: bool) -> int:
     parts, report = run_scenario(cfg)
+    if not report.converged:
+        # the window that stopped at max_iter ends with the largest change
+        change = max(history[-1] for history in report.contraction_history)
+        raise DivergenceError(
+            f"picard did not converge in {report.iterations} sweeps (last change {change:.3e}, "
+            f"tol {cfg.solver_tol:g}); raise solver.max_iter"
+        )
     run_dir = _prepare_dir(cfg, out, "run")
     (run_dir / "config.txt").write_text(render_config(cfg), encoding="utf-8")
     _write_field_csv(run_dir / "trajectory.csv", parts.mesh.nodes, parts.grid.x, report.trajectory)
@@ -409,8 +410,8 @@ def cmd_run(cfg: RunConfig, out: Optional[str], quiet: bool) -> int:
         _say(quiet, f"norm gate: {parts.measured_norm:.6g} <= cap {parts.norm_cap:.6g} at eps {parts.eps:g}")
     _say(
         quiet,
-        f"run {cfg.label}: {'converged' if report.converged else 'NOT converged'} "
-        f"in {report.iterations} sweeps (final change {report.final_change:.3e}); wrote {run_dir}",
+        f"run {cfg.label}: converged in {report.iterations} sweeps "
+        f"(final change {report.final_change:.3e}); wrote {run_dir}",
     )
     return 0
 
@@ -418,7 +419,6 @@ def cmd_run(cfg: RunConfig, out: Optional[str], quiet: bool) -> int:
 def cmd_sweep(cfg: RunConfig, out: Optional[str], quiet: bool) -> int:
     if not cfg.mollify:
         raise ConfigError([(None, "sweep-epsilon needs operator.mollify = true")])
-    _check_mollified_order(cfg)
     grid, mesh, schedule, _ = _frame(cfg)
     kind = cfg.resolved_operator_kind()
     coeff_raw = _coefficient_samples(cfg, grid)
@@ -548,6 +548,9 @@ def cmd_noise_dump(cfg: RunConfig, out: Optional[str], quiet: bool) -> int:
     grid, mesh, schedule, eps = _frame(cfg)
     spec = _noise_spec(cfg, schedule)
     rep = white_noise_representative(spec, eps, grid, mesh)
+    perturb = cfg.noise_target in ("initial", "both")
+    # read the displacement before any output, so a bad profile leaves no directory
+    perturbed = stochastic_initial_data(_displacement(cfg, grid), spec, eps, grid) if perturb else None
     run_dir = _prepare_dir(cfg, out, "noise")
     (run_dir / "config.txt").write_text(render_config(cfg), encoding="utf-8")
     _write_field_csv(run_dir / "noise.csv", mesh.nodes, grid.x, rep.trajectory.values)
@@ -562,8 +565,7 @@ def cmd_noise_dump(cfg: RunConfig, out: Optional[str], quiet: bool) -> int:
         "interior_variance": mollified_variance(spec, eps, grid, mesh),
         "seed": cfg.master_seed,
     }
-    if cfg.noise_target in ("initial", "both"):
-        perturbed = stochastic_initial_data(_displacement(cfg, grid), spec, eps, grid)
+    if perturb:
         _write_field_csv(run_dir / "initial.csv", mesh.nodes[:1], grid.x, perturbed.values[None, :])
         names.insert(2, "initial.csv")
         meta["initial_provenance"] = spec.provenance(eps, 1)

@@ -178,6 +178,8 @@ def _semantic_issues(cfg: RunConfig) -> list:
         issues.append(f"operator.space_order: must lie in (0, 2], got {cfg.space_order}")
     elif kind == "riesz" and abs(math.cos(cfg.space_order * math.pi / 2.0)) < 1e-12:
         issues.append(f"operator.space_order: the riesz symbol is singular at order 1, got {cfg.space_order}")
+    elif kind != "second_derivative" and cfg.mollify and cfg.space_order == 2.0:
+        issues.append("operator.space_order: a mollified fractional kind needs an order below 2; set it in (0, 2)")
     if not cfg.mollify and cfg.coefficient != "constant":
         issues.append("operator.mollify: only constant coefficients admit the exact (unmollified) route")
     if cfg.mollify and cfg.alpha >= 2.0:

@@ -246,15 +246,25 @@ def _row_sup(arr: np.ndarray, weight: float) -> float:
     return float(np.sqrt(weight) * np.linalg.norm(flat, axis=1).max())
 
 
+def _propagated(p: CauchyProblem, power: float, x: np.ndarray, tol: float) -> np.ndarray:
+    """t**power E_{alpha,power+1}(t**alpha A) x on every node of the mesh.
+
+    Each such datum solves y = t**power / Gamma(power + 1) x + J^alpha(A y).
+    The power is passed rather than beta = power + 1, which can round away
+    the last bit of power = alpha.
+    """
+    nodes = p.mesh.nodes
+    out = ml_trajectory(p.alpha, power + 1.0, p.action, x, nodes, tol=tol)
+    if power != 0.0:
+        out *= nodes.reshape((nodes.size,) + (1,) * np.ndim(x)) ** power
+    return out
+
+
 def _base_trajectory(p: CauchyProblem, series_tol: float) -> np.ndarray:
     """Propagated initial state plus the order-one integral of the velocity."""
-    nodes = p.mesh.nodes
-    base = ml_trajectory(p.alpha, 1.0, p.action, p.state0, nodes, tol=series_tol)
+    base = _propagated(p, 0.0, p.state0, series_tol)
     if p.velocity0 is not None:
-        shape = (nodes.size,) + (1,) * p.state0.ndim
-        base = base + nodes.reshape(shape) * ml_trajectory(
-            p.alpha, 2.0, p.action, p.velocity0, nodes, tol=series_tol
-        )
+        base = base + _propagated(p, 1.0, p.velocity0, series_tol)
     return base
 
 
@@ -423,13 +433,7 @@ def solve_rl_form(p: CauchyProblem, opts: SolverOptions = SolverOptions()) -> So
     weights_two = pi_weights(2.0, mesh.n_nodes, mesh.dt)
     plan = _block_plan(p, 3.0, opts.series_tol)
 
-    if f0_norm > 0.0:
-        shape = (mesh.n_nodes,) + (1,) * p.state0.ndim
-        singular = mesh.nodes.reshape(shape) ** p.alpha * ml_trajectory(
-            p.alpha, p.alpha + 1.0, p.action, f0, mesh.nodes, tol=opts.series_tol
-        )
-    else:
-        singular = 0.0
+    singular = _propagated(p, p.alpha, f0, opts.series_tol) if f0_norm > 0.0 else 0.0
 
     def integral_term(g: np.ndarray) -> np.ndarray:
         w_reg = rl_derivative(g - f0, gamma_ord, mesh)

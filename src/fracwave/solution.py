@@ -27,7 +27,6 @@ __all__ = [
     "as_action",
     "multiplier_action",
     "ml_trajectory",
-    "SolutionOperatorEvaluator",
     "volterra_residual",
     "caputo_of_S_diagnostic",
     "GeneratorProbe",
@@ -42,28 +41,25 @@ class LinearAction:
     """A bounded linear map bundled with the norm bound used for truncation.
 
     dim is None for scalar multiples, which act on arrays of any shape.
-    batch_matvec, when present, applies the map along the last axis of a
-    stacked array in one call; otherwise rows are processed one by one.
+    apply acts along the last axis, so one call maps a single vector or a
+    stacked array of them.
     """
 
-    matvec: Callable[[np.ndarray], np.ndarray]
+    apply: Callable[[np.ndarray], np.ndarray]
     norm_bound: float
     dim: Optional[int]
     label: str = "action"
-    batch_matvec: Optional[Callable[[np.ndarray], np.ndarray]] = None
 
     def __post_init__(self):
         if not (np.isfinite(self.norm_bound) and self.norm_bound >= 0.0):
             raise ValueError(f"norm bound must be finite and >= 0, got {self.norm_bound!r}")
 
     def __call__(self, vec: np.ndarray) -> np.ndarray:
-        return self.matvec(vec)
+        return self.apply(vec)
 
     def apply_rows(self, rows: np.ndarray) -> np.ndarray:
         """Apply to each row of a (n, dim) stack."""
-        if self.batch_matvec is not None:
-            return self.batch_matvec(rows)
-        return np.stack([self.matvec(row) for row in rows])
+        return self.apply(rows)
 
 
 def as_action(operator, norm_bound: Optional[float] = None) -> LinearAction:
@@ -71,7 +67,8 @@ def as_action(operator, norm_bound: Optional[float] = None) -> LinearAction:
 
     Matrices get their exact spectral norm; regularized operators reuse the
     power-iteration estimate they carry.  A bare callable needs an explicit
-    bound (there is nothing to infer one from).
+    bound (there is nothing to infer one from) and is mapped row by row
+    over stacked input.
     """
     if isinstance(operator, LinearAction):
         if norm_bound is not None and norm_bound != operator.norm_bound:
@@ -82,8 +79,7 @@ def as_action(operator, norm_bound: Optional[float] = None) -> LinearAction:
         if c.imag == 0.0:
             c = c.real
         bound = abs(c) if norm_bound is None else float(norm_bound)
-        scale = lambda v: c * v
-        return LinearAction(scale, bound, None, f"scalar {c!r}", batch_matvec=scale)
+        return LinearAction(lambda v: c * v, bound, None, f"scalar {c!r}")
     if isinstance(operator, np.ndarray):
         if operator.ndim == 0:
             return as_action(operator[()], norm_bound)
@@ -91,26 +87,18 @@ def as_action(operator, norm_bound: Optional[float] = None) -> LinearAction:
             raise SizeError(f"matrix action must be square, got shape {operator.shape}")
         mat = operator.copy()
         bound = float(np.linalg.norm(mat, 2)) if norm_bound is None else float(norm_bound)
-        return LinearAction(
-            lambda v: mat @ v,
-            bound,
-            mat.shape[0],
-            f"matrix {mat.shape[0]}x{mat.shape[1]}",
-            batch_matvec=lambda rows: rows @ mat.T,
-        )
+        return LinearAction(lambda v: v @ mat.T, bound, mat.shape[0], f"matrix {mat.shape[0]}x{mat.shape[1]}")
     if isinstance(operator, RegularizedOperator):
         bound = operator.norm_estimate().value if norm_bound is None else float(norm_bound)
-        return LinearAction(
-            operator.apply,
-            bound,
-            operator.grid.n_points,
-            f"regularized {operator.kind}",
-            batch_matvec=operator.apply,
-        )
+        return LinearAction(operator.apply, bound, operator.grid.n_points, f"regularized {operator.kind}")
     if callable(operator):
         if norm_bound is None:
             raise ValueError("a bare callable action needs an explicit norm bound")
-        return LinearAction(operator, float(norm_bound), None, "callable")
+
+        def rowwise(v: np.ndarray) -> np.ndarray:
+            return operator(v) if np.ndim(v) <= 1 else np.stack([operator(row) for row in v])
+
+        return LinearAction(rowwise, float(norm_bound), None, "callable")
     raise TypeError(f"cannot interpret {type(operator).__name__} as a linear action")
 
 
@@ -121,10 +109,10 @@ def multiplier_action(symbol: np.ndarray, label: str = "multiplier") -> LinearAc
         raise SizeError("multiplier symbol must be one-dimensional")
     bound = float(np.max(np.abs(sym))) if sym.size else 0.0
 
-    def matvec(v: np.ndarray) -> np.ndarray:
+    def apply(v: np.ndarray) -> np.ndarray:
         return np.fft.ifft(sym * np.fft.fft(v, axis=-1), axis=-1)
 
-    return LinearAction(matvec, bound, sym.size, label, batch_matvec=matvec)
+    return LinearAction(apply, bound, sym.size, label)
 
 
 def _check_orders(alpha: float, beta_prime: float) -> None:
@@ -180,53 +168,25 @@ def ml_trajectory(
     return out.reshape((ts.size,) + vec.shape)
 
 
-class SolutionOperatorEvaluator:
-    """Propagator family S(t) = E_alpha(t**alpha A) bound to one operator.
-
-    The second parameter generalizes the family to the kernel and forcing
-    variants the fixed-point solver needs.
-    """
-
-    def __init__(self, alpha: float, operator, tol: float = 1e-12, norm_bound: Optional[float] = None):
-        if not (1.0 < alpha <= 2.0):
-            raise SingularOrderError(f"time order must lie in (1, 2], got {alpha:g}")
-        if not (0.0 < tol < 1.0):
-            raise ValueError(f"tolerance must lie in (0, 1), got {tol!r}")
-        self.alpha = float(alpha)
-        self.action = as_action(operator, norm_bound)
-        self.tol = float(tol)
-
-    @property
-    def norm_bound(self) -> float:
-        return self.action.norm_bound
-
-    def apply(self, t: float, x: np.ndarray, beta_prime: float = 1.0) -> np.ndarray:
-        """E_{alpha,beta'}(t**alpha A) x: the trajectory at the single node t."""
-        return self.trajectory(np.array([float(t)]), x, beta_prime)[0]
-
-    def trajectory(self, times: np.ndarray, x: np.ndarray, beta_prime: float = 1.0) -> np.ndarray:
-        return ml_trajectory(self.alpha, beta_prime, self.action, x, times, tol=self.tol)
-
-
 def _row_norms(rows: np.ndarray) -> np.ndarray:
     return np.linalg.norm(rows.reshape(rows.shape[0], -1), axis=1)
 
 
-def volterra_residual(ev: SolutionOperatorEvaluator, mesh: TimeMesh, x: np.ndarray) -> float:
+def volterra_residual(alpha: float, operator, mesh: TimeMesh, x: np.ndarray) -> float:
     """Sup-norm defect of S(t)x against its own Volterra integral equation.
 
     The fractional integral of A S(.)x is evaluated with the product
     quadrature, so the returned defect is dominated by quadrature error and
     should shrink under mesh refinement.
     """
-    traj = ev.trajectory(mesh.nodes, x)
-    forced = ev.action.apply_rows(traj)
-    integ = rl_integral(forced, ev.alpha, mesh)
+    action = as_action(operator)
+    traj = ml_trajectory(alpha, 1.0, action, x, mesh.nodes)
+    integ = rl_integral(action.apply_rows(traj), alpha, mesh)
     defect = traj - np.asarray(x)[None, ...] - integ
     return float(_row_norms(defect).max())
 
 
-def caputo_of_S_diagnostic(ev: SolutionOperatorEvaluator, mesh: TimeMesh, x: np.ndarray) -> float:
+def caputo_of_S_diagnostic(alpha: float, operator, mesh: TimeMesh, x: np.ndarray) -> float:
     """Max deviation of the fractional time derivative of S(t)x from A S(t)x.
 
     Measured on the interior window t >= t_max / 4: the leading
@@ -237,9 +197,10 @@ def caputo_of_S_diagnostic(ev: SolutionOperatorEvaluator, mesh: TimeMesh, x: np.
     """
     if mesh.n_nodes < 8:
         raise SizeError("diagnostic needs at least eight nodes")
-    traj = ev.trajectory(mesh.nodes, x)
-    lhs = caputo_derivative(traj, ev.alpha, mesh)
-    rhs = ev.action.apply_rows(traj)
+    action = as_action(operator)
+    traj = ml_trajectory(alpha, 1.0, action, x, mesh.nodes)
+    lhs = caputo_derivative(traj, alpha, mesh)
+    rhs = action.apply_rows(traj)
     k0 = max(1, int(round(0.25 * mesh.n_steps)))
     dev = lhs[k0:] - rhs[k0:]
     return float(_row_norms(dev).max())
@@ -263,20 +224,22 @@ class GeneratorProbe:
             raise ValueError("ladder must be strictly decreasing and positive")
 
 
-def generator_recovery(ev: SolutionOperatorEvaluator, x: np.ndarray, ladder: np.ndarray) -> GeneratorProbe:
+def generator_recovery(alpha: float, operator, x: np.ndarray, ladder: np.ndarray) -> GeneratorProbe:
     """Recover the generator action from short-time propagator differences.
 
     The scaled difference gamma(1+alpha) (S(t)x - x) / t**alpha tends to Ax;
     the next series term makes the error decay like t**alpha, which is the
     fitted rate reported (nan when the errors vanish identically).
     """
+    action = as_action(operator)
     ts = np.asarray(ladder, dtype=float)
     vec = np.asarray(x)
-    scale = gamma(1.0 + ev.alpha)
+    scale = gamma(1.0 + alpha)
     recovered = np.empty((ts.size,) + vec.shape, dtype=complex)
     for j, t in enumerate(ts):
-        recovered[j] = scale * (ev.apply(t, vec) - vec) / t**ev.alpha
-    target = ev.action(vec)
+        # one node per call: each sizes its truncation at its own time
+        recovered[j] = scale * (ml_trajectory(alpha, 1.0, action, vec, ts[j : j + 1])[0] - vec) / t**alpha
+    target = action(vec)
     errors = _row_norms(recovered - np.asarray(target)[None, ...])
     if np.any(errors == 0.0):
         rate = math.nan
@@ -303,26 +266,25 @@ class ExponentialBound:
 _MAX_EXACT_DIM = 64
 
 
-def _norm_samples(ev: SolutionOperatorEvaluator, times: np.ndarray) -> np.ndarray:
+def _norm_samples(alpha: float, action: LinearAction, times: np.ndarray) -> np.ndarray:
     """Operator norm of S(t) on each grid time.
 
     Scalar actions are exact; matrices up to _MAX_EXACT_DIM are assembled
     column by column for the exact spectral norm.
     """
-    action = ev.action
     if action.dim is None:
-        params = MlParams(ev.alpha, 1.0)
+        params = MlParams(alpha, 1.0)
         c = action(np.ones(1))[0]
-        return np.array([abs(mittag_leffler(params, c * t**ev.alpha)) for t in times])
+        return np.array([abs(mittag_leffler(params, c * t**alpha)) for t in times])
     basis = np.eye(action.dim)
     out = np.empty(times.size)
-    for j, t in enumerate(times):
-        mat = np.column_stack([ev.apply(float(t), col) for col in basis.T])
+    for j in range(times.size):
+        mat = np.column_stack([ml_trajectory(alpha, 1.0, action, col, times[j : j + 1])[0] for col in basis.T])
         out[j] = np.linalg.norm(mat, 2)
     return out
 
 
-def exp_bound_check(ev: SolutionOperatorEvaluator, times: np.ndarray) -> ExponentialBound:
+def exp_bound_check(alpha: float, operator, times: np.ndarray) -> ExponentialBound:
     """Fit the smallest exponential envelope over the sampled times.
 
     The rate is the norm bound to the power 1/alpha; the certificate fails
@@ -334,11 +296,12 @@ def exp_bound_check(ev: SolutionOperatorEvaluator, times: np.ndarray) -> Exponen
         raise SizeError("need a nonempty time grid")
     if np.any(ts < 0.0):
         raise ValueError("times must be >= 0")
-    if (ev.action.dim or 0) > _MAX_EXACT_DIM:
-        raise SizeError(f"exact propagator norms need dimension at most {_MAX_EXACT_DIM}, got {ev.action.dim}")
-    norms = _norm_samples(ev, ts)
+    action = as_action(operator)
+    if (action.dim or 0) > _MAX_EXACT_DIM:
+        raise SizeError(f"exact propagator norms need dimension at most {_MAX_EXACT_DIM}, got {action.dim}")
+    norms = _norm_samples(alpha, action, ts)
     if not np.all(np.isfinite(norms)):
         raise FracwaveError("non-finite propagator norm sample; series range exceeded")
-    omega = ev.norm_bound ** (1.0 / ev.alpha)
+    omega = action.norm_bound ** (1.0 / alpha)
     m_factor = float(np.max(norms * np.exp(-omega * ts)))
     return ExponentialBound(m_factor, omega, ts, norms)

@@ -41,13 +41,7 @@ from .regularization import (
     check_norm_gate,
     make_mollifier,
 )
-from .solution import (
-    SolutionOperatorEvaluator,
-    exp_bound_check,
-    generator_recovery,
-    multiplier_action,
-    volterra_residual,
-)
+from .solution import exp_bound_check, generator_recovery, ml_trajectory, multiplier_action, volterra_residual
 from .special import MlParams, check_growth_bound, mittag_leffler, mittag_leffler_hp
 from .stochastic import NoiseSpec, ensemble_run, stochastic_initial_data, white_noise_representative
 
@@ -168,8 +162,7 @@ def _c04_matrix_series_oracle(th: dict):
         t_cap = 4.0 ** (1.0 / alpha)  # matrix is normalized, so t**alpha * ||A|| <= 4
         for frac in (0.25, 0.5, 0.75, 1.0):
             t = frac * t_cap
-            ev = SolutionOperatorEvaluator(alpha, mat)
-            got = ev.apply(t, x)
+            got = ml_trajectory(alpha, 1.0, mat, x, np.array([t]))[0]
             params = MlParams(alpha, 1.0)
             scalars = np.array([mittag_leffler(params, t**alpha * lam) for lam in evals])
             want = evecs @ (scalars * (evecs.T @ x))
@@ -182,15 +175,16 @@ def _c05_volterra_orders(th: dict):
     meshes = [TimeMesh(2.0, n) for n in (128, 256, 512)]
     orders = []
     cases = {
-        "scalar": (SolutionOperatorEvaluator(1.5, 0.5), np.array([1.0])),
+        "scalar": (1.5, 0.5, np.array([1.0])),
         "matrix": (
-            SolutionOperatorEvaluator(1.75, _random_symmetric(8, key=0xC5)),
+            1.75,
+            _random_symmetric(8, key=0xC5),
             np.random.Generator(np.random.Philox(key=0xC5 + 1)).standard_normal(8),
         ),
     }
     measured = {}
-    for name, (ev, x) in cases.items():
-        res = [volterra_residual(ev, mesh, x) for mesh in meshes]
+    for name, (alpha, op, x) in cases.items():
+        res = [volterra_residual(alpha, op, mesh, x) for mesh in meshes]
         steps = [math.log2(res[i] / res[i + 1]) for i in range(2)]
         measured[f"{name}_orders"] = [float(s) for s in steps]
         orders.extend(steps)
@@ -200,10 +194,9 @@ def _c05_volterra_orders(th: dict):
 
 
 def _c06_generator_slope(th: dict):
-    ev = SolutionOperatorEvaluator(1.5, 2.0)
     ladder = 2.0 ** -np.arange(2.0, 10.0)
-    probe = generator_recovery(ev, np.ones(1), ladder)
-    gap = abs(probe.rate - ev.alpha)
+    probe = generator_recovery(1.5, 2.0, np.ones(1), ladder)
+    gap = abs(probe.rate - 1.5)
     passed = math.isfinite(probe.rate) and gap <= th["slope_window"]
     measured = {"slope": float(probe.rate), "gap_to_alpha": float(gap)}
     return passed, measured, f"slope {probe.rate:.4f} vs alpha 1.5"
@@ -481,8 +474,7 @@ def _c15_gronwall(th: dict):
     )
     linear = gronwall_stability_probe(base, np.array([1.0]), opts, scales=(1.0, 0.5))
     k_lin = float(np.nanmax(linear.k_values))
-    ev = SolutionOperatorEvaluator(1.5, 0.5)
-    sup_s = exp_bound_check(ev, mesh.nodes).sup_norm
+    sup_s = exp_bound_check(1.5, 0.5, mesh.nodes).sup_norm
     ratio_gap = abs(k_lin / sup_s - 1.0)
 
     nonlinear_problem = CauchyProblem(

@@ -12,7 +12,7 @@ import pytest
 
 from fracwave import ml_trajectory, parse_config, render_config
 from fracwave.cli import _write_field_csv, _write_manifest, assemble_scenario, entrypoint
-from fracwave.solution import SolutionOperatorEvaluator
+from fracwave.solution import as_action
 
 BASE = """
 [run]
@@ -145,8 +145,8 @@ def test_run_reduces_to_propagator_without_forcing(tmp_path):
     run_dir = _run_dir(tmp_path / "a")
     parts = assemble_scenario(parse_config(BASE))
     u = _read_field(run_dir / "trajectory.csv", parts.mesh.n_nodes, parts.grid.n_points)
-    ev = SolutionOperatorEvaluator(1.5, parts.operator, norm_bound=parts.measured_norm)
-    ref = ev.trajectory(parts.mesh.nodes, parts.problem.state0)
+    action = as_action(parts.operator, norm_bound=parts.measured_norm)
+    ref = ml_trajectory(1.5, 1.0, action, parts.problem.state0, parts.mesh.nodes)
     # sigma = 0 and f = 0: the run is exactly the propagator applied to the data,
     # so the only gap left is the 17-digit decimal round trip
     assert np.max(np.abs(u - ref)) <= 1e-10
@@ -158,9 +158,9 @@ def test_velocity_term_closed_form(tmp_path):
     parts = assemble_scenario(parse_config(text))
     u = _read_field(_run_dir(tmp_path / "a") / "trajectory.csv", parts.mesh.n_nodes, parts.grid.n_points)
     ts = parts.mesh.nodes
-    ev = SolutionOperatorEvaluator(1.5, parts.operator, norm_bound=parts.measured_norm)
-    ref = ev.trajectory(ts, parts.problem.state0) + ts[:, None] * ml_trajectory(
-        1.5, 2.0, ev.action, parts.problem.velocity0, ts
+    action = as_action(parts.operator, norm_bound=parts.measured_norm)
+    ref = ml_trajectory(1.5, 1.0, action, parts.problem.state0, ts) + ts[:, None] * ml_trajectory(
+        1.5, 2.0, action, parts.problem.velocity0, ts
     )
     assert np.max(np.abs(u - ref)) <= 1e-10
 
@@ -272,6 +272,47 @@ def test_sharp_fractional_kind_runs_at_order_two(tmp_path):
     # only the mollified operator needs an order below 2
     text = BASE + "[operator]\nkind = liouville_left\nspace_order = 2.0\nmollify = false\n"
     assert entrypoint(["run", "--config", _cfg_file(tmp_path, text), "--out", str(tmp_path / "out"), "--quiet"]) == 0
+
+
+@pytest.mark.parametrize("verb", ["run", "sweep-epsilon", "noise-dump"])
+def test_every_verb_rejects_a_mollified_fractional_kind_at_order_two(tmp_path, capsys, verb):
+    # the default space_order is 2.0, which no mollified fractional kind accepts
+    text = BASE + "[run]\nscenario = time_space_fractional\n"
+    out = tmp_path / "out"
+    assert entrypoint([verb, "--config", _cfg_file(tmp_path, text), "--out", str(out), "--quiet"]) == 2
+    lines = capsys.readouterr().err.splitlines()
+    assert len(lines) == 1 and lines[0].startswith("config error: operator.space_order: ")
+    assert "(0, 2)" in lines[0]
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("verb, key", [("run", "displacement"), ("run", "velocity"), ("noise-dump", "displacement")])
+@pytest.mark.parametrize("bad", ["nan", "inf"])
+def test_non_finite_profile_file_is_a_config_error(tmp_path, capsys, verb, key, bad):
+    cells = ["0.5"] * 256
+    cells[100] = bad
+    profile = tmp_path / "profile.csv"
+    profile.write_text("\n".join(cells) + "\n", encoding="utf-8")
+    text = BASE.replace("n_steps = 64", "n_steps = 16") + f"[initial]\n{key} = file:{profile}\n"
+    if verb == "noise-dump":
+        text += "[noise]\nintensity = 0.1\ntarget = initial\n"
+    out = tmp_path / "out"
+    assert entrypoint([verb, "--config", _cfg_file(tmp_path, text), "--out", str(out), "--quiet"]) == 2
+    lines = capsys.readouterr().err.splitlines()
+    assert len(lines) == 1 and lines[0].startswith(f"config error: initial.{key}: ")
+    assert not out.exists()
+
+
+def test_unconverged_run_exits_4(tmp_path, capsys):
+    text = "[mesh]\nn_steps = 32\n[nonlinearity]\nf = 0.5*sin(u)\n[noise]\nintensity = 0.1\n[solver]\nmax_iter = 2\n"
+    out = tmp_path / "out"
+    assert entrypoint(["run", "--config", _cfg_file(tmp_path, text), "--out", str(out)]) == 4
+    captured = capsys.readouterr()
+    lines = captured.err.splitlines()
+    assert len(lines) == 1 and lines[0].startswith("divergence: ")
+    assert "2 sweeps" in lines[0] and "tol 1e-10" in lines[0] and "solver.max_iter" in lines[0]
+    assert "converged" not in captured.out
+    assert not out.exists()
 
 
 def test_ml_verb_prints_value(capsys):

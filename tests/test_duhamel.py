@@ -13,7 +13,6 @@ from fracwave import (
     ResolutionError,
     SingularOrderError,
     SizeError,
-    SolutionOperatorEvaluator,
     SolverOptions,
     SpatialGrid,
     TimeMesh,
@@ -23,6 +22,7 @@ from fracwave import (
     gronwall_stability_probe,
     make_mollifier,
     mittag_leffler,
+    ml_trajectory,
     moderateness_scan,
     multiplier_action,
     nonlinearity_from_callable,
@@ -52,8 +52,7 @@ def _problem(mesh, **kw):
 def test_homogeneous_solve_reduces_to_propagator():
     mesh = TimeMesh(1.0, 128)
     report = solve_kernel_form(_problem(mesh))
-    ev = SolutionOperatorEvaluator(ALPHA, OP)
-    ref = ev.trajectory(mesh.nodes, np.array([Q]))
+    ref = ml_trajectory(ALPHA, 1.0, OP, np.array([Q]), mesh.nodes)
     # with nothing to iterate on, the fixed point is the bare series
     assert np.max(np.abs(report.trajectory - ref)) == 0.0
     assert report.converged and report.iterations == 1

@@ -9,7 +9,6 @@ from fracwave import (
     MlParams,
     SingularOrderError,
     SizeError,
-    SolutionOperatorEvaluator,
     TimeMesh,
     as_action,
     caputo_of_S_diagnostic,
@@ -44,16 +43,27 @@ def test_action_wrapping():
     assert act_c.norm_bound == 2.0
 
 
+def test_bare_callable_maps_stacked_rows_one_by_one():
+    mat, _ = _symmetric(4, 0xA2)
+
+    def fn(v):
+        assert v.ndim == 1  # a map that only understands single vectors
+        return mat @ v
+
+    rows = np.random.Generator(np.random.Philox(key=0xA3)).standard_normal((3, 4))
+    act = as_action(fn, norm_bound=1.0)
+    assert np.array_equal(act.apply_rows(rows), np.stack([fn(row) for row in rows]))
+    assert np.array_equal(act(rows[0]), fn(rows[0]))
+
+
 def test_rebounded_action_keeps_its_batch_path():
     sym = np.array([0.5, -1.0, 2.0j, 0.25])
     base = multiplier_action(sym)
     loose = as_action(base, norm_bound=4.0)
     assert loose.norm_bound == 4.0 and base.norm_bound == 2.0
-    assert loose.batch_matvec is base.batch_matvec and loose.label == base.label
+    assert loose.apply is base.apply and loose.label == base.label
     rows = np.arange(12.0).reshape(3, 4) + 1j
     assert np.array_equal(loose.apply_rows(rows), base.apply_rows(rows))
-    ev = SolutionOperatorEvaluator(1.5, base, norm_bound=4.0)
-    assert ev.action.batch_matvec is not None
 
 
 def test_series_matches_eigendecomposition():
@@ -64,7 +74,7 @@ def test_series_matches_eigendecomposition():
     oracle = Q @ (
         np.array([mittag_leffler(p, complex(l) * t**1.5) for l in lam]) * (Q.T @ vec)
     )
-    val = SolutionOperatorEvaluator(1.5, mat, tol=1e-9).apply(t, vec)
+    val = ml_trajectory(1.5, 1.0, mat, vec, np.array([t]), tol=1e-9)[0]
     assert np.linalg.norm(val - oracle) <= 1e-8
 
 
@@ -74,9 +84,8 @@ def test_trajectory_consistent_with_single_applies():
     mat, vec = _symmetric(4, 0xB1)
     times = np.linspace(0.0, 2.0, 9)
     rows = ml_trajectory(1.5, 1.0, mat, vec, times)
-    ev = SolutionOperatorEvaluator(1.5, mat)
-    for k, t in enumerate(times):
-        assert np.max(np.abs(rows[k] - ev.apply(float(t), vec))) <= 1e-10
+    for k in range(times.size):
+        assert np.max(np.abs(rows[k] - ml_trajectory(1.5, 1.0, mat, vec, times[k : k + 1])[0])) <= 1e-10
 
 
 def test_series_order_validation():
@@ -88,62 +97,56 @@ def test_series_order_validation():
         ml_trajectory(1.5, 0.0, mat, vec, np.array([1.0]))
     with pytest.raises(ValueError):
         ml_trajectory(1.5, 1.0, mat, vec, np.array([-1.0]))
-    with pytest.raises(ValueError):
-        SolutionOperatorEvaluator(1.5, mat).apply(-1.0, vec)
 
 
 def test_evaluator_identity_at_zero():
     mat, vec = _symmetric(5, 0xB2)
-    ev = SolutionOperatorEvaluator(1.5, mat)
-    out0 = ev.apply(0.0, vec)
+    out0 = ml_trajectory(1.5, 1.0, mat, vec, np.array([0.0]))[0]
     assert np.max(np.abs(out0 - vec)) == 0.0
-    assert np.array_equal(ev.apply(0.8, vec), ev.apply(0.8, vec))
-    with pytest.raises(SingularOrderError):
-        SolutionOperatorEvaluator(0.9, mat)
+    at = np.array([0.8])
+    assert np.array_equal(ml_trajectory(1.5, 1.0, mat, vec, at), ml_trajectory(1.5, 1.0, mat, vec, at))
 
 
 def test_volterra_defect_refines():
-    ev = SolutionOperatorEvaluator(1.5, multiplier_action(np.array([0.5])))
+    op = multiplier_action(np.array([0.5]))
     x = np.array([1.0])
-    res = [volterra_residual(ev, TimeMesh(2.0, n), x) for n in (256, 512)]
+    res = [volterra_residual(1.5, op, TimeMesh(2.0, n), x) for n in (256, 512)]
     assert res[0] <= 1e-5
     assert res[1] < res[0]
 
 
 def test_caputo_diagnostic_interior_decay():
-    ev = SolutionOperatorEvaluator(1.5, multiplier_action(np.array([0.5])))
+    op = multiplier_action(np.array([0.5]))
     x = np.array([1.0])
-    dev = [caputo_of_S_diagnostic(ev, TimeMesh(1.0, n), x) for n in (128, 256)]
+    dev = [caputo_of_S_diagnostic(1.5, op, TimeMesh(1.0, n), x) for n in (128, 256)]
     assert dev[1] < dev[0]
     with pytest.raises(SizeError):
-        caputo_of_S_diagnostic(ev, TimeMesh(1.0, 4), x)
+        caputo_of_S_diagnostic(1.5, op, TimeMesh(1.0, 4), x)
 
 
 def test_generator_recovery_rate_and_floor():
     mat, vec = _symmetric(8, 0xB0)
-    ev = SolutionOperatorEvaluator(1.5, mat)
     # moderate times measure the genuine t^alpha rate of the next term
-    probe = generator_recovery(ev, vec, 2.0 ** -np.arange(2, 10, dtype=float))
+    probe = generator_recovery(1.5, mat, vec, 2.0 ** -np.arange(2, 10, dtype=float))
     assert abs(probe.rate - 1.5) <= 0.1
     assert np.all(probe.errors > 0.0)
     # a deep ladder reaches the certified-truncation floor
-    deep = generator_recovery(ev, vec, 2.0 ** -np.arange(5, 14, dtype=float))
+    deep = generator_recovery(1.5, mat, vec, 2.0 ** -np.arange(5, 14, dtype=float))
     assert deep.errors[-1] <= 1e-6
 
 
 def test_exponential_bound_dominates_samples():
     mat, _ = _symmetric(2, 0xB3)
-    ev = SolutionOperatorEvaluator(1.5, mat)
     times = np.linspace(0.0, 3.0, 16)
-    bound = exp_bound_check(ev, times)
-    assert bound.omega == ev.norm_bound ** (1.0 / 1.5)
+    bound = exp_bound_check(1.5, mat, times)
+    assert bound.omega == as_action(mat).norm_bound ** (1.0 / 1.5)
     assert bound.m_factor >= 1.0 - 1e-12
     envelope = bound.m_factor * np.exp(bound.omega * times)
     assert np.all(bound.norms <= envelope * (1.0 + 1e-12))
     with pytest.raises(SizeError):
-        exp_bound_check(ev, np.array([]))
+        exp_bound_check(1.5, mat, np.array([]))
     with pytest.raises(ValueError):
-        exp_bound_check(ev, np.array([-1.0]))
+        exp_bound_check(1.5, mat, np.array([-1.0]))
     # exact norms only: a generator above 64 dimensions is refused
     with pytest.raises(SizeError):
-        exp_bound_check(SolutionOperatorEvaluator(1.5, 0.01 * np.eye(65)), times)
+        exp_bound_check(1.5, 0.01 * np.eye(65), times)
