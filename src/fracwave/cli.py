@@ -258,12 +258,8 @@ def assemble_scenario(cfg: RunConfig) -> ScenarioParts:
 
 
 def _solver_options(cfg: RunConfig) -> SolverOptions:
-    return SolverOptions(
-        tol=cfg.solver_tol,
-        max_iter=cfg.max_iter,
-        n_windows=cfg.n_windows,
-        series_tol=cfg.series_tol,
-    )
+    """Kernel-form options; windows belong to the derivative form only."""
+    return SolverOptions(tol=cfg.solver_tol, max_iter=cfg.max_iter, series_tol=cfg.series_tol)
 
 
 def run_scenario(cfg: RunConfig):
@@ -273,7 +269,7 @@ def run_scenario(cfg: RunConfig):
     if cfg.solver_form == "kernel":
         report = solve_kernel_form(parts.problem, opts)
     else:
-        report = solve_rl_form(parts.problem, opts)
+        report = solve_rl_form(parts.problem, dataclasses.replace(opts, n_windows=cfg.n_windows))
     return parts, report
 
 
@@ -363,11 +359,12 @@ def _say(quiet: bool, message: str) -> None:
 def cmd_run(cfg: RunConfig, out: Optional[str], quiet: bool) -> int:
     parts, report = run_scenario(cfg)
     if not report.converged:
-        # the window that stopped at max_iter ends with the largest change
+        # a block or window that stopped at max_iter ends with the largest change
         change = max(history[-1] for history in report.contraction_history)
+        first, last = report.unconverged_rows
         raise DivergenceError(
-            f"picard did not converge in {report.iterations} sweeps (last change {change:.3e}, "
-            f"tol {cfg.solver_tol:g}); raise solver.max_iter"
+            f"picard did not converge in {report.iterations} sweeps at rows {first}..{last} "
+            f"(last change {change:.3e}, tol {cfg.solver_tol:g}); raise solver.max_iter"
         )
     run_dir = _prepare_dir(cfg, out, "run")
     (run_dir / "config.txt").write_text(render_config(cfg), encoding="utf-8")

@@ -208,6 +208,8 @@ def _semantic_issues(cfg: RunConfig) -> list:
         issues.append("solver.series_tol: must be positive")
     if cfg.max_iter < 1 or cfg.n_windows < 1:
         issues.append("solver: max_iter and n_windows must be at least 1")
+    elif cfg.n_windows > 1 and cfg.solver_form == "kernel":
+        issues.append("solver.n_windows: the kernel form converges block by block; windows need form = derivative")
     return [(None, msg) for msg in issues]
 
 

@@ -2,9 +2,8 @@
 
 The state satisfies a Caputo problem of time order in (1, 2) driven by a
 bounded generator, a pointwise nonlinearity, and an additive forcing
-trajectory.  Both representations iterate the same Picard map over the whole
-window; they differ in how the memory integral against the forcing is
-realized:
+trajectory.  Both representations solve the same fixed-point problem; they
+differ in how the memory integral against the forcing is realized:
 
 * kernel form: the weakly singular kernel acts directly on f(U) + P;
 * derivative form: the forcing enters through a fractional derivative of
@@ -17,13 +16,15 @@ Both reduce to the same trapezoid-free product-integration toolbox, but the
 discretizations are genuinely different, which is what makes their agreement
 a meaningful cross-check.
 
-Every memory integral that meets the operator (both forms and the curvature
-identity check) is the same lower-triangular discrete Volterra system
-y = W (g + A y), with W a product-quadrature matrix and A the operator.  One
-blocked forward march solves it (once per Picard sweep): per block of rows,
-one dense product sums the history of the earlier rows, and a short operator
-series, certified at the block's own time span, resolves the rows inside the
-block.
+Every memory integral that meets the operator is the same lower-triangular
+discrete Volterra system y = W (g + A y), with W a product-quadrature matrix
+and A the operator.  The kernel form folds the nonlinearity into a forward
+march over blocks of rows: each block sums the history of the earlier rows
+in one dense product, once per solve, and then converges its own fixed point
+before the next block starts.  The derivative form differentiates the whole
+forcing history on every sweep, so it keeps whole-window Picard sweeps, each
+one a blocked march of the linear system in which a short operator series,
+certified at the block's own time span, resolves the rows inside a block.
 """
 
 from __future__ import annotations
@@ -34,7 +35,7 @@ from typing import Callable, Optional
 
 import numpy as np
 
-from .errors import DivergenceError, FracwaveError, SingularOrderError, SizeError
+from .errors import DivergenceError, FracwaveError, ResolutionError, SingularOrderError, SizeError
 from .fractional import (
     GridFunction,
     SpatialGrid,
@@ -216,6 +217,13 @@ class CauchyProblem:
 
 @dataclass(frozen=True)
 class SolverOptions:
+    """Solver tolerances and limits.
+
+    max_iter bounds the sweeps of each kernel-form block and of each
+    derivative-form window; n_windows splits the derivative form's Picard
+    iteration into consecutive windows and must stay 1 for the kernel form.
+    """
+
     tol: float = 1e-10
     max_iter: int = 50
     n_windows: int = 1
@@ -230,15 +238,27 @@ class SolverOptions:
 
 @dataclass
 class SolverReport:
+    """Outcome of one solve.
+
+    iterations is the largest sweep count of any kernel-form block, or the
+    total over the derivative form's windows; contraction_history holds one
+    list of changes per block or window.  unconverged_rows names the first
+    block or window (first and last row) that stopped at max_iter.
+    """
+
     trajectory: np.ndarray
     mesh: TimeMesh
     form: str
-    converged: bool
     iterations: int
     contraction_history: list
     final_change: float
     options: SolverOptions
     metadata: dict = field(default_factory=dict)
+    unconverged_rows: Optional[tuple] = None
+
+    @property
+    def converged(self) -> bool:
+        return self.unconverged_rows is None
 
 
 def _row_sup(arr: np.ndarray, weight: float) -> float:
@@ -268,23 +288,28 @@ def _base_trajectory(p: CauchyProblem, series_tol: float) -> np.ndarray:
     return base
 
 
-def _block_plan(p: CauchyProblem, head_beta: float, series_tol: float) -> list:
-    """Row blocks [s, e) of the Volterra march with their series level counts.
+def _block_levels(p: CauchyProblem, s: int, e: int, head_beta: float, series_tol: float) -> int:
+    """Series levels that certify the in-block chain of rows [s, e).
 
-    A block's levels come from the certified majorant at the time span its
+    They come from the certified majorant at the time span the block's
     quadrature rows reach.  The head block has no history, so it is exactly
     the full-horizon series of the caller's output (order head_beta) on a
     shorter mesh; later blocks add a history that enters unsmoothed, hence
     order one.
     """
-    nodes = p.mesh.nodes.tolist()
+    nodes = p.mesh.nodes
+    # the hat functions of rows s..e-1 reach back to node s - 1 (to 0 in the head)
+    span, beta = (float(nodes[e - 1]), head_beta) if s == 0 else (float(nodes[e - 1] - nodes[s - 1]), 1.0)
+    return series_term_count(p.alpha, beta, span**p.alpha * p.action.norm_bound, series_tol)
+
+
+def _block_plan(p: CauchyProblem, head_beta: float, series_tol: float) -> list:
+    """Row blocks [s, e) of _BLOCK_ROWS rows with their series level counts."""
+    n = p.mesh.n_nodes
     plan = []
-    for s in range(0, len(nodes), _BLOCK_ROWS):
-        e = min(s + _BLOCK_ROWS, len(nodes))
-        # the hat functions of rows s..e-1 reach back to node s - 1 (to 0 in the head)
-        span, beta = (nodes[e - 1], head_beta) if s == 0 else (nodes[e - 1] - nodes[s - 1], 1.0)
-        z = span**p.alpha * p.action.norm_bound
-        plan.append((s, e, series_term_count(p.alpha, beta, z, series_tol)))
+    for s in range(0, n, _BLOCK_ROWS):
+        e = min(s + _BLOCK_ROWS, n)
+        plan.append((s, e, _block_levels(p, s, e, head_beta, series_tol)))
     return plan
 
 
@@ -321,6 +346,21 @@ def _volterra(weights: np.ndarray, action: LinearAction, g: np.ndarray, plan: li
     return y.reshape(shape), v.reshape(shape)
 
 
+def _record(history: list, change: float, rises: int, where: str, remedy: str) -> int:
+    """Append one sweep's change; returns the count of consecutive rises.
+
+    A non-finite change, or _DIVERGENCE_PATIENCE rises in a row, raises
+    DivergenceError.
+    """
+    if not math.isfinite(change):
+        raise DivergenceError(f"picard iterate blew up in {where}; {remedy}")
+    rises = rises + 1 if history and change > history[-1] else 0
+    if rises >= _DIVERGENCE_PATIENCE:
+        raise DivergenceError(f"picard change grew {rises} times in a row in {where} (last {change:.3e}); {remedy}")
+    history.append(change)
+    return rises
+
+
 def _window_bounds(n_steps: int, n_windows: int) -> list:
     if n_windows > n_steps:
         raise SizeError("more windows than time steps")
@@ -343,71 +383,162 @@ def _picard(p: CauchyProblem, opts: SolverOptions, integral_term, form: str, ext
     bounds = _window_bounds(p.mesh.n_steps, opts.n_windows)
     histories: list = []
     total_iters = 0
-    all_converged = True
+    stalled = None
     for w in range(opts.n_windows):
         lo = 0 if w == 0 else bounds[w] + 1
         hi = bounds[w + 1]
         history: list = []
         rises = 0
-        converged = False
         for _ in range(opts.max_iter):
-            # overflow in a blowing-up iterate is caught by the finite check below
+            # overflow in a blowing-up iterate is caught by the finite check in _record
             with np.errstate(over="ignore", invalid="ignore"):
                 candidate = base + integral_term(forced(current))
                 delta = candidate[lo : hi + 1] - current[lo : hi + 1]
                 change = _row_sup(delta, weight)
             current[lo:] = candidate[lo:]
             total_iters += 1
-            if not math.isfinite(change):
-                raise DivergenceError(
-                    f"picard iterate blew up in window {w + 1}/{opts.n_windows}; "
-                    "shorten the horizon, refine the mesh, or use more windows"
-                )
-            if history and change > history[-1]:
-                rises += 1
-                if rises >= _DIVERGENCE_PATIENCE:
-                    raise DivergenceError(
-                        f"picard change grew {rises} times in a row (last {change:.3e}); "
-                        "shorten the horizon, refine the mesh, or use more windows"
-                    )
-            else:
-                rises = 0
-            history.append(change)
+            rises = _record(
+                history, change, rises, f"window {w + 1}/{opts.n_windows}",
+                "shorten the horizon, refine the mesh, or use more windows",
+            )
             if change < opts.tol:
-                converged = True
                 break
+        else:
+            stalled = stalled or (lo, hi)
         histories.append(history)
-        all_converged = all_converged and converged
     meta = {"nonlinearity": p.nonlinearity.hypothesis_flags(), "form": form}
     meta.update(extra_meta)
     return SolverReport(
         trajectory=current,
         mesh=p.mesh,
         form=form,
-        converged=all_converged,
         iterations=total_iters,
         contraction_history=histories,
         final_change=histories[-1][-1] if histories and histories[-1] else 0.0,
         options=opts,
         metadata=meta,
+        unconverged_rows=stalled,
     )
 
 
-def solve_kernel_form(p: CauchyProblem, opts: SolverOptions = SolverOptions()) -> SolverReport:
-    """Picard iteration with the weakly singular kernel acting on f(U) + P.
+def _fold_blocks(p: CauchyProblem, weights: np.ndarray) -> tuple:
+    """Row blocks [s, e) of the kernel-form march with their contraction bounds.
 
-    Each sweep solves the memory integral's discrete Volterra system
-    y = W (g + A y) by one blocked forward march in time: a dense product
-    for each block's history, then an operator series over the block's own
-    span, certified at that span.
+    A block takes at most _BLOCK_ROWS rows, and no more than keep
+    Lip f * ||W_BB||_inf <= 1/2.  q = ||W_BB||_inf (||A|| + Lip f) bounds the
+    Lipschitz constant of the whole in-block map.  Returns the blocks as
+    (s, e, q) and the row limit: _BLOCK_ROWS, or fewer where the Lipschitz
+    bound cut a block short.
     """
+    lip = p.nonlinearity.lipschitz
+    norm_a = p.action.norm_bound
+    n = weights.shape[0]
+    blocks, limit, s = [], _BLOCK_ROWS, 0
+    while s < n:
+        end = min(s + _BLOCK_ROWS, n)
+        # ||W_BB||_inf of [s, s + 1), [s, s + 2), ...; W is lower triangular
+        norms = np.maximum.accumulate(np.abs(weights[s:end, s:end]).sum(axis=1))
+        rows = int(np.count_nonzero(lip * norms <= 0.5))
+        if rows == 0:
+            w0 = p.mesh.dt**p.alpha / gamma(p.alpha + 2.0)
+            raise ResolutionError(
+                f"one time step does not resolve the nonlinearity: "
+                f"dt^alpha * Lip f / Gamma(alpha + 2) = {w0:.3g} * {lip:.3g} = {w0 * lip:.3g} > 1/2; "
+                "refine the mesh (mesh.n_steps) or shorten the horizon"
+            )
+        if rows < end - s:
+            limit = min(limit, rows)
+        blocks.append((s, s + rows, float(norms[rows - 1]) * (norm_a + lip)))
+        s += rows
+    return blocks, limit
+
+
+def solve_kernel_form(p: CauchyProblem, opts: SolverOptions = SolverOptions()) -> SolverReport:
+    """Solve u = b + W (f(u) + P + A (u - b)) block by block in time.
+
+    b is the propagated data and W the kernel's product-integration weights.
+    Each block B of rows sums its history h = W[B, :s] v[:s] once, then
+    iterates its own fixed point until the row-sup change of the state is
+    below tol: f is refreshed at the current state, the linear in-block part
+    is solved, and y_B = h + W_BB v_B.  A block whose contraction bound q is at
+    most 1/2 refreshes f after every operator apply and warm-starts v_B;
+    any other block runs its certified operator series from a cold start, so
+    a mesh of one block runs the whole-horizon Picard sweeps exactly.  A block
+    that reaches max_iter marks the report unconverged; the march goes on.
+    """
+    if opts.n_windows != 1:
+        raise ValueError("n_windows belongs to the derivative form; the kernel form converges block by block")
+    base = _base_trajectory(p, opts.series_tol)
     weights = pi_weights(p.alpha, p.mesh.n_nodes, p.mesh.dt)
-    plan = _block_plan(p, p.alpha + 1.0, opts.series_tol)
-
-    def integral_term(g: np.ndarray) -> np.ndarray:
-        return _volterra(weights, p.action, g, plan)[0]
-
-    return _picard(p, opts, integral_term, "kernel", _plan_meta(plan))
+    blocks, row_limit = _fold_blocks(p, weights)
+    shape = base.shape
+    flat_base = base.reshape(shape[0], -1)
+    forcing = p.forcing_values
+    forcing = None if forcing is None else forcing.reshape(shape[0], -1)
+    fn = p.nonlinearity.fn
+    weight = p.state_weight
+    u = np.empty(flat_base.shape, dtype=complex)
+    v = np.empty(flat_base.shape, dtype=complex)
+    histories: list = []
+    stalled = None
+    series_levels = 0
+    for s, e, q in blocks:
+        rows_shape = (e - s,) + shape[1:]
+        w_bb = weights[s:e, s:e]
+        b_b = flat_base[s:e]
+        h = _weights_product(weights[s:e, :s], v[:s]) if s else 0.0
+        fold = q <= 0.5
+        levels = 1 if fold else _block_levels(p, s, e, p.alpha + 1.0, opts.series_tol)
+        series_levels = max(series_levels, levels)
+        # a later block starts from the data plus its history; the head block
+        # starts from the data alone, exactly as whole-horizon Picard does
+        cur = b_b + h if s else b_b.copy()
+        y = None
+        history: list = []
+        rises = 0
+        where = f"block rows {s}..{e - 1}"
+        for _ in range(opts.max_iter):
+            # overflow in a blowing-up iterate is caught by the finite check in _record
+            with np.errstate(over="ignore", invalid="ignore"):
+                g = fn(cur.reshape(rows_shape)).reshape(e - s, -1)
+                if forcing is not None:
+                    g = g + forcing[s:e]
+                if y is None or not fold:
+                    acc = g
+                    y = h + _weights_product(w_bb, g)
+                for _ in range(levels):
+                    acc = g + p.action.apply_rows(y.reshape(rows_shape)).reshape(e - s, -1)
+                    y = h + _weights_product(w_bb, acc)
+                candidate = b_b + y
+                change = _row_sup(candidate - cur, weight)
+            cur = candidate
+            rises = _record(history, change, rises, where, "shorten the horizon or refine the mesh")
+            if change < opts.tol:
+                break
+        else:
+            stalled = stalled or (s, e - 1)
+        u[s:e] = cur
+        v[s:e] = acc
+        histories.append(history)
+    meta = {
+        "nonlinearity": p.nonlinearity.hypothesis_flags(),
+        "form": "kernel",
+        "series_levels": series_levels,
+        "volterra_block_rows": row_limit,
+        "volterra_blocks": len(blocks),
+        "block_q_max": max(q for _, _, q in blocks),
+    }
+    return SolverReport(
+        trajectory=u.reshape(shape),
+        mesh=p.mesh,
+        form="kernel",
+        iterations=max(len(history) for history in histories),
+        contraction_history=histories,
+        final_change=histories[-1][-1],
+        options=opts,
+        metadata=meta,
+        unconverged_rows=stalled,
+    )
 
 
 def solve_rl_form(p: CauchyProblem, opts: SolverOptions = SolverOptions()) -> SolverReport:

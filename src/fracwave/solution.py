@@ -65,10 +65,11 @@ class LinearAction:
 def as_action(operator, norm_bound: Optional[float] = None) -> LinearAction:
     """Wrap a scalar, square matrix, or regularized operator uniformly.
 
-    Matrices get their exact spectral norm; regularized operators reuse the
-    power-iteration estimate they carry.  A bare callable needs an explicit
-    bound (there is nothing to infer one from) and is mapped row by row
-    over stacked input.
+    Matrices get their exact spectral norm.  Regularized operators get
+    ||coeff||_inf * ||symbol||_inf, a true upper bound at no cost; the
+    power-iteration estimate approaches the norm from below and serves only
+    the norm gate.  A bare callable needs an explicit bound (there is nothing
+    to infer one from) and is mapped row by row over stacked input.
     """
     if isinstance(operator, LinearAction):
         if norm_bound is not None and norm_bound != operator.norm_bound:
@@ -89,7 +90,8 @@ def as_action(operator, norm_bound: Optional[float] = None) -> LinearAction:
         bound = float(np.linalg.norm(mat, 2)) if norm_bound is None else float(norm_bound)
         return LinearAction(lambda v: v @ mat.T, bound, mat.shape[0], f"matrix {mat.shape[0]}x{mat.shape[1]}")
     if isinstance(operator, RegularizedOperator):
-        bound = operator.norm_estimate().value if norm_bound is None else float(norm_bound)
+        majorant = float(np.abs(operator.coeff).max() * np.abs(operator.symbol).max())
+        bound = majorant if norm_bound is None else float(norm_bound)
         return LinearAction(operator.apply, bound, operator.grid.n_points, f"regularized {operator.kind}")
     if callable(operator):
         if norm_bound is None:

@@ -10,8 +10,9 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from fracwave import ml_trajectory, parse_config, render_config
+from fracwave import cli, ml_trajectory, parse_config, pi_weights, render_config
 from fracwave.cli import _write_field_csv, _write_manifest, assemble_scenario, entrypoint
+from fracwave.duhamel import _block_plan, _picard, _plan_meta, _volterra
 from fracwave.solution import as_action
 
 BASE = """
@@ -259,6 +260,7 @@ def test_overflowing_majorant_exits_3(tmp_path, capsys):
         ("[operator]\nkind = riesz\nspace_order = 1.0\n", "operator.space_order"),
         ("[operator]\nkind = riesz\nspace_order = 1.0\nmollify = false\n", "operator.space_order"),
         ("[operator]\nkind = liouville_left\nspace_order = 2.0\n", "operator.space_order"),
+        ("[solver]\nn_windows = 2\n", "solver.n_windows"),
     ],
 )
 def test_config_rejects_what_the_constructors_reject(tmp_path, capsys, text, key):
@@ -313,6 +315,58 @@ def test_unconverged_run_exits_4(tmp_path, capsys):
     assert "2 sweeps" in lines[0] and "tol 1e-10" in lines[0] and "solver.max_iter" in lines[0]
     assert "converged" not in captured.out
     assert not out.exists()
+
+
+def test_unconverged_line_names_the_block_rows(tmp_path, capsys):
+    text = "[mesh]\nn_steps = 100\n[nonlinearity]\nf = 0.5*sin(u)\n[noise]\nintensity = 0.1\n[solver]\nmax_iter = 2\n"
+    out = tmp_path / "out"
+    assert entrypoint(["run", "--config", _cfg_file(tmp_path, text), "--out", str(out)]) == 4
+    lines = capsys.readouterr().err.splitlines()
+    assert len(lines) == 1 and "2 sweeps at rows 0..63 " in lines[0]
+    assert not out.exists()
+
+
+SMALL = """
+[grid]
+n_points = 32
+half_length = 4.0
+[mesh]
+n_steps = 32
+[nonlinearity]
+f = 0.1*sin(u)
+[noise]
+intensity = 0.05
+target = both
+"""
+
+
+def test_one_block_run_keeps_the_picard_artifacts(tmp_path, monkeypatch):
+    # 33 nodes are one block with q > 1/2: the march runs the whole-horizon
+    # Picard sweeps, so the trajectory bytes and the solver record stay
+    def picard(p, opts):
+        weights = pi_weights(p.alpha, p.mesh.n_nodes, p.mesh.dt)
+        plan = _block_plan(p, p.alpha + 1.0, opts.series_tol)
+        return _picard(p, opts, lambda g: _volterra(weights, p.action, g, plan)[0], "kernel", _plan_meta(plan))
+
+    cfg = _cfg_file(tmp_path, SMALL)
+    assert entrypoint(["run", "--config", cfg, "--out", str(tmp_path / "a"), "--quiet"]) == 0
+    monkeypatch.setattr(cli, "solve_kernel_form", picard)
+    assert entrypoint(["run", "--config", cfg, "--out", str(tmp_path / "b"), "--quiet"]) == 0
+    da, db = _run_dir(tmp_path / "a"), _run_dir(tmp_path / "b")
+    assert (da / "trajectory.csv").read_bytes() == (db / "trajectory.csv").read_bytes()
+    solver = json.loads((da / "metadata.json").read_text())["solver"]
+    assert solver["details"].pop("block_q_max") > 0.5
+    assert solver == json.loads((db / "metadata.json").read_text())["solver"]
+    assert solver["details"]["series_levels"] == 25 and solver["details"]["volterra_blocks"] == 1
+
+
+def test_unresolved_nonlinearity_exits_3(tmp_path, capsys):
+    out = tmp_path / "out"
+    text = "[nonlinearity]\nf = 1e7*sin(u)\n"
+    assert entrypoint(["run", "--config", _cfg_file(tmp_path, text), "--out", str(out), "--quiet"]) == 3
+    lines = capsys.readouterr().err.splitlines()
+    assert len(lines) == 1 and lines[0].startswith("numerical gate: ") and "Lip f" in lines[0]
+    assert not list(tmp_path.rglob("trajectory.csv"))
 
 
 def test_ml_verb_prints_value(capsys):
@@ -382,6 +436,20 @@ run_k = 5
     assert meta["association"]["strictly_decreasing"] is True
     assert np.isfinite(meta["moderateness"]["fitted_n"])
     assert meta["moderateness"]["statuses"] == ["ok", "ok", "ok"]
+
+
+@pytest.mark.parametrize("verb", ["run", "sweep-epsilon"])
+def test_windows_reach_only_the_derivative_form(tmp_path, verb):
+    # run passes the windows to the derivative form; the sweep's scan solves
+    # the kernel form, which takes none
+    text = BASE.replace("n_steps = 64", "n_steps = 16") + "k_min = 5\nk_max = 6\n[solver]\nform = derivative\nn_windows = 2\n"
+    out = tmp_path / "out"
+    assert entrypoint([verb, "--config", _cfg_file(tmp_path, text), "--out", str(out), "--quiet"]) == 0
+    if verb == "run":
+        meta = json.loads((_run_dir(out) / "metadata.json").read_text())
+        assert meta["solver_form"] == "rl" and len(meta["solver"]["contraction_history"]) == 2
+    else:
+        assert (_run_dir(out) / "sweep.csv").read_text().splitlines()[1].endswith(",ok")
 
 
 def test_run_and_sweep_build_the_same_problem(tmp_path):

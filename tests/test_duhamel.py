@@ -35,7 +35,7 @@ from fracwave import (
     zero_nonlinearity,
 )
 from fracwave import duhamel
-from fracwave.duhamel import _block_plan, _volterra
+from fracwave.duhamel import _block_plan, _picard, _plan_meta, _volterra
 
 ALPHA, C, Q = 1.5, 0.5, 1.0
 OP = multiplier_action(np.array([C]))
@@ -97,21 +97,92 @@ def test_caputo_variant_direct_at_vanishing_start():
 def test_windowed_iteration_matches_single_window():
     mesh = TimeMesh(1.0, 128)
     p = _problem(mesh, f=nonlinearity_from_callable(lambda v: 0.1 * np.sin(v), "0.1*sin(u)"))
-    r1 = solve_kernel_form(p)
-    r4 = solve_kernel_form(p, SolverOptions(n_windows=4))
+    r1 = solve_rl_form(p)
+    r4 = solve_rl_form(p, SolverOptions(n_windows=4))
     assert r1.converged and r4.converged
     assert np.max(np.abs(r1.trajectory - r4.trajectory)) <= 1e-12
 
 
+def test_kernel_form_takes_no_windows():
+    with pytest.raises(ValueError, match="n_windows"):
+        solve_kernel_form(_problem(TimeMesh(1.0, 16)), SolverOptions(n_windows=2))
+
+
+def _old_kernel_picard(p, opts):
+    """The kernel form as whole-horizon Picard sweeps over 64-row blocks."""
+    weights = pi_weights(p.alpha, p.mesh.n_nodes, p.mesh.dt)
+    plan = _block_plan(p, p.alpha + 1.0, opts.series_tol)
+    return _picard(p, opts, lambda g: _volterra(weights, p.action, g, plan)[0], "kernel", _plan_meta(plan))
+
+
 def test_windows_rescue_a_long_horizon():
-    # one window over the whole horizon makes the Picard change grow until the
-    # patience runs out; two half-windows each contract
+    # whole-horizon Picard needs windows here: with one, the change grows until
+    # the patience runs out.  The kernel form's blocks, sized by the Lipschitz
+    # bound, each contract, so its march needs no windows; the derivative
+    # form still does.
     mesh = TimeMesh(4.0, 128)
     p = CauchyProblem(ALPHA, multiplier_action(np.array([1.0])), scaled_sine(20.0), np.array([1.0]), mesh)
-    with pytest.raises(DivergenceError, match="grew 5 times"):
-        solve_kernel_form(p, SolverOptions(max_iter=100))
-    report = solve_kernel_form(p, SolverOptions(max_iter=100, n_windows=2))
-    assert report.converged
+    opts = SolverOptions(max_iter=100)
+    report = solve_kernel_form(p, opts)
+    assert report.converged and report.iterations <= 10
+    meta = report.metadata
+    assert meta["volterra_blocks"] == 43 and meta["volterra_block_rows"] == 3
+    assert meta["block_q_max"] <= 0.5 and meta["series_levels"] == 1
+    windowed = _old_kernel_picard(p, SolverOptions(max_iter=100, n_windows=2))
+    assert windowed.converged
+    assert np.max(np.abs(report.trajectory - windowed.trajectory)) <= 1e-9
+    # the discrete system y = W (f(b + y) + A y) with A = 1
+    y = report.trajectory - duhamel._base_trajectory(p, opts.series_tol)
+    weights = pi_weights(ALPHA, mesh.n_nodes, mesh.dt)
+    assert np.max(np.abs(y - weights @ (p.nonlinearity.fn(report.trajectory) + y))) <= 1e-9
+    # the derivative form still iterates whole windows, and still needs them
+    assert not solve_rl_form(p, opts).converged
+    assert solve_rl_form(p, SolverOptions(max_iter=100, n_windows=4)).converged
+
+
+@pytest.mark.parametrize("scale, folded", [(1.0, False), (0.25, True)])
+def test_block_march_matches_picard_on_a_matrix_problem(scale, folded):
+    mesh = TimeMesh(1.0, 149)
+    dim = 4
+    a_mat = scale * (-np.diag([0.5, 1.0, 2.0, 4.0]) + 0.1 * np.ones((dim, dim)))
+    forcing = np.outer(np.sin(3.0 * mesh.nodes), np.arange(1.0, dim + 1.0))
+    p = CauchyProblem(ALPHA, a_mat, scaled_sine(0.1), np.ones(dim), mesh, forcing=forcing)
+    report = solve_kernel_form(p)
+    oracle = _old_kernel_picard(p, SolverOptions())
+    assert report.converged and oracle.converged
+    meta = report.metadata
+    assert meta["volterra_blocks"] == 3 and (meta["block_q_max"] <= 0.5) == folded
+    assert (meta["series_levels"] == 1) == folded
+    scale = np.abs(oracle.trajectory).max()
+    assert np.abs(report.trajectory - oracle.trajectory).max() <= 1e-9 * scale
+
+
+def test_one_block_runs_the_picard_sweeps_exactly():
+    # q > 1/2 and a single block: the cold-start series chain of every sweep
+    mesh = TimeMesh(1.0, 40)
+    p = CauchyProblem(ALPHA, -30.0, scaled_sine(0.5), np.ones(3), mesh, forcing=np.full((41, 3), 0.2))
+    report = solve_kernel_form(p)
+    oracle = _old_kernel_picard(p, SolverOptions())
+    assert report.metadata["block_q_max"] > 0.5 and report.metadata["volterra_blocks"] == 1
+    assert np.array_equal(report.trajectory, oracle.trajectory)
+    assert report.contraction_history == oracle.contraction_history
+    assert report.metadata["series_levels"] == oracle.metadata["series_levels"]
+
+
+def test_unresolved_nonlinearity_is_a_resolution_error():
+    p = CauchyProblem(ALPHA, OP, scaled_sine(1e7), np.array([Q]), TimeMesh(1.0, 64))
+    with pytest.raises(ResolutionError, match="dt\\^alpha \\* Lip f / Gamma\\(alpha \\+ 2\\)"):
+        solve_kernel_form(p)
+
+
+def test_stalled_block_marks_the_report_and_the_march_goes_on():
+    mesh = TimeMesh(1.0, 150)
+    p = _problem(mesh, f=scaled_sine(0.5), forcing=np.full((mesh.n_nodes, 1), 0.3))
+    report = solve_kernel_form(p, SolverOptions(max_iter=2))
+    assert not report.converged and report.unconverged_rows == (0, 63)
+    assert report.iterations == 2
+    assert [len(h) for h in report.contraction_history] == [2, 2, 2]
+    assert np.all(np.isfinite(report.trajectory))
 
 
 def test_divergence_detection():

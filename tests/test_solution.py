@@ -17,8 +17,10 @@ from fracwave import (
     mittag_leffler,
     ml_trajectory,
     multiplier_action,
+    parse_config,
     volterra_residual,
 )
+from fracwave.cli import assemble_scenario
 
 
 def _symmetric(dim, key):
@@ -64,6 +66,25 @@ def test_rebounded_action_keeps_its_batch_path():
     assert loose.apply is base.apply and loose.label == base.label
     rows = np.arange(12.0).reshape(3, 4) + 1j
     assert np.array_equal(loose.apply_rows(rows), base.apply_rows(rows))
+
+
+HEAVY_OPERATOR = "[grid]\nhalf_length = 16.0\nn_points = 512\n[operator]\ncoefficient = 1 + 0.25*sech(x)\n[schedule]\nrun_k = 8\n"
+
+
+@pytest.mark.parametrize("text", ["", HEAVY_OPERATOR])
+def test_regularized_norm_bound_is_an_upper_bound(text):
+    op = assemble_scenario(parse_config(text)).operator
+    exact = np.linalg.norm(op.materialize(), 2)
+    # equality holds for a constant coefficient; the SVD itself rounds at ~1e-15
+    assert as_action(op).norm_bound >= exact * (1.0 - 1e-13)
+
+
+def test_power_iteration_approaches_the_norm_from_below():
+    op = assemble_scenario(parse_config("")).operator
+    exact = np.linalg.norm(op.materialize(), 2)
+    estimate = op.norm_estimate().value
+    assert estimate == pytest.approx(15.63707, abs=1e-5) and exact == pytest.approx(15.64072, abs=1e-5)
+    assert estimate < exact
 
 
 def test_series_matches_eigendecomposition():
