@@ -50,6 +50,7 @@ from .fractional import (
     rl_integral,
     second_difference,
     sobolev_norm,
+    sobolev_norms,
 )
 from .regularization import (
     AssociationTable,

@@ -438,6 +438,11 @@ def cmd_sweep(cfg: RunConfig, out: Optional[str], quiet: bool) -> int:
             raise build_errors[eps]
         return _problem(cfg, grid, mesh, operators[eps], data, eps)[0]
 
+    if cfg.solver_form != "kernel":
+        print(
+            f"note: sweep-epsilon solves the kernel form; [solver] form = {cfg.solver_form} is ignored",
+            file=sys.stderr,
+        )
     moder = moderateness_scan(build_problem, schedule, _solver_options(cfg))
 
     probe_scale = cfg.half_length / 10.0
@@ -486,6 +491,7 @@ def cmd_sweep(cfg: RunConfig, out: Optional[str], quiet: bool) -> int:
         "label": cfg.label,
         "alpha": cfg.alpha,
         "operator_kind": kind,
+        "solver_form": "kernel",
         "ladder": _schedule_table(schedule),
         "association": None
         if assoc is None

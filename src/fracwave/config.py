@@ -34,6 +34,8 @@ from .regularization import _KINDS, _SCENARIOS, _SHAPES
 __all__ = ["RunConfig", "parse_config", "parse_config_file", "render_config", "config_hash"]
 
 NAMED_PROFILES = ("constant", "zero", "gaussian_bump", "tanh_step")
+# operator.space_order when unset for a mollified fractional kind
+MOLLIFIED_FRACTIONAL_ORDER = 1.5
 
 
 def _parse_bool(text: str) -> bool:
@@ -251,6 +253,9 @@ def parse_config(text: str) -> RunConfig:
             issues.append((lineno, f"[{section}] {key}: {err}"))
 
     cfg = RunConfig(**values)
+    if "space_order" not in values and cfg.mollify and cfg.resolved_operator_kind() != "second_derivative":
+        # no mollified fractional kind takes the order-2 default
+        cfg = dataclasses.replace(cfg, space_order=MOLLIFIED_FRACTIONAL_ORDER)
     issues.extend(_semantic_issues(cfg))
     if issues:
         raise ConfigError(issues)

@@ -48,7 +48,7 @@ from .fractional import (
     rl_derivative,
     rl_integral,
     second_difference,
-    sobolev_norm,
+    sobolev_norms,
 )
 from .regularization import EpsilonSchedule
 from .solution import LinearAction, as_action, ml_trajectory
@@ -737,7 +737,5 @@ def moderateness_scan(
 
 def _sup_spatial_norm(values: np.ndarray, p: CauchyProblem) -> float:
     if p.grid is not None and p.sobolev_order is not None:
-        return max(
-            sobolev_norm(GridFunction(p.grid, row), p.sobolev_order) for row in values
-        )
+        return float(np.max(sobolev_norms(p.grid, values, p.sobolev_order)))
     return _row_sup(values, p.state_weight)

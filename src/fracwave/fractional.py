@@ -37,8 +37,8 @@ __all__ = [
     "first_difference",
     "second_difference",
     "liouville_multiplier",
-    "apply_multiplier",
     "sobolev_norm",
+    "sobolev_norms",
 ]
 
 
@@ -112,10 +112,6 @@ class GridFunction:
         if not np.all(np.isfinite(vals.view(float))):
             raise ValueError("grid function samples must be finite")
         self.values = vals
-
-    def l2_norm(self) -> float:
-        """Discrete L2 norm, dx-weighted."""
-        return math.sqrt(self.grid.dx * float(np.sum(np.abs(self.values) ** 2)))
 
 
 @dataclass
@@ -292,32 +288,42 @@ def liouville_multiplier(kind: str, beta: float, grid: SpatialGrid) -> np.ndarra
     return out
 
 
-def apply_multiplier(multiplier: np.ndarray, u: GridFunction) -> GridFunction:
-    """Apply a Fourier multiplier to a grid function."""
-    m = np.asarray(multiplier)
-    if m.shape != u.values.shape:
-        raise SizeError(
-            f"multiplier length {m.shape} does not match grid size {u.values.shape}"
-        )
-    out = np.fft.ifft(m * np.fft.fft(u.values))
-    return GridFunction(u.grid, out)
-
-
 def sobolev_norm(u: GridFunction, beta: float) -> float:
-    """Fractional Sobolev norm of regularity index beta.
+    """Fractional Sobolev norm of regularity index beta: the one-row case of
+    sobolev_norms."""
+    return float(sobolev_norms(u.grid, u.values, beta))
+
+
+def sobolev_norms(grid: SpatialGrid, values, beta: float) -> np.ndarray:
+    """Fractional Sobolev norm of regularity index beta of each row of values.
 
     For beta in (0, 1): L2 norm plus the one-sided derivative seminorm.
     For beta in (1, 2): additionally the first-derivative L2 norm.
-    Index 1 (and anything outside (0, 2)) is rejected.
+    Index 1 (and anything outside (0, 2)) is rejected, and so are
+    non-finite samples.  One FFT along the last axis serves every term.
+    Each dx-weighted L2 term is a square root squared again in Python
+    floats, whose ``**`` (libm pow) numpy's square does not always match, so
+    every norm is bit for bit the one a row summed on its own gives.
     """
     if not (0.0 < beta < 2.0) or beta == 1.0:
         raise SingularOrderError(
             f"regularity index must lie in (0,1) or (1,2), got {beta:g}"
         )
-    total = u.l2_norm() ** 2
-    frac = apply_multiplier(liouville_multiplier("left", beta, u.grid), u)
-    total += frac.l2_norm() ** 2
+    vals = np.asarray(values, dtype=complex)
+    if vals.shape[-1:] != (grid.n_points,):
+        raise SizeError(f"expected rows of {grid.n_points} samples, got shape {vals.shape}")
+    if not np.all(np.isfinite(vals.view(float))):
+        raise ValueError("grid function samples must be finite")
+    spectrum = np.fft.fft(vals, axis=-1)
+    parts = [vals, np.fft.ifft(liouville_multiplier("left", beta, grid) * spectrum, axis=-1)]
     if beta > 1.0:
-        dxu = apply_multiplier(1j * u.grid.xi, u)
-        total += dxu.l2_norm() ** 2
-    return math.sqrt(total)
+        parts.append(np.fft.ifft(1j * grid.xi * spectrum, axis=-1))
+    sums = [np.reshape(np.sum(np.abs(part) ** 2, axis=-1), -1).tolist() for part in parts]
+    dx = grid.dx
+    norms = []
+    for row in zip(*sums):
+        total = 0.0
+        for s in row:
+            total += math.sqrt(dx * s) ** 2
+        norms.append(math.sqrt(total))
+    return np.reshape(norms, vals.shape[:-1])

@@ -18,6 +18,17 @@ their arithmetic:
   precision until the requested tolerance is certified;
 * `series_term_count` sums the majorant and rejects one that overflows.
 
+Both paths draw their term ratios from tables keyed by (alpha, beta, working
+digits), the double path's under digits None, so the retry pays for its
+gammaprod coefficients once per order pair rather than once per call.  A
+table is extended on demand with the same lgamma or gammaprod expression at
+the same precision, so a warm table gives the numbers a cold one computes; at
+most `_TABLE_CAP` tables of at most `_MAX_TERMS` + 1 ratios are kept, least
+recently used first out.  The retry sums a real argument in mpf rather than
+mpc arithmetic: the real part of each mpc operation on real operands is the
+mpf result, so the value is the same, without the complex products and the
+hypot in every modulus.
+
 `mittag_leffler_hp` keeps a loop of its own: it is the independent oracle.
 
 Documented argument ranges: |z| <= 50 is guaranteed for the double path with
@@ -27,8 +38,11 @@ double path cannot certify.  Beyond 200 a range error is raised.
 
 from __future__ import annotations
 
+import functools
 import math
+import threading
 from dataclasses import dataclass, field
+from typing import Optional
 
 import mpmath
 import numpy as np
@@ -123,29 +137,69 @@ def _series(z, first, ratio, stop, tiny):
     return total, False, n, tail, abs_sum
 
 
-def _lgamma_ratio(alpha: float, beta: float):
-    """Gamma(beta + n*alpha) / Gamma(beta + (n+1)*alpha) in double precision."""
-    return lambda n: math.exp(math.lgamma(beta + n * alpha) - math.lgamma(beta + (n + 1) * alpha))
+_TABLE_CAP = 64
 
 
-def _series_hp(alpha: float, beta: float, z: complex, tol: float) -> complex:
+class _RatioTable:
+    """Term ratios Gamma(beta + n*alpha) / Gamma(beta + (n+1)*alpha) and the
+    first term 1/Gamma(beta): in double precision (lgamma) when dps is None,
+    by mpmath at dps digits otherwise.
+
+    Entries are appended in order under the table's lock, so two threads
+    extending at once never skip or repeat a term.
+    """
+
+    def __init__(self, alpha: float, beta: float, dps: Optional[int]):
+        self.alpha = alpha
+        self.beta = beta
+        self.dps = dps
+        self.ratios = []
+        self.lock = threading.Lock()
+        if dps is None:
+            self.first = math.exp(-math.lgamma(beta))
+        else:
+            with mpmath.workdps(dps):
+                self.first = 1 / mpmath.gamma(beta)
+
+    def _ratio(self, k: int):
+        lo = self.beta + k * self.alpha
+        hi = self.beta + (k + 1) * self.alpha
+        if self.dps is None:
+            return math.exp(math.lgamma(lo) - math.lgamma(hi))
+        with mpmath.workdps(self.dps):
+            return mpmath.gammaprod([lo], [hi])
+
+    def __call__(self, n: int):
+        ratios = self.ratios
+        if n >= len(ratios):
+            with self.lock:
+                for k in range(len(ratios), n + 1):
+                    ratios.append(self._ratio(k))
+        return ratios[n]
+
+
+@functools.lru_cache(maxsize=_TABLE_CAP)
+def _ratio_table(alpha: float, beta: float, dps: Optional[int]) -> _RatioTable:
+    """The memoized table for (alpha, beta, dps), least recently used first out."""
+    return _RatioTable(alpha, beta, dps)
+
+
+def _series_hp(alpha: float, beta: float, z, tol: float) -> complex:
     """High-precision retry with escalating working precision.
 
-    The working precision is escalated until the rounding bound (unit in the
-    last place times the sum of term magnitudes) is below tol relative to the
-    computed value.  Raises a range error when 2560 digits do not suffice,
-    which only happens far outside the documented argument range.
+    z is a float (summed in mpf) or a complex (summed in mpc).  The working
+    precision is escalated until the rounding bound (unit in the last place
+    times the sum of term magnitudes) is below tol relative to the computed
+    value.  Raises a range error when 2560 digits do not suffice, which only
+    happens far outside the documented argument range.
     """
-    zc = mpmath.mpmathify(z)
+    zm = mpmath.mpmathify(z)
     for dps in (40, 80, 160, 320, 640, 1280, 2560):
+        table = _ratio_table(alpha, beta, dps)
         with mpmath.workdps(dps):
             ulp = mpmath.mpf(10) ** (-dps + 5)
             total, stopped, _, _, abs_sum = _series(
-                zc,
-                1 / mpmath.gamma(beta),
-                lambda n: mpmath.gammaprod([beta + n * alpha], [beta + (n + 1) * alpha]),
-                ulp,
-                mpmath.mpf(10) ** -3000,
+                zm, table.first, table, ulp, mpmath.mpf(10) ** -3000
             )
             if not stopped:
                 continue
@@ -176,14 +230,12 @@ def mittag_leffler(p: MlParams, z: complex) -> complex:
             f"|z| = {az:.6g} exceeds the documented range {ML_HP_RANGE:g}; "
             "the series truncation cannot be certified there"
         )
-    first = complex(math.exp(-math.lgamma(p.beta)))
-    value, stopped, _, tail, abs_sum = _series(
-        zc, first, _lgamma_ratio(p.alpha, p.beta), p.tol, 1e-300
-    )
+    table = _ratio_table(p.alpha, p.beta, None)
+    value, stopped, _, tail, abs_sum = _series(zc, complex(table.first), table, p.tol, 1e-300)
     round_err = 4.0 * _EPS * abs_sum
     if stopped and math.isfinite(abs_sum) and abs(value) > 0.0 and round_err + tail <= p.tol * abs(value):
         return value
-    hp = _series_hp(p.alpha, p.beta, zc, p.tol)
+    hp = _series_hp(p.alpha, p.beta, zc.real if zc.imag == 0.0 else zc, p.tol)
     if not (np.isfinite(hp.real) and np.isfinite(hp.imag)):
         raise MittagLefflerRangeError(
             f"E_({p.alpha:g},{p.beta:g})(z) overflows double precision at |z| = {az:.6g}"
@@ -226,9 +278,8 @@ def series_term_count(alpha: float, beta: float, z_abs: float, tol: float) -> in
     """
     if z_abs < 0 or not np.isfinite(z_abs):
         raise ValueError("z_abs must be finite and nonnegative")
-    _, stopped, n, _, abs_sum = _series(
-        float(z_abs), math.exp(-math.lgamma(beta)), _lgamma_ratio(alpha, beta), tol, 1e-300
-    )
+    table = _ratio_table(alpha, beta, None)
+    _, stopped, n, _, abs_sum = _series(float(z_abs), table.first, table, tol, 1e-300)
     if not math.isfinite(abs_sum):
         raise TruncationError(
             f"majorant of orders ({alpha:g},{beta:g}) at |z| = {z_abs:.3g} overflows "

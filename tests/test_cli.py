@@ -278,14 +278,22 @@ def test_sharp_fractional_kind_runs_at_order_two(tmp_path):
 
 @pytest.mark.parametrize("verb", ["run", "sweep-epsilon", "noise-dump"])
 def test_every_verb_rejects_a_mollified_fractional_kind_at_order_two(tmp_path, capsys, verb):
-    # the default space_order is 2.0, which no mollified fractional kind accepts
-    text = BASE + "[run]\nscenario = time_space_fractional\n"
+    # an explicit space_order = 2.0, which no mollified fractional kind accepts
+    text = BASE + "[run]\nscenario = time_space_fractional\n[operator]\nspace_order = 2.0\n"
     out = tmp_path / "out"
     assert entrypoint([verb, "--config", _cfg_file(tmp_path, text), "--out", str(out), "--quiet"]) == 2
     lines = capsys.readouterr().err.splitlines()
     assert len(lines) == 1 and lines[0].startswith("config error: operator.space_order: ")
     assert "(0, 2)" in lines[0]
     assert not out.exists()
+
+
+def test_time_space_fractional_scenario_runs_with_every_other_key_default(tmp_path):
+    # a mollified fractional kind left without a space_order takes 1.5
+    out = tmp_path / "out"
+    text = "[run]\nscenario = time_space_fractional\n"
+    assert entrypoint(["run", "--config", _cfg_file(tmp_path, text), "--out", str(out), "--quiet"]) == 0
+    assert "space_order = 1.5\n" in (_run_dir(out) / "config.txt").read_text()
 
 
 @pytest.mark.parametrize("verb, key", [("run", "displacement"), ("run", "velocity"), ("noise-dump", "displacement")])
@@ -439,17 +447,21 @@ run_k = 5
 
 
 @pytest.mark.parametrize("verb", ["run", "sweep-epsilon"])
-def test_windows_reach_only_the_derivative_form(tmp_path, verb):
+def test_windows_reach_only_the_derivative_form(tmp_path, capsys, verb):
     # run passes the windows to the derivative form; the sweep's scan solves
     # the kernel form, which takes none
     text = BASE.replace("n_steps = 64", "n_steps = 16") + "k_min = 5\nk_max = 6\n[solver]\nform = derivative\nn_windows = 2\n"
     out = tmp_path / "out"
     assert entrypoint([verb, "--config", _cfg_file(tmp_path, text), "--out", str(out), "--quiet"]) == 0
+    meta = json.loads((_run_dir(out) / "metadata.json").read_text())
+    err = capsys.readouterr().err.splitlines()
     if verb == "run":
-        meta = json.loads((_run_dir(out) / "metadata.json").read_text())
         assert meta["solver_form"] == "rl" and len(meta["solver"]["contraction_history"]) == 2
+        assert err == []
     else:
         assert (_run_dir(out) / "sweep.csv").read_text().splitlines()[1].endswith(",ok")
+        assert meta["solver_form"] == "kernel"
+        assert len(err) == 1 and err[0].startswith("note: sweep-epsilon solves the kernel form")
 
 
 def test_run_and_sweep_build_the_same_problem(tmp_path):

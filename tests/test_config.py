@@ -30,6 +30,19 @@ def test_scenario_selects_operator_kind():
     assert explicit.resolved_operator_kind() == "liouville_left"
 
 
+def test_mollified_fractional_kinds_default_to_order_one_and_a_half():
+    # the order-2 default stays for the second derivative and the sharp kinds,
+    # so the default config renders and hashes as before
+    assert parse_config("").space_order == 2.0
+    assert render_config(parse_config("")) == render_config(RunConfig())
+    for doc in ("[run]\nscenario = time_space_fractional\n", "[operator]\nkind = liouville_right\n"):
+        cfg = parse_config(doc)
+        assert cfg.space_order == 1.5
+        assert parse_config(render_config(cfg)) == cfg
+    assert parse_config("[operator]\nkind = riesz\nmollify = false\n").space_order == 2.0
+    assert parse_config("[operator]\nkind = riesz\nspace_order = 0.5\n").space_order == 0.5
+
+
 def test_render_parse_round_trip():
     text = """
 [run]

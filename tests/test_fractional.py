@@ -19,6 +19,7 @@ from fracwave import (
     rl_integral,
     second_difference,
     sobolev_norm,
+    sobolev_norms,
 )
 from fracwave.fractional import _weights_product, caputo_derivative_01
 
@@ -148,6 +149,42 @@ def test_sobolev_norm_single_mode():
         sobolev_norm(u, 1.0)
     with pytest.raises(SingularOrderError):
         sobolev_norm(u, 2.0)
+
+
+def _sobolev_row_by_row(grid, row, beta):
+    # one row through its own FFTs, as the norm was spelled before the stacked
+    # routine: each L2 term is a square root, squared again
+    def l2(v):
+        return math.sqrt(grid.dx * float(np.sum(np.abs(v) ** 2)))
+
+    total = l2(row) ** 2
+    total += l2(np.fft.ifft(liouville_multiplier("left", beta, grid) * np.fft.fft(row))) ** 2
+    if beta > 1.0:
+        total += l2(np.fft.ifft(1j * grid.xi * np.fft.fft(row))) ** 2
+    return math.sqrt(total)
+
+
+@pytest.mark.parametrize("beta", [0.75, 1.5])
+def test_stacked_sobolev_norms_match_single_rows_bit_for_bit(beta):
+    grid = SpatialGrid(12.5, 128)
+    rng = np.random.default_rng(11)
+    # enough rows that a square taken as x * x instead of x ** 2 shows
+    field = (rng.standard_normal((2000, 128)) + 1j * rng.standard_normal((2000, 128))) * 10.0 ** rng.uniform(-6, 6, (2000, 1))
+    stacked = sobolev_norms(grid, field, beta)
+    assert stacked.shape == (2000,)
+    singles = [sobolev_norm(GridFunction(grid, row), beta) for row in field]
+    assert stacked.tolist() == singles == [_sobolev_row_by_row(grid, row, beta) for row in field]
+    assert float(np.max(stacked)) == max(singles)
+
+
+def test_stacked_sobolev_norms_reject_a_nan_row():
+    grid = SpatialGrid(12.5, 64)
+    field = np.ones((5, 64), dtype=complex)
+    field[3, 10] = np.nan
+    with pytest.raises(ValueError):
+        sobolev_norms(grid, field, 0.75)
+    with pytest.raises(SizeError):
+        sobolev_norms(grid, np.ones((5, 32)), 0.75)
 
 
 def test_container_validation():

@@ -1,6 +1,8 @@
 """Mittag-Leffler evaluation against frozen external references."""
 
 import math
+import sys
+import threading
 
 import numpy as np
 import pytest
@@ -104,7 +106,7 @@ def test_series_stops_at_the_first_infinite_term():
     # term 466 of this majorant overflows; summing on to the term cap
     # cannot certify anything
     _, stopped, n, _, abs_sum = special._series(
-        1065.54, 1.0, special._lgamma_ratio(1.05, 1.0), 1e-12, 1e-300
+        1065.54, 1.0, special._ratio_table(1.05, 1.0, None), 1e-12, 1e-300
     )
     assert not stopped and abs_sum == math.inf
     assert n < special._MAX_TERMS
@@ -136,3 +138,98 @@ def test_double_path_agrees_with_hp(alpha, beta, re, im):
     val = mittag_leffler(MlParams(alpha, beta), z)
     ref = mittag_leffler_hp(alpha, beta, z, dps=40)
     assert abs(val - ref) <= 1e-11 * max(abs(ref), 1e-30)
+
+
+# negative real arguments the double path cannot certify, so every one takes
+# the high-precision retry; (1, 1, -40) and (1, 1, -60) escalate to 80 digits
+RETRY_CASES = [
+    (alpha, beta, -x)
+    for alpha in (1.0, 1.5, 2.0)
+    for beta in (0.1, 1.0, 1.9)
+    for x in (10.0, 60.0)
+] + [(1.5, 1.0, complex(-28.5, 9.25))]
+
+
+def _counting_retry(monkeypatch):
+    calls = []
+    retry = special._series_hp
+
+    def counted(alpha, beta, z, tol):
+        calls.append(z)
+        return retry(alpha, beta, z, tol)
+
+    monkeypatch.setattr(special, "_series_hp", counted)
+    return calls
+
+
+@pytest.mark.parametrize("alpha, beta, z", RETRY_CASES)
+def test_retry_tables_give_cold_values_warm(monkeypatch, alpha, beta, z):
+    calls = _counting_retry(monkeypatch)
+    p = MlParams(alpha, beta)
+    special._ratio_table.cache_clear()
+    cold = mittag_leffler(p, z)
+    assert calls, "the double path certified this argument; pick one that forces the retry"
+    warm = mittag_leffler(p, z)
+    special._ratio_table.cache_clear()
+    mittag_leffler(p, z / 4.0)  # a shorter table, then extended by the full argument
+    extended = mittag_leffler(p, z)
+    assert repr(cold) == repr(warm) == repr(extended)
+    # the oracle sums the same series definition at a fixed, higher precision
+    ref = mittag_leffler_hp(alpha, beta, z, dps=120)
+    assert abs(cold - complex(ref)) <= p.tol * abs(ref)
+
+
+def _held(alpha, beta, dps):
+    hits = special._ratio_table.cache_info().hits
+    special._ratio_table(alpha, beta, dps)
+    return special._ratio_table.cache_info().hits == hits + 1
+
+
+def test_retry_escalates_past_forty_digits():
+    special._ratio_table.cache_clear()
+    mittag_leffler(MlParams(1.0, 1.0), -60.0)
+    assert _held(1.0, 1.0, 80)
+
+
+@pytest.mark.parametrize("alpha, beta, z", [case for case in RETRY_CASES if isinstance(case[2], float)])
+def test_real_retry_sums_the_complex_retry_bit_for_bit(alpha, beta, z):
+    real = special._series_hp(alpha, beta, z, 1e-14)
+    assert repr(real) == repr(special._series_hp(alpha, beta, complex(z, 0.0), 1e-14))
+
+
+def test_retry_tables_stay_at_their_cap():
+    special._ratio_table.cache_clear()
+    orders = [(1.0 + k / 1000.0, 1.0) for k in range(special._TABLE_CAP)]
+    for alpha, beta in orders:
+        mittag_leffler(MlParams(alpha, beta), -5.0)  # retried: two tables per order
+    assert special._ratio_table.cache_info().currsize == special._TABLE_CAP
+    # least recently used first out: the last orders are still held
+    assert _held(*orders[-1], None) and _held(*orders[-1], 40)
+    assert not _held(*orders[0], 40)
+
+
+def test_threads_extend_one_table_in_order():
+    # more threads than cores and a short switch interval, so extensions
+    # interleave; a skipped or repeated term would shift every later ratio
+    table = special._RatioTable(1.3, 0.7, 40)
+    barrier = threading.Barrier(6)
+
+    def walk(offset):
+        barrier.wait()
+        for n in range(offset, 400, 7):
+            table(n)
+
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        threads = [threading.Thread(target=walk, args=(k,)) for k in range(6)]
+        for t in threads:
+            t.start()
+        for t in threads:
+            t.join(timeout=60.0)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(t.is_alive() for t in threads)
+    fresh = special._RatioTable(1.3, 0.7, 40)
+    assert len(table.ratios) >= 394
+    assert table.ratios == [fresh(n) for n in range(len(table.ratios))]
