@@ -296,23 +296,6 @@ def _write_json(path: Path, payload: dict) -> None:
     path.write_text(json.dumps(_json_ready(payload), indent=2, sort_keys=True) + "\n", encoding="utf-8")
 
 
-def _write_field_csv(path: Path, nodes: np.ndarray, xs: np.ndarray, values: np.ndarray) -> None:
-    """Rows are time-major: every spatial point of node 0, then node 1, ...
-
-    The bytes are those of np.savetxt(fmt="%.17g", delimiter=",") on the
-    (t, x, re, im) table.  The x cells are formatted once into a row
-    template; each node then fills its block with one % over the float
-    view of its complex row.
-    """
-    arr = np.ascontiguousarray(values, dtype=complex)
-    cells = [",%s,%%.17g,%%.17g\n" % ("%.17g" % x) for x in np.asarray(xs, dtype=float)]
-    with open(path, "w", encoding="utf-8", newline="\n") as fh:
-        fh.write("t,x,re_u,im_u\n")
-        for t, row in zip(np.asarray(nodes, dtype=float), arr):
-            t_cell = "%.17g" % t
-            fh.write((t_cell + t_cell.join(cells)) % tuple(row.view(float).tolist()))
-
-
 def _write_manifest(dirpath: Path, names: list) -> None:
     entries = {}
     for name in sorted(names):
@@ -366,9 +349,11 @@ def cmd_run(cfg: RunConfig, out: Optional[str], quiet: bool) -> int:
             f"picard did not converge in {report.iterations} sweeps at rows {first}..{last} "
             f"(last change {change:.3e}, tol {cfg.solver_tol:g}); raise solver.max_iter"
         )
+    from .fieldcsv import write_field_csv  # imported where used, so set-up does not load the writer
+
     run_dir = _prepare_dir(cfg, out, "run")
     (run_dir / "config.txt").write_text(render_config(cfg), encoding="utf-8")
-    _write_field_csv(run_dir / "trajectory.csv", parts.mesh.nodes, parts.grid.x, report.trajectory)
+    write_field_csv(run_dir / "trajectory.csv", parts.mesh.nodes, parts.grid.x, report.trajectory)
     meta = {
         "verb": "run",
         "version": __version__,
@@ -548,6 +533,8 @@ def cmd_validate(out: Optional[str], quiet: bool, only: Optional[list]) -> int:
 
 
 def cmd_noise_dump(cfg: RunConfig, out: Optional[str], quiet: bool) -> int:
+    from .fieldcsv import write_field_csv
+
     grid, mesh, schedule, eps = _frame(cfg)
     spec = _noise_spec(cfg, schedule)
     rep = white_noise_representative(spec, eps, grid, mesh)
@@ -556,7 +543,7 @@ def cmd_noise_dump(cfg: RunConfig, out: Optional[str], quiet: bool) -> int:
     perturbed = stochastic_initial_data(_displacement(cfg, grid), spec, eps, grid) if perturb else None
     run_dir = _prepare_dir(cfg, out, "noise")
     (run_dir / "config.txt").write_text(render_config(cfg), encoding="utf-8")
-    _write_field_csv(run_dir / "noise.csv", mesh.nodes, grid.x, rep.trajectory.values)
+    write_field_csv(run_dir / "noise.csv", mesh.nodes, grid.x, rep.trajectory.values)
     names = ["config.txt", "noise.csv", "metadata.json"]
     meta = {
         "verb": "noise-dump",
@@ -569,7 +556,7 @@ def cmd_noise_dump(cfg: RunConfig, out: Optional[str], quiet: bool) -> int:
         "seed": cfg.master_seed,
     }
     if perturb:
-        _write_field_csv(run_dir / "initial.csv", mesh.nodes[:1], grid.x, perturbed.values[None, :])
+        write_field_csv(run_dir / "initial.csv", mesh.nodes[:1], grid.x, perturbed.values[None, :])
         names.insert(2, "initial.csv")
         meta["initial_provenance"] = spec.provenance(eps, 1)
     _write_json(run_dir / "metadata.json", meta)

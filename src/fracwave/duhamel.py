@@ -45,7 +45,6 @@ from .fractional import (
     caputo_derivative,
     first_difference,
     pi_weights,
-    rl_derivative,
     rl_integral,
     second_difference,
     sobolev_norms,
@@ -562,12 +561,14 @@ def solve_rl_form(p: CauchyProblem, opts: SolverOptions = SolverOptions()) -> So
 
     weights_alpha = pi_weights(p.alpha, mesh.n_nodes, mesh.dt)
     weights_two = pi_weights(2.0, mesh.n_nodes, mesh.dt)
+    # rl_derivative's order-(1 - gamma) weights, built once for every sweep
+    weights_low = pi_weights(1.0 - gamma_ord, mesh.n_nodes, mesh.dt)
     plan = _block_plan(p, 3.0, opts.series_tol)
 
     singular = _propagated(p, p.alpha, f0, opts.series_tol) if f0_norm > 0.0 else 0.0
 
     def integral_term(g: np.ndarray) -> np.ndarray:
-        w_reg = rl_derivative(g - f0, gamma_ord, mesh)
+        w_reg = first_difference(_weights_product(weights_low, np.asarray(g - f0, dtype=complex)), mesh.dt)
         acc = _volterra(weights_alpha, p.action, w_reg, plan)[1]
         return singular + _weights_product(weights_two, acc)
 

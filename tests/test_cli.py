@@ -5,15 +5,22 @@ import hashlib
 import io
 import json
 import math
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
+import fracwave
 from fracwave import cli, ml_trajectory, parse_config, pi_weights, render_config
-from fracwave.cli import _write_field_csv, _write_manifest, assemble_scenario, entrypoint
+from fracwave.cli import _write_manifest, assemble_scenario, entrypoint
 from fracwave.duhamel import _block_plan, _picard, _plan_meta, _volterra
+from fracwave.fieldcsv import format_g17, write_field_csv
 from fracwave.solution import as_action
+from fracwave.stochastic import stochastic_initial_data, white_noise_representative
 
 BASE = """
 [run]
@@ -123,12 +130,53 @@ def test_field_csv_has_the_bytes_of_savetxt(tmp_path):
     values = rng.standard_normal((4, 5)) + 1j * rng.standard_normal((4, 5))
     values[0, :] = [complex(-0.0, -0.0), complex(5e-324, -5e-324), 1e300, -1e300j, 0.0]
     values[1, :3] = [complex(3.0, -7.0), 12345678901234567.0, complex(0.0, 2.0)]
-    for name, t, u in (("field.csv", nodes, values), ("initial.csv", nodes[:1], values[2][None, :])):
+    # both sides of the switches between fixed and exponent form, and of 1
+    edges = [np.nextafter(p, side) for p in (1e-5, 1e-4, 1.0, 1e16, 1e17) for side in (0.0, np.inf)]
+    edges += [1e-5, 1e-4, 1.0, 1e16, 1e17, 9.9999999999999995e-05, 99999999999999999.0]
+    # a 17th-digit tie (half-even), the fixed form with X >= 1, and the specials
+    edges += [123456789012345.625, 123456789012345.875, 205.74663272605397, 12.5, -4096.0625]
+    edges += [0.0, -0.0, 5e-324, -5e-324, 1e300, -1e300, 1e-300, -1e-300, np.nan, np.inf, -np.inf]
+    edges += [1e-280, 1e280, np.nextafter(1e-280, 0.0), np.nextafter(1e280, np.inf)]
+    edges += [0.0] * (-len(edges) % 5)
+    edge_re = np.array(edges).reshape(-1, 5)
+    edge_field = edge_re.astype(complex)
+    edge_field.imag = edge_re[::-1, ::-1]
+    edge_nodes = np.linspace(0.0, 1.0, edge_field.shape[0])
+    for name, t, u in (
+        ("field.csv", nodes, values),
+        ("initial.csv", nodes[:1], values[2][None, :]),
+        ("edges.csv", edge_nodes, edge_field),
+        ("real.csv", edge_nodes, edge_re),
+    ):
         path = tmp_path / name
-        _write_field_csv(path, t, xs, u)
+        write_field_csv(path, t, xs, u)
         head, _, body = path.read_bytes().partition(b"\n")
         assert head == b"t,x,re_u,im_u"
         assert body == _savetxt_bytes(t, xs, u)
+
+
+@settings(max_examples=300, deadline=None, derandomize=True)
+@given(st.lists(st.floats(allow_nan=True, allow_infinity=True, allow_subnormal=True), min_size=1, max_size=40))
+def test_g17_formatter_matches_python(values):
+    assert format_g17(np.array(values, dtype=float)) == [("%.17g" % v).encode() for v in values]
+
+
+def test_g17_formatter_on_random_bit_patterns():
+    bits = np.random.Generator(np.random.Philox(key=0x617)).integers(0, 2**64, 200_000, dtype=np.uint64)
+    values = bits.view(np.float64)
+    assert format_g17(values) == [("%.17g" % v).encode() for v in values.tolist()]
+
+
+def test_importing_the_cli_builds_no_formatter_table():
+    # the writer is imported, and its tables built, on the first write: set-up does not pay for them
+    probe = (
+        "import sys, fracwave.cli; print('fracwave.fieldcsv' in sys.modules); "
+        "from fracwave import fieldcsv as f; n = f._g17_tables.cache_info().currsize; "
+        "f.format_g17([1.0]); print(n, f._g17_tables.cache_info().currsize)"
+    )
+    env = {**os.environ, "PYTHONPATH": str(Path(fracwave.__file__).resolve().parents[1])}
+    out = subprocess.run([sys.executable, "-c", probe], env=env, capture_output=True, text=True, check=True)
+    assert out.stdout.split() == ["False", "0", "1"]
 
 
 def test_manifest_hashes_files_larger_than_a_chunk(tmp_path):
@@ -396,6 +444,17 @@ def test_noise_dump_artifacts(tmp_path):
     assert meta["initial_provenance"]["tag"] == 1
     manifest = json.loads((run_dir / "manifest.json").read_text())
     assert set(manifest["files"]) == {"config.txt", "noise.csv", "initial.csv", "metadata.json"}
+    # the realized fields, written as np.savetxt would: the noise is real, so im_u is all zeros
+    parsed = parse_config(NOISY + "target = both\n")
+    grid, mesh, schedule, eps = cli._frame(parsed)
+    spec = cli._noise_spec(parsed, schedule)
+    noise = white_noise_representative(spec, eps, grid, mesh).trajectory.values
+    initial = stochastic_initial_data(cli._displacement(parsed, grid), spec, eps, grid).values
+    assert not np.any(noise.imag)
+    for name, t, u in (("noise.csv", mesh.nodes, noise), ("initial.csv", mesh.nodes[:1], initial[None, :])):
+        head, _, body = (run_dir / name).read_bytes().partition(b"\n")
+        assert head == b"t,x,re_u,im_u"
+        assert body == _savetxt_bytes(t, grid.x, u)
 
 
 def test_temporal_kernel_wider_than_the_horizon(tmp_path):
