@@ -258,18 +258,14 @@ def assemble_scenario(cfg: RunConfig) -> ScenarioParts:
 
 
 def _solver_options(cfg: RunConfig) -> SolverOptions:
-    """Kernel-form options; windows belong to the derivative form only."""
-    return SolverOptions(tol=cfg.solver_tol, max_iter=cfg.max_iter, series_tol=cfg.series_tol)
+    return SolverOptions(tol=cfg.solver_tol, max_iter=cfg.max_iter)
 
 
 def run_scenario(cfg: RunConfig):
     """Assemble and solve; returns (parts, report)."""
     parts = assemble_scenario(cfg)
-    opts = _solver_options(cfg)
-    if cfg.solver_form == "kernel":
-        report = solve_kernel_form(parts.problem, opts)
-    else:
-        report = solve_rl_form(parts.problem, dataclasses.replace(opts, n_windows=cfg.n_windows))
+    solve = solve_kernel_form if cfg.solver_form == "kernel" else solve_rl_form
+    report = solve(parts.problem, _solver_options(cfg))
     return parts, report
 
 

@@ -146,8 +146,6 @@ class RunConfig:
     solver_form: str = _key("solver", _choice("kernel", "derivative"), "kernel", key="form")
     solver_tol: float = _key("solver", _parse_float, 1e-10, key="tol")
     max_iter: int = _key("solver", _parse_int, 50)
-    n_windows: int = _key("solver", _parse_int, 1)
-    series_tol: float = _key("solver", _parse_float, 1e-12)
     output_directory: str = _key("output", str.strip, "runs", key="directory")
 
     def resolved_operator_kind(self) -> str:
@@ -206,12 +204,8 @@ def _semantic_issues(cfg: RunConfig) -> list:
             issues.append(f"noise.{name}: must be positive when given")
     if not 0.0 < cfg.solver_tol < 1.0:
         issues.append(f"solver.tol: must lie in (0, 1), got {cfg.solver_tol}")
-    if not cfg.series_tol > 0.0:
-        issues.append("solver.series_tol: must be positive")
-    if cfg.max_iter < 1 or cfg.n_windows < 1:
-        issues.append("solver: max_iter and n_windows must be at least 1")
-    elif cfg.n_windows > 1 and cfg.solver_form == "kernel":
-        issues.append("solver.n_windows: the kernel form converges block by block; windows need form = derivative")
+    if cfg.max_iter < 1:
+        issues.append("solver.max_iter: must be at least 1")
     return [(None, msg) for msg in issues]
 
 

@@ -22,9 +22,12 @@ and A the operator.  The kernel form folds the nonlinearity into a forward
 march over blocks of rows: each block sums the history of the earlier rows
 in one dense product, once per solve, and then converges its own fixed point
 before the next block starts.  The derivative form differentiates the whole
-forcing history on every sweep, so it keeps whole-window Picard sweeps, each
+forcing history on every sweep, so it keeps whole-horizon Picard sweeps, each
 one a blocked march of the linear system in which a short operator series,
 certified at the block's own time span, resolves the rows inside a block.
+Its sweeps converge window by window, and the windows are the kernel form's
+blocks without their row cap: the longest runs of rows on which
+Lip f * ||W_BB||_inf <= 1/2.
 """
 
 from __future__ import annotations
@@ -72,6 +75,7 @@ __all__ = [
 ]
 
 _ZERO_TOL = 1e-12
+_SERIES_TOL = 1e-12  # truncation certified for every operator series the solver sums
 # rows per block of the Volterra march: large enough that the history product
 # is a real matrix product, small enough that the in-block series stays short
 _BLOCK_ROWS = 64
@@ -218,21 +222,19 @@ class CauchyProblem:
 class SolverOptions:
     """Solver tolerances and limits.
 
-    max_iter bounds the sweeps of each kernel-form block and of each
-    derivative-form window; n_windows splits the derivative form's Picard
-    iteration into consecutive windows and must stay 1 for the kernel form.
+    tol bounds the row-sup change that ends the sweeps of a kernel-form block
+    or a derivative-form window; max_iter bounds the count of those sweeps.
+    Both forms size their blocks or windows themselves.
     """
 
     tol: float = 1e-10
     max_iter: int = 50
-    n_windows: int = 1
-    series_tol: float = 1e-12
 
     def __post_init__(self):
         if not (0.0 < self.tol < 1.0):
             raise ValueError("tol must lie in (0, 1)")
-        if self.max_iter < 1 or self.n_windows < 1:
-            raise ValueError("max_iter and n_windows must be at least 1")
+        if self.max_iter < 1:
+            raise ValueError("max_iter must be at least 1")
 
 
 @dataclass
@@ -241,8 +243,9 @@ class SolverReport:
 
     iterations is the largest sweep count of any kernel-form block, or the
     total over the derivative form's windows; contraction_history holds one
-    list of changes per block or window.  unconverged_rows names the first
-    block or window (first and last row) that stopped at max_iter.
+    list of changes per block or window.  Blocks and windows are half-open
+    row ranges [s, e); unconverged_rows names the first one that stopped at
+    max_iter by its first and last row, (s, e - 1).
     """
 
     trajectory: np.ndarray
@@ -265,7 +268,7 @@ def _row_sup(arr: np.ndarray, weight: float) -> float:
     return float(np.sqrt(weight) * np.linalg.norm(flat, axis=1).max())
 
 
-def _propagated(p: CauchyProblem, power: float, x: np.ndarray, tol: float) -> np.ndarray:
+def _propagated(p: CauchyProblem, power: float, x: np.ndarray) -> np.ndarray:
     """t**power E_{alpha,power+1}(t**alpha A) x on every node of the mesh.
 
     Each such datum solves y = t**power / Gamma(power + 1) x + J^alpha(A y).
@@ -273,21 +276,21 @@ def _propagated(p: CauchyProblem, power: float, x: np.ndarray, tol: float) -> np
     the last bit of power = alpha.
     """
     nodes = p.mesh.nodes
-    out = ml_trajectory(p.alpha, power + 1.0, p.action, x, nodes, tol=tol)
+    out = ml_trajectory(p.alpha, power + 1.0, p.action, x, nodes, tol=_SERIES_TOL)
     if power != 0.0:
         out *= nodes.reshape((nodes.size,) + (1,) * np.ndim(x)) ** power
     return out
 
 
-def _base_trajectory(p: CauchyProblem, series_tol: float) -> np.ndarray:
+def _base_trajectory(p: CauchyProblem) -> np.ndarray:
     """Propagated initial state plus the order-one integral of the velocity."""
-    base = _propagated(p, 0.0, p.state0, series_tol)
+    base = _propagated(p, 0.0, p.state0)
     if p.velocity0 is not None:
-        base = base + _propagated(p, 1.0, p.velocity0, series_tol)
+        base = base + _propagated(p, 1.0, p.velocity0)
     return base
 
 
-def _block_levels(p: CauchyProblem, s: int, e: int, head_beta: float, series_tol: float) -> int:
+def _block_levels(p: CauchyProblem, s: int, e: int, head_beta: float) -> int:
     """Series levels that certify the in-block chain of rows [s, e).
 
     They come from the certified majorant at the time span the block's
@@ -299,16 +302,16 @@ def _block_levels(p: CauchyProblem, s: int, e: int, head_beta: float, series_tol
     nodes = p.mesh.nodes
     # the hat functions of rows s..e-1 reach back to node s - 1 (to 0 in the head)
     span, beta = (float(nodes[e - 1]), head_beta) if s == 0 else (float(nodes[e - 1] - nodes[s - 1]), 1.0)
-    return series_term_count(p.alpha, beta, span**p.alpha * p.action.norm_bound, series_tol)
+    return series_term_count(p.alpha, beta, span**p.alpha * p.action.norm_bound, _SERIES_TOL)
 
 
-def _block_plan(p: CauchyProblem, head_beta: float, series_tol: float) -> list:
+def _block_plan(p: CauchyProblem, head_beta: float) -> list:
     """Row blocks [s, e) of _BLOCK_ROWS rows with their series level counts."""
     n = p.mesh.n_nodes
     plan = []
     for s in range(0, n, _BLOCK_ROWS):
         e = min(s + _BLOCK_ROWS, n)
-        plan.append((s, e, _block_levels(p, s, e, head_beta, series_tol)))
+        plan.append((s, e, _block_levels(p, s, e, head_beta)))
     return plan
 
 
@@ -360,14 +363,16 @@ def _record(history: list, change: float, rises: int, where: str, remedy: str) -
     return rises
 
 
-def _window_bounds(n_steps: int, n_windows: int) -> list:
-    if n_windows > n_steps:
-        raise SizeError("more windows than time steps")
-    return [round(w * n_steps / n_windows) for w in range(n_windows + 1)]
+def _picard(
+    p: CauchyProblem, opts: SolverOptions, windows: list, integral_term, form: str, extra_meta: dict
+) -> SolverReport:
+    """Whole-horizon Picard sweeps u <- b + integral_term(f(u) + P), window by window.
 
-
-def _picard(p: CauchyProblem, opts: SolverOptions, integral_term, form: str, extra_meta: dict) -> SolverReport:
-    base = _base_trajectory(p, opts.series_tol)
+    windows are _fold_blocks' row ranges (s, e, q), in order.  A window sweeps
+    until the row-sup change on its rows [s, e) is below tol; every sweep also
+    moves the rows after it, which later windows start from.
+    """
+    base = _base_trajectory(p)
     forcing = p.forcing_values
     weight = p.state_weight
     fn = p.nonlinearity.fn
@@ -379,31 +384,25 @@ def _picard(p: CauchyProblem, opts: SolverOptions, integral_term, form: str, ext
         return g
 
     current = base.copy()
-    bounds = _window_bounds(p.mesh.n_steps, opts.n_windows)
     histories: list = []
     total_iters = 0
     stalled = None
-    for w in range(opts.n_windows):
-        lo = 0 if w == 0 else bounds[w] + 1
-        hi = bounds[w + 1]
+    for s, e, _ in windows:
         history: list = []
         rises = 0
+        where = f"window rows {s}..{e - 1}"
         for _ in range(opts.max_iter):
             # overflow in a blowing-up iterate is caught by the finite check in _record
             with np.errstate(over="ignore", invalid="ignore"):
                 candidate = base + integral_term(forced(current))
-                delta = candidate[lo : hi + 1] - current[lo : hi + 1]
-                change = _row_sup(delta, weight)
-            current[lo:] = candidate[lo:]
+                change = _row_sup(candidate[s:e] - current[s:e], weight)
+            current[s:] = candidate[s:]
             total_iters += 1
-            rises = _record(
-                history, change, rises, f"window {w + 1}/{opts.n_windows}",
-                "shorten the horizon, refine the mesh, or use more windows",
-            )
+            rises = _record(history, change, rises, where, "shorten the horizon or refine the mesh")
             if change < opts.tol:
                 break
         else:
-            stalled = stalled or (lo, hi)
+            stalled = stalled or (s, e - 1)
         histories.append(history)
     meta = {"nonlinearity": p.nonlinearity.hypothesis_flags(), "form": form}
     meta.update(extra_meta)
@@ -420,21 +419,22 @@ def _picard(p: CauchyProblem, opts: SolverOptions, integral_term, form: str, ext
     )
 
 
-def _fold_blocks(p: CauchyProblem, weights: np.ndarray) -> tuple:
-    """Row blocks [s, e) of the kernel-form march with their contraction bounds.
+def _fold_blocks(p: CauchyProblem, weights: np.ndarray, cap: int = _BLOCK_ROWS) -> tuple:
+    """Row blocks [s, e) of the march with their contraction bounds.
 
-    A block takes at most _BLOCK_ROWS rows, and no more than keep
+    A block takes at most cap rows (the kernel form's _BLOCK_ROWS; the
+    derivative form's windows pass the row count), and no more than keep
     Lip f * ||W_BB||_inf <= 1/2.  q = ||W_BB||_inf (||A|| + Lip f) bounds the
     Lipschitz constant of the whole in-block map.  Returns the blocks as
-    (s, e, q) and the row limit: _BLOCK_ROWS, or fewer where the Lipschitz
-    bound cut a block short.
+    (s, e, q) and the row limit: cap, or fewer where the Lipschitz bound cut a
+    block short.  A row that fails the bound alone raises ResolutionError.
     """
     lip = p.nonlinearity.lipschitz
     norm_a = p.action.norm_bound
     n = weights.shape[0]
-    blocks, limit, s = [], _BLOCK_ROWS, 0
+    blocks, limit, s = [], cap, 0
     while s < n:
-        end = min(s + _BLOCK_ROWS, n)
+        end = min(s + cap, n)
         # ||W_BB||_inf of [s, s + 1), [s, s + 2), ...; W is lower triangular
         norms = np.maximum.accumulate(np.abs(weights[s:end, s:end]).sum(axis=1))
         rows = int(np.count_nonzero(lip * norms <= 0.5))
@@ -465,9 +465,7 @@ def solve_kernel_form(p: CauchyProblem, opts: SolverOptions = SolverOptions()) -
     a mesh of one block runs the whole-horizon Picard sweeps exactly.  A block
     that reaches max_iter marks the report unconverged; the march goes on.
     """
-    if opts.n_windows != 1:
-        raise ValueError("n_windows belongs to the derivative form; the kernel form converges block by block")
-    base = _base_trajectory(p, opts.series_tol)
+    base = _base_trajectory(p)
     weights = pi_weights(p.alpha, p.mesh.n_nodes, p.mesh.dt)
     blocks, row_limit = _fold_blocks(p, weights)
     shape = base.shape
@@ -487,7 +485,7 @@ def solve_kernel_form(p: CauchyProblem, opts: SolverOptions = SolverOptions()) -
         b_b = flat_base[s:e]
         h = _weights_product(weights[s:e, :s], v[:s]) if s else 0.0
         fold = q <= 0.5
-        levels = 1 if fold else _block_levels(p, s, e, p.alpha + 1.0, opts.series_tol)
+        levels = 1 if fold else _block_levels(p, s, e, p.alpha + 1.0)
         series_levels = max(series_levels, levels)
         # a later block starts from the data plus its history; the head block
         # starts from the data alone, exactly as whole-horizon Picard does
@@ -550,6 +548,10 @@ def solve_rl_form(p: CauchyProblem, opts: SolverOptions = SolverOptions()) -> So
     derivative of F - F(0), is the Caputo derivative of F; it runs through the
     discrete derivative and the blocked Volterra march under an order-two
     integral.  One solve therefore covers both derivative conventions.
+
+    The sweeps converge window by window over the kernel form's blocks without
+    their row cap, so a nonlinearity one time step cannot resolve raises the
+    same ResolutionError; the metadata records the window count as windows.
     """
     if p.alpha >= 2.0:
         raise SingularOrderError("the derivative form needs time order strictly below 2")
@@ -560,19 +562,21 @@ def solve_rl_form(p: CauchyProblem, opts: SolverOptions = SolverOptions()) -> So
     f0_norm = float(np.linalg.norm(np.atleast_1d(f0).ravel()))
 
     weights_alpha = pi_weights(p.alpha, mesh.n_nodes, mesh.dt)
+    windows = _fold_blocks(p, weights_alpha, mesh.n_nodes)[0]
     weights_two = pi_weights(2.0, mesh.n_nodes, mesh.dt)
     # rl_derivative's order-(1 - gamma) weights, built once for every sweep
     weights_low = pi_weights(1.0 - gamma_ord, mesh.n_nodes, mesh.dt)
-    plan = _block_plan(p, 3.0, opts.series_tol)
+    plan = _block_plan(p, 3.0)
 
-    singular = _propagated(p, p.alpha, f0, opts.series_tol) if f0_norm > 0.0 else 0.0
+    singular = _propagated(p, p.alpha, f0) if f0_norm > 0.0 else 0.0
 
     def integral_term(g: np.ndarray) -> np.ndarray:
         w_reg = first_difference(_weights_product(weights_low, np.asarray(g - f0, dtype=complex)), mesh.dt)
         acc = _volterra(weights_alpha, p.action, w_reg, plan)[1]
         return singular + _weights_product(weights_two, acc)
 
-    return _picard(p, opts, integral_term, "rl", {**_plan_meta(plan), "initial_forcing_norm": f0_norm})
+    meta = {**_plan_meta(plan), "windows": len(windows), "initial_forcing_norm": f0_norm}
+    return _picard(p, opts, windows, integral_term, "rl", meta)
 
 
 def second_derivative_identity_check(report: SolverReport, p: CauchyProblem) -> float:
@@ -588,7 +592,7 @@ def second_derivative_identity_check(report: SolverReport, p: CauchyProblem) -> 
     mesh = p.mesh
     if mesh.n_nodes < 16:
         raise SizeError("identity check needs at least sixteen nodes")
-    base = _base_trajectory(p, report.options.series_tol)
+    base = _base_trajectory(p)
     memory = report.trajectory - base
     lhs = second_difference(memory, mesh.dt)
 
@@ -603,7 +607,7 @@ def second_derivative_identity_check(report: SolverReport, p: CauchyProblem) -> 
     power[1:] = mesh.nodes[1:] ** (p.alpha - 2.0) / gamma(p.alpha - 1.0)
     term_singular = power.reshape(shape) * np.asarray(g0)[None, ...]
 
-    plan = _block_plan(p, 2.0 * p.alpha - 1.0, report.options.series_tol)
+    plan = _block_plan(p, 2.0 * p.alpha - 1.0)
     weights_alpha = pi_weights(p.alpha, mesh.n_nodes, mesh.dt)
     weights_low = pi_weights(2.0 * p.alpha - 2.0, mesh.n_nodes, mesh.dt)
     acc = _volterra(weights_alpha, p.action, g, plan)[1]

@@ -162,12 +162,14 @@ class _RatioTable:
                 self.first = 1 / mpmath.gamma(beta)
 
     def _ratio(self, k: int):
-        lo = self.beta + k * self.alpha
-        hi = self.beta + (k + 1) * self.alpha
         if self.dps is None:
+            lo = self.beta + k * self.alpha
+            hi = self.beta + (k + 1) * self.alpha
             return math.exp(math.lgamma(lo) - math.lgamma(hi))
         with mpmath.workdps(self.dps):
-            return mpmath.gammaprod([lo], [hi])
+            # beta + k*alpha in double would carry a relative error near k*eps
+            alpha, beta = mpmath.mpf(self.alpha), mpmath.mpf(self.beta)
+            return mpmath.gammaprod([beta + k * alpha], [beta + (k + 1) * alpha])
 
     def __call__(self, n: int):
         ratios = self.ratios
@@ -252,6 +254,7 @@ def mittag_leffler_hp(alpha: float, beta: float, z: complex, dps: int = 50):
     """
     zc = mpmath.mpmathify(z)
     with mpmath.workdps(dps + 10):
+        alpha, beta = mpmath.mpf(alpha), mpmath.mpf(beta)
         term = 1 / mpmath.gamma(beta)
         total = term
         n = 0

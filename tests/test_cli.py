@@ -17,7 +17,7 @@ from hypothesis import given, settings, strategies as st
 import fracwave
 from fracwave import cli, ml_trajectory, parse_config, pi_weights, render_config
 from fracwave.cli import _write_manifest, assemble_scenario, entrypoint
-from fracwave.duhamel import _block_plan, _picard, _plan_meta, _volterra
+from fracwave.duhamel import _block_plan, _fold_blocks, _picard, _plan_meta, _volterra
 from fracwave.fieldcsv import format_g17, write_field_csv
 from fracwave.solution import as_action
 from fracwave.stochastic import stochastic_initial_data, white_noise_representative
@@ -308,7 +308,6 @@ def test_overflowing_majorant_exits_3(tmp_path, capsys):
         ("[operator]\nkind = riesz\nspace_order = 1.0\n", "operator.space_order"),
         ("[operator]\nkind = riesz\nspace_order = 1.0\nmollify = false\n", "operator.space_order"),
         ("[operator]\nkind = liouville_left\nspace_order = 2.0\n", "operator.space_order"),
-        ("[solver]\nn_windows = 2\n", "solver.n_windows"),
     ],
 )
 def test_config_rejects_what_the_constructors_reject(tmp_path, capsys, text, key):
@@ -316,6 +315,17 @@ def test_config_rejects_what_the_constructors_reject(tmp_path, capsys, text, key
     assert entrypoint(["run", "--config", _cfg_file(tmp_path, text), "--out", str(out), "--quiet"]) == 2
     lines = capsys.readouterr().err.splitlines()
     assert len(lines) == 1 and lines[0].startswith(f"config error: {key}: ")
+
+
+@pytest.mark.parametrize("key, value", [("n_windows", "2"), ("series_tol", "1e-11")])
+def test_deleted_solver_keys_are_unknown(tmp_path, capsys, key, value):
+    # the solver sizes its windows and fixes its series tolerance itself
+    text = f"[solver]\nform = derivative\n{key} = {value}\n"
+    out = tmp_path / "out"
+    assert entrypoint(["run", "--config", _cfg_file(tmp_path, text), "--out", str(out), "--quiet"]) == 2
+    lines = capsys.readouterr().err.splitlines()
+    assert lines == [f"config error: line 3: unknown key '{key}' in section [solver]"]
+    assert not out.exists()
 
 
 def test_sharp_fractional_kind_runs_at_order_two(tmp_path):
@@ -401,8 +411,10 @@ def test_one_block_run_keeps_the_picard_artifacts(tmp_path, monkeypatch):
     # Picard sweeps, so the trajectory bytes and the solver record stay
     def picard(p, opts):
         weights = pi_weights(p.alpha, p.mesh.n_nodes, p.mesh.dt)
-        plan = _block_plan(p, p.alpha + 1.0, opts.series_tol)
-        return _picard(p, opts, lambda g: _volterra(weights, p.action, g, plan)[0], "kernel", _plan_meta(plan))
+        plan = _block_plan(p, p.alpha + 1.0)
+        windows = _fold_blocks(p, weights, p.mesh.n_nodes)[0]
+        assert len(windows) == 1
+        return _picard(p, opts, windows, lambda g: _volterra(weights, p.action, g, plan)[0], "kernel", _plan_meta(plan))
 
     cfg = _cfg_file(tmp_path, SMALL)
     assert entrypoint(["run", "--config", cfg, "--out", str(tmp_path / "a"), "--quiet"]) == 0
@@ -417,11 +429,13 @@ def test_one_block_run_keeps_the_picard_artifacts(tmp_path, monkeypatch):
 
 
 def test_unresolved_nonlinearity_exits_3(tmp_path, capsys):
-    out = tmp_path / "out"
-    text = "[nonlinearity]\nf = 1e7*sin(u)\n"
-    assert entrypoint(["run", "--config", _cfg_file(tmp_path, text), "--out", str(out), "--quiet"]) == 3
-    lines = capsys.readouterr().err.splitlines()
-    assert len(lines) == 1 and lines[0].startswith("numerical gate: ") and "Lip f" in lines[0]
+    # the derivative form's windows come from the kernel form's block rule, gate included
+    for form in ("kernel", "derivative"):
+        out = tmp_path / form
+        text = f"[nonlinearity]\nf = 1e7*sin(u)\n[solver]\nform = {form}\n"
+        assert entrypoint(["run", "--config", _cfg_file(tmp_path, text), "--out", str(out), "--quiet"]) == 3
+        lines = capsys.readouterr().err.splitlines()
+        assert len(lines) == 1 and lines[0].startswith("numerical gate: ") and "Lip f" in lines[0]
     assert not list(tmp_path.rglob("trajectory.csv"))
 
 
@@ -507,15 +521,16 @@ run_k = 5
 
 @pytest.mark.parametrize("verb", ["run", "sweep-epsilon"])
 def test_windows_reach_only_the_derivative_form(tmp_path, capsys, verb):
-    # run passes the windows to the derivative form; the sweep's scan solves
-    # the kernel form, which takes none
-    text = BASE.replace("n_steps = 64", "n_steps = 16") + "k_min = 5\nk_max = 6\n[solver]\nform = derivative\nn_windows = 2\n"
+    # run solves the derivative form, which records the windows it derived;
+    # the sweep's scan solves the kernel form and says so
+    text = BASE.replace("n_steps = 64", "n_steps = 16") + "k_min = 5\nk_max = 6\n[solver]\nform = derivative\n"
     out = tmp_path / "out"
     assert entrypoint([verb, "--config", _cfg_file(tmp_path, text), "--out", str(out), "--quiet"]) == 0
     meta = json.loads((_run_dir(out) / "metadata.json").read_text())
     err = capsys.readouterr().err.splitlines()
     if verb == "run":
-        assert meta["solver_form"] == "rl" and len(meta["solver"]["contraction_history"]) == 2
+        solver = meta["solver"]
+        assert meta["solver_form"] == "rl" and solver["details"]["windows"] == len(solver["contraction_history"]) == 1
         assert err == []
     else:
         assert (_run_dir(out) / "sweep.csv").read_text().splitlines()[1].endswith(",ok")

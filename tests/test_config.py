@@ -99,8 +99,6 @@ EVERY_KEY = [
     ("solver", "form", "derivative", "solver_form"),
     ("solver", "tol", "1e-9", "solver_tol"),
     ("solver", "max_iter", "30", "max_iter"),
-    ("solver", "n_windows", "2", "n_windows"),
-    ("solver", "series_tol", "1e-11", "series_tol"),
     ("output", "directory", "elsewhere", "output_directory"),
 ]
 
@@ -112,8 +110,6 @@ def test_every_key_round_trips():
         doc = f"[{section}]\n{key} = {text}\n"
         if (section, key) in (("run", "scenario"), ("operator", "kind")):
             doc += "[operator]\nspace_order = 1.5\n"  # a mollified fractional kind needs an order below 2
-        if (section, key) == ("solver", "n_windows"):
-            doc += "form = derivative\n"  # windows split only the derivative form's iteration
         cfg = parse_config(doc)
         assert getattr(cfg, attr) != getattr(default, attr), (section, key)
         assert f"[{section}]" in render_config(cfg)
@@ -122,7 +118,7 @@ def test_every_key_round_trips():
 
 def test_default_hash_is_pinned():
     # run-directory names embed this hash; a change here renames every run
-    assert config_hash(parse_config("")) == "d8675d077c30f8f2"
+    assert config_hash(parse_config("")) == "d270894be354bf0b"
 
 def test_hash_tracks_content():
     a = parse_config("[run]\nalpha = 1.5\n")

@@ -1,5 +1,6 @@
 """Fixed-point solves of the forced problem in both representations."""
 
+import dataclasses
 import math
 
 import numpy as np
@@ -35,7 +36,7 @@ from fracwave import (
     zero_nonlinearity,
 )
 from fracwave import duhamel
-from fracwave.duhamel import _block_plan, _picard, _plan_meta, _volterra
+from fracwave.duhamel import _block_plan, _fold_blocks, _picard, _plan_meta, _volterra
 
 ALPHA, C, Q = 1.5, 0.5, 1.0
 OP = multiplier_action(np.array([C]))
@@ -94,32 +95,51 @@ def test_caputo_variant_direct_at_vanishing_start():
     assert np.all(np.isfinite(rep.trajectory))
 
 
-def test_windowed_iteration_matches_single_window():
+def _set_windows(monkeypatch, count):
+    """Make the derivative form sweep count windows of near-equal length."""
+
+    def fold(p, weights, cap):
+        n_steps = p.mesh.n_steps
+        bounds = [0] + [round(w * n_steps / count) + 1 for w in range(1, count + 1)]
+        return [(s, e, 0.0) for s, e in zip(bounds, bounds[1:])], cap
+
+    monkeypatch.setattr(duhamel, "_fold_blocks", fold)
+
+
+def test_windowed_iteration_matches_single_window(monkeypatch):
+    # Lip f * ||W||_inf <= 1/2 over the whole horizon: one derived window,
+    # and sweeping four windows instead gives the same fixed point
     mesh = TimeMesh(1.0, 128)
     p = _problem(mesh, f=nonlinearity_from_callable(lambda v: 0.1 * np.sin(v), "0.1*sin(u)"))
+    weights = pi_weights(ALPHA, mesh.n_nodes, mesh.dt)
+    assert 0.1 * np.abs(weights).sum(axis=1).max() <= 0.5
     r1 = solve_rl_form(p)
-    r4 = solve_rl_form(p, SolverOptions(n_windows=4))
-    assert r1.converged and r4.converged
+    assert r1.converged and r1.metadata["windows"] == len(r1.contraction_history) == 1
+    _set_windows(monkeypatch, 4)
+    r4 = solve_rl_form(p)
+    assert r4.converged and r4.metadata["windows"] == len(r4.contraction_history) == 4
     assert np.max(np.abs(r1.trajectory - r4.trajectory)) <= 1e-12
 
 
 def test_kernel_form_takes_no_windows():
-    with pytest.raises(ValueError, match="n_windows"):
-        solve_kernel_form(_problem(TimeMesh(1.0, 16)), SolverOptions(n_windows=2))
+    # both forms size their blocks or windows themselves; no option sets them
+    assert [f.name for f in dataclasses.fields(SolverOptions)] == ["tol", "max_iter"]
+    with pytest.raises(TypeError):
+        SolverOptions(n_windows=2)
 
 
 def _old_kernel_picard(p, opts):
-    """The kernel form as whole-horizon Picard sweeps over 64-row blocks."""
+    """The kernel form as whole-horizon Picard sweeps over 64-row blocks, in derived windows."""
     weights = pi_weights(p.alpha, p.mesh.n_nodes, p.mesh.dt)
-    plan = _block_plan(p, p.alpha + 1.0, opts.series_tol)
-    return _picard(p, opts, lambda g: _volterra(weights, p.action, g, plan)[0], "kernel", _plan_meta(plan))
+    plan = _block_plan(p, p.alpha + 1.0)
+    windows = _fold_blocks(p, weights, p.mesh.n_nodes)[0]
+    return _picard(p, opts, windows, lambda g: _volterra(weights, p.action, g, plan)[0], "kernel", _plan_meta(plan))
 
 
-def test_windows_rescue_a_long_horizon():
-    # whole-horizon Picard needs windows here: with one, the change grows until
-    # the patience runs out.  The kernel form's blocks, sized by the Lipschitz
-    # bound, each contract, so its march needs no windows; the derivative
-    # form still does.
+def test_windows_rescue_a_long_horizon(monkeypatch):
+    # whole-horizon Picard needs windows here: with one, it stops at max_iter.
+    # The kernel form's blocks, sized by the Lipschitz bound, each contract;
+    # the derivative form sweeps the same blocks, uncapped, as its windows.
     mesh = TimeMesh(4.0, 128)
     p = CauchyProblem(ALPHA, multiplier_action(np.array([1.0])), scaled_sine(20.0), np.array([1.0]), mesh)
     opts = SolverOptions(max_iter=100)
@@ -128,16 +148,22 @@ def test_windows_rescue_a_long_horizon():
     meta = report.metadata
     assert meta["volterra_blocks"] == 43 and meta["volterra_block_rows"] == 3
     assert meta["block_q_max"] <= 0.5 and meta["series_levels"] == 1
-    windowed = _old_kernel_picard(p, SolverOptions(max_iter=100, n_windows=2))
-    assert windowed.converged
+    windowed = _old_kernel_picard(p, opts)
+    assert windowed.converged and len(windowed.contraction_history) == 43
     assert np.max(np.abs(report.trajectory - windowed.trajectory)) <= 1e-9
     # the discrete system y = W (f(b + y) + A y) with A = 1
-    y = report.trajectory - duhamel._base_trajectory(p, opts.series_tol)
+    y = report.trajectory - duhamel._base_trajectory(p)
     weights = pi_weights(ALPHA, mesh.n_nodes, mesh.dt)
     assert np.max(np.abs(y - weights @ (p.nonlinearity.fn(report.trajectory) + y))) <= 1e-9
-    # the derivative form still iterates whole windows, and still needs them
+    # the derivative form converges under default options in the kernel form's blocks
+    rl = solve_rl_form(p)
+    assert rl.converged and rl.metadata["windows"] == len(rl.contraction_history) == meta["volterra_blocks"]
+    # four even windows also converge, to the same fixed point; one does not
+    _set_windows(monkeypatch, 4)
+    four = solve_rl_form(p, opts)
+    assert four.converged and np.max(np.abs(rl.trajectory - four.trajectory)) <= 1e-10
+    _set_windows(monkeypatch, 1)
     assert not solve_rl_form(p, opts).converged
-    assert solve_rl_form(p, SolverOptions(max_iter=100, n_windows=4)).converged
 
 
 @pytest.mark.parametrize("scale, folded", [(1.0, False), (0.25, True)])
@@ -171,8 +197,10 @@ def test_one_block_runs_the_picard_sweeps_exactly():
 
 def test_unresolved_nonlinearity_is_a_resolution_error():
     p = CauchyProblem(ALPHA, OP, scaled_sine(1e7), np.array([Q]), TimeMesh(1.0, 64))
-    with pytest.raises(ResolutionError, match="dt\\^alpha \\* Lip f / Gamma\\(alpha \\+ 2\\)"):
-        solve_kernel_form(p)
+    # the derivative form's windows come from the same rule, so it raises the same error
+    for solve in (solve_kernel_form, solve_rl_form):
+        with pytest.raises(ResolutionError, match="dt\\^alpha \\* Lip f / Gamma\\(alpha \\+ 2\\)"):
+            solve(p)
 
 
 def test_stalled_block_marks_the_report_and_the_march_goes_on():
@@ -310,7 +338,7 @@ def test_march_matches_dense_solve_matrix_action(n_nodes):
     p = CauchyProblem(ALPHA, a_mat, zero_nonlinearity(), np.zeros(dim), mesh)
     g = rng.standard_normal((n_nodes, dim)) + 1j * rng.standard_normal((n_nodes, dim))
     weights = pi_weights(ALPHA, n_nodes, mesh.dt)
-    y, v = _volterra(weights, p.action, g, _block_plan(p, ALPHA + 1.0, 1e-12))
+    y, v = _volterra(weights, p.action, g, _block_plan(p, ALPHA + 1.0))
     exact = _dense_solve(weights, a_mat, g)
     scale = np.abs(exact).max()
     assert np.abs(y - exact).max() <= 1e-11 * scale
@@ -323,7 +351,7 @@ def test_march_matches_dense_solve_scalar_action():
     p = CauchyProblem(ALPHA, c, zero_nonlinearity(), np.zeros(3), mesh)
     g = np.cos(np.outer(mesh.nodes, [1.0, 2.0, 3.0]))
     weights = pi_weights(ALPHA, n_nodes, mesh.dt)
-    y, _ = _volterra(weights, p.action, g, _block_plan(p, ALPHA + 1.0, 1e-12))
+    y, _ = _volterra(weights, p.action, g, _block_plan(p, ALPHA + 1.0))
     exact = _dense_solve(weights, c * np.eye(3), g)
     assert np.abs(y - exact).max() <= 1e-11 * np.abs(exact).max()
 
@@ -337,7 +365,7 @@ def test_march_matches_long_chain_variable_coefficient():
     p = CauchyProblem(ALPHA, op, zero_nonlinearity(), u0, mesh, grid=grid)
     g = np.outer(1.0 + mesh.nodes, u0) + 0.3j * np.outer(mesh.nodes**2, np.sin(grid.x))
     weights = pi_weights(ALPHA, mesh.n_nodes, mesh.dt)
-    y, v = _volterra(weights, p.action, g, _block_plan(p, ALPHA + 1.0, 1e-12))
+    y, v = _volterra(weights, p.action, g, _block_plan(p, ALPHA + 1.0))
     ref_y, ref_v = _horner_chain(weights, p.action, g, _full_levels(p, ALPHA + 1.0, extra=14))
     assert np.abs(y - ref_y).max() <= 1e-11 * np.abs(ref_y).max()
     assert np.abs(v - ref_v).max() <= 1e-11 * np.abs(ref_v).max()
@@ -370,7 +398,7 @@ def test_block_levels_never_exceed_full_horizon_count():
                 for n_steps in (2, 17, 63, 64, 65, 100, 127, 128, 129, 300):
                     mesh = TimeMesh(1.0, n_steps)
                     p = CauchyProblem(alpha, norm, zero_nonlinearity(), np.ones(1), mesh)
-                    plan = _block_plan(p, head_beta, 1e-12)
+                    plan = _block_plan(p, head_beta)
                     full = _full_levels(p, head_beta)
                     assert max(levels for _, _, levels in plan) <= full
                     if mesh.n_nodes <= 64:
@@ -385,7 +413,7 @@ def test_block_truncation_error_matches_full_horizon():
     with pytest.raises(TruncationError):
         _full_levels(p, 2.01)
     with pytest.raises(TruncationError):
-        _block_plan(p, 2.01, 1e-12)
+        _block_plan(p, 2.01)
 
 
 def test_solver_metadata_reports_the_march():

@@ -4,6 +4,7 @@ import math
 import sys
 import threading
 
+import mpmath
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -19,6 +20,7 @@ from fracwave import (
     series_term_count,
 )
 from fracwave import special
+from fracwave.cli import entrypoint
 
 # 60-digit series sums, computed once with mpmath and frozen
 REFERENCE = [
@@ -54,11 +56,18 @@ def test_half_order_erfc_identity():
     assert abs(val - ref) <= 1e-14 * ref
 
 
+def _oracle_dps(alpha, z):
+    """Digits for a fixed-precision series sum at z: the largest term is near
+    exp(|z|**(1/alpha)), so the digits grow with |z|."""
+    return 40 + int(abs(z) ** (1.0 / alpha) / 2.2)
+
+
 def test_cancellation_retry_matches_hp():
-    # large negative argument forces the high precision path
+    # large negative argument forces the high precision path; the largest
+    # term is near 1e102, so the oracle needs about as many digits
     p = MlParams(0.8, 1.0)
     val = mittag_leffler(p, -80.0)
-    ref = mittag_leffler_hp(0.8, 1.0, -80.0, dps=60)
+    ref = mittag_leffler_hp(0.8, 1.0, -80.0, dps=_oracle_dps(0.8, -80.0))
     assert abs(val - ref) <= 1e-12 * abs(ref)
 
 
@@ -233,3 +242,45 @@ def test_threads_extend_one_table_in_order():
     fresh = special._RatioTable(1.3, 0.7, 40)
     assert len(table.ratios) >= 394
     assert table.ratios == [fresh(n) for n in range(len(table.ratios))]
+
+
+def _direct_sum(alpha, beta, z):
+    """sum z**n / Gamma(beta + n*alpha), term by term in mpf with alpha and beta exact.
+
+    Past the peak near n = |z|**(1/alpha) the terms fall faster than
+    geometrically, so one term below 1e-30 of the sum ends it.
+    """
+    peak = abs(z) ** (1.0 / alpha)
+    with mpmath.workdps(_oracle_dps(alpha, z)):
+        a, b, zm = mpmath.mpf(alpha), mpmath.mpf(beta), mpmath.mpmathify(z)
+        total, power, n = mpmath.mpf(0), mpmath.mpf(1), 0
+        while True:
+            term = power * mpmath.rgamma(b + n * a)
+            total += term
+            if n > 2.0 * peak + 10.0 and abs(term) <= mpmath.mpf(10) ** -30 * abs(total):
+                return complex(total)
+            power *= zm
+            n += 1
+
+
+# beta + n*alpha is inexact in double for these orders, and the sums cancel
+EXACT_ORDER_CASES = [(1.0, 0.1, -60.0), (1.0, 1.9, -60.0), (1.5, 0.1, -60.0)] + [
+    (alpha, beta, -r) for alpha in (1.0, 1.5) for beta in (0.1, 0.3) for r in (30.0, 150.0)
+] + [(1.5, 0.3, 60.0 * complex(-0.6, 0.8)), (0.8, 1.0, -80.0)]
+
+
+@pytest.mark.parametrize("alpha, beta, z", EXACT_ORDER_CASES)
+def test_retry_and_oracle_take_the_orders_exactly(alpha, beta, z):
+    ref = _direct_sum(alpha, beta, z)
+    p = MlParams(alpha, beta)
+    assert abs(mittag_leffler(p, z) - ref) <= p.tol * abs(ref)
+    oracle = complex(mittag_leffler_hp(alpha, beta, z, dps=_oracle_dps(alpha, z)))
+    assert abs(oracle - ref) <= 1e-15 * abs(ref)
+
+
+def test_ml_verb_prints_the_exact_order_value(capsys):
+    assert entrypoint(["ml", "--alpha", "1", "--beta", "0.1", "--z-re", "-60", "--z-im", "0"]) == 0
+    re, im = map(float, capsys.readouterr().out.split())
+    ref = _direct_sum(1.0, 0.1, -60.0)
+    assert abs(re - ref.real) <= 1e-14 * abs(ref) and im == 0.0
+    assert abs(ref - (-1.6292188499058e-3)) <= 1e-15
