@@ -12,24 +12,32 @@ term magnitudes; once the magnitude ratio of consecutive terms drops below
 1/2 the geometric tail bound certifies the truncation.  Its callers pass in
 their arithmetic:
 
-* the double path (lgamma ratios) also bounds the rounding error by machine
-  epsilon times the sum of term magnitudes; on catastrophic cancellation
-  the sum is redone in mpmath (gammaprod ratios) at increasing working
-  precision until the requested tolerance is certified;
+* the double path (lgamma ratios) stops the series once its tail is below
+  half of the relative tolerance and accepts the value when the tail plus
+  the rounding bound, 4 * machine epsilon times the sum of term magnitudes,
+  is below the whole, so a series without cancellation certifies in double;
+* on catastrophic cancellation the retry redoes the sum at 40, 80, ...,
+  2560 working digits until the rounding bound 10**(5 - digits) times the
+  sum of term magnitudes is below the tolerance: a real argument in
+  `decimal` with two guard digits (a unit roundoff no coarser than mpf's at
+  those digits), a complex one in mpc;
 * `series_term_count` sums the majorant and rejects one that overflows.
 
-Both paths draw their term ratios from tables keyed by (alpha, beta, working
-digits), the double path's under digits None, so the retry pays for its
-gammaprod coefficients once per order pair rather than once per call.  A
-table is extended on demand with the same lgamma or gammaprod expression at
-the same precision, so a warm table gives the numbers a cold one computes; at
+Term ratios come from tables keyed by (alpha, beta, working digits), the
+double path's under digits None, so the retry pays for its gammaprod
+coefficients once per order pair rather than once per call; a real retry
+also converts each entry once to a Decimal of digits + 5 and keeps it on
+the table.  A table is extended on demand with the same expression at the
+same precision, so a warm table gives the numbers a cold one computes; at
 most `_TABLE_CAP` tables of at most `_MAX_TERMS` + 1 ratios are kept, least
-recently used first out.  The retry sums a real argument in mpf rather than
-mpc arithmetic: the real part of each mpc operation on real operands is the
-mpf result, so the value is the same, without the complex products and the
-hypot in every modulus.
+recently used first out.
 
 `mittag_leffler_hp` keeps a loop of its own: it is the independent oracle.
+It certifies its own rounding with the retry's bound, raising its working
+digits until the requested digits hold.
+
+mpmath and `decimal` are imported on first use, by the retry, the digit
+tables and the oracle, so runs that never retry do not load them.
 
 Documented argument ranges: |z| <= 50 is guaranteed for the double path with
 alpha >= 0.5; up to |z| <= 200 the high-precision retry covers whatever the
@@ -44,7 +52,6 @@ import threading
 from dataclasses import dataclass, field
 from typing import Optional
 
-import mpmath
 import numpy as np
 
 from .errors import MittagLefflerRangeError, SingularOrderError, TruncationError
@@ -63,6 +70,7 @@ __all__ = [
 ML_HP_RANGE = 200.0
 
 _MAX_TERMS = 10_000
+_HP_MAX_DIGITS = 20_000
 _EPS = 2.220446049250313e-16
 
 
@@ -146,7 +154,9 @@ class _RatioTable:
     by mpmath at dps digits otherwise.
 
     Entries are appended in order under the table's lock, so two threads
-    extending at once never skip or repeat a term.
+    extending at once never skip or repeat a term.  A table with digits also
+    keeps its entries as Decimals of dps + 5 digits for the real retry, each
+    converted once and appended under the same lock.
     """
 
     def __init__(self, alpha: float, beta: float, dps: Optional[int]):
@@ -154,18 +164,24 @@ class _RatioTable:
         self.beta = beta
         self.dps = dps
         self.ratios = []
+        self.decimals = []
         self.lock = threading.Lock()
         if dps is None:
             self.first = math.exp(-math.lgamma(beta))
         else:
+            import mpmath
+
             with mpmath.workdps(dps):
                 self.first = 1 / mpmath.gamma(beta)
+            self.decimal_first = self._as_decimal(self.first)
 
     def _ratio(self, k: int):
         if self.dps is None:
             lo = self.beta + k * self.alpha
             hi = self.beta + (k + 1) * self.alpha
             return math.exp(math.lgamma(lo) - math.lgamma(hi))
+        import mpmath
+
         with mpmath.workdps(self.dps):
             # beta + k*alpha in double would carry a relative error near k*eps
             alpha, beta = mpmath.mpf(self.alpha), mpmath.mpf(self.beta)
@@ -179,6 +195,23 @@ class _RatioTable:
                     ratios.append(self._ratio(k))
         return ratios[n]
 
+    def _as_decimal(self, value):
+        import decimal
+
+        import mpmath
+
+        return decimal.Decimal(mpmath.nstr(value, self.dps + 5))
+
+    def decimal(self, n: int):
+        """Ratio n as a Decimal of dps + 5 digits."""
+        decimals = self.decimals
+        if n >= len(decimals):
+            self(n)
+            with self.lock:
+                for k in range(len(decimals), n + 1):
+                    decimals.append(self._as_decimal(self.ratios[k]))
+        return decimals[n]
+
 
 @functools.lru_cache(maxsize=_TABLE_CAP)
 def _ratio_table(alpha: float, beta: float, dps: Optional[int]) -> _RatioTable:
@@ -189,27 +222,39 @@ def _ratio_table(alpha: float, beta: float, dps: Optional[int]) -> _RatioTable:
 def _series_hp(alpha: float, beta: float, z, tol: float) -> complex:
     """High-precision retry with escalating working precision.
 
-    z is a float (summed in mpf) or a complex (summed in mpc).  The working
-    precision is escalated until the rounding bound (unit in the last place
-    times the sum of term magnitudes) is below tol relative to the computed
-    value.  Raises a range error when 2560 digits do not suffice, which only
-    happens far outside the documented argument range.
+    z is a float (summed in decimal) or a complex (summed in mpc).  The
+    working precision is escalated until the rounding bound (unit in the last
+    place times the sum of term magnitudes) is below tol relative to the
+    computed value.  Raises a range error when 2560 digits do not suffice,
+    which only happens far outside the documented argument range.
     """
-    zm = mpmath.mpmathify(z)
     for dps in (40, 80, 160, 320, 640, 1280, 2560):
         table = _ratio_table(alpha, beta, dps)
-        with mpmath.workdps(dps):
-            ulp = mpmath.mpf(10) ** (-dps + 5)
-            total, stopped, _, _, abs_sum = _series(
-                zm, table.first, table, ulp, mpmath.mpf(10) ** -3000
-            )
-            if not stopped:
-                continue
-            round_bound = abs_sum * ulp
-            if abs(total) > 0 and round_bound <= tol * abs(total):
-                return complex(total)
-            if abs(total) == 0 and round_bound <= mpmath.mpf(tol):
-                return complex(total)
+        if isinstance(z, float):
+            import decimal
+
+            with decimal.localcontext() as ctx:
+                # two guard digits: the unit roundoff is then no coarser than
+                # that of mpf at dps digits
+                ctx.prec = dps + 2
+                ctx.Emax, ctx.Emin = decimal.MAX_EMAX, decimal.MIN_EMIN
+                one = decimal.Decimal(1)
+                ulp = one.scaleb(5 - dps)
+                total, stopped, _, _, abs_sum = _series(
+                    decimal.Decimal(z), table.decimal_first, table.decimal, ulp, one.scaleb(-3000)
+                )
+                certified = stopped and abs_sum * ulp <= decimal.Decimal(tol) * (abs(total) or one)
+        else:
+            import mpmath
+
+            with mpmath.workdps(dps):
+                ulp = mpmath.mpf(10) ** (-dps + 5)
+                total, stopped, _, _, abs_sum = _series(
+                    mpmath.mpc(z), table.first, table, ulp, mpmath.mpf(10) ** -3000
+                )
+                certified = stopped and abs_sum * ulp <= tol * (abs(total) or 1)
+        if certified:
+            return complex(total)
     raise MittagLefflerRangeError(
         f"series for E_({alpha:g},{beta:g}) at |z| = {abs(z):.3g} exceeds the "
         "supported cancellation budget (2560 digits)"
@@ -233,7 +278,8 @@ def mittag_leffler(p: MlParams, z: complex) -> complex:
             "the series truncation cannot be certified there"
         )
     table = _ratio_table(p.alpha, p.beta, None)
-    value, stopped, _, tail, abs_sum = _series(zc, complex(table.first), table, p.tol, 1e-300)
+    # the truncation may take half of the budget, the rounding bound the rest
+    value, stopped, _, tail, abs_sum = _series(zc, complex(table.first), table, 0.5 * p.tol, 1e-300)
     round_err = 4.0 * _EPS * abs_sum
     if stopped and math.isfinite(abs_sum) and abs(value) > 0.0 and round_err + tail <= p.tol * abs(value):
         return value
@@ -246,29 +292,46 @@ def mittag_leffler(p: MlParams, z: complex) -> complex:
 
 
 def mittag_leffler_hp(alpha: float, beta: float, z: complex, dps: int = 50):
-    """Fixed-precision series sum used as an independent oracle.
+    """Series sum to dps significant digits, used as an independent oracle.
 
-    Returns an mpmath complex number computed at the requested decimal
-    precision with a geometric tail certificate.  No double-precision
-    shortcuts share code with the fast path beyond the series definition.
+    Returns an mpmath complex number with a geometric tail certificate and a
+    rounding certificate: the sum is redone at more working digits w until
+    the rounding bound sum|term| * 10**(5 - w) is below 10**-dps relative to
+    the computed value, so a cancelling sum never returns a wrong value at
+    the caller's precision.  No double-precision shortcuts share code with
+    the fast path beyond the series definition.
     """
-    zc = mpmath.mpmathify(z)
-    with mpmath.workdps(dps + 10):
-        alpha, beta = mpmath.mpf(alpha), mpmath.mpf(beta)
-        term = 1 / mpmath.gamma(beta)
-        total = term
-        n = 0
-        while n < 10 * _MAX_TERMS:
-            g_n = mpmath.gammaprod([beta + n * alpha], [beta + (n + 1) * alpha])
-            ratio = abs(zc) * g_n
-            if ratio < 0.5:
-                tail = (abs(term) * ratio) / (1 - ratio)
-                if tail <= mpmath.mpf(10) ** (-dps - 5) * max(abs(total), mpmath.mpf(10) ** -3000):
-                    break
-            term = term * zc * g_n
-            total += term
-            n += 1
-        return mpmath.mpc(total)
+    import mpmath
+
+    work = dps + 10
+    while work <= _HP_MAX_DIGITS:
+        with mpmath.workdps(work):
+            zc = mpmath.mpmathify(z)
+            alpha_w, beta_w = mpmath.mpf(alpha), mpmath.mpf(beta)
+            term = 1 / mpmath.gamma(beta_w)
+            total = term
+            abs_sum = abs(term)
+            n = 0
+            while n < 10 * _MAX_TERMS:
+                g_n = mpmath.gammaprod([beta_w + n * alpha_w], [beta_w + (n + 1) * alpha_w])
+                ratio = abs(zc) * g_n
+                if ratio < 0.5:
+                    tail = (abs(term) * ratio) / (1 - ratio)
+                    if tail <= mpmath.mpf(10) ** (-dps - 5) * max(abs(total), mpmath.mpf(10) ** -3000):
+                        break
+                term = term * zc * g_n
+                total += term
+                abs_sum += abs(term)
+                n += 1
+            if abs_sum * mpmath.mpf(10) ** (5 - work) <= mpmath.mpf(10) ** -dps * abs(total):
+                return mpmath.mpc(total)
+            # the digits the cancellation cost at this precision, and a margin
+            lost = mpmath.log10(abs_sum / abs(total)) if total else work
+            work = max(work + 10, dps + 8 + int(lost))
+    raise MittagLefflerRangeError(
+        f"oracle for E_({alpha:g},{beta:g}) at |z| = {abs(complex(z)):.3g} cannot certify "
+        f"{dps} digits within {_HP_MAX_DIGITS} working digits"
+    )
 
 
 def series_term_count(alpha: float, beta: float, z_abs: float, tol: float) -> int:

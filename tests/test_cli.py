@@ -179,6 +179,15 @@ def test_importing_the_cli_builds_no_formatter_table():
     assert out.stdout.split() == ["False", "0", "1"]
 
 
+def test_importing_the_cli_loads_no_high_precision_module():
+    # mpmath and decimal serve only the Mittag-Leffler retry and the oracle,
+    # which import them on first use
+    probe = "import sys, fracwave.cli; print('mpmath' in sys.modules, 'decimal' in sys.modules)"
+    env = {**os.environ, "PYTHONPATH": str(Path(fracwave.__file__).resolve().parents[1])}
+    out = subprocess.run([sys.executable, "-c", probe], env=env, capture_output=True, text=True, check=True)
+    assert out.stdout.split() == ["False", "False"]
+
+
 def test_manifest_hashes_files_larger_than_a_chunk(tmp_path):
     blob = bytes(range(256)) * 10_000  # about 2.4 MiB: several read chunks
     (tmp_path / "big.bin").write_bytes(blob)

@@ -206,6 +206,34 @@ def test_real_retry_sums_the_complex_retry_bit_for_bit(alpha, beta, z):
     assert repr(real) == repr(special._series_hp(alpha, beta, complex(z, 0.0), 1e-14))
 
 
+@pytest.mark.parametrize("alpha, beta, z", [case for case in RETRY_CASES if isinstance(case[2], float)])
+def test_real_retry_sums_in_decimal(monkeypatch, alpha, beta, z):
+    calls = _counting_retry(monkeypatch)
+    special._ratio_table.cache_clear()
+    p = MlParams(alpha, beta)
+    val = mittag_leffler(p, z)
+    assert calls == [z]
+    # the first rung's Decimal coefficients were built, so the sum ran in decimal
+    assert special._ratio_table(alpha, beta, 40).decimals
+    ref = mittag_leffler_hp(alpha, beta, z, dps=120)
+    assert abs(val - complex(ref)) <= p.tol * abs(ref)
+
+
+def test_nonnegative_arguments_certify_in_double(monkeypatch):
+    # the growth-envelope grid: no term cancels, so the double path's split
+    # budget certifies every argument without the retry
+    calls = _counting_retry(monkeypatch)
+    omega = np.linspace(0.0, 4.0, 17)
+    times = np.linspace(0.0, 5.0, 26)
+    for alpha in (1.1, 1.5, 1.9):
+        for beta in (alpha - 1.0, 1.0, alpha, 2.0 * alpha - 2.0):
+            p = MlParams(alpha, beta)
+            for om in omega:
+                for t in times:
+                    mittag_leffler(p, om * t**alpha)
+    assert calls == []
+
+
 def test_retry_tables_stay_at_their_cap():
     special._ratio_table.cache_clear()
     orders = [(1.0 + k / 1000.0, 1.0) for k in range(special._TABLE_CAP)]
@@ -242,6 +270,36 @@ def test_threads_extend_one_table_in_order():
     fresh = special._RatioTable(1.3, 0.7, 40)
     assert len(table.ratios) >= 394
     assert table.ratios == [fresh(n) for n in range(len(table.ratios))]
+
+
+def test_threads_extend_the_decimal_coefficients_in_order():
+    table = special._RatioTable(1.3, 0.7, 40)
+    barrier = threading.Barrier(6)
+
+    def walk(offset):
+        barrier.wait()
+        for n in range(offset, 400, 7):
+            table.decimal(n)
+
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        threads = [threading.Thread(target=walk, args=(k,)) for k in range(6)]
+        for t in threads:
+            t.start()
+        for t in threads:
+            t.join(timeout=60.0)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(t.is_alive() for t in threads)
+    fresh = special._RatioTable(1.3, 0.7, 40)
+    assert len(table.decimals) >= 394
+    assert table.decimals == [fresh.decimal(n) for n in range(len(table.decimals))]
+    # each entry carries the mpf ratio to dps + 5 digits
+    with mpmath.workdps(60):
+        for n in (0, 17, len(table.decimals) - 1):
+            ratio = table.ratios[n]
+            assert abs(mpmath.mpf(str(table.decimals[n])) - ratio) <= mpmath.mpf(10) ** -44 * ratio
 
 
 def _direct_sum(alpha, beta, z):
@@ -284,3 +342,14 @@ def test_ml_verb_prints_the_exact_order_value(capsys):
     ref = _direct_sum(1.0, 0.1, -60.0)
     assert abs(re - ref.real) <= 1e-14 * abs(ref) and im == 0.0
     assert abs(ref - (-1.6292188499058e-3)) <= 1e-15
+
+
+@pytest.mark.parametrize(
+    "alpha, beta, z, dps", [(1.0, 0.1, -150.0, 50), (1.0, 0.3, -150.0, 50), (0.8, 1.0, -80.0, 60)]
+)
+def test_oracle_certifies_its_own_rounding(alpha, beta, z, dps):
+    # each sum cancels more digits than the requested precision carries; the
+    # oracle raises its working digits until its rounding bound holds
+    ref = _direct_sum(alpha, beta, z)
+    oracle = complex(mittag_leffler_hp(alpha, beta, z, dps=dps))
+    assert abs(oracle - ref) <= 1e-15 * abs(ref)
