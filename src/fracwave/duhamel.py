@@ -44,6 +44,7 @@ from .fractional import (
     SpatialGrid,
     TimeMesh,
     Trajectory,
+    _as_field,  # float64 or complex128, following the data
     _weights_product,  # real-view product of weights with complex samples
     caputo_derivative,
     first_difference,
@@ -143,10 +144,36 @@ def cubic_saturating(amplitude: float) -> Nonlinearity:
     return nonlinearity_from_callable(lambda u: a * u / (1.0 + u**2), f"{a:g}*u/(1+u^2)")
 
 
+def _real_if_exact(arr: np.ndarray) -> np.ndarray:
+    """arr, or its real part when its imaginary part is exactly zero."""
+    if np.iscomplexobj(arr) and not np.any(arr.imag):
+        return np.ascontiguousarray(arr.real)
+    return arr
+
+
 def _as_state(x) -> np.ndarray:
-    if isinstance(x, GridFunction):
-        return x.values.copy()
-    return np.atleast_1d(np.asarray(x))
+    values = x.values.copy() if isinstance(x, GridFunction) else np.atleast_1d(x)
+    return _real_if_exact(_as_field(values))
+
+
+def _stored(buf: np.ndarray, s: int, e: int, rows: np.ndarray) -> np.ndarray:
+    """buf with rows written to [s, e); a real buf meeting complex rows widens first.
+
+    The state of a real problem stays real only while every term it meets
+    is: a complex forcing, operator or nonlinearity output makes the rows
+    complex, and writing them into a real buffer would drop their imaginary
+    part.
+    """
+    if np.iscomplexobj(rows) and not np.iscomplexobj(buf):
+        buf = buf.astype(complex)
+    buf[s:e] = rows
+    return buf
+
+
+def _solver_meta(p: CauchyProblem, form: str, trajectory: np.ndarray, extra: dict) -> dict:
+    """The metadata both forms share, then the form's own entries."""
+    arithmetic = "complex" if np.iscomplexobj(trajectory) else "real"
+    return {"nonlinearity": p.nonlinearity.hypothesis_flags(), "form": form, "arithmetic": arithmetic, **extra}
 
 
 @dataclass(frozen=True)
@@ -155,7 +182,9 @@ class CauchyProblem:
 
     forcing is a per-node trajectory matching the state shape (None means
     zero).  grid and sobolev_order only matter for diagnostics that take
-    spatial norms; plain vector problems leave them unset.
+    spatial norms; plain vector problems leave them unset.  Data and forcing
+    whose imaginary part is exactly zero are held real, so a problem whose
+    operator maps reals to reals is solved in real arithmetic.
     """
 
     alpha: float
@@ -184,7 +213,7 @@ class CauchyProblem:
         if isinstance(forcing, Trajectory):
             forcing = forcing.values
         if forcing is not None:
-            forcing = np.asarray(forcing)
+            forcing = _real_if_exact(_as_field(forcing))
             if forcing.shape != (self.mesh.n_nodes,) + q.shape:
                 raise SizeError(
                     f"forcing shape {forcing.shape} does not match "
@@ -332,9 +361,9 @@ def _volterra(weights: np.ndarray, action: LinearAction, g: np.ndarray, plan: li
     v_B <- g_B + A (h + W_BB v_B) and y_B = h + W_BB v_B.
     """
     shape = g.shape
-    flat = g.reshape(shape[0], -1)
-    y = np.empty(flat.shape, dtype=complex)
-    v = np.empty(flat.shape, dtype=complex)
+    flat = _as_field(g).reshape(shape[0], -1)
+    y = np.empty_like(flat)
+    v = np.empty_like(flat)
     for s, e, levels in plan:
         w_bb = weights[s:e, s:e]
         h = _weights_product(weights[s:e, :s], v[:s]) if s else 0.0
@@ -343,8 +372,8 @@ def _volterra(weights: np.ndarray, action: LinearAction, g: np.ndarray, plan: li
         for _ in range(levels):
             rows = (h + _weights_product(w_bb, acc)).reshape((e - s,) + shape[1:])
             acc = g_b + action.apply_rows(rows).reshape(e - s, -1)
-        v[s:e] = acc
-        y[s:e] = h + _weights_product(w_bb, acc)
+        v = _stored(v, s, e, acc)
+        y = _stored(y, s, e, h + _weights_product(w_bb, acc))
     return y.reshape(shape), v.reshape(shape)
 
 
@@ -396,7 +425,7 @@ def _picard(
             with np.errstate(over="ignore", invalid="ignore"):
                 candidate = base + integral_term(forced(current))
                 change = _row_sup(candidate[s:e] - current[s:e], weight)
-            current[s:] = candidate[s:]
+            current = _stored(current, s, current.shape[0], candidate[s:])
             total_iters += 1
             rises = _record(history, change, rises, where, "shorten the horizon or refine the mesh")
             if change < opts.tol:
@@ -404,8 +433,6 @@ def _picard(
         else:
             stalled = stalled or (s, e - 1)
         histories.append(history)
-    meta = {"nonlinearity": p.nonlinearity.hypothesis_flags(), "form": form}
-    meta.update(extra_meta)
     return SolverReport(
         trajectory=current,
         mesh=p.mesh,
@@ -414,7 +441,7 @@ def _picard(
         contraction_history=histories,
         final_change=histories[-1][-1] if histories and histories[-1] else 0.0,
         options=opts,
-        metadata=meta,
+        metadata=_solver_meta(p, form, current, extra_meta),
         unconverged_rows=stalled,
     )
 
@@ -474,8 +501,8 @@ def solve_kernel_form(p: CauchyProblem, opts: SolverOptions = SolverOptions()) -
     forcing = None if forcing is None else forcing.reshape(shape[0], -1)
     fn = p.nonlinearity.fn
     weight = p.state_weight
-    u = np.empty(flat_base.shape, dtype=complex)
-    v = np.empty(flat_base.shape, dtype=complex)
+    u = np.empty_like(flat_base)
+    v = np.empty_like(flat_base)
     histories: list = []
     stalled = None
     series_levels = 0
@@ -514,12 +541,10 @@ def solve_kernel_form(p: CauchyProblem, opts: SolverOptions = SolverOptions()) -
                 break
         else:
             stalled = stalled or (s, e - 1)
-        u[s:e] = cur
-        v[s:e] = acc
+        u = _stored(u, s, e, cur)
+        v = _stored(v, s, e, acc)
         histories.append(history)
     meta = {
-        "nonlinearity": p.nonlinearity.hypothesis_flags(),
-        "form": "kernel",
         "series_levels": series_levels,
         "volterra_block_rows": row_limit,
         "volterra_blocks": len(blocks),
@@ -533,7 +558,7 @@ def solve_kernel_form(p: CauchyProblem, opts: SolverOptions = SolverOptions()) -
         contraction_history=histories,
         final_change=histories[-1][-1],
         options=opts,
-        metadata=meta,
+        metadata=_solver_meta(p, "kernel", u, meta),
         unconverged_rows=stalled,
     )
 
@@ -571,7 +596,7 @@ def solve_rl_form(p: CauchyProblem, opts: SolverOptions = SolverOptions()) -> So
     singular = _propagated(p, p.alpha, f0) if f0_norm > 0.0 else 0.0
 
     def integral_term(g: np.ndarray) -> np.ndarray:
-        w_reg = first_difference(_weights_product(weights_low, np.asarray(g - f0, dtype=complex)), mesh.dt)
+        w_reg = first_difference(_weights_product(weights_low, g - f0), mesh.dt)
         acc = _volterra(weights_alpha, p.action, w_reg, plan)[1]
         return singular + _weights_product(weights_two, acc)
 

@@ -219,14 +219,20 @@ def write_field_csv(path: Path, nodes: np.ndarray, xs: np.ndarray, values: np.nd
     certain unless it lies within 2**-40 of 1/2.  Those values (true ties
     among them), magnitudes outside [1e-280, 1e280], nan and inf go to
     Python's "%.17g" one element at a time.  Exact zeros skip the digits.
+    A real field is written as its complex cast: its im_u cell is the
+    constant "0", set once per buffer.
     """
-    arr = np.ascontiguousarray(values, dtype=complex)
+    arr = np.asarray(values)
+    real = not np.iscomplexobj(arr)
+    arr = np.ascontiguousarray(arr, dtype=float if real else complex)
     t_col, x_col = _label_column(nodes), _label_column(xs)
     t_words, n_points = t_col.shape[1], x_col.shape[0]
     lead = t_words + x_col.shape[1]
-    width = lead + 2 * _CELL_WORDS
+    width = lead + (_CELL_WORDS + 1 if real else 2 * _CELL_WORDS)
     rows = max(1, _CHUNK_CELLS // max(n_points, 1))
     buf = np.empty((rows, n_points, width), np.uint64)
+    if real:
+        buf[:, :, -1] = _word(b"0\n")
     with open(path, "wb") as fh:
         fh.write(b"t,x,re_u,im_u\n")
         for r0 in range(0, arr.shape[0], rows):
@@ -235,7 +241,10 @@ def write_field_csv(path: Path, nodes: np.ndarray, xs: np.ndarray, values: np.nd
             block[:, :, :t_words] = t_col[r0 : r0 + rows, None, :]
             block[:, :, t_words:lead] = x_col
             cells = block.reshape(-1, width)
-            parts = chunk.reshape(-1).view(float)
-            _fill_g17(cells[:, lead : lead + _CELL_WORDS], parts[0::2], ord(","))
-            _fill_g17(cells[:, lead + _CELL_WORDS :], parts[1::2], ord("\n"))
+            if real:
+                _fill_g17(cells[:, lead : lead + _CELL_WORDS], chunk.reshape(-1), ord(","))
+            else:
+                parts = chunk.reshape(-1).view(float)
+                _fill_g17(cells[:, lead : lead + _CELL_WORDS], parts[0::2], ord(","))
+                _fill_g17(cells[:, lead + _CELL_WORDS :], parts[1::2], ord("\n"))
             fh.write(block.tobytes().translate(None, b"\0"))

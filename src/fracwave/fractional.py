@@ -114,12 +114,19 @@ class GridFunction:
         self.values = vals
 
 
+def _as_field(samples) -> np.ndarray:
+    """Samples as float64 when real and complex128 otherwise, copied only to convert."""
+    arr = np.asarray(samples)
+    return arr.astype(complex if np.iscomplexobj(arr) else float, copy=False)
+
+
 @dataclass
 class Trajectory:
     """Time-indexed states: values[k] is the state at mesh node k.
 
     grid is set for spatially distributed states and None for abstract
-    vector-valued problems (scalars are vectors of length one).
+    vector-valued problems (scalars are vectors of length one).  Real values
+    stay real (float64); anything else is held as complex128.
     """
 
     mesh: TimeMesh
@@ -127,7 +134,7 @@ class Trajectory:
     grid: Optional[SpatialGrid] = None
 
     def __post_init__(self):
-        vals = np.asarray(self.values, dtype=complex)
+        vals = _as_field(self.values)
         if vals.ndim != 2 or vals.shape[0] != self.mesh.n_nodes:
             raise SizeError(
                 f"expected ({self.mesh.n_nodes}, dim) values, got shape {vals.shape}"
@@ -173,9 +180,9 @@ def rl_integral(samples: np.ndarray, gamma_ord: float, mesh: TimeMesh) -> np.nda
     """Fractional integral of the sampled signal along axis 0.
 
     Order zero returns the input unchanged; the value at t_0 is zero for any
-    positive order.
+    positive order.  Real samples give a real integral.
     """
-    arr = np.asarray(samples, dtype=complex)
+    arr = _as_field(samples)
     if arr.shape[0] != mesh.n_nodes:
         raise SizeError(
             f"signal has {arr.shape[0]} nodes but the mesh has {mesh.n_nodes}"
@@ -202,7 +209,7 @@ def _weights_product(weights: np.ndarray, samples: np.ndarray) -> np.ndarray:
 
 def first_difference(samples: np.ndarray, dt: float) -> np.ndarray:
     """Second-order first derivative: central interior, one-sided ends."""
-    arr = np.asarray(samples, dtype=complex)
+    arr = _as_field(samples)
     if arr.shape[0] < 3:
         raise SizeError("need at least three nodes for the derivative stencils")
     out = np.empty_like(arr)
@@ -214,7 +221,7 @@ def first_difference(samples: np.ndarray, dt: float) -> np.ndarray:
 
 def second_difference(samples: np.ndarray, dt: float) -> np.ndarray:
     """Second derivative: central interior, second-order one-sided ends."""
-    arr = np.asarray(samples, dtype=complex)
+    arr = _as_field(samples)
     if arr.shape[0] < 4:
         raise SizeError("need at least four nodes for the one-sided stencils")
     out = np.empty_like(arr)
@@ -228,7 +235,7 @@ def caputo_derivative(samples: np.ndarray, alpha: float, mesh: TimeMesh) -> np.n
     """Caputo derivative of order alpha in (1, 2) along axis 0."""
     if not (1.0 < alpha < 2.0):
         raise SingularOrderError(f"Caputo order must lie in (1, 2), got {alpha:g}")
-    d2 = second_difference(np.asarray(samples, dtype=complex), mesh.dt)
+    d2 = second_difference(samples, mesh.dt)
     return rl_integral(d2, 2.0 - alpha, mesh)
 
 

@@ -100,11 +100,24 @@ class Mollifier:
         return _support_radius(self.shape, self.width)
 
     def convolve(self, values: np.ndarray) -> np.ndarray:
-        """Periodic convolution along the last axis."""
+        """Periodic convolution along the last axis; real values give a real result."""
         arr = np.asarray(values)
         if arr.shape[-1] != self.grid.n_points:
             raise SizeError("values do not match the mollifier grid")
-        return np.fft.ifft(self.symbol * np.fft.fft(arr, axis=-1), axis=-1)
+        return _multiply(self.symbol, arr, not np.iscomplexobj(arr))
+
+
+def _multiply(symbol: np.ndarray, arr: np.ndarray, real: bool) -> np.ndarray:
+    """ifft(symbol * fft(arr)) along the last axis.
+
+    real takes rfft/irfft with the half spectrum, which is the whole action
+    when arr is real and symbol Hermitian (the symbol of a map from reals to
+    reals); the result is then real.
+    """
+    n = symbol.size
+    if real:
+        return np.fft.irfft(symbol[: n // 2 + 1] * np.fft.rfft(arr, axis=-1), n, axis=-1)
+    return np.fft.ifft(symbol * np.fft.fft(np.asarray(arr, dtype=complex), axis=-1), axis=-1)
 
 
 def make_mollifier(shape: str, width: float, grid: SpatialGrid) -> Mollifier:
@@ -252,12 +265,14 @@ class CoefficientField:
             else:
                 width = schedule.coeff_width(eps)
                 moll = make_mollifier(self.shape, width, self.grid)
-                values = moll.convolve(self.raw).real
+                values = moll.convolve(self.raw)
             self.entries[eps] = values
         return self.entries[eps]
 
 
 _KINDS = ("second_derivative", "liouville_left", "liouville_right", "riesz")
+# kinds whose symbol maps real samples to real samples
+_REAL_KINDS = ("second_derivative", "riesz")
 
 
 def _base_multiplier(kind: str, space_order: float, grid: SpatialGrid) -> np.ndarray:
@@ -303,10 +318,19 @@ class RegularizedOperator:
         return self.grid.n_points
 
     def apply(self, values: np.ndarray) -> np.ndarray:
-        arr = np.asarray(values, dtype=complex)
+        """Real values meet the real-to-real kinds in real FFTs and stay real.
+
+        The symbols of second_derivative and riesz are Hermitian (a real even
+        multiplier times the transform of a real kernel), so their half
+        spectrum carries the whole action.  The Liouville symbols (i xi)**s
+        are not Hermitian at the Nyquist mode, and every complex input takes
+        the full complex transform.
+        """
+        arr = np.asarray(values)
         if arr.shape[-1] != self.grid.n_points:
             raise SizeError("values do not match the operator grid")
-        return self.coeff * np.fft.ifft(self._symbol * np.fft.fft(arr, axis=-1), axis=-1)
+        real = self.kind in _REAL_KINDS and not np.iscomplexobj(arr)
+        return self.coeff * _multiply(self._symbol, arr, real)
 
     def apply_adjoint(self, values: np.ndarray) -> np.ndarray:
         arr = np.asarray(values, dtype=complex)

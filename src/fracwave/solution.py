@@ -18,7 +18,7 @@ from typing import Callable, Optional
 import numpy as np
 
 from .errors import FracwaveError, SingularOrderError, SizeError
-from .fractional import TimeMesh, caputo_derivative, rl_integral
+from .fractional import TimeMesh, _as_field, caputo_derivative, rl_integral
 from .regularization import RegularizedOperator
 from .special import gamma, mittag_leffler, MlParams, series_term_count
 
@@ -137,7 +137,8 @@ def ml_trajectory(
     The operator powers A**p x are shared across nodes; per-node scalar
     coefficients are formed in log space so large gamma factors never
     overflow.  Truncation is sized once at the largest time, which dominates
-    the majorant for every smaller one.
+    the majorant for every smaller one.  The result is real when x and every
+    power A**p x are.
     """
     _check_orders(alpha, beta_prime)
     ts = np.asarray(times, dtype=float)
@@ -151,12 +152,10 @@ def ml_trajectory(
     z_abs = t_max**alpha * action.norm_bound
     n_terms = series_term_count(alpha, beta_prime, z_abs, tol)
 
-    powers = np.empty((n_terms + 1, vec.size), dtype=complex)
-    powers[0] = vec.ravel()
-    current = vec
-    for p in range(1, n_terms + 1):
-        current = action(current)
-        powers[p] = np.asarray(current).ravel()
+    rows = [vec]
+    for _ in range(n_terms):
+        rows.append(np.asarray(action(rows[-1])))
+    powers = _as_field(np.stack([row.ravel() for row in rows]))
 
     orders = np.arange(n_terms + 1, dtype=float)
     lg = np.array([math.lgamma(beta_prime + p * alpha) for p in orders])

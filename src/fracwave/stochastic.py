@@ -169,7 +169,7 @@ def white_noise_representative(
     rng = _stream(spec.master_seed, spec.member, _TAG_FORCING)
     draws = rng.standard_normal((n_nodes, n_points))
     draws *= spec.intensity / math.sqrt(grid.dx * mesh.dt)
-    smoothed = moll.convolve(draws).real
+    smoothed = moll.convolve(draws)
     values = _convolve_time(smoothed, taps, mesh.dt)
     return NoiseRepresentative(Trajectory(mesh, values, grid), provenance)
 
@@ -210,7 +210,7 @@ def stochastic_initial_data(
     moll = make_mollifier(spec.shape, hx, grid)
     rng = _stream(spec.master_seed, spec.member, _TAG_INITIAL)
     draws = rng.standard_normal(grid.n_points) * (spec.intensity / math.sqrt(grid.dx))
-    return GridFunction(grid, u0.values + moll.convolve(draws).real)
+    return GridFunction(grid, u0.values + moll.convolve(draws))
 
 
 @dataclass

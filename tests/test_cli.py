@@ -104,6 +104,25 @@ def test_run_artifacts_and_manifest_closure(tmp_path):
     assert parse_config((run_dir / "config.txt").read_text()) == parse_config(BASE)
 
 
+@pytest.mark.parametrize(
+    "operator, arithmetic",
+    [("kind = riesz\nspace_order = 1.5\n", "real"), ("kind = liouville_left\nspace_order = 1.5\n", "complex")],
+)
+def test_run_arithmetic_follows_the_operator(tmp_path, operator, arithmetic):
+    # real data and real noise: exact zeros in im_u unless the symbol is not Hermitian
+    text = NOISY + "[nonlinearity]\nf = 0.1*sin(u)\n[operator]\n" + operator
+    assert entrypoint(["run", "--config", _cfg_file(tmp_path, text), "--out", str(tmp_path), "--quiet"]) == 0
+    run_dir = _run_dir(tmp_path)
+    meta = json.loads((run_dir / "metadata.json").read_text())
+    assert meta["solver"]["details"]["arithmetic"] == arithmetic
+    lines = (run_dir / "trajectory.csv").read_text().splitlines()[1:]
+    im_cells = {line.rsplit(",", 1)[1] for line in lines}
+    if arithmetic == "real":
+        assert im_cells == {"0"}
+    else:
+        assert np.abs(np.array([float(c) for c in im_cells])).max() > 0.0
+
+
 def test_runs_are_byte_stable(tmp_path):
     cfg = _cfg_file(tmp_path, NOISY)
     assert entrypoint(["run", "--config", cfg, "--out", str(tmp_path / "a"), "--quiet"]) == 0
@@ -142,17 +161,24 @@ def test_field_csv_has_the_bytes_of_savetxt(tmp_path):
     edge_field = edge_re.astype(complex)
     edge_field.imag = edge_re[::-1, ::-1]
     edge_nodes = np.linspace(0.0, 1.0, edge_field.shape[0])
+    # a real field over several write chunks, with signed zeros in re_u
+    real_field = rng.standard_normal((7000, 5))
+    real_field[::3, 1] = -0.0
+    real_field[1::3, 2] = 0.0
+    real_nodes = np.linspace(0.0, 1.0, real_field.shape[0])
     for name, t, u in (
         ("field.csv", nodes, values),
         ("initial.csv", nodes[:1], values[2][None, :]),
         ("edges.csv", edge_nodes, edge_field),
         ("real.csv", edge_nodes, edge_re),
+        ("real_chunks.csv", real_nodes, real_field),
     ):
         path = tmp_path / name
         write_field_csv(path, t, xs, u)
         head, _, body = path.read_bytes().partition(b"\n")
         assert head == b"t,x,re_u,im_u"
-        assert body == _savetxt_bytes(t, xs, u)
+        # a real field writes the bytes of its complex cast
+        assert body == _savetxt_bytes(t, xs, u.astype(complex))
 
 
 @settings(max_examples=300, deadline=None, derandomize=True)

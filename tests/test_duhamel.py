@@ -424,3 +424,58 @@ def test_solver_metadata_reports_the_march():
         assert meta["volterra_block_rows"] == 64
         assert meta["volterra_blocks"] == 3
         assert 1 <= meta["series_levels"] <= _full_levels(p, ALPHA + 1.0)
+
+
+def _mollified_problem(kind, mesh, f, u0=None, forcing=None):
+    grid = SpatialGrid(16.0, 64)
+    coeff = 1.0 + 0.25 / np.cosh(grid.x)
+    op = build_operator(kind, 1.5, coeff, make_mollifier("bump", 1.0, grid), grid)
+    u0 = np.exp(-grid.x**2 / 4.0) if u0 is None else u0
+    if forcing is None:
+        forcing = 0.3 * np.outer(np.cos(3.0 * mesh.nodes), np.sin(grid.x))
+    return CauchyProblem(ALPHA, op, f, u0, mesh, forcing=forcing, initial_velocity=0.5 * u0, grid=grid)
+
+
+@pytest.mark.parametrize("solve", [solve_kernel_form, solve_rl_form])
+@pytest.mark.parametrize("kind", ["second_derivative", "riesz"])
+def test_real_problem_solves_in_real_arithmetic(solve, kind):
+    mesh = TimeMesh(1.0, 150)
+    p = _mollified_problem(kind, mesh, scaled_sine(0.5))
+    assert p.state0.dtype == p.velocity0.dtype == p.forcing_values.dtype == np.float64
+    report = solve(p)
+    assert report.trajectory.dtype == np.float64
+    assert report.metadata["arithmetic"] == "real"
+    # the same data with an explicit complex dtype: held real all the same
+    cast = _mollified_problem(
+        kind, mesh, scaled_sine(0.5), p.state0.astype(complex), p.forcing_values.astype(complex)
+    )
+    assert cast.state0.dtype == cast.forcing_values.dtype == np.float64
+    assert np.array_equal(solve(cast).trajectory, report.trajectory)
+    # the complex path proper, reached through a nonzero imaginary part
+    tiny = 1e-300j * np.ones(mesh.n_nodes)[:, None]
+    full = solve(_mollified_problem(kind, mesh, scaled_sine(0.5), forcing=p.forcing_values + tiny))
+    assert full.metadata["arithmetic"] == "complex"
+    assert np.abs(full.trajectory - report.trajectory).max() <= 1e-12
+
+
+@pytest.mark.parametrize("solve", [solve_kernel_form, solve_rl_form])
+def test_liouville_problem_stays_complex(solve):
+    mesh = TimeMesh(1.0, 100)
+    p = _mollified_problem("liouville_left", mesh, scaled_sine(0.5))
+    report = solve(p)
+    assert report.metadata["arithmetic"] == "complex"
+    assert np.abs(report.trajectory.imag).max() > 0.0
+
+
+@pytest.mark.parametrize("solve", [solve_kernel_form, solve_rl_form])
+def test_complex_nonlinearity_output_widens_a_real_solve(solve):
+    # f maps real states to complex values; the solve must not drop their imaginary part
+    f = nonlinearity_from_callable(lambda u: (0.3 + 0.2j) * np.sin(u), "(0.3+0.2i)*sin(u)")
+    mesh = TimeMesh(1.0, 150)
+    p = _mollified_problem("second_derivative", mesh, f)
+    report = solve(p)
+    assert report.metadata["arithmetic"] == "complex"
+    assert np.abs(report.trajectory.imag).max() > 1e-3
+    tiny = 1e-300j * np.ones(mesh.n_nodes)[:, None]
+    full = solve(_mollified_problem("second_derivative", mesh, f, forcing=p.forcing_values + tiny))
+    assert np.abs(full.trajectory - report.trajectory).max() <= 1e-12

@@ -154,6 +154,35 @@ def test_operator_assembly_and_apply():
         build_operator("riesz", 1.5, coeff, other, grid)
 
 
+@pytest.mark.parametrize("kind", ["second_derivative", "riesz"])
+def test_real_input_takes_the_real_transform(kind):
+    grid = SpatialGrid(16.0, 256)
+    moll = make_mollifier("bump", 1.0, grid)
+    coeff = 1.0 + 0.25 / np.cosh(grid.x)
+    op = build_operator(kind, 1.5, coeff, moll, grid, eps=2.0**-5)
+    rng = np.random.Generator(np.random.Philox(key=0x5E))
+    rows = rng.standard_normal((3, grid.n_points))
+    real = op.apply(rows)
+    assert real.dtype == np.float64
+    full = op.apply(rows.astype(complex))
+    assert full.dtype == np.complex128
+    bound = 1e-14 * np.linalg.norm(rows, axis=1) * np.abs(op.symbol).max() * coeff.max()
+    assert np.all(np.linalg.norm(real - full, axis=1) <= bound)
+    # the kernel convolution keeps real samples real the same way
+    smoothed = moll.convolve(rows)
+    assert smoothed.dtype == np.float64
+    assert np.max(np.abs(smoothed - moll.convolve(rows.astype(complex)))) <= 1e-14 * np.abs(rows).max()
+
+
+def test_liouville_kinds_stay_complex_on_real_input():
+    grid = SpatialGrid(16.0, 64)
+    moll = make_mollifier("bump", 1.0, grid)
+    op = build_operator("liouville_left", 1.5, np.ones(grid.n_points), moll, grid, eps=2.0**-5)
+    out = op.apply(np.exp(-grid.x**2 / 8))
+    # (i xi)**s has no mirror image at the Nyquist mode: the imaginary part is genuine
+    assert out.dtype == np.complex128 and np.max(np.abs(out.imag)) > 0.0
+
+
 def test_norm_estimate_matches_dense():
     grid = SpatialGrid(16.0, 64)
     moll = make_mollifier("bump", 0.4, grid)
