@@ -74,7 +74,6 @@ from .solution import (
     exp_bound_check,
     generator_recovery,
     ml_trajectory,
-    multiplier_action,
     volterra_residual,
 )
 from .special import (

@@ -49,13 +49,11 @@ from .fractional import GridFunction, SpatialGrid, TimeMesh
 from .regularization import (
     CoefficientField,
     EpsilonSchedule,
-    _base_multiplier,
     association_diagnostic,
     build_operator,
     check_norm_gate,
     make_mollifier,
 )
-from .solution import multiplier_action
 from .special import MlParams, mittag_leffler
 from .stochastic import (
     NoiseSpec,
@@ -240,7 +238,6 @@ class ScenarioParts:
 def assemble_scenario(cfg: RunConfig) -> ScenarioParts:
     """Build grid, operator, noise, and problem from a validated config."""
     grid, mesh, schedule, eps = _frame(cfg)
-    kind = cfg.resolved_operator_kind()
     coeff_raw = _coefficient_samples(cfg, grid)
     measured = cap = None
     if schedule is not None:
@@ -249,8 +246,7 @@ def assemble_scenario(cfg: RunConfig) -> ScenarioParts:
         cap = schedule.cap(eps)
         measured = check_norm_gate(operator, schedule)
     else:
-        base = _base_multiplier(kind, cfg.space_order, grid)
-        operator = multiplier_action(float(coeff_raw[0]) * base, label=kind)
+        operator = build_operator(cfg.resolved_operator_kind(), cfg.space_order, coeff_raw, None, grid)
     data = _problem_data(cfg, grid, schedule)
     problem, noise_meta = _problem(cfg, grid, mesh, operator, data, eps)
     run_eps = eps if schedule is not None else None

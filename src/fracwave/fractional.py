@@ -98,18 +98,18 @@ class SpatialGrid:
 
 @dataclass
 class GridFunction:
-    """Complex samples attached to a periodic grid."""
+    """Samples attached to a periodic grid, float64 when real and complex128 otherwise."""
 
     grid: SpatialGrid
     values: np.ndarray
 
     def __post_init__(self):
-        vals = np.asarray(self.values, dtype=complex)
+        vals = _as_field(self.values)
         if vals.shape != (self.grid.n_points,):
             raise SizeError(
                 f"expected {self.grid.n_points} samples, got shape {vals.shape}"
             )
-        if not np.all(np.isfinite(vals.view(float))):
+        if not np.all(np.isfinite(vals)):
             raise ValueError("grid function samples must be finite")
         self.values = vals
 

@@ -288,7 +288,9 @@ class RegularizedOperator:
 
     Acts on arrays whose last axis matches the grid: first the base
     derivative multiplier and the kernel symbol act in frequency space, then
-    the smoothed coefficient multiplies pointwise.
+    the smoothed coefficient multiplies pointwise.  Without a mollifier the
+    symbol is the base multiplier itself: the sharp operator the mollified
+    family is associated with.
     """
 
     kind: str
@@ -296,7 +298,7 @@ class RegularizedOperator:
     eps: float
     grid: SpatialGrid
     coeff: np.ndarray = field(repr=False)
-    mollifier: Mollifier = field(repr=False)
+    mollifier: Optional[Mollifier] = field(repr=False)
     _symbol: np.ndarray = field(default=None, repr=False)
     _norm: Optional["NormEstimate"] = field(default=None, repr=False)
 
@@ -307,7 +309,7 @@ class RegularizedOperator:
         self.coeff = coeff
         if self._symbol is None:
             base = _base_multiplier(self.kind, self.space_order, self.grid)
-            self._symbol = self.mollifier.symbol * base
+            self._symbol = base if self.mollifier is None else self.mollifier.symbol * base
 
     @property
     def symbol(self) -> np.ndarray:
@@ -326,17 +328,19 @@ class RegularizedOperator:
         are not Hermitian at the Nyquist mode, and every complex input takes
         the full complex transform.
         """
-        arr = np.asarray(values)
-        if arr.shape[-1] != self.grid.n_points:
-            raise SizeError("values do not match the operator grid")
-        real = self.kind in _REAL_KINDS and not np.iscomplexobj(arr)
+        arr, real = self._input(values)
         return self.coeff * _multiply(self._symbol, arr, real)
 
     def apply_adjoint(self, values: np.ndarray) -> np.ndarray:
-        arr = np.asarray(values, dtype=complex)
+        arr, real = self._input(values)
+        return _multiply(np.conj(self._symbol), self.coeff * arr, real)
+
+    def _input(self, values: np.ndarray) -> tuple:
+        """values as an array on the grid, and whether real transforms serve it."""
+        arr = np.asarray(values)
         if arr.shape[-1] != self.grid.n_points:
             raise SizeError("values do not match the operator grid")
-        return np.fft.ifft(np.conj(self._symbol) * np.fft.fft(self.coeff * arr, axis=-1), axis=-1)
+        return arr, self.kind in _REAL_KINDS and not np.iscomplexobj(arr)
 
     def materialize(self) -> np.ndarray:
         """Dense matrix equal to the streaming action on basis vectors."""
@@ -352,25 +356,28 @@ def build_operator(
     kind: str,
     space_order: float,
     coefficient: np.ndarray,
-    mollifier: Mollifier,
+    mollifier: Optional[Mollifier],
     grid: SpatialGrid,
     eps: float = 0.0,
 ) -> RegularizedOperator:
-    """Assemble the mollified operator from its parts.
+    """Assemble the operator from its parts; mollifier None gives the sharp one.
 
     space_order is the derivative order: forced to 2 for second_derivative,
-    in (0, 2) for the one-sided kinds and the symmetric combination (order 1
-    is rejected for the latter by the multiplier).
+    in (0, 2) for the one-sided kinds and the symmetric combination, or in
+    (0, 2] without a mollifier (order 1 is rejected for the symmetric
+    combination by the multiplier).
     """
     if kind not in _KINDS:
         raise ValueError(f"kind must be one of {_KINDS}, got {kind!r}")
+    sharp = mollifier is None
     if kind == "second_derivative":
         space_order = 2.0
-    elif not (0.0 < space_order < 2.0):
+    elif not (0.0 < space_order < 2.0 or (sharp and space_order == 2.0)):
+        interval = "(0, 2]" if sharp else "(0, 2)"
         raise SingularOrderError(
-            f"space order must lie in (0, 2) for kind {kind!r}, got {space_order:g}"
+            f"space order must lie in {interval} for kind {kind!r}, got {space_order:g}"
         )
-    if mollifier.grid != grid:
+    if not sharp and mollifier.grid != grid:
         raise SizeError("mollifier was sampled on a different grid")
     return RegularizedOperator(
         kind=kind,
@@ -467,7 +474,7 @@ def association_diagnostic(
 ) -> AssociationTable:
     """Measure how fast the regularized actions approach the sharp action.
 
-    The sharp action is the un-mollified multiplier composed with the raw
+    The sharp action is the operator without a mollifier, with the raw
     coefficient.  Probes should be smooth and supported in the middle half of
     the domain so the periodic truncation does not pollute the comparison.
     """
@@ -475,15 +482,12 @@ def association_diagnostic(
         raise ValueError("need at least one regularized operator")
     eps_sorted = sorted(operators.keys(), reverse=True)
     ref = operators[eps_sorted[0]]
-    raw = np.asarray(raw_coefficient, dtype=float)
-    if raw.shape != (ref.grid.n_points,):
-        raise SizeError("raw coefficient does not match the operator grid")
-    base = _base_multiplier(ref.kind, ref.space_order, ref.grid)
+    sharp_op = build_operator(ref.kind, ref.space_order, raw_coefficient, None, ref.grid)
     errors = np.empty((len(eps_sorted), len(probes)))
     for j, probe in enumerate(probes):
         if probe.grid != ref.grid:
             raise SizeError("probe grid does not match the operator grid")
-        sharp = raw * np.fft.ifft(base * np.fft.fft(probe.values))
+        sharp = sharp_op.apply(probe.values)
         for i, eps in enumerate(eps_sorted):
             op = operators[eps]
             if op.kind != ref.kind or op.space_order != ref.space_order:

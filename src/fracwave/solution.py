@@ -25,7 +25,6 @@ from .special import gamma, mittag_leffler, MlParams, series_term_count
 __all__ = [
     "LinearAction",
     "as_action",
-    "multiplier_action",
     "ml_trajectory",
     "volterra_residual",
     "caputo_of_S_diagnostic",
@@ -102,19 +101,6 @@ def as_action(operator, norm_bound: Optional[float] = None) -> LinearAction:
 
         return LinearAction(rowwise, float(norm_bound), None, "callable")
     raise TypeError(f"cannot interpret {type(operator).__name__} as a linear action")
-
-
-def multiplier_action(symbol: np.ndarray, label: str = "multiplier") -> LinearAction:
-    """Fourier-multiplier action on grid samples; norm is the symbol sup."""
-    sym = np.asarray(symbol, dtype=complex)
-    if sym.ndim != 1:
-        raise SizeError("multiplier symbol must be one-dimensional")
-    bound = float(np.max(np.abs(sym))) if sym.size else 0.0
-
-    def apply(v: np.ndarray) -> np.ndarray:
-        return np.fft.ifft(sym * np.fft.fft(v, axis=-1), axis=-1)
-
-    return LinearAction(apply, bound, sym.size, label)
 
 
 def _check_orders(alpha: float, beta_prime: float) -> None:

@@ -41,7 +41,7 @@ from .regularization import (
     check_norm_gate,
     make_mollifier,
 )
-from .solution import exp_bound_check, generator_recovery, ml_trajectory, multiplier_action, volterra_residual
+from .solution import exp_bound_check, generator_recovery, ml_trajectory, volterra_residual
 from .special import MlParams, check_growth_bound, mittag_leffler, mittag_leffler_hp
 from .stochastic import NoiseSpec, ensemble_run, stochastic_initial_data, white_noise_representative
 
@@ -394,8 +394,7 @@ _ENSEMBLE = dict(
 def _c14_stochastic_contracts(th: dict):
     grid = SpatialGrid(_ENSEMBLE["half_length"], _ENSEMBLE["n_points"])
     mesh = TimeMesh(_ENSEMBLE["horizon"], _ENSEMBLE["n_steps"])
-    symbol = -0.5 * grid.xi.astype(complex) ** 2
-    op = multiplier_action(symbol, label="half_laplacian")
+    op = build_operator("second_derivative", 2.0, np.full(grid.n_points, 0.5), None, grid)
     u0 = GridFunction(grid, np.exp(-(grid.x**2) / 8.0))
     opts = SolverOptions()
 

@@ -106,11 +106,19 @@ def test_run_artifacts_and_manifest_closure(tmp_path):
 
 @pytest.mark.parametrize(
     "operator, arithmetic",
-    [("kind = riesz\nspace_order = 1.5\n", "real"), ("kind = liouville_left\nspace_order = 1.5\n", "complex")],
+    [
+        ("kind = riesz\nspace_order = 1.5\n", "real"),
+        ("kind = liouville_left\nspace_order = 1.5\n", "complex"),
+        ("kind = riesz\nmollify = false\ncoefficient_scale = 0.5\n", "real"),
+    ],
 )
 def test_run_arithmetic_follows_the_operator(tmp_path, operator, arithmetic):
     # real data and real noise: exact zeros in im_u unless the symbol is not Hermitian
     text = NOISY + "[nonlinearity]\nf = 0.1*sin(u)\n[operator]\n" + operator
+    if "mollify = false" in operator:
+        # the sharp symbol is well conditioned on a coarse grid, and the noise
+        # has no schedule to take its spatial sharpness from
+        text = text.replace("n_points = 256", "n_points = 64") + "[noise]\nspatial_sharpness = 0.5\n"
     assert entrypoint(["run", "--config", _cfg_file(tmp_path, text), "--out", str(tmp_path), "--quiet"]) == 0
     run_dir = _run_dir(tmp_path)
     meta = json.loads((run_dir / "metadata.json").read_text())
@@ -364,9 +372,12 @@ def test_deleted_solver_keys_are_unknown(tmp_path, capsys, key, value):
 
 
 def test_sharp_fractional_kind_runs_at_order_two(tmp_path):
-    # only the mollified operator needs an order below 2
-    text = BASE + "[operator]\nkind = liouville_left\nspace_order = 2.0\nmollify = false\n"
-    assert entrypoint(["run", "--config", _cfg_file(tmp_path, text), "--out", str(tmp_path / "out"), "--quiet"]) == 0
+    # only the mollified operator needs an order below 2; the sharp riesz takes it by default
+    for kind, order in (("liouville_left", "space_order = 2.0\n"), ("riesz", "")):
+        text = BASE + f"[operator]\nkind = {kind}\n{order}mollify = false\n"
+        assert parse_config(text).space_order == 2.0
+        out = tmp_path / kind
+        assert entrypoint(["run", "--config", _cfg_file(tmp_path, text), "--out", str(out), "--quiet"]) == 0
 
 
 @pytest.mark.parametrize("verb", ["run", "sweep-epsilon", "noise-dump"])

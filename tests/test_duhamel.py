@@ -25,7 +25,6 @@ from fracwave import (
     mittag_leffler,
     ml_trajectory,
     moderateness_scan,
-    multiplier_action,
     nonlinearity_from_callable,
     pi_weights,
     scaled_sine,
@@ -39,7 +38,7 @@ from fracwave import duhamel
 from fracwave.duhamel import _block_plan, _fold_blocks, _picard, _plan_meta, _volterra
 
 ALPHA, C, Q = 1.5, 0.5, 1.0
-OP = multiplier_action(np.array([C]))
+OP = C
 
 
 def _ml(beta, z):
@@ -141,7 +140,7 @@ def test_windows_rescue_a_long_horizon(monkeypatch):
     # The kernel form's blocks, sized by the Lipschitz bound, each contract;
     # the derivative form sweeps the same blocks, uncapped, as its windows.
     mesh = TimeMesh(4.0, 128)
-    p = CauchyProblem(ALPHA, multiplier_action(np.array([1.0])), scaled_sine(20.0), np.array([1.0]), mesh)
+    p = CauchyProblem(ALPHA, 1.0, scaled_sine(20.0), np.array([1.0]), mesh)
     opts = SolverOptions(max_iter=100)
     report = solve_kernel_form(p, opts)
     assert report.converged and report.iterations <= 10
@@ -215,7 +214,7 @@ def test_stalled_block_marks_the_report_and_the_march_goes_on():
 
 def test_divergence_detection():
     f = nonlinearity_from_callable(lambda v: v**3, "u^3")
-    p = CauchyProblem(ALPHA, multiplier_action(np.array([1.0])), f, np.array([3.0]), TimeMesh(2.0, 64))
+    p = CauchyProblem(ALPHA, 1.0, f, np.array([3.0]), TimeMesh(2.0, 64))
     with pytest.raises(DivergenceError):
         solve_kernel_form(p)
 

@@ -203,6 +203,9 @@ def test_container_validation():
         GridFunction(grid, np.zeros(65))
     with pytest.raises(ValueError):
         GridFunction(grid, np.full(64, np.nan))
+    # samples keep their arithmetic: real profiles stay float64
+    assert GridFunction(grid, np.arange(64)).values.dtype == np.float64
+    assert GridFunction(grid, np.full(64, 1j)).values.dtype == np.complex128
 
 
 def test_mesh_and_grid_geometry():

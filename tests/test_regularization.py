@@ -21,7 +21,7 @@ from fracwave import (
     make_mollifier,
     operator_norm_estimate,
 )
-from fracwave.fractional import GridFunction
+from fracwave.fractional import GridFunction, liouville_multiplier
 from fracwave.regularization import BUMP_NORMALIZATION, GUARD_EPS
 
 
@@ -172,6 +172,31 @@ def test_real_input_takes_the_real_transform(kind):
     smoothed = moll.convolve(rows)
     assert smoothed.dtype == np.float64
     assert np.max(np.abs(smoothed - moll.convolve(rows.astype(complex)))) <= 1e-14 * np.abs(rows).max()
+
+
+@pytest.mark.parametrize("kind", ["second_derivative", "liouville_left", "liouville_right", "riesz"])
+def test_sharp_operator_is_the_bare_multiplier(kind):
+    # without a mollifier the action is c * ifft(base * fft(v)), the sharp formula
+    grid = SpatialGrid(16.0, 128)
+    c = 0.75
+    op = build_operator(kind, 1.5, np.full(grid.n_points, c), None, grid)
+    if kind == "second_derivative":
+        base = -(grid.xi**2)
+    else:
+        base = liouville_multiplier(kind.removeprefix("liouville_"), 1.5, grid)
+    rng = np.random.Generator(np.random.Philox(key=0x5A))
+    real = rng.standard_normal((2, grid.n_points))
+    for v in (real, real + 1j * rng.standard_normal((2, grid.n_points))):
+        expected = c * np.fft.ifft(base * np.fft.fft(v, axis=-1), axis=-1)
+        out = op.apply(v)
+        assert np.max(np.abs(out - expected)) <= 1e-14 * np.abs(expected).max()
+    if kind in ("second_derivative", "riesz"):
+        assert op.apply(real).dtype == np.float64
+    # order 2 is the sharp route's own: the mollified operator still rejects it
+    if kind != "second_derivative":
+        assert build_operator(kind, 2.0, np.ones(grid.n_points), None, grid).space_order == 2.0
+        with pytest.raises(SingularOrderError):
+            build_operator(kind, 2.0, np.ones(grid.n_points), make_mollifier("bump", 1.0, grid), grid)
 
 
 def test_liouville_kinds_stay_complex_on_real_input():

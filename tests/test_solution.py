@@ -16,7 +16,6 @@ from fracwave import (
     generator_recovery,
     mittag_leffler,
     ml_trajectory,
-    multiplier_action,
     parse_config,
     volterra_residual,
 )
@@ -59,8 +58,7 @@ def test_bare_callable_maps_stacked_rows_one_by_one():
 
 
 def test_rebounded_action_keeps_its_batch_path():
-    sym = np.array([0.5, -1.0, 2.0j, 0.25])
-    base = multiplier_action(sym)
+    base = as_action(np.diag([0.5, -1.0, 2.0j, 0.25]))
     loose = as_action(base, norm_bound=4.0)
     assert loose.norm_bound == 4.0 and base.norm_bound == 2.0
     assert loose.apply is base.apply and loose.label == base.label
@@ -129,7 +127,7 @@ def test_evaluator_identity_at_zero():
 
 
 def test_volterra_defect_refines():
-    op = multiplier_action(np.array([0.5]))
+    op = 0.5
     x = np.array([1.0])
     res = [volterra_residual(1.5, op, TimeMesh(2.0, n), x) for n in (256, 512)]
     assert res[0] <= 1e-5
@@ -137,7 +135,7 @@ def test_volterra_defect_refines():
 
 
 def test_caputo_diagnostic_interior_decay():
-    op = multiplier_action(np.array([0.5]))
+    op = 0.5
     x = np.array([1.0])
     dev = [caputo_of_S_diagnostic(1.5, op, TimeMesh(1.0, n), x) for n in (128, 256)]
     assert dev[1] < dev[0]

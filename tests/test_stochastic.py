@@ -18,7 +18,6 @@ from fracwave import (
     ensemble_run,
     make_mollifier,
     mollified_variance,
-    multiplier_action,
     stochastic_initial_data,
     white_noise_representative,
     zero_nonlinearity,
@@ -153,7 +152,7 @@ def _build(member, seed):
     spec = _spec(member=member, seed=seed)
     forcing = white_noise_representative(spec, EPS, GRID, MESH).trajectory
     u0 = GridFunction(GRID, np.exp(-GRID.x**2 / 8))
-    op = multiplier_action(np.full(GRID.n_points, -0.5))
+    op = -0.5
     return CauchyProblem(1.5, op, zero_nonlinearity(), u0, MESH, forcing=forcing, grid=GRID)
 
 
