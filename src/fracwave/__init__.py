@@ -59,6 +59,7 @@ from .regularization import (
     Mollifier,
     NormEstimate,
     RegularizedOperator,
+    approximate_operator,
     association_diagnostic,
     build_operator,
     check_norm_gate,

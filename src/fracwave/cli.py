@@ -49,10 +49,10 @@ from .fractional import GridFunction, SpatialGrid, TimeMesh
 from .regularization import (
     CoefficientField,
     EpsilonSchedule,
+    approximate_operator,
     association_diagnostic,
     build_operator,
     check_norm_gate,
-    make_mollifier,
 )
 from .special import MlParams, mittag_leffler
 from .stochastic import (
@@ -162,15 +162,6 @@ def _noise_spec(cfg: RunConfig, schedule: Optional[EpsilonSchedule]) -> NoiseSpe
     )
 
 
-def _regularized_operator(
-    cfg: RunConfig, grid: SpatialGrid, field: CoefficientField, schedule: EpsilonSchedule, eps: float
-):
-    """The mollified operator at one ladder point (not yet norm-gated)."""
-    smoothed = field.smoothed(eps, schedule)
-    moll = make_mollifier(cfg.mollifier_shape, schedule.h(eps), grid)
-    return build_operator(cfg.resolved_operator_kind(), cfg.space_order, smoothed, moll, grid, eps=eps)
-
-
 @dataclasses.dataclass(frozen=True)
 class _ProblemData:
     """The epsilon-independent data of a problem, read once per verb."""
@@ -242,7 +233,7 @@ def assemble_scenario(cfg: RunConfig) -> ScenarioParts:
     measured = cap = None
     if schedule is not None:
         field = CoefficientField(grid, coeff_raw, shape=cfg.mollifier_shape)
-        operator = _regularized_operator(cfg, grid, field, schedule, eps)
+        operator = approximate_operator(cfg.resolved_operator_kind(), cfg.space_order, field, schedule, eps)
         cap = schedule.cap(eps)
         measured = check_norm_gate(operator, schedule)
     else:
@@ -268,24 +259,9 @@ def run_scenario(cfg: RunConfig):
 # ---------------------------------------------------------------- output
 
 
-def _json_ready(obj):
-    if isinstance(obj, dict):
-        return {str(k): _json_ready(v) for k, v in obj.items()}
-    if isinstance(obj, (list, tuple)):
-        return [_json_ready(v) for v in obj]
-    if isinstance(obj, np.ndarray):
-        return [_json_ready(v) for v in obj.tolist()]
-    if isinstance(obj, (np.bool_, bool)):
-        return bool(obj)
-    if isinstance(obj, (np.floating, float)):
-        return float(obj)
-    if isinstance(obj, (np.integer, int)):
-        return int(obj)
-    return obj
-
-
 def _write_json(path: Path, payload: dict) -> None:
-    path.write_text(json.dumps(_json_ready(payload), indent=2, sort_keys=True) + "\n", encoding="utf-8")
+    text = json.dumps(payload, indent=2, sort_keys=True, default=lambda obj: obj.tolist())
+    path.write_text(text + "\n", encoding="utf-8")
 
 
 def _write_manifest(dirpath: Path, names: list) -> None:
@@ -404,7 +380,7 @@ def cmd_sweep(cfg: RunConfig, out: Optional[str], quiet: bool) -> int:
     for eps in schedule.epsilons:
         eps = float(eps)
         try:
-            op = _regularized_operator(cfg, grid, field, schedule, eps)
+            op = approximate_operator(kind, cfg.space_order, field, schedule, eps)
             check_norm_gate(op, schedule)
             operators[eps] = op
         except FracwaveError as exc:
@@ -496,7 +472,10 @@ def cmd_sweep(cfg: RunConfig, out: Optional[str], quiet: bool) -> int:
 
 
 def cmd_ml(args, quiet: bool) -> int:
-    params = MlParams(alpha=args.alpha, beta=args.beta, tol=args.tol)
+    try:
+        params = MlParams(alpha=args.alpha, beta=args.beta, tol=args.tol)
+    except ValueError as err:
+        raise ConfigError([(None, f"ml: {err}")]) from None
     z = complex(args.z_re, args.z_im)
     value = mittag_leffler(params, z)
     print(f"{value.real:.17g} {value.imag:.17g}")

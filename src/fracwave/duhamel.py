@@ -33,7 +33,7 @@ Lip f * ||W_BB||_inf <= 1/2.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass, replace
 from typing import Callable, Optional
 
 import numpy as np
@@ -170,12 +170,6 @@ def _stored(buf: np.ndarray, s: int, e: int, rows: np.ndarray) -> np.ndarray:
     return buf
 
 
-def _solver_meta(p: CauchyProblem, form: str, trajectory: np.ndarray, extra: dict) -> dict:
-    """The metadata both forms share, then the form's own entries."""
-    arithmetic = "complex" if np.iscomplexobj(trajectory) else "real"
-    return {"nonlinearity": p.nonlinearity.hypothesis_flags(), "form": form, "arithmetic": arithmetic, **extra}
-
-
 @dataclass(frozen=True)
 class CauchyProblem:
     """Data of one approximate Cauchy problem on a fixed time mesh.
@@ -270,26 +264,30 @@ class SolverOptions:
 class SolverReport:
     """Outcome of one solve.
 
-    iterations is the largest sweep count of any kernel-form block, or the
-    total over the derivative form's windows; contraction_history holds one
-    list of changes per block or window.  Blocks and windows are half-open
-    row ranges [s, e); unconverged_rows names the first one that stopped at
-    max_iter by its first and last row, (s, e - 1).
+    contraction_history holds one list of changes per kernel-form block or
+    derivative-form window, so iterations, the longest of them, is at most
+    max_iter.  Blocks and windows are half-open row ranges [s, e);
+    unconverged_rows names the first one that stopped at max_iter by its
+    first and last row, (s, e - 1).
     """
 
     trajectory: np.ndarray
-    mesh: TimeMesh
     form: str
-    iterations: int
     contraction_history: list
-    final_change: float
-    options: SolverOptions
-    metadata: dict = field(default_factory=dict)
-    unconverged_rows: Optional[tuple] = None
+    metadata: dict
+    unconverged_rows: Optional[tuple]
 
     @property
     def converged(self) -> bool:
         return self.unconverged_rows is None
+
+    @property
+    def iterations(self) -> int:
+        return max(len(history) for history in self.contraction_history)
+
+    @property
+    def final_change(self) -> float:
+        return self.contraction_history[-1][-1]
 
 
 def _row_sup(arr: np.ndarray, weight: float) -> float:
@@ -344,12 +342,29 @@ def _block_plan(p: CauchyProblem, head_beta: float) -> list:
     return plan
 
 
-def _plan_meta(plan: list) -> dict:
+def _plan_meta(plan: list, row_limit: int = _BLOCK_ROWS) -> dict:
     return {
         "series_levels": max(levels for _, _, levels in plan),
-        "volterra_block_rows": _BLOCK_ROWS,
+        "volterra_block_rows": row_limit,
         "volterra_blocks": len(plan),
     }
+
+
+def _chain(
+    action: LinearAction, w_bb: np.ndarray, h, g: np.ndarray, y: Optional[np.ndarray], levels: int, rows_shape: tuple
+) -> tuple:
+    """levels steps of v_B <- g_B + A y_B, y_B <- h + W_BB v_B on one block; returns (y_B, v_B).
+
+    h is the block's history sum, g and y its rows flattened to (rows, -1);
+    y None is a cold start from v_B = g_B.
+    """
+    if y is None:
+        v = g
+        y = h + _weights_product(w_bb, g)
+    for _ in range(levels):
+        v = g + action.apply_rows(y.reshape(rows_shape)).reshape(g.shape[0], -1)
+        y = h + _weights_product(w_bb, v)
+    return y, v
 
 
 def _volterra(weights: np.ndarray, action: LinearAction, g: np.ndarray, plan: list) -> tuple:
@@ -357,39 +372,60 @@ def _volterra(weights: np.ndarray, action: LinearAction, g: np.ndarray, plan: li
 
     v = g + A y is what the summed operator series leaves before the final
     quadrature.  Per block B = [s, e) the history h = W[B, :s] v[:s] is one
-    product; the block is then a short fixed-point chain
-    v_B <- g_B + A (h + W_BB v_B) and y_B = h + W_BB v_B.
+    product; the block is then a cold-started _chain of its plan's levels.
     """
     shape = g.shape
     flat = _as_field(g).reshape(shape[0], -1)
     y = np.empty_like(flat)
     v = np.empty_like(flat)
     for s, e, levels in plan:
-        w_bb = weights[s:e, s:e]
         h = _weights_product(weights[s:e, :s], v[:s]) if s else 0.0
-        g_b = flat[s:e]
-        acc = g_b
-        for _ in range(levels):
-            rows = (h + _weights_product(w_bb, acc)).reshape((e - s,) + shape[1:])
-            acc = g_b + action.apply_rows(rows).reshape(e - s, -1)
-        v = _stored(v, s, e, acc)
-        y = _stored(y, s, e, h + _weights_product(w_bb, acc))
+        y_b, v_b = _chain(action, weights[s:e, s:e], h, flat[s:e], None, levels, (e - s,) + shape[1:])
+        v = _stored(v, s, e, v_b)
+        y = _stored(y, s, e, y_b)
     return y.reshape(shape), v.reshape(shape)
 
 
-def _record(history: list, change: float, rises: int, where: str, remedy: str) -> int:
-    """Append one sweep's change; returns the count of consecutive rises.
+def _forced(p: CauchyProblem, u: np.ndarray, rows=slice(None)) -> np.ndarray:
+    """f(u) + P, with P on the given rows of the mesh."""
+    g = p.nonlinearity.fn(u)
+    if p.forcing_values is not None:
+        g = g + p.forcing_values[rows]
+    return g
 
-    A non-finite change, or _DIVERGENCE_PATIENCE rises in a row, raises
-    DivergenceError.
+
+def _converge(opts: SolverOptions, where: str, state, sweep: Callable) -> tuple:
+    """Run state, change = sweep(state) until the change is below tol.
+
+    Returns (state, changes, converged); converged is False after max_iter
+    sweeps.  A non-finite change, or _DIVERGENCE_PATIENCE rises in a row,
+    raises DivergenceError.
     """
-    if not math.isfinite(change):
-        raise DivergenceError(f"picard iterate blew up in {where}; {remedy}")
-    rises = rises + 1 if history and change > history[-1] else 0
-    if rises >= _DIVERGENCE_PATIENCE:
-        raise DivergenceError(f"picard change grew {rises} times in a row in {where} (last {change:.3e}); {remedy}")
-    history.append(change)
-    return rises
+    remedy = "shorten the horizon or refine the mesh"
+    changes: list = []
+    rises = 0
+    for _ in range(opts.max_iter):
+        # overflow in a blowing-up iterate is caught by the finite check below
+        with np.errstate(over="ignore", invalid="ignore"):
+            state, change = sweep(state)
+        if not math.isfinite(change):
+            raise DivergenceError(f"picard iterate blew up in {where}; {remedy}")
+        rises = rises + 1 if changes and change > changes[-1] else 0
+        if rises >= _DIVERGENCE_PATIENCE:
+            raise DivergenceError(f"picard change grew {rises} times in a row in {where} (last {change:.3e}); {remedy}")
+        changes.append(change)
+        if change < opts.tol:
+            return state, changes, True
+    return state, changes, False
+
+
+def _report(
+    p: CauchyProblem, form: str, trajectory: np.ndarray, histories: list, stalled: Optional[tuple], extra: dict
+) -> SolverReport:
+    """The report of one solve, with the metadata both forms share before the form's own."""
+    arithmetic = "complex" if np.iscomplexobj(trajectory) else "real"
+    meta = {"nonlinearity": p.nonlinearity.hypothesis_flags(), "form": form, "arithmetic": arithmetic, **extra}
+    return SolverReport(trajectory, form, histories, meta, stalled)
 
 
 def _picard(
@@ -402,48 +438,22 @@ def _picard(
     moves the rows after it, which later windows start from.
     """
     base = _base_trajectory(p)
-    forcing = p.forcing_values
     weight = p.state_weight
-    fn = p.nonlinearity.fn
-
-    def forced(u: np.ndarray) -> np.ndarray:
-        g = fn(u)
-        if forcing is not None:
-            g = g + forcing
-        return g
-
     current = base.copy()
     histories: list = []
-    total_iters = 0
     stalled = None
     for s, e, _ in windows:
-        history: list = []
-        rises = 0
-        where = f"window rows {s}..{e - 1}"
-        for _ in range(opts.max_iter):
-            # overflow in a blowing-up iterate is caught by the finite check in _record
-            with np.errstate(over="ignore", invalid="ignore"):
-                candidate = base + integral_term(forced(current))
-                change = _row_sup(candidate[s:e] - current[s:e], weight)
-            current = _stored(current, s, current.shape[0], candidate[s:])
-            total_iters += 1
-            rises = _record(history, change, rises, where, "shorten the horizon or refine the mesh")
-            if change < opts.tol:
-                break
-        else:
+
+        def sweep(u: np.ndarray) -> tuple:
+            candidate = base + integral_term(_forced(p, u))
+            change = _row_sup(candidate[s:e] - u[s:e], weight)
+            return _stored(u, s, u.shape[0], candidate[s:]), change
+
+        current, history, converged = _converge(opts, f"window rows {s}..{e - 1}", current, sweep)
+        if not converged:
             stalled = stalled or (s, e - 1)
         histories.append(history)
-    return SolverReport(
-        trajectory=current,
-        mesh=p.mesh,
-        form=form,
-        iterations=total_iters,
-        contraction_history=histories,
-        final_change=histories[-1][-1] if histories and histories[-1] else 0.0,
-        options=opts,
-        metadata=_solver_meta(p, form, current, extra_meta),
-        unconverged_rows=stalled,
-    )
+    return _report(p, form, current, histories, stalled, extra_meta)
 
 
 def _fold_blocks(p: CauchyProblem, weights: np.ndarray, cap: int = _BLOCK_ROWS) -> tuple:
@@ -497,15 +507,12 @@ def solve_kernel_form(p: CauchyProblem, opts: SolverOptions = SolverOptions()) -
     blocks, row_limit = _fold_blocks(p, weights)
     shape = base.shape
     flat_base = base.reshape(shape[0], -1)
-    forcing = p.forcing_values
-    forcing = None if forcing is None else forcing.reshape(shape[0], -1)
-    fn = p.nonlinearity.fn
     weight = p.state_weight
     u = np.empty_like(flat_base)
     v = np.empty_like(flat_base)
     histories: list = []
+    plan: list = []
     stalled = None
-    series_levels = 0
     for s, e, q in blocks:
         rows_shape = (e - s,) + shape[1:]
         w_bb = weights[s:e, s:e]
@@ -513,54 +520,26 @@ def solve_kernel_form(p: CauchyProblem, opts: SolverOptions = SolverOptions()) -
         h = _weights_product(weights[s:e, :s], v[:s]) if s else 0.0
         fold = q <= 0.5
         levels = 1 if fold else _block_levels(p, s, e, p.alpha + 1.0)
-        series_levels = max(series_levels, levels)
+        plan.append((s, e, levels))
+
+        def sweep(state: tuple) -> tuple:
+            cur, y, _ = state
+            g = _forced(p, cur.reshape(rows_shape), slice(s, e)).reshape(e - s, -1)
+            y, v_b = _chain(p.action, w_bb, h, g, y if fold else None, levels, rows_shape)
+            candidate = b_b + y
+            return (candidate, y, v_b), _row_sup(candidate - cur, weight)
+
         # a later block starts from the data plus its history; the head block
         # starts from the data alone, exactly as whole-horizon Picard does
-        cur = b_b + h if s else b_b.copy()
-        y = None
-        history: list = []
-        rises = 0
-        where = f"block rows {s}..{e - 1}"
-        for _ in range(opts.max_iter):
-            # overflow in a blowing-up iterate is caught by the finite check in _record
-            with np.errstate(over="ignore", invalid="ignore"):
-                g = fn(cur.reshape(rows_shape)).reshape(e - s, -1)
-                if forcing is not None:
-                    g = g + forcing[s:e]
-                if y is None or not fold:
-                    acc = g
-                    y = h + _weights_product(w_bb, g)
-                for _ in range(levels):
-                    acc = g + p.action.apply_rows(y.reshape(rows_shape)).reshape(e - s, -1)
-                    y = h + _weights_product(w_bb, acc)
-                candidate = b_b + y
-                change = _row_sup(candidate - cur, weight)
-            cur = candidate
-            rises = _record(history, change, rises, where, "shorten the horizon or refine the mesh")
-            if change < opts.tol:
-                break
-        else:
+        start = (b_b + h if s else b_b, None, None)
+        (cur, _, v_b), history, converged = _converge(opts, f"block rows {s}..{e - 1}", start, sweep)
+        if not converged:
             stalled = stalled or (s, e - 1)
         u = _stored(u, s, e, cur)
-        v = _stored(v, s, e, acc)
+        v = _stored(v, s, e, v_b)
         histories.append(history)
-    meta = {
-        "series_levels": series_levels,
-        "volterra_block_rows": row_limit,
-        "volterra_blocks": len(blocks),
-        "block_q_max": max(q for _, _, q in blocks),
-    }
-    return SolverReport(
-        trajectory=u.reshape(shape),
-        mesh=p.mesh,
-        form="kernel",
-        iterations=max(len(history) for history in histories),
-        contraction_history=histories,
-        final_change=histories[-1][-1],
-        options=opts,
-        metadata=_solver_meta(p, "kernel", u, meta),
-        unconverged_rows=stalled,
-    )
+    meta = {**_plan_meta(plan, row_limit), "block_q_max": max(q for _, _, q in blocks)}
+    return _report(p, "kernel", u.reshape(shape), histories, stalled, meta)
 
 
 def solve_rl_form(p: CauchyProblem, opts: SolverOptions = SolverOptions()) -> SolverReport:
@@ -582,8 +561,7 @@ def solve_rl_form(p: CauchyProblem, opts: SolverOptions = SolverOptions()) -> So
         raise SingularOrderError("the derivative form needs time order strictly below 2")
     gamma_ord = 2.0 - p.alpha
     mesh = p.mesh
-    forcing = p.forcing_values
-    f0 = p.nonlinearity.fn(p.state0) + (forcing[0] if forcing is not None else 0.0)
+    f0 = _forced(p, p.state0, 0)
     f0_norm = float(np.linalg.norm(np.atleast_1d(f0).ravel()))
 
     weights_alpha = pi_weights(p.alpha, mesh.n_nodes, mesh.dt)
@@ -621,9 +599,7 @@ def second_derivative_identity_check(report: SolverReport, p: CauchyProblem) -> 
     memory = report.trajectory - base
     lhs = second_difference(memory, mesh.dt)
 
-    g = p.nonlinearity.fn(report.trajectory)
-    if p.forcing_values is not None:
-        g = g + p.forcing_values
+    g = _forced(p, report.trajectory)
     g0 = g[0]
     term_derivative = rl_integral(first_difference(g, mesh.dt), p.alpha - 1.0, mesh)
 
@@ -684,17 +660,7 @@ def gronwall_stability_probe(
         if s == 0.0 or dq_norm == 0.0:
             ks.append(math.nan)
             continue
-        shifted = CauchyProblem(
-            p.alpha,
-            p.operator,
-            p.nonlinearity,
-            p.state0 + s * dq,
-            p.mesh,
-            forcing=p.forcing_values,
-            initial_velocity=p.velocity0,
-            grid=p.grid,
-            sobolev_order=p.sobolev_order,
-        )
+        shifted = replace(p, initial_data=p.state0 + s * dq)
         diff = solve_kernel_form(shifted, opts).trajectory - nominal
         ks.append(_row_sup(diff, weight) / (abs(s) * dq_norm))
     return StabilityReport(np.asarray(scales, dtype=float), np.asarray(ks), dq_norm)

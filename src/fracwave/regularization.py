@@ -33,6 +33,7 @@ __all__ = [
     "CoefficientField",
     "RegularizedOperator",
     "build_operator",
+    "approximate_operator",
     "NormEstimate",
     "operator_norm_estimate",
     "AssociationTable",
@@ -387,6 +388,19 @@ def build_operator(
         coeff=np.asarray(coefficient, dtype=float),
         mollifier=mollifier,
     )
+
+
+def approximate_operator(
+    kind: str, space_order: float, field: CoefficientField, schedule: EpsilonSchedule, eps: float
+) -> RegularizedOperator:
+    """The approximate operator A_eps at one ladder point (not yet norm-gated).
+
+    The coefficient is the field smoothed at eps, and the derivative is
+    mollified by the field's kernel shape at the schedule's sharpness h(eps).
+    """
+    smoothed = field.smoothed(eps, schedule)
+    moll = make_mollifier(field.shape, schedule.h(eps), field.grid)
+    return build_operator(kind, space_order, smoothed, moll, field.grid, eps=eps)
 
 
 @dataclass(frozen=True)

@@ -36,10 +36,10 @@ from .fractional import GridFunction, SpatialGrid, TimeMesh
 from .regularization import (
     CoefficientField,
     EpsilonSchedule,
+    approximate_operator,
     association_diagnostic,
     build_operator,
     check_norm_gate,
-    make_mollifier,
 )
 from .solution import exp_bound_check, generator_recovery, ml_trajectory, volterra_residual
 from .special import MlParams, check_growth_bound, mittag_leffler, mittag_leffler_hp
@@ -101,10 +101,7 @@ def _diagnostic_family(kappa: float):
         ops = {}
         for eps in schedule.epsilons:
             eps = float(eps)
-            moll = make_mollifier("bump", schedule.h(eps), grid)
-            ops[eps] = build_operator(
-                "second_derivative", 2.0, coeff.smoothed(eps, schedule), moll, grid, eps=eps
-            )
+            ops[eps] = approximate_operator("second_derivative", 2.0, coeff, schedule, eps)
         _DIAG_CACHE[kappa] = (grid, lam, schedule, ops)
     return _DIAG_CACHE[kappa]
 
@@ -306,11 +303,7 @@ def _c12_norm_gate(th: dict):
 
     inflated = EpsilonSchedule(alpha=1.5, kappa=3.0)
     eps0 = float(inflated.epsilons[0])
-    moll = make_mollifier("bump", inflated.h(eps0), grid)
-    coeff = CoefficientField(grid, lam)
-    bad_op = build_operator(
-        "second_derivative", 2.0, coeff.smoothed(eps0, inflated), moll, grid, eps=eps0
-    )
+    bad_op = approximate_operator("second_derivative", 2.0, CoefficientField(grid, lam), inflated, eps0)
     try:
         check_norm_gate(bad_op, inflated)
         tripped = False
@@ -344,10 +337,7 @@ def _c13_moderateness(th: dict):
     fn = scaled_sine(0.1)
 
     def build(eps: float) -> CauchyProblem:
-        moll = make_mollifier("bump", schedule.h(eps), grid)
-        op = build_operator(
-            "second_derivative", 2.0, coeff.smoothed(eps, schedule), moll, grid, eps=eps
-        )
+        op = approximate_operator("second_derivative", 2.0, coeff, schedule, eps)
         spec = NoiseSpec(
             intensity=_SCAN["intensity"],
             master_seed=_SCAN["seed"],

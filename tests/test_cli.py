@@ -493,6 +493,16 @@ def test_ml_verb_prints_value(capsys):
     assert entrypoint(["ml", "--alpha", "1.5", "--z-re", "250.0"]) == 3
 
 
+@pytest.mark.parametrize(
+    "flags", [["--alpha", "3"], ["--alpha", "1.5", "--beta", "-1"], ["--alpha", "1.5", "--tol", "2"]]
+)
+def test_ml_verb_rejects_bad_orders(flags, capsys):
+    # orders outside the series' range are a configuration problem (exit 2), not a crash
+    assert entrypoint(["ml", *flags]) == 2
+    lines = capsys.readouterr().err.splitlines()
+    assert len(lines) == 1 and lines[0].startswith("config error: ml: ")
+
+
 def test_noise_dump_artifacts(tmp_path):
     cfg = _cfg_file(tmp_path, NOISY + "target = both\n")
     assert entrypoint(["noise-dump", "--config", cfg, "--out", str(tmp_path / "a"), "--quiet"]) == 0

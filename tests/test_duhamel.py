@@ -157,6 +157,8 @@ def test_windows_rescue_a_long_horizon(monkeypatch):
     # the derivative form converges under default options in the kernel form's blocks
     rl = solve_rl_form(p)
     assert rl.converged and rl.metadata["windows"] == len(rl.contraction_history) == meta["volterra_blocks"]
+    # iterations counts the longest window, not the sweeps of all of them
+    assert rl.iterations == max(map(len, rl.contraction_history)) <= opts.max_iter
     # four even windows also converge, to the same fixed point; one does not
     _set_windows(monkeypatch, 4)
     four = solve_rl_form(p, opts)
@@ -212,11 +214,18 @@ def test_stalled_block_marks_the_report_and_the_march_goes_on():
     assert np.all(np.isfinite(report.trajectory))
 
 
-def test_divergence_detection():
+@pytest.mark.parametrize(
+    "solve, message",
+    [(solve_kernel_form, "grew 5 times in a row"), (solve_rl_form, "blew up")],
+    ids=["kernel", "rl"],
+)
+def test_divergence_detection(solve, message):
+    # the kernel form's blocks see the change rise, the derivative form's
+    # whole-horizon sweeps overflow; one sweep loop raises both
     f = nonlinearity_from_callable(lambda v: v**3, "u^3")
     p = CauchyProblem(ALPHA, 1.0, f, np.array([3.0]), TimeMesh(2.0, 64))
-    with pytest.raises(DivergenceError):
-        solve_kernel_form(p)
+    with pytest.raises(DivergenceError, match=message):
+        solve(p)
 
 
 def test_zero_data_stays_zero():
