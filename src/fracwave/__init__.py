@@ -15,7 +15,6 @@ from .duhamel import (
     SolverOptions,
     SolverReport,
     StabilityReport,
-    cubic_saturating,
     gronwall_stability_probe,
     moderateness_scan,
     nonlinearity_from_callable,
@@ -49,7 +48,6 @@ from .fractional import (
     rl_derivative,
     rl_integral,
     second_difference,
-    sobolev_norm,
     sobolev_norms,
 )
 from .regularization import (
@@ -71,7 +69,6 @@ from .solution import (
     GeneratorProbe,
     LinearAction,
     as_action,
-    caputo_of_S_diagnostic,
     exp_bound_check,
     generator_recovery,
     ml_trajectory,

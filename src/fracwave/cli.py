@@ -259,6 +259,11 @@ def run_scenario(cfg: RunConfig):
 # ---------------------------------------------------------------- output
 
 
+def _finite_or_none(value: float) -> Optional[float]:
+    """JSON has no NaN or infinity; a non-finite number is written as null."""
+    return value if math.isfinite(value) else None
+
+
 def _write_json(path: Path, payload: dict) -> None:
     text = json.dumps(payload, indent=2, sort_keys=True, default=lambda obj: obj.tolist())
     path.write_text(text + "\n", encoding="utf-8")
@@ -410,31 +415,14 @@ def cmd_sweep(cfg: RunConfig, out: Optional[str], quiet: bool) -> int:
     if assoc is not None:
         for eps, err in zip(assoc.epsilons, assoc.errors[:, 0]):
             assoc_of[float(eps)] = float(err)
-    for i, (k, eps) in enumerate(zip(range(schedule.k_min, schedule.k_max + 1), schedule.epsilons)):
-        eps = float(eps)
-        if eps in build_errors:
-            norm_txt = assoc_txt = sups = None
-            status = f"failed: {build_errors[eps]}"
-        else:
-            norm_txt = operators[eps].norm_estimate().value
-            assoc_txt = assoc_of.get(eps)
-            sups = [moder.norms[name][i] for name in ("state", "velocity", "fractional_derivative")]
-            status = moder.statuses[i]
-        cells = [
-            str(k),
-            f"{eps:.17g}",
-            f"{schedule.h(eps):.17g}",
-            f"{schedule.coeff_width(eps):.17g}",
-            f"{schedule.cap(eps):.17g}",
-            "" if norm_txt is None else f"{norm_txt:.17g}",
-            "" if assoc_txt is None else f"{assoc_txt:.17g}",
-        ]
-        if sups is None:
-            cells += ["", "", ""]
-        else:
-            cells += [f"{s:.17g}" for s in sups]
-        cells.append(status.replace(",", ";"))
-        lines.append(",".join(cells))
+    for i, row in enumerate(_schedule_table(schedule)):
+        eps = row["eps"]
+        norm = operators[eps].norm_estimate().value if eps in operators else None
+        metrics = [eps, row["h"], row["coeff_width"], row["cap"], norm, assoc_of.get(eps)]
+        metrics += [moder.norms[name][i] for name in ("state", "velocity", "fractional_derivative")]
+        # a rung that failed to build or to solve leaves its metric cells empty
+        cells = [str(row["k"])] + ["" if v is None or not math.isfinite(v) else f"{v:.17g}" for v in metrics]
+        lines.append(",".join(cells + [moder.statuses[i].replace(",", ";")]))
     (run_dir / "sweep.csv").write_text("\n".join(lines) + "\n", encoding="utf-8")
 
     meta = {
@@ -453,8 +441,8 @@ def cmd_sweep(cfg: RunConfig, out: Optional[str], quiet: bool) -> int:
             "final_error": float(assoc.final_errors[0]),
         },
         "moderateness": {
-            "exponents": moder.exponents,
-            "fitted_n": moder.fitted_n,
+            "exponents": {name: _finite_or_none(v) for name, v in moder.exponents.items()},
+            "fitted_n": _finite_or_none(moder.fitted_n),
             "statuses": moder.statuses,
         },
         "seed": cfg.master_seed,

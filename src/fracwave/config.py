@@ -29,7 +29,8 @@ from typing import Callable, Optional
 
 from .errors import ConfigError
 from .expressions import parse_expression
-from .regularization import _KINDS, _SCENARIOS, _SHAPES
+from .duhamel import SolverOptions
+from .regularization import _KINDS, _SCENARIOS, _SHAPES, EpsilonSchedule
 
 __all__ = ["RunConfig", "parse_config", "parse_config_file", "render_config", "config_hash"]
 
@@ -123,14 +124,14 @@ class RunConfig:
     coefficient: str = _key("operator", _profile(allow_modes=False), "constant")
     coefficient_scale: float = _key("operator", _parse_float, 1.0)
     mollify: bool = _key("operator", _parse_bool, True)
-    schedule_scenario: str = _key("schedule", _choice(*_SCENARIOS), "wave_time", key="scenario")
-    k_min: int = _key("schedule", _parse_int, 4)
-    k_max: int = _key("schedule", _parse_int, 12)
+    schedule_scenario: str = _key("schedule", _choice(*_SCENARIOS), EpsilonSchedule.scenario, key="scenario")
+    k_min: int = _key("schedule", _parse_int, EpsilonSchedule.k_min)
+    k_max: int = _key("schedule", _parse_int, EpsilonSchedule.k_max)
     run_k: int = _key("schedule", _parse_int, 8)
-    kappa: float = _key("schedule", _parse_float, 2.0)
-    kappa_cap: float = _key("schedule", _parse_float, 60.0)
-    h_min: float = _key("schedule", _parse_float, 1.0)
-    coeff_width_factor: float = _key("schedule", _parse_float, 2.0)
+    kappa: float = _key("schedule", _parse_float, EpsilonSchedule.kappa)
+    kappa_cap: float = _key("schedule", _parse_float, EpsilonSchedule.kappa_cap)
+    h_min: float = _key("schedule", _parse_float, EpsilonSchedule.h_min)
+    coeff_width_factor: float = _key("schedule", _parse_float, EpsilonSchedule.coeff_width_factor)
     mollifier_shape: str = _key("schedule", _choice(*_SHAPES), "bump")
     displacement: str = _key("initial", _profile(allow_modes=True), "gaussian_bump")
     displacement_scale: float = _key("initial", _parse_float, 1.0)
@@ -144,8 +145,8 @@ class RunConfig:
     temporal_sharpness: Optional[float] = _key("noise", _parse_optional_float, None)
     noise_shape: str = _key("noise", _choice(*_SHAPES), "bump", key="shape")
     solver_form: str = _key("solver", _choice("kernel", "derivative"), "kernel", key="form")
-    solver_tol: float = _key("solver", _parse_float, 1e-10, key="tol")
-    max_iter: int = _key("solver", _parse_int, 50)
+    solver_tol: float = _key("solver", _parse_float, SolverOptions.tol, key="tol")
+    max_iter: int = _key("solver", _parse_int, SolverOptions.max_iter)
     output_directory: str = _key("output", str.strip, "runs", key="directory")
 
     def resolved_operator_kind(self) -> str:

@@ -54,14 +54,13 @@ from .fractional import (
     sobolev_norms,
 )
 from .regularization import EpsilonSchedule
-from .solution import LinearAction, as_action, ml_trajectory
+from .solution import SERIES_TOL, LinearAction, as_action, ml_trajectory
 from .special import gamma, series_term_count
 
 __all__ = [
     "Nonlinearity",
     "zero_nonlinearity",
     "scaled_sine",
-    "cubic_saturating",
     "nonlinearity_from_callable",
     "CauchyProblem",
     "SolverOptions",
@@ -76,7 +75,6 @@ __all__ = [
 ]
 
 _ZERO_TOL = 1e-12
-_SERIES_TOL = 1e-12  # truncation certified for every operator series the solver sums
 # rows per block of the Volterra march: large enough that the history product
 # is a real matrix product, small enough that the in-block series stays short
 _BLOCK_ROWS = 64
@@ -136,12 +134,6 @@ def scaled_sine(amplitude: float) -> Nonlinearity:
     """u -> a sin(u); slope a at the origin (recorded, not rejected)."""
     a = float(amplitude)
     return nonlinearity_from_callable(lambda u: a * np.sin(u), f"{a:g}*sin(u)")
-
-
-def cubic_saturating(amplitude: float) -> Nonlinearity:
-    """u -> a u / (1 + u**2); bounded with bounded slope."""
-    a = float(amplitude)
-    return nonlinearity_from_callable(lambda u: a * u / (1.0 + u**2), f"{a:g}*u/(1+u^2)")
 
 
 def _real_if_exact(arr: np.ndarray) -> np.ndarray:
@@ -303,7 +295,7 @@ def _propagated(p: CauchyProblem, power: float, x: np.ndarray) -> np.ndarray:
     the last bit of power = alpha.
     """
     nodes = p.mesh.nodes
-    out = ml_trajectory(p.alpha, power + 1.0, p.action, x, nodes, tol=_SERIES_TOL)
+    out = ml_trajectory(p.alpha, power + 1.0, p.action, x, nodes)
     if power != 0.0:
         out *= nodes.reshape((nodes.size,) + (1,) * np.ndim(x)) ** power
     return out
@@ -329,7 +321,7 @@ def _block_levels(p: CauchyProblem, s: int, e: int, head_beta: float) -> int:
     nodes = p.mesh.nodes
     # the hat functions of rows s..e-1 reach back to node s - 1 (to 0 in the head)
     span, beta = (float(nodes[e - 1]), head_beta) if s == 0 else (float(nodes[e - 1] - nodes[s - 1]), 1.0)
-    return series_term_count(p.alpha, beta, span**p.alpha * p.action.norm_bound, _SERIES_TOL)
+    return series_term_count(p.alpha, beta, span**p.alpha * p.action.norm_bound, SERIES_TOL)
 
 
 def _block_plan(p: CauchyProblem, head_beta: float) -> list:
@@ -628,13 +620,6 @@ class StabilityReport:
     k_values: np.ndarray
     perturbation_norm: float
 
-    @property
-    def stable(self) -> bool:
-        finite = self.k_values[np.isfinite(self.k_values)]
-        if finite.size < 2:
-            return finite.size > 0
-        return float(finite.max() / finite.min()) < 2.0
-
 
 def gronwall_stability_probe(
     p: CauchyProblem,
@@ -676,7 +661,6 @@ class ModerationReport:
     exponents: dict
     fitted_n: float
     statuses: list
-    sobolev_order: Optional[float]
 
 
 _FAMILIES = ("state", "velocity", "fractional_derivative")
@@ -697,7 +681,6 @@ def moderateness_scan(
     eps_grid = schedule.epsilons
     norms = {name: np.full(eps_grid.size, np.nan) for name in _FAMILIES}
     statuses = []
-    sob = None
     for i, eps in enumerate(eps_grid):
         try:
             problem = build_problem(float(eps))
@@ -707,7 +690,6 @@ def moderateness_scan(
             # failure, same as a solve that blows up
             statuses.append(f"failed: {exc}")
             continue
-        sob = problem.sobolev_order if problem.sobolev_order is not None else sob
         mesh = problem.mesh
         u = report.trajectory
         fields = {
@@ -728,7 +710,7 @@ def moderateness_scan(
             exponents[name] = math.nan
     finite_exps = [v for v in exponents.values() if np.isfinite(v)]
     fitted_n = max(finite_exps) if finite_exps else math.nan
-    return ModerationReport(eps_grid, norms, exponents, fitted_n, statuses, sob)
+    return ModerationReport(eps_grid, norms, exponents, fitted_n, statuses)
 
 
 def _sup_spatial_norm(values: np.ndarray, p: CauchyProblem) -> float:

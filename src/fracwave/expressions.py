@@ -70,9 +70,6 @@ class Expression:
             out = np.full(arr.shape, out)
         return np.asarray(out)
 
-    def __call__(self, values) -> np.ndarray:
-        return self.evaluate(values)
-
 
 def _eval(node: tuple, var: np.ndarray):
     kind = node[0]
@@ -89,7 +86,7 @@ def _eval(node: tuple, var: np.ndarray):
         name = node[1]
         if name == "sech":
             return 1.0 / np.cosh(inner)
-        return getattr(np, {"abs": "abs"}.get(name, name))(inner)
+        return getattr(np, name)(inner)
     left = _eval(node[2], var)
     right = _eval(node[3], var)
     if node[1] == "+":

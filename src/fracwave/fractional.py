@@ -37,7 +37,6 @@ __all__ = [
     "first_difference",
     "second_difference",
     "liouville_multiplier",
-    "sobolev_norm",
     "sobolev_norms",
 ]
 
@@ -293,12 +292,6 @@ def liouville_multiplier(kind: str, beta: float, grid: SpatialGrid) -> np.ndarra
         out = mag * phase
     out[xi == 0.0] = 0.0
     return out
-
-
-def sobolev_norm(u: GridFunction, beta: float) -> float:
-    """Fractional Sobolev norm of regularity index beta: the one-row case of
-    sobolev_norms."""
-    return float(sobolev_norms(u.grid, u.values, beta))
 
 
 def sobolev_norms(grid: SpatialGrid, values, beta: float) -> np.ndarray:

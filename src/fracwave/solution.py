@@ -12,13 +12,13 @@ from __future__ import annotations
 
 import math
 import numbers
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from typing import Callable, Optional
 
 import numpy as np
 
 from .errors import FracwaveError, SingularOrderError, SizeError
-from .fractional import TimeMesh, _as_field, caputo_derivative, rl_integral
+from .fractional import TimeMesh, _as_field, rl_integral
 from .regularization import RegularizedOperator
 from .special import gamma, mittag_leffler, MlParams, series_term_count
 
@@ -27,12 +27,14 @@ __all__ = [
     "as_action",
     "ml_trajectory",
     "volterra_residual",
-    "caputo_of_S_diagnostic",
     "GeneratorProbe",
     "generator_recovery",
     "ExponentialBound",
     "exp_bound_check",
 ]
+
+# truncation certified for every operator series summed here and in the solver
+SERIES_TOL = 1e-12
 
 
 @dataclass(frozen=True)
@@ -47,59 +49,42 @@ class LinearAction:
     apply: Callable[[np.ndarray], np.ndarray]
     norm_bound: float
     dim: Optional[int]
-    label: str = "action"
 
     def __post_init__(self):
         if not (np.isfinite(self.norm_bound) and self.norm_bound >= 0.0):
             raise ValueError(f"norm bound must be finite and >= 0, got {self.norm_bound!r}")
-
-    def __call__(self, vec: np.ndarray) -> np.ndarray:
-        return self.apply(vec)
 
     def apply_rows(self, rows: np.ndarray) -> np.ndarray:
         """Apply to each row of a (n, dim) stack."""
         return self.apply(rows)
 
 
-def as_action(operator, norm_bound: Optional[float] = None) -> LinearAction:
+def as_action(operator) -> LinearAction:
     """Wrap a scalar, square matrix, or regularized operator uniformly.
 
     Matrices get their exact spectral norm.  Regularized operators get
     ||coeff||_inf * ||symbol||_inf, a true upper bound at no cost; the
     power-iteration estimate approaches the norm from below and serves only
-    the norm gate.  A bare callable needs an explicit bound (there is nothing
-    to infer one from) and is mapped row by row over stacked input.
+    the norm gate.  Any other map is wrapped by the caller as a LinearAction
+    with its own bound, and passes through unchanged.
     """
     if isinstance(operator, LinearAction):
-        if norm_bound is not None and norm_bound != operator.norm_bound:
-            return replace(operator, norm_bound=float(norm_bound))
         return operator
     if isinstance(operator, numbers.Number):
         c = complex(operator)
         if c.imag == 0.0:
             c = c.real
-        bound = abs(c) if norm_bound is None else float(norm_bound)
-        return LinearAction(lambda v: c * v, bound, None, f"scalar {c!r}")
+        return LinearAction(lambda v: c * v, abs(c), None)
     if isinstance(operator, np.ndarray):
         if operator.ndim == 0:
-            return as_action(operator[()], norm_bound)
+            return as_action(operator[()])
         if operator.ndim != 2 or operator.shape[0] != operator.shape[1]:
             raise SizeError(f"matrix action must be square, got shape {operator.shape}")
         mat = operator.copy()
-        bound = float(np.linalg.norm(mat, 2)) if norm_bound is None else float(norm_bound)
-        return LinearAction(lambda v: v @ mat.T, bound, mat.shape[0], f"matrix {mat.shape[0]}x{mat.shape[1]}")
+        return LinearAction(lambda v: v @ mat.T, float(np.linalg.norm(mat, 2)), mat.shape[0])
     if isinstance(operator, RegularizedOperator):
         majorant = float(np.abs(operator.coeff).max() * np.abs(operator.symbol).max())
-        bound = majorant if norm_bound is None else float(norm_bound)
-        return LinearAction(operator.apply, bound, operator.grid.n_points, f"regularized {operator.kind}")
-    if callable(operator):
-        if norm_bound is None:
-            raise ValueError("a bare callable action needs an explicit norm bound")
-
-        def rowwise(v: np.ndarray) -> np.ndarray:
-            return operator(v) if np.ndim(v) <= 1 else np.stack([operator(row) for row in v])
-
-        return LinearAction(rowwise, float(norm_bound), None, "callable")
+        return LinearAction(operator.apply, majorant, operator.grid.n_points)
     raise TypeError(f"cannot interpret {type(operator).__name__} as a linear action")
 
 
@@ -116,7 +101,6 @@ def ml_trajectory(
     operator,
     x: np.ndarray,
     times: np.ndarray,
-    tol: float = 1e-12,
 ) -> np.ndarray:
     """Evaluate t -> E_{alpha,beta'}(t**alpha A) x on a whole time ladder.
 
@@ -136,11 +120,11 @@ def ml_trajectory(
     vec = np.asarray(x)
     t_max = float(ts.max())
     z_abs = t_max**alpha * action.norm_bound
-    n_terms = series_term_count(alpha, beta_prime, z_abs, tol)
+    n_terms = series_term_count(alpha, beta_prime, z_abs, SERIES_TOL)
 
     rows = [vec]
     for _ in range(n_terms):
-        rows.append(np.asarray(action(rows[-1])))
+        rows.append(np.asarray(action.apply(rows[-1])))
     powers = _as_field(np.stack([row.ravel() for row in rows]))
 
     orders = np.arange(n_terms + 1, dtype=float)
@@ -171,26 +155,6 @@ def volterra_residual(alpha: float, operator, mesh: TimeMesh, x: np.ndarray) -> 
     integ = rl_integral(action.apply_rows(traj), alpha, mesh)
     defect = traj - np.asarray(x)[None, ...] - integ
     return float(_row_norms(defect).max())
-
-
-def caputo_of_S_diagnostic(alpha: float, operator, mesh: TimeMesh, x: np.ndarray) -> float:
-    """Max deviation of the fractional time derivative of S(t)x from A S(t)x.
-
-    Measured on the interior window t >= t_max / 4: the leading
-    t**alpha power of the trajectory has an unbounded second derivative at
-    zero, so nodes near the origin carry an O(1) stencil error that never
-    refines away.  On the interior window the deviation decays like
-    dt**(alpha-1), the history-pollution order of the composed scheme.
-    """
-    if mesh.n_nodes < 8:
-        raise SizeError("diagnostic needs at least eight nodes")
-    action = as_action(operator)
-    traj = ml_trajectory(alpha, 1.0, action, x, mesh.nodes)
-    lhs = caputo_derivative(traj, alpha, mesh)
-    rhs = action.apply_rows(traj)
-    k0 = max(1, int(round(0.25 * mesh.n_steps)))
-    dev = lhs[k0:] - rhs[k0:]
-    return float(_row_norms(dev).max())
 
 
 @dataclass(frozen=True)
@@ -226,7 +190,7 @@ def generator_recovery(alpha: float, operator, x: np.ndarray, ladder: np.ndarray
     for j, t in enumerate(ts):
         # one node per call: each sizes its truncation at its own time
         recovered[j] = scale * (ml_trajectory(alpha, 1.0, action, vec, ts[j : j + 1])[0] - vec) / t**alpha
-    target = action(vec)
+    target = action.apply(vec)
     errors = _row_norms(recovered - np.asarray(target)[None, ...])
     if np.any(errors == 0.0):
         rate = math.nan
@@ -261,7 +225,7 @@ def _norm_samples(alpha: float, action: LinearAction, times: np.ndarray) -> np.n
     """
     if action.dim is None:
         params = MlParams(alpha, 1.0)
-        c = action(np.ones(1))[0]
+        c = action.apply(np.ones(1))[0]
         return np.array([abs(mittag_leffler(params, c * t**alpha)) for t in times])
     basis = np.eye(action.dim)
     out = np.empty(times.size)

@@ -391,10 +391,6 @@ class GrowthEnvelope:
     c: float = 1.0
     n_nonfinite: int = 0
 
-    @property
-    def ok(self) -> bool:
-        return self.n_nonfinite == 0
-
 
 def check_growth_bound(p: MlParams, omega_grid, t_grid) -> GrowthEnvelope:
     """Evaluate the envelope ratio on a nonnegative (omega, t) grid.

@@ -202,7 +202,7 @@ def stochastic_initial_data(
     u0: GridFunction, spec: NoiseSpec, eps: float, grid: SpatialGrid
 ) -> GridFunction:
     """Initial state plus spatially mollified noise of the spec's intensity."""
-    if u0.grid is not grid and u0.grid != grid:
+    if u0.grid != grid:
         raise ValueError("initial profile lives on a different grid")
     if spec.intensity == 0.0:
         return GridFunction(grid, u0.values.copy())

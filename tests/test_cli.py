@@ -237,7 +237,7 @@ def test_run_reduces_to_propagator_without_forcing(tmp_path):
     run_dir = _run_dir(tmp_path / "a")
     parts = assemble_scenario(parse_config(BASE))
     u = _read_field(run_dir / "trajectory.csv", parts.mesh.n_nodes, parts.grid.n_points)
-    action = as_action(parts.operator, norm_bound=parts.measured_norm)
+    action = as_action(parts.operator)
     ref = ml_trajectory(1.5, 1.0, action, parts.problem.state0, parts.mesh.nodes)
     # sigma = 0 and f = 0: the run is exactly the propagator applied to the data,
     # so the only gap left is the 17-digit decimal round trip
@@ -250,7 +250,7 @@ def test_velocity_term_closed_form(tmp_path):
     parts = assemble_scenario(parse_config(text))
     u = _read_field(_run_dir(tmp_path / "a") / "trajectory.csv", parts.mesh.n_nodes, parts.grid.n_points)
     ts = parts.mesh.nodes
-    action = as_action(parts.operator, norm_bound=parts.measured_norm)
+    action = as_action(parts.operator)
     ref = ml_trajectory(1.5, 1.0, action, parts.problem.state0, ts) + ts[:, None] * ml_trajectory(
         1.5, 2.0, action, parts.problem.velocity0, ts
     )
@@ -658,6 +658,26 @@ run_k = 10
     assert all(s.startswith("failed") for s in statuses[2:])
     # flagged rows leave their measurement cells empty
     assert lines[4].split(",")[5] == ""
+
+
+def test_sweep_rung_whose_solve_fails_leaves_empty_cells_and_strict_json(tmp_path):
+    # every rung builds its operator, and every solve fails the resolution gate
+    text = "[nonlinearity]\nf = 40000*sin(u)\n[schedule]\nk_min = 4\nk_max = 5\nrun_k = 4\n"
+    assert entrypoint(["sweep-epsilon", "--config", _cfg_file(tmp_path, text), "--out", str(tmp_path / "a"), "--quiet"]) == 0
+    run_dir = _run_dir(tmp_path / "a")
+    rows = [line.split(",") for line in (run_dir / "sweep.csv").read_text().splitlines()[1:]]
+    assert len(rows) == 2
+    for cells in rows:
+        assert cells[5] and cells[6]  # norm and association error of the built operator
+        assert cells[7:10] == ["", "", ""]
+        assert cells[10].startswith("failed: one time step does not resolve the nonlinearity")
+
+    def reject(constant):
+        raise ValueError(f"{constant} is not JSON")
+
+    meta = json.loads((run_dir / "metadata.json").read_text(), parse_constant=reject)
+    assert meta["moderateness"]["fitted_n"] is None
+    assert set(meta["moderateness"]["exponents"].values()) == {None}
 
 
 def test_validate_verb_single_criterion(tmp_path, capsys):

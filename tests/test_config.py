@@ -6,7 +6,17 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from fracwave import ConfigError, RunConfig, config_hash, parse_config, parse_config_file, render_config
+from fracwave import (
+    ConfigError,
+    EpsilonSchedule,
+    RunConfig,
+    SolverOptions,
+    cli,
+    config_hash,
+    parse_config,
+    parse_config_file,
+    render_config,
+)
 
 
 def test_empty_document_is_complete():
@@ -119,6 +129,12 @@ def test_every_key_round_trips():
 def test_default_hash_is_pinned():
     # run-directory names embed this hash; a change here renames every run
     assert config_hash(parse_config("")) == "d270894be354bf0b"
+
+
+def test_defaults_come_from_the_schedule_and_solver_classes():
+    cfg = parse_config("")
+    assert cli._build_schedule(cfg) == EpsilonSchedule(alpha=1.5)
+    assert cli._solver_options(cfg) == SolverOptions()
 
 def test_hash_tracks_content():
     a = parse_config("[run]\nalpha = 1.5\n")

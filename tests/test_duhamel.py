@@ -19,7 +19,6 @@ from fracwave import (
     TimeMesh,
     TruncationError,
     build_operator,
-    cubic_saturating,
     gronwall_stability_probe,
     make_mollifier,
     mittag_leffler,
@@ -244,7 +243,7 @@ def test_nonlinearity_contracts():
     assert flags["zero_at_origin"] is True
     assert flags["derivative_vanishes_at_zero"] is False
     assert abs(flags["fprime_at_zero"] - 0.1) <= 1e-6
-    g = cubic_saturating(0.2)
+    g = nonlinearity_from_callable(lambda u: 0.2 * u / (1.0 + u**2), "0.2*u/(1+u^2)")
     # a*u/(1+u^2) has slope a at the origin, and saturates away from it
     gflags = g.hypothesis_flags()
     assert gflags["derivative_vanishes_at_zero"] is False

