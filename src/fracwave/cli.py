@@ -346,6 +346,7 @@ def cmd_run(cfg: RunConfig, out: Optional[str], quiet: bool) -> int:
             "coeff_width": parts.schedule.coeff_width(parts.eps),
             "measured_norm": parts.measured_norm,
             "norm_cap": parts.norm_cap,
+            "norm_iterations": parts.operator.norm_estimate().iterations,
             "ladder": _schedule_table(parts.schedule),
         },
         "noise": parts.noise_meta,
@@ -415,9 +416,14 @@ def cmd_sweep(cfg: RunConfig, out: Optional[str], quiet: bool) -> int:
     if assoc is not None:
         for eps, err in zip(assoc.epsilons, assoc.errors[:, 0]):
             assoc_of[float(eps)] = float(err)
+    rungs = []
     for i, row in enumerate(_schedule_table(schedule)):
         eps = row["eps"]
-        norm = operators[eps].norm_estimate().value if eps in operators else None
+        est = operators[eps].norm_estimate() if eps in operators else None
+        # the work of each rung: its norm gate's power-iteration steps and its solve
+        solve = moder.solves[i] or dict.fromkeys(("sweeps", "series_levels", "block_q_max"))
+        rungs.append({"k": row["k"], "norm_iterations": None if est is None else est.iterations, **solve})
+        norm = None if est is None else est.value
         metrics = [eps, row["h"], row["coeff_width"], row["cap"], norm, assoc_of.get(eps)]
         metrics += [moder.norms[name][i] for name in ("state", "velocity", "fractional_derivative")]
         # a rung that failed to build or to solve leaves its metric cells empty
@@ -445,6 +451,7 @@ def cmd_sweep(cfg: RunConfig, out: Optional[str], quiet: bool) -> int:
             "fitted_n": _finite_or_none(moder.fitted_n),
             "statuses": moder.statuses,
         },
+        "rungs": rungs,
         "seed": cfg.master_seed,
     }
     _write_json(run_dir / "metadata.json", meta)

@@ -258,9 +258,10 @@ class SolverReport:
 
     contraction_history holds one list of changes per kernel-form block or
     derivative-form window, so iterations, the longest of them, is at most
-    max_iter.  Blocks and windows are half-open row ranges [s, e);
-    unconverged_rows names the first one that stopped at max_iter by its
-    first and last row, (s, e - 1).
+    max_iter, and sweeps, their total length, counts every sweep run.
+    Blocks and windows are half-open row ranges [s, e); unconverged_rows
+    names the first one that stopped at max_iter by its first and last row,
+    (s, e - 1).
     """
 
     trajectory: np.ndarray
@@ -276,6 +277,10 @@ class SolverReport:
     @property
     def iterations(self) -> int:
         return max(len(history) for history in self.contraction_history)
+
+    @property
+    def sweeps(self) -> int:
+        return sum(len(history) for history in self.contraction_history)
 
     @property
     def final_change(self) -> float:
@@ -654,13 +659,18 @@ def gronwall_stability_probe(
 @dataclass
 class ModerationReport:
     """Per-epsilon sup norms of the state, its velocity, and its fractional
-    derivative, with fitted power-law exponents against 1/epsilon."""
+    derivative, with fitted power-law exponents against 1/epsilon.
+
+    solves holds one summary per rung of the solve's work: its sweeps, series
+    levels and largest block contraction bound, or None where the rung failed.
+    """
 
     epsilons: np.ndarray
     norms: dict
     exponents: dict
     fitted_n: float
     statuses: list
+    solves: list
 
 
 _FAMILIES = ("state", "velocity", "fractional_derivative")
@@ -681,6 +691,7 @@ def moderateness_scan(
     eps_grid = schedule.epsilons
     norms = {name: np.full(eps_grid.size, np.nan) for name in _FAMILIES}
     statuses = []
+    solves = []
     for i, eps in enumerate(eps_grid):
         try:
             problem = build_problem(float(eps))
@@ -689,7 +700,15 @@ def moderateness_scan(
             # a ladder point that cannot even be assembled is a flagged
             # failure, same as a solve that blows up
             statuses.append(f"failed: {exc}")
+            solves.append(None)
             continue
+        solves.append(
+            {
+                "sweeps": report.sweeps,
+                "series_levels": report.metadata["series_levels"],
+                "block_q_max": report.metadata["block_q_max"],
+            }
+        )
         mesh = problem.mesh
         u = report.trajectory
         fields = {
@@ -710,7 +729,7 @@ def moderateness_scan(
             exponents[name] = math.nan
     finite_exps = [v for v in exponents.values() if np.isfinite(v)]
     fitted_n = max(finite_exps) if finite_exps else math.nan
-    return ModerationReport(eps_grid, norms, exponents, fitted_n, statuses)
+    return ModerationReport(eps_grid, norms, exponents, fitted_n, statuses, solves)
 
 
 def _sup_spatial_norm(values: np.ndarray, p: CauchyProblem) -> float:

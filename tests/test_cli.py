@@ -100,6 +100,7 @@ def test_run_artifacts_and_manifest_closure(tmp_path):
     assert meta["solver"]["converged"] is True
     assert meta["regularization"]["run_k"] == 6
     assert meta["regularization"]["measured_norm"] <= meta["regularization"]["norm_cap"]
+    assert meta["regularization"]["norm_iterations"] > 1
     # the stored config is the canonical form and parses back to the run's config
     assert parse_config((run_dir / "config.txt").read_text()) == parse_config(BASE)
 
@@ -573,6 +574,11 @@ run_k = 5
     assert meta["association"]["strictly_decreasing"] is True
     assert np.isfinite(meta["moderateness"]["fitted_n"])
     assert meta["moderateness"]["statuses"] == ["ok", "ok", "ok"]
+    # one record per rung of its norm gate's steps and its solve's work
+    assert [rung["k"] for rung in meta["rungs"]] == [4, 5, 6]
+    for rung in meta["rungs"]:
+        assert rung["norm_iterations"] > 1 and rung["sweeps"] >= 1 and rung["series_levels"] >= 1
+        assert rung["block_q_max"] > 0.0
 
 
 @pytest.mark.parametrize("verb", ["run", "sweep-epsilon"])
@@ -658,6 +664,8 @@ run_k = 10
     assert all(s.startswith("failed") for s in statuses[2:])
     # flagged rows leave their measurement cells empty
     assert lines[4].split(",")[5] == ""
+    rungs = json.loads((_run_dir(tmp_path / "a") / "metadata.json").read_text())["rungs"]
+    assert rungs[3] == {"k": 12, "norm_iterations": None, "sweeps": None, "series_levels": None, "block_q_max": None}
 
 
 def test_sweep_rung_whose_solve_fails_leaves_empty_cells_and_strict_json(tmp_path):
@@ -678,6 +686,8 @@ def test_sweep_rung_whose_solve_fails_leaves_empty_cells_and_strict_json(tmp_pat
     meta = json.loads((run_dir / "metadata.json").read_text(), parse_constant=reject)
     assert meta["moderateness"]["fitted_n"] is None
     assert set(meta["moderateness"]["exponents"].values()) == {None}
+    # the gates ran, the solves did not
+    assert all(rung["norm_iterations"] > 1 and rung["sweeps"] is None for rung in meta["rungs"])
 
 
 def test_validate_verb_single_criterion(tmp_path, capsys):

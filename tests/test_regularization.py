@@ -9,6 +9,7 @@ import pytest
 from fracwave import (
     CoefficientField,
     EpsilonSchedule,
+    NormEstimate,
     NormGateError,
     ResolutionError,
     SingularOrderError,
@@ -21,6 +22,7 @@ from fracwave import (
     make_mollifier,
     operator_norm_estimate,
 )
+from fracwave import regularization
 from fracwave.fractional import GridFunction, liouville_multiplier
 from fracwave.regularization import BUMP_NORMALIZATION, GUARD_EPS
 
@@ -208,16 +210,77 @@ def test_liouville_kinds_stay_complex_on_real_input():
     assert out.dtype == np.complex128 and np.max(np.abs(out.imag)) > 0.0
 
 
-def test_norm_estimate_matches_dense():
+def _sample_space_norm_estimate(op):
+    """The power iteration v <- A*A v on samples: one apply and one adjoint apply per step."""
+    n = op.dim
+    rng = np.random.Generator(np.random.Philox(key=0x9E3779B97F4A7C15))
+    v = rng.standard_normal(n) + 1j * rng.standard_normal(n)
+    v = v / np.linalg.norm(v)
+    sigma = 0.0
+    for it in range(1, 10_001):
+        y = op.apply_adjoint(op.apply(v))
+        ny = np.linalg.norm(y)
+        if ny == 0.0:
+            return NormEstimate(0.0, it, True)
+        sigma_new = math.sqrt(float(np.real(np.vdot(v, y))))
+        v = y / ny
+        if it > 1 and abs(sigma_new - sigma) <= 1e-6 * max(sigma_new, 1e-300):
+            return NormEstimate(sigma_new, it, True)
+        sigma = sigma_new
+    return NormEstimate(sigma, it, False)
+
+
+def _gated_operator(kind, coefficient, mollified):
     grid = SpatialGrid(16.0, 64)
-    moll = make_mollifier("bump", 0.4, grid)
-    coeff = 1.0 + 0.2 * np.cos(np.pi * grid.x / 16.0)
-    op = build_operator("second_derivative", 2.0, coeff, moll, grid, eps=2.0**-4)
+    moll = make_mollifier("bump", 0.4, grid) if mollified else None
+    if coefficient == "constant":
+        coeff = np.full(grid.n_points, 1.2)
+    else:
+        coeff = 1.0 + 0.2 * np.cos(np.pi * grid.x / 16.0)
+    return build_operator(kind, 1.5, coeff, moll, grid, eps=2.0**-4)
+
+
+@pytest.mark.parametrize("mollified", [True, False], ids=["mollified", "sharp"])
+@pytest.mark.parametrize("coefficient", ["constant", "variable"])
+@pytest.mark.parametrize("kind", ["second_derivative", "liouville_left", "liouville_right", "riesz"])
+def test_norm_estimate_matches_dense(kind, coefficient, mollified):
+    op = _gated_operator(kind, coefficient, mollified)
     est = operator_norm_estimate(op)
+    # the iteration on Fourier coefficients takes the sample-space steps
+    ref = _sample_space_norm_estimate(op)
+    assert (est.iterations, est.converged) == (ref.iterations, ref.converged)
+    assert abs(est.value - ref.value) <= 1e-14 * ref.value
     exact = np.linalg.norm(op.materialize(), 2)
     assert abs(est.value - exact) <= 1e-3 * exact
     # the carried estimate is computed once
-    assert op.norm_estimate().value == op.norm_estimate().value
+    assert op.norm_estimate() is op.norm_estimate()
+
+
+def test_zero_coefficient_has_norm_zero():
+    grid = SpatialGrid(16.0, 64)
+    op = build_operator("riesz", 1.5, np.zeros(grid.n_points), make_mollifier("bump", 0.4, grid), grid)
+    assert operator_norm_estimate(op) == NormEstimate(0.0, 1, True) == _sample_space_norm_estimate(op)
+
+
+@pytest.mark.parametrize("coefficient, per_step", [("constant", 0), ("variable", 2)])
+def test_norm_estimate_transforms_per_step(coefficient, per_step, monkeypatch):
+    op = _gated_operator("liouville_left", coefficient, True)
+    # counted as fracwave.regularization sees numpy's transforms
+    calls = []
+
+    def counted(transform):
+        def wrapper(*args, **kwargs):
+            calls.append(transform.__name__)
+            return transform(*args, **kwargs)
+
+        return wrapper
+
+    for name in ("fft", "ifft", "rfft", "irfft"):
+        monkeypatch.setattr(regularization.np.fft, name, counted(getattr(regularization.np.fft, name)))
+    est = operator_norm_estimate(op)
+    assert est.iterations > 10
+    # one transform takes the start vector to its coefficients
+    assert len(calls) == 1 + per_step * est.iterations
 
 
 def test_norm_gate_trips_on_tight_cap():
