@@ -35,7 +35,6 @@ from . import __version__
 from .config import RunConfig, config_hash, parse_config, parse_config_file, render_config
 from .duhamel import (
     CauchyProblem,
-    Nonlinearity,
     SolverOptions,
     moderateness_scan,
     nonlinearity_from_callable,
@@ -162,66 +161,47 @@ def _noise_spec(cfg: RunConfig, schedule: Optional[EpsilonSchedule]) -> NoiseSpe
     )
 
 
-@dataclasses.dataclass(frozen=True)
-class _ProblemData:
-    """The epsilon-independent data of a problem, read once per verb."""
-
-    nonlinearity: Nonlinearity
-    displacement: GridFunction
-    velocity: np.ndarray
-    noise: Optional[NoiseSpec]
-
-
-def _problem_data(cfg: RunConfig, grid: SpatialGrid, schedule: Optional[EpsilonSchedule]) -> _ProblemData:
+def _problem_builder(cfg: RunConfig, grid: SpatialGrid, mesh: TimeMesh, schedule: Optional[EpsilonSchedule]):
+    """Read the epsilon-independent data once; returns build(operator, eps) -> (problem, noise_meta)."""
     nonlinearity = _build_nonlinearity(cfg)
-    q = _displacement(cfg, grid)
-    v_vals = cfg.velocity_scale * _profile_samples(cfg.velocity, grid, "initial.velocity")
+    displacement = _displacement(cfg, grid)
+    velocity = cfg.velocity_scale * _profile_samples(cfg.velocity, grid, "initial.velocity")
     spec = _noise_spec(cfg, schedule) if cfg.noise_intensity > 0.0 else None
-    return _ProblemData(nonlinearity, q, v_vals, spec)
+
+    def build(operator, eps: float) -> tuple:
+        """The problem at one epsilon, with the provenance of the noise it drew."""
+        forcing = None
+        q = displacement
+        noise_meta = []
+        if spec is not None:
+            if cfg.noise_target in ("forcing", "both"):
+                rep = white_noise_representative(spec, eps, grid, mesh)
+                forcing = rep.trajectory
+                noise_meta.append({"target": "forcing", **rep.provenance})
+            if cfg.noise_target in ("initial", "both"):
+                q = stochastic_initial_data(q, spec, eps, grid)
+                noise_meta.append({"target": "initial", **spec.provenance(eps, 1)})
+        problem = CauchyProblem(
+            cfg.alpha, operator, nonlinearity, q, mesh, forcing=forcing, initial_velocity=velocity, grid=grid
+        )
+        return problem, noise_meta
+
+    return build
 
 
-def _problem(
-    cfg: RunConfig, grid: SpatialGrid, mesh: TimeMesh, operator, data: _ProblemData, eps: float
-) -> tuple:
-    """The problem at one epsilon, with the provenance of the noise it drew."""
-    forcing = None
-    q = data.displacement
-    noise_meta = []
-    spec = data.noise
-    if spec is not None:
-        if cfg.noise_target in ("forcing", "both"):
-            rep = white_noise_representative(spec, eps, grid, mesh)
-            forcing = rep.trajectory
-            noise_meta.append({"target": "forcing", **rep.provenance})
-        if cfg.noise_target in ("initial", "both"):
-            q = stochastic_initial_data(q, spec, eps, grid)
-            noise_meta.append({"target": "initial", **spec.provenance(eps, 1)})
-    problem = CauchyProblem(
-        alpha=cfg.alpha,
-        operator=operator,
-        nonlinearity=data.nonlinearity,
-        initial_data=q,
-        mesh=mesh,
-        forcing=forcing,
-        initial_velocity=data.velocity,
-        grid=grid,
-        sobolev_order=None,
-    )
-    return problem, noise_meta
+def _gated_operator(cfg: RunConfig, field: CoefficientField, schedule: EpsilonSchedule, eps: float):
+    """The approximate operator at eps, once it has passed its norm gate."""
+    operator = approximate_operator(cfg.resolved_operator_kind(), cfg.space_order, field, schedule, eps)
+    check_norm_gate(operator, schedule)
+    return operator
 
 
 @dataclasses.dataclass
 class ScenarioParts:
-    """Everything `run` needs, assembled once from a config."""
+    """Everything `run` needs, assembled once from a config; eps is None when unmollified."""
 
-    cfg: RunConfig
-    grid: SpatialGrid
-    mesh: TimeMesh
     schedule: Optional[EpsilonSchedule]
     eps: Optional[float]
-    operator: object
-    measured_norm: Optional[float]
-    norm_cap: Optional[float]
     problem: CauchyProblem
     noise_meta: list
 
@@ -230,18 +210,12 @@ def assemble_scenario(cfg: RunConfig) -> ScenarioParts:
     """Build grid, operator, noise, and problem from a validated config."""
     grid, mesh, schedule, eps = _frame(cfg)
     coeff_raw = _coefficient_samples(cfg, grid)
-    measured = cap = None
-    if schedule is not None:
-        field = CoefficientField(grid, coeff_raw, shape=cfg.mollifier_shape)
-        operator = approximate_operator(cfg.resolved_operator_kind(), cfg.space_order, field, schedule, eps)
-        cap = schedule.cap(eps)
-        measured = check_norm_gate(operator, schedule)
-    else:
+    if schedule is None:
         operator = build_operator(cfg.resolved_operator_kind(), cfg.space_order, coeff_raw, None, grid)
-    data = _problem_data(cfg, grid, schedule)
-    problem, noise_meta = _problem(cfg, grid, mesh, operator, data, eps)
-    run_eps = eps if schedule is not None else None
-    return ScenarioParts(cfg, grid, mesh, schedule, run_eps, operator, measured, cap, problem, noise_meta)
+    else:
+        operator = _gated_operator(cfg, CoefficientField(grid, coeff_raw, shape=cfg.mollifier_shape), schedule, eps)
+    problem, noise_meta = _problem_builder(cfg, grid, mesh, schedule)(operator, eps)
+    return ScenarioParts(schedule, eps if schedule is not None else None, problem, noise_meta)
 
 
 def _solver_options(cfg: RunConfig) -> SolverOptions:
@@ -282,26 +256,29 @@ def _write_manifest(dirpath: Path, names: list) -> None:
     _write_json(dirpath / "manifest.json", {"files": entries})
 
 
-def _prepare_dir(cfg: RunConfig, out: Optional[str], stem: str) -> Path:
+def _write_run(cfg: RunConfig, out: Optional[str], stem: str, files: dict, meta: dict) -> Path:
+    """Write one run directory and return it.
+
+    The directory holds config.txt, each file of `files` (name -> writer taking
+    the path), metadata.json (the shared header plus `meta`) and manifest.json.
+    """
     base = Path(out) if out else Path(cfg.output_directory)
     run_dir = base / f"{stem}-{cfg.label}-{config_hash(cfg)}"
     run_dir.mkdir(parents=True, exist_ok=True)
+    (run_dir / "config.txt").write_text(render_config(cfg), encoding="utf-8")
+    for name, write in files.items():
+        write(run_dir / name)
+    header = {"version": __version__, "config_hash": config_hash(cfg), "label": cfg.label, "seed": cfg.master_seed}
+    _write_json(run_dir / "metadata.json", {**header, **meta})
+    _write_manifest(run_dir, ["config.txt", *files, "metadata.json"])
     return run_dir
 
 
 def _schedule_table(schedule: EpsilonSchedule) -> list:
-    rows = []
-    for k, eps in zip(range(schedule.k_min, schedule.k_max + 1), schedule.epsilons):
-        rows.append(
-            {
-                "k": k,
-                "eps": float(eps),
-                "h": schedule.h(float(eps)),
-                "coeff_width": schedule.coeff_width(float(eps)),
-                "cap": schedule.cap(float(eps)),
-            }
-        )
-    return rows
+    return [
+        {"k": k, "eps": eps, "h": schedule.h(eps), "coeff_width": schedule.coeff_width(eps), "cap": schedule.cap(eps)}
+        for k, eps in zip(range(schedule.k_min, schedule.k_max + 1), schedule.epsilons.tolist())
+    ]
 
 
 # ---------------------------------------------------------------- verbs
@@ -324,34 +301,29 @@ def cmd_run(cfg: RunConfig, out: Optional[str], quiet: bool) -> int:
         )
     from .fieldcsv import write_field_csv  # imported where used, so set-up does not load the writer
 
-    run_dir = _prepare_dir(cfg, out, "run")
-    (run_dir / "config.txt").write_text(render_config(cfg), encoding="utf-8")
-    write_field_csv(run_dir / "trajectory.csv", parts.mesh.nodes, parts.grid.x, report.trajectory)
+    problem, schedule, eps = parts.problem, parts.schedule, parts.eps
+    norm = None if schedule is None else problem.operator.norm_estimate()
     meta = {
         "verb": "run",
-        "version": __version__,
-        "config_hash": config_hash(cfg),
-        "label": cfg.label,
         "alpha": cfg.alpha,
         "operator_kind": cfg.resolved_operator_kind(),
         "solver_form": report.form,
         "grid": {"half_length": cfg.half_length, "n_points": cfg.n_points},
         "mesh": {"horizon": cfg.horizon, "n_steps": cfg.n_steps},
         "regularization": None
-        if parts.schedule is None
+        if schedule is None
         else {
             "run_k": cfg.run_k,
-            "eps": parts.eps,
-            "h": parts.schedule.h(parts.eps),
-            "coeff_width": parts.schedule.coeff_width(parts.eps),
-            "measured_norm": parts.measured_norm,
-            "norm_cap": parts.norm_cap,
-            "norm_iterations": parts.operator.norm_estimate().iterations,
-            "ladder": _schedule_table(parts.schedule),
+            "eps": eps,
+            "h": schedule.h(eps),
+            "coeff_width": schedule.coeff_width(eps),
+            "measured_norm": norm.value,
+            "norm_cap": schedule.cap(eps),
+            "norm_iterations": norm.iterations,
+            "ladder": _schedule_table(schedule),
         },
         "noise": parts.noise_meta,
-        "seed": cfg.master_seed,
-        "nonlinearity": parts.problem.nonlinearity.hypothesis_flags(),
+        "nonlinearity": problem.nonlinearity.hypothesis_flags(),
         "solver": {
             "converged": report.converged,
             "iterations": report.iterations,
@@ -360,10 +332,13 @@ def cmd_run(cfg: RunConfig, out: Optional[str], quiet: bool) -> int:
             "details": report.metadata,
         },
     }
-    _write_json(run_dir / "metadata.json", meta)
-    _write_manifest(run_dir, ["config.txt", "trajectory.csv", "metadata.json"])
-    if parts.measured_norm is not None:
-        _say(quiet, f"norm gate: {parts.measured_norm:.6g} <= cap {parts.norm_cap:.6g} at eps {parts.eps:g}")
+
+    def trajectory(path: Path) -> None:
+        write_field_csv(path, problem.mesh.nodes, problem.grid.x, report.trajectory)
+
+    run_dir = _write_run(cfg, out, "run", {"trajectory.csv": trajectory}, meta)
+    if norm is not None:
+        _say(quiet, f"norm gate: {norm.value:.6g} <= cap {schedule.cap(eps):.6g} at eps {eps:g}")
     _say(
         quiet,
         f"run {cfg.label}: converged in {report.iterations} sweeps "
@@ -376,26 +351,14 @@ def cmd_sweep(cfg: RunConfig, out: Optional[str], quiet: bool) -> int:
     if not cfg.mollify:
         raise ConfigError([(None, "sweep-epsilon needs operator.mollify = true")])
     grid, mesh, schedule, _ = _frame(cfg)
-    kind = cfg.resolved_operator_kind()
     coeff_raw = _coefficient_samples(cfg, grid)
     field = CoefficientField(grid, coeff_raw, shape=cfg.mollifier_shape)
-    data = _problem_data(cfg, grid, schedule)
-
-    operators = {}
-    build_errors = {}
-    for eps in schedule.epsilons:
-        eps = float(eps)
-        try:
-            op = approximate_operator(kind, cfg.space_order, field, schedule, eps)
-            check_norm_gate(op, schedule)
-            operators[eps] = op
-        except FracwaveError as exc:
-            build_errors[eps] = exc
+    build = _problem_builder(cfg, grid, mesh, schedule)
+    operators = {}  # the rungs whose operator passed its norm gate
 
     def build_problem(eps: float) -> CauchyProblem:
-        if eps in build_errors:
-            raise build_errors[eps]
-        return _problem(cfg, grid, mesh, operators[eps], data, eps)[0]
+        operators[eps] = _gated_operator(cfg, field, schedule, eps)
+        return build(operators[eps], eps)[0]
 
     if cfg.solver_form != "kernel":
         print(
@@ -408,14 +371,8 @@ def cmd_sweep(cfg: RunConfig, out: Optional[str], quiet: bool) -> int:
     probe = GridFunction(grid, np.exp(-(grid.x**2) / (2.0 * probe_scale**2)))
     assoc = association_diagnostic(operators, [probe], coeff_raw) if operators else None
 
-    run_dir = _prepare_dir(cfg, out, "sweep")
-    (run_dir / "config.txt").write_text(render_config(cfg), encoding="utf-8")
-
     lines = ["k,eps,h,coeff_width,cap,norm,association_error,sup_state,sup_velocity,sup_fractional_derivative,status"]
-    assoc_of = {}
-    if assoc is not None:
-        for eps, err in zip(assoc.epsilons, assoc.errors[:, 0]):
-            assoc_of[float(eps)] = float(err)
+    assoc_of = {} if assoc is None else dict(zip(assoc.epsilons.tolist(), assoc.errors[:, 0].tolist()))
     rungs = []
     for i, row in enumerate(_schedule_table(schedule)):
         eps = row["eps"]
@@ -429,15 +386,12 @@ def cmd_sweep(cfg: RunConfig, out: Optional[str], quiet: bool) -> int:
         # a rung that failed to build or to solve leaves its metric cells empty
         cells = [str(row["k"])] + ["" if v is None or not math.isfinite(v) else f"{v:.17g}" for v in metrics]
         lines.append(",".join(cells + [moder.statuses[i].replace(",", ";")]))
-    (run_dir / "sweep.csv").write_text("\n".join(lines) + "\n", encoding="utf-8")
+    table = "\n".join(lines) + "\n"
 
     meta = {
         "verb": "sweep-epsilon",
-        "version": __version__,
-        "config_hash": config_hash(cfg),
-        "label": cfg.label,
         "alpha": cfg.alpha,
-        "operator_kind": kind,
+        "operator_kind": cfg.resolved_operator_kind(),
         "solver_form": "kernel",
         "ladder": _schedule_table(schedule),
         "association": None
@@ -452,10 +406,8 @@ def cmd_sweep(cfg: RunConfig, out: Optional[str], quiet: bool) -> int:
             "statuses": moder.statuses,
         },
         "rungs": rungs,
-        "seed": cfg.master_seed,
     }
-    _write_json(run_dir / "metadata.json", meta)
-    _write_manifest(run_dir, ["config.txt", "sweep.csv", "metadata.json"])
+    run_dir = _write_run(cfg, out, "sweep", {"sweep.csv": lambda path: path.write_text(table, encoding="utf-8")}, meta)
     if assoc is not None:
         _say(
             quiet,
@@ -507,26 +459,17 @@ def cmd_noise_dump(cfg: RunConfig, out: Optional[str], quiet: bool) -> int:
     perturb = cfg.noise_target in ("initial", "both")
     # read the displacement before any output, so a bad profile leaves no directory
     perturbed = stochastic_initial_data(_displacement(cfg, grid), spec, eps, grid) if perturb else None
-    run_dir = _prepare_dir(cfg, out, "noise")
-    (run_dir / "config.txt").write_text(render_config(cfg), encoding="utf-8")
-    write_field_csv(run_dir / "noise.csv", mesh.nodes, grid.x, rep.trajectory.values)
-    names = ["config.txt", "noise.csv", "metadata.json"]
+    files = {"noise.csv": lambda path: write_field_csv(path, mesh.nodes, grid.x, rep.trajectory.values)}
     meta = {
         "verb": "noise-dump",
-        "version": __version__,
-        "config_hash": config_hash(cfg),
-        "label": cfg.label,
         "eps": eps,
         "provenance": rep.provenance,
         "interior_variance": mollified_variance(spec, eps, grid, mesh),
-        "seed": cfg.master_seed,
     }
     if perturb:
-        write_field_csv(run_dir / "initial.csv", mesh.nodes[:1], grid.x, perturbed.values[None, :])
-        names.insert(2, "initial.csv")
+        files["initial.csv"] = lambda path: write_field_csv(path, mesh.nodes[:1], grid.x, perturbed.values[None, :])
         meta["initial_provenance"] = spec.provenance(eps, 1)
-    _write_json(run_dir / "metadata.json", meta)
-    _write_manifest(run_dir, names)
+    run_dir = _write_run(cfg, out, "noise", files, meta)
     _say(quiet, f"noise field ({mesh.n_nodes} x {grid.n_points}) written to {run_dir}")
     return 0
 

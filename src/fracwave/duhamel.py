@@ -621,7 +621,6 @@ def second_derivative_identity_check(report: SolverReport, p: CauchyProblem) -> 
 class StabilityReport:
     """Measured initial-data sensitivity at a ladder of perturbation scales."""
 
-    scales: np.ndarray
     k_values: np.ndarray
     perturbation_norm: float
 
@@ -653,7 +652,7 @@ def gronwall_stability_probe(
         shifted = replace(p, initial_data=p.state0 + s * dq)
         diff = solve_kernel_form(shifted, opts).trajectory - nominal
         ks.append(_row_sup(diff, weight) / (abs(s) * dq_norm))
-    return StabilityReport(np.asarray(scales, dtype=float), np.asarray(ks), dq_norm)
+    return StabilityReport(np.asarray(ks), dq_norm)
 
 
 @dataclass

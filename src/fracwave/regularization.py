@@ -240,13 +240,12 @@ class CoefficientField:
     """A bounded coefficient profile and its smoothed representatives.
 
     Smoothing convolves the raw samples with the kernel family at the
-    schedule's coefficient width; each smoothed profile is cached per eps.
+    schedule's coefficient width.
     """
 
     grid: SpatialGrid
     raw: np.ndarray
     shape: str = "bump"
-    entries: Dict[float, np.ndarray] = field(default_factory=dict, repr=False)
 
     def __post_init__(self):
         arr = np.asarray(self.raw, dtype=float)
@@ -257,18 +256,12 @@ class CoefficientField:
         self.raw = arr
 
     def smoothed(self, eps: float, schedule: EpsilonSchedule) -> np.ndarray:
-        if eps not in self.entries:
-            if np.ptp(self.raw) == 0.0:
-                # unit-mass kernels leave constants untouched; skipping the
-                # convolution also frees constant profiles from any grid
-                # resolvability constraint
-                values = self.raw.copy()
-            else:
-                width = schedule.coeff_width(eps)
-                moll = make_mollifier(self.shape, width, self.grid)
-                values = moll.convolve(self.raw)
-            self.entries[eps] = values
-        return self.entries[eps]
+        if np.ptp(self.raw) == 0.0:
+            # unit-mass kernels leave constants untouched; skipping the
+            # convolution also frees constant profiles from any grid
+            # resolvability constraint
+            return self.raw.copy()
+        return make_mollifier(self.shape, schedule.coeff_width(eps), self.grid).convolve(self.raw)
 
 
 _KINDS = ("second_derivative", "liouville_left", "liouville_right", "riesz")

@@ -162,8 +162,6 @@ class GeneratorProbe:
     """Generator recovery record: scaled differences against a time ladder."""
 
     times: np.ndarray
-    probe: np.ndarray
-    recovered: np.ndarray
     errors: np.ndarray
     rate: float
 
@@ -196,7 +194,7 @@ def generator_recovery(alpha: float, operator, x: np.ndarray, ladder: np.ndarray
         rate = math.nan
     else:
         rate = float(np.polyfit(np.log(ts), np.log(errors), 1)[0])
-    return GeneratorProbe(ts, vec, recovered, errors, rate)
+    return GeneratorProbe(ts, errors, rate)
 
 
 @dataclass(frozen=True)
@@ -205,7 +203,6 @@ class ExponentialBound:
 
     m_factor: float
     omega: float
-    times: np.ndarray
     norms: np.ndarray
 
     @property
@@ -255,4 +252,4 @@ def exp_bound_check(alpha: float, operator, times: np.ndarray) -> ExponentialBou
         raise FracwaveError("non-finite propagator norm sample; series range exceeded")
     omega = action.norm_bound ** (1.0 / alpha)
     m_factor = float(np.max(norms * np.exp(-omega * ts)))
-    return ExponentialBound(m_factor, omega, ts, norms)
+    return ExponentialBound(m_factor, omega, norms)

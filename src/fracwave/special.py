@@ -385,8 +385,6 @@ class GrowthEnvelope:
 
     alpha: float
     beta: float
-    omega_grid: np.ndarray
-    t_grid: np.ndarray
     ratios: np.ndarray = field(repr=False)
     c: float = 1.0
     n_nonfinite: int = 0
@@ -429,8 +427,6 @@ def check_growth_bound(p: MlParams, omega_grid, t_grid) -> GrowthEnvelope:
     return GrowthEnvelope(
         alpha=p.alpha,
         beta=p.beta,
-        omega_grid=omega_arr,
-        t_grid=t_arr,
         ratios=ratios,
         c=c,
         n_nonfinite=n_bad,

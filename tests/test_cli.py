@@ -15,7 +15,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 import fracwave
-from fracwave import cli, ml_trajectory, parse_config, pi_weights, render_config
+from fracwave import cli, config_hash, ml_trajectory, parse_config, pi_weights, render_config
 from fracwave.cli import _write_manifest, assemble_scenario, entrypoint
 from fracwave.duhamel import _block_plan, _fold_blocks, _picard, _plan_meta, _volterra
 from fracwave.fieldcsv import format_g17, write_field_csv
@@ -81,22 +81,32 @@ def _read_field(csv_path, n_nodes, n_points):
     return u.reshape(n_nodes, n_points)
 
 
-def test_run_artifacts_and_manifest_closure(tmp_path):
-    code = entrypoint(["run", "--config", _cfg_file(tmp_path, BASE), "--out", str(tmp_path / "a"), "--quiet"])
-    assert code == 0
-    run_dir = _run_dir(tmp_path / "a")
-    names = sorted(p.name for p in run_dir.iterdir())
-    assert names == ["config.txt", "manifest.json", "metadata.json", "trajectory.csv"]
+def _check_run_dir(run_dir, verb, text, files):
+    """The shared header of metadata.json, and a manifest of exactly the verb's files."""
+    names = sorted(["config.txt", "metadata.json", *files])
+    assert sorted(p.name for p in run_dir.iterdir()) == sorted(names + ["manifest.json"])
     manifest = json.loads((run_dir / "manifest.json").read_text())
-    assert sorted(manifest["files"]) == ["config.txt", "metadata.json", "trajectory.csv"]
+    assert list(manifest["files"]) == names
     for name, entry in manifest["files"].items():
         blob = (run_dir / name).read_bytes()
         assert entry["sha256"] == hashlib.sha256(blob).hexdigest()
         assert entry["bytes"] == len(blob)
+    cfg = parse_config(text)
+    meta = json.loads((run_dir / "metadata.json").read_text())
+    assert meta["verb"] == verb and meta["version"] == fracwave.__version__
+    assert meta["config_hash"] == config_hash(cfg) and run_dir.name.endswith(meta["config_hash"])
+    assert meta["label"] == cfg.label and meta["seed"] == cfg.master_seed
+    return meta
+
+
+def test_run_artifacts_and_manifest_closure(tmp_path):
+    code = entrypoint(["run", "--config", _cfg_file(tmp_path, BASE), "--out", str(tmp_path / "a"), "--quiet"])
+    assert code == 0
+    run_dir = _run_dir(tmp_path / "a")
+    meta = _check_run_dir(run_dir, "run", BASE, ["trajectory.csv"])
     header = (run_dir / "trajectory.csv").read_text().splitlines()[0]
     assert header == "t,x,re_u,im_u"
-    meta = json.loads((run_dir / "metadata.json").read_text())
-    assert meta["verb"] == "run" and meta["alpha"] == 1.5
+    assert meta["alpha"] == 1.5 and meta["label"] == "case"
     assert meta["solver"]["converged"] is True
     assert meta["regularization"]["run_k"] == 6
     assert meta["regularization"]["measured_norm"] <= meta["regularization"]["norm_cap"]
@@ -237,9 +247,9 @@ def test_run_reduces_to_propagator_without_forcing(tmp_path):
     assert entrypoint(["run", "--config", _cfg_file(tmp_path, BASE), "--out", str(tmp_path / "a"), "--quiet"]) == 0
     run_dir = _run_dir(tmp_path / "a")
     parts = assemble_scenario(parse_config(BASE))
-    u = _read_field(run_dir / "trajectory.csv", parts.mesh.n_nodes, parts.grid.n_points)
-    action = as_action(parts.operator)
-    ref = ml_trajectory(1.5, 1.0, action, parts.problem.state0, parts.mesh.nodes)
+    u = _read_field(run_dir / "trajectory.csv", parts.problem.mesh.n_nodes, parts.problem.grid.n_points)
+    action = as_action(parts.problem.operator)
+    ref = ml_trajectory(1.5, 1.0, action, parts.problem.state0, parts.problem.mesh.nodes)
     # sigma = 0 and f = 0: the run is exactly the propagator applied to the data,
     # so the only gap left is the 17-digit decimal round trip
     assert np.max(np.abs(u - ref)) <= 1e-10
@@ -249,9 +259,9 @@ def test_velocity_term_closed_form(tmp_path):
     text = BASE + "\n[initial]\nvelocity = gaussian_bump\nvelocity_scale = 0.3\n"
     assert entrypoint(["run", "--config", _cfg_file(tmp_path, text), "--out", str(tmp_path / "a"), "--quiet"]) == 0
     parts = assemble_scenario(parse_config(text))
-    u = _read_field(_run_dir(tmp_path / "a") / "trajectory.csv", parts.mesh.n_nodes, parts.grid.n_points)
-    ts = parts.mesh.nodes
-    action = as_action(parts.operator)
+    u = _read_field(_run_dir(tmp_path / "a") / "trajectory.csv", parts.problem.mesh.n_nodes, parts.problem.grid.n_points)
+    ts = parts.problem.mesh.nodes
+    action = as_action(parts.problem.operator)
     ref = ml_trajectory(1.5, 1.0, action, parts.problem.state0, ts) + ts[:, None] * ml_trajectory(
         1.5, 2.0, action, parts.problem.velocity0, ts
     )
@@ -278,17 +288,17 @@ displacement = mode:3
     assert entrypoint(["run", "--config", _cfg_file(tmp_path, text), "--out", str(tmp_path / "a"), "--quiet"]) == 0
     cfg = parse_config(text)
     parts = assemble_scenario(cfg)
-    u = _read_field(_run_dir(tmp_path / "a") / "trajectory.csv", parts.mesh.n_nodes, parts.grid.n_points)
+    u = _read_field(_run_dir(tmp_path / "a") / "trajectory.csv", parts.problem.mesh.n_nodes, parts.problem.grid.n_points)
     # a single Fourier mode is an eigenvector of the mollified multiplier, so
     # the evolution is scalar Mittag-Leffler in the operator's own symbol
     from fracwave import MlParams, mittag_leffler
 
     xi0 = np.pi * 3 / 16.0
-    idx = int(np.argmin(np.abs(parts.grid.xi - xi0)))
-    sym = complex(parts.operator.symbol[idx])
-    mode = np.exp(1j * xi0 * parts.grid.x)
+    idx = int(np.argmin(np.abs(parts.problem.grid.xi - xi0)))
+    sym = complex(parts.problem.operator.symbol[idx])
+    mode = np.exp(1j * xi0 * parts.problem.grid.x)
     oracle = np.array(
-        [mittag_leffler(MlParams(1.6, 1.0), sym * t**1.6) for t in parts.mesh.nodes]
+        [mittag_leffler(MlParams(1.6, 1.0), sym * t**1.6) for t in parts.problem.mesh.nodes]
     )[:, None] * mode[None, :]
     assert np.max(np.abs(u - oracle)) <= 1e-8
 
@@ -508,13 +518,11 @@ def test_noise_dump_artifacts(tmp_path):
     cfg = _cfg_file(tmp_path, NOISY + "target = both\n")
     assert entrypoint(["noise-dump", "--config", cfg, "--out", str(tmp_path / "a"), "--quiet"]) == 0
     run_dir = _run_dir(tmp_path / "a")
-    assert (run_dir / "noise.csv").exists() and (run_dir / "initial.csv").exists()
-    meta = json.loads((run_dir / "metadata.json").read_text())
+    meta = _check_run_dir(run_dir, "noise-dump", NOISY + "target = both\n", ["noise.csv", "initial.csv"])
+    assert meta["seed"] == 7
     assert meta["interior_variance"] > 0.0
     assert meta["provenance"]["tag"] == 0
     assert meta["initial_provenance"]["tag"] == 1
-    manifest = json.loads((run_dir / "manifest.json").read_text())
-    assert set(manifest["files"]) == {"config.txt", "noise.csv", "initial.csv", "metadata.json"}
     # the realized fields, written as np.savetxt would: the noise is real, so im_u is all zeros
     parsed = parse_config(NOISY + "target = both\n")
     grid, mesh, schedule, eps = cli._frame(parsed)
@@ -543,6 +551,8 @@ def test_temporal_kernel_wider_than_the_horizon(tmp_path):
 def test_noise_dump_zero_intensity(tmp_path):
     cfg = _cfg_file(tmp_path, BASE)  # sigma defaults to zero
     assert entrypoint(["noise-dump", "--config", cfg, "--out", str(tmp_path / "a"), "--quiet"]) == 0
+    # the default target is the forcing alone: no initial.csv
+    _check_run_dir(_run_dir(tmp_path / "a"), "noise-dump", BASE, ["noise.csv"])
     data = np.loadtxt(_run_dir(tmp_path / "a") / "noise.csv", delimiter=",", skiprows=1)
     assert not np.any(data[:, 2]) and not np.any(data[:, 3])
 
@@ -570,7 +580,7 @@ run_k = 5
     assert lines[0] == "k,eps,h,coeff_width,cap,norm,association_error,sup_state,sup_velocity,sup_fractional_derivative,status"
     assert len(lines) == 4  # header + one row per ladder point
     assert all(line.endswith(",ok") for line in lines[1:])
-    meta = json.loads((run_dir / "metadata.json").read_text())
+    meta = _check_run_dir(run_dir, "sweep-epsilon", text, ["sweep.csv"])
     assert meta["association"]["strictly_decreasing"] is True
     assert np.isfinite(meta["moderateness"]["fitted_n"])
     assert meta["moderateness"]["statuses"] == ["ok", "ok", "ok"]
@@ -666,6 +676,41 @@ run_k = 10
     assert lines[4].split(",")[5] == ""
     rungs = json.loads((_run_dir(tmp_path / "a") / "metadata.json").read_text())["rungs"]
     assert rungs[3] == {"k": 12, "norm_iterations": None, "sweeps": None, "series_levels": None, "block_q_max": None}
+
+
+NORM_GATE = """
+[mesh]
+n_steps = 16
+horizon = 0.25
+[operator]
+coefficient = 1+0.25*sech(x)
+[schedule]
+k_min = 4
+k_max = 6
+kappa_cap = 40
+run_k = 5
+"""
+
+
+def test_norm_gate_stops_run_and_flags_the_sweep_rung(tmp_path, capsys):
+    # at kappa_cap = 40 the operator at k = 5 is above its cap; those at k = 4 and 6 are below theirs
+    cfg = _cfg_file(tmp_path, NORM_GATE)
+    out = tmp_path / "run"
+    assert entrypoint(["run", "--config", cfg, "--out", str(out), "--quiet"]) == 3
+    lines = capsys.readouterr().err.splitlines()
+    assert len(lines) == 1 and lines[0].startswith("numerical gate: ")
+    assert "operator norm 23.1061 exceeds the schedule cap 19.5967" in lines[0]
+    assert not out.exists()
+    assert entrypoint(["sweep-epsilon", "--config", cfg, "--out", str(tmp_path / "sweep"), "--quiet"]) == 0
+    run_dir = _run_dir(tmp_path / "sweep")
+    rows = {line.split(",")[0]: line.split(",") for line in (run_dir / "sweep.csv").read_text().splitlines()[1:]}
+    assert rows["4"][-1] == rows["6"][-1] == "ok"
+    assert rows["5"][-1].startswith("failed: operator norm 23.1061 exceeds the schedule cap 19.5967")
+    assert rows["5"][4] and rows["5"][5:10] == ["", "", "", "", ""]  # its cap, but no norm or measurement
+    assert rows["4"][5] and rows["6"][5]
+    meta = json.loads((run_dir / "metadata.json").read_text())
+    assert meta["rungs"][1] == {"k": 5, "norm_iterations": None, "sweeps": None, "series_levels": None, "block_q_max": None}
+    assert meta["moderateness"]["statuses"][0] == meta["moderateness"]["statuses"][2] == "ok"
 
 
 def test_sweep_rung_whose_solve_fails_leaves_empty_cells_and_strict_json(tmp_path):

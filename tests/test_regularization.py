@@ -123,13 +123,30 @@ def test_nonconstant_coefficient_smoothing():
     out = field.smoothed(eps, sched)
     assert not np.array_equal(out, raw)
     assert np.max(np.abs(out - raw)) <= 0.05  # mild smoothing, small change
-    # repeated lookups come from the cache
     again = field.smoothed(eps, sched)
     assert np.array_equal(out, again)
     with pytest.raises(SizeError):
         CoefficientField(grid, np.ones(8))
     with pytest.raises(ValueError):
         CoefficientField(grid, np.full(grid.n_points, np.inf))
+
+
+def test_one_field_smooths_at_each_schedules_width():
+    # the smoothing width comes from the schedule, so one field asked at the
+    # same eps under two schedules gives two profiles, each a fresh field's
+    grid = SpatialGrid(16.0, 512)
+    raw = 1.0 + 0.25 / np.cosh(grid.x)
+    field = CoefficientField(grid, raw)
+    eps = 2.0**-5
+    wide = EpsilonSchedule(alpha=1.5, coeff_width_factor=2.0)
+    narrow = EpsilonSchedule(alpha=1.5, coeff_width_factor=0.5)
+    first = field.smoothed(eps, wide)
+    second = field.smoothed(eps, narrow)
+    assert np.max(np.abs(first - second)) > 1e-2
+    for sched, got in ((wide, first), (narrow, second)):
+        want = make_mollifier("bump", sched.coeff_width(eps), grid).convolve(raw)
+        assert np.array_equal(got, want)
+        assert np.array_equal(got, CoefficientField(grid, raw).smoothed(eps, sched))
 
 
 def test_operator_assembly_and_apply():
