@@ -378,7 +378,7 @@ def cmd_sweep(cfg: RunConfig, out: Optional[str], quiet: bool) -> int:
         eps = row["eps"]
         est = operators[eps].norm_estimate() if eps in operators else None
         # the work of each rung: its norm gate's power-iteration steps and its solve
-        solve = moder.solves[i] or dict.fromkeys(("sweeps", "series_levels", "block_q_max"))
+        solve = moder.solves[i] or dict.fromkeys(("sweeps", "series_levels", "block_q_max", "cold_blocks"))
         rungs.append({"k": row["k"], "norm_iterations": None if est is None else est.iterations, **solve})
         norm = None if est is None else est.value
         metrics = [eps, row["h"], row["coeff_width"], row["cap"], norm, assoc_of.get(eps)]

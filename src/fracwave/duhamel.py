@@ -339,11 +339,13 @@ def _block_plan(p: CauchyProblem, head_beta: float) -> list:
     return plan
 
 
-def _plan_meta(plan: list, row_limit: int = _BLOCK_ROWS) -> dict:
+def _plan_meta(plan: list, row_limit: int = _BLOCK_ROWS, folded: int = 0) -> dict:
+    """The plan's record; every block but the folded ones runs its series cold on each sweep."""
     return {
         "series_levels": max(levels for _, _, levels in plan),
         "volterra_block_rows": row_limit,
         "volterra_blocks": len(plan),
+        "cold_blocks": len(plan) - folded,
     }
 
 
@@ -453,15 +455,18 @@ def _picard(
     return _report(p, form, current, histories, stalled, extra_meta)
 
 
-def _fold_blocks(p: CauchyProblem, weights: np.ndarray, cap: int = _BLOCK_ROWS) -> tuple:
+def _fold_blocks(p: CauchyProblem, weights: np.ndarray, cap: int = _BLOCK_ROWS, fold_later: bool = False) -> tuple:
     """Row blocks [s, e) of the march with their contraction bounds.
 
     A block takes at most cap rows (the kernel form's _BLOCK_ROWS; the
     derivative form's windows pass the row count), and no more than keep
     Lip f * ||W_BB||_inf <= 1/2.  q = ||W_BB||_inf (||A|| + Lip f) bounds the
-    Lipschitz constant of the whole in-block map.  Returns the blocks as
-    (s, e, q) and the row limit: cap, or fewer where the Lipschitz bound cut a
-    block short.  A row that fails the bound alone raises ResolutionError.
+    Lipschitz constant of the whole in-block map.  With fold_later, every
+    block after the head also takes no more rows than keep q <= 1/2, so that
+    it folds; one whose first row alone has q > 1/2 keeps the Lipschitz rows.
+    The head block is never cut by q.  Returns the blocks as (s, e, q) and the
+    row limit: cap, or fewer where a bound cut a block short.  A row that
+    fails the Lipschitz bound alone raises ResolutionError.
     """
     lip = p.nonlinearity.lipschitz
     norm_a = p.action.norm_bound
@@ -479,6 +484,8 @@ def _fold_blocks(p: CauchyProblem, weights: np.ndarray, cap: int = _BLOCK_ROWS) 
                 f"dt^alpha * Lip f / Gamma(alpha + 2) = {w0:.3g} * {lip:.3g} = {w0 * lip:.3g} > 1/2; "
                 "refine the mesh (mesh.n_steps) or shorten the horizon"
             )
+        if fold_later and s:
+            rows = int(np.count_nonzero(norms * (norm_a + lip) <= 0.5)) or rows
         if rows < end - s:
             limit = min(limit, rows)
         blocks.append((s, s + rows, float(norms[rows - 1]) * (norm_a + lip)))
@@ -493,15 +500,19 @@ def solve_kernel_form(p: CauchyProblem, opts: SolverOptions = SolverOptions()) -
     Each block B of rows sums its history h = W[B, :s] v[:s] once, then
     iterates its own fixed point until the row-sup change of the state is
     below tol: f is refreshed at the current state, the linear in-block part
-    is solved, and y_B = h + W_BB v_B.  A block whose contraction bound q is at
-    most 1/2 refreshes f after every operator apply and warm-starts v_B;
-    any other block runs its certified operator series from a cold start, so
-    a mesh of one block runs the whole-horizon Picard sweeps exactly.  A block
-    that reaches max_iter marks the report unconverged; the march goes on.
+    is solved, and y_B = h + W_BB v_B.  The head block takes the rows
+    Lip f bounds; every later block also takes no more rows than keep its
+    contraction bound q at most 1/2.  A block with q <= 1/2 refreshes f after
+    every operator apply and warm-starts v_B; any other block runs its
+    certified operator series from a cold start: the head where q > 1/2, and
+    a later block only where its first row alone has q > 1/2.  So a mesh of
+    one block runs the whole-horizon Picard sweeps exactly, and the metadata
+    counts the blocks that ran cold as cold_blocks.  A block that reaches
+    max_iter marks the report unconverged; the march goes on.
     """
     base = _base_trajectory(p)
     weights = pi_weights(p.alpha, p.mesh.n_nodes, p.mesh.dt)
-    blocks, row_limit = _fold_blocks(p, weights)
+    blocks, row_limit = _fold_blocks(p, weights, fold_later=True)
     shape = base.shape
     flat_base = base.reshape(shape[0], -1)
     weight = p.state_weight
@@ -535,7 +546,8 @@ def solve_kernel_form(p: CauchyProblem, opts: SolverOptions = SolverOptions()) -
         u = _stored(u, s, e, cur)
         v = _stored(v, s, e, v_b)
         histories.append(history)
-    meta = {**_plan_meta(plan, row_limit), "block_q_max": max(q for _, _, q in blocks)}
+    folded = sum(q <= 0.5 for _, _, q in blocks)
+    meta = {**_plan_meta(plan, row_limit, folded), "block_q_max": max(q for _, _, q in blocks)}
     return _report(p, "kernel", u.reshape(shape), histories, stalled, meta)
 
 
@@ -661,7 +673,8 @@ class ModerationReport:
     derivative, with fitted power-law exponents against 1/epsilon.
 
     solves holds one summary per rung of the solve's work: its sweeps, series
-    levels and largest block contraction bound, or None where the rung failed.
+    levels, largest block contraction bound and count of blocks that ran their
+    series cold, or None where the rung failed.
     """
 
     epsilons: np.ndarray
@@ -706,6 +719,7 @@ def moderateness_scan(
                 "sweeps": report.sweeps,
                 "series_levels": report.metadata["series_levels"],
                 "block_q_max": report.metadata["block_q_max"],
+                "cold_blocks": report.metadata["cold_blocks"],
             }
         )
         mesh = problem.mesh

@@ -591,6 +591,31 @@ run_k = 5
         assert rung["block_q_max"] > 0.0
 
 
+LADDER = """
+[operator]
+coefficient = constant
+[schedule]
+k_min = 4
+k_max = 5
+run_k = 4
+[nonlinearity]
+f = 0.1*sin(u)
+"""
+
+
+def test_run_and_rungs_count_the_blocks_that_ran_cold(tmp_path):
+    # the head block of 64 rows has q > 1/2 and runs its series cold; every
+    # later block is cut to q <= 1/2 and folds
+    cfg = _cfg_file(tmp_path, LADDER)
+    assert entrypoint(["run", "--config", cfg, "--out", str(tmp_path / "run"), "--quiet"]) == 0
+    details = json.loads((_run_dir(tmp_path / "run") / "metadata.json").read_text())["solver"]["details"]
+    assert details["cold_blocks"] == 1 and details["volterra_blocks"] > 5 and details["block_q_max"] > 0.5
+    assert entrypoint(["sweep-epsilon", "--config", cfg, "--out", str(tmp_path / "sweep"), "--quiet"]) == 0
+    rungs = json.loads((_run_dir(tmp_path / "sweep") / "metadata.json").read_text())["rungs"]
+    assert [rung["cold_blocks"] for rung in rungs] == [1, 1]
+    assert rungs[0]["series_levels"] == details["series_levels"] > 1
+
+
 @pytest.mark.parametrize("verb", ["run", "sweep-epsilon"])
 def test_windows_reach_only_the_derivative_form(tmp_path, capsys, verb):
     # run solves the derivative form, which records the windows it derived;
@@ -675,7 +700,14 @@ run_k = 10
     # flagged rows leave their measurement cells empty
     assert lines[4].split(",")[5] == ""
     rungs = json.loads((_run_dir(tmp_path / "a") / "metadata.json").read_text())["rungs"]
-    assert rungs[3] == {"k": 12, "norm_iterations": None, "sweeps": None, "series_levels": None, "block_q_max": None}
+    assert rungs[3] == {
+        "k": 12,
+        "norm_iterations": None,
+        "sweeps": None,
+        "series_levels": None,
+        "block_q_max": None,
+        "cold_blocks": None,
+    }
 
 
 NORM_GATE = """
@@ -709,7 +741,14 @@ def test_norm_gate_stops_run_and_flags_the_sweep_rung(tmp_path, capsys):
     assert rows["5"][4] and rows["5"][5:10] == ["", "", "", "", ""]  # its cap, but no norm or measurement
     assert rows["4"][5] and rows["6"][5]
     meta = json.loads((run_dir / "metadata.json").read_text())
-    assert meta["rungs"][1] == {"k": 5, "norm_iterations": None, "sweeps": None, "series_levels": None, "block_q_max": None}
+    assert meta["rungs"][1] == {
+        "k": 5,
+        "norm_iterations": None,
+        "sweeps": None,
+        "series_levels": None,
+        "block_q_max": None,
+        "cold_blocks": None,
+    }
     assert meta["moderateness"]["statuses"][0] == meta["moderateness"]["statuses"][2] == "ok"
 
 

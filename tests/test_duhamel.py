@@ -2,6 +2,7 @@
 
 import dataclasses
 import math
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -33,7 +34,8 @@ from fracwave import (
     solve_rl_form,
     zero_nonlinearity,
 )
-from fracwave import duhamel
+from fracwave import duhamel, parse_config_file
+from fracwave.cli import assemble_scenario, entrypoint
 from fracwave.duhamel import _block_plan, _fold_blocks, _picard, _plan_meta, _volterra
 
 ALPHA, C, Q = 1.5, 0.5, 1.0
@@ -193,6 +195,119 @@ def test_one_block_runs_the_picard_sweeps_exactly():
     assert np.array_equal(report.trajectory, oracle.trajectory)
     assert report.contraction_history == oracle.contraction_history
     assert report.metadata["series_levels"] == oracle.metadata["series_levels"]
+
+
+BENCH_CONFIGS = Path(__file__).resolve().parents[1] / "perfbench" / "configs"
+
+
+def _bench_problem(workload, **changes):
+    cfg = dataclasses.replace(parse_config_file(BENCH_CONFIGS / f"{workload}.cfg"), master_seed=3, **changes)
+    return assemble_scenario(cfg).problem
+
+
+def _recorded_plans(monkeypatch, lip_only=False):
+    """Record every block plan _fold_blocks returns; lip_only sizes every block by Lip f alone."""
+    plans = []
+
+    def recording(p, weights, cap=duhamel._BLOCK_ROWS, fold_later=False):
+        blocks, limit = _fold_blocks(p, weights, cap, fold_later and not lip_only)
+        plans.append(blocks)
+        return blocks, limit
+
+    monkeypatch.setattr(duhamel, "_fold_blocks", recording)
+    return plans
+
+
+def test_later_blocks_fold_and_agree_with_the_lipschitz_plan(monkeypatch):
+    # the k = 4 rung of the benchmark ladder: under the Lipschitz rule alone
+    # every later 64-row block has q > 1/2 and runs its series cold
+    p = _bench_problem("sweep-ladder", run_k=4)
+    old_plans = _recorded_plans(monkeypatch, lip_only=True)
+    old = solve_kernel_form(p)
+    (old_plan,) = old_plans
+    assert len(old_plan) > 2 and all(q > 0.5 for s, e, q in old_plan if e - s == 64)
+    assert old.metadata["cold_blocks"] == sum(q > 0.5 for _, _, q in old_plan)
+
+    new_plans = _recorded_plans(monkeypatch)
+    chain = duhamel._chain
+    levels = []
+
+    def counted(action, w_bb, h, g, y, n_levels, rows_shape):
+        levels.append(n_levels)
+        return chain(action, w_bb, h, g, y, n_levels, rows_shape)
+
+    monkeypatch.setattr(duhamel, "_chain", counted)
+    new = solve_kernel_form(p)
+    ((head, *later),) = new_plans
+    assert head == old_plan[0]
+    assert later and all(q <= 0.5 for _, _, q in later)
+    # the head block's sweeps run its certified series, every later sweep one level
+    head_sweeps = len(new.contraction_history[0])
+    assert levels[:head_sweeps] == [new.metadata["series_levels"]] * head_sweeps
+    assert levels[head_sweeps:] == [1] * (len(levels) - head_sweeps)
+    assert new.converged and new.metadata["cold_blocks"] == 1
+    scale = np.abs(old.trajectory).max()
+    assert np.abs(new.trajectory - old.trajectory).max() <= 1e-9 * scale
+
+
+def test_later_blocks_whose_first_row_cannot_fold_keep_the_lipschitz_plan(monkeypatch):
+    # w0 (||A|| + Lip f) > 1/2 >= w0 Lip f: no row of a later block folds, so
+    # every block keeps its Lipschitz rows and runs cold.  A nilpotent A keeps
+    # the propagated data exact at a large norm.
+    mesh = TimeMesh(1.0, 40)
+    a_mat = np.array([[0.0, 400.0], [0.0, 0.0]])
+    p = CauchyProblem(ALPHA, a_mat, scaled_sine(-40.0), np.array([0.1, 0.2]), mesh, forcing=np.full((41, 2), 0.2))
+    w0 = mesh.dt**ALPHA / math.gamma(ALPHA + 2.0)
+    assert w0 * p.nonlinearity.lipschitz <= 0.5 < w0 * (p.action.norm_bound + p.nonlinearity.lipschitz)
+    plans = _recorded_plans(monkeypatch)
+    new = solve_kernel_form(p)
+    old_plans = _recorded_plans(monkeypatch, lip_only=True)
+    old = solve_kernel_form(p)
+    assert new.converged and len(plans[0]) > 2 and plans == old_plans
+    assert new.metadata == old.metadata and new.metadata["cold_blocks"] == new.metadata["volterra_blocks"]
+    assert new.trajectory.tobytes() == old.trajectory.tobytes()
+    assert new.contraction_history == old.contraction_history
+
+
+def test_run_heavy_keeps_its_blocks():
+    # q <= 1/2 on every 64-row block already, so the later-block cut changes nothing
+    p = _bench_problem("run-heavy")
+    weights = pi_weights(p.alpha, p.mesh.n_nodes, p.mesh.dt)
+    blocks, limit = _fold_blocks(p, weights, fold_later=True)
+    assert (blocks, limit) == _fold_blocks(p, weights)
+    assert len(blocks) == 17 and limit == 64 and all(q <= 0.5 for _, _, q in blocks)
+
+
+def test_derivative_windows_of_64_nodes_do_not_fold(tmp_path, monkeypatch):
+    # the window cap is the node count, 64, the kernel form's row cap too; the
+    # derivative form still keeps its Lipschitz windows, the later one whole at q > 1/2
+    text = """
+[run]
+alpha = 1.5
+[grid]
+half_length = 16
+n_points = 128
+[mesh]
+horizon = 0.5
+n_steps = 63
+[nonlinearity]
+f = 5*sin(u)
+[solver]
+form = derivative
+"""
+    cfg = tmp_path / "case.cfg"
+    cfg.write_text(text, encoding="utf-8")
+    outputs = []
+    for lip_only in (False, True):
+        plans = _recorded_plans(monkeypatch, lip_only)
+        out = tmp_path / f"lip_only_{lip_only}"
+        assert entrypoint(["run", "--config", str(cfg), "--out", str(out), "--quiet"]) == 0
+        (run_dir,) = out.iterdir()
+        outputs.append((plans, (run_dir / "trajectory.csv").read_bytes()))
+    (new_plans, new_bytes), (old_plans, old_bytes) = outputs
+    assert new_plans == old_plans and new_bytes == old_bytes
+    ((first, later),) = new_plans
+    assert first[1] == later[0] and later[1] == 64 and later[2] > 0.5
 
 
 def test_unresolved_nonlinearity_is_a_resolution_error():
