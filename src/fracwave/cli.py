@@ -339,9 +339,12 @@ def cmd_run(cfg: RunConfig, out: Optional[str], quiet: bool) -> int:
     run_dir = _write_run(cfg, out, "run", {"trajectory.csv": trajectory}, meta)
     if norm is not None:
         _say(quiet, f"norm gate: {norm.value:.6g} <= cap {schedule.cap(eps):.6g} at eps {eps:g}")
+    # every sweep of every block (kernel form) or window (derivative form)
+    n = len(report.contraction_history)
+    unit = ("block" if report.form == "kernel" else "window") + ("" if n == 1 else "s")
     _say(
         quiet,
-        f"run {cfg.label}: converged in {report.iterations} sweeps "
+        f"run {cfg.label}: converged in {report.sweeps} sweeps over {n} {unit} "
         f"(final change {report.final_change:.3e}); wrote {run_dir}",
     )
     return 0
@@ -369,10 +372,10 @@ def cmd_sweep(cfg: RunConfig, out: Optional[str], quiet: bool) -> int:
 
     probe_scale = cfg.half_length / 10.0
     probe = GridFunction(grid, np.exp(-(grid.x**2) / (2.0 * probe_scale**2)))
-    assoc = association_diagnostic(operators, [probe], coeff_raw) if operators else None
+    assoc = association_diagnostic(operators, probe, coeff_raw) if operators else None
 
     lines = ["k,eps,h,coeff_width,cap,norm,association_error,sup_state,sup_velocity,sup_fractional_derivative,status"]
-    assoc_of = {} if assoc is None else dict(zip(assoc.epsilons.tolist(), assoc.errors[:, 0].tolist()))
+    assoc_of = {} if assoc is None else dict(zip(assoc.epsilons.tolist(), assoc.errors.tolist()))
     rungs = []
     for i, row in enumerate(_schedule_table(schedule)):
         eps = row["eps"]
@@ -398,7 +401,7 @@ def cmd_sweep(cfg: RunConfig, out: Optional[str], quiet: bool) -> int:
         if assoc is None
         else {
             "strictly_decreasing": assoc.strictly_decreasing,
-            "final_error": float(assoc.final_errors[0]),
+            "final_error": float(assoc.errors[-1]),
         },
         "moderateness": {
             "exponents": {name: _finite_or_none(v) for name, v in moder.exponents.items()},
@@ -411,7 +414,7 @@ def cmd_sweep(cfg: RunConfig, out: Optional[str], quiet: bool) -> int:
     if assoc is not None:
         _say(
             quiet,
-            f"association: final error {assoc.final_errors[0]:.3e}"
+            f"association: final error {assoc.errors[-1]:.3e}"
             f" ({'strictly decreasing' if assoc.strictly_decreasing else 'not monotone'})",
         )
     _say(quiet, f"moderateness: fitted exponent {moder.fitted_n:.4g}; wrote {run_dir}")

@@ -11,7 +11,9 @@ The format is deliberately flat so every diagnostic can carry a line number:
 
 An empty document is a complete configuration; every key has a default.
 All problems found in one document are reported together in a single
-ConfigError rather than one at a time.
+ConfigError rather than one at a time, except that a non-finite number
+(``inf``, ``nan``) is reported on its own: the range checks run once every
+number is finite, so none of them repeats it.
 
 Profile values (coefficient, initial data) accept either an expression in
 ``x``, a named shape (``constant``, ``gaussian_bump``, ``tanh_step``, and
@@ -30,7 +32,7 @@ from typing import Callable, Optional
 from .errors import ConfigError
 from .expressions import parse_expression
 from .duhamel import SolverOptions
-from .regularization import _KINDS, _SCENARIOS, _SHAPES, EpsilonSchedule
+from .regularization import _KINDS, _MAX_LEVEL, _SCENARIOS, _SHAPES, EpsilonSchedule
 
 __all__ = ["RunConfig", "parse_config", "parse_config_file", "render_config", "config_hash"]
 
@@ -162,8 +164,21 @@ for _f in dataclasses.fields(RunConfig):
 del _f
 
 
-def _semantic_issues(cfg: RunConfig) -> list:
+def _nonfinite_issues(cfg: RunConfig) -> list:
+    """One issue per float key holding inf or nan."""
     issues = []
+    for section, keys in _SCHEMA.items():
+        for key, spec in keys.items():
+            value = getattr(cfg, spec.name)
+            if isinstance(value, float) and not math.isfinite(value):
+                issues.append(f"{section}.{key}: must be a finite number, got {value}")
+    return issues
+
+
+def _semantic_issues(cfg: RunConfig) -> list:
+    issues = _nonfinite_issues(cfg)
+    if issues:
+        return [(None, msg) for msg in issues]
     if not 1.0 < cfg.alpha <= 2.0:
         issues.append(f"run.alpha: must lie in (1, 2], got {cfg.alpha}")
     if not cfg.half_length > 0.0:
@@ -185,8 +200,10 @@ def _semantic_issues(cfg: RunConfig) -> list:
         issues.append("operator.mollify: only constant coefficients admit the exact (unmollified) route")
     if cfg.mollify and cfg.alpha >= 2.0:
         issues.append("run.alpha: the width schedule needs alpha < 2; set operator.mollify = false for the limit case")
-    if cfg.k_min < 1 or cfg.k_max < cfg.k_min:
-        issues.append(f"schedule: need 1 <= k_min <= k_max, got k_min={cfg.k_min}, k_max={cfg.k_max}")
+    if cfg.k_min < 1 or not cfg.k_min <= cfg.k_max <= _MAX_LEVEL:
+        issues.append(
+            f"schedule: need 1 <= k_min <= k_max <= {_MAX_LEVEL}, got k_min={cfg.k_min}, k_max={cfg.k_max}"
+        )
     elif not cfg.k_min <= cfg.run_k <= cfg.k_max:
         issues.append(f"schedule.run_k: must lie in [k_min, k_max] = [{cfg.k_min}, {cfg.k_max}], got {cfg.run_k}")
     if not 0.0 < cfg.kappa <= cfg.kappa_cap:
@@ -195,8 +212,8 @@ def _semantic_issues(cfg: RunConfig) -> list:
         issues.append("schedule.h_min: must be positive")
     if not cfg.coeff_width_factor > 0.0:
         issues.append("schedule.coeff_width_factor: must be positive")
-    if not (math.isfinite(cfg.noise_intensity) and cfg.noise_intensity >= 0.0):
-        issues.append(f"noise.intensity: must be finite and nonnegative, got {cfg.noise_intensity}")
+    if not cfg.noise_intensity >= 0.0:
+        issues.append(f"noise.intensity: must be nonnegative, got {cfg.noise_intensity}")
     if cfg.master_seed < 0:
         issues.append("noise.master_seed: must be nonnegative")
     for name in ("spatial_sharpness", "temporal_sharpness"):

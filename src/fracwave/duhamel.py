@@ -54,8 +54,8 @@ from .fractional import (
     sobolev_norms,
 )
 from .regularization import EpsilonSchedule
-from .solution import SERIES_TOL, LinearAction, as_action, ml_trajectory
-from .special import gamma, series_term_count
+from .solution import LinearAction, _series_terms, as_action, ml_trajectory
+from .special import gamma
 
 __all__ = [
     "Nonlinearity",
@@ -166,11 +166,13 @@ def _stored(buf: np.ndarray, s: int, e: int, rows: np.ndarray) -> np.ndarray:
 class CauchyProblem:
     """Data of one approximate Cauchy problem on a fixed time mesh.
 
-    forcing is a per-node trajectory matching the state shape (None means
-    zero).  grid and sobolev_order only matter for diagnostics that take
-    spatial norms; plain vector problems leave them unset.  Data and forcing
+    Construction normalizes the data in place: initial_data becomes the state
+    array, initial_velocity and forcing (a per-node trajectory matching the
+    state shape) become arrays, or None where they are zero.  Data and forcing
     whose imaginary part is exactly zero are held real, so a problem whose
-    operator maps reals to reals is solved in real arithmetic.
+    operator maps reals to reals is solved in real arithmetic.  grid and
+    sobolev_order only matter for diagnostics that take spatial norms; plain
+    vector problems leave them unset.
     """
 
     alpha: float
@@ -188,13 +190,11 @@ class CauchyProblem:
             raise SingularOrderError(f"time order must lie in (1, 2], got {self.alpha:g}")
         object.__setattr__(self, "_action", as_action(self.operator))
         q = _as_state(self.initial_data)
-        object.__setattr__(self, "_q", q)
+        object.__setattr__(self, "initial_data", q)
         u1 = None if self.initial_velocity is None else _as_state(self.initial_velocity)
         if u1 is not None and u1.shape != q.shape:
             raise SizeError("initial velocity shape does not match the initial data")
-        if u1 is not None and not np.any(u1):
-            u1 = None
-        object.__setattr__(self, "_u1", u1)
+        object.__setattr__(self, "initial_velocity", u1 if u1 is not None and np.any(u1) else None)
         forcing = self.forcing
         if isinstance(forcing, Trajectory):
             forcing = forcing.values
@@ -205,27 +205,13 @@ class CauchyProblem:
                     f"forcing shape {forcing.shape} does not match "
                     f"({self.mesh.n_nodes},) + {q.shape}"
                 )
-            if not np.any(forcing):
-                forcing = None
-        object.__setattr__(self, "_forcing", forcing)
+        object.__setattr__(self, "forcing", forcing if forcing is not None and np.any(forcing) else None)
         if self.grid is not None and q.shape != (self.grid.n_points,):
             raise SizeError("initial data does not match the spatial grid")
 
     @property
     def action(self) -> LinearAction:
         return self._action
-
-    @property
-    def state0(self) -> np.ndarray:
-        return self._q
-
-    @property
-    def velocity0(self) -> Optional[np.ndarray]:
-        return self._u1
-
-    @property
-    def forcing_values(self) -> Optional[np.ndarray]:
-        return self._forcing
 
     @property
     def state_weight(self) -> float:
@@ -308,9 +294,9 @@ def _propagated(p: CauchyProblem, power: float, x: np.ndarray) -> np.ndarray:
 
 def _base_trajectory(p: CauchyProblem) -> np.ndarray:
     """Propagated initial state plus the order-one integral of the velocity."""
-    base = _propagated(p, 0.0, p.state0)
-    if p.velocity0 is not None:
-        base = base + _propagated(p, 1.0, p.velocity0)
+    base = _propagated(p, 0.0, p.initial_data)
+    if p.initial_velocity is not None:
+        base = base + _propagated(p, 1.0, p.initial_velocity)
     return base
 
 
@@ -326,7 +312,7 @@ def _block_levels(p: CauchyProblem, s: int, e: int, head_beta: float) -> int:
     nodes = p.mesh.nodes
     # the hat functions of rows s..e-1 reach back to node s - 1 (to 0 in the head)
     span, beta = (float(nodes[e - 1]), head_beta) if s == 0 else (float(nodes[e - 1] - nodes[s - 1]), 1.0)
-    return series_term_count(p.alpha, beta, span**p.alpha * p.action.norm_bound, SERIES_TOL)
+    return _series_terms(p.alpha, beta, span, p.action.norm_bound)
 
 
 def _block_plan(p: CauchyProblem, head_beta: float) -> list:
@@ -388,8 +374,8 @@ def _volterra(weights: np.ndarray, action: LinearAction, g: np.ndarray, plan: li
 def _forced(p: CauchyProblem, u: np.ndarray, rows=slice(None)) -> np.ndarray:
     """f(u) + P, with P on the given rows of the mesh."""
     g = p.nonlinearity.fn(u)
-    if p.forcing_values is not None:
-        g = g + p.forcing_values[rows]
+    if p.forcing is not None:
+        g = g + p.forcing[rows]
     return g
 
 
@@ -418,12 +404,10 @@ def _converge(opts: SolverOptions, where: str, state, sweep: Callable) -> tuple:
     return state, changes, False
 
 
-def _report(
-    p: CauchyProblem, form: str, trajectory: np.ndarray, histories: list, stalled: Optional[tuple], extra: dict
-) -> SolverReport:
-    """The report of one solve, with the metadata both forms share before the form's own."""
+def _report(form: str, trajectory: np.ndarray, histories: list, stalled: Optional[tuple], extra: dict) -> SolverReport:
+    """The report of one solve; its metadata is the arithmetic both forms record, then the form's own."""
     arithmetic = "complex" if np.iscomplexobj(trajectory) else "real"
-    meta = {"nonlinearity": p.nonlinearity.hypothesis_flags(), "form": form, "arithmetic": arithmetic, **extra}
+    meta = {"arithmetic": arithmetic, **extra}
     return SolverReport(trajectory, form, histories, meta, stalled)
 
 
@@ -452,7 +436,7 @@ def _picard(
         if not converged:
             stalled = stalled or (s, e - 1)
         histories.append(history)
-    return _report(p, form, current, histories, stalled, extra_meta)
+    return _report(form, current, histories, stalled, extra_meta)
 
 
 def _fold_blocks(p: CauchyProblem, weights: np.ndarray, cap: int = _BLOCK_ROWS, fold_later: bool = False) -> tuple:
@@ -548,7 +532,7 @@ def solve_kernel_form(p: CauchyProblem, opts: SolverOptions = SolverOptions()) -
         histories.append(history)
     folded = sum(q <= 0.5 for _, _, q in blocks)
     meta = {**_plan_meta(plan, row_limit, folded), "block_q_max": max(q for _, _, q in blocks)}
-    return _report(p, "kernel", u.reshape(shape), histories, stalled, meta)
+    return _report("kernel", u.reshape(shape), histories, stalled, meta)
 
 
 def solve_rl_form(p: CauchyProblem, opts: SolverOptions = SolverOptions()) -> SolverReport:
@@ -570,7 +554,7 @@ def solve_rl_form(p: CauchyProblem, opts: SolverOptions = SolverOptions()) -> So
         raise SingularOrderError("the derivative form needs time order strictly below 2")
     gamma_ord = 2.0 - p.alpha
     mesh = p.mesh
-    f0 = _forced(p, p.state0, 0)
+    f0 = _forced(p, p.initial_data, 0)
     f0_norm = float(np.linalg.norm(np.atleast_1d(f0).ravel()))
 
     weights_alpha = pi_weights(p.alpha, mesh.n_nodes, mesh.dt)
@@ -612,7 +596,7 @@ def second_derivative_identity_check(report: SolverReport, p: CauchyProblem) -> 
     g0 = g[0]
     term_derivative = rl_integral(first_difference(g, mesh.dt), p.alpha - 1.0, mesh)
 
-    shape = (mesh.n_nodes,) + (1,) * p.state0.ndim
+    shape = (mesh.n_nodes,) + (1,) * p.initial_data.ndim
     power = np.zeros(mesh.n_nodes)
     power[1:] = mesh.nodes[1:] ** (p.alpha - 2.0) / gamma(p.alpha - 1.0)
     term_singular = power.reshape(shape) * np.asarray(g0)[None, ...]
@@ -634,7 +618,6 @@ class StabilityReport:
     """Measured initial-data sensitivity at a ladder of perturbation scales."""
 
     k_values: np.ndarray
-    perturbation_norm: float
 
 
 def gronwall_stability_probe(
@@ -651,7 +634,7 @@ def gronwall_stability_probe(
     (linear response).
     """
     dq = _as_state(delta_q)
-    if dq.shape != p.state0.shape:
+    if dq.shape != p.initial_data.shape:
         raise SizeError("perturbation shape does not match the initial data")
     weight = p.state_weight
     dq_norm = float(np.sqrt(weight) * np.linalg.norm(dq.ravel()))
@@ -661,10 +644,10 @@ def gronwall_stability_probe(
         if s == 0.0 or dq_norm == 0.0:
             ks.append(math.nan)
             continue
-        shifted = replace(p, initial_data=p.state0 + s * dq)
+        shifted = replace(p, initial_data=p.initial_data + s * dq)
         diff = solve_kernel_form(shifted, opts).trajectory - nominal
         ks.append(_row_sup(diff, weight) / (abs(s) * dq_norm))
-    return StabilityReport(np.asarray(ks), dq_norm)
+    return StabilityReport(np.asarray(ks))
 
 
 @dataclass

@@ -21,7 +21,7 @@ from typing import Optional
 
 import numpy as np
 
-from .errors import SingularOrderError, SizeError
+from .errors import FracwaveError, SingularOrderError, SizeError
 from .special import gamma
 
 __all__ = [
@@ -149,7 +149,8 @@ def pi_weights(gamma_ord: float, n_nodes: int, dt: float) -> np.ndarray:
     (W f)[n] approximates J^gamma f(t_n) with exact moments of the kernel
     (t_n - tau)**(gamma-1) against the piecewise-linear interpolant of f, so
     the rule is exact for piecewise-linear signals.  Powers are evaluated at
-    physical times to stay inside the double range even for large orders.
+    physical times to stay inside the double range even for large orders; a
+    horizon whose power t**(gamma + 1) leaves that range raises FracwaveError.
     """
     if gamma_ord <= 0.0:
         raise SingularOrderError("integral order must be positive")
@@ -158,7 +159,13 @@ def pi_weights(gamma_ord: float, n_nodes: int, dt: float) -> np.ndarray:
     gp1 = gamma_ord + 1.0
     scale = 1.0 / math.gamma(gamma_ord + 2.0)
     ext = dt * np.arange(n_nodes + 1)
-    extp = ext**gp1
+    with np.errstate(over="ignore"):
+        extp = ext**gp1
+    if not math.isfinite(extp[-1]):
+        raise FracwaveError(
+            f"product-integration weights of order {gamma_ord:g} overflow double precision "
+            f"at t = {ext[-1]:.3g}; shorten the horizon"
+        )
     # offset kernel: dt**gamma * b_m = (t_{m+1}^(g+1) - 2 t_m^(g+1) + t_{m-1}^(g+1)) / dt
     b = np.zeros(n_nodes)
     b[1:] = (extp[2 : n_nodes + 1] - 2.0 * extp[1:n_nodes] + extp[0 : n_nodes - 1]) / dt

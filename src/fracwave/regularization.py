@@ -14,7 +14,7 @@ from __future__ import annotations
 import math
 import warnings
 from dataclasses import dataclass, field
-from typing import Dict, Optional, Sequence
+from typing import Dict, Optional
 
 import numpy as np
 
@@ -47,6 +47,10 @@ BUMP_NORMALIZATION = 2.252283621043581
 
 # Schedules are floored once eps is too large for the iterated logarithm.
 GUARD_EPS = math.exp(-math.e)
+
+# Deepest dyadic level of a ladder: 2**-k stays a normal positive double and
+# its reciprocal, the sharpness clamp 1/eps, stays finite.
+_MAX_LEVEL = 1023
 
 # Default sharpness multiplier for the kernel width schedule, and the
 # calibrated cap multiplier for the operator-norm gate.  Both were fitted
@@ -84,10 +88,10 @@ class Mollifier:
     """Sampled nonnegative kernel of unit discrete mass on a periodic grid.
 
     width is the sharpness parameter: the kernel is width * profile(x * width)
-    with compact support of radius support_radius.  samples are indexed by
-    periodic displacement (entry m corresponds to displacement m * dx wrapped
-    to [-L, L)), so convolution is a plain multiplication by symbol in
-    frequency space.
+    with compact support of radius 1 / width (4 / width for the gaussian).
+    samples are indexed by periodic displacement (entry m corresponds to
+    displacement m * dx wrapped to [-L, L)), so convolution is a plain
+    multiplication by symbol in frequency space.
     """
 
     shape: str
@@ -95,10 +99,6 @@ class Mollifier:
     grid: SpatialGrid
     samples: np.ndarray = field(repr=False)
     symbol: np.ndarray = field(repr=False)
-
-    @property
-    def support_radius(self) -> float:
-        return _support_radius(self.shape, self.width)
 
     def convolve(self, values: np.ndarray) -> np.ndarray:
         """Periodic convolution along the last axis; real values give a real result."""
@@ -193,10 +193,10 @@ def h_schedule(
 class EpsilonSchedule:
     """Dyadic regularization ladder with its width and cap schedules.
 
-    epsilons are 2**-k for k in [k_min, k_max], strictly decreasing.  kappa
-    scales the kernel sharpness of the scenario at hand; kappa_cap scales the
-    operator-norm cap (theorem scenario), calibrated once and recorded in run
-    metadata.  The default ladder starts at k_min = 4, the first dyadic level
+    epsilons are 2**-k for k in [k_min, k_max], strictly decreasing, with
+    k_max at most _MAX_LEVEL.  kappa scales the kernel sharpness of the
+    scenario at hand; kappa_cap scales the operator-norm cap (theorem
+    scenario), calibrated once and recorded in run metadata.  The default ladder starts at k_min = 4, the first dyadic level
     below the schedule guard; earlier levels only produce the clamped floor.
     """
 
@@ -214,8 +214,8 @@ class EpsilonSchedule:
             raise ValueError(f"alpha must lie in (1, 2), got {self.alpha!r}")
         if self.scenario not in _SCENARIOS:
             raise ValueError(f"scenario must be one of {_SCENARIOS}")
-        if self.k_min < 1 or self.k_max < self.k_min:
-            raise ValueError("need 1 <= k_min <= k_max")
+        if self.k_min < 1 or not self.k_min <= self.k_max <= _MAX_LEVEL:
+            raise ValueError(f"need 1 <= k_min <= k_max <= {_MAX_LEVEL}")
         if self.kappa < 0.0 or self.kappa_cap < 0.0:
             raise ValueError("kappa factors must be nonnegative")
         if self.h_min <= 0.0 or self.coeff_width_factor <= 0.0:
@@ -322,23 +322,11 @@ class RegularizedOperator:
         are not Hermitian at the Nyquist mode, and every complex input takes
         the full complex transform.
         """
-        arr, real = self._input(values)
-        return self.coeff * _multiply(self._symbol, arr, real)
-
-    def apply_adjoint(self, values: np.ndarray) -> np.ndarray:
-        arr, real = self._input(values)
-        return _multiply(np.conj(self._symbol), self.coeff * arr, real)
-
-    def _input(self, values: np.ndarray) -> tuple:
-        """values as an array on the grid, and whether real transforms serve it."""
         arr = np.asarray(values)
         if arr.shape[-1] != self.grid.n_points:
             raise SizeError("values do not match the operator grid")
-        return arr, self.kind in _REAL_KINDS and not np.iscomplexobj(arr)
-
-    def materialize(self) -> np.ndarray:
-        """Dense matrix equal to the streaming action on basis vectors."""
-        return self.apply(np.eye(self.grid.n_points)).T.copy()
+        real = self.kind in _REAL_KINDS and not np.iscomplexobj(arr)
+        return self.coeff * _multiply(self._symbol, arr, real)
 
     def norm_estimate(self) -> "NormEstimate":
         if self._norm is None:
@@ -475,58 +463,44 @@ def check_norm_gate(op: RegularizedOperator, schedule: EpsilonSchedule) -> float
 
 @dataclass
 class AssociationTable:
-    """Errors against the sharp operator per (eps, probe).
+    """Errors against the sharp operator, one per eps.
 
-    errors[i, j] is the dx-weighted L2 distance between the sharp action and
-    the regularized action at epsilons[i] on probe j.  The table is reported
+    errors[i] is the dx-weighted L2 distance between the sharp action and the
+    regularized action at epsilons[i] on the probe.  The table is reported
     even when the decay is not monotone.
     """
 
-    kind: str
-    space_order: float
     epsilons: np.ndarray
     errors: np.ndarray
 
     @property
     def strictly_decreasing(self) -> bool:
-        diffs = np.diff(self.errors, axis=0)
-        return bool(np.all(diffs < 0.0))
-
-    @property
-    def final_errors(self) -> np.ndarray:
-        return self.errors[-1]
+        return bool(np.all(np.diff(self.errors) < 0.0))
 
 
 def association_diagnostic(
     operators: Dict[float, RegularizedOperator],
-    probes: Sequence[GridFunction],
+    probe: GridFunction,
     raw_coefficient: np.ndarray,
 ) -> AssociationTable:
     """Measure how fast the regularized actions approach the sharp action.
 
     The sharp action is the operator without a mollifier, with the raw
-    coefficient.  Probes should be smooth and supported in the middle half of
-    the domain so the periodic truncation does not pollute the comparison.
+    coefficient.  The probe should be smooth and supported in the middle half
+    of the domain so the periodic truncation does not pollute the comparison.
     """
     if not operators:
         raise ValueError("need at least one regularized operator")
     eps_sorted = sorted(operators.keys(), reverse=True)
     ref = operators[eps_sorted[0]]
-    sharp_op = build_operator(ref.kind, ref.space_order, raw_coefficient, None, ref.grid)
-    errors = np.empty((len(eps_sorted), len(probes)))
-    for j, probe in enumerate(probes):
-        if probe.grid != ref.grid:
-            raise SizeError("probe grid does not match the operator grid")
-        sharp = sharp_op.apply(probe.values)
-        for i, eps in enumerate(eps_sorted):
-            op = operators[eps]
-            if op.kind != ref.kind or op.space_order != ref.space_order:
-                raise ValueError("operators in the table must share kind and order")
-            diff = op.apply(probe.values) - sharp
-            errors[i, j] = math.sqrt(ref.grid.dx * float(np.sum(np.abs(diff) ** 2)))
-    return AssociationTable(
-        kind=ref.kind,
-        space_order=ref.space_order,
-        epsilons=np.asarray(eps_sorted, dtype=float),
-        errors=errors,
-    )
+    if probe.grid != ref.grid:
+        raise SizeError("probe grid does not match the operator grid")
+    sharp = build_operator(ref.kind, ref.space_order, raw_coefficient, None, ref.grid).apply(probe.values)
+    errors = np.empty(len(eps_sorted))
+    for i, eps in enumerate(eps_sorted):
+        op = operators[eps]
+        if op.kind != ref.kind or op.space_order != ref.space_order:
+            raise ValueError("operators in the table must share kind and order")
+        diff = op.apply(probe.values) - sharp
+        errors[i] = math.sqrt(ref.grid.dx * float(np.sum(np.abs(diff) ** 2)))
+    return AssociationTable(epsilons=np.asarray(eps_sorted, dtype=float), errors=errors)

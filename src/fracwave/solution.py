@@ -118,9 +118,7 @@ def ml_trajectory(
         raise ValueError("times must be finite and >= 0")
     action = as_action(operator)
     vec = np.asarray(x)
-    t_max = float(ts.max())
-    z_abs = t_max**alpha * action.norm_bound
-    n_terms = series_term_count(alpha, beta_prime, z_abs, SERIES_TOL)
+    n_terms = _series_terms(alpha, beta_prime, float(ts.max()), action.norm_bound)
 
     rows = [vec]
     for _ in range(n_terms):
@@ -137,6 +135,19 @@ def ml_trajectory(
 
     out = coeffs @ powers
     return out.reshape((ts.size,) + vec.shape)
+
+
+def _series_terms(alpha: float, beta: float, t: float, norm: float) -> int:
+    """Certified term count of the operator series of orders (alpha, beta) on [0, t].
+
+    The majorant argument is t**alpha times the operator's norm bound; a power
+    beyond the double range is an overflowing majorant (TruncationError) too.
+    """
+    try:
+        z_abs = t**alpha * norm
+    except OverflowError:
+        z_abs = math.inf
+    return series_term_count(alpha, beta, z_abs, SERIES_TOL)
 
 
 def _row_norms(rows: np.ndarray) -> np.ndarray:

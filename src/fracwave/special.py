@@ -340,12 +340,14 @@ def series_term_count(alpha: float, beta: float, z_abs: float, tol: float) -> in
 
     Used to size certified truncations of operator-valued series from their
     scalar majorant.  Raises TruncationError when the majorant overflows
-    double precision or the cap is exhausted.
+    double precision (z_abs = inf included) or the cap is exhausted.
     """
-    if z_abs < 0 or not np.isfinite(z_abs):
-        raise ValueError("z_abs must be finite and nonnegative")
-    table = _ratio_table(alpha, beta, None)
-    _, stopped, n, _, abs_sum = _series(float(z_abs), table.first, table, tol, 1e-300)
+    if not z_abs >= 0:
+        raise ValueError(f"z_abs must be nonnegative, got {z_abs!r}")
+    stopped, n, abs_sum = False, 0, math.inf
+    if math.isfinite(z_abs):
+        table = _ratio_table(alpha, beta, None)
+        _, stopped, n, _, abs_sum = _series(float(z_abs), table.first, table, tol, 1e-300)
     if not math.isfinite(abs_sum):
         raise TruncationError(
             f"majorant of orders ({alpha:g},{beta:g}) at |z| = {z_abs:.3g} overflows "

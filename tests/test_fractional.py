@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 
 from fracwave import (
+    FracwaveError,
     GridFunction,
     SingularOrderError,
     SizeError,
@@ -34,6 +35,9 @@ def test_weight_rows_integrate_one():
     rel = np.abs(w.sum(axis=1)[1:] - exact) / exact
     assert w[0].sum() == 0.0
     assert np.max(rel) <= 1e-13
+    # t**(g + 1) at the last node leaves the double range: a numerical failure, not a bare overflow
+    with pytest.raises(FracwaveError, match="overflow"):
+        pi_weights(2.0, 4, 1e103)
 
 
 def test_fractional_integral_of_quadratic():

@@ -109,6 +109,11 @@ def test_term_count_rejects_an_overflowing_majorant():
     # stop there would certify nothing
     with pytest.raises(TruncationError, match="overflows"):
         series_term_count(1.05, 1.0, 1065.54, 1e-12)
+    # an argument that itself overflowed is the same failure, not a bad argument
+    with pytest.raises(TruncationError, match="overflows"):
+        series_term_count(1.5, 1.0, math.inf, 1e-12)
+    with pytest.raises(ValueError):
+        series_term_count(1.5, 1.0, math.nan, 1e-12)
 
 
 def test_series_stops_at_the_first_infinite_term():

@@ -22,6 +22,7 @@ from fracwave import (
     white_noise_representative,
     zero_nonlinearity,
 )
+from fracwave import stochastic
 from fracwave.stochastic import _convolve_time, _time_kernel
 
 GRID = SpatialGrid(16.0, 64)
@@ -130,6 +131,18 @@ def test_resolution_gates_both_axes():
         white_noise_representative(_spec(ht=1e6), EPS, GRID, MESH)
     with pytest.raises(ResolutionError):
         white_noise_representative(_spec(hx=1e6), EPS, GRID, MESH)
+    # support radius 1/sharpness: at most 1024 horizons, checked before any tap exists
+    mesh = TimeMesh(1.0, 16)
+    assert _time_kernel("bump", 1.0 / 1024.0, mesh).size == 2 * 1024 * 16 + 1
+    with pytest.raises(ResolutionError, match="exceeds 1024 horizons"):
+        _time_kernel("bump", 1.0 / 1025.0, mesh)
+    with pytest.raises(ResolutionError):
+        mollified_variance(_spec(ht=1e-300), EPS, GRID, MESH)
+
+
+def test_overflowing_variance_is_a_numerical_failure():
+    with pytest.raises(FracwaveError, match="overflows"):
+        mollified_variance(_spec(intensity=1e300), EPS, GRID, MESH)
 
 
 def test_spec_validation_and_schedule_default():
@@ -171,18 +184,18 @@ def test_ensemble_reduction_is_order_fixed():
     assert np.array_equal(s1.variance, s2.variance)
 
 
-def test_ensemble_excludes_failed_members():
+def test_ensemble_excludes_failed_members(monkeypatch):
     calls = {"n": 0}
+    solve = stochastic.solve_kernel_form
 
     def flaky_solve(problem, opts):
         calls["n"] += 1
         if calls["n"] == 2:
             raise DivergenceError("boom")
-        from fracwave import solve_kernel_form
+        return solve(problem, opts)
 
-        return solve_kernel_form(problem, opts)
-
-    stats, reports = ensemble_run(_build, 3, 77, solve=flaky_solve)
+    monkeypatch.setattr(stochastic, "solve_kernel_form", flaky_solve)
+    stats, reports = ensemble_run(_build, 3, 77)
     assert stats.n_members == 3 and stats.n_ok == 2
     assert stats.statuses[1].startswith("failed:")
     assert reports[1] is None
@@ -190,8 +203,9 @@ def test_ensemble_excludes_failed_members():
     def always_fails(problem, opts):
         raise DivergenceError("boom")
 
+    monkeypatch.setattr(stochastic, "solve_kernel_form", always_fails)
     with pytest.raises(FracwaveError):
-        ensemble_run(_build, 3, 77, solve=always_fails)
+        ensemble_run(_build, 3, 77)
     with pytest.raises(ValueError):
         ensemble_run(_build, 0, 77)
 
