@@ -293,10 +293,21 @@ def _propagated(p: CauchyProblem, power: float, x: np.ndarray) -> np.ndarray:
 
 
 def _base_trajectory(p: CauchyProblem) -> np.ndarray:
-    """Propagated initial state plus the order-one integral of the velocity."""
-    base = _propagated(p, 0.0, p.initial_data)
-    if p.initial_velocity is not None:
-        base = base + _propagated(p, 1.0, p.initial_velocity)
+    """Propagated initial state plus the order-one integral of the velocity.
+
+    Raises FracwaveError, without floating-point warnings, when the
+    propagated data leave the double range, before any fixed-point sweep.
+    """
+    with np.errstate(over="ignore", invalid="ignore"):
+        base = _propagated(p, 0.0, p.initial_data)
+        if p.initial_velocity is not None:
+            base = base + _propagated(p, 1.0, p.initial_velocity)
+    if not np.all(np.isfinite(base)):
+        scale = max(float(np.max(np.abs(x))) for x in (p.initial_data, p.initial_velocity) if x is not None)
+        raise FracwaveError(
+            f"propagated initial data overflow double precision (data scale {scale:.3g}); "
+            "reduce the displacement or velocity scale"
+        )
     return base
 
 

@@ -167,19 +167,18 @@ def pi_weights(gamma_ord: float, n_nodes: int, dt: float) -> np.ndarray:
             f"at t = {ext[-1]:.3g}; shorten the horizon"
         )
     # offset kernel: dt**gamma * b_m = (t_{m+1}^(g+1) - 2 t_m^(g+1) + t_{m-1}^(g+1)) / dt
-    b = np.zeros(n_nodes)
-    b[1:] = (extp[2 : n_nodes + 1] - 2.0 * extp[1:n_nodes] + extp[0 : n_nodes - 1]) / dt
-    n_idx = np.arange(n_nodes)
-    offsets = np.subtract.outer(n_idx, n_idx)
-    w = np.where(offsets >= 1, b[np.clip(offsets, 0, n_nodes - 1)], 0.0)
+    # for m >= 1, laid out reversed and zero-padded so that window n - 1 - i of
+    # the taps is row i of the Toeplitz matrix w[i, j] = b[i - j], zero for j >= i
+    taps = np.zeros(2 * n_nodes - 1)
+    taps[: n_nodes - 1] = ((extp[2:] - 2.0 * extp[1:-1] + extp[:-2]) / dt)[::-1]
+    w = np.lib.stride_tricks.sliding_window_view(taps, n_nodes)[::-1].copy()
     # left endpoint: dt**gamma * a_n = t_{n-1}^(g+1)/dt - (n-1-gamma) t_n^gamma
     times = ext[:n_nodes]
-    a = np.zeros(n_nodes)
-    a[1:] = extp[0 : n_nodes - 1] / dt - (n_idx[1:] - 1.0 - gamma_ord) * (times[1:] ** gamma_ord)
-    w[:, 0] = a
+    w[1:, 0] = extp[0 : n_nodes - 1] / dt - (np.arange(1, n_nodes) - 1.0 - gamma_ord) * (times[1:] ** gamma_ord)
     np.fill_diagonal(w, dt**gamma_ord)
     w[0, :] = 0.0
-    return w * scale
+    w *= scale
+    return w
 
 
 def rl_integral(samples: np.ndarray, gamma_ord: float, mesh: TimeMesh) -> np.ndarray:

@@ -398,6 +398,7 @@ class NormEstimate:
     converged: bool
 
 
+@np.errstate(over="ignore", invalid="ignore")
 def operator_norm_estimate(op: RegularizedOperator) -> NormEstimate:
     """Largest-singular-value estimate by power iteration on A*A.
 
@@ -410,7 +411,10 @@ def operator_norm_estimate(op: RegularizedOperator) -> NormEstimate:
     FFTs per step, and none for a constant coefficient, where it is the
     diagonal multiply coeff**2 * |symbol|**2.  The iteration stops at a
     relative change of 1e-6; one still unconverged after 10 000 steps returns
-    its last value flagged, never raises.
+    its last value flagged, never raises.  A coefficient or symbol whose
+    products leave the double range makes an iterate non-finite: that step
+    returns NaN flagged, without floating-point warnings, for the gate to
+    reject.
     """
     n = op.dim
     rng = np.random.Generator(np.random.Philox(key=0x9E3779B97F4A7C15))
@@ -436,6 +440,8 @@ def operator_norm_estimate(op: RegularizedOperator) -> NormEstimate:
         ny = np.linalg.norm(y)
         if ny == 0.0:
             return NormEstimate(0.0, it, True)
+        if not math.isfinite(ny):
+            return NormEstimate(math.nan, it, False)
         sigma_new = math.sqrt(float(np.real(np.vdot(v, y))))
         v = y / ny
         if it > 1 and abs(sigma_new - sigma) <= 1e-6 * max(sigma_new, 1e-300):
@@ -447,12 +453,18 @@ def operator_norm_estimate(op: RegularizedOperator) -> NormEstimate:
 def check_norm_gate(op: RegularizedOperator, schedule: EpsilonSchedule) -> float:
     """Enforce the norm cap for the operator's eps; returns the measured norm.
 
-    Raises NormGateError when the measured norm exceeds the schedule cap.
-    Solver entry points call this before time stepping.
+    Raises NormGateError when the measured norm exceeds the schedule cap or
+    is not a number.  Solver entry points call this before time stepping.
     """
     est = op.norm_estimate()
     cap = schedule.cap(op.eps)
-    if est.value > cap:
+    if math.isnan(est.value):
+        raise NormGateError(
+            f"operator norm estimate is not finite (nan) at eps = {op.eps:.6g}: the "
+            "operator's coefficient or symbol leaves the double range; reduce the "
+            "coefficient scale"
+        )
+    if not est.value <= cap:
         raise NormGateError(
             f"operator norm {est.value:.6g} exceeds the schedule cap {cap:.6g} "
             f"at eps = {op.eps:.6g}; lower the sharpness multiplier or refine "

@@ -20,7 +20,7 @@ import numpy as np
 from .errors import FracwaveError, SingularOrderError, SizeError
 from .fractional import TimeMesh, _as_field, rl_integral
 from .regularization import RegularizedOperator
-from .special import gamma, mittag_leffler, MlParams, series_term_count
+from .special import _scalar_powers, gamma, mittag_leffler, MlParams, series_term_count
 
 __all__ = [
     "LinearAction",
@@ -234,7 +234,7 @@ def _norm_samples(alpha: float, action: LinearAction, times: np.ndarray) -> np.n
     if action.dim is None:
         params = MlParams(alpha, 1.0)
         c = action.apply(np.ones(1))[0]
-        return np.array([abs(mittag_leffler(params, c * t**alpha)) for t in times])
+        return np.abs(mittag_leffler(params, c * _scalar_powers(times, alpha)))
     basis = np.eye(action.dim)
     out = np.empty(times.size)
     for j in range(times.size):

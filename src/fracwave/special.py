@@ -1,27 +1,34 @@
-"""Scalar special functions for fractional evolution problems.
+"""Special functions for fractional evolution problems.
 
 The module provides the gamma function with pole guards, a two-parameter
-Mittag-Leffler evaluator with a certified truncation rule, the term count
+Mittag-Leffler evaluator with a certified truncation rule for a scalar or a
+whole argument array, the term count
 that sizes operator-valued series from their scalar majorant, and an
 empirical certificate for the exponential growth envelope of the
 Mittag-Leffler function on a rate/time grid.
 
-One term-ratio loop, `_series`, sums sum_{n>=0} z**n / Gamma(beta + n*alpha)
-for every caller, with compensated (Kahan) summation and a running sum of
-term magnitudes; once the magnitude ratio of consecutive terms drops below
-1/2 the geometric tail bound certifies the truncation.  Its callers pass in
-their arithmetic:
+Two term-ratio loops sum sum_{n>=0} z**n / Gamma(beta + n*alpha), both with
+compensated (Kahan) summation and a running sum of term magnitudes; once
+the magnitude ratio of consecutive terms drops below 1/2 the geometric tail
+bound certifies the truncation.
 
-* the double path (lgamma ratios) stops the series once its tail is below
-  half of the relative tolerance and accepts the value when the tail plus
-  the rounding bound, 4 * machine epsilon times the sum of term magnitudes,
-  is below the whole, so a series without cancellation certifies in double;
-* on catastrophic cancellation the retry redoes the sum at 40, 80, ...,
+* `_series_array` is the double path of `mittag_leffler` (lgamma ratios) on
+  a whole argument array, a scalar being an array of one.  Per element it
+  stops the series once its tail is below half of the relative tolerance
+  and accepts the value when the tail plus the rounding bound, 4 * machine
+  epsilon times the sum of term magnitudes, is below the whole, so a series
+  without cancellation certifies in double.  An element leaves the working
+  set once it stops or its next term overflows.
+* `_series` is the scalar loop, with the arithmetic passed in by its
+  callers: `series_term_count` sums the majorant and rejects one that
+  overflows (the solver sizes its blocks with it, one magnitude at a time,
+  where a numpy loop of size one would cost many times more); and on
+  catastrophic cancellation the retry, `_series_hp`, takes each uncertified
+  element of the double path on its own and redoes the sum at 40, 80, ...,
   2560 working digits until the rounding bound 10**(5 - digits) times the
   sum of term magnitudes is below the tolerance: a real argument in
   `decimal` with two guard digits (a unit roundoff no coarser than mpf's at
-  those digits), a complex one in mpc;
-* `series_term_count` sums the majorant and rejects one that overflows.
+  those digits), a complex one in mpc.
 
 Term ratios come from tables keyed by (alpha, beta, working digits), the
 double path's under digits None, so the retry pays for its gammaprod
@@ -41,7 +48,8 @@ tables and the oracle, so runs that never retry do not load them.
 
 Documented argument ranges: |z| <= 50 is guaranteed for the double path with
 alpha >= 0.5; up to |z| <= 200 the high-precision retry covers whatever the
-double path cannot certify.  Beyond 200 a range error is raised.
+double path cannot certify.  Beyond 200 a range error is raised, for an
+array as soon as one of its elements lies there.
 """
 
 from __future__ import annotations
@@ -261,34 +269,104 @@ def _series_hp(alpha: float, beta: float, z, tol: float) -> complex:
     )
 
 
-def mittag_leffler(p: MlParams, z: complex) -> complex:
+def _series_array(z: np.ndarray, first: float, ratio, stop: float, tiny: float):
+    """`_series` on a one-dimensional array of double arguments.
+
+    Every element runs the scalar loop's steps in lockstep with the others:
+    the same stop test, Kahan update and overflow exit, so per element it
+    returns the (stopped, n_terms) of `_series` and its value up to the last
+    bit of a complex product.  An element leaves the working set once it
+    stops or its next term overflows.  Returns the arrays (total, stopped,
+    n_terms, tail, abs_sum), with tail infinite where the sum did not stop.
+    """
+    size = z.size
+    total = np.empty_like(z)
+    stopped = np.zeros(size, dtype=bool)
+    n_terms = np.empty(size, dtype=np.int64)
+    tail = np.full(size, math.inf)
+    abs_sum = np.empty(size)
+    # the working set, compacted as elements leave it
+    live = np.arange(size)
+    zw, az = z, np.abs(z)
+    term = np.full(size, first, dtype=z.dtype)
+    part, comp = term.copy(), np.zeros_like(term)
+    mag = np.full(size, abs(first))
+    mags = mag.copy()
+    n = 0
+    with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
+        while live.size and n < _MAX_TERMS:
+            step = ratio(n)
+            r = az * step
+            tl = (mag * r) / (1 - r)
+            done = (r < 0.5) & (tl <= stop * np.maximum(np.abs(part), tiny))
+            if done.any():
+                out = live[done]
+                total[out], stopped[out], n_terms[out] = part[done], True, n
+                tail[out], abs_sum[out] = tl[done], mags[done]
+                keep = ~done
+                live, zw, az, term, part, comp, mags = (
+                    a[keep] for a in (live, zw, az, term, part, comp, mags)
+                )
+            term = term * zw * step
+            mag = np.abs(term)
+            over = mag == math.inf
+            if over.any():
+                out = live[over]
+                total[out], n_terms[out], abs_sum[out] = part[over], n + 1, math.inf
+                keep = ~over
+                live, zw, az, term, part, comp, mags, mag = (
+                    a[keep] for a in (live, zw, az, term, part, comp, mags, mag)
+                )
+            y = term - comp
+            t = part + y
+            comp = (t - part) - y
+            part = t
+            mags += mag
+            n += 1
+    total[live], n_terms[live], abs_sum[live] = part, n, mags
+    return total, stopped, n_terms, tail, abs_sum
+
+
+def mittag_leffler(p: MlParams, z):
     """Two-parameter Mittag-Leffler function E_{alpha,beta}(z).
 
-    Relative error is at most p.tol.  Arguments with |z| > 200 raise
-    MittagLefflerRangeError with a diagnostic; inside that range the double
-    path is attempted first and the high-precision retry covers cancellation.
+    z is a scalar, which returns a complex, or an array, which returns a
+    complex ndarray of its shape.  Relative error is at most p.tol.
+    Arguments with |z| > 200 raise MittagLefflerRangeError with a
+    diagnostic, and so does an array holding one; inside that range the
+    double path is attempted first and the high-precision retry covers
+    cancellation, one uncertified element at a time.
     """
-    zc = complex(z)
-    az = abs(zc)
-    if not np.isfinite(az):
+    zs = np.asarray(z)
+    zc = zs.astype(complex).ravel()
+    az = np.abs(zc)
+    if not np.all(np.isfinite(az)):
         raise MittagLefflerRangeError("argument must be finite")
-    if az > ML_HP_RANGE:
+    if az.size and az.max() > ML_HP_RANGE:
         raise MittagLefflerRangeError(
-            f"|z| = {az:.6g} exceeds the documented range {ML_HP_RANGE:g}; "
+            f"|z| = {az.max():.6g} exceeds the documented range {ML_HP_RANGE:g}; "
             "the series truncation cannot be certified there"
         )
+    # real arguments sum in real arithmetic: the complex loop's imaginary
+    # parts stay zero and its real parts are these products bit for bit
+    work = zc if np.any(zc.imag) else zc.real.copy()
     table = _ratio_table(p.alpha, p.beta, None)
     # the truncation may take half of the budget, the rounding bound the rest
-    value, stopped, _, tail, abs_sum = _series(zc, complex(table.first), table, 0.5 * p.tol, 1e-300)
-    round_err = 4.0 * _EPS * abs_sum
-    if stopped and math.isfinite(abs_sum) and abs(value) > 0.0 and round_err + tail <= p.tol * abs(value):
-        return value
-    hp = _series_hp(p.alpha, p.beta, zc.real if zc.imag == 0.0 else zc, p.tol)
-    if not (np.isfinite(hp.real) and np.isfinite(hp.imag)):
-        raise MittagLefflerRangeError(
-            f"E_({p.alpha:g},{p.beta:g})(z) overflows double precision at |z| = {az:.6g}"
-        )
-    return hp
+    total, stopped, _, tail, abs_sum = _series_array(work, table.first, table, 0.5 * p.tol, 1e-300)
+    modulus = np.abs(total)
+    certified = stopped & np.isfinite(abs_sum) & (modulus > 0.0) & (4.0 * _EPS * abs_sum + tail <= p.tol * modulus)
+    value = total.astype(complex)
+    for k in np.flatnonzero(~certified):
+        zk = complex(zc[k])
+        hp = _series_hp(p.alpha, p.beta, zk.real if zk.imag == 0.0 else zk, p.tol)
+        if not (np.isfinite(hp.real) and np.isfinite(hp.imag)):
+            raise MittagLefflerRangeError(
+                f"E_({p.alpha:g},{p.beta:g})(z) overflows double precision at |z| = {az[k]:.6g}"
+            )
+        value[k] = hp
+    if zs.ndim == 0:
+        return complex(value[0])
+    return value.reshape(zs.shape)
 
 
 def mittag_leffler_hp(alpha: float, beta: float, z: complex, dps: int = 50):
@@ -361,6 +439,16 @@ def series_term_count(alpha: float, beta: float, z_abs: float, tol: float) -> in
     return n
 
 
+def _scalar_powers(base, expo: float) -> np.ndarray:
+    """base**expo element by element in libm pow, overflowing to inf.
+
+    numpy's array power can differ from libm's in the last bit, so arguments
+    formed here do not depend on which vector kernel numpy dispatches to.
+    """
+    with np.errstate(over="ignore"):
+        return np.array([b**expo for b in np.asarray(base, dtype=float)], dtype=float)
+
+
 def _pow_nonneg(base: float, expo: float) -> float:
     """base**expo for base >= 0 with the 0**0 = 1 and 0**neg = inf conventions."""
     if base > 0.0:
@@ -397,7 +485,10 @@ def check_growth_bound(p: MlParams, omega_grid, t_grid) -> GrowthEnvelope:
 
     The envelope is evaluated in log space so large exponential factors never
     overflow the ratio; an infinite envelope value (possible at omega = 0 or
-    t = 0 when beta > 1) yields ratio 0 by convention.
+    t = 0 when beta > 1) yields ratio 0 by convention.  Every argument inside
+    the series range goes into one array evaluation; a cell whose argument
+    lies beyond |z| = 200 or whose value overflows reads NaN and is counted
+    in n_nonfinite.
     """
     if not (0.0 < p.alpha < 2.0):
         raise ValueError("growth envelope requires 0 < alpha < 2")
@@ -405,15 +496,29 @@ def check_growth_bound(p: MlParams, omega_grid, t_grid) -> GrowthEnvelope:
     t_arr = np.asarray(t_grid, dtype=float)
     if np.any(omega_arr < 0.0) or np.any(t_arr < 0.0):
         raise ValueError("omega and t grids must be nonnegative")
-    ratios = np.empty((omega_arr.size, t_arr.size))
     e1 = (1.0 - p.beta) / p.alpha
     e2 = 1.0 - p.beta
-    for i, om in enumerate(omega_arr):
+    z = np.multiply.outer(omega_arr, _scalar_powers(t_arr, p.alpha))
+    values = np.full(z.shape, math.nan)
+    inside = np.isfinite(z) & (np.abs(z) <= ML_HP_RANGE)
+    try:
+        values[inside] = mittag_leffler(p, z[inside]).real
+    except MittagLefflerRangeError:
+        # a retry that overflows fails its own cell only
+        for cell in zip(*np.nonzero(inside)):
+            try:
+                values[cell] = mittag_leffler(p, z[cell]).real
+            except MittagLefflerRangeError:
+                pass
+    ratios = np.empty(z.shape)
+    for i, om in enumerate(omega_arr.tolist()):
         om_pow = _pow_nonneg(om, e1)
         om_rate = _pow_nonneg(om, 1.0 / p.alpha)
-        for j, t in enumerate(t_arr):
+        for j, (t, value) in enumerate(zip(t_arr.tolist(), values[i].tolist())):
+            if math.isnan(value):
+                ratios[i, j] = math.nan
+                continue
             try:
-                value = mittag_leffler(p, om * t**p.alpha).real
                 log_env = math.log1p(om_pow) + math.log1p(_pow_nonneg(t, e2)) + om_rate * t
                 if math.isinf(log_env):
                     ratios[i, j] = 0.0
@@ -421,7 +526,7 @@ def check_growth_bound(p: MlParams, omega_grid, t_grid) -> GrowthEnvelope:
                     ratios[i, j] = math.exp(math.log(value) - log_env)
                 else:
                     ratios[i, j] = 0.0 if value == 0.0 else math.nan
-            except (MittagLefflerRangeError, OverflowError):
+            except OverflowError:
                 ratios[i, j] = math.nan
     finite = ratios[np.isfinite(ratios)]
     c = max(1.0, float(finite.max())) if finite.size else 1.0

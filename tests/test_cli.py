@@ -8,6 +8,7 @@ import math
 import os
 import subprocess
 import sys
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -812,6 +813,29 @@ def test_norm_gate_stops_run_and_flags_the_sweep_rung(tmp_path, capsys):
         "cold_blocks": None,
     }
     assert meta["moderateness"]["statuses"][0] == meta["moderateness"]["statuses"][2] == "ok"
+
+
+@pytest.mark.parametrize(
+    "text, message",
+    [
+        # the squared coefficient overflows, so the norm iteration's first step is NaN
+        ("[operator]\ncoefficient_scale = 1e300\n", "numerical gate: operator norm estimate is not finite (nan)"),
+        # the propagated data overflow before any fixed-point sweep: a range failure, not divergence
+        (
+            "[initial]\ndisplacement_scale = 1e300\n",
+            "numerical gate: propagated initial data overflow double precision (data scale 1e+300)",
+        ),
+    ],
+)
+def test_overflowing_operator_or_data_exits_3_without_warnings(tmp_path, capsys, text, message):
+    out = tmp_path / "out"
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        assert entrypoint(["run", "--config", _cfg_file(tmp_path, text), "--out", str(out), "--quiet"]) == 3
+    assert [str(w.message) for w in caught] == []
+    lines = capsys.readouterr().err.splitlines()
+    assert len(lines) == 1 and lines[0].startswith(message)
+    assert not out.exists()
 
 
 def test_sweep_rung_whose_solve_fails_leaves_empty_cells_and_strict_json(tmp_path):

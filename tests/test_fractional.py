@@ -36,8 +36,40 @@ def test_weight_rows_integrate_one():
     assert w[0].sum() == 0.0
     assert np.max(rel) <= 1e-13
     # t**(g + 1) at the last node leaves the double range: a numerical failure, not a bare overflow
-    with pytest.raises(FracwaveError, match="overflow"):
+    with pytest.raises(FracwaveError) as err:
         pi_weights(2.0, 4, 1e103)
+    assert str(err.value) == (
+        "product-integration weights of order 2 overflow double precision at t = 4e+103; shorten the horizon"
+    )
+
+
+def _pi_weights_by_offsets(gamma_ord, n_nodes, dt):
+    """The weight matrix gathered from its kernel by an n x n offset index."""
+    gp1 = gamma_ord + 1.0
+    scale = 1.0 / math.gamma(gamma_ord + 2.0)
+    ext = dt * np.arange(n_nodes + 1)
+    extp = ext**gp1
+    b = np.zeros(n_nodes)
+    b[1:] = (extp[2 : n_nodes + 1] - 2.0 * extp[1:n_nodes] + extp[0 : n_nodes - 1]) / dt
+    n_idx = np.arange(n_nodes)
+    offsets = np.subtract.outer(n_idx, n_idx)
+    w = np.where(offsets >= 1, b[np.clip(offsets, 0, n_nodes - 1)], 0.0)
+    times = ext[:n_nodes]
+    a = np.zeros(n_nodes)
+    a[1:] = extp[0 : n_nodes - 1] / dt - (n_idx[1:] - 1.0 - gamma_ord) * (times[1:] ** gamma_ord)
+    w[:, 0] = a
+    np.fill_diagonal(w, dt**gamma_ord)
+    w[0, :] = 0.0
+    return w * scale
+
+
+@pytest.mark.parametrize("n_nodes", [2, 3, 65, 257, 1025])
+@pytest.mark.parametrize("gamma_ord", [0.2, 0.5, 1.0, 1.5, 2.0])
+def test_weights_from_taps_equal_the_offset_gather_bit_for_bit(gamma_ord, n_nodes):
+    dt = 0.7 / (n_nodes - 1)
+    w = pi_weights(gamma_ord, n_nodes, dt)
+    assert w.shape == (n_nodes, n_nodes) and w.flags.c_contiguous and w.flags.writeable
+    assert w.tobytes() == _pi_weights_by_offsets(gamma_ord, n_nodes, dt).tobytes()
 
 
 def test_fractional_integral_of_quadratic():

@@ -327,6 +327,23 @@ def test_norm_gate_trips_on_tight_cap():
         check_norm_gate(op, tight)
 
 
+@pytest.mark.parametrize("profile", ["constant", "variable"])
+def test_norm_gate_rejects_a_norm_that_is_not_a_number(profile):
+    # coeff**2 overflows: the first iterate is NaN, and nan > cap would be False
+    grid = SpatialGrid(16.0, 256)
+    moll = make_mollifier("bump", 1.0, grid)
+    coeff = np.full(grid.n_points, 1e300)
+    if profile == "variable":
+        coeff[0] = 2e300
+    op = build_operator("second_derivative", 2.0, coeff, moll, grid, eps=2.0**-5)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        est = operator_norm_estimate(op)
+        assert math.isnan(est.value) and est.iterations == 1 and not est.converged
+        with pytest.raises(NormGateError, match=r"not finite \(nan\) at eps = 0.03125"):
+            check_norm_gate(op, EpsilonSchedule(alpha=1.5))
+
+
 def test_association_errors_decrease():
     # wave scenario: the width schedule clears its floor on every rung, so
     # each ladder point carries a genuinely different operator

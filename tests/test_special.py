@@ -232,11 +232,106 @@ def test_nonnegative_arguments_certify_in_double(monkeypatch):
     times = np.linspace(0.0, 5.0, 26)
     for alpha in (1.1, 1.5, 1.9):
         for beta in (alpha - 1.0, 1.0, alpha, 2.0 * alpha - 2.0):
-            p = MlParams(alpha, beta)
-            for om in omega:
-                for t in times:
-                    mittag_leffler(p, om * t**alpha)
+            mittag_leffler(MlParams(alpha, beta), np.multiply.outer(omega, times**alpha))
     assert calls == []
+
+
+# real, negative and complex arguments up to |z| = 60, where the negative and
+# complex sums cancel: stops the double path certifies and stops it does not
+ARRAY_ARGUMENTS = np.concatenate(
+    [
+        np.linspace(0.0, 60.0, 13),
+        -np.linspace(0.25, 60.0, 13),
+        np.linspace(-20.0, 20.0, 9) + 1j * np.linspace(15.0, -15.0, 9),
+        [-28.5 + 9.25j, 3.0j, -3.0j],
+    ]
+)
+
+
+@pytest.mark.parametrize("alpha", [1.0, 1.1, 1.5, 1.9, 2.0])
+@pytest.mark.parametrize("beta", [0.1, 0.5, 1.0, 1.7, 2.8])
+def test_array_loop_steps_like_the_scalar_loop(alpha, beta):
+    table = special._ratio_table(alpha, beta, None)
+    for z in (ARRAY_ARGUMENTS.real[:26].copy(), ARRAY_ARGUMENTS):
+        total, stopped, n_terms, tail, abs_sum = special._series_array(z, table.first, table, 0.5e-14, 1e-300)
+        for k, zk in enumerate(z.tolist()):
+            want, want_stopped, want_n, want_tail, want_abs = special._series(
+                complex(zk), complex(table.first), table, 0.5e-14, 1e-300
+            )
+            assert (bool(stopped[k]), int(n_terms[k])) == (want_stopped, want_n)
+            if z.dtype == float:
+                # a real argument's complex loop multiplies by zero imaginary
+                # parts only, so the real loop gives its numbers bit for bit
+                assert total[k] == want and abs_sum[k] == want_abs
+                assert tail[k] == (want_tail if want_stopped else math.inf)
+            else:
+                # numpy's complex product may round differently from Python's in
+                # the last bit, so term n, a product of n factors, may drift by
+                # n units of roundoff relative to its magnitude
+                drift = 2.0 * (want_n + 1) * special._EPS * want_abs
+                assert abs(total[k] - want) <= drift and abs(abs_sum[k] - want_abs) <= drift
+
+
+def test_array_loop_stops_at_the_first_infinite_term():
+    table = special._ratio_table(1.05, 1.0, None)
+    z = np.array([1065.54, 1.0, 2000.0])
+    _, stopped, n_terms, _, abs_sum = special._series_array(z, table.first, table, 1e-12, 1e-300)
+    for k, zk in enumerate(z.tolist()):
+        _, want_stopped, want_n, _, want_abs = special._series(zk, table.first, table, 1e-12, 1e-300)
+        assert (bool(stopped[k]), int(n_terms[k]), abs_sum[k]) == (want_stopped, want_n, want_abs)
+    assert list(stopped) == [False, True, False] and abs_sum[0] == abs_sum[2] == math.inf
+
+
+def test_array_call_keeps_the_shape_and_retries_per_element(monkeypatch):
+    calls = _counting_retry(monkeypatch)
+    p = MlParams(1.0, 1.0)
+    z = np.array([[1.0, -60.0], [0.5 + 0.5j, 2.0]])
+    values = mittag_leffler(p, z)
+    assert values.shape == (2, 2) and values.dtype == complex
+    # only the cancelling argument was retried, and as a real number
+    assert calls == [-60.0] and isinstance(calls[0], float)
+    assert values[0, 1] == special._series_hp(1.0, 1.0, -60.0, p.tol)
+    for zk, value in zip(z.ravel().tolist(), values.ravel().tolist()):
+        assert abs(value - complex(mpmath.exp(zk))) <= 1e-14 * abs(value)
+    # a scalar, a zero-dimensional array and an empty array
+    assert isinstance(mittag_leffler(p, 1.0), complex)
+    assert isinstance(mittag_leffler(p, np.float64(1.0)), complex)
+    assert mittag_leffler(p, np.array(1.0)) == mittag_leffler(p, 1.0)
+    assert mittag_leffler(p, np.zeros((0, 3))).shape == (0, 3)
+
+
+def test_array_with_one_argument_out_of_range_raises():
+    p = MlParams(1.5, 1.0)
+    z = np.linspace(0.0, 10.0, 8)
+    mittag_leffler(p, z)
+    for bad in (250.0, -250.0, 200.0 + 1.0j, math.inf, math.nan):
+        arg = z.astype(complex)
+        arg[3] = bad
+        with pytest.raises(MittagLefflerRangeError):
+            mittag_leffler(p, arg)
+
+
+def test_growth_grid_past_the_range_reads_nan_exactly_there():
+    omega = np.linspace(0.0, 40.0, 9)
+    times = np.linspace(0.0, 5.0, 11)
+    p = MlParams(1.5, 1.0)
+    env = check_growth_bound(p, omega, times)
+    outside = np.multiply.outer(omega, times**1.5) > special.ML_HP_RANGE
+    assert 0 < outside.sum() < outside.size
+    assert np.array_equal(np.isnan(env.ratios), outside)
+    assert env.n_nonfinite == int(outside.sum())
+    # the cells inside the range are those of the grid restricted to them
+    inner = check_growth_bound(p, omega[:3], times)
+    assert not outside[:3].any() and np.array_equal(env.ratios[:3], inner.ratios)
+
+
+def test_growth_cell_whose_retry_overflows_reads_nan_alone():
+    # E_0.7(110) is near exp(110**(1/0.7)) = exp(824): its retry overflows double
+    # precision, which fails that cell and no other
+    env = check_growth_bound(MlParams(0.7, 1.0), [0.0, 1.0, 110.0], [1.0])
+    assert env.n_nonfinite == 1 and np.isnan(env.ratios[2, 0])
+    inner = check_growth_bound(MlParams(0.7, 1.0), [0.0, 1.0], [1.0])
+    assert np.array_equal(env.ratios[:2], inner.ratios)
 
 
 def test_retry_tables_stay_at_their_cap():
