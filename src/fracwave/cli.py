@@ -79,8 +79,9 @@ def _profile_samples(source: str, grid: SpatialGrid, what: str) -> np.ndarray:
         return 0.5 * (1.0 + np.tanh(x))
     if source.startswith("mode:"):
         k = int(source[5:], 10)
-        return np.exp(1j * math.pi * k * x / grid.half_length)
-    if source.startswith("file:"):
+        with np.errstate(invalid="ignore"):  # a phase pi*K that overflows reads nan, checked below
+            values = np.exp(1j * math.pi * k * x / grid.half_length)
+    elif source.startswith("file:"):
         path = source[5:].strip()
         try:
             table = np.loadtxt(path, delimiter=",", dtype=float, ndmin=2)

@@ -88,6 +88,8 @@ def _profile(allow_modes: bool) -> Callable[[str], str]:
             if not allow_modes:
                 raise ValueError("mode:K profiles are only valid for initial data")
             int(value[5:], 10)
+            if math.isinf(float(value[5:])):
+                raise ValueError("mode:K needs a wave number K within the double range")
             return value
         parse_expression(value, "x")
         return value

@@ -2,21 +2,20 @@
 
 expr   := term (('+' | '-') term)*
 term   := factor (('*' | '/') factor)*
-factor := base ('^' number)?
-base   := number | variable | fn '(' expr ')' | '(' expr ')' | '-' base
+factor := '-' factor | base ('^' ['-'] number)?
+base   := number | variable | fn '(' expr ')' | '(' expr ')'
 
-The single admitted variable name is fixed at parse time (coefficients see
-'x', nonlinearities see 'u'), so cross-contamination is a parse error, not a
-runtime surprise.  Unary minus is an extension over the written grammar.
-Evaluation is total on finite inputs: division by zero and overflow produce
-non-finite values silently rather than raising.
+A cut-down Python expression with '^' for '**': Python's parser reads it and a
+node whitelist builds the tree, so x^(2) reads as x^2, x^(-2) as x^-2, and
+integers with leading zeros (007) do not parse.  The alphabet is ASCII letters,
+digits, space, tab and _ . + - * / ^ ( ).  The variable is fixed at parse time
+('x' or 'u'); evaluation is total, overflow giving inf or nan silently.
 """
 
-from __future__ import annotations
-
+import ast
 import re
+import warnings
 from dataclasses import dataclass
-from typing import Optional
 
 import numpy as np
 
@@ -24,31 +23,12 @@ __all__ = ["Expression", "parse_expression", "FUNCTIONS"]
 
 FUNCTIONS = ("sin", "cos", "exp", "tanh", "abs", "sech")
 
-_TOKEN = re.compile(
-    r"\s*(?:(?P<num>\d+\.\d*(?:[eE][+-]?\d+)?|\.\d+(?:[eE][+-]?\d+)?|\d+(?:[eE][+-]?\d+)?)"
-    r"|(?P<name>[A-Za-z_][A-Za-z_0-9]*)"
-    r"|(?P<op>[-+*/^()]))"
-)
-
-
-def _tokenize(text: str) -> list:
-    tokens = []
-    pos = 0
-    while pos < len(text):
-        m = _TOKEN.match(text, pos)
-        if m is None:
-            rest = text[pos:].lstrip()
-            if not rest:
-                break
-            raise ValueError(f"column {pos + 1}: cannot read {rest[:10]!r}")
-        if m.lastgroup == "num":
-            tokens.append(("num", float(m.group("num")), m.start("num")))
-        elif m.lastgroup == "name":
-            tokens.append(("name", m.group("name"), m.start("name")))
-        else:
-            tokens.append(("op", m.group("op"), m.start("op")))
-        pos = m.end()
-    return tokens
+_NUMBER = re.compile(r"\d+\.\d*(?:[eE][+-]?\d+)?|\.\d+(?:[eE][+-]?\d+)?|\d+(?:[eE][+-]?\d+)?", re.ASCII)
+_FOREIGN = re.compile(r"[^0-9A-Za-z_.+\-*/^() \t]|\*\*")
+_BINARY = {ast.Add: "+", ast.Sub: "-", ast.Mult: "*", ast.Div: "/"}
+# _eval takes one frame per tree level and a CLI solve calls it about ten frames
+# deep; 200 levels (Python's own cap on nested parentheses) stay far below 1000.
+_MAX_DEPTH = 200
 
 
 @dataclass(frozen=True)
@@ -98,101 +78,53 @@ def _eval(node: tuple, var: np.ndarray):
     return left / right
 
 
-class _Parser:
-    def __init__(self, tokens: list, variable: str, source: str):
-        self.tokens = tokens
-        self.variable = variable
-        self.source = source
-        self.i = 0
-
-    def _peek(self) -> Optional[tuple]:
-        return self.tokens[self.i] if self.i < len(self.tokens) else None
-
-    def _next(self) -> tuple:
-        tok = self._peek()
-        if tok is None:
-            raise ValueError("unexpected end of expression")
-        self.i += 1
-        return tok
-
-    def _expect_op(self, symbol: str) -> None:
-        tok = self._next()
-        if tok[0] != "op" or tok[1] != symbol:
-            raise ValueError(f"column {tok[2] + 1}: expected {symbol!r}, got {tok[1]!r}")
-
-    def parse(self) -> tuple:
-        node = self.expr()
-        tok = self._peek()
-        if tok is not None:
-            raise ValueError(f"column {tok[2] + 1}: trailing input {tok[1]!r}")
-        return node
-
-    def expr(self) -> tuple:
-        node = self.term()
-        while (tok := self._peek()) is not None and tok[0] == "op" and tok[1] in "+-":
-            self._next()
-            node = ("bin", tok[1], node, self.term())
-        return node
-
-    def term(self) -> tuple:
-        node = self.factor()
-        while (tok := self._peek()) is not None and tok[0] == "op" and tok[1] in "*/":
-            self._next()
-            node = ("bin", tok[1], node, self.factor())
-        return node
-
-    def factor(self) -> tuple:
-        tok = self._peek()
-        if tok is not None and tok[0] == "op" and tok[1] == "-":
-            # unary minus binds looser than '^', so -x^2 means -(x^2)
-            self._next()
-            return ("neg", self.factor())
-        node = self.base()
-        tok = self._peek()
-        if tok is not None and tok[0] == "op" and tok[1] == "^":
-            self._next()
-            node = ("pow", node, self._exponent())
-        return node
-
-    def _exponent(self) -> float:
-        tok = self._next()
-        sign = 1.0
-        if tok[0] == "op" and tok[1] == "-":
-            sign = -1.0
-            tok = self._next()
-        if tok[0] != "num":
-            raise ValueError(f"column {tok[2] + 1}: exponent must be a number")
-        return sign * tok[1]
-
-    def base(self) -> tuple:
-        tok = self._next()
-        if tok[0] == "num":
-            return ("num", tok[1])
-        if tok[0] == "name":
-            name = tok[1]
-            if name in FUNCTIONS:
-                self._expect_op("(")
-                inner = self.expr()
-                self._expect_op(")")
-                return ("fn", name, inner)
-            if name == self.variable:
-                return ("var",)
-            raise ValueError(
-                f"column {tok[2] + 1}: unknown name {name!r} "
-                f"(this expression may only use {self.variable!r})"
-            )
-        if tok[1] == "(":
-            inner = self.expr()
-            self._expect_op(")")
-            return inner
-        raise ValueError(f"column {tok[2] + 1}: unexpected {tok[1]!r}")
-
-
 def parse_expression(text: str, variable: str) -> Expression:
     """Parse a profile expression restricted to one variable name."""
-    stripped = text.strip()
-    if not stripped:
+    source = text.strip()
+    if not source:
         raise ValueError("empty expression")
-    tokens = _tokenize(stripped)
-    root = _Parser(tokens, variable, stripped).parse()
-    return Expression(stripped, variable, root)
+    if foreign := _FOREIGN.search(source):
+        raise ValueError(f"column {foreign.start() + 1}: unexpected {foreign.group()!r}")
+    python = source.replace("^", "**")
+    # the source column of each character of the Python text, and of its end
+    columns = [i + 1 for i, ch in enumerate(source) for _ in range(1 + (ch == "^"))] + [len(source) + 1]
+
+    def fail(node, what: str):
+        raise ValueError(f"column {columns[node.col_offset]}: {what}")
+
+    def walk(node, depth: int) -> tuple:
+        if depth > _MAX_DEPTH:
+            raise RecursionError  # reported as the parser's own
+        if isinstance(node, ast.BinOp) and type(node.op) in _BINARY:
+            return ("bin", _BINARY[type(node.op)], walk(node.left, depth + 1), walk(node.right, depth + 1))
+        if isinstance(node, ast.BinOp) and isinstance(node.op, ast.Pow):
+            base, power = walk(node.left, depth + 1), walk(node.right, depth + 1)
+            if power[0] == "neg" and power[1][0] == "num":
+                return ("pow", base, -1.0 * power[1][1])
+            if power[0] != "num":
+                fail(node.right, "the exponent must be a number")
+            return ("pow", base, power[1])
+        if isinstance(node, ast.UnaryOp) and isinstance(node.op, ast.USub):
+            return ("neg", walk(node.operand, depth + 1))
+        if isinstance(node, ast.Constant) and _NUMBER.fullmatch(digits := python[node.col_offset : node.end_col_offset]):
+            return ("num", float(digits))
+        if isinstance(node, ast.Name):
+            if node.id != variable:
+                fail(node, f"unknown name {node.id!r} (this expression may only use {variable!r})")
+            return ("var",)
+        # '(sin)(x)' is no call: a call starts at its function's name
+        if isinstance(node, ast.Call) and node.col_offset == node.func.col_offset and len(node.args) == 1:
+            if isinstance(node.func, ast.Name) and node.func.id in FUNCTIONS and not node.keywords:
+                return ("fn", node.func.id, walk(node.args[0], depth + 1))
+        fail(node, "expected a decimal number" if isinstance(node, ast.Constant) else "not part of the grammar")
+
+    try:
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")  # a SyntaxWarning rejects, rather than prints
+            root = walk(ast.parse(python, mode="eval").body, 1)
+    except SyntaxError as err:
+        offset = min(err.offset - 1, len(python)) if err.offset else len(python)  # no offset: the end
+        raise ValueError(f"column {columns[offset]}: {err.msg}") from None
+    except RecursionError:
+        raise ValueError(f"expression nests deeper than {_MAX_DEPTH} levels") from None
+    return Expression(source, variable, root)

@@ -449,17 +449,6 @@ def _scalar_powers(base, expo: float) -> np.ndarray:
         return np.array([b**expo for b in np.asarray(base, dtype=float)], dtype=float)
 
 
-def _pow_nonneg(base: float, expo: float) -> float:
-    """base**expo for base >= 0 with the 0**0 = 1 and 0**neg = inf conventions."""
-    if base > 0.0:
-        return math.pow(base, expo)
-    if expo > 0.0:
-        return 0.0
-    if expo == 0.0:
-        return 1.0
-    return math.inf
-
-
 @dataclass
 class GrowthEnvelope:
     """Empirical certificate for an exponential growth envelope.
@@ -510,24 +499,12 @@ def check_growth_bound(p: MlParams, omega_grid, t_grid) -> GrowthEnvelope:
                 values[cell] = mittag_leffler(p, z[cell]).real
             except MittagLefflerRangeError:
                 pass
-    ratios = np.empty(z.shape)
-    for i, om in enumerate(omega_arr.tolist()):
-        om_pow = _pow_nonneg(om, e1)
-        om_rate = _pow_nonneg(om, 1.0 / p.alpha)
-        for j, (t, value) in enumerate(zip(t_arr.tolist(), values[i].tolist())):
-            if math.isnan(value):
-                ratios[i, j] = math.nan
-                continue
-            try:
-                log_env = math.log1p(om_pow) + math.log1p(_pow_nonneg(t, e2)) + om_rate * t
-                if math.isinf(log_env):
-                    ratios[i, j] = 0.0
-                elif value > 0.0:
-                    ratios[i, j] = math.exp(math.log(value) - log_env)
-                else:
-                    ratios[i, j] = 0.0 if value == 0.0 else math.nan
-            except OverflowError:
-                ratios[i, j] = math.nan
+    om = omega_arr[:, None]
+    with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
+        log_env = np.log1p(om**e1) + np.log1p(t_arr**e2) + om ** (1.0 / p.alpha) * t_arr
+        ratios = np.where(np.isinf(log_env), 0.0, np.exp(np.log(values) - log_env))
+    # a NaN value stays NaN, and so does a ratio that overflows
+    ratios[np.isnan(values) | np.isinf(ratios)] = math.nan
     finite = ratios[np.isfinite(ratios)]
     c = max(1.0, float(finite.max())) if finite.size else 1.0
     n_bad = int(ratios.size - finite.size)

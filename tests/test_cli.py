@@ -477,6 +477,60 @@ def test_non_finite_profile_file_is_a_config_error(tmp_path, capsys, verb, key, 
     assert not out.exists()
 
 
+@pytest.mark.parametrize("verb", ["run", "noise-dump"])
+@pytest.mark.parametrize("key", ["displacement", "velocity"])
+def test_mode_beyond_the_double_range_is_a_config_error(tmp_path, capsys, verb, key):
+    out = tmp_path / "out"
+    text = BASE + f"[initial]\n{key} = mode:1{'0' * 400}\n"
+    assert entrypoint([verb, "--config", _cfg_file(tmp_path, text), "--out", str(out), "--quiet"]) == 2
+    lines = capsys.readouterr().err.splitlines()
+    assert len(lines) == 1 and lines[0].startswith("config error: line ") and f"[initial] {key}: mode:K" in lines[0]
+    assert not out.exists()
+
+
+def test_finite_mode_whose_phase_overflows_reaches_the_grid_check(tmp_path, capsys):
+    # pi * 1e308 overflows on the grid although K itself is a double
+    out = tmp_path / "out"
+    text = BASE + f"[initial]\ndisplacement = mode:1{'0' * 308}\n"
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert entrypoint(["run", "--config", _cfg_file(tmp_path, text), "--out", str(out), "--quiet"]) == 2
+    lines = capsys.readouterr().err.splitlines()
+    assert lines == ["config error: initial.displacement: profile takes non-finite values on the grid"]
+    assert not out.exists()
+
+
+@pytest.mark.parametrize(
+    "section, key, value",
+    [
+        ("operator", "coefficient", "(" * 300 + "1" + ")" * 300),
+        ("nonlinearity", "f", "-" * 990 + "u"),
+        ("nonlinearity", "f", "-" * 3000 + "u"),
+    ],
+    ids=["300-parentheses", "990-minus-signs", "3000-minus-signs"],
+)
+def test_deeply_nested_expression_exits_2_with_one_short_line(tmp_path, capsys, section, key, value):
+    out = tmp_path / "out"
+    text = BASE + f"[{section}]\n{key} = {value}\n"
+    assert entrypoint(["run", "--config", _cfg_file(tmp_path, text), "--out", str(out), "--quiet"]) == 2
+    lines = capsys.readouterr().err.splitlines()
+    assert len(lines) == 1 and lines[0].startswith("config error: line ") and f"[{section}] {key}: " in lines[0]
+    assert len(lines[0]) < 120  # the source is not echoed
+    assert not out.exists()
+
+
+def test_expression_150_levels_deep_runs_like_its_flat_form(tmp_path):
+    flat = BASE + "[operator]\ncoefficient = 1 + 0.25*sech(x)\n[nonlinearity]\nf = 0.5*sin(u)\n"
+    deep = flat.replace("1 + 0.25*sech(x)", "(" * 150 + "1 + 0.25*sech(x)" + ")" * 150)
+    deep = deep.replace("f = 0.5*sin(u)", "f = " + "-" * 150 + "0.5*sin(u)")
+    fields = []
+    for name, text in (("flat", flat), ("deep", deep)):
+        out = tmp_path / name
+        assert entrypoint(["run", "--config", _cfg_file(tmp_path, text), "--out", str(out), "--quiet"]) == 0
+        fields.append((_run_dir(out) / "trajectory.csv").read_bytes())
+    assert fields[0] == fields[1]
+
+
 def test_unconverged_run_exits_4(tmp_path, capsys):
     text = "[mesh]\nn_steps = 32\n[nonlinearity]\nf = 0.5*sin(u)\n[noise]\nintensity = 0.1\n[solver]\nmax_iter = 2\n"
     out = tmp_path / "out"

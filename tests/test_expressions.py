@@ -112,3 +112,104 @@ def test_polynomials_round_trip(coeffs):
     got = expr.evaluate(X)
     want = sum(c * X**k for k, c in enumerate(coeffs))
     assert np.max(np.abs(got - want)) <= 1e-9 * max(1.0, np.max(np.abs(want)))
+
+
+# each node: (text, binding level, independent numpy function); a child whose
+# level is below what its parent's slot needs is printed in parentheses
+_ATOM, _POWER, _NEG, _PRODUCT, _SUM = 5, 4, 3, 2, 1
+_NUMPY_FUNCTIONS = {
+    "sin": np.sin,
+    "cos": np.cos,
+    "exp": np.exp,
+    "tanh": np.tanh,
+    "abs": np.abs,
+    "sech": lambda v: 1.0 / np.cosh(v),
+}
+_OPERATORS = {
+    "+": (_SUM, np.add),
+    "-": (_SUM, np.subtract),
+    "*": (_PRODUCT, np.multiply),
+    "/": (_PRODUCT, np.divide),
+}
+
+
+def _slot(node, level):
+    text, own, _ = node
+    return text if own >= level else f"({text})"
+
+
+def _number(value):
+    return (repr(value), _ATOM, lambda v: np.float64(value))
+
+
+def _combine(children):
+    def binary(op, left, right):
+        level, fn = _OPERATORS[op]
+        text = f"{_slot(left, level)} {op} {_slot(right, level + 1)}"
+        return (text, level, lambda v: fn(left[2](v), right[2](v)))
+
+    def power(base, exponent):
+        return (f"{_slot(base, _ATOM)}^{exponent}", _POWER, lambda v: base[2](v) ** float(exponent))
+
+    def call(name, arg):
+        return (f"{name}({arg[0]})", _ATOM, lambda v: _NUMPY_FUNCTIONS[name](arg[2](v)))
+
+    return st.one_of(
+        st.builds(binary, st.sampled_from(sorted(_OPERATORS)), children, children),
+        st.builds(power, children, st.sampled_from(["2", "3", "-1", "0.5", "-2.5", "1e0"])),
+        st.builds(lambda node: ("-" + _slot(node, _NEG), _NEG, lambda v: -node[2](v)), children),
+        st.builds(call, st.sampled_from(sorted(_NUMPY_FUNCTIONS)), children),
+    )
+
+
+_GRAMMAR = st.recursive(
+    st.one_of(
+        st.just(("x", _ATOM, lambda v: v)),
+        st.floats(0.0, 1e6, allow_nan=False).map(_number),
+    ),
+    _combine,
+    max_leaves=12,
+)
+
+
+@settings(max_examples=200, deadline=None, derandomize=True)
+@given(_GRAMMAR)
+def test_grammar_evaluates_bit_for_bit_like_numpy(node):
+    text, _, fn = node
+    expr = parse_expression(text, "x")
+    for pts in (X, X + 0.5j * X[::-1]):
+        got = expr.evaluate(pts)
+        with np.errstate(all="ignore"):
+            want = np.asarray(fn(pts))
+        want = np.full(pts.shape, want) if want.shape != pts.shape else want
+        assert got.dtype == want.dtype and got.tobytes() == want.tobytes(), text
+
+
+def test_parenthesized_exponents_read_as_plain_ones():
+    # Python's parser drops the parentheses, so these read as x^2 and x^-2
+    assert parse_expression("x^(2)", "x").root == parse_expression("x^2", "x").root
+    assert parse_expression("x^(-2)", "x").root == parse_expression("x^-2", "x").root
+
+
+def test_integers_with_leading_zeros_do_not_parse():
+    with pytest.raises(ValueError, match="column 1"):
+        parse_expression("007", "x")
+    assert parse_expression("0.07", "x").root == ("num", 0.07)
+
+
+@pytest.mark.parametrize(
+    "text",
+    ["2**x", "x if x else 1", "x.real", "x<1", "1j", "1_0", "True", "(x)(x)", "sin()", "sin(x, x)", "+x", "(sin)(x)"],
+)
+def test_rejections_name_a_column(text):
+    with pytest.raises(ValueError, match=r"^column \d+: "):
+        parse_expression(text, "x")
+
+
+@pytest.mark.parametrize(
+    "text, column",
+    [("x^2 + y", 7), ("x^2*x^2*z", 9), ("x^2 + sin(x", 10), ("x^2 + )", 7), ("x^2^x", 5)],
+)
+def test_columns_after_a_caret_point_at_the_source(text, column):
+    with pytest.raises(ValueError, match=rf"^column {column}: "):
+        parse_expression(text, "x")

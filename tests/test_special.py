@@ -334,6 +334,52 @@ def test_growth_cell_whose_retry_overflows_reads_nan_alone():
     assert np.array_equal(env.ratios[:2], inner.ratios)
 
 
+def _growth_ratio_by_cell(p, omega, t, value):
+    """One envelope ratio as a scalar loop forms it, in libm's pow, log1p and exp."""
+
+    def pow_nonneg(base, expo):
+        if base > 0.0:
+            return math.pow(base, expo)
+        return 0.0 if expo > 0.0 else (1.0 if expo == 0.0 else math.inf)
+
+    log_env = (
+        math.log1p(pow_nonneg(omega, (1.0 - p.beta) / p.alpha))
+        + math.log1p(pow_nonneg(t, 1.0 - p.beta))
+        + pow_nonneg(omega, 1.0 / p.alpha) * t
+    )
+    if math.isinf(log_env):
+        return 0.0
+    if value > 0.0:
+        return math.exp(math.log(value) - log_env)
+    return 0.0 if value == 0.0 else math.nan
+
+
+def test_growth_ratios_match_the_scalar_loop():
+    # exp turns an absolute error in its argument into a relative one, and the
+    # log-envelope here reaches about 20, so a few ulps of 20 bound the gap
+    omega = np.linspace(0.0, 4.0, 17)
+    times = np.linspace(0.0, 5.0, 26)
+    for alpha in (1.1, 1.5, 1.9):
+        for beta in (alpha - 1.0, 1.0, alpha, 2.0 * alpha - 2.0):
+            p = MlParams(alpha, beta)
+            env = check_growth_bound(p, omega, times)
+            values = mittag_leffler(p, np.multiply.outer(omega, special._scalar_powers(times, alpha))).real
+            want = np.array(
+                [[_growth_ratio_by_cell(p, om, t, v) for t, v in zip(times, row)] for om, row in zip(omega, values)]
+            )
+            assert np.array_equal(env.ratios == 0.0, want == 0.0) and np.isfinite(want).all()
+            assert np.allclose(env.ratios, want, rtol=1e-13, atol=0.0)
+            assert env.c == 1.0 and env.n_nonfinite == 0
+
+
+def test_growth_power_past_the_double_range_reads_an_infinite_envelope():
+    # (1e-300)**((1 - 3)/1.1) and (1e-300)**(1 - 3) leave the double range: the
+    # envelope there is infinite in double precision, so the ratio reads 0
+    env = check_growth_bound(MlParams(1.1, 3.0), [1e-300, 1.0], [1e-300, 1.0])
+    assert env.ratios[0, 0] == env.ratios[0, 1] == env.ratios[1, 0] == 0.0
+    assert env.ratios[1, 1] > 0.0 and env.n_nonfinite == 0
+
+
 def test_retry_tables_stay_at_their_cap():
     special._ratio_table.cache_clear()
     orders = [(1.0 + k / 1000.0, 1.0) for k in range(special._TABLE_CAP)]
