@@ -67,8 +67,13 @@ _SHAPES = ("bump", "truncated_gaussian")
 _GAUSS_CUTOFF = 4.0  # truncation radius of the gaussian shape, in std units
 
 
-def _profile(shape: str, y: np.ndarray) -> np.ndarray:
-    """Unit-scale kernel profile on the reference coordinate."""
+def _kernel(shape: str, sharpness: float, disp: np.ndarray, cell: float) -> np.ndarray:
+    """The family's kernel sharpness * profile(disp * sharpness) at the displacements.
+
+    The samples are scaled to unit discrete mass on cells of the given size,
+    so that convolving with them preserves means.
+    """
+    y = disp * sharpness
     out = np.zeros_like(y)
     if shape == "bump":
         inside = np.abs(y) < 1.0
@@ -76,7 +81,8 @@ def _profile(shape: str, y: np.ndarray) -> np.ndarray:
     else:
         inside = np.abs(y) < _GAUSS_CUTOFF
         out[inside] = np.exp(-0.5 * y[inside] ** 2) / math.sqrt(2.0 * math.pi)
-    return out
+    out *= sharpness
+    return out / (out.sum() * cell)
 
 
 def _support_radius(shape: str, width: float) -> float:
@@ -87,15 +93,11 @@ def _support_radius(shape: str, width: float) -> float:
 class Mollifier:
     """Sampled nonnegative kernel of unit discrete mass on a periodic grid.
 
-    width is the sharpness parameter: the kernel is width * profile(x * width)
-    with compact support of radius 1 / width (4 / width for the gaussian).
     samples are indexed by periodic displacement (entry m corresponds to
     displacement m * dx wrapped to [-L, L)), so convolution is a plain
     multiplication by symbol in frequency space.
     """
 
-    shape: str
-    width: float
     grid: SpatialGrid
     samples: np.ndarray = field(repr=False)
     symbol: np.ndarray = field(repr=False)
@@ -124,8 +126,9 @@ def _multiply(symbol: np.ndarray, arr: np.ndarray, real: bool) -> np.ndarray:
 def make_mollifier(shape: str, width: float, grid: SpatialGrid) -> Mollifier:
     """Sample a kernel of the given shape and sharpness on the grid.
 
-    The discrete mass is renormalized to one exactly, which keeps convolution
-    mean-preserving.  Kernels narrower than four grid cells or wider than half
+    width is the sharpness: the kernel is width * profile(x * width), of
+    support radius 1 / width (4 / width for the gaussian), and its discrete
+    mass is one.  Kernels narrower than four grid cells or wider than half
     the domain are rejected.
     """
     if shape not in _SHAPES:
@@ -146,11 +149,8 @@ def make_mollifier(shape: str, width: float, grid: SpatialGrid) -> Mollifier:
     disp = (grid.dx * np.arange(grid.n_points) + grid.half_length) % (
         2.0 * grid.half_length
     ) - grid.half_length
-    samples = width * _profile(shape, disp * width)
-    mass = float(np.sum(samples)) * grid.dx
-    samples = samples / mass
-    symbol = np.fft.fft(samples) * grid.dx
-    return Mollifier(shape=shape, width=width, grid=grid, samples=samples, symbol=symbol)
+    samples = _kernel(shape, width, disp, grid.dx)
+    return Mollifier(grid=grid, samples=samples, symbol=np.fft.fft(samples) * grid.dx)
 
 
 def h_schedule(
@@ -280,11 +280,11 @@ def _base_multiplier(kind: str, space_order: float, grid: SpatialGrid) -> np.nda
 class RegularizedOperator:
     """coefficient times (mollified fractional derivative).
 
-    Acts on arrays whose last axis matches the grid: first the base
-    derivative multiplier and the kernel symbol act in frequency space, then
-    the smoothed coefficient multiplies pointwise.  Without a mollifier the
-    symbol is the base multiplier itself: the sharp operator the mollified
-    family is associated with.
+    Acts on arrays whose last axis matches the grid: the symbol acts in
+    frequency space, then the smoothed coefficient multiplies pointwise.
+    build_operator forms the symbol: the base derivative multiplier, times the
+    kernel's symbol unless the operator is sharp, the one the mollified family
+    is associated with.
     """
 
     kind: str
@@ -292,8 +292,7 @@ class RegularizedOperator:
     eps: float
     grid: SpatialGrid
     coeff: np.ndarray = field(repr=False)
-    mollifier: Optional[Mollifier] = field(repr=False)
-    _symbol: np.ndarray = field(default=None, repr=False)
+    symbol: np.ndarray = field(repr=False)
     _norm: Optional["NormEstimate"] = field(default=None, repr=False)
 
     def __post_init__(self):
@@ -301,13 +300,6 @@ class RegularizedOperator:
         if coeff.shape != (self.grid.n_points,):
             raise SizeError("coefficient samples do not match the grid")
         self.coeff = coeff
-        if self._symbol is None:
-            base = _base_multiplier(self.kind, self.space_order, self.grid)
-            self._symbol = base if self.mollifier is None else self.mollifier.symbol * base
-
-    @property
-    def symbol(self) -> np.ndarray:
-        return self._symbol
 
     @property
     def dim(self) -> int:
@@ -326,7 +318,7 @@ class RegularizedOperator:
         if arr.shape[-1] != self.grid.n_points:
             raise SizeError("values do not match the operator grid")
         real = self.kind in _REAL_KINDS and not np.iscomplexobj(arr)
-        return self.coeff * _multiply(self._symbol, arr, real)
+        return self.coeff * _multiply(self.symbol, arr, real)
 
     def norm_estimate(self) -> "NormEstimate":
         if self._norm is None:
@@ -361,13 +353,14 @@ def build_operator(
         )
     if not sharp and mollifier.grid != grid:
         raise SizeError("mollifier was sampled on a different grid")
+    base = _base_multiplier(kind, space_order, grid)
     return RegularizedOperator(
         kind=kind,
         space_order=space_order,
         eps=eps,
         grid=grid,
-        coeff=np.asarray(coefficient, dtype=float),
-        mollifier=mollifier,
+        coeff=coefficient,
+        symbol=base if sharp else mollifier.symbol * base,
     )
 
 

@@ -25,7 +25,7 @@ from .duhamel import CauchyProblem, SolverOptions, solve_kernel_form
 from .errors import FracwaveError, ResolutionError
 from .fractional import GridFunction, SpatialGrid, TimeMesh, Trajectory
 from .regularization import EpsilonSchedule, make_mollifier
-from .regularization import _profile, _support_radius  # shared kernel profiles
+from .regularization import _kernel, _support_radius  # the shared kernel family
 
 __all__ = [
     "NoiseSpec",
@@ -135,10 +135,13 @@ def _time_kernel(shape: str, sharpness: float, mesh: TimeMesh) -> np.ndarray:
             f"({_MAX_KERNEL_HORIZONS * mesh.t_max:g}); raise the sharpness"
         )
     m_max = int(math.floor(radius / mesh.dt))
-    offsets = np.arange(-m_max, m_max + 1)
-    taps = sharpness * _profile(shape, offsets * mesh.dt * sharpness)
-    mass = taps.sum() * mesh.dt
-    return taps / mass
+    return _kernel(shape, sharpness, np.arange(-m_max, m_max + 1) * mesh.dt, mesh.dt)
+
+
+def _kernels(spec: NoiseSpec, eps: float, grid: SpatialGrid, mesh: TimeMesh) -> tuple:
+    """The spec's spatial mollifier and temporal taps at eps."""
+    hx, ht = spec.sharpness_at(eps)
+    return make_mollifier(spec.shape, hx, grid), _time_kernel(spec.shape, ht, mesh)
 
 
 def _convolve_time(values: np.ndarray, taps: np.ndarray, dt: float) -> np.ndarray:
@@ -173,9 +176,7 @@ def white_noise_representative(
     if spec.intensity == 0.0:
         values = np.zeros((n_nodes, n_points))
         return NoiseRepresentative(Trajectory(mesh, values, grid), provenance)
-    hx, ht = spec.sharpness_at(eps)
-    moll = make_mollifier(spec.shape, hx, grid)
-    taps = _time_kernel(spec.shape, ht, mesh)
+    moll, taps = _kernels(spec, eps, grid, mesh)
     rng = _stream(spec.master_seed, spec.member, _TAG_FORCING)
     draws = rng.standard_normal((n_nodes, n_points))
     draws *= spec.intensity / math.sqrt(grid.dx * mesh.dt)
@@ -197,9 +198,7 @@ def mollified_variance(spec: NoiseSpec, eps: float, grid: SpatialGrid, mesh: Tim
     """
     if spec.intensity == 0.0:
         return 0.0
-    hx, ht = spec.sharpness_at(eps)
-    moll = make_mollifier(spec.shape, hx, grid)
-    taps = _time_kernel(spec.shape, ht, mesh)
+    moll, taps = _kernels(spec, eps, grid, mesh)
     m_max = (taps.size - 1) // 2
     centre = (mesh.n_nodes - 1) // 2
     # node i sees values[i - m] for offsets m in [i - (n - 1), i]
@@ -280,17 +279,10 @@ def ensemble_run(
     n_ok = len(trajectories)
     if n_ok == 0:
         raise FracwaveError("every ensemble member failed")
-    acc = np.zeros_like(trajectories[0])
-    for traj in trajectories:
-        acc = acc + traj
-    mean = acc / n_ok
-    if n_ok > 1:
-        sq = np.zeros(trajectories[0].shape, dtype=float)
-        for traj in trajectories:
-            sq = sq + np.abs(traj - mean) ** 2
-        variance = sq / (n_ok - 1)
-    else:
-        variance = np.zeros(trajectories[0].shape, dtype=float)
+    # sum adds one member at a time, in member order, and holds no stacked copy
+    mean = sum(trajectories) / n_ok
+    # a single member leaves exact zeros, which any divisor keeps
+    variance = sum(np.abs(traj - mean) ** 2 for traj in trajectories) / max(n_ok - 1, 1)
     stats = EnsembleStats(
         n_members=n_members,
         n_ok=n_ok,
