@@ -32,7 +32,7 @@ from typing import Optional
 import numpy as np
 
 from . import __version__
-from .config import RunConfig, config_hash, parse_config, parse_config_file, render_config
+from .config import NAMED_PROFILES, RunConfig, config_hash, parse_config, parse_config_file, render_config
 from .duhamel import (
     CauchyProblem,
     SolverOptions,
@@ -69,14 +69,8 @@ __all__ = ["assemble_scenario", "entrypoint", "main", "run_scenario"]
 
 def _profile_samples(source: str, grid: SpatialGrid, what: str) -> np.ndarray:
     x = grid.x
-    if source == "zero":
-        return np.zeros(grid.n_points)
-    if source == "constant":
-        return np.ones(grid.n_points)
-    if source == "gaussian_bump":
-        return np.exp(-(x**2) / 8.0)
-    if source == "tanh_step":
-        return 0.5 * (1.0 + np.tanh(x))
+    if source in NAMED_PROFILES:
+        return NAMED_PROFILES[source](x)
     if source.startswith("mode:"):
         k = int(source[5:], 10)
         with np.errstate(invalid="ignore"):  # a phase pi*K that overflows reads nan, checked below

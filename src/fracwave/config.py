@@ -16,9 +16,9 @@ ConfigError rather than one at a time, except that a non-finite number
 number is finite, so none of them repeats it.
 
 Profile values (coefficient, initial data) accept either an expression in
-``x``, a named shape (``constant``, ``gaussian_bump``, ``tanh_step``, and
-``mode:K`` or ``file:PATH`` for initial data), each multiplied by the
-matching ``*_scale`` key.
+``x``, a named shape (a key of ``NAMED_PROFILES``, ``file:PATH``, and
+``mode:K`` for initial data), each multiplied by the matching ``*_scale``
+key.
 """
 
 from __future__ import annotations
@@ -29,6 +29,8 @@ import math
 from dataclasses import dataclass
 from typing import Callable, Optional
 
+import numpy as np
+
 from .errors import ConfigError
 from .expressions import parse_expression
 from .duhamel import SolverOptions
@@ -36,7 +38,13 @@ from .regularization import _KINDS, _MAX_LEVEL, _SCENARIOS, _SHAPES, EpsilonSche
 
 __all__ = ["RunConfig", "parse_config", "parse_config_file", "render_config", "config_hash"]
 
-NAMED_PROFILES = ("constant", "zero", "gaussian_bump", "tanh_step")
+# named profile -> its samples at the grid points x
+NAMED_PROFILES = {
+    "constant": np.ones_like,
+    "zero": np.zeros_like,
+    "gaussian_bump": lambda x: np.exp(-(x**2) / 8.0),
+    "tanh_step": lambda x: 0.5 * (1.0 + np.tanh(x)),
+}
 # operator.space_order when unset for a mollified fractional kind
 MOLLIFIED_FRACTIONAL_ORDER = 1.5
 

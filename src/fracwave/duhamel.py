@@ -224,7 +224,8 @@ class SolverOptions:
     """Solver tolerances and limits.
 
     tol bounds the row-sup change that ends the sweeps of a kernel-form block
-    or a derivative-form window; max_iter bounds the count of those sweeps.
+    or a derivative-form window, times min(1, s) for a state of row-sup size
+    s > 0; max_iter bounds the count of those sweeps.
     Both forms size their blocks or windows themselves.
     """
 
@@ -243,7 +244,8 @@ class SolverReport:
     """Outcome of one solve.
 
     contraction_history holds one list of changes per kernel-form block or
-    derivative-form window, so iterations, the longest of them, is at most
+    derivative-form window, each divided by min(1, s) as the stop test
+    compares it (_relative), so iterations, the longest of them, is at most
     max_iter, and sweeps, their total length, counts every sweep run.
     Blocks and windows are half-open row ranges [s, e); unconverged_rows
     names the first one that stopped at max_iter by its first and last row,
@@ -276,6 +278,15 @@ class SolverReport:
 def _row_sup(arr: np.ndarray, weight: float) -> float:
     flat = arr.reshape(arr.shape[0], -1)
     return float(np.sqrt(weight) * np.linalg.norm(flat, axis=1).max())
+
+
+def _relative(change: float, size: float) -> float:
+    """change / min(1, size), the change the stop test holds against tol.
+
+    A state of row-sup size below one is then converged to tol relative to
+    its size, not absolutely; an exactly zero state keeps the absolute test.
+    """
+    return change / size if 0.0 < size < 1.0 else change
 
 
 def _propagated(p: CauchyProblem, power: float, x: np.ndarray) -> np.ndarray:
@@ -428,8 +439,9 @@ def _picard(
     """Whole-horizon Picard sweeps u <- b + integral_term(f(u) + P), window by window.
 
     windows are _fold_blocks' row ranges (s, e, q), in order.  A window sweeps
-    until the row-sup change on its rows [s, e) is below tol; every sweep also
-    moves the rows after it, which later windows start from.
+    until the row-sup change on its rows [s, e), relative to the whole
+    iterate's size, is below tol; every sweep also moves the rows after it,
+    which later windows start from.
     """
     base = _base_trajectory(p)
     weight = p.state_weight
@@ -441,7 +453,8 @@ def _picard(
         def sweep(u: np.ndarray) -> tuple:
             candidate = base + integral_term(_forced(p, u))
             change = _row_sup(candidate[s:e] - u[s:e], weight)
-            return _stored(u, s, u.shape[0], candidate[s:]), change
+            u = _stored(u, s, u.shape[0], candidate[s:])
+            return u, _relative(change, _row_sup(u, weight))
 
         current, history, converged = _converge(opts, f"window rows {s}..{e - 1}", current, sweep)
         if not converged:
@@ -493,8 +506,9 @@ def solve_kernel_form(p: CauchyProblem, opts: SolverOptions = SolverOptions()) -
 
     b is the propagated data and W the kernel's product-integration weights.
     Each block B of rows sums its history h = W[B, :s] v[:s] once, then
-    iterates its own fixed point until the row-sup change of the state is
-    below tol: f is refreshed at the current state, the linear in-block part
+    iterates its own fixed point until the row-sup change of the state,
+    relative to the largest row of the rows solved so far and the candidate,
+    is below tol: f is refreshed at the current state, the linear in-block part
     is solved, and y_B = h + W_BB v_B.  The head block takes the rows
     Lip f bounds; every later block also takes no more rows than keep its
     contraction bound q at most 1/2.  A block with q <= 1/2 refreshes f after
@@ -516,6 +530,7 @@ def solve_kernel_form(p: CauchyProblem, opts: SolverOptions = SolverOptions()) -
     histories: list = []
     plan: list = []
     stalled = None
+    solved = 0.0  # the largest row-sup size of the rows already solved
     for s, e, q in blocks:
         rows_shape = (e - s,) + shape[1:]
         w_bb = weights[s:e, s:e]
@@ -530,7 +545,8 @@ def solve_kernel_form(p: CauchyProblem, opts: SolverOptions = SolverOptions()) -
             g = _forced(p, cur.reshape(rows_shape), slice(s, e)).reshape(e - s, -1)
             y, v_b = _chain(p.action, w_bb, h, g, y if fold else None, levels, rows_shape)
             candidate = b_b + y
-            return (candidate, y, v_b), _row_sup(candidate - cur, weight)
+            size = max(solved, _row_sup(candidate, weight))
+            return (candidate, y, v_b), _relative(_row_sup(candidate - cur, weight), size)
 
         # a later block starts from the data plus its history; the head block
         # starts from the data alone, exactly as whole-horizon Picard does
@@ -538,6 +554,7 @@ def solve_kernel_form(p: CauchyProblem, opts: SolverOptions = SolverOptions()) -
         (cur, _, v_b), history, converged = _converge(opts, f"block rows {s}..{e - 1}", start, sweep)
         if not converged:
             stalled = stalled or (s, e - 1)
+        solved = max(solved, _row_sup(cur, weight))
         u = _stored(u, s, e, cur)
         v = _stored(v, s, e, v_b)
         histories.append(history)

@@ -372,6 +372,126 @@ def test_config_rejects_what_the_constructors_reject(tmp_path, capsys, text, key
     assert len(lines) == 1 and lines[0].startswith(f"config error: {key}: ")
 
 
+@pytest.mark.parametrize(
+    "verb, text, message",
+    [
+        pytest.param(
+            "run",
+            "[run]\nalpha = 2.5\n[operator]\nmollify = false\n",
+            "run.alpha: must lie in (1, 2]",
+            id="alpha",
+        ),
+        pytest.param("run", "[grid]\nhalf_length = 0\n", "grid.half_length: must be positive", id="half_length"),
+        pytest.param("run", "[mesh]\nhorizon = 0\n", "mesh.horizon: must be positive", id="horizon"),
+        pytest.param("run", "[mesh]\nn_steps = 1\n", "mesh.n_steps: need at least 2 steps", id="n_steps"),
+        pytest.param(
+            "run",
+            "[operator]\nkind = liouville_left\nspace_order = 2.5\n",
+            "operator.space_order: must lie in (0, 2]",
+            id="space_order",
+        ),
+        pytest.param("run", "[schedule]\nkappa = 61\n", "schedule: need 0 < kappa <= kappa_cap", id="kappa"),
+        pytest.param("run", "[schedule]\nh_min = 0\n", "schedule.h_min: must be positive", id="h_min"),
+        pytest.param(
+            "run",
+            "[schedule]\ncoeff_width_factor = 0\n",
+            "schedule.coeff_width_factor: must be positive",
+            id="coeff_width_factor",
+        ),
+        pytest.param("run", "[noise]\nintensity = -1\n", "noise.intensity: must be nonnegative", id="intensity"),
+        pytest.param("run", "[noise]\nmaster_seed = -1\n", "noise.master_seed: must be nonnegative", id="master_seed"),
+        pytest.param(
+            "run",
+            "[noise]\nspatial_sharpness = 0\n",
+            "noise.spatial_sharpness: must be positive",
+            id="spatial_sharpness",
+        ),
+        pytest.param("run", "[solver]\nmax_iter = 0\n", "solver.max_iter: must be at least 1", id="max_iter"),
+        pytest.param(
+            "run",
+            "[operator]\ncoefficient = file:\n",
+            "line 2: [operator] coefficient: file: profile needs a path",
+            id="file-without-path",
+        ),
+        pytest.param(
+            "run",
+            "[operator]\ncoefficient = mode:3\n",
+            "line 2: [operator] coefficient: mode:K profiles are only valid for initial data",
+            id="coefficient-mode",
+        ),
+        pytest.param(
+            "run",
+            "[operator]\ncoefficient = file:{tmp}/missing.csv\n",
+            "operator.coefficient: cannot read",
+            id="missing-file",
+        ),
+        pytest.param(
+            "run",
+            "[operator]\ncoefficient = file:{tmp}/short.csv\n",
+            "operator.coefficient: '{tmp}/short.csv' must have 256 rows",
+            id="short-file",
+        ),
+        pytest.param(
+            "run",
+            "[operator]\ncoefficient = file:{tmp}/complex.csv\n",
+            "operator.coefficient: profile must be real",
+            id="complex-file",
+        ),
+        pytest.param(
+            "run",
+            "[operator]\ncoefficient = 1 - 2*sech(x)\n",
+            "operator.coefficient: profile must be strictly positive",
+            id="negative-coefficient",
+        ),
+        pytest.param(
+            "run",
+            "[nonlinearity]\nf = u/u\n",
+            "nonlinearity.f: nonlinearity must be finite on the sampling range",
+            id="f-undefined-at-zero",
+        ),
+        pytest.param(
+            "run",
+            "[operator]\nmollify = false\n[noise]\nintensity = 0.1\n",
+            "noise: set spatial and temporal sharpness explicitly",
+            id="sharp-noise-without-sharpness",
+        ),
+        pytest.param(
+            "sweep-epsilon",
+            "[operator]\nmollify = false\n",
+            "sweep-epsilon needs operator.mollify = true",
+            id="sharp-sweep",
+        ),
+    ],
+)
+def test_each_config_error_exits_2_with_one_line_naming_its_key(tmp_path, capsys, verb, text, message):
+    (tmp_path / "short.csv").write_text("1.0\n" * 10, encoding="utf-8")
+    (tmp_path / "complex.csv").write_text("1.0,0.0\n" * 256, encoding="utf-8")
+    out = tmp_path / "out"
+    path = _cfg_file(tmp_path, text.format(tmp=tmp_path))
+    assert entrypoint([verb, "--config", path, "--out", str(out), "--quiet"]) == 2
+    lines = capsys.readouterr().err.splitlines()
+    assert len(lines) == 1 and lines[0].startswith("config error: " + message.format(tmp=tmp_path))
+    assert not out.exists()
+
+
+def test_run_without_a_config_takes_every_default(tmp_path):
+    out = tmp_path / "out"
+    assert entrypoint(["run", "--out", str(out), "--quiet"]) == 0
+    assert (_run_dir(out) / "config.txt").read_text() == render_config(parse_config(""))
+
+
+def test_tanh_step_displacement_runs_its_named_profile(tmp_path):
+    out = tmp_path / "out"
+    path = _cfg_file(tmp_path, BASE + "[initial]\ndisplacement = tanh_step\n")
+    assert entrypoint(["run", "--config", path, "--out", str(out), "--quiet"]) == 0
+    problem = assemble_scenario(parse_config(BASE)).problem
+    step = 0.5 * (1.0 + np.tanh(problem.grid.x))
+    ref = ml_trajectory(1.5, 1.0, as_action(problem.operator), step, problem.mesh.nodes)
+    u = _read_field(_run_dir(out) / "trajectory.csv", problem.mesh.n_nodes, problem.grid.n_points)
+    # f = 0 and no noise: the run is the propagator applied to the sampled step
+    assert np.max(np.abs(u - ref)) <= 1e-10
+
+
 FLOAT_KEYS = [
     (f.metadata["section"], f.metadata["key"] or f.name)
     for f in dataclasses.fields(fracwave.RunConfig)

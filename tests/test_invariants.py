@@ -1,8 +1,9 @@
 """Whole-chain invariants: config -> operator -> solve -> CSV, through the CLI.
 
 Each relation is an exact symmetry of the continuous problem that the
-discretization keeps, so the two sides agree to rounding (time scaling) or to
-the solver tolerance (superposition, reflection), with no reference numbers.
+discretization keeps, so the two sides agree to rounding (time and amplitude
+scaling) or to the solver tolerance (superposition, reflection), with no
+reference numbers.
 """
 
 import numpy as np
@@ -61,6 +62,19 @@ def test_time_scaling(tmp_path, form):
     v = run("v", c, 1.0 / c)
     assert np.max(np.abs(u)) > 1.0
     assert np.max(np.abs(u - v)) <= 1e-12
+
+
+@pytest.mark.parametrize("scale", [1e-30, 1e-9, 1e-3])
+@pytest.mark.parametrize("form", ["kernel", "derivative"])
+def test_amplitude_scaling(tmp_path, form, scale):
+    # with a linear f, scale * u solves the problem with data scale * u0; the
+    # stop test is relative to the state's size, so a tiny state converges as far
+    def run(name, factor):
+        text = f"[initial]\ndisplacement_scale = {factor!r}\n[nonlinearity]\nf = 0.1*u\n[solver]\nform = {form}\n"
+        return _solve(tmp_path, name, text)
+
+    expected = scale * run("unit", 1.0)
+    assert np.max(np.abs(run("scaled", scale) - expected)) <= 1e-12 * np.max(np.abs(expected))
 
 
 @pytest.mark.parametrize("kind", ["second_derivative", "riesz", "liouville_left", "liouville_right"])

@@ -178,10 +178,19 @@ def test_ensemble_single_member_moments():
 
 
 def test_ensemble_reduction_is_order_fixed():
-    s1, _ = ensemble_run(_build, 5, 77)
+    s1, reports = ensemble_run(_build, 5, 77)
     s2, _ = ensemble_run(_build, 5, 77)
     assert np.array_equal(s1.mean, s2.mean)
     assert np.array_equal(s1.variance, s2.variance)
+    # the moments are the member-order running sums, bit for bit
+    acc = 0.0
+    for report in reports:
+        acc = acc + report.trajectory
+    sq = 0.0
+    for report in reports:
+        sq = sq + np.abs(report.trajectory - acc / 5) ** 2
+    assert np.array_equal(s1.mean, acc / 5)
+    assert np.array_equal(s1.variance, sq / 4)
 
 
 def test_ensemble_excludes_failed_members(monkeypatch):
