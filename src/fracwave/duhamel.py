@@ -433,36 +433,6 @@ def _report(form: str, trajectory: np.ndarray, histories: list, stalled: Optiona
     return SolverReport(trajectory, form, histories, meta, stalled)
 
 
-def _picard(
-    p: CauchyProblem, opts: SolverOptions, windows: list, integral_term, form: str, extra_meta: dict
-) -> SolverReport:
-    """Whole-horizon Picard sweeps u <- b + integral_term(f(u) + P), window by window.
-
-    windows are _fold_blocks' row ranges (s, e, q), in order.  A window sweeps
-    until the row-sup change on its rows [s, e), relative to the whole
-    iterate's size, is below tol; every sweep also moves the rows after it,
-    which later windows start from.
-    """
-    base = _base_trajectory(p)
-    weight = p.state_weight
-    current = base.copy()
-    histories: list = []
-    stalled = None
-    for s, e, _ in windows:
-
-        def sweep(u: np.ndarray) -> tuple:
-            candidate = base + integral_term(_forced(p, u))
-            change = _row_sup(candidate[s:e] - u[s:e], weight)
-            u = _stored(u, s, u.shape[0], candidate[s:])
-            return u, _relative(change, _row_sup(u, weight))
-
-        current, history, converged = _converge(opts, f"window rows {s}..{e - 1}", current, sweep)
-        if not converged:
-            stalled = stalled or (s, e - 1)
-        histories.append(history)
-    return _report(form, current, histories, stalled, extra_meta)
-
-
 def _fold_blocks(p: CauchyProblem, weights: np.ndarray, cap: int = _BLOCK_ROWS, fold_later: bool = False) -> tuple:
     """Row blocks [s, e) of the march with their contraction bounds.
 
@@ -571,12 +541,15 @@ def solve_rl_form(p: CauchyProblem, opts: SolverOptions = SolverOptions()) -> So
     exactly (constant part of the derivative) and its convolution evaluated
     in closed Mittag-Leffler form.  What remains, the Riemann-Liouville
     derivative of F - F(0), is the Caputo derivative of F; it runs through the
-    discrete derivative and the blocked Volterra march under an order-two
-    integral.  One solve therefore covers both derivative conventions.
+    discrete derivative, one matrix built per solve, and the blocked Volterra
+    march under an order-two integral.  One solve therefore covers both
+    derivative conventions.
 
-    The sweeps converge window by window over the kernel form's blocks without
-    their row cap, so a nonlinearity one time step cannot resolve raises the
-    same ResolutionError; the metadata records the window count as windows.
+    The whole-horizon sweeps converge window by window over the kernel form's
+    blocks without their row cap (a nonlinearity one time step cannot resolve
+    raises the same ResolutionError); the metadata counts them as windows.  A
+    window sweeps until the row-sup change on its rows [s, e), relative to the
+    whole iterate's size, is below tol; each sweep also moves the later rows.
     """
     if p.alpha >= 2.0:
         raise SingularOrderError("the derivative form needs time order strictly below 2")
@@ -588,19 +561,33 @@ def solve_rl_form(p: CauchyProblem, opts: SolverOptions = SolverOptions()) -> So
     weights_alpha = pi_weights(p.alpha, mesh.n_nodes, mesh.dt)
     windows = _fold_blocks(p, weights_alpha, mesh.n_nodes)[0]
     weights_two = pi_weights(2.0, mesh.n_nodes, mesh.dt)
-    # rl_derivative's order-(1 - gamma) weights, built once for every sweep
-    weights_low = pi_weights(1.0 - gamma_ord, mesh.n_nodes, mesh.dt)
+    # the discrete RL derivative of order gamma as one matrix, built once for every sweep
+    derivative = first_difference(pi_weights(1.0 - gamma_ord, mesh.n_nodes, mesh.dt), mesh.dt)
     plan = _block_plan(p, 3.0)
 
     singular = _propagated(p, p.alpha, f0) if f0_norm > 0.0 else 0.0
+    base = _base_trajectory(p)
+    weight = p.state_weight
+    u = base.copy()
+    histories: list = []
+    stalled = None
+    for s, e, _ in windows:
 
-    def integral_term(g: np.ndarray) -> np.ndarray:
-        w_reg = first_difference(_weights_product(weights_low, g - f0), mesh.dt)
-        acc = _volterra(weights_alpha, p.action, w_reg, plan)[1]
-        return singular + _weights_product(weights_two, acc)
+        def sweep(u: np.ndarray) -> tuple:
+            w_reg = _weights_product(derivative, _forced(p, u) - f0)
+            acc = _volterra(weights_alpha, p.action, w_reg, plan)[1]
+            # singular joins the memory before the data: the sum rounds as it always has
+            candidate = base + (singular + _weights_product(weights_two, acc))
+            change = _row_sup(candidate[s:e] - u[s:e], weight)
+            u = _stored(u, s, u.shape[0], candidate[s:])
+            return u, _relative(change, _row_sup(u, weight))
 
+        u, history, converged = _converge(opts, f"window rows {s}..{e - 1}", u, sweep)
+        if not converged:
+            stalled = stalled or (s, e - 1)
+        histories.append(history)
     meta = {**_plan_meta(plan), "windows": len(windows), "initial_forcing_norm": f0_norm}
-    return _picard(p, opts, windows, integral_term, "rl", meta)
+    return _report("rl", u, histories, stalled, meta)
 
 
 def second_derivative_identity_check(report: SolverReport, p: CauchyProblem) -> float:

@@ -16,12 +16,12 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 import fracwave
-from fracwave import cli, config_hash, ml_trajectory, parse_config, pi_weights, render_config
+from fracwave import cli, config_hash, ml_trajectory, parse_config, render_config
 from fracwave.cli import _write_manifest, assemble_scenario, entrypoint
-from fracwave.duhamel import _block_plan, _fold_blocks, _picard, _plan_meta, _volterra
 from fracwave.fieldcsv import format_g17, write_field_csv
 from fracwave.solution import as_action
 from fracwave.stochastic import stochastic_initial_data, white_noise_representative
+from picard_oracle import old_kernel_picard
 
 BASE = """
 [run]
@@ -690,11 +690,9 @@ def test_one_block_run_keeps_the_picard_artifacts(tmp_path, monkeypatch):
     # 33 nodes are one block with q > 1/2: the march runs the whole-horizon
     # Picard sweeps, so the trajectory bytes and the solver record stay
     def picard(p, opts):
-        weights = pi_weights(p.alpha, p.mesh.n_nodes, p.mesh.dt)
-        plan = _block_plan(p, p.alpha + 1.0)
-        windows = _fold_blocks(p, weights, p.mesh.n_nodes)[0]
-        assert len(windows) == 1
-        return _picard(p, opts, windows, lambda g: _volterra(weights, p.action, g, plan)[0], "kernel", _plan_meta(plan))
+        report = old_kernel_picard(p, opts)
+        assert len(report.contraction_history) == 1
+        return report
 
     cfg = _cfg_file(tmp_path, SMALL)
     assert entrypoint(["run", "--config", cfg, "--out", str(tmp_path / "a"), "--quiet"]) == 0

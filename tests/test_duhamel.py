@@ -36,7 +36,9 @@ from fracwave import (
 )
 from fracwave import duhamel, parse_config_file
 from fracwave.cli import assemble_scenario, entrypoint
-from fracwave.duhamel import _block_plan, _fold_blocks, _picard, _plan_meta, _volterra
+from fracwave.duhamel import _block_plan, _fold_blocks, _plan_meta, _volterra
+from fracwave.fractional import _weights_product, first_difference
+from picard_oracle import old_kernel_picard, picard
 
 ALPHA, C, Q = 1.5, 0.5, 1.0
 OP = C
@@ -128,14 +130,6 @@ def test_kernel_form_takes_no_windows():
         SolverOptions(n_windows=2)
 
 
-def _old_kernel_picard(p, opts):
-    """The kernel form as whole-horizon Picard sweeps over 64-row blocks, in derived windows."""
-    weights = pi_weights(p.alpha, p.mesh.n_nodes, p.mesh.dt)
-    plan = _block_plan(p, p.alpha + 1.0)
-    windows = _fold_blocks(p, weights, p.mesh.n_nodes)[0]
-    return _picard(p, opts, windows, lambda g: _volterra(weights, p.action, g, plan)[0], "kernel", _plan_meta(plan))
-
-
 def test_windows_rescue_a_long_horizon(monkeypatch):
     # whole-horizon Picard needs windows here: with one, it stops at max_iter.
     # The kernel form's blocks, sized by the Lipschitz bound, each contract;
@@ -148,7 +142,7 @@ def test_windows_rescue_a_long_horizon(monkeypatch):
     meta = report.metadata
     assert meta["volterra_blocks"] == 43 and meta["volterra_block_rows"] == 3
     assert meta["block_q_max"] <= 0.5 and meta["series_levels"] == 1
-    windowed = _old_kernel_picard(p, opts)
+    windowed = old_kernel_picard(p, opts)
     assert windowed.converged and len(windowed.contraction_history) == 43
     assert np.max(np.abs(report.trajectory - windowed.trajectory)) <= 1e-9
     # the discrete system y = W (f(b + y) + A y) with A = 1
@@ -176,7 +170,7 @@ def test_block_march_matches_picard_on_a_matrix_problem(scale, folded):
     forcing = np.outer(np.sin(3.0 * mesh.nodes), np.arange(1.0, dim + 1.0))
     p = CauchyProblem(ALPHA, a_mat, scaled_sine(0.1), np.ones(dim), mesh, forcing=forcing)
     report = solve_kernel_form(p)
-    oracle = _old_kernel_picard(p, SolverOptions())
+    oracle = old_kernel_picard(p, SolverOptions())
     assert report.converged and oracle.converged
     meta = report.metadata
     assert meta["volterra_blocks"] == 3 and (meta["block_q_max"] <= 0.5) == folded
@@ -190,7 +184,7 @@ def test_one_block_runs_the_picard_sweeps_exactly():
     mesh = TimeMesh(1.0, 40)
     p = CauchyProblem(ALPHA, -30.0, scaled_sine(0.5), np.ones(3), mesh, forcing=np.full((41, 3), 0.2))
     report = solve_kernel_form(p)
-    oracle = _old_kernel_picard(p, SolverOptions())
+    oracle = old_kernel_picard(p, SolverOptions())
     assert report.metadata["block_q_max"] > 0.5 and report.metadata["volterra_blocks"] == 1
     assert np.array_equal(report.trajectory, oracle.trajectory)
     assert report.contraction_history == oracle.contraction_history
@@ -594,6 +588,41 @@ def test_liouville_problem_stays_complex(solve):
     report = solve(p)
     assert report.metadata["arithmetic"] == "complex"
     assert np.abs(report.trajectory.imag).max() > 0.0
+
+
+def _old_rl_form(p, opts):
+    """The derivative form integrating with the order-(alpha - 1) weights and differencing on every sweep."""
+    mesh = p.mesh
+    f0 = duhamel._forced(p, p.initial_data, 0)
+    f0_norm = float(np.linalg.norm(np.atleast_1d(f0).ravel()))
+    weights_alpha = pi_weights(p.alpha, mesh.n_nodes, mesh.dt)
+    windows = _fold_blocks(p, weights_alpha, mesh.n_nodes)[0]
+    weights_two = pi_weights(2.0, mesh.n_nodes, mesh.dt)
+    weights_low = pi_weights(1.0 - (2.0 - p.alpha), mesh.n_nodes, mesh.dt)
+    plan = _block_plan(p, 3.0)
+    singular = duhamel._propagated(p, p.alpha, f0) if f0_norm > 0.0 else 0.0
+
+    def integral_term(g):
+        w_reg = first_difference(_weights_product(weights_low, g - f0), mesh.dt)
+        acc = _volterra(weights_alpha, p.action, w_reg, plan)[1]
+        return singular + _weights_product(weights_two, acc)
+
+    meta = {**_plan_meta(plan), "windows": len(windows), "initial_forcing_norm": f0_norm}
+    return picard(p, opts, windows, integral_term, "rl", meta)
+
+
+def test_derivative_matrix_sweeps_match_the_differenced_integral():
+    # a complex field problem with forcing and a nonlinearity: the prebuilt
+    # derivative matrix reproduces integrate-then-difference on every sweep
+    mesh = TimeMesh(1.0, 100)
+    p = _mollified_problem("liouville_left", mesh, scaled_sine(0.1))
+    report = solve_rl_form(p)
+    oracle = _old_rl_form(p, SolverOptions())
+    assert report.converged and oracle.converged
+    assert report.metadata == oracle.metadata and report.metadata["arithmetic"] == "complex"
+    assert list(map(len, report.contraction_history)) == list(map(len, oracle.contraction_history))
+    scale = np.abs(oracle.trajectory).max()
+    assert np.abs(report.trajectory - oracle.trajectory).max() <= 1e-13 * scale
 
 
 @pytest.mark.parametrize("solve", [solve_kernel_form, solve_rl_form])

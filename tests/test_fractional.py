@@ -144,6 +144,23 @@ def test_rl_shift_identity_low_order():
     assert np.max(np.abs(raw[sel] - rl_shift[sel] - tail)) <= 2e-4
 
 
+@pytest.mark.parametrize("n_nodes", [3, 4, 65, 513])
+@pytest.mark.parametrize("gamma_ord", [0.1, 0.5, 0.9])
+def test_differenced_weights_are_the_rl_derivative(n_nodes, gamma_ord):
+    # differencing the order-(1 - gamma) weights once gives a matrix that
+    # applies the discrete RL derivative: D (W g) = (D W) g up to rounding
+    mesh = TimeMesh(1.0, n_nodes - 1)
+    weights = pi_weights(1.0 - gamma_ord, mesh.n_nodes, mesh.dt)
+    derivative = first_difference(weights, mesh.dt)
+    rng = np.random.default_rng(n_nodes)
+    real = np.cos(3.0 * mesh.nodes)[:, None] + rng.standard_normal((mesh.n_nodes, 4))
+    for g in (real, real + 1j * rng.standard_normal(real.shape)):
+        want = first_difference(weights @ g, mesh.dt)
+        got = _weights_product(derivative, g)
+        assert got.dtype == want.dtype
+        assert np.max(np.abs(got - want)) <= 1e-13 * np.max(np.abs(want))
+
+
 def test_difference_stencils_on_polynomials():
     mesh = TimeMesh(1.0, 64)
     t = mesh.nodes
