@@ -36,6 +36,7 @@ from .config import NAMED_PROFILES, RunConfig, config_hash, parse_config, parse_
 from .duhamel import (
     CauchyProblem,
     SolverOptions,
+    _row_sup,  # the dx-weighted largest row norm the stop test sizes the state by
     moderateness_scan,
     nonlinearity_from_callable,
     solve_kernel_form,
@@ -278,6 +279,10 @@ def _schedule_table(schedule: EpsilonSchedule) -> list:
 
 # ---------------------------------------------------------------- verbs
 
+# a stalled change at most this many eps times max(1, state size) is rounding
+# noise, which more sweeps cannot lower
+_ROUNDING_STALL = 16.0
+
 
 def _say(quiet: bool, message: str) -> None:
     if not quiet:
@@ -290,9 +295,14 @@ def cmd_run(cfg: RunConfig, out: Optional[str], quiet: bool) -> int:
         # a block or window that stopped at max_iter ends with the largest change
         change = max(history[-1] for history in report.contraction_history)
         first, last = report.unconverged_rows
+        size = _row_sup(report.trajectory, parts.problem.state_weight)
+        if change <= _ROUNDING_STALL * np.finfo(float).eps * max(1.0, size):
+            advice = f"the change is at rounding level for a state of size {size:.3g}; raise solver.tol"
+        else:
+            advice = "raise solver.max_iter"
         raise DivergenceError(
             f"picard did not converge in {report.iterations} sweeps at rows {first}..{last} "
-            f"(last change {change:.3e}, tol {cfg.solver_tol:g}); raise solver.max_iter"
+            f"(last change {change:.3e}, tol {cfg.solver_tol:g}); {advice}"
         )
     from .fieldcsv import write_field_csv  # imported where used, so set-up does not load the writer
 

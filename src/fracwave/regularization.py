@@ -391,6 +391,10 @@ class NormEstimate:
     converged: bool
 
 
+# below this norm an iterate's squared entries underflow and its norm loses bits
+_SQUARES_UNDERFLOW = math.sqrt(np.finfo(float).tiny)
+
+
 @np.errstate(over="ignore", invalid="ignore")
 def operator_norm_estimate(op: RegularizedOperator) -> NormEstimate:
     """Largest-singular-value estimate by power iteration on A*A.
@@ -407,7 +411,9 @@ def operator_norm_estimate(op: RegularizedOperator) -> NormEstimate:
     its last value flagged, never raises.  A coefficient or symbol whose
     products leave the double range makes an iterate non-finite: that step
     returns NaN flagged, without floating-point warnings, for the gate to
-    reject.
+    reject.  An iterate whose squared entries underflow is measured scaled by
+    about its largest modulus, so a tiny nonzero operator does not read as
+    zero.
     """
     n = op.dim
     rng = np.random.Generator(np.random.Philox(key=0x9E3779B97F4A7C15))
@@ -431,11 +437,20 @@ def operator_norm_estimate(op: RegularizedOperator) -> NormEstimate:
     for it in range(1, 10_001):
         y = gram(v)
         ny = np.linalg.norm(y)
-        if ny == 0.0:
-            return NormEstimate(0.0, it, True)
         if not math.isfinite(ny):
             return NormEstimate(math.nan, it, False)
-        sigma_new = math.sqrt(float(np.real(np.vdot(v, y))))
+        scale = 1.0
+        if ny < _SQUARES_UNDERFLOW:
+            # measure the iterate scaled by the power of two of its largest modulus;
+            # dividing by that modulus itself overflows when it is subnormal
+            peak = float(np.max(np.abs(y)))
+            if peak == 0.0:
+                return NormEstimate(0.0, it, True)
+            shift = math.frexp(peak)[1]
+            scale = math.ldexp(1.0, shift)
+            y = np.ldexp(y.real, -shift) + 1j * np.ldexp(y.imag, -shift)
+            ny = np.linalg.norm(y)
+        sigma_new = math.sqrt(scale) * math.sqrt(float(np.real(np.vdot(v, y))))
         v = y / ny
         if it > 1 and abs(sigma_new - sigma) <= 1e-6 * max(sigma_new, 1e-300):
             return NormEstimate(sigma_new, it, True)

@@ -658,8 +658,20 @@ def test_unconverged_run_exits_4(tmp_path, capsys):
     captured = capsys.readouterr()
     lines = captured.err.splitlines()
     assert len(lines) == 1 and lines[0].startswith("divergence: ")
-    assert "2 sweeps" in lines[0] and "tol 1e-10" in lines[0] and "solver.max_iter" in lines[0]
+    assert "2 sweeps" in lines[0] and "tol 1e-10" in lines[0] and lines[0].endswith("; raise solver.max_iter")
     assert "converged" not in captured.out
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("max_iter", [50, 500])
+def test_rounding_level_stall_advises_raising_tol(tmp_path, capsys, max_iter):
+    # a state of row norm about 9e6 stalls near eps * 9e6 = 2e-9 > tol: more sweeps cannot help
+    text = f"[noise]\nintensity = 1e6\n[solver]\nmax_iter = {max_iter}\n"
+    out = tmp_path / "out"
+    assert entrypoint(["run", "--config", _cfg_file(tmp_path, text), "--out", str(out), "--quiet"]) == 4
+    lines = capsys.readouterr().err.splitlines()
+    assert len(lines) == 1 and lines[0].startswith(f"divergence: picard did not converge in {max_iter} sweeps")
+    assert lines[0].endswith("the change is at rounding level for a state of size 9.06e+06; raise solver.tol")
     assert not out.exists()
 
 
@@ -1008,6 +1020,24 @@ def test_overflowing_operator_or_data_exits_3_without_warnings(tmp_path, capsys,
     lines = capsys.readouterr().err.splitlines()
     assert len(lines) == 1 and lines[0].startswith(message)
     assert not out.exists()
+
+
+def test_tiny_coefficient_scale_keeps_its_norm(tmp_path):
+    # the squared entries of the A*A iterate underflow at these scales; the
+    # estimate is taken on the rescaled iterate, so it scales with the coefficient
+    def regularization(scale):
+        out = tmp_path / repr(scale)
+        cfg = _cfg_file(tmp_path, f"[operator]\ncoefficient_scale = {scale!r}\n")
+        assert entrypoint(["run", "--config", cfg, "--out", str(out), "--quiet"]) == 0
+        return json.loads((_run_dir(out) / "metadata.json").read_text())["regularization"]
+
+    unit = regularization(1.0)
+    for scale in (1e-100, 1e-120):
+        reg = regularization(scale)
+        want = scale * unit["measured_norm"]
+        assert abs(reg["measured_norm"] - want) <= 1e-6 * want
+        # a positive estimate that stopped before the 10 000-step cap met the stop rule
+        assert reg["norm_iterations"] < 10_000
 
 
 def test_sweep_rung_whose_solve_fails_leaves_empty_cells_and_strict_json(tmp_path):

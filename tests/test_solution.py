@@ -1,6 +1,7 @@
 """Propagator family: truncated operator series and diagnostics."""
 
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -141,6 +142,19 @@ def test_generator_recovery_rate_and_floor():
     # a deep ladder reaches the certified-truncation floor
     deep = generator_recovery(1.5, mat, vec, 2.0 ** -np.arange(5, 14, dtype=float))
     assert deep.errors[-1] <= 1e-6
+
+
+@pytest.mark.parametrize(
+    "ladder, error",
+    [([0.5, 0.25, 0.0], ValueError), ([0.25, 0.5], ValueError), ([0.5], SizeError)],
+)
+def test_generator_recovery_rejects_a_bad_ladder_before_solving(capfd, ladder, error):
+    mat, vec = _symmetric(8, 0xB0)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(error, match="ladder"):
+            generator_recovery(1.5, mat, vec, np.array(ladder))
+    assert capfd.readouterr() == ("", "")
 
 
 def test_exponential_bound_dominates_samples():
