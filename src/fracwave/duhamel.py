@@ -560,9 +560,9 @@ def solve_rl_form(p: CauchyProblem, opts: SolverOptions = SolverOptions()) -> So
 
     weights_alpha = pi_weights(p.alpha, mesh.n_nodes, mesh.dt)
     windows = _fold_blocks(p, weights_alpha, mesh.n_nodes)[0]
-    weights_two = pi_weights(2.0, mesh.n_nodes, mesh.dt)
     # the discrete RL derivative of order gamma as one matrix, built once for every sweep
     derivative = first_difference(pi_weights(1.0 - gamma_ord, mesh.n_nodes, mesh.dt), mesh.dt)
+    weights_two = pi_weights(2.0, mesh.n_nodes, mesh.dt)
     plan = _block_plan(p, 3.0)
 
     singular = _propagated(p, p.alpha, f0) if f0_norm > 0.0 else 0.0

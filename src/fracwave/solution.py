@@ -176,33 +176,21 @@ class GeneratorProbe:
     errors: np.ndarray
     rate: float
 
-    def __post_init__(self):
-        _checked_ladder(self.times)
-
-
-def _checked_ladder(ladder) -> np.ndarray:
-    """The ladder as a float array.
-
-    Raises SizeError unless it holds at least two times, and ValueError
-    unless they are positive and strictly decreasing.
-    """
-    ts = np.asarray(ladder, dtype=float)
-    if ts.ndim != 1 or ts.size < 2:
-        raise SizeError("ladder needs at least two times")
-    if np.any(ts <= 0.0) or np.any(np.diff(ts) >= 0.0):
-        raise ValueError("ladder must be strictly decreasing and positive")
-    return ts
-
 
 def generator_recovery(alpha: float, operator, x: np.ndarray, ladder: np.ndarray) -> GeneratorProbe:
     """Recover the generator action from short-time propagator differences.
 
     The scaled difference gamma(1+alpha) (S(t)x - x) / t**alpha tends to Ax;
     the next series term makes the error decay like t**alpha, which is the
-    fitted rate reported (nan when the errors vanish identically).  The
-    ladder is checked before any propagator is evaluated.
+    fitted rate reported (nan when the errors vanish identically).  A ladder
+    of fewer than two times raises SizeError, and one not positive and
+    strictly decreasing ValueError, before any propagator is evaluated.
     """
-    ts = _checked_ladder(ladder)
+    ts = np.asarray(ladder, dtype=float)
+    if ts.ndim != 1 or ts.size < 2:
+        raise SizeError("ladder needs at least two times")
+    if np.any(ts <= 0.0) or np.any(np.diff(ts) >= 0.0):
+        raise ValueError("ladder must be strictly decreasing and positive")
     action = as_action(operator)
     vec = np.asarray(x)
     scale = gamma(1.0 + alpha)
