@@ -36,7 +36,7 @@ from .config import NAMED_PROFILES, RunConfig, config_hash, parse_config, parse_
 from .duhamel import (
     CauchyProblem,
     SolverOptions,
-    _row_sup,  # the dx-weighted largest row norm the stop test sizes the state by
+    _row_sup,  # dx-weighted largest row norm
     moderateness_scan,
     nonlinearity_from_callable,
     solve_kernel_form,

@@ -576,7 +576,7 @@ def solve_rl_form(p: CauchyProblem, opts: SolverOptions = SolverOptions()) -> So
         def sweep(u: np.ndarray) -> tuple:
             w_reg = _weights_product(derivative, _forced(p, u) - f0)
             acc = _volterra(weights_alpha, p.action, w_reg, plan)[1]
-            # singular joins the memory before the data: the sum rounds as it always has
+            # singular + memory first: pre-adding singular to base moves the windows' stall levels
             candidate = base + (singular + _weights_product(weights_two, acc))
             change = _row_sup(candidate[s:e] - u[s:e], weight)
             u = _stored(u, s, u.shape[0], candidate[s:])

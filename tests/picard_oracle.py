@@ -1,8 +1,8 @@
 """Whole-horizon Picard sweeps, the oracle the blocked solvers are tested against.
 
-picard is the window loop both forms once shared; the kernel form's block
-march and the derivative form's prebuilt derivative matrix must reproduce
-what it gives with the sweeps written out in full.
+picard takes the memory integral as a callback and sweeps the whole horizon
+window by window; the kernel form's block march and the derivative form's
+prebuilt derivative matrix must reproduce what it gives.
 """
 
 from fracwave.duhamel import (
