@@ -123,7 +123,7 @@ def _key(section: str, parse: Callable[[str], object], default, key: str = ""):
 
 @dataclass(frozen=True)
 class RunConfig:
-    scenario: str = _key("run", _choice("time_fractional", "time_space_fractional", "custom"), "time_fractional")
+    scenario: str = _key("run", _choice("time_fractional", "time_space_fractional"), "time_fractional")
     alpha: float = _key("run", _parse_float, 1.5)
     label: str = _key("run", str.strip, "run")
     half_length: float = _key("grid", _parse_float, 16.0)

@@ -337,13 +337,13 @@ def _block_levels(p: CauchyProblem, s: int, e: int, head_beta: float) -> int:
     return _series_terms(p.alpha, beta, span, p.action.norm_bound)
 
 
-def _block_plan(p: CauchyProblem, head_beta: float) -> list:
-    """Row blocks [s, e) of _BLOCK_ROWS rows with their series level counts."""
+def _block_plan(p: CauchyProblem) -> list:
+    """Row blocks [s, e) of _BLOCK_ROWS rows with their levels at the derivative form's head order, 3."""
     n = p.mesh.n_nodes
     plan = []
     for s in range(0, n, _BLOCK_ROWS):
         e = min(s + _BLOCK_ROWS, n)
-        plan.append((s, e, _block_levels(p, s, e, head_beta)))
+        plan.append((s, e, _block_levels(p, s, e, 3.0)))
     return plan
 
 
@@ -563,7 +563,7 @@ def solve_rl_form(p: CauchyProblem, opts: SolverOptions = SolverOptions()) -> So
     # the discrete RL derivative of order gamma as one matrix, built once for every sweep
     derivative = first_difference(pi_weights(1.0 - gamma_ord, mesh.n_nodes, mesh.dt), mesh.dt)
     weights_two = pi_weights(2.0, mesh.n_nodes, mesh.dt)
-    plan = _block_plan(p, 3.0)
+    plan = _block_plan(p)
 
     singular = _propagated(p, p.alpha, f0) if f0_norm > 0.0 else 0.0
     base = _base_trajectory(p)
@@ -593,12 +593,12 @@ def solve_rl_form(p: CauchyProblem, opts: SolverOptions = SolverOptions()) -> So
 def second_derivative_identity_check(report: SolverReport, p: CauchyProblem) -> float:
     """Interior deviation between the two sides of the curvature identity.
 
-    The second time difference of the memory integral must match the
-    derivative of the forcing under an integral of order alpha - 1, plus the
-    analytic power carrying the initial forcing value, plus the once-more
-    operator-smoothed convolution.  The singular power is evaluated in
-    closed form; nodes too close to either end are excluded (one-sided
-    stencils and the unresolvable power at the origin live there).
+    The second time difference of the memory integral y must match the
+    derivative of g = f(u) + P under an integral of order alpha - 1, plus the
+    analytic power carrying g(0), plus A times the order 2 alpha - 2 integral
+    of g + A y, the integrand of y = W_alpha (g + A y).  The singular power is
+    evaluated in closed form; nodes too close to either end are excluded
+    (one-sided stencils and the unresolvable power at the origin live there).
     """
     mesh = p.mesh
     if mesh.n_nodes < 16:
@@ -616,11 +616,8 @@ def second_derivative_identity_check(report: SolverReport, p: CauchyProblem) -> 
     power[1:] = mesh.nodes[1:] ** (p.alpha - 2.0) / gamma(p.alpha - 1.0)
     term_singular = power.reshape(shape) * np.asarray(g0)[None, ...]
 
-    plan = _block_plan(p, 2.0 * p.alpha - 1.0)
-    weights_alpha = pi_weights(p.alpha, mesh.n_nodes, mesh.dt)
     weights_low = pi_weights(2.0 * p.alpha - 2.0, mesh.n_nodes, mesh.dt)
-    acc = _volterra(weights_alpha, p.action, g, plan)[1]
-    term_smoothed = p.action.apply_rows(_weights_product(weights_low, acc))
+    term_smoothed = p.action.apply_rows(_weights_product(weights_low, g + p.action.apply_rows(memory)))
 
     rhs = term_derivative + term_singular + term_smoothed
     k0 = max(1, mesh.n_steps // 4)

@@ -391,8 +391,10 @@ class NormEstimate:
     converged: bool
 
 
-# below this norm an iterate's squared entries underflow and its norm loses bits
-_SQUARES_UNDERFLOW = math.sqrt(np.finfo(float).tiny)
+def _unit_scaled(x: np.ndarray) -> tuple:
+    """x over the power of two of its peak modulus (exact: ldexp of its real view), and the exponent."""
+    shift = int(np.frexp(np.max(np.abs(x)))[1])
+    return np.ldexp(np.ascontiguousarray(x).view(float), -shift).view(x.dtype), shift
 
 
 @np.errstate(over="ignore", invalid="ignore")
@@ -406,22 +408,23 @@ def operator_norm_estimate(op: RegularizedOperator) -> NormEstimate:
     with the same iterates, Rayleigh quotients and stop up to rounding.  In
     coefficients A*A is conj(symbol) * fft(coeff**2 * ifft(symbol * .)): two
     FFTs per step, and none for a constant coefficient, where it is the
-    diagonal multiply coeff**2 * |symbol|**2.  The iteration stops at a
+    diagonal multiply coeff**2 * |symbol|**2.  It runs at unit scale: the
+    coefficient and the symbol are divided by the powers of two at their peaks
+    and the estimate is multiplied back (inf beyond the double range), so an
+    operator 2**k times as large takes the same steps.  The iteration stops at a
     relative change of 1e-6; one still unconverged after 10 000 steps returns
-    its last value flagged, never raises.  A coefficient or symbol whose
-    products leave the double range makes an iterate non-finite: that step
-    returns NaN flagged, without floating-point warnings, for the gate to
-    reject.  An iterate whose squared entries underflow is measured scaled by
-    about its largest modulus, so a tiny nonzero operator does not read as
-    zero.
+    its last value flagged, never raises.  A coefficient or symbol that is not
+    finite returns NaN flagged at the first step, without floating-point
+    warnings, for the gate to reject.
     """
     n = op.dim
     rng = np.random.Generator(np.random.Philox(key=0x9E3779B97F4A7C15))
     v = rng.standard_normal(n) + 1j * rng.standard_normal(n)
     v = np.fft.fft(v / np.linalg.norm(v), norm="ortho")
-    symbol = op.symbol
-    squared = op.coeff**2
-    if np.ptp(op.coeff) == 0.0:
+    coeff, coeff_shift = _unit_scaled(op.coeff)
+    symbol, symbol_shift = _unit_scaled(op.symbol)
+    squared = coeff**2
+    if np.ptp(coeff) == 0.0:
         gain = squared[0] * (np.conj(symbol) * symbol)
 
         def gram(x: np.ndarray) -> np.ndarray:
@@ -433,29 +436,21 @@ def operator_norm_estimate(op: RegularizedOperator) -> NormEstimate:
         def gram(x: np.ndarray) -> np.ndarray:
             return adjoint * np.fft.fft(squared * np.fft.ifft(symbol * x))
 
+    shift = coeff_shift + symbol_shift
     sigma = 0.0
     for it in range(1, 10_001):
         y = gram(v)
         ny = np.linalg.norm(y)
         if not math.isfinite(ny):
             return NormEstimate(math.nan, it, False)
-        scale = 1.0
-        if ny < _SQUARES_UNDERFLOW:
-            # measure the iterate scaled by the power of two of its largest modulus;
-            # dividing by that modulus itself overflows when it is subnormal
-            peak = float(np.max(np.abs(y)))
-            if peak == 0.0:
-                return NormEstimate(0.0, it, True)
-            shift = math.frexp(peak)[1]
-            scale = math.ldexp(1.0, shift)
-            y = np.ldexp(y.real, -shift) + 1j * np.ldexp(y.imag, -shift)
-            ny = np.linalg.norm(y)
-        sigma_new = math.sqrt(scale) * math.sqrt(float(np.real(np.vdot(v, y))))
+        if ny == 0.0:
+            return NormEstimate(0.0, it, True)
+        sigma_new = math.sqrt(float(np.real(np.vdot(v, y))))
         v = y / ny
         if it > 1 and abs(sigma_new - sigma) <= 1e-6 * max(sigma_new, 1e-300):
-            return NormEstimate(sigma_new, it, True)
+            return NormEstimate(float(np.ldexp(sigma_new, shift)), it, True)
         sigma = sigma_new
-    return NormEstimate(sigma, it, False)
+    return NormEstimate(float(np.ldexp(sigma, shift)), it, False)
 
 
 def check_norm_gate(op: RegularizedOperator, schedule: EpsilonSchedule) -> float:
@@ -469,8 +464,7 @@ def check_norm_gate(op: RegularizedOperator, schedule: EpsilonSchedule) -> float
     if math.isnan(est.value):
         raise NormGateError(
             f"operator norm estimate is not finite (nan) at eps = {op.eps:.6g}: the "
-            "operator's coefficient or symbol leaves the double range; reduce the "
-            "coefficient scale"
+            "operator's coefficient or symbol is not finite; reduce the coefficient scale"
         )
     if not est.value <= cap:
         raise NormGateError(

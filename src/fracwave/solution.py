@@ -193,11 +193,8 @@ def generator_recovery(alpha: float, operator, x: np.ndarray, ladder: np.ndarray
         raise ValueError("ladder must be strictly decreasing and positive")
     action = as_action(operator)
     vec = np.asarray(x)
-    scale = gamma(1.0 + alpha)
-    recovered = np.empty((ts.size,) + vec.shape, dtype=complex)
-    for j, t in enumerate(ts):
-        # one node per call: each sizes its truncation at its own time
-        recovered[j] = scale * (ml_trajectory(alpha, 1.0, action, vec, ts[j : j + 1])[0] - vec) / t**alpha
+    powers = ts.reshape((ts.size,) + (1,) * vec.ndim) ** alpha
+    recovered = gamma(1.0 + alpha) * (ml_trajectory(alpha, 1.0, action, vec, ts) - vec) / powers
     target = action.apply(vec)
     errors = _row_norms(recovered - np.asarray(target)[None, ...])
     if np.any(errors == 0.0):

@@ -6,8 +6,9 @@ prebuilt derivative matrix must reproduce what it gives.
 """
 
 from fracwave.duhamel import (
+    _BLOCK_ROWS,
     _base_trajectory,
-    _block_plan,
+    _block_levels,
     _converge,
     _fold_blocks,
     _forced,
@@ -49,9 +50,16 @@ def picard(p, opts, windows, integral_term, form, extra_meta):
     return _report(form, current, histories, stalled, extra_meta)
 
 
+def kernel_plan(p):
+    """Blocks of _BLOCK_ROWS rows with the levels of the kernel form's head order alpha + 1."""
+    n = p.mesh.n_nodes
+    blocks = [(s, min(s + _BLOCK_ROWS, n)) for s in range(0, n, _BLOCK_ROWS)]
+    return [(s, e, _block_levels(p, s, e, p.alpha + 1.0)) for s, e in blocks]
+
+
 def old_kernel_picard(p, opts):
     """The kernel form as whole-horizon Picard sweeps over 64-row blocks, in derived windows."""
     weights = pi_weights(p.alpha, p.mesh.n_nodes, p.mesh.dt)
-    plan = _block_plan(p, p.alpha + 1.0)
+    plan = kernel_plan(p)
     windows = _fold_blocks(p, weights, p.mesh.n_nodes)[0]
     return picard(p, opts, windows, lambda g: _volterra(weights, p.action, g, plan)[0], "kernel", _plan_meta(plan))

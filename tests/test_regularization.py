@@ -293,6 +293,25 @@ def test_zero_coefficient_has_norm_zero():
     assert operator_norm_estimate(op) == NormEstimate(0.0, 1, True) == _sample_space_norm_estimate(op)
 
 
+@pytest.mark.parametrize("coefficient", ["constant", "variable"])
+def test_norm_estimate_scales_with_the_coefficient_bitwise(coefficient):
+    # entries of at most four significant bits: 2**k times them is exact even
+    # where the peak is subnormal, so the estimate must be exactly 2**k times
+    # the unit one, after the same steps, or inf where that leaves the range
+    grid = SpatialGrid(16.0, 64)
+    moll = make_mollifier("bump", 0.4, grid)
+    c = np.full(grid.n_points, 1.25) if coefficient == "constant" else 1.0 + (np.arange(grid.n_points) % 8) / 8.0
+    unit = operator_norm_estimate(build_operator("riesz", 1.5, c, moll, grid))
+    assert unit.converged and unit.iterations > 1
+    for k in (-1071, -1062, -1040, -1022, -1000, -700, -300, -1, 1, 300, 700, 1000, 1018, 1019, 1023):
+        scaled = np.ldexp(c, k)
+        assert np.array_equal(np.ldexp(scaled, -k), c)
+        with np.errstate(over="ignore"):
+            want = float(np.ldexp(unit.value, k))
+        est = operator_norm_estimate(build_operator("riesz", 1.5, scaled, moll, grid))
+        assert (est.value, est.iterations, est.converged) == (want, unit.iterations, True), k
+
+
 @pytest.mark.parametrize("coefficient, per_step", [("constant", 0), ("variable", 2)])
 def test_norm_estimate_transforms_per_step(coefficient, per_step, monkeypatch):
     op = _gated_operator("liouville_left", coefficient, True)
@@ -329,19 +348,19 @@ def test_norm_gate_trips_on_tight_cap():
 
 @pytest.mark.parametrize("profile", ["constant", "variable"])
 def test_norm_gate_rejects_a_norm_that_is_not_a_number(profile):
-    # coeff**2 overflows: the first iterate is NaN, and nan > cap would be False
+    # one coefficient entry that is not finite: the first iterate is NaN, and nan > cap would be False
     grid = SpatialGrid(16.0, 256)
     moll = make_mollifier("bump", 1.0, grid)
-    coeff = np.full(grid.n_points, 1e300)
-    if profile == "variable":
-        coeff[0] = 2e300
-    op = build_operator("second_derivative", 2.0, coeff, moll, grid, eps=2.0**-5)
-    with warnings.catch_warnings():
-        warnings.simplefilter("error")
-        est = operator_norm_estimate(op)
-        assert math.isnan(est.value) and est.iterations == 1 and not est.converged
-        with pytest.raises(NormGateError, match=r"not finite \(nan\) at eps = 0.03125"):
-            check_norm_gate(op, EpsilonSchedule(alpha=1.5))
+    for bad in (math.inf, -math.inf, math.nan):
+        coeff = np.full(grid.n_points, 1.0) if profile == "constant" else 1.0 + 0.25 / np.cosh(grid.x)
+        coeff[100] = bad
+        op = build_operator("second_derivative", 2.0, coeff, moll, grid, eps=2.0**-5)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            est = operator_norm_estimate(op)
+            assert math.isnan(est.value) and est.iterations == 1 and not est.converged
+            with pytest.raises(NormGateError, match=r"not finite \(nan\) at eps = 0.03125"):
+                check_norm_gate(op, EpsilonSchedule(alpha=1.5))
 
 
 def test_association_errors_decrease():
