@@ -393,12 +393,29 @@ def _volterra(weights: np.ndarray, action: LinearAction, g: np.ndarray, plan: li
     return y.reshape(shape), v.reshape(shape)
 
 
+def _buffer(buffers: dict, key: str, dtype, shape: tuple) -> np.ndarray:
+    """The solve's buffer under key, made anew only when its dtype or shape changes."""
+    buf = buffers.get(key)
+    if buf is None or buf.dtype != dtype or buf.shape != shape:
+        buf = buffers[key] = np.empty(shape, dtype)
+    return buf
+
+
 def _forced(p: CauchyProblem, u: np.ndarray, rows=slice(None)) -> np.ndarray:
     """f(u) + P, with P on the given rows of the mesh."""
     g = p.nonlinearity.fn(u)
     if p.forcing is not None:
         g = g + p.forcing[rows]
     return g
+
+
+def _centred(p: CauchyProblem, u: np.ndarray, f0: np.ndarray, buffers: dict) -> np.ndarray:
+    """f(u) + P - f0, summed in the solve's buffer "centred"."""
+    g = p.nonlinearity.fn(u)
+    out = _buffer(buffers, "centred", np.result_type(g, f0, float), g.shape)
+    if p.forcing is not None:
+        g = np.add(g, p.forcing, out=out)
+    return np.subtract(g, f0, out=out)
 
 
 def _converge(opts: SolverOptions, where: str, state, sweep: Callable) -> tuple:
@@ -571,13 +588,32 @@ def solve_rl_form(p: CauchyProblem, opts: SolverOptions = SolverOptions()) -> So
     u = base.copy()
     histories: list = []
     stalled = None
+    lam = p.action.multiplier
+    diagonal = None if lam is None else LinearAction(lambda rows: lam * rows, p.action.norm_bound, lam.size)
+    buffers: dict = {}  # field-sized results, written in place on every sweep
+
+    def memory(centred: np.ndarray) -> np.ndarray:
+        """W_2 v, where v = g + A y, y = W_alpha (g + A y) and g = D centred, written over centred.
+
+        Real data meet a multiplier mode by mode: the derivative and the march
+        run on the real half spectrum, between one rfft and one irfft.
+        """
+        if diagonal is None or np.iscomplexobj(centred):
+            g = _weights_product(derivative, centred, _buffer(buffers, "modes", centred.dtype, centred.shape))
+            v = _volterra(weights_alpha, p.action, g, plan)[1]
+        else:
+            modes = _buffer(buffers, "modes", complex, centred.shape[:-1] + lam.shape)
+            g = _weights_product(derivative, np.fft.rfft(centred, axis=-1), modes)
+            v = np.fft.irfft(_volterra(weights_alpha, diagonal, g, plan)[1], p.action.dim, axis=-1)
+        return _weights_product(weights_two, v, _buffer(buffers, "centred", v.dtype, v.shape))
+
     for s, e, _ in windows:
 
         def sweep(u: np.ndarray) -> tuple:
-            w_reg = _weights_product(derivative, _forced(p, u) - f0)
-            acc = _volterra(weights_alpha, p.action, w_reg, plan)[1]
+            mem = memory(_centred(p, u, f0, buffers))
+            mem = mem.astype(np.result_type(mem, base, singular), copy=False)
             # singular + memory first: pre-adding singular to base moves the windows' stall levels
-            candidate = base + (singular + _weights_product(weights_two, acc))
+            candidate = np.add(base, np.add(singular, mem, out=mem), out=mem)
             change = _row_sup(candidate[s:e] - u[s:e], weight)
             u = _stored(u, s, u.shape[0], candidate[s:])
             return u, _relative(change, _row_sup(u, weight))

@@ -42,7 +42,8 @@ class Expression:
     def evaluate(self, values) -> np.ndarray:
         arr = np.asarray(values)
         if not np.issubdtype(arr.dtype, np.complexfloating):
-            arr = arr.astype(float)
+            # no copy of a float64 input: the tree never writes to its variable
+            arr = arr.astype(float, copy=False)
         with np.errstate(all="ignore"):
             out = _eval(self.root, arr)
         # constants stay scalar inside the tree; only a constant result is spread

@@ -197,19 +197,23 @@ def rl_integral(samples: np.ndarray, gamma_ord: float, mesh: TimeMesh) -> np.nda
     return _weights_product(pi_weights(gamma_ord, mesh.n_nodes, mesh.dt), arr)
 
 
-def _weights_product(weights: np.ndarray, samples: np.ndarray) -> np.ndarray:
+def _weights_product(weights: np.ndarray, samples: np.ndarray, out: Optional[np.ndarray] = None) -> np.ndarray:
     """weights @ samples along axis 0 for a real weight matrix.
 
     Complex samples go through one real product on their float view: numpy
     would otherwise promote the weights to complex and double the flops.
+    out, a C-contiguous array of the result's shape and the samples' dtype,
+    receives the product instead of a new array.
     """
     arr = np.asarray(samples)
     flat = arr.reshape(arr.shape[0], -1)
+    target = None if out is None else out.reshape(weights.shape[0], -1)
     if flat.dtype == np.complex128:
-        out = (weights @ np.ascontiguousarray(flat).view(np.float64)).view(np.complex128)
+        real_target = None if target is None else target.view(np.float64)
+        res = np.matmul(weights, np.ascontiguousarray(flat).view(np.float64), out=real_target).view(np.complex128)
     else:
-        out = weights @ flat
-    return out.reshape((weights.shape[0],) + arr.shape[1:])
+        res = np.matmul(weights, flat, out=target)
+    return res.reshape((weights.shape[0],) + arr.shape[1:])
 
 
 def first_difference(samples: np.ndarray, dt: float) -> np.ndarray:

@@ -320,6 +320,17 @@ class RegularizedOperator:
         real = self.kind in _REAL_KINDS and not np.iscomplexobj(arr)
         return self.coeff * _multiply(self.symbol, arr, real)
 
+    @property
+    def diagonal(self) -> Optional[np.ndarray]:
+        """c * symbol on the real half spectrum when the operator is that multiplier, else None.
+
+        A real kind whose coefficient samples are all equal to c acts on real
+        samples as rfft, a multiply by this array, then irfft.
+        """
+        if self.kind not in _REAL_KINDS or np.ptp(self.coeff) != 0.0:
+            return None
+        return self.coeff[0] * self.symbol[: self.dim // 2 + 1]
+
     def norm_estimate(self) -> "NormEstimate":
         if self._norm is None:
             self._norm = operator_norm_estimate(self)
@@ -458,6 +469,8 @@ def check_norm_gate(op: RegularizedOperator, schedule: EpsilonSchedule) -> float
 
     Raises NormGateError when the measured norm exceeds the schedule cap or
     is not a number.  Solver entry points call this before time stepping.
+    The advice names the coefficient scale when max|c| alone exceeds the cap,
+    and the sharpness or the schedule otherwise.
     """
     est = op.norm_estimate()
     cap = schedule.cap(op.eps)
@@ -467,10 +480,13 @@ def check_norm_gate(op: RegularizedOperator, schedule: EpsilonSchedule) -> float
             "operator's coefficient or symbol is not finite; reduce the coefficient scale"
         )
     if not est.value <= cap:
+        coeff_max = float(np.max(np.abs(op.coeff)))
+        if coeff_max > cap:
+            advice = f"the coefficient alone has max|c| = {coeff_max:.6g}; lower operator.coefficient_scale"
+        else:
+            advice = "lower the sharpness multiplier or refine the schedule"
         raise NormGateError(
-            f"operator norm {est.value:.6g} exceeds the schedule cap {cap:.6g} "
-            f"at eps = {op.eps:.6g}; lower the sharpness multiplier or refine "
-            "the schedule"
+            f"operator norm {est.value:.6g} exceeds the schedule cap {cap:.6g} at eps = {op.eps:.6g}; {advice}"
         )
     return est.value
 

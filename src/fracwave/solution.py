@@ -12,7 +12,7 @@ from __future__ import annotations
 
 import math
 import numbers
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Callable, Optional
 
 import numpy as np
@@ -43,12 +43,15 @@ class LinearAction:
 
     dim is None for scalar multiples, which act on arrays of any shape.
     apply acts along the last axis, so one call maps a single vector or a
-    stacked array of them.
+    stacked array of them.  multiplier, when set, is the map's diagonal on
+    the real half spectrum: on real samples apply is irfft(multiplier *
+    rfft(.)).
     """
 
     apply: Callable[[np.ndarray], np.ndarray]
     norm_bound: float
     dim: Optional[int]
+    multiplier: Optional[np.ndarray] = field(default=None, repr=False, compare=False)
 
     def __post_init__(self):
         if not (np.isfinite(self.norm_bound) and self.norm_bound >= 0.0):
@@ -65,8 +68,9 @@ def as_action(operator) -> LinearAction:
     Matrices get their exact spectral norm.  Regularized operators get
     ||coeff||_inf * ||symbol||_inf, a true upper bound at no cost; the
     power-iteration estimate approaches the norm from below and serves only
-    the norm gate.  Any other map is wrapped by the caller as a LinearAction
-    with its own bound, and passes through unchanged.
+    the norm gate; a constant-coefficient real kind also carries its
+    diagonal as the multiplier.  Any other map is wrapped by the caller as
+    a LinearAction with its own bound, and passes through unchanged.
     """
     if isinstance(operator, LinearAction):
         return operator
@@ -84,7 +88,7 @@ def as_action(operator) -> LinearAction:
         return LinearAction(lambda v: v @ mat.T, float(np.linalg.norm(mat, 2)), mat.shape[0])
     if isinstance(operator, RegularizedOperator):
         majorant = float(np.abs(operator.coeff).max() * np.abs(operator.symbol).max())
-        return LinearAction(operator.apply, majorant, operator.grid.n_points)
+        return LinearAction(operator.apply, majorant, operator.grid.n_points, operator.diagonal)
     raise TypeError(f"cannot interpret {type(operator).__name__} as a linear action")
 
 

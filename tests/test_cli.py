@@ -1032,6 +1032,38 @@ def test_overflowing_operator_or_data_exits_3_without_warnings(tmp_path, capsys,
     assert not out.exists()
 
 
+def _gate_line(tmp_path, capsys, text):
+    """The one stderr line of a run that fails its norm gate, after checking exit 3 and no run directory."""
+    out = tmp_path / "out"
+    assert entrypoint(["run", "--config", _cfg_file(tmp_path, text), "--out", str(out), "--quiet"]) == 3
+    lines = capsys.readouterr().err.splitlines()
+    assert len(lines) == 1 and lines[0].startswith("numerical gate: operator norm ")
+    assert not out.exists()
+    return lines[0]
+
+
+def test_norm_gate_names_the_coefficient_scale_when_the_coefficient_alone_exceeds_the_cap(tmp_path, capsys):
+    # max|c| = 1e300 is above the cap 47.56 however blunt the kernel: the
+    # lowest sharpness the schedule allows fails the same way
+    for schedule in ("", "[schedule]\nkappa = 1e-9\n"):
+        line = _gate_line(tmp_path, capsys, "[operator]\ncoefficient_scale = 1e300\n" + schedule)
+        assert "exceeds the schedule cap 47.5571" in line
+        assert line.endswith("; the coefficient alone has max|c| = 1e+300; lower operator.coefficient_scale")
+        assert "sharpness" not in line
+
+
+def test_norm_gate_a_lower_sharpness_can_mend_keeps_its_advice(tmp_path, capsys):
+    line = _gate_line(tmp_path, capsys, NORM_GATE)
+    assert line.endswith(
+        "operator norm 23.1061 exceeds the schedule cap 19.5967 at eps = 0.03125; "
+        "lower the sharpness multiplier or refine the schedule"
+    )
+    # and the advice holds: the same rung with a blunter kernel passes its gate
+    out = tmp_path / "blunt"
+    cfg = _cfg_file(tmp_path, NORM_GATE + "kappa = 1.0\n")
+    assert entrypoint(["run", "--config", cfg, "--out", str(out), "--quiet"]) == 0
+
+
 def test_tiny_coefficient_scale_keeps_its_norm(tmp_path):
     # the coefficient's square, or the A*A iterate's, underflows at these
     # scales; the iteration runs at unit scale, so it scales with the coefficient

@@ -2,6 +2,7 @@
 
 import dataclasses
 import math
+import sys
 from pathlib import Path
 
 import numpy as np
@@ -12,6 +13,7 @@ from fracwave import (
     DivergenceError,
     EpsilonSchedule,
     MlParams,
+    RegularizedOperator,
     ResolutionError,
     SingularOrderError,
     SizeError,
@@ -19,6 +21,7 @@ from fracwave import (
     SpatialGrid,
     TimeMesh,
     TruncationError,
+    as_action,
     build_operator,
     gronwall_stability_probe,
     make_mollifier,
@@ -662,3 +665,87 @@ def test_complex_nonlinearity_output_widens_a_real_solve(solve):
     tiny = 1e-300j * np.ones(mesh.n_nodes)[:, None]
     full = solve(_mollified_problem("second_derivative", mesh, f, forcing=p.forcing + tiny))
     assert np.abs(full.trajectory - report.trajectory).max() <= 1e-12
+
+
+def _constant_problem(kind, mollified, forcing_offset=0.0):
+    """A problem on a constant coefficient, so its operator is a Fourier multiplier; real unless the offset is not."""
+    grid = SpatialGrid(16.0, 64)
+    moll = make_mollifier("bump", 1.0, grid) if mollified else None
+    op = build_operator(kind, 1.5, np.full(grid.n_points, 0.1), moll, grid)
+    mesh = TimeMesh(1.0, 150)
+    u0 = np.exp(-(grid.x**2) / 4.0)
+    forcing = 0.3 * np.outer(np.cos(3.0 * mesh.nodes), np.sin(grid.x)) + forcing_offset
+    return CauchyProblem(ALPHA, op, scaled_sine(0.5), u0, mesh, forcing=forcing, initial_velocity=0.5 * u0, grid=grid)
+
+
+def _stripped(p):
+    """The same problem with its operator's multiplier taken away: the physical march."""
+    return dataclasses.replace(p, operator=dataclasses.replace(p.action, multiplier=None))
+
+
+@pytest.mark.parametrize("mollified", [True, False])
+@pytest.mark.parametrize("kind", ["second_derivative", "riesz"])
+def test_spectral_march_matches_the_physical_one(kind, mollified):
+    p = _constant_problem(kind, mollified)
+    assert p.action.multiplier is not None
+    physical = _stripped(p)
+    assert physical.action.multiplier is None
+    spectral, reference = solve_rl_form(p), solve_rl_form(physical)
+    assert spectral.converged and reference.converged
+    assert list(map(len, spectral.contraction_history)) == list(map(len, reference.contraction_history))
+    assert spectral.metadata == reference.metadata and spectral.metadata["arithmetic"] == "real"
+    scale = np.abs(reference.trajectory).max()
+    assert np.abs(spectral.trajectory - reference.trajectory).max() <= 1e-14 * scale
+
+
+def test_multiplier_is_the_half_spectrum_of_a_real_constant_coefficient_operator():
+    grid = SpatialGrid(16.0, 64)
+    moll = make_mollifier("bump", 1.0, grid)
+    constant, variable = np.full(grid.n_points, 0.7), 1.0 + 0.25 / np.cosh(grid.x)
+    for kind in ("second_derivative", "riesz"):
+        op = build_operator(kind, 1.5, constant, moll, grid)
+        lam = as_action(op).multiplier
+        assert np.array_equal(lam, 0.7 * op.symbol[:33])
+        values = np.cos(grid.x) + 0.1 * grid.x
+        via_modes = np.fft.irfft(lam * np.fft.rfft(values), grid.n_points)
+        assert np.abs(via_modes - op.apply(values)).max() <= 1e-14 * np.abs(op.apply(values)).max()
+        assert as_action(build_operator(kind, 1.5, variable, moll, grid)).multiplier is None
+    for kind in ("liouville_left", "liouville_right"):
+        assert as_action(build_operator(kind, 1.5, constant, moll, grid)).multiplier is None
+    assert as_action(0.5).multiplier is None
+    assert as_action(-np.eye(3)).multiplier is None
+
+
+def _apply_callers(monkeypatch):
+    """Patch RegularizedOperator.apply to record the name of each call's caller."""
+    callers = []
+    apply = RegularizedOperator.apply
+
+    def recorded(self, values):
+        callers.append(sys._getframe(1).f_code.co_name)
+        return apply(self, values)
+
+    monkeypatch.setattr(RegularizedOperator, "apply", recorded)
+    return callers
+
+
+def test_the_march_on_a_multiplier_never_applies_the_operator(monkeypatch):
+    # only the propagator's series terms apply the operator; a march that
+    # fell back to the physical path would apply it once per series level
+    callers = _apply_callers(monkeypatch)
+    p = _constant_problem("second_derivative", True)
+    solve_rl_form(p)
+    assert callers and set(callers) == {"ml_trajectory"}
+    # the same problem without the multiplier: the march applies it, and this test sees it
+    callers.clear()
+    solve_rl_form(_stripped(p))
+    assert "apply_rows" in callers
+
+
+def test_complex_forcing_takes_the_physical_march(monkeypatch):
+    callers = _apply_callers(monkeypatch)
+    complex_forcing = _constant_problem("riesz", True, forcing_offset=1e-3j)
+    assert complex_forcing.action.multiplier is not None
+    report = solve_rl_form(complex_forcing)
+    assert report.metadata["arithmetic"] == "complex" and "apply_rows" in callers
+    assert np.array_equal(solve_rl_form(_stripped(complex_forcing)).trajectory, report.trajectory)
