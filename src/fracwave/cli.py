@@ -292,8 +292,8 @@ def _say(quiet: bool, message: str) -> None:
 def cmd_run(cfg: RunConfig, out: Optional[str], quiet: bool) -> int:
     parts, report = run_scenario(cfg)
     if not report.converged:
-        # a block or window that stopped at max_iter ends with the largest change
-        change = max(history[-1] for history in report.contraction_history)
+        # the named block or window is the first whose last change is not below tol
+        change = next(h[-1] for h in report.contraction_history if h[-1] >= cfg.solver_tol)
         first, last = report.unconverged_rows
         size = _row_sup(report.trajectory, parts.problem.state_weight)
         if change <= _ROUNDING_STALL * np.finfo(float).eps * max(1.0, size):

@@ -152,9 +152,9 @@ def _stored(buf: np.ndarray, s: int, e: int, rows: np.ndarray) -> np.ndarray:
     """buf with rows written to [s, e); a real buf meeting complex rows widens first.
 
     The state of a real problem stays real only while every term it meets
-    is: a complex forcing, operator or nonlinearity output makes the rows
-    complex, and writing them into a real buffer would drop their imaginary
-    part.
+    is: every regularized operator maps reals to reals, but a complex forcing,
+    scalar, matrix or nonlinearity output makes the rows complex, and writing
+    them into a real buffer would drop their imaginary part.
     """
     if np.iscomplexobj(rows) and not np.iscomplexobj(buf):
         buf = buf.astype(complex)

@@ -286,7 +286,8 @@ def liouville_multiplier(kind: str, beta: float, grid: SpatialGrid) -> np.ndarra
 
     left  -> (i xi)**beta,  right -> (-i xi)**beta,
     riesz -> -|xi|**beta (the normalized symmetric combination; beta = 1 is
-    singular for it and rejected).  The zero frequency maps to zero.
+    singular for it and rejected).  The zero frequency maps to zero; the
+    operators keep only the real part of the Nyquist entry (_base_multiplier).
     """
     if kind not in _MULTIPLIER_KINDS:
         raise ValueError(f"kind must be one of {_MULTIPLIER_KINDS}, got {kind!r}")

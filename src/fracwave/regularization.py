@@ -107,18 +107,18 @@ class Mollifier:
         arr = np.asarray(values)
         if arr.shape[-1] != self.grid.n_points:
             raise SizeError("values do not match the mollifier grid")
-        return _multiply(self.symbol, arr, not np.iscomplexobj(arr))
+        return _multiply(self.symbol, arr)
 
 
-def _multiply(symbol: np.ndarray, arr: np.ndarray, real: bool) -> np.ndarray:
-    """ifft(symbol * fft(arr)) along the last axis.
+def _multiply(symbol: np.ndarray, arr: np.ndarray) -> np.ndarray:
+    """ifft(symbol * fft(arr)) along the last axis; real arr gives a real result.
 
-    real takes rfft/irfft with the half spectrum, which is the whole action
-    when arr is real and symbol Hermitian (the symbol of a map from reals to
-    reals); the result is then real.
+    Every symbol here is Hermitian (the symbol of a map from reals to reals),
+    so on real arr the half spectrum carries the whole action: rfft, a
+    multiply, irfft.  Complex arr takes the full complex transform.
     """
     n = symbol.size
-    if real:
+    if not np.iscomplexobj(arr):
         return np.fft.irfft(symbol[: n // 2 + 1] * np.fft.rfft(arr, axis=-1), n, axis=-1)
     return np.fft.ifft(symbol * np.fft.fft(np.asarray(arr, dtype=complex), axis=-1), axis=-1)
 
@@ -265,15 +265,16 @@ class CoefficientField:
 
 
 _KINDS = ("second_derivative", "liouville_left", "liouville_right", "riesz")
-# kinds whose symbol maps real samples to real samples
-_REAL_KINDS = ("second_derivative", "riesz")
 
 
 def _base_multiplier(kind: str, space_order: float, grid: SpatialGrid) -> np.ndarray:
+    """The derivative's symbol, Hermitian for every kind: the unmirrored Nyquist mode keeps its real part."""
     if kind == "second_derivative":
         return -(grid.xi.astype(complex) ** 2)
     name = {"liouville_left": "left", "liouville_right": "right", "riesz": "riesz"}[kind]
-    return liouville_multiplier(name, space_order, grid)
+    out = liouville_multiplier(name, space_order, grid)
+    out[grid.n_points // 2] = out[grid.n_points // 2].real  # |xi|**s cos(pi s / 2), 0 at order 1
+    return out
 
 
 @dataclass
@@ -306,28 +307,25 @@ class RegularizedOperator:
         return self.grid.n_points
 
     def apply(self, values: np.ndarray) -> np.ndarray:
-        """Real values meet the real-to-real kinds in real FFTs and stay real.
+        """Real values go through real FFTs and stay real; complex values take the complex ones.
 
-        The symbols of second_derivative and riesz are Hermitian (a real even
-        multiplier times the transform of a real kernel), so their half
-        spectrum carries the whole action.  The Liouville symbols (i xi)**s
-        are not Hermitian at the Nyquist mode, and every complex input takes
-        the full complex transform.
+        Every kind's symbol is Hermitian (_base_multiplier times the
+        transform of a real kernel), so its half spectrum carries the whole
+        action on real samples.
         """
         arr = np.asarray(values)
         if arr.shape[-1] != self.grid.n_points:
             raise SizeError("values do not match the operator grid")
-        real = self.kind in _REAL_KINDS and not np.iscomplexobj(arr)
-        return self.coeff * _multiply(self.symbol, arr, real)
+        return self.coeff * _multiply(self.symbol, arr)
 
     @property
     def diagonal(self) -> Optional[np.ndarray]:
         """c * symbol on the real half spectrum when the operator is that multiplier, else None.
 
-        A real kind whose coefficient samples are all equal to c acts on real
-        samples as rfft, a multiply by this array, then irfft.
+        An operator of any kind whose coefficient samples are all equal to c
+        acts on real samples as rfft, a multiply by this array, then irfft.
         """
-        if self.kind not in _REAL_KINDS or np.ptp(self.coeff) != 0.0:
+        if np.ptp(self.coeff) != 0.0:
             return None
         return self.coeff[0] * self.symbol[: self.dim // 2 + 1]
 

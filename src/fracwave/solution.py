@@ -44,8 +44,8 @@ class LinearAction:
     dim is None for scalar multiples, which act on arrays of any shape.
     apply acts along the last axis, so one call maps a single vector or a
     stacked array of them.  multiplier, when set, is the map's diagonal on
-    the real half spectrum: on real samples apply is irfft(multiplier *
-    rfft(.)).
+    the real half spectrum (a constant-coefficient operator of any kind has
+    one): on real samples apply is irfft(multiplier * rfft(.)).
     """
 
     apply: Callable[[np.ndarray], np.ndarray]
@@ -68,8 +68,8 @@ def as_action(operator) -> LinearAction:
     Matrices get their exact spectral norm.  Regularized operators get
     ||coeff||_inf * ||symbol||_inf, a true upper bound at no cost; the
     power-iteration estimate approaches the norm from below and serves only
-    the norm gate; a constant-coefficient real kind also carries its
-    diagonal as the multiplier.  Any other map is wrapped by the caller as
+    the norm gate; a constant-coefficient operator of any kind also carries
+    its diagonal as the multiplier.  Any other map is wrapped by the caller as
     a LinearAction with its own bound, and passes through unchanged.
     """
     if isinstance(operator, LinearAction):

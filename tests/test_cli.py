@@ -120,12 +120,14 @@ def test_run_artifacts_and_manifest_closure(tmp_path):
     "operator, arithmetic",
     [
         ("kind = riesz\nspace_order = 1.5\n", "real"),
-        ("kind = liouville_left\nspace_order = 1.5\n", "complex"),
+        ("kind = liouville_left\nspace_order = 1.5\n", "real"),
         ("kind = riesz\nmollify = false\ncoefficient_scale = 0.5\n", "real"),
+        ("kind = liouville_left\nspace_order = 1.5\n[initial]\ndisplacement = mode:3\n", "complex"),
     ],
 )
 def test_run_arithmetic_follows_the_operator(tmp_path, operator, arithmetic):
-    # real data and real noise: exact zeros in im_u unless the symbol is not Hermitian
+    # every symbol is Hermitian: real data and real noise leave exact zeros in
+    # im_u, and only complex data (a mode:k wave) make the run complex
     text = NOISY + "[nonlinearity]\nf = 0.1*sin(u)\n[operator]\n" + operator
     if "mollify = false" in operator:
         # the sharp symbol is well conditioned on a coarse grid, and the noise
@@ -690,6 +692,17 @@ def test_unconverged_line_names_the_block_rows(tmp_path, capsys):
     assert entrypoint(["run", "--config", _cfg_file(tmp_path, text), "--out", str(out)]) == 4
     lines = capsys.readouterr().err.splitlines()
     assert len(lines) == 1 and "2 sweeps at rows 0..63 " in lines[0]
+    assert not out.exists()
+
+
+def test_unconverged_line_reports_the_change_of_the_block_it_names(tmp_path, capsys):
+    # block 0..63 stalls at 5.111e-06; a later block of the eight ends at 2.044e-03,
+    # which would advise for the wrong block
+    text = "[nonlinearity]\nf = 0.5*sin(u)\n[noise]\nintensity = 0.1\n[solver]\nmax_iter = 3\n"
+    out = tmp_path / "out"
+    assert entrypoint(["run", "--config", _cfg_file(tmp_path, text), "--out", str(out)]) == 4
+    lines = capsys.readouterr().err.splitlines()
+    assert len(lines) == 1 and "3 sweeps at rows 0..63 (last change 5.111e-06, tol 1e-10)" in lines[0]
     assert not out.exists()
 
 

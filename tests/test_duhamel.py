@@ -588,7 +588,7 @@ def _mollified_problem(kind, mesh, f, u0=None, forcing=None):
 
 
 @pytest.mark.parametrize("solve", [solve_kernel_form, solve_rl_form])
-@pytest.mark.parametrize("kind", ["second_derivative", "riesz"])
+@pytest.mark.parametrize("kind", ["second_derivative", "riesz", "liouville_left"])
 def test_real_problem_solves_in_real_arithmetic(solve, kind):
     mesh = TimeMesh(1.0, 150)
     p = _mollified_problem(kind, mesh, scaled_sine(0.5))
@@ -607,15 +607,6 @@ def test_real_problem_solves_in_real_arithmetic(solve, kind):
     full = solve(_mollified_problem(kind, mesh, scaled_sine(0.5), forcing=p.forcing + tiny))
     assert full.metadata["arithmetic"] == "complex"
     assert np.abs(full.trajectory - report.trajectory).max() <= 1e-12
-
-
-@pytest.mark.parametrize("solve", [solve_kernel_form, solve_rl_form])
-def test_liouville_problem_stays_complex(solve):
-    mesh = TimeMesh(1.0, 100)
-    p = _mollified_problem("liouville_left", mesh, scaled_sine(0.5))
-    report = solve(p)
-    assert report.metadata["arithmetic"] == "complex"
-    assert np.abs(report.trajectory.imag).max() > 0.0
 
 
 def _old_rl_form(p, opts):
@@ -643,7 +634,9 @@ def test_derivative_matrix_sweeps_match_the_differenced_integral():
     # a complex field problem with forcing and a nonlinearity: the prebuilt
     # derivative matrix reproduces integrate-then-difference on every sweep
     mesh = TimeMesh(1.0, 100)
-    p = _mollified_problem("liouville_left", mesh, scaled_sine(0.1))
+    grid = SpatialGrid(16.0, 64)
+    u0 = np.exp(-grid.x**2 / 4.0 + 1j * grid.x)  # a modulated bump: genuinely complex data
+    p = _mollified_problem("liouville_left", mesh, scaled_sine(0.1), u0=u0)
     report = solve_rl_form(p)
     oracle = _old_rl_form(p, SolverOptions())
     assert report.converged and oracle.converged
@@ -667,6 +660,9 @@ def test_complex_nonlinearity_output_widens_a_real_solve(solve):
     assert np.abs(full.trajectory - report.trajectory).max() <= 1e-12
 
 
+KINDS = ("second_derivative", "liouville_left", "liouville_right", "riesz")
+
+
 def _constant_problem(kind, mollified, forcing_offset=0.0):
     """A problem on a constant coefficient, so its operator is a Fourier multiplier; real unless the offset is not."""
     grid = SpatialGrid(16.0, 64)
@@ -684,7 +680,7 @@ def _stripped(p):
 
 
 @pytest.mark.parametrize("mollified", [True, False])
-@pytest.mark.parametrize("kind", ["second_derivative", "riesz"])
+@pytest.mark.parametrize("kind", KINDS)
 def test_spectral_march_matches_the_physical_one(kind, mollified):
     p = _constant_problem(kind, mollified)
     assert p.action.multiplier is not None
@@ -702,7 +698,7 @@ def test_multiplier_is_the_half_spectrum_of_a_real_constant_coefficient_operator
     grid = SpatialGrid(16.0, 64)
     moll = make_mollifier("bump", 1.0, grid)
     constant, variable = np.full(grid.n_points, 0.7), 1.0 + 0.25 / np.cosh(grid.x)
-    for kind in ("second_derivative", "riesz"):
+    for kind in KINDS:
         op = build_operator(kind, 1.5, constant, moll, grid)
         lam = as_action(op).multiplier
         assert np.array_equal(lam, 0.7 * op.symbol[:33])
@@ -710,8 +706,6 @@ def test_multiplier_is_the_half_spectrum_of_a_real_constant_coefficient_operator
         via_modes = np.fft.irfft(lam * np.fft.rfft(values), grid.n_points)
         assert np.abs(via_modes - op.apply(values)).max() <= 1e-14 * np.abs(op.apply(values)).max()
         assert as_action(build_operator(kind, 1.5, variable, moll, grid)).multiplier is None
-    for kind in ("liouville_left", "liouville_right"):
-        assert as_action(build_operator(kind, 1.5, constant, moll, grid)).multiplier is None
     assert as_action(0.5).multiplier is None
     assert as_action(-np.eye(3)).multiplier is None
 
@@ -733,13 +727,15 @@ def test_the_march_on_a_multiplier_never_applies_the_operator(monkeypatch):
     # only the propagator's series terms apply the operator; a march that
     # fell back to the physical path would apply it once per series level
     callers = _apply_callers(monkeypatch)
-    p = _constant_problem("second_derivative", True)
-    solve_rl_form(p)
-    assert callers and set(callers) == {"ml_trajectory"}
-    # the same problem without the multiplier: the march applies it, and this test sees it
-    callers.clear()
-    solve_rl_form(_stripped(p))
-    assert "apply_rows" in callers
+    for kind in KINDS:
+        callers.clear()
+        p = _constant_problem(kind, True)
+        solve_rl_form(p)
+        assert callers and set(callers) == {"ml_trajectory"}
+        # the same problem without the multiplier: the march applies it, and this test sees it
+        callers.clear()
+        solve_rl_form(_stripped(p))
+        assert "apply_rows" in callers
 
 
 def test_complex_forcing_takes_the_physical_march(monkeypatch):

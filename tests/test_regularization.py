@@ -27,6 +27,9 @@ from fracwave.fractional import GridFunction, liouville_multiplier
 from fracwave.regularization import BUMP_NORMALIZATION, GUARD_EPS
 
 
+KINDS = ("second_derivative", "liouville_left", "liouville_right", "riesz")
+
+
 def _dense(op):
     """The operator's matrix: its action on the basis vectors."""
     return op.apply(np.eye(op.dim)).T
@@ -187,7 +190,7 @@ def test_operator_assembly_and_apply():
         build_operator("riesz", 1.5, coeff, other, grid)
 
 
-@pytest.mark.parametrize("kind", ["second_derivative", "riesz"])
+@pytest.mark.parametrize("kind", KINDS)
 def test_real_input_takes_the_real_transform(kind):
     grid = SpatialGrid(16.0, 256)
     moll = make_mollifier("bump", 1.0, grid)
@@ -207,7 +210,7 @@ def test_real_input_takes_the_real_transform(kind):
     assert np.max(np.abs(smoothed - moll.convolve(rows.astype(complex)))) <= 1e-14 * np.abs(rows).max()
 
 
-@pytest.mark.parametrize("kind", ["second_derivative", "liouville_left", "liouville_right", "riesz"])
+@pytest.mark.parametrize("kind", KINDS)
 def test_sharp_operator_is_the_bare_multiplier(kind):
     # without a mollifier the action is c * ifft(base * fft(v)), the sharp formula
     grid = SpatialGrid(16.0, 128)
@@ -217,14 +220,14 @@ def test_sharp_operator_is_the_bare_multiplier(kind):
         base = -(grid.xi**2)
     else:
         base = liouville_multiplier(kind.removeprefix("liouville_"), 1.5, grid)
+        base[64] = base[64].real  # the operator keeps the real part of the Nyquist entry
     rng = np.random.Generator(np.random.Philox(key=0x5A))
     real = rng.standard_normal((2, grid.n_points))
     for v in (real, real + 1j * rng.standard_normal((2, grid.n_points))):
         expected = c * np.fft.ifft(base * np.fft.fft(v, axis=-1), axis=-1)
         out = op.apply(v)
         assert np.max(np.abs(out - expected)) <= 1e-14 * np.abs(expected).max()
-    if kind in ("second_derivative", "riesz"):
-        assert op.apply(real).dtype == np.float64
+    assert op.apply(real).dtype == np.float64
     # order 2 is the sharp route's own: the mollified operator still rejects it
     if kind != "second_derivative":
         assert build_operator(kind, 2.0, np.ones(grid.n_points), None, grid).space_order == 2.0
@@ -232,13 +235,50 @@ def test_sharp_operator_is_the_bare_multiplier(kind):
             build_operator(kind, 2.0, np.ones(grid.n_points), make_mollifier("bump", 1.0, grid), grid)
 
 
-def test_liouville_kinds_stay_complex_on_real_input():
-    grid = SpatialGrid(16.0, 64)
-    moll = make_mollifier("bump", 1.0, grid)
-    op = build_operator("liouville_left", 1.5, np.ones(grid.n_points), moll, grid, eps=2.0**-5)
-    out = op.apply(np.exp(-grid.x**2 / 8))
-    # (i xi)**s has no mirror image at the Nyquist mode: the imaginary part is genuine
-    assert out.dtype == np.complex128 and np.max(np.abs(out.imag)) > 0.0
+def _real_rows_with_nyquist(n):
+    rng = np.random.Generator(np.random.Philox(key=0x4E))
+    return rng.standard_normal((2, n)) + np.cos(np.pi * np.arange(n))
+
+
+@pytest.mark.parametrize("mollified", [True, False], ids=["mollified", "sharp"])
+@pytest.mark.parametrize("kind", KINDS)
+def test_every_kind_maps_reals_to_reals(kind, mollified):
+    # the real transform's action is the complex one, whose imaginary part it
+    # drops, on real rows that carry Nyquist content; both to rounding of the
+    # majorant max|c| * max|symbol| * max|v|
+    for n in (64, 256, 1024):
+        grid = SpatialGrid(16.0, n)
+        coeff = 1.0 + 0.25 / np.cosh(grid.x)
+        moll = make_mollifier("bump", 1.0, grid) if mollified else None
+        rows = _real_rows_with_nyquist(n)
+        for order in (0.5, 1.5):
+            op = build_operator(kind, order, coeff, moll, grid)
+            out = op.apply(rows)
+            full = coeff * np.fft.ifft(op.symbol * np.fft.fft(rows, axis=-1), axis=-1)
+            scale = coeff.max() * np.abs(op.symbol).max() * np.abs(rows).max()
+            assert out.dtype == np.float64
+            assert np.abs(out - full.real).max() <= 1e-13 * scale
+            assert np.abs(full.imag).max() <= 1e-13 * scale
+
+
+@pytest.mark.parametrize("mollified", [True, False], ids=["mollified", "sharp"])
+@pytest.mark.parametrize("kind", ["liouville_left", "liouville_right"])
+def test_liouville_action_without_nyquist_content_is_the_complex_multiplier(kind, mollified):
+    # the symmetrized symbol differs from (+-i xi)**s at the Nyquist mode alone,
+    # so the two actions agree to rounding, eps * max|c| * max|symbol| * max|v|
+    for n in (64, 256, 1024):
+        grid = SpatialGrid(16.0, n)
+        coeff = 1.0 + 0.25 / np.cosh(grid.x)
+        moll = make_mollifier("bump", 1.0, grid) if mollified else None
+        spectrum = np.fft.fft(_real_rows_with_nyquist(n), axis=-1)
+        spectrum[:, n // 2] = 0.0
+        rows = np.fft.ifft(spectrum, axis=-1).real
+        symbol = liouville_multiplier(kind.removeprefix("liouville_"), 1.5, grid)
+        if mollified:
+            symbol = moll.symbol * symbol
+        old = coeff * np.fft.ifft(symbol * np.fft.fft(rows, axis=-1), axis=-1)
+        new = build_operator(kind, 1.5, coeff, moll, grid).apply(rows)
+        assert np.abs(new - old).max() <= 1e-14 * coeff.max() * np.abs(symbol).max() * np.abs(rows).max()
 
 
 def _sample_space_norm_estimate(op):
