@@ -34,6 +34,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, replace
+from functools import partial
 from typing import Callable, Optional
 
 import numpy as np
@@ -374,23 +375,56 @@ def _chain(
     return y, v
 
 
-def _volterra(weights: np.ndarray, action: LinearAction, g: np.ndarray, plan: list) -> tuple:
+def _volterra(weights: Callable, action: LinearAction, g: np.ndarray, plan: list) -> tuple:
     """Solve y = W (g + A y) by blocked forward substitution; returns (y, v).
 
     v = g + A y is what the summed operator series leaves before the final
-    quadrature.  Per block B = [s, e) the history h = W[B, :s] v[:s] is one
-    product; the block is then a cold-started _chain of its plan's levels.
+    quadrature.  weights(s, e) gives the rows W[s:e, :e], built per block, so
+    no N x N matrix is held.  Per block B = [s, e) the history
+    h = W[B, :s] v[:s] is one product; the block is then a cold-started
+    _chain of its plan's levels.
     """
     shape = g.shape
     flat = _as_field(g).reshape(shape[0], -1)
     y = np.empty_like(flat)
     v = np.empty_like(flat)
     for s, e, levels in plan:
-        h = _weights_product(weights[s:e, :s], v[:s]) if s else 0.0
-        y_b, v_b = _chain(action, weights[s:e, s:e], h, flat[s:e], None, levels, (e - s,) + shape[1:])
+        w = weights(s, e)
+        h = _weights_product(w[:, :s], v[:s]) if s else 0.0
+        y_b, v_b = _chain(action, w[:, s:], h, flat[s:e], None, levels, (e - s,) + shape[1:])
         v = _stored(v, s, e, v_b)
         y = _stored(y, s, e, y_b)
     return y.reshape(shape), v.reshape(shape)
+
+
+def _row_blocks(rows: Callable, x: np.ndarray, out: np.ndarray) -> np.ndarray:
+    """out = M x along axis 0, one block of _BLOCK_ROWS rows of M at a time.
+
+    rows(s, e) gives M[s:e, :k], M's rows [s, e) up to their last nonzero
+    column, which meet x[:k] only: a lower-triangular M costs half a dense
+    product, and no N x N matrix is held.
+    """
+    n = x.shape[0]
+    for s in range(0, n, _BLOCK_ROWS):
+        e = min(s + _BLOCK_ROWS, n)
+        m = rows(s, e)
+        _weights_product(m, x[: m.shape[1]], out[s:e])
+    return out
+
+
+def _derivative_rows(alpha: float, mesh: TimeMesh, s: int, e: int) -> np.ndarray:
+    """Rows [s, e) of the discrete RL derivative of order 2 - alpha, up to their last nonzero column.
+
+    The derivative is first_difference of the order-(alpha - 1) weights: row
+    i reads weight rows i - 1 and i + 1, row 0 rows 0..2 and the last row the
+    last three.  first_difference puts one-sided rows at both ends of the
+    rows gathered, which are true rows only where the gathered range ends
+    with the mesh; no other end row is kept.
+    """
+    n = mesh.n_nodes
+    lo, hi = max(0, min(s - 1, n - 3)), min(n, max(e + 1, 3))
+    weights = pi_weights(1.0 - (2.0 - alpha), n, mesh.dt, lo, hi)
+    return first_difference(weights, mesh.dt)[s - lo : e - lo]
 
 
 def _buffer(buffers: dict, key: str, dtype, shape: tuple) -> np.ndarray:
@@ -450,27 +484,39 @@ def _report(form: str, trajectory: np.ndarray, histories: list, stalled: Optiona
     return SolverReport(trajectory, form, histories, meta, stalled)
 
 
-def _fold_blocks(p: CauchyProblem, weights: np.ndarray, cap: int = _BLOCK_ROWS, fold_later: bool = False) -> tuple:
-    """Row blocks [s, e) of the march with their contraction bounds.
+def _fold_blocks(p: CauchyProblem, cap: int = _BLOCK_ROWS, fold_later: bool = False):
+    """Yield the row blocks [s, e) of the march as (s, e, q, weights), each planned once the last is taken.
 
     A block takes at most cap rows (the kernel form's _BLOCK_ROWS; the
-    derivative form's windows pass the row count), and no more than keep
-    Lip f * ||W_BB||_inf <= 1/2.  q = ||W_BB||_inf (||A|| + Lip f) bounds the
-    Lipschitz constant of the whole in-block map.  With fold_later, every
-    block after the head also takes no more rows than keep q <= 1/2, so that
-    it folds; one whose first row alone has q > 1/2 keeps the Lipschitz rows.
-    The head block is never cut by q.  Returns the blocks as (s, e, q) and the
-    row limit: cap, or fewer where a bound cut a block short.  A row that
-    fails the Lipschitz bound alone raises ResolutionError.
+    derivative form's windows pass the node count), and no more than keep
+    Lip f * ||W_BB||_inf <= 1/2, W the order-alpha weights.
+    q = ||W_BB||_inf (||A|| + Lip f) bounds the Lipschitz constant of the
+    whole in-block map.  With fold_later, every block after the head also
+    takes no more rows than keep q <= 1/2, so that it folds; one whose first
+    row alone has q > 1/2 keeps the Lipschitz rows.  The head block is never
+    cut by q.  W's rows are built _BLOCK_ROWS at a time and each row sum runs
+    over the block's whole width, so the norms are the dense matrix's bit for
+    bit.  A block of at most _BLOCK_ROWS rows yields its rows W[s:e, :e] for
+    the march to reuse, a longer one None.  A row that fails the Lipschitz
+    bound alone raises ResolutionError.
     """
     lip = p.nonlinearity.lipschitz
     norm_a = p.action.norm_bound
-    n = weights.shape[0]
-    blocks, limit, s = [], cap, 0
+    n = p.mesh.n_nodes
+    s = 0
     while s < n:
         end = min(s + cap, n)
+        sums = []
+        for r in range(s, end, _BLOCK_ROWS):
+            w = pi_weights(p.alpha, n, p.mesh.dt, r, min(r + _BLOCK_ROWS, end))
+            # |W[r:r', s:end]|, the zeros above the diagonal included
+            mags = np.zeros((w.shape[0], end - s))
+            np.abs(w[:, s:], out=mags[:, : w.shape[1] - s])
+            sums.append(mags.sum(axis=1))
+            if lip * sums[-1].max() > 0.5:
+                break  # the running maximum keeps every later row out of the block
         # ||W_BB||_inf of [s, s + 1), [s, s + 2), ...; W is lower triangular
-        norms = np.maximum.accumulate(np.abs(weights[s:end, s:end]).sum(axis=1))
+        norms = np.maximum.accumulate(np.concatenate(sums))
         rows = int(np.count_nonzero(lip * norms <= 0.5))
         if rows == 0:
             w0 = p.mesh.dt**p.alpha / gamma(p.alpha + 2.0)
@@ -481,11 +527,9 @@ def _fold_blocks(p: CauchyProblem, weights: np.ndarray, cap: int = _BLOCK_ROWS, 
             )
         if fold_later and s:
             rows = int(np.count_nonzero(norms * (norm_a + lip) <= 0.5)) or rows
-        if rows < end - s:
-            limit = min(limit, rows)
-        blocks.append((s, s + rows, float(norms[rows - 1]) * (norm_a + lip)))
+        q = float(norms[rows - 1]) * (norm_a + lip)
+        yield s, s + rows, q, (w[:rows, : s + rows] if end - s <= _BLOCK_ROWS else None)
         s += rows
-    return blocks, limit
 
 
 def solve_kernel_form(p: CauchyProblem, opts: SolverOptions = SolverOptions()) -> SolverReport:
@@ -504,11 +548,12 @@ def solve_kernel_form(p: CauchyProblem, opts: SolverOptions = SolverOptions()) -
     a later block only where its first row alone has q > 1/2.  So a mesh of
     one block runs the whole-horizon Picard sweeps exactly, and the metadata
     counts the blocks that ran cold as cold_blocks.  A block that reaches
-    max_iter marks the report unconverged; the march goes on.
+    max_iter marks the report unconverged; the march goes on.  Each block is
+    planned when the one before has converged, from its weight rows
+    W[B, :e], which its history and its sweeps then reuse: the solve builds
+    every weight row once and holds at most _BLOCK_ROWS of them.
     """
     base = _base_trajectory(p)
-    weights = pi_weights(p.alpha, p.mesh.n_nodes, p.mesh.dt)
-    blocks, row_limit = _fold_blocks(p, weights, fold_later=True)
     shape = base.shape
     flat_base = base.reshape(shape[0], -1)
     weight = p.state_weight
@@ -516,16 +561,18 @@ def solve_kernel_form(p: CauchyProblem, opts: SolverOptions = SolverOptions()) -
     v = np.empty_like(flat_base)
     histories: list = []
     plan: list = []
+    qs: list = []
     stalled = None
     solved = 0.0  # the largest row-sup size of the rows already solved
-    for s, e, q in blocks:
+    for s, e, q, weights in _fold_blocks(p, fold_later=True):
         rows_shape = (e - s,) + shape[1:]
-        w_bb = weights[s:e, s:e]
+        w_bb = weights[:, s:]
         b_b = flat_base[s:e]
-        h = _weights_product(weights[s:e, :s], v[:s]) if s else 0.0
+        h = _weights_product(weights[:, :s], v[:s]) if s else 0.0
         fold = q <= 0.5
         levels = 1 if fold else _block_levels(p, s, e, p.alpha + 1.0)
         plan.append((s, e, levels))
+        qs.append(q)
 
         def sweep(state: tuple) -> tuple:
             cur, y, _ = state
@@ -545,8 +592,11 @@ def solve_kernel_form(p: CauchyProblem, opts: SolverOptions = SolverOptions()) -
         u = _stored(u, s, e, cur)
         v = _stored(v, s, e, v_b)
         histories.append(history)
-    folded = sum(q <= 0.5 for _, _, q in blocks)
-    meta = {**_plan_meta(plan, row_limit, folded), "block_q_max": max(q for _, _, q in blocks)}
+    n = p.mesh.n_nodes
+    # a block that a bound cut short of _BLOCK_ROWS (or of the rows left) sets the row limit
+    row_limit = min([e - s for s, e, _ in plan if e - s < min(_BLOCK_ROWS, n - s)], default=_BLOCK_ROWS)
+    folded = sum(q <= 0.5 for q in qs)
+    meta = {**_plan_meta(plan, row_limit, folded), "block_q_max": max(qs)}
     return _report("kernel", u.reshape(shape), histories, stalled, meta)
 
 
@@ -558,9 +608,12 @@ def solve_rl_form(p: CauchyProblem, opts: SolverOptions = SolverOptions()) -> So
     exactly (constant part of the derivative) and its convolution evaluated
     in closed Mittag-Leffler form.  What remains, the Riemann-Liouville
     derivative of F - F(0), is the Caputo derivative of F; it runs through the
-    discrete derivative, one matrix built per solve, and the blocked Volterra
-    march under an order-two integral.  One solve therefore covers both
-    derivative conventions.
+    discrete derivative (first_difference of the order-(alpha - 1) weights)
+    and the blocked Volterra march under an order-two integral.  One solve
+    therefore covers both derivative conventions.  Each sweep applies the
+    derivative, the march's order-alpha weights and the order-two weights as
+    lower-triangular products whose rows it builds _BLOCK_ROWS at a time from
+    the cached taps, so no N x N matrix is held.
 
     The whole-horizon sweeps converge window by window over the kernel form's
     blocks without their row cap (a nonlinearity one time step cannot resolve
@@ -570,16 +623,16 @@ def solve_rl_form(p: CauchyProblem, opts: SolverOptions = SolverOptions()) -> So
     """
     if p.alpha >= 2.0:
         raise SingularOrderError("the derivative form needs time order strictly below 2")
-    gamma_ord = 2.0 - p.alpha
     mesh = p.mesh
     f0 = _forced(p, p.initial_data, 0)
     f0_norm = float(np.linalg.norm(np.atleast_1d(f0).ravel()))
 
-    weights_alpha = pi_weights(p.alpha, mesh.n_nodes, mesh.dt)
-    windows = _fold_blocks(p, weights_alpha, mesh.n_nodes)[0]
-    # the discrete RL derivative of order gamma as one matrix, built once for every sweep
-    derivative = first_difference(pi_weights(1.0 - gamma_ord, mesh.n_nodes, mesh.dt), mesh.dt)
-    weights_two = pi_weights(2.0, mesh.n_nodes, mesh.dt)
+    windows = [block[:3] for block in _fold_blocks(p, mesh.n_nodes)]
+    # every sweep builds its weight rows block by block: the derivative of order
+    # 2 - alpha, the order-alpha weights of the march and the order-two weights
+    derivative = partial(_derivative_rows, p.alpha, mesh)
+    weights_alpha = partial(pi_weights, p.alpha, mesh.n_nodes, mesh.dt)
+    weights_two = partial(pi_weights, 2.0, mesh.n_nodes, mesh.dt)
     plan = _block_plan(p)
 
     singular = _propagated(p, p.alpha, f0) if f0_norm > 0.0 else 0.0
@@ -599,13 +652,13 @@ def solve_rl_form(p: CauchyProblem, opts: SolverOptions = SolverOptions()) -> So
         run on the real half spectrum, between one rfft and one irfft.
         """
         if diagonal is None or np.iscomplexobj(centred):
-            g = _weights_product(derivative, centred, _buffer(buffers, "modes", centred.dtype, centred.shape))
+            g = _row_blocks(derivative, centred, _buffer(buffers, "modes", centred.dtype, centred.shape))
             v = _volterra(weights_alpha, p.action, g, plan)[1]
         else:
             modes = _buffer(buffers, "modes", complex, centred.shape[:-1] + lam.shape)
-            g = _weights_product(derivative, np.fft.rfft(centred, axis=-1), modes)
+            g = _row_blocks(derivative, np.fft.rfft(centred, axis=-1), modes)
             v = np.fft.irfft(_volterra(weights_alpha, diagonal, g, plan)[1], p.action.dim, axis=-1)
-        return _weights_product(weights_two, v, _buffer(buffers, "centred", v.dtype, v.shape))
+        return _row_blocks(weights_two, v, _buffer(buffers, "centred", v.dtype, v.shape))
 
     for s, e, _ in windows:
 

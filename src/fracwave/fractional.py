@@ -15,6 +15,7 @@ zero frequency always mapped to zero.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 from typing import Optional
@@ -143,19 +144,17 @@ class Trajectory:
         self.values = vals
 
 
-def pi_weights(gamma_ord: float, n_nodes: int, dt: float) -> np.ndarray:
-    """Product-integration weight matrix W for the fractional integral.
+# a derivative-form solve reads three orders; a fourth key covers a check after it
+@functools.lru_cache(maxsize=4)
+def _weight_taps(gamma_ord: float, n_nodes: int, dt: float) -> tuple:
+    """The two scaled vectors every row of pi_weights is gathered from, read-only.
 
-    (W f)[n] approximates J^gamma f(t_n) with exact moments of the kernel
-    (t_n - tau)**(gamma-1) against the piecewise-linear interpolant of f, so
-    the rule is exact for piecewise-linear signals.  Powers are evaluated at
-    physical times to stay inside the double range even for large orders; a
-    horizon whose power t**(gamma + 1) leaves that range raises FracwaveError.
+    taps holds the offset kernel b_{n-1}, ..., b_1, the diagonal and n - 1
+    zeros, so that row i's first e entries are taps[n - 1 - i : n - 1 - i + e]
+    except in column 0, which first holds (zero on row 0).  Each entry is the
+    unscaled entry times the scale, as in the dense matrix, so a gathered row
+    equals the dense row bit for bit.
     """
-    if gamma_ord <= 0.0:
-        raise SingularOrderError("integral order must be positive")
-    if n_nodes < 2:
-        raise SizeError("need at least two mesh nodes")
     gp1 = gamma_ord + 1.0
     scale = 1.0 / math.gamma(gamma_ord + 2.0)
     ext = dt * np.arange(n_nodes + 1)
@@ -166,18 +165,45 @@ def pi_weights(gamma_ord: float, n_nodes: int, dt: float) -> np.ndarray:
             f"product-integration weights of order {gamma_ord:g} overflow double precision "
             f"at t = {ext[-1]:.3g}; shorten the horizon"
         )
-    # offset kernel: dt**gamma * b_m = (t_{m+1}^(g+1) - 2 t_m^(g+1) + t_{m-1}^(g+1)) / dt
-    # for m >= 1, laid out reversed and zero-padded so that window n - 1 - i of
-    # the taps is row i of the Toeplitz matrix w[i, j] = b[i - j], zero for j >= i
+    # offset kernel: dt**gamma * b_m = (t_{m+1}^(g+1) - 2 t_m^(g+1) + t_{m-1}^(g+1)) / dt for m >= 1
     taps = np.zeros(2 * n_nodes - 1)
-    taps[: n_nodes - 1] = ((extp[2:] - 2.0 * extp[1:-1] + extp[:-2]) / dt)[::-1]
-    w = np.lib.stride_tricks.sliding_window_view(taps, n_nodes)[::-1].copy()
+    taps[: n_nodes - 1] = (((extp[2:] - 2.0 * extp[1:-1] + extp[:-2]) / dt) * scale)[::-1]
+    taps[n_nodes - 1] = dt**gamma_ord * scale
     # left endpoint: dt**gamma * a_n = t_{n-1}^(g+1)/dt - (n-1-gamma) t_n^gamma
+    first = np.zeros(n_nodes)
     times = ext[:n_nodes]
-    w[1:, 0] = extp[0 : n_nodes - 1] / dt - (np.arange(1, n_nodes) - 1.0 - gamma_ord) * (times[1:] ** gamma_ord)
-    np.fill_diagonal(w, dt**gamma_ord)
-    w[0, :] = 0.0
-    w *= scale
+    ends = extp[0 : n_nodes - 1] / dt - (np.arange(1, n_nodes) - 1.0 - gamma_ord) * (times[1:] ** gamma_ord)
+    first[1:] = ends * scale
+    taps.flags.writeable = first.flags.writeable = False
+    return taps, first
+
+
+def pi_weights(gamma_ord: float, n_nodes: int, dt: float, start: int = 0, end: Optional[int] = None) -> np.ndarray:
+    """Rows [start, end) of the product-integration weight matrix W, as W[start:end, :end].
+
+    (W f)[n] approximates J^gamma f(t_n) with exact moments of the kernel
+    (t_n - tau)**(gamma-1) against the piecewise-linear interpolant of f, so
+    the rule is exact for piecewise-linear signals.  W is lower triangular
+    and Toeplitz but for its first column and its diagonal; the rows are
+    gathered from those O(n_nodes) vectors, cached for the last four
+    (order, nodes, step) keys, so a block costs its own size and equals the
+    dense matrix's rows bit for bit.  The default range is the whole matrix.
+    Powers are evaluated at physical times to stay inside the double range
+    even for large orders; a horizon whose power t**(gamma + 1) leaves that
+    range raises FracwaveError.
+    """
+    if gamma_ord <= 0.0:
+        raise SingularOrderError("integral order must be positive")
+    if n_nodes < 2:
+        raise SizeError("need at least two mesh nodes")
+    end = n_nodes if end is None else end
+    if not 0 <= start < end <= n_nodes:
+        raise SizeError(f"row range [{start}, {end}) is not a nonempty part of [0, {n_nodes})")
+    taps, first = _weight_taps(gamma_ord, n_nodes, dt)
+    # row i is the window of the taps that starts at n_nodes - 1 - i
+    windows = np.lib.stride_tricks.sliding_window_view(taps, end)
+    w = windows[n_nodes - end : n_nodes - start][::-1].copy()
+    w[:, 0] = first[start:end]
     return w
 
 

@@ -110,9 +110,11 @@ def ml_trajectory(
 
     The operator powers A**p x are shared across nodes; per-node scalar
     coefficients are formed in log space so large gamma factors never
-    overflow.  Truncation is sized once at the largest time, which dominates
-    the majorant for every smaller one.  The result is real when x and every
-    power A**p x are.
+    overflow.  A coefficient t**(p alpha)/Gamma(beta' + p alpha) beyond the
+    double range (a long horizon against a small operator norm) raises
+    FracwaveError naming the time, whatever the powers are.  Truncation is
+    sized once at the largest time, which dominates the majorant for every
+    smaller one.  The result is real when x and every power A**p x are.
     """
     _check_orders(alpha, beta_prime)
     ts = np.asarray(times, dtype=float)
@@ -135,7 +137,14 @@ def ml_trajectory(
     positive = ts > 0.0
     exponents[positive] = orders[None, :] * alpha * np.log(ts[positive])[:, None] - lg[None, :]
     exponents[~positive, 0] = -lg[0]
-    coeffs = np.exp(exponents)
+    with np.errstate(over="ignore"):
+        coeffs = np.exp(exponents)
+    if not np.all(np.isfinite(coeffs)):
+        # the sum would be inf or nan whatever the powers A**p x are
+        raise FracwaveError(
+            f"series coefficients t^(p*alpha)/Gamma(beta + p*alpha) overflow double precision "
+            f"at t = {ts.max():.3g}; shorten the horizon"
+        )
 
     out = coeffs @ powers
     return out.reshape((ts.size,) + vec.shape)

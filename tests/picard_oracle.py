@@ -2,8 +2,10 @@
 
 picard takes the memory integral as a callback and sweeps the whole horizon
 window by window; the kernel form's block march and the derivative form's
-prebuilt derivative matrix must reproduce what it gives.
+derivative rows must reproduce what it gives.
 """
+
+from functools import partial
 
 from fracwave.duhamel import (
     _BLOCK_ROWS,
@@ -59,7 +61,7 @@ def kernel_plan(p):
 
 def old_kernel_picard(p, opts):
     """The kernel form as whole-horizon Picard sweeps over 64-row blocks, in derived windows."""
-    weights = pi_weights(p.alpha, p.mesh.n_nodes, p.mesh.dt)
+    weights = partial(pi_weights, p.alpha, p.mesh.n_nodes, p.mesh.dt)
     plan = kernel_plan(p)
-    windows = _fold_blocks(p, weights, p.mesh.n_nodes)[0]
+    windows = [block[:3] for block in _fold_blocks(p, p.mesh.n_nodes)]
     return picard(p, opts, windows, lambda g: _volterra(weights, p.action, g, plan)[0], "kernel", _plan_meta(plan))

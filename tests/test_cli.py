@@ -1032,6 +1032,12 @@ def test_norm_gate_stops_run_and_flags_the_sweep_rung(tmp_path, capsys):
             "[initial]\ndisplacement_scale = 1e300\n",
             "numerical gate: propagated initial data overflow double precision (data scale 1e+300)",
         ),
+        # unit data, but the series' node coefficients t^(p alpha)/Gamma(beta + p alpha) overflow
+        (
+            "[operator]\ncoefficient_scale = 1e-150\n[mesh]\nhorizon = 1e100\n",
+            "numerical gate: series coefficients t^(p*alpha)/Gamma(beta + p*alpha) overflow double precision "
+            "at t = 1e+100; shorten the horizon",
+        ),
     ],
 )
 def test_overflowing_operator_or_data_exits_3_without_warnings(tmp_path, capsys, text, message):

@@ -3,6 +3,8 @@
 import dataclasses
 import math
 import sys
+import tracemalloc
+from functools import partial
 from pathlib import Path
 
 import numpy as np
@@ -103,10 +105,10 @@ def test_caputo_variant_direct_at_vanishing_start():
 def _set_windows(monkeypatch, count):
     """Make the derivative form sweep count windows of near-equal length."""
 
-    def fold(p, weights, cap):
+    def fold(p, cap):
         n_steps = p.mesh.n_steps
         bounds = [0] + [round(w * n_steps / count) + 1 for w in range(1, count + 1)]
-        return [(s, e, 0.0) for s, e in zip(bounds, bounds[1:])], cap
+        return [(s, e, 0.0, None) for s, e in zip(bounds, bounds[1:])]
 
     monkeypatch.setattr(duhamel, "_fold_blocks", fold)
 
@@ -160,7 +162,7 @@ def test_windows_rescue_a_long_horizon(monkeypatch):
     # each derived window keeps Lip f * ||W_BB||_inf <= 1/2; one window over the horizon does not
     lip = p.nonlinearity.lipschitz
     assert lip * np.abs(weights).sum(axis=1).max() > 0.5
-    for s, e, _ in _fold_blocks(p, weights, mesh.n_nodes)[0]:
+    for s, e, _, _ in _fold_blocks(p, mesh.n_nodes):
         assert lip * np.abs(weights[s:e, s:e]).sum(axis=1).max() <= 0.5
     # four even windows also converge, to the same fixed point
     _set_windows(monkeypatch, 4)
@@ -215,10 +217,12 @@ def _recorded_plans(monkeypatch, lip_only=False):
     """Record every block plan _fold_blocks returns; lip_only sizes every block by Lip f alone."""
     plans = []
 
-    def recording(p, weights, cap=duhamel._BLOCK_ROWS, fold_later=False):
-        blocks, limit = _fold_blocks(p, weights, cap, fold_later and not lip_only)
-        plans.append(blocks)
-        return blocks, limit
+    def recording(p, cap=duhamel._BLOCK_ROWS, fold_later=False):
+        plan = []
+        plans.append(plan)
+        for block in _fold_blocks(p, cap, fold_later and not lip_only):
+            plan.append(block[:3])
+            yield block
 
     monkeypatch.setattr(duhamel, "_fold_blocks", recording)
     return plans
@@ -278,10 +282,67 @@ def test_later_blocks_whose_first_row_cannot_fold_keep_the_lipschitz_plan(monkey
 def test_run_heavy_keeps_its_blocks():
     # q <= 1/2 on every 64-row block already, so the later-block cut changes nothing
     p = _bench_problem("run-heavy")
-    weights = pi_weights(p.alpha, p.mesh.n_nodes, p.mesh.dt)
-    blocks, limit = _fold_blocks(p, weights, fold_later=True)
-    assert (blocks, limit) == _fold_blocks(p, weights)
-    assert len(blocks) == 17 and limit == 64 and all(q <= 0.5 for _, _, q in blocks)
+    blocks = [block[:3] for block in _fold_blocks(p, fold_later=True)]
+    assert blocks == [block[:3] for block in _fold_blocks(p)]
+    # no bound cut a block short of 64 rows
+    assert len(blocks) == 17 and all(e - s == min(64, p.mesh.n_nodes - s) for s, e, _ in blocks)
+    assert all(q <= 0.5 for _, _, q in blocks)
+
+
+@pytest.mark.parametrize("n_nodes", [3, 65, 257, 1025])
+@pytest.mark.parametrize("alpha", [1.1, 1.5, 1.9])
+def test_derivative_rows_equal_the_differenced_dense_weights_bit_for_bit(alpha, n_nodes):
+    # the one-sided first and last rows included: a wrapped or clipped index moves them
+    mesh = TimeMesh(0.7, n_nodes - 1)
+    dense = first_difference(pi_weights(1.0 - (2.0 - alpha), n_nodes, mesh.dt), mesh.dt)
+    middle = n_nodes // 3
+    ranges = [(0, 1), (0, min(64, n_nodes)), (middle, min(middle + 64, n_nodes)), (n_nodes - 2, n_nodes)]
+    for s, e in ranges + [(n_nodes - 1, n_nodes), (0, n_nodes)]:
+        rows = duhamel._derivative_rows(alpha, mesh, s, e)
+        width = rows.shape[1]
+        assert rows.shape[0] == e - s and width <= min(max(e + 1, 3), n_nodes)
+        assert rows.tobytes() == dense[s:e, :width].tobytes()
+        assert not np.any(dense[s:e, width:])
+
+
+def _recorded_weight_rows(monkeypatch):
+    """Record the row count of every array duhamel.pi_weights returns."""
+    rows = []
+    build = duhamel.pi_weights
+
+    def recording(*args):
+        weights = build(*args)
+        rows.append(weights.shape[0])
+        return weights
+
+    monkeypatch.setattr(duhamel, "pi_weights", recording)
+    return rows
+
+
+def test_no_solve_builds_more_than_a_block_of_weight_rows(monkeypatch):
+    # the derivative form's derivative reads one weight row on either side of a block
+    limit = duhamel._BLOCK_ROWS + 2
+    rows = _recorded_weight_rows(monkeypatch)
+    derivative = solve_rl_form(_bench_problem("run-derivative"))
+    assert derivative.metadata["volterra_blocks"] == 9
+    assert rows and max(rows) <= limit
+    rows.clear()
+    p = _bench_problem("sweep-ladder", run_k=8)
+    kernel = solve_kernel_form(p)
+    assert p.mesh.n_nodes == 257 and kernel.metadata["volterra_blocks"] > 2
+    assert rows and max(rows) <= limit
+
+
+def test_derivative_form_solve_peak_holds_no_dense_weights():
+    # three 513 x 513 matrices (6.3 MB) held through the sweeps gave a 14.63 MB peak
+    p = _bench_problem("run-derivative")
+    tracemalloc.start()
+    try:
+        solve_rl_form(p)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 11e6
 
 
 def test_derivative_windows_of_64_nodes_do_not_fold(tmp_path, monkeypatch):
@@ -473,7 +534,7 @@ def test_march_matches_dense_solve_matrix_action(n_nodes):
     p = CauchyProblem(ALPHA, a_mat, zero_nonlinearity(), np.zeros(dim), mesh)
     g = rng.standard_normal((n_nodes, dim)) + 1j * rng.standard_normal((n_nodes, dim))
     weights = pi_weights(ALPHA, n_nodes, mesh.dt)
-    y, v = _volterra(weights, p.action, g, kernel_plan(p))
+    y, v = _volterra(partial(pi_weights, ALPHA, n_nodes, mesh.dt), p.action, g, kernel_plan(p))
     exact = _dense_solve(weights, a_mat, g)
     scale = np.abs(exact).max()
     assert np.abs(y - exact).max() <= 1e-11 * scale
@@ -486,7 +547,7 @@ def test_march_matches_dense_solve_scalar_action():
     p = CauchyProblem(ALPHA, c, zero_nonlinearity(), np.zeros(3), mesh)
     g = np.cos(np.outer(mesh.nodes, [1.0, 2.0, 3.0]))
     weights = pi_weights(ALPHA, n_nodes, mesh.dt)
-    y, _ = _volterra(weights, p.action, g, kernel_plan(p))
+    y, _ = _volterra(partial(pi_weights, ALPHA, n_nodes, mesh.dt), p.action, g, kernel_plan(p))
     exact = _dense_solve(weights, c * np.eye(3), g)
     assert np.abs(y - exact).max() <= 1e-11 * np.abs(exact).max()
 
@@ -500,7 +561,7 @@ def test_march_matches_long_chain_variable_coefficient():
     p = CauchyProblem(ALPHA, op, zero_nonlinearity(), u0, mesh, grid=grid)
     g = np.outer(1.0 + mesh.nodes, u0) + 0.3j * np.outer(mesh.nodes**2, np.sin(grid.x))
     weights = pi_weights(ALPHA, mesh.n_nodes, mesh.dt)
-    y, v = _volterra(weights, p.action, g, kernel_plan(p))
+    y, v = _volterra(partial(pi_weights, ALPHA, mesh.n_nodes, mesh.dt), p.action, g, kernel_plan(p))
     ref_y, ref_v = _horner_chain(weights, p.action, g, _full_levels(p, ALPHA + 1.0, extra=14))
     assert np.abs(y - ref_y).max() <= 1e-11 * np.abs(ref_y).max()
     assert np.abs(v - ref_v).max() <= 1e-11 * np.abs(ref_v).max()
@@ -534,7 +595,8 @@ def test_rl_form_and_identity_check_match_their_chains(monkeypatch):
     # the check reads the memory's integrand where its definition re-solves it from g
     identity_ref = _resolved_identity(kernel, p, levels)
     assert abs(identity - identity_ref) <= 1e-9 * identity_ref
-    monkeypatch.setattr(duhamel, "_volterra", lambda w, a, g, plan: _horner_chain(w, a, g, levels))
+    # the chain on the whole matrix, the rows [0, n) the march's weights give
+    monkeypatch.setattr(duhamel, "_volterra", lambda w, a, g, plan: _horner_chain(w(0, g.shape[0]), a, g, levels))
     rl_ref = solve_rl_form(p)
     assert rl.iterations == rl_ref.iterations
     scale = np.abs(rl_ref.trajectory).max()
@@ -614,8 +676,8 @@ def _old_rl_form(p, opts):
     mesh = p.mesh
     f0 = duhamel._forced(p, p.initial_data, 0)
     f0_norm = float(np.linalg.norm(np.atleast_1d(f0).ravel()))
-    weights_alpha = pi_weights(p.alpha, mesh.n_nodes, mesh.dt)
-    windows = _fold_blocks(p, weights_alpha, mesh.n_nodes)[0]
+    weights_alpha = partial(pi_weights, p.alpha, mesh.n_nodes, mesh.dt)
+    windows = [block[:3] for block in _fold_blocks(p, mesh.n_nodes)]
     weights_two = pi_weights(2.0, mesh.n_nodes, mesh.dt)
     weights_low = pi_weights(1.0 - (2.0 - p.alpha), mesh.n_nodes, mesh.dt)
     plan = _block_plan(p)

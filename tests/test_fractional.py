@@ -72,6 +72,35 @@ def test_weights_from_taps_equal_the_offset_gather_bit_for_bit(gamma_ord, n_node
     assert w.tobytes() == _pi_weights_by_offsets(gamma_ord, n_nodes, dt).tobytes()
 
 
+def _row_ranges(n_nodes):
+    """The head block, an interior block, the last row and the whole matrix."""
+    middle = n_nodes // 3
+    return [(0, min(64, n_nodes)), (middle, min(middle + 64, n_nodes)), (n_nodes - 1, n_nodes), (0, n_nodes)]
+
+
+@pytest.mark.parametrize("n_nodes", [2, 3, 65, 257, 1025])
+@pytest.mark.parametrize("gamma_ord", [0.2, 0.5, 1.0, 1.5, 2.0])
+def test_row_blocks_equal_the_dense_rows_bit_for_bit(gamma_ord, n_nodes):
+    dt = 0.7 / (n_nodes - 1)
+    dense = pi_weights(gamma_ord, n_nodes, dt)
+    for s, e in _row_ranges(n_nodes):
+        block = pi_weights(gamma_ord, n_nodes, dt, s, e)
+        assert block.shape == (e - s, e) and block.flags.c_contiguous and block.flags.writeable
+        assert block.tobytes() == dense[s:e, :e].tobytes()
+        # the columns a block leaves out are the zeros above the diagonal
+        assert not np.any(dense[s:e, e:])
+
+
+def test_row_blocks_are_the_callers_own_and_ranges_are_checked():
+    dt = 0.01
+    block = pi_weights(1.5, 100, dt, 10, 20)
+    block[:] = 7.0  # the cached taps are read-only and never handed out
+    assert pi_weights(1.5, 100, dt, 10, 20).tobytes() == pi_weights(1.5, 100, dt)[10:20, :20].tobytes()
+    for s, e in ((5, 5), (-1, 3), (0, 101), (20, 10)):
+        with pytest.raises(SizeError):
+            pi_weights(1.5, 100, dt, s, e)
+
+
 def test_fractional_integral_of_quadratic():
     exact_gap = []
     for n in (256, 512):
