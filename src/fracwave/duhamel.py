@@ -358,15 +358,26 @@ def _plan_meta(plan: list, row_limit: int = _BLOCK_ROWS, folded: int = 0) -> dic
     }
 
 
+def _all_zero(*arrays) -> bool:
+    """True when no entry of the arrays is nonzero (NaN counts as nonzero): the memory they feed is exactly zero."""
+    return not any(np.any(a) for a in arrays)
+
+
 def _chain(
     action: LinearAction, w_bb: np.ndarray, h, g: np.ndarray, y: Optional[np.ndarray], levels: int, rows_shape: tuple
 ) -> tuple:
     """levels steps of v_B <- g_B + A y_B, y_B <- h + W_BB v_B on one block; returns (y_B, v_B).
 
     h is the block's history sum, g and y its rows flattened to (rows, -1);
-    y None is a cold start from v_B = g_B.
+    y None is a cold start from v_B = g_B.  A cold start whose g and h hold
+    no nonzero entry has an exactly zero memory: it returns +0 rows, the
+    chain's own sums on that input, without applying the operator or W_BB
+    (the chain's v_B may hold -0.0 there, but v only enters weight sums).
     """
     if y is None:
+        if _all_zero(g, h):
+            zero = np.zeros(g.shape, np.result_type(h, g))
+            return zero, zero
         v = g
         y = h + _weights_product(w_bb, g)
     for _ in range(levels):
@@ -484,6 +495,24 @@ def _report(form: str, trajectory: np.ndarray, histories: list, stalled: Optiona
     return SolverReport(trajectory, form, histories, meta, stalled)
 
 
+def _gathered(chunks: list, lo: int, hi: int) -> np.ndarray:
+    """W[lo:hi, :hi] from weight chunks W[a:b, :b] that cover rows [lo, hi) in order.
+
+    Rows of one chunk come as a view; rows of several are copied into zeros,
+    which are W's entries above the diagonal.
+    """
+    if len(chunks) == 1:
+        a = chunks[0].shape[1] - chunks[0].shape[0]
+        return chunks[0][lo - a : hi - a, :hi]
+    out = np.zeros((hi - lo, hi))
+    for w in chunks:
+        a, b = w.shape[1] - w.shape[0], w.shape[1]
+        i0, i1 = max(a, lo), min(b, hi)
+        if i0 < i1:
+            out[i0 - lo : i1 - lo, : min(b, hi)] = w[i0 - a : i1 - a, :hi]
+    return out
+
+
 def _fold_blocks(p: CauchyProblem, cap: int = _BLOCK_ROWS, fold_later: bool = False):
     """Yield the row blocks [s, e) of the march as (s, e, q, weights), each planned once the last is taken.
 
@@ -494,24 +523,34 @@ def _fold_blocks(p: CauchyProblem, cap: int = _BLOCK_ROWS, fold_later: bool = Fa
     whole in-block map.  With fold_later, every block after the head also
     takes no more rows than keep q <= 1/2, so that it folds; one whose first
     row alone has q > 1/2 keeps the Lipschitz rows.  The head block is never
-    cut by q.  W's rows are built _BLOCK_ROWS at a time and each row sum runs
-    over the block's whole width, so the norms are the dense matrix's bit for
-    bit.  A block of at most _BLOCK_ROWS rows yields its rows W[s:e, :e] for
-    the march to reuse, a longer one None.  A row that fails the Lipschitz
-    bound alone raises ResolutionError.
+    cut by q.  W's rows are built in chunks W[a:b, :b] of at most _BLOCK_ROWS
+    rows, and the rows of the last chunk past a block's end start the next
+    block, so the march builds every row once.  Each row sum runs over the
+    block's whole width, so the norms are the dense matrix's bit for bit.  A
+    block of at most _BLOCK_ROWS rows yields its rows W[s:e, :e] for the
+    march to reuse, a longer one None.  A row that fails the Lipschitz bound
+    alone raises ResolutionError.
     """
     lip = p.nonlinearity.lipschitz
     norm_a = p.action.norm_bound
     n = p.mesh.n_nodes
     s = 0
+    left = None  # rows W[s:b, :b] built for the last block past its end
     while s < n:
         end = min(s + cap, n)
-        sums = []
-        for r in range(s, end, _BLOCK_ROWS):
-            w = pi_weights(p.alpha, n, p.mesh.dt, r, min(r + _BLOCK_ROWS, end))
-            # |W[r:r', s:end]|, the zeros above the diagonal included
+        chunks, sums = [], []
+        r = s
+        while r < end:
+            if r == s and left is not None:
+                w = left
+            else:
+                w = pi_weights(p.alpha, n, p.mesh.dt, r, min(r + _BLOCK_ROWS, end))
+            r = w.shape[1]
+            # a block longer than a chunk keeps only its last chunk
+            chunks = chunks + [w] if end - s <= _BLOCK_ROWS else [w]
+            # |W[a:r, s:end]|, the zeros above the diagonal included
             mags = np.zeros((w.shape[0], end - s))
-            np.abs(w[:, s:], out=mags[:, : w.shape[1] - s])
+            np.abs(w[:, s:], out=mags[:, : r - s])
             sums.append(mags.sum(axis=1))
             if lip * sums[-1].max() > 0.5:
                 break  # the running maximum keeps every later row out of the block
@@ -528,8 +567,11 @@ def _fold_blocks(p: CauchyProblem, cap: int = _BLOCK_ROWS, fold_later: bool = Fa
         if fold_later and s:
             rows = int(np.count_nonzero(norms * (norm_a + lip) <= 0.5)) or rows
         q = float(norms[rows - 1]) * (norm_a + lip)
-        yield s, s + rows, q, (w[:rows, : s + rows] if end - s <= _BLOCK_ROWS else None)
-        s += rows
+        e = s + rows
+        yield s, e, q, (_gathered(chunks, s, e) if end - s <= _BLOCK_ROWS else None)
+        a = chunks[0].shape[1] - chunks[0].shape[0]
+        left = _gathered(chunks, e, r) if a <= e < r else None
+        s = e
 
 
 def solve_kernel_form(p: CauchyProblem, opts: SolverOptions = SolverOptions()) -> SolverReport:
@@ -551,7 +593,9 @@ def solve_kernel_form(p: CauchyProblem, opts: SolverOptions = SolverOptions()) -
     max_iter marks the report unconverged; the march goes on.  Each block is
     planned when the one before has converged, from its weight rows
     W[B, :e], which its history and its sweeps then reuse: the solve builds
-    every weight row once and holds at most _BLOCK_ROWS of them.
+    every weight row once and holds at most two blocks of them.  A block
+    whose forcing rows and history are exactly zero skips its operator
+    series (_chain), so a homogeneous solve costs its propagator only.
     """
     base = _base_trajectory(p)
     shape = base.shape
@@ -649,8 +693,13 @@ def solve_rl_form(p: CauchyProblem, opts: SolverOptions = SolverOptions()) -> So
         """W_2 v, where v = g + A y, y = W_alpha (g + A y) and g = D centred, written over centred.
 
         Real data meet a multiplier mode by mode: the derivative and the march
-        run on the real half spectrum, between one rfft and one irfft.
+        run on the real half spectrum, between one rfft and one irfft.  A
+        centred forcing with no nonzero entry has an exactly zero memory,
+        returned as +0 in place without a transform or a product.
         """
+        if _all_zero(centred):
+            centred.fill(0.0)
+            return centred
         if diagonal is None or np.iscomplexobj(centred):
             g = _row_blocks(derivative, centred, _buffer(buffers, "modes", centred.dtype, centred.shape))
             v = _volterra(weights_alpha, p.action, g, plan)[1]

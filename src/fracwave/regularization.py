@@ -449,7 +449,8 @@ def operator_norm_estimate(op: RegularizedOperator) -> NormEstimate:
     sigma = 0.0
     for it in range(1, 10_001):
         y = gram(v)
-        ny = np.linalg.norm(y)
+        # the sum np.linalg.norm evaluates for a complex vector, without its overhead
+        ny = math.sqrt(y.real.dot(y.real) + y.imag.dot(y.imag))
         if not math.isfinite(ny):
             return NormEstimate(math.nan, it, False)
         if ny == 0.0:

@@ -150,16 +150,18 @@ def _convolve_time(values: np.ndarray, taps: np.ndarray, dt: float) -> np.ndarra
     Row i is sum_m dt taps[m_max + m] values[i - m] over the nodes inside
     the window.  Taps with |m| > n - 1 reach no node and are dropped; the
     rest run as one linear FFT convolution, zero-padded to a power of two
-    >= n + m so that rows [m, m + n) see no wrap-around.
+    >= n + m so that rows [m, m + n) see no wrap-around.  The field is
+    transposed once in and once out, so both transforms run along contiguous
+    memory.
     """
     n = values.shape[0]
     m_max = (taps.size - 1) // 2
     m = min(m_max, n - 1)
     kept = taps[m_max - m : m_max + m + 1] * dt
     size = 1 << (n + m - 1).bit_length()
-    spectrum = np.fft.rfft(values, n=size, axis=0)
-    spectrum *= np.fft.rfft(kept, n=size)[:, None]
-    return np.fft.irfft(spectrum, n=size, axis=0)[m : m + n].copy()
+    spectrum = np.fft.rfft(np.ascontiguousarray(values.T), n=size)
+    spectrum *= np.fft.rfft(kept, n=size)
+    return np.ascontiguousarray(np.fft.irfft(spectrum, n=size)[:, m : m + n].T)
 
 
 def white_noise_representative(

@@ -43,6 +43,7 @@ from fracwave import duhamel, parse_config_file
 from fracwave.cli import assemble_scenario, entrypoint
 from fracwave.duhamel import _block_levels, _block_plan, _fold_blocks, _plan_meta, _volterra
 from fracwave.fractional import _weights_product, first_difference, rl_integral, second_difference
+from fracwave.solution import LinearAction
 from picard_oracle import kernel_plan, old_kernel_picard, picard
 
 ALPHA, C, Q = 1.5, 0.5, 1.0
@@ -807,3 +808,188 @@ def test_complex_forcing_takes_the_physical_march(monkeypatch):
     report = solve_rl_form(complex_forcing)
     assert report.metadata["arithmetic"] == "complex" and "apply_rows" in callers
     assert np.array_equal(solve_rl_form(_stripped(complex_forcing)).trajectory, report.trajectory)
+
+
+def _homogeneous_problems():
+    """f = 0 and no forcing on a multiplier, a variable-coefficient, a scalar and a matrix operator."""
+    grid = SpatialGrid(16.0, 64)
+    mesh = TimeMesh(1.0, 150)
+    moll = make_mollifier("bump", 1.0, grid)
+    u0 = np.exp(-(grid.x**2) / 4.0)
+    problems = {}
+    for name, coeff in (("multiplier", np.full(grid.n_points, 0.1)), ("variable", 1.0 + 0.25 / np.cosh(grid.x))):
+        op = build_operator("riesz", 1.5, coeff, moll, grid)
+        problems[name] = CauchyProblem(
+            ALPHA, op, zero_nonlinearity(), u0, mesh, initial_velocity=0.5 * u0, grid=grid
+        )
+    data, velocity = np.array([1.0, -2.0]), np.array([0.3, 0.0])
+    problems["scalar"] = CauchyProblem(ALPHA, -0.5, zero_nonlinearity(), data, mesh, initial_velocity=velocity)
+    a_mat = np.array([[-1.0, 0.3], [0.2, -0.5]])
+    problems["matrix"] = CauchyProblem(ALPHA, a_mat, zero_nonlinearity(), data, mesh, initial_velocity=velocity)
+    return problems
+
+
+def _operator_callers(monkeypatch, p):
+    """p with every apply of its operator recorded by caller name, and every LinearAction.apply_rows call too."""
+    callers = []
+    action = p.action
+
+    def apply(values):
+        callers.append(sys._getframe(1).f_code.co_name)
+        return action.apply(values)
+
+    apply_rows = LinearAction.apply_rows
+
+    def recorded_rows(self, rows):
+        callers.append(sys._getframe(1).f_code.co_name)
+        return apply_rows(self, rows)
+
+    monkeypatch.setattr(LinearAction, "apply_rows", recorded_rows)
+    return dataclasses.replace(p, operator=dataclasses.replace(action, apply=apply)), callers
+
+
+def _skip_off(monkeypatch):
+    """Take the zero-memory skip away: every block and sweep runs its full march."""
+    monkeypatch.setattr(duhamel, "_all_zero", lambda *arrays: False)
+
+
+def _same_report(a, b):
+    return (
+        a.trajectory.dtype == b.trajectory.dtype
+        and a.trajectory.tobytes() == b.trajectory.tobytes()
+        and a.contraction_history == b.contraction_history
+        and a.metadata == b.metadata
+        and a.unconverged_rows == b.unconverged_rows
+    )
+
+
+@pytest.mark.parametrize("solve", [solve_kernel_form, solve_rl_form])
+@pytest.mark.parametrize("name", ["multiplier", "variable", "scalar", "matrix"])
+def test_a_homogeneous_solve_applies_only_its_propagator(monkeypatch, solve, name):
+    p, callers = _operator_callers(monkeypatch, _homogeneous_problems()[name])
+    report = solve(p)
+    assert report.converged and callers and set(callers) == {"ml_trajectory"}
+    # the same solve without the skip marches the series, and this test sees it
+    callers.clear()
+    _skip_off(monkeypatch)
+    full = solve(p)
+    assert "_chain" in callers
+    assert _same_report(report, full)
+
+
+def _one_row_forcing(p, rows):
+    forcing = np.zeros((p.mesh.n_nodes,) + p.initial_data.shape)
+    forcing[rows] = 0.3 * np.cos(np.arange(p.initial_data.size)).reshape(p.initial_data.shape)
+    return dataclasses.replace(p, forcing=forcing)
+
+
+def _recorded_chains(monkeypatch):
+    """Record, per _chain call: (cold start, g zero, h zero, operator applies made)."""
+    calls, applies = [], []
+    chain, apply_rows = duhamel._chain, LinearAction.apply_rows
+    monkeypatch.setattr(LinearAction, "apply_rows", lambda self, rows: applies.append(1) or apply_rows(self, rows))
+
+    def recorded(action, w_bb, h, g, y, levels, rows_shape):
+        before = len(applies)
+        out = chain(action, w_bb, h, g, y, levels, rows_shape)
+        calls.append((y is None, not np.any(g), not np.any(h), len(applies) - before))
+        return out
+
+    monkeypatch.setattr(duhamel, "_chain", recorded)
+    return calls
+
+
+@pytest.mark.parametrize("name", ["variable", "matrix"])
+def test_a_zero_block_with_a_history_still_runs_its_series(monkeypatch, name):
+    # forcing on the head block's rows only: every later block starts cold on
+    # g = 0, but its history is not zero, so its memory is not
+    p = _one_row_forcing(_homogeneous_problems()[name], slice(0, 10))
+    calls = _recorded_chains(monkeypatch)
+    report = solve_kernel_form(p)
+    cold_on_history = [applies for cold, g_zero, h_zero, applies in calls if cold and g_zero and not h_zero]
+    assert report.metadata["volterra_blocks"] > 2 and cold_on_history and min(cold_on_history) >= 1
+    _skip_off(monkeypatch)
+    assert _same_report(report, solve_kernel_form(p))
+
+
+@pytest.mark.parametrize("solve", [solve_kernel_form, solve_rl_form])
+@pytest.mark.parametrize("name", ["multiplier", "variable", "matrix"])
+def test_one_nonzero_forcing_row_runs_the_series_and_matches_the_full_march(monkeypatch, solve, name):
+    p, callers = _operator_callers(monkeypatch, _one_row_forcing(_homogeneous_problems()[name], 100))
+    report = solve(p)
+    applies = len(callers)
+    assert report.converged and "_chain" in callers
+    # the rows before the forcing row skip their series: the full march applies more
+    callers.clear()
+    _skip_off(monkeypatch)
+    full = solve(p)
+    assert len(callers) > applies
+    assert _same_report(report, full)
+
+
+@pytest.mark.parametrize("form", ["kernel", "derivative"])
+def test_signed_zero_data_write_the_full_marchs_bytes(tmp_path, monkeypatch, form):
+    # displacement -0.0 * bump: the initial data are -0.0 cells, and every
+    # memory is zero, so every block and sweep skips its series
+    cfg = tmp_path / "case.cfg"
+    cfg.write_text(
+        f"[grid]\nn_points = 128\n[mesh]\nn_steps = 80\n[initial]\ndisplacement_scale = -0.0\n[solver]\nform = {form}\n",
+        encoding="utf-8",
+    )
+    data = assemble_scenario(parse_config_file(cfg)).problem.initial_data
+    assert not np.any(data) and np.signbit(data).all()
+    outputs = []
+    for skip in (True, False):
+        if not skip:
+            _skip_off(monkeypatch)
+        out = tmp_path / f"skip_{skip}"
+        assert entrypoint(["run", "--config", str(cfg), "--out", str(out), "--quiet"]) == 0
+        (run_dir,) = out.iterdir()
+        outputs.append((run_dir / "trajectory.csv").read_bytes())
+    assert outputs[0] == outputs[1]
+
+
+@pytest.mark.parametrize("operator", [-0.5, 0.5, np.array([[-1.0, 0.3], [0.2, -0.5]])])
+def test_a_skipped_chain_returns_the_full_chains_memory_bit_for_bit(monkeypatch, operator):
+    # g = f(u) of -0.0 cells is -0.0, and so is A y for a negative scalar; the
+    # chain's sums still give +0 rows, and the skip must return those, not -0.0
+    action = as_action(operator)
+    w_bb = pi_weights(ALPHA, 20, 0.05, 10, 20)[:, 10:]
+    g = np.full((10, 2), -0.0)
+    for h in (0.0, np.full((10, 2), -0.0), np.zeros((10, 2))):
+        y, _ = duhamel._chain(action, w_bb, h, g, None, 3, (10, 2))
+        with monkeypatch.context() as m:
+            _skip_off(m)
+            full, _ = duhamel._chain(action, w_bb, h, g, None, 3, (10, 2))
+        assert y.dtype == full.dtype and y.tobytes() == full.tobytes()
+        assert not np.signbit(y).any()
+
+
+def test_a_kernel_form_solve_builds_each_weight_row_once(monkeypatch):
+    # sweep-ladder's rungs keep blocks of 30-38 rows after a 64-row head; each
+    # block used to build 64 rows and the next to build the rest again
+    rows = _recorded_weight_rows(monkeypatch)
+    for k in (4, 8, 12):
+        rows.clear()
+        p = _bench_problem("sweep-ladder", run_k=k)
+        report = solve_kernel_form(p)
+        assert report.metadata["volterra_blocks"] > 5
+        assert sum(rows) <= p.mesh.n_nodes + duhamel._BLOCK_ROWS
+
+
+def test_carried_weight_rows_equal_the_gathered_rows_bit_for_bit():
+    heavy_sine = dataclasses.replace(_bench_problem("run-derivative"), nonlinearity=scaled_sine(8.0))
+    mesh = TimeMesh(1.0, 40)
+    nilpotent = CauchyProblem(ALPHA, np.array([[0.0, 400.0], [0.0, 0.0]]), scaled_sine(-40.0), np.ones(2), mesh)
+    cases = [
+        (_bench_problem("sweep-ladder", run_k=4), {"fold_later": True}),
+        (heavy_sine, {"fold_later": True}),
+        (nilpotent, {"fold_later": True}),
+    ]
+    for p, kw in cases:
+        yielded = 0
+        for s, e, _, weights in _fold_blocks(p, **kw):
+            if weights is not None:
+                yielded += 1
+                assert weights.tobytes() == pi_weights(p.alpha, p.mesh.n_nodes, p.mesh.dt, s, e).tobytes()
+        assert yielded > 3

@@ -49,6 +49,29 @@ def test_time_convolution_matches_direct_convolution(n, m_max):
     assert np.max(np.abs(got - want)) <= 1e-13 * np.max(np.abs(want))
 
 
+def _convolve_time_axis0(values, taps, dt):
+    """The time smoothing with both transforms along axis 0, as it ran before the transposes."""
+    n = values.shape[0]
+    m_max = (taps.size - 1) // 2
+    m = min(m_max, n - 1)
+    kept = taps[m_max - m : m_max + m + 1] * dt
+    size = 1 << (n + m - 1).bit_length()
+    spectrum = np.fft.rfft(values, n=size, axis=0)
+    spectrum *= np.fft.rfft(kept, n=size)[:, None]
+    return np.fft.irfft(spectrum, n=size, axis=0)[m : m + n].copy()
+
+
+# the last two kernels are longer than their windows: m is clamped to n - 1
+@pytest.mark.parametrize("n, points, n_taps", [(257, 256, 313), (513, 64, 537), (40, 5, 115), (1, 3, 9)])
+def test_time_convolution_equals_the_axis0_transforms_bit_for_bit(n, points, n_taps):
+    rng = np.random.Generator(np.random.Philox(key=0xC1))
+    values = rng.standard_normal((n, points))
+    taps = rng.uniform(0.0, 1.0, n_taps)
+    got = _convolve_time(values, taps, 0.01)
+    assert got.flags.c_contiguous
+    assert np.array_equal(got, _convolve_time_axis0(values, taps, 0.01))
+
+
 def test_bit_exact_reproducibility():
     a = white_noise_representative(_spec(), EPS, GRID, MESH)
     b = white_noise_representative(_spec(), EPS, GRID, MESH)
