@@ -210,6 +210,8 @@ def _semantic_issues(cfg: RunConfig) -> list:
         issues.append("operator.mollify: only constant coefficients admit the exact (unmollified) route")
     if cfg.mollify and cfg.alpha >= 2.0:
         issues.append("run.alpha: the width schedule needs alpha < 2; set operator.mollify = false for the limit case")
+    if cfg.solver_form == "derivative" and cfg.alpha >= 2.0:
+        issues.append("solver.form: the derivative form needs alpha < 2; set solver.form = kernel for the limit case")
     if cfg.k_min < 1 or not cfg.k_min <= cfg.k_max <= _MAX_LEVEL:
         issues.append(
             f"schedule: need 1 <= k_min <= k_max <= {_MAX_LEVEL}, got k_min={cfg.k_min}, k_max={cfg.k_max}"

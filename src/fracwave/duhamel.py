@@ -46,6 +46,7 @@ from .fractional import (
     TimeMesh,
     Trajectory,
     _as_field,  # float64 or complex128, following the data
+    _block_norms,  # ||W_BB||_inf read from the weights' taps
     _weights_product,  # real-view product of weights with complex samples
     caputo_derivative,
     first_difference,
@@ -495,26 +496,8 @@ def _report(form: str, trajectory: np.ndarray, histories: list, stalled: Optiona
     return SolverReport(trajectory, form, histories, meta, stalled)
 
 
-def _gathered(chunks: list, lo: int, hi: int) -> np.ndarray:
-    """W[lo:hi, :hi] from weight chunks W[a:b, :b] that cover rows [lo, hi) in order.
-
-    Rows of one chunk come as a view; rows of several are copied into zeros,
-    which are W's entries above the diagonal.
-    """
-    if len(chunks) == 1:
-        a = chunks[0].shape[1] - chunks[0].shape[0]
-        return chunks[0][lo - a : hi - a, :hi]
-    out = np.zeros((hi - lo, hi))
-    for w in chunks:
-        a, b = w.shape[1] - w.shape[0], w.shape[1]
-        i0, i1 = max(a, lo), min(b, hi)
-        if i0 < i1:
-            out[i0 - lo : i1 - lo, : min(b, hi)] = w[i0 - a : i1 - a, :hi]
-    return out
-
-
 def _fold_blocks(p: CauchyProblem, cap: int = _BLOCK_ROWS, fold_later: bool = False):
-    """Yield the row blocks [s, e) of the march as (s, e, q, weights), each planned once the last is taken.
+    """Yield the row blocks [s, e) of the march as (s, e, q), each planned once the last is taken.
 
     A block takes at most cap rows (the kernel form's _BLOCK_ROWS; the
     derivative form's windows pass the node count), and no more than keep
@@ -523,39 +506,17 @@ def _fold_blocks(p: CauchyProblem, cap: int = _BLOCK_ROWS, fold_later: bool = Fa
     whole in-block map.  With fold_later, every block after the head also
     takes no more rows than keep q <= 1/2, so that it folds; one whose first
     row alone has q > 1/2 keeps the Lipschitz rows.  The head block is never
-    cut by q.  W's rows are built in chunks W[a:b, :b] of at most _BLOCK_ROWS
-    rows, and the rows of the last chunk past a block's end start the next
-    block, so the march builds every row once.  Each row sum runs over the
-    block's whole width, so the norms are the dense matrix's bit for bit.  A
-    block of at most _BLOCK_ROWS rows yields its rows W[s:e, :e] for the
-    march to reuse, a longer one None.  A row that fails the Lipschitz bound
+    cut by q.  The norms are prefix sums of the weights' taps (_block_norms),
+    so planning builds no weight row.  A row that fails the Lipschitz bound
     alone raises ResolutionError.
     """
     lip = p.nonlinearity.lipschitz
     norm_a = p.action.norm_bound
     n = p.mesh.n_nodes
     s = 0
-    left = None  # rows W[s:b, :b] built for the last block past its end
     while s < n:
-        end = min(s + cap, n)
-        chunks, sums = [], []
-        r = s
-        while r < end:
-            if r == s and left is not None:
-                w = left
-            else:
-                w = pi_weights(p.alpha, n, p.mesh.dt, r, min(r + _BLOCK_ROWS, end))
-            r = w.shape[1]
-            # a block longer than a chunk keeps only its last chunk
-            chunks = chunks + [w] if end - s <= _BLOCK_ROWS else [w]
-            # |W[a:r, s:end]|, the zeros above the diagonal included
-            mags = np.zeros((w.shape[0], end - s))
-            np.abs(w[:, s:], out=mags[:, : r - s])
-            sums.append(mags.sum(axis=1))
-            if lip * sums[-1].max() > 0.5:
-                break  # the running maximum keeps every later row out of the block
-        # ||W_BB||_inf of [s, s + 1), [s, s + 2), ...; W is lower triangular
-        norms = np.maximum.accumulate(np.concatenate(sums))
+        # ||W_BB||_inf of [s, s + 1), [s, s + 2), ..., nondecreasing
+        norms = _block_norms(p.alpha, n, p.mesh.dt, s, min(cap, n - s))
         rows = int(np.count_nonzero(lip * norms <= 0.5))
         if rows == 0:
             w0 = p.mesh.dt**p.alpha / gamma(p.alpha + 2.0)
@@ -566,12 +527,8 @@ def _fold_blocks(p: CauchyProblem, cap: int = _BLOCK_ROWS, fold_later: bool = Fa
             )
         if fold_later and s:
             rows = int(np.count_nonzero(norms * (norm_a + lip) <= 0.5)) or rows
-        q = float(norms[rows - 1]) * (norm_a + lip)
-        e = s + rows
-        yield s, e, q, (_gathered(chunks, s, e) if end - s <= _BLOCK_ROWS else None)
-        a = chunks[0].shape[1] - chunks[0].shape[0]
-        left = _gathered(chunks, e, r) if a <= e < r else None
-        s = e
+        yield s, s + rows, float(norms[rows - 1]) * (norm_a + lip)
+        s += rows
 
 
 def solve_kernel_form(p: CauchyProblem, opts: SolverOptions = SolverOptions()) -> SolverReport:
@@ -591,15 +548,16 @@ def solve_kernel_form(p: CauchyProblem, opts: SolverOptions = SolverOptions()) -
     one block runs the whole-horizon Picard sweeps exactly, and the metadata
     counts the blocks that ran cold as cold_blocks.  A block that reaches
     max_iter marks the report unconverged; the march goes on.  Each block is
-    planned when the one before has converged, from its weight rows
-    W[B, :e], which its history and its sweeps then reuse: the solve builds
-    every weight row once and holds at most two blocks of them.  A block
+    planned from the weights' taps when the one before has converged, and
+    then builds its weight rows W[B, :e] for its history and its sweeps: the
+    solve builds every weight row once, one block at a time.  A block
     whose forcing rows and history are exactly zero skips its operator
     series (_chain), so a homogeneous solve costs its propagator only.
     """
     base = _base_trajectory(p)
     shape = base.shape
-    flat_base = base.reshape(shape[0], -1)
+    n = shape[0]
+    flat_base = base.reshape(n, -1)
     weight = p.state_weight
     u = np.empty_like(flat_base)
     v = np.empty_like(flat_base)
@@ -608,7 +566,8 @@ def solve_kernel_form(p: CauchyProblem, opts: SolverOptions = SolverOptions()) -
     qs: list = []
     stalled = None
     solved = 0.0  # the largest row-sup size of the rows already solved
-    for s, e, q, weights in _fold_blocks(p, fold_later=True):
+    for s, e, q in _fold_blocks(p, fold_later=True):
+        weights = pi_weights(p.alpha, n, p.mesh.dt, s, e)
         rows_shape = (e - s,) + shape[1:]
         w_bb = weights[:, s:]
         b_b = flat_base[s:e]
@@ -636,7 +595,6 @@ def solve_kernel_form(p: CauchyProblem, opts: SolverOptions = SolverOptions()) -
         u = _stored(u, s, e, cur)
         v = _stored(v, s, e, v_b)
         histories.append(history)
-    n = p.mesh.n_nodes
     # a block that a bound cut short of _BLOCK_ROWS (or of the rows left) sets the row limit
     row_limit = min([e - s for s, e, _ in plan if e - s < min(_BLOCK_ROWS, n - s)], default=_BLOCK_ROWS)
     folded = sum(q <= 0.5 for q in qs)
@@ -671,7 +629,7 @@ def solve_rl_form(p: CauchyProblem, opts: SolverOptions = SolverOptions()) -> So
     f0 = _forced(p, p.initial_data, 0)
     f0_norm = float(np.linalg.norm(np.atleast_1d(f0).ravel()))
 
-    windows = [block[:3] for block in _fold_blocks(p, mesh.n_nodes)]
+    windows = list(_fold_blocks(p, mesh.n_nodes))
     # every sweep builds its weight rows block by block: the derivative of order
     # 2 - alpha, the order-alpha weights of the march and the order-two weights
     derivative = partial(_derivative_rows, p.alpha, mesh)
@@ -754,8 +712,7 @@ def second_derivative_identity_check(report: SolverReport, p: CauchyProblem) -> 
     power[1:] = mesh.nodes[1:] ** (p.alpha - 2.0) / gamma(p.alpha - 1.0)
     term_singular = power.reshape(shape) * np.asarray(g0)[None, ...]
 
-    weights_low = pi_weights(2.0 * p.alpha - 2.0, mesh.n_nodes, mesh.dt)
-    term_smoothed = p.action.apply_rows(_weights_product(weights_low, g + p.action.apply_rows(memory)))
+    term_smoothed = p.action.apply_rows(rl_integral(g + p.action.apply_rows(memory), 2.0 * p.alpha - 2.0, mesh))
 
     rhs = term_derivative + term_singular + term_smoothed
     k0 = max(1, mesh.n_steps // 4)

@@ -178,6 +178,28 @@ def _weight_taps(gamma_ord: float, n_nodes: int, dt: float) -> tuple:
     return taps, first
 
 
+def _block_norms(gamma_ord: float, n_nodes: int, dt: float, start: int, rows: int) -> np.ndarray:
+    """||W[start:start + k, start:start + k]||_inf for k = 1..rows, read from the taps, not from rows of W.
+
+    Past column 0, row start + k - 1 of the block holds the diagonal and
+    b_1, ..., b_{k-1}, so its absolute sum is a prefix sum of the taps read
+    from the diagonal backwards.  A block at row 0 adds each row's
+    first-column entry, so its rows are whole rows of W: every weight is
+    nonnegative and the rule is exact on constants, so they sum to
+    t_i**gamma / Gamma(gamma + 1) and grow with the row as well.  Either
+    way the block's last row gives its norm.  The sums equal the dense row
+    sums up to rounding.
+    """
+    taps, first = _weight_taps(gamma_ord, n_nodes, dt)
+    sums = np.cumsum(np.abs(taps[n_nodes - 1 :: -1][:rows]))
+    if start:
+        return sums
+    # row i >= 1 holds first[i] and the diagonal back to b_{i-1}; row 0 is zero
+    heads = np.abs(first[:rows])
+    heads[1:] += sums[:-1]
+    return heads
+
+
 def pi_weights(gamma_ord: float, n_nodes: int, dt: float, start: int = 0, end: Optional[int] = None) -> np.ndarray:
     """Rows [start, end) of the product-integration weight matrix W, as W[start:end, :end].
 

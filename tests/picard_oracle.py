@@ -1,11 +1,14 @@
-"""Whole-horizon Picard sweeps, the oracle the blocked solvers are tested against.
+"""Whole-horizon Picard sweeps and a dense block planner, the oracles the blocked solvers are tested against.
 
 picard takes the memory integral as a callback and sweeps the whole horizon
 window by window; the kernel form's block march and the derivative form's
-derivative rows must reproduce what it gives.
+derivative rows must reproduce what it gives.  dense_blocks plans the
+march's blocks from the rows of the dense weight matrix.
 """
 
 from functools import partial
+
+import numpy as np
 
 from fracwave.duhamel import (
     _BLOCK_ROWS,
@@ -63,5 +66,25 @@ def old_kernel_picard(p, opts):
     """The kernel form as whole-horizon Picard sweeps over 64-row blocks, in derived windows."""
     weights = partial(pi_weights, p.alpha, p.mesh.n_nodes, p.mesh.dt)
     plan = kernel_plan(p)
-    windows = [block[:3] for block in _fold_blocks(p, p.mesh.n_nodes)]
+    windows = list(_fold_blocks(p, p.mesh.n_nodes))
     return picard(p, opts, windows, lambda g: _volterra(weights, p.action, g, plan)[0], "kernel", _plan_meta(plan))
+
+
+def dense_blocks(p, cap=_BLOCK_ROWS, fold_later=False):
+    """_fold_blocks' plan as a list, each block's norms the running maximum of the row sums of |W_BB|."""
+    lip = p.nonlinearity.lipschitz
+    norm_a = p.action.norm_bound
+    n = p.mesh.n_nodes
+    weights = pi_weights(p.alpha, n, p.mesh.dt)
+    plan = []
+    s = 0
+    while s < n:
+        end = min(s + cap, n)
+        norms = np.maximum.accumulate(np.abs(weights[s:end, s:end]).sum(axis=1))
+        rows = int(np.count_nonzero(lip * norms <= 0.5))
+        assert rows, "one time step does not resolve the nonlinearity"
+        if fold_later and s:
+            rows = int(np.count_nonzero(norms * (norm_a + lip) <= 0.5)) or rows
+        plan.append((s, s + rows, float(norms[rows - 1]) * (norm_a + lip)))
+        s += rows
+    return plan

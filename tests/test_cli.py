@@ -476,6 +476,32 @@ def test_each_config_error_exits_2_with_one_line_naming_its_key(tmp_path, capsys
     assert not out.exists()
 
 
+LIMIT_ORDER = """
+[run]
+alpha = 2.0
+[grid]
+n_points = 64
+[mesh]
+n_steps = 32
+[operator]
+mollify = false
+"""
+
+
+@pytest.mark.parametrize("form, code", [("kernel", 0), ("derivative", 2)])
+def test_the_derivative_form_at_the_limit_order_is_a_config_error(tmp_path, capsys, form, code):
+    # the derivative form's order 2 - alpha vanishes at alpha = 2; the kernel form runs there
+    out = tmp_path / "out"
+    path = _cfg_file(tmp_path, LIMIT_ORDER + f"[solver]\nform = {form}\n")
+    assert entrypoint(["run", "--config", path, "--out", str(out), "--quiet"]) == code
+    lines = capsys.readouterr().err.splitlines()
+    if code:
+        assert len(lines) == 1 and lines[0].startswith("config error: solver.form: the derivative form needs alpha < 2")
+        assert not out.exists()
+    else:
+        assert lines == [] and len(list(out.iterdir())) == 1
+
+
 def test_run_without_a_config_takes_every_default(tmp_path):
     out = tmp_path / "out"
     assert entrypoint(["run", "--out", str(out), "--quiet"]) == 0

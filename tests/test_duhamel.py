@@ -39,12 +39,12 @@ from fracwave import (
     solve_rl_form,
     zero_nonlinearity,
 )
-from fracwave import duhamel, parse_config_file
+from fracwave import duhamel, fractional, parse_config_file
 from fracwave.cli import assemble_scenario, entrypoint
 from fracwave.duhamel import _block_levels, _block_plan, _fold_blocks, _plan_meta, _volterra
 from fracwave.fractional import _weights_product, first_difference, rl_integral, second_difference
 from fracwave.solution import LinearAction
-from picard_oracle import kernel_plan, old_kernel_picard, picard
+from picard_oracle import dense_blocks, kernel_plan, old_kernel_picard, picard
 
 ALPHA, C, Q = 1.5, 0.5, 1.0
 OP = C
@@ -109,7 +109,7 @@ def _set_windows(monkeypatch, count):
     def fold(p, cap):
         n_steps = p.mesh.n_steps
         bounds = [0] + [round(w * n_steps / count) + 1 for w in range(1, count + 1)]
-        return [(s, e, 0.0, None) for s, e in zip(bounds, bounds[1:])]
+        return [(s, e, 0.0) for s, e in zip(bounds, bounds[1:])]
 
     monkeypatch.setattr(duhamel, "_fold_blocks", fold)
 
@@ -163,7 +163,7 @@ def test_windows_rescue_a_long_horizon(monkeypatch):
     # each derived window keeps Lip f * ||W_BB||_inf <= 1/2; one window over the horizon does not
     lip = p.nonlinearity.lipschitz
     assert lip * np.abs(weights).sum(axis=1).max() > 0.5
-    for s, e, _, _ in _fold_blocks(p, mesh.n_nodes):
+    for s, e, _ in _fold_blocks(p, mesh.n_nodes):
         assert lip * np.abs(weights[s:e, s:e]).sum(axis=1).max() <= 0.5
     # four even windows also converge, to the same fixed point
     _set_windows(monkeypatch, 4)
@@ -222,7 +222,7 @@ def _recorded_plans(monkeypatch, lip_only=False):
         plan = []
         plans.append(plan)
         for block in _fold_blocks(p, cap, fold_later and not lip_only):
-            plan.append(block[:3])
+            plan.append(block)
             yield block
 
     monkeypatch.setattr(duhamel, "_fold_blocks", recording)
@@ -283,11 +283,53 @@ def test_later_blocks_whose_first_row_cannot_fold_keep_the_lipschitz_plan(monkey
 def test_run_heavy_keeps_its_blocks():
     # q <= 1/2 on every 64-row block already, so the later-block cut changes nothing
     p = _bench_problem("run-heavy")
-    blocks = [block[:3] for block in _fold_blocks(p, fold_later=True)]
-    assert blocks == [block[:3] for block in _fold_blocks(p)]
+    blocks = list(_fold_blocks(p, fold_later=True))
+    assert blocks == list(_fold_blocks(p))
     # no bound cut a block short of 64 rows
     assert len(blocks) == 17 and all(e - s == min(64, p.mesh.n_nodes - s) for s, e, _ in blocks)
     assert all(q <= 0.5 for _, _, q in blocks)
+
+
+_PLANNED = {
+    **{f"sweep-ladder-k{k}": partial(_bench_problem, "sweep-ladder", run_k=k) for k in range(4, 13)},
+    "run-heavy": partial(_bench_problem, "run-heavy"),
+    "run-derivative": partial(_bench_problem, "run-derivative"),
+    "run-derivative-8sin": lambda: dataclasses.replace(_bench_problem("run-derivative"), nonlinearity=scaled_sine(8.0)),
+    "long-horizon": lambda: CauchyProblem(ALPHA, 1.0, scaled_sine(20.0), np.array([1.0]), TimeMesh(4.0, 128)),
+    "nilpotent": lambda: CauchyProblem(
+        ALPHA, np.array([[0.0, 400.0], [0.0, 0.0]]), scaled_sine(-40.0), np.array([0.1, 0.2]), TimeMesh(1.0, 40)
+    ),
+    **{
+        f"alpha{alpha}-steps{steps}": partial(
+            CauchyProblem, alpha, 1.0, scaled_sine(20.0), np.array([1.0]), TimeMesh(1.0, steps)
+        )
+        for alpha in (1.1, 1.9)
+        for steps in (64, 1024)
+    },
+}
+
+
+@pytest.mark.parametrize("name", list(_PLANNED))
+def test_block_plans_from_the_taps_match_the_dense_rows(name):
+    # the kernel form's blocks and the derivative form's windows, planned from
+    # prefix sums of the taps, against the row sums of the dense weights
+    p = _PLANNED[name]()
+    for cap, fold_later in ((duhamel._BLOCK_ROWS, True), (p.mesh.n_nodes, False)):
+        planned = list(_fold_blocks(p, cap, fold_later))
+        dense = dense_blocks(p, cap, fold_later)
+        assert [block[:2] for block in planned] == [block[:2] for block in dense]
+        np.testing.assert_allclose([q for *_, q in planned], [q for *_, q in dense], rtol=1e-15, atol=0.0)
+
+
+def test_planning_windows_builds_no_weight_row(monkeypatch):
+    def refuse(*args):
+        raise AssertionError("a weight row was built")
+
+    p = _bench_problem("run-derivative")
+    monkeypatch.setattr(duhamel, "pi_weights", refuse)
+    monkeypatch.setattr(fractional, "pi_weights", refuse)
+    windows = list(_fold_blocks(p, p.mesh.n_nodes))
+    assert windows and windows[-1][1] == p.mesh.n_nodes
 
 
 @pytest.mark.parametrize("n_nodes", [3, 65, 257, 1025])
@@ -678,7 +720,7 @@ def _old_rl_form(p, opts):
     f0 = duhamel._forced(p, p.initial_data, 0)
     f0_norm = float(np.linalg.norm(np.atleast_1d(f0).ravel()))
     weights_alpha = partial(pi_weights, p.alpha, mesh.n_nodes, mesh.dt)
-    windows = [block[:3] for block in _fold_blocks(p, mesh.n_nodes)]
+    windows = list(_fold_blocks(p, mesh.n_nodes))
     weights_two = pi_weights(2.0, mesh.n_nodes, mesh.dt)
     weights_low = pi_weights(1.0 - (2.0 - p.alpha), mesh.n_nodes, mesh.dt)
     plan = _block_plan(p)
@@ -967,29 +1009,11 @@ def test_a_skipped_chain_returns_the_full_chains_memory_bit_for_bit(monkeypatch,
 
 def test_a_kernel_form_solve_builds_each_weight_row_once(monkeypatch):
     # sweep-ladder's rungs keep blocks of 30-38 rows after a 64-row head; each
-    # block used to build 64 rows and the next to build the rest again
+    # block builds its own rows, and planning builds none
     rows = _recorded_weight_rows(monkeypatch)
     for k in (4, 8, 12):
         rows.clear()
         p = _bench_problem("sweep-ladder", run_k=k)
         report = solve_kernel_form(p)
         assert report.metadata["volterra_blocks"] > 5
-        assert sum(rows) <= p.mesh.n_nodes + duhamel._BLOCK_ROWS
-
-
-def test_carried_weight_rows_equal_the_gathered_rows_bit_for_bit():
-    heavy_sine = dataclasses.replace(_bench_problem("run-derivative"), nonlinearity=scaled_sine(8.0))
-    mesh = TimeMesh(1.0, 40)
-    nilpotent = CauchyProblem(ALPHA, np.array([[0.0, 400.0], [0.0, 0.0]]), scaled_sine(-40.0), np.ones(2), mesh)
-    cases = [
-        (_bench_problem("sweep-ladder", run_k=4), {"fold_later": True}),
-        (heavy_sine, {"fold_later": True}),
-        (nilpotent, {"fold_later": True}),
-    ]
-    for p, kw in cases:
-        yielded = 0
-        for s, e, _, weights in _fold_blocks(p, **kw):
-            if weights is not None:
-                yielded += 1
-                assert weights.tobytes() == pi_weights(p.alpha, p.mesh.n_nodes, p.mesh.dt, s, e).tobytes()
-        assert yielded > 3
+        assert sum(rows) == p.mesh.n_nodes

@@ -4,6 +4,7 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from fracwave import (
     FracwaveError,
@@ -21,7 +22,7 @@ from fracwave import (
     second_difference,
     sobolev_norms,
 )
-from fracwave.fractional import _weights_product, caputo_derivative_01
+from fracwave.fractional import _block_norms, _weights_product, caputo_derivative_01
 
 G = math.gamma
 
@@ -99,6 +100,47 @@ def test_row_blocks_are_the_callers_own_and_ranges_are_checked():
     for s, e in ((5, 5), (-1, 3), (0, 101), (20, 10)):
         with pytest.raises(SizeError):
             pi_weights(1.5, 100, dt, s, e)
+
+
+def _dense_block_norms(gamma_ord, n_nodes, dt, start, rows):
+    """||W[start:start + k, start:start + k]||_inf for k = 1..rows from the dense rows."""
+    block = pi_weights(gamma_ord, n_nodes, dt)[start : start + rows, start : start + rows]
+    return np.maximum.accumulate(np.abs(block).sum(axis=1))
+
+
+def _assert_block_norms(gamma_ord, n_nodes, dt, start, rows):
+    norms = _block_norms(gamma_ord, n_nodes, dt, start, rows)
+    assert norms.shape == (rows,) and np.all(np.diff(norms) >= 0.0)
+    # a sum of k nonnegative terms is accurate to (k - 1) unit roundoffs in any order
+    dense = _dense_block_norms(gamma_ord, n_nodes, dt, start, rows)
+    np.testing.assert_allclose(norms, dense, rtol=n_nodes * np.finfo(float).eps, atol=0.0)
+    return norms
+
+
+@settings(max_examples=200, deadline=None, derandomize=True)
+@given(
+    st.floats(1.0, 2.0, exclude_min=True),
+    st.integers(3, 400),
+    st.floats(1e-4, 1.0),
+    st.floats(0.0, 1.0, exclude_max=True),
+    st.floats(0.0, 1.0),
+)
+def test_block_norms_are_the_dense_row_sums(alpha, n_nodes, dt, start_frac, rows_frac):
+    start = int(start_frac * n_nodes)
+    rows = max(1, round(rows_frac * (n_nodes - start)))
+    _assert_block_norms(alpha, n_nodes, dt, start, rows)
+
+
+@pytest.mark.parametrize("n_nodes", [3, 65, 257, 1025])
+@pytest.mark.parametrize("at", ["first", "second", "third", "last"])
+@pytest.mark.parametrize("alpha", [1.1, 2.0])
+def test_block_norms_at_the_ends_of_the_mesh(alpha, at, n_nodes):
+    start = {"first": 0, "second": 1, "third": n_nodes // 3, "last": n_nodes - 1}[at]
+    dt = 0.7 / (n_nodes - 1)
+    norms = _assert_block_norms(alpha, n_nodes, dt, start, n_nodes - start)
+    # row 0 of W is zero; a later one-row block is its diagonal alone
+    diagonal = pi_weights(alpha, n_nodes, dt, start, start + 1)[0, start]
+    assert norms[0] == (0.0 if start == 0 else abs(diagonal))
 
 
 def test_fractional_integral_of_quadratic():
