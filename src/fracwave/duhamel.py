@@ -41,16 +41,19 @@ import numpy as np
 
 from .errors import DivergenceError, FracwaveError, ResolutionError, SingularOrderError, SizeError
 from .fractional import (
+    _BLOCK_ROWS,  # rows per block of the Volterra march and of every row-block product
     GridFunction,
     SpatialGrid,
     TimeMesh,
     Trajectory,
     _as_field,  # float64 or complex128, following the data
     _block_norms,  # ||W_BB||_inf read from the weights' taps
+    _row_blocks,  # a lower-triangular product built _BLOCK_ROWS rows at a time
     _weights_product,  # real-view product of weights with complex samples
     caputo_derivative,
     first_difference,
     pi_weights,
+    rl_derivative,
     rl_integral,
     second_difference,
     sobolev_norms,
@@ -77,9 +80,6 @@ __all__ = [
 ]
 
 _ZERO_TOL = 1e-12
-# rows per block of the Volterra march: large enough that the history product
-# is a real matrix product, small enough that the in-block series stays short
-_BLOCK_ROWS = 64
 # consecutive rises of the Picard change that count as divergence
 _DIVERGENCE_PATIENCE = 5
 
@@ -387,56 +387,23 @@ def _chain(
     return y, v
 
 
-def _volterra(weights: Callable, action: LinearAction, g: np.ndarray, plan: list) -> tuple:
-    """Solve y = W (g + A y) by blocked forward substitution; returns (y, v).
+def _volterra(weights: Callable, action: LinearAction, g: np.ndarray, plan: list) -> np.ndarray:
+    """Solve y = W (g + A y) by blocked forward substitution; returns v = g + A y.
 
-    v = g + A y is what the summed operator series leaves before the final
-    quadrature.  weights(s, e) gives the rows W[s:e, :e], built per block, so
-    no N x N matrix is held.  Per block B = [s, e) the history
-    h = W[B, :s] v[:s] is one product; the block is then a cold-started
-    _chain of its plan's levels.
+    v is what the summed operator series leaves before the final
+    quadrature, and y = W v.  weights(s, e) gives the rows W[s:e, :e],
+    built per block, so no N x N matrix is held.  Per block B = [s, e) the
+    history h = W[B, :s] v[:s] is one product; the block is then a
+    cold-started _chain of its plan's levels.
     """
     shape = g.shape
     flat = _as_field(g).reshape(shape[0], -1)
-    y = np.empty_like(flat)
     v = np.empty_like(flat)
     for s, e, levels in plan:
         w = weights(s, e)
         h = _weights_product(w[:, :s], v[:s]) if s else 0.0
-        y_b, v_b = _chain(action, w[:, s:], h, flat[s:e], None, levels, (e - s,) + shape[1:])
-        v = _stored(v, s, e, v_b)
-        y = _stored(y, s, e, y_b)
-    return y.reshape(shape), v.reshape(shape)
-
-
-def _row_blocks(rows: Callable, x: np.ndarray, out: np.ndarray) -> np.ndarray:
-    """out = M x along axis 0, one block of _BLOCK_ROWS rows of M at a time.
-
-    rows(s, e) gives M[s:e, :k], M's rows [s, e) up to their last nonzero
-    column, which meet x[:k] only: a lower-triangular M costs half a dense
-    product, and no N x N matrix is held.
-    """
-    n = x.shape[0]
-    for s in range(0, n, _BLOCK_ROWS):
-        e = min(s + _BLOCK_ROWS, n)
-        m = rows(s, e)
-        _weights_product(m, x[: m.shape[1]], out[s:e])
-    return out
-
-
-def _derivative_rows(alpha: float, mesh: TimeMesh, s: int, e: int) -> np.ndarray:
-    """Rows [s, e) of the discrete RL derivative of order 2 - alpha, up to their last nonzero column.
-
-    The derivative is first_difference of the order-(alpha - 1) weights: row
-    i reads weight rows i - 1 and i + 1, row 0 rows 0..2 and the last row the
-    last three.  first_difference puts one-sided rows at both ends of the
-    rows gathered, which are true rows only where the gathered range ends
-    with the mesh; no other end row is kept.
-    """
-    n = mesh.n_nodes
-    lo, hi = max(0, min(s - 1, n - 3)), min(n, max(e + 1, 3))
-    weights = pi_weights(1.0 - (2.0 - alpha), n, mesh.dt, lo, hi)
-    return first_difference(weights, mesh.dt)[s - lo : e - lo]
+        v = _stored(v, s, e, _chain(action, w[:, s:], h, flat[s:e], None, levels, (e - s,) + shape[1:])[1])
+    return v.reshape(shape)
 
 
 def _buffer(buffers: dict, key: str, dtype, shape: tuple) -> np.ndarray:
@@ -609,13 +576,13 @@ def solve_rl_form(p: CauchyProblem, opts: SolverOptions = SolverOptions()) -> So
     integral of the propagator.  The initial forcing value F(0) is split off
     exactly (constant part of the derivative) and its convolution evaluated
     in closed Mittag-Leffler form.  What remains, the Riemann-Liouville
-    derivative of F - F(0), is the Caputo derivative of F; it runs through the
-    discrete derivative (first_difference of the order-(alpha - 1) weights)
-    and the blocked Volterra march under an order-two integral.  One solve
-    therefore covers both derivative conventions.  Each sweep applies the
-    derivative, the march's order-alpha weights and the order-two weights as
-    lower-triangular products whose rows it builds _BLOCK_ROWS at a time from
-    the cached taps, so no N x N matrix is held.
+    derivative of F - F(0), is the Caputo derivative of F; it runs through
+    rl_derivative of order 2 - alpha and the blocked Volterra march under an
+    order-two integral.  One solve therefore covers both derivative
+    conventions.  Each sweep applies the derivative, the march's order-alpha
+    weights and the order-two weights as lower-triangular products whose
+    rows are built _BLOCK_ROWS at a time from the cached taps, so no N x N
+    matrix is held.
 
     The whole-horizon sweeps converge window by window over the kernel form's
     blocks without their row cap (a nonlinearity one time step cannot resolve
@@ -630,9 +597,8 @@ def solve_rl_form(p: CauchyProblem, opts: SolverOptions = SolverOptions()) -> So
     f0_norm = float(np.linalg.norm(np.atleast_1d(f0).ravel()))
 
     windows = list(_fold_blocks(p, mesh.n_nodes))
-    # every sweep builds its weight rows block by block: the derivative of order
+    # every sweep builds its weight rows block by block: rl_derivative's of order
     # 2 - alpha, the order-alpha weights of the march and the order-two weights
-    derivative = partial(_derivative_rows, p.alpha, mesh)
     weights_alpha = partial(pi_weights, p.alpha, mesh.n_nodes, mesh.dt)
     weights_two = partial(pi_weights, 2.0, mesh.n_nodes, mesh.dt)
     plan = _block_plan(p)
@@ -645,10 +611,10 @@ def solve_rl_form(p: CauchyProblem, opts: SolverOptions = SolverOptions()) -> So
     stalled = None
     lam = p.action.multiplier
     diagonal = None if lam is None else LinearAction(lambda rows: lam * rows, p.action.norm_bound, lam.size)
-    buffers: dict = {}  # field-sized results, written in place on every sweep
+    buffers: dict = {}  # the field-sized "centred" buffer, written in place on every sweep
 
     def memory(centred: np.ndarray) -> np.ndarray:
-        """W_2 v, where v = g + A y, y = W_alpha (g + A y) and g = D centred, written over centred.
+        """W_2 v, where v = g + A y, y = W_alpha (g + A y) and g = rl_derivative(centred), written over centred.
 
         Real data meet a multiplier mode by mode: the derivative and the march
         run on the real half spectrum, between one rfft and one irfft.  A
@@ -659,12 +625,10 @@ def solve_rl_form(p: CauchyProblem, opts: SolverOptions = SolverOptions()) -> So
             centred.fill(0.0)
             return centred
         if diagonal is None or np.iscomplexobj(centred):
-            g = _row_blocks(derivative, centred, _buffer(buffers, "modes", centred.dtype, centred.shape))
-            v = _volterra(weights_alpha, p.action, g, plan)[1]
+            v = _volterra(weights_alpha, p.action, rl_derivative(centred, 2.0 - p.alpha, mesh), plan)
         else:
-            modes = _buffer(buffers, "modes", complex, centred.shape[:-1] + lam.shape)
-            g = _row_blocks(derivative, np.fft.rfft(centred, axis=-1), modes)
-            v = np.fft.irfft(_volterra(weights_alpha, diagonal, g, plan)[1], p.action.dim, axis=-1)
+            g = rl_derivative(np.fft.rfft(centred, axis=-1), 2.0 - p.alpha, mesh)
+            v = np.fft.irfft(_volterra(weights_alpha, diagonal, g, plan), p.action.dim, axis=-1)
         return _row_blocks(weights_two, v, _buffer(buffers, "centred", v.dtype, v.shape))
 
     for s, e, _ in windows:

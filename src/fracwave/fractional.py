@@ -5,8 +5,8 @@ kernel moments against the piecewise-linear interpolant of the samples, so
 polynomials up to degree one are integrated exactly for every order.  The
 Caputo derivative of order in (1, 2) composes the fractional integral of
 order 2 - alpha with a second-order finite-difference second derivative; the
-Riemann-Liouville derivative of order in (0, 1) forward-differences the
-fractional integral of the complementary order.
+Riemann-Liouville derivative of order in (0, 1) applies the differenced
+weights of the complementary order, row block by row block.
 
 Space direction: one-sided fractional derivatives and their symmetric
 combination act as Fourier multipliers on a uniform periodic grid, with the
@@ -18,12 +18,11 @@ from __future__ import annotations
 import functools
 import math
 from dataclasses import dataclass
-from typing import Optional
+from typing import Callable, Optional
 
 import numpy as np
 
 from .errors import FracwaveError, SingularOrderError, SizeError
-from .special import gamma
 
 __all__ = [
     "TimeMesh",
@@ -40,6 +39,10 @@ __all__ = [
     "liouville_multiplier",
     "sobolev_norms",
 ]
+
+# rows per block of a row-block product and of the Volterra march: enough for a
+# real matrix product per block, few enough for a short in-block series
+_BLOCK_ROWS = 64
 
 
 @dataclass(frozen=True)
@@ -214,8 +217,8 @@ def pi_weights(gamma_ord: float, n_nodes: int, dt: float, start: int = 0, end: O
     even for large orders; a horizon whose power t**(gamma + 1) leaves that
     range raises FracwaveError.
     """
-    if gamma_ord <= 0.0:
-        raise SingularOrderError("integral order must be positive")
+    if not 0.0 < gamma_ord < math.inf:
+        raise SingularOrderError(f"integral order must be positive and finite, got {gamma_ord:g}")
     if n_nodes < 2:
         raise SizeError("need at least two mesh nodes")
     end = n_nodes if end is None else end
@@ -298,17 +301,50 @@ def caputo_derivative(samples: np.ndarray, alpha: float, mesh: TimeMesh) -> np.n
     return rl_integral(d2, 2.0 - alpha, mesh)
 
 
+def _row_blocks(rows: Callable, x: np.ndarray, out: np.ndarray) -> np.ndarray:
+    """out = M x along axis 0, one block of _BLOCK_ROWS rows of M at a time.
+
+    rows(s, e) gives M[s:e, :k], M's rows [s, e) up to their last nonzero
+    column, which meet x[:k] only: a lower-triangular M costs half a dense
+    product, and no N x N matrix is held.
+    """
+    n = x.shape[0]
+    for s in range(0, n, _BLOCK_ROWS):
+        e = min(s + _BLOCK_ROWS, n)
+        m = rows(s, e)
+        _weights_product(m, x[: m.shape[1]], out[s:e])
+    return out
+
+
+def _derivative_rows(gamma_ord: float, n_nodes: int, dt: float, s: int, e: int) -> np.ndarray:
+    """Rows [s, e) of the discrete RL derivative of order gamma_ord, up to their last nonzero column.
+
+    The derivative is first_difference of the order-(1 - gamma_ord) weights:
+    row i reads weight rows i - 1 and i + 1, row 0 rows 0..2 and the last row
+    the last three.  first_difference puts one-sided rows at both ends of the
+    rows gathered, which are true rows only where the gathered range ends
+    with the mesh; no other end row is kept.
+    """
+    lo, hi = max(0, min(s - 1, n_nodes - 3)), min(n_nodes, max(e + 1, 3))
+    weights = pi_weights(1.0 - gamma_ord, n_nodes, dt, lo, hi)
+    return first_difference(weights, dt)[s - lo : e - lo]
+
+
 def rl_derivative(samples: np.ndarray, gamma_ord: float, mesh: TimeMesh) -> np.ndarray:
     """Riemann-Liouville derivative of order in (0, 1) along axis 0.
 
     Differentiates the fractional integral of order 1 - gamma with the
-    second-order stencils; accuracy at the first nodes is limited by the
+    second-order stencils, as differenced weights built _BLOCK_ROWS rows at a
+    time (no N x N matrix); accuracy at the first nodes is limited by the
     t**(1-gamma) leading behavior of the integral, not by the stencil.
     """
     if not (0.0 < gamma_ord < 1.0):
         raise SingularOrderError(f"derivative order must lie in (0, 1), got {gamma_ord:g}")
-    g = rl_integral(samples, 1.0 - gamma_ord, mesh)
-    return first_difference(g, mesh.dt)
+    arr = _as_field(samples)
+    if arr.shape[0] != mesh.n_nodes:
+        raise SizeError(f"signal has {arr.shape[0]} nodes but the mesh has {mesh.n_nodes}")
+    rows = functools.partial(_derivative_rows, gamma_ord, mesh.n_nodes, mesh.dt)
+    return _row_blocks(rows, arr, np.empty(arr.shape, arr.dtype))
 
 
 def caputo_derivative_01(samples: np.ndarray, gamma_ord: float, mesh: TimeMesh) -> np.ndarray:

@@ -24,7 +24,7 @@ from fracwave.duhamel import (
     _stored,
     _volterra,
 )
-from fracwave.fractional import pi_weights
+from fracwave.fractional import pi_weights, rl_integral
 
 
 def picard(p, opts, windows, integral_term, form, extra_meta):
@@ -67,7 +67,11 @@ def old_kernel_picard(p, opts):
     weights = partial(pi_weights, p.alpha, p.mesh.n_nodes, p.mesh.dt)
     plan = kernel_plan(p)
     windows = list(_fold_blocks(p, p.mesh.n_nodes))
-    return picard(p, opts, windows, lambda g: _volterra(weights, p.action, g, plan)[0], "kernel", _plan_meta(plan))
+
+    def integral_term(g):
+        return rl_integral(_volterra(weights, p.action, g, plan), p.alpha, p.mesh)
+
+    return picard(p, opts, windows, integral_term, "kernel", _plan_meta(plan))
 
 
 def dense_blocks(p, cap=_BLOCK_ROWS, fold_later=False):

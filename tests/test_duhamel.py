@@ -332,26 +332,10 @@ def test_planning_windows_builds_no_weight_row(monkeypatch):
     assert windows and windows[-1][1] == p.mesh.n_nodes
 
 
-@pytest.mark.parametrize("n_nodes", [3, 65, 257, 1025])
-@pytest.mark.parametrize("alpha", [1.1, 1.5, 1.9])
-def test_derivative_rows_equal_the_differenced_dense_weights_bit_for_bit(alpha, n_nodes):
-    # the one-sided first and last rows included: a wrapped or clipped index moves them
-    mesh = TimeMesh(0.7, n_nodes - 1)
-    dense = first_difference(pi_weights(1.0 - (2.0 - alpha), n_nodes, mesh.dt), mesh.dt)
-    middle = n_nodes // 3
-    ranges = [(0, 1), (0, min(64, n_nodes)), (middle, min(middle + 64, n_nodes)), (n_nodes - 2, n_nodes)]
-    for s, e in ranges + [(n_nodes - 1, n_nodes), (0, n_nodes)]:
-        rows = duhamel._derivative_rows(alpha, mesh, s, e)
-        width = rows.shape[1]
-        assert rows.shape[0] == e - s and width <= min(max(e + 1, 3), n_nodes)
-        assert rows.tobytes() == dense[s:e, :width].tobytes()
-        assert not np.any(dense[s:e, width:])
-
-
 def _recorded_weight_rows(monkeypatch):
-    """Record the row count of every array duhamel.pi_weights returns."""
+    """Record the row count of every array pi_weights returns to duhamel or fractional."""
     rows = []
-    build = duhamel.pi_weights
+    build = fractional.pi_weights
 
     def recording(*args):
         weights = build(*args)
@@ -359,6 +343,7 @@ def _recorded_weight_rows(monkeypatch):
         return weights
 
     monkeypatch.setattr(duhamel, "pi_weights", recording)
+    monkeypatch.setattr(fractional, "pi_weights", recording)
     return rows
 
 
@@ -577,10 +562,10 @@ def test_march_matches_dense_solve_matrix_action(n_nodes):
     p = CauchyProblem(ALPHA, a_mat, zero_nonlinearity(), np.zeros(dim), mesh)
     g = rng.standard_normal((n_nodes, dim)) + 1j * rng.standard_normal((n_nodes, dim))
     weights = pi_weights(ALPHA, n_nodes, mesh.dt)
-    y, v = _volterra(partial(pi_weights, ALPHA, n_nodes, mesh.dt), p.action, g, kernel_plan(p))
+    v = _volterra(partial(pi_weights, ALPHA, n_nodes, mesh.dt), p.action, g, kernel_plan(p))
     exact = _dense_solve(weights, a_mat, g)
     scale = np.abs(exact).max()
-    assert np.abs(y - exact).max() <= 1e-11 * scale
+    assert np.abs(weights @ v - exact).max() <= 1e-11 * scale
     assert np.abs(v - (g + exact @ a_mat.T)).max() <= 1e-11 * np.abs(v).max()
 
 
@@ -590,9 +575,9 @@ def test_march_matches_dense_solve_scalar_action():
     p = CauchyProblem(ALPHA, c, zero_nonlinearity(), np.zeros(3), mesh)
     g = np.cos(np.outer(mesh.nodes, [1.0, 2.0, 3.0]))
     weights = pi_weights(ALPHA, n_nodes, mesh.dt)
-    y, _ = _volterra(partial(pi_weights, ALPHA, n_nodes, mesh.dt), p.action, g, kernel_plan(p))
+    v = _volterra(partial(pi_weights, ALPHA, n_nodes, mesh.dt), p.action, g, kernel_plan(p))
     exact = _dense_solve(weights, c * np.eye(3), g)
-    assert np.abs(y - exact).max() <= 1e-11 * np.abs(exact).max()
+    assert np.abs(weights @ v - exact).max() <= 1e-11 * np.abs(exact).max()
 
 
 def test_march_matches_long_chain_variable_coefficient():
@@ -604,9 +589,9 @@ def test_march_matches_long_chain_variable_coefficient():
     p = CauchyProblem(ALPHA, op, zero_nonlinearity(), u0, mesh, grid=grid)
     g = np.outer(1.0 + mesh.nodes, u0) + 0.3j * np.outer(mesh.nodes**2, np.sin(grid.x))
     weights = pi_weights(ALPHA, mesh.n_nodes, mesh.dt)
-    y, v = _volterra(partial(pi_weights, ALPHA, mesh.n_nodes, mesh.dt), p.action, g, kernel_plan(p))
+    v = _volterra(partial(pi_weights, ALPHA, mesh.n_nodes, mesh.dt), p.action, g, kernel_plan(p))
     ref_y, ref_v = _horner_chain(weights, p.action, g, _full_levels(p, ALPHA + 1.0, extra=14))
-    assert np.abs(y - ref_y).max() <= 1e-11 * np.abs(ref_y).max()
+    assert np.abs(weights @ v - ref_y).max() <= 1e-11 * np.abs(ref_y).max()
     assert np.abs(v - ref_v).max() <= 1e-11 * np.abs(ref_v).max()
 
 
@@ -639,7 +624,7 @@ def test_rl_form_and_identity_check_match_their_chains(monkeypatch):
     identity_ref = _resolved_identity(kernel, p, levels)
     assert abs(identity - identity_ref) <= 1e-9 * identity_ref
     # the chain on the whole matrix, the rows [0, n) the march's weights give
-    monkeypatch.setattr(duhamel, "_volterra", lambda w, a, g, plan: _horner_chain(w(0, g.shape[0]), a, g, levels))
+    monkeypatch.setattr(duhamel, "_volterra", lambda w, a, g, plan: _horner_chain(w(0, g.shape[0]), a, g, levels)[1])
     rl_ref = solve_rl_form(p)
     assert rl.iterations == rl_ref.iterations
     scale = np.abs(rl_ref.trajectory).max()
@@ -728,7 +713,7 @@ def _old_rl_form(p, opts):
 
     def integral_term(g):
         w_reg = first_difference(_weights_product(weights_low, g - f0), mesh.dt)
-        acc = _volterra(weights_alpha, p.action, w_reg, plan)[1]
+        acc = _volterra(weights_alpha, p.action, w_reg, plan)
         return singular + _weights_product(weights_two, acc)
 
     meta = {**_plan_meta(plan), "windows": len(windows), "initial_forcing_norm": f0_norm}
@@ -797,6 +782,25 @@ def test_spectral_march_matches_the_physical_one(kind, mollified):
     assert spectral.metadata == reference.metadata and spectral.metadata["arithmetic"] == "real"
     scale = np.abs(reference.trajectory).max()
     assert np.abs(spectral.trajectory - reference.trajectory).max() <= 1e-14 * scale
+
+
+@pytest.mark.parametrize("entry", ["spectral", "physical"])
+def test_each_derivative_form_sweep_differentiates_once_through_rl_derivative(monkeypatch, entry):
+    # the spectral entry differentiates the real half spectrum, the physical one the field
+    p = _constant_problem("riesz", True)
+    p = p if entry == "spectral" else _stripped(p)
+    calls = []
+    derivative = duhamel.rl_derivative
+
+    def recording(samples, gamma_ord, mesh):
+        calls.append((samples.shape, samples.dtype, gamma_ord))
+        return derivative(samples, gamma_ord, mesh)
+
+    monkeypatch.setattr(duhamel, "rl_derivative", recording)
+    report = solve_rl_form(p)
+    assert report.converged and report.sweeps > 1 and len(calls) == report.sweeps
+    width, dtype = (p.grid.n_points // 2 + 1, complex) if entry == "spectral" else (p.grid.n_points, float)
+    assert set(calls) == {((p.mesh.n_nodes, width), np.dtype(dtype), 2.0 - ALPHA)}
 
 
 def test_multiplier_is_the_half_spectrum_of_a_real_constant_coefficient_operator():

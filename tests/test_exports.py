@@ -1,4 +1,4 @@
-"""Public API hygiene: every exported name resolves."""
+"""Module hygiene: every exported name resolves, and every imported name is read."""
 
 import ast
 import importlib
@@ -29,3 +29,23 @@ def test_package_reexports_resolve():
                 if not hasattr(module, alias.name) or not hasattr(fracwave, alias.asname or alias.name):
                     missing.append(f"{node.module}.{alias.name}")
     assert missing == []
+
+
+def _unread_imports(tree: ast.Module) -> list:
+    """Names the module's imports bind that no expression of the module reads."""
+    bound = {}
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            for alias in node.names:
+                bound[alias.asname or alias.name.split(".")[0]] = node.lineno
+        elif isinstance(node, ast.ImportFrom) and node.module != "__future__":
+            for alias in node.names:
+                bound[alias.asname or alias.name] = node.lineno
+    read = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load)}
+    return sorted(f"{name} (line {line})" for name, line in bound.items() if name not in read)
+
+
+@pytest.mark.parametrize("name", MODULES)
+def test_every_imported_name_is_read(name):
+    tree = ast.parse((PACKAGE / f"{name}.py").read_text(encoding="utf-8"))
+    assert _unread_imports(tree) == []

@@ -22,7 +22,8 @@ from fracwave import (
     second_difference,
     sobolev_norms,
 )
-from fracwave.fractional import _block_norms, _weights_product, caputo_derivative_01
+from fracwave import fractional
+from fracwave.fractional import _BLOCK_ROWS, _block_norms, _weights_product, caputo_derivative_01
 
 G = math.gamma
 
@@ -100,6 +101,18 @@ def test_row_blocks_are_the_callers_own_and_ranges_are_checked():
     for s, e in ((5, 5), (-1, 3), (0, 101), (20, 10)):
         with pytest.raises(SizeError):
             pi_weights(1.5, 100, dt, s, e)
+
+
+@pytest.mark.parametrize("order", [math.nan, math.inf])
+def test_a_non_finite_order_is_a_singular_order_before_any_tap(monkeypatch, order):
+    def refuse(*args):
+        raise AssertionError("a tap was computed")
+
+    monkeypatch.setattr(fractional, "_weight_taps", refuse)
+    mesh = TimeMesh(1.0, 8)
+    for integrate in (lambda: pi_weights(order, 9, 0.125), lambda: rl_integral(np.ones(9), order, mesh)):
+        with pytest.raises(SingularOrderError, match=f"got {order:g}$"):
+            integrate()
 
 
 def _dense_block_norms(gamma_ord, n_nodes, dt, start, rows):
@@ -215,21 +228,75 @@ def test_rl_shift_identity_low_order():
     assert np.max(np.abs(raw[sel] - rl_shift[sel] - tail)) <= 2e-4
 
 
-@pytest.mark.parametrize("n_nodes", [3, 4, 65, 513])
+def _derivative_samples(mesh):
+    """A real and a complex signal on the mesh, each (n_nodes, 4)."""
+    rng = np.random.default_rng(mesh.n_nodes)
+    real = np.cos(3.0 * mesh.nodes)[:, None] + rng.standard_normal((mesh.n_nodes, 4))
+    return real, real + 1j * rng.standard_normal(real.shape)
+
+
+@pytest.mark.parametrize("n_nodes", [3, 4, 65, 257, 513])
 @pytest.mark.parametrize("gamma_ord", [0.1, 0.5, 0.9])
 def test_differenced_weights_are_the_rl_derivative(n_nodes, gamma_ord):
     # differencing the order-(1 - gamma) weights once gives a matrix that
-    # applies the discrete RL derivative: D (W g) = (D W) g up to rounding
+    # applies the discrete RL derivative: D (W g) = (D W) g up to rounding;
+    # rl_derivative applies that matrix by row blocks
     mesh = TimeMesh(1.0, n_nodes - 1)
     weights = pi_weights(1.0 - gamma_ord, mesh.n_nodes, mesh.dt)
     derivative = first_difference(weights, mesh.dt)
-    rng = np.random.default_rng(n_nodes)
-    real = np.cos(3.0 * mesh.nodes)[:, None] + rng.standard_normal((mesh.n_nodes, 4))
-    for g in (real, real + 1j * rng.standard_normal(real.shape)):
+    for g in _derivative_samples(mesh):
         want = first_difference(weights @ g, mesh.dt)
         got = _weights_product(derivative, g)
         assert got.dtype == want.dtype
         assert np.max(np.abs(got - want)) <= 1e-13 * np.max(np.abs(want))
+        want = first_difference(rl_integral(g, 1.0 - gamma_ord, mesh), mesh.dt)
+        got = rl_derivative(g, gamma_ord, mesh)
+        assert got.dtype == want.dtype
+        assert np.max(np.abs(got - want)) <= 1e-13 * np.max(np.abs(want))
+
+
+@pytest.mark.parametrize("n_nodes", [3, 65, 257, 1025])
+@pytest.mark.parametrize("alpha", [1.1, 1.5, 1.9])
+def test_derivative_rows_equal_the_differenced_dense_weights_bit_for_bit(alpha, n_nodes):
+    # the one-sided first and last rows included: a wrapped or clipped index moves them
+    mesh = TimeMesh(0.7, n_nodes - 1)
+    dense = first_difference(pi_weights(1.0 - (2.0 - alpha), n_nodes, mesh.dt), mesh.dt)
+    middle = n_nodes // 3
+    ranges = [(0, 1), (0, min(64, n_nodes)), (middle, min(middle + 64, n_nodes)), (n_nodes - 2, n_nodes)]
+    for s, e in ranges + [(n_nodes - 1, n_nodes), (0, n_nodes)]:
+        rows = fractional._derivative_rows(2.0 - alpha, n_nodes, mesh.dt, s, e)
+        width = rows.shape[1]
+        assert rows.shape[0] == e - s and width <= min(max(e + 1, 3), n_nodes)
+        assert rows.tobytes() == dense[s:e, :width].tobytes()
+        assert not np.any(dense[s:e, width:])
+
+
+@pytest.mark.parametrize("n_nodes", [3, 4, 33, 64])
+@pytest.mark.parametrize("gamma_ord", [0.1, 0.5, 0.9])
+def test_rl_derivative_is_the_differenced_dense_weights_product_bit_for_bit(n_nodes, gamma_ord):
+    # up to one block of rows, the row-block product is the dense product itself
+    mesh = TimeMesh(1.0, n_nodes - 1)
+    derivative = first_difference(pi_weights(1.0 - gamma_ord, n_nodes, mesh.dt), mesh.dt)
+    for g in _derivative_samples(mesh) + (np.sin(mesh.nodes),):
+        got = rl_derivative(g, gamma_ord, mesh)
+        want = _weights_product(derivative, g)
+        assert got.shape == g.shape and got.dtype == want.dtype
+        assert got.tobytes() == want.tobytes()
+
+
+def test_rl_derivative_builds_a_block_of_weight_rows_and_one_on_either_side(monkeypatch):
+    mesh = TimeMesh(1.0, 256)
+    rows = []
+    build = fractional.pi_weights
+
+    def recording(*args):
+        weights = build(*args)
+        rows.append(weights.shape[0])
+        return weights
+
+    monkeypatch.setattr(fractional, "pi_weights", recording)
+    rl_derivative(np.cos(mesh.nodes), 0.5, mesh)
+    assert len(rows) == 5 and max(rows) == _BLOCK_ROWS + 2
 
 
 def test_difference_stencils_on_polynomials():
