@@ -50,50 +50,61 @@ class _G17Tables(NamedTuple):
     masks: np.ndarray  # [word - 1, 18 * before + keep]: keeps digits, sets the point
 
 
+def _ascii(digit: np.ndarray, byte) -> np.ndarray:
+    """The ASCII of each digit, shifted into byte `byte` of a little-endian word."""
+    return (digit + ord("0")).astype(np.uint64) << (8 * np.asarray(byte)).astype(np.uint64)
+
+
 @functools.cache
 def _g17_tables() -> _G17Tables:
     """Lookup tables of the %.17g formatter, built on its first call."""
-    exps = range(_X_MIN, _X_MAX + 1)
-    hi = np.empty(len(exps))
-    lo = np.empty(len(exps))
-    for i, x in enumerate(exps):
-        # 10**(16 - x) = hi + lo to about 106 bits, each part correctly rounded
-        num, den = (10 ** (16 - x), 1) if x <= 16 else (1, 10 ** (x - 16))
+    x = np.arange(_X_MIN, _X_MAX + 1)
+    hi = np.empty(x.size)
+    lo = np.empty(x.size)
+    for i, e10 in enumerate(x.tolist()):
+        # 10**(16 - X) = hi + lo to about 106 bits, each part correctly rounded
+        num, den = (10 ** (16 - e10), 1) if e10 <= 16 else (1, 10 ** (e10 - 16))
         hi[i] = num / den
         m, e = hi[i].as_integer_ratio()
         lo[i] = (num * e - m * den) / (den * e)
     split = _SPLIT * hi
     hi_hi = split - (split - hi)
-    groups = np.frombuffer(b"".join(b"%04d" % g for g in range(10000)), np.uint8).reshape(10000, 4)
+    group = np.arange(10000)
     digit_words = np.full((10000, 4, 2), 0xFF, np.uint8)
-    digit_words[:, :, 0] = groups
+    digit_words[:, :, 0] = group[:, None] // 10 ** np.arange(3, -1, -1) % 10 + ord("0")
+    fixed = (0 <= x) & (x <= 16)
     # the lead "0." of -4 <= X < 0 holds the point; fixed form writes the integer part
-    before = [x + 1 if 0 <= x <= 16 else 17 if -4 <= x < 0 else 1 for x in exps]
-    head = np.zeros((len(exps), 2, 2), np.uint64)
-    for i, x in enumerate(exps):
-        lead = b"0." + b"0" * (-x - 1) if -4 <= x < 0 else b""
-        for neg in (0, 1):
-            for more in (0, 1):
-                slot = b"." if more and before[i] == 1 else b"\0"
-                head[i, neg, more] = _word((b"-" if neg else b"\0") + lead.ljust(5, b"\0") + b"\0" + slot)
+    lead_zero = (-4 <= x) & (x < 0)
+    before = np.where(fixed, x + 1, np.where(lead_zero, 17, 1))
+    lead = np.zeros(x.size, np.uint64)
+    lead[lead_zero] = [_word(b"\0" + b"0." + b"0" * (-e - 1)) for e in range(-4, 0)]
+    # by (exponent, negative, more than one digit): the sign, the lead, the point slot
+    sign = np.array([0, ord("-")], np.uint64)
+    slot = np.zeros((x.size, 2), np.uint64)
+    slot[before == 1, 1] = ord(".") << 56
+    head = lead[:, None, None] | sign[None, :, None] | slot[:, None, :]
+    # "e+XX" or "e+XXX": the sign, then at least two digits
+    mag = np.abs(x)
+    three = mag >= 100
+    suffix = np.where(x < 0, ord("-"), ord("+")).astype(np.uint64) << np.uint64(8) | np.uint64(ord("e"))
+    suffix |= np.where(three, _ascii(mag // 100, 2), 0) | _ascii(mag // 10 % 10, 2 + three)
+    suffix |= _ascii(mag % 10, 3 + three)
+    suffix[fixed | lead_zero] = 0
     # digits 1..keep-1 stay, and the point after digit p-1 when a digit follows it
-    masks = np.zeros((18 * 18, 32), np.uint8)
-    for p in range(1, 18):
-        for keep in range(1, 18):
-            masks[18 * p + keep, 0 : 2 * keep - 2 : 2] = 0xFF
-            if 1 < p < keep:
-                masks[18 * p + keep, 2 * p - 3] = ord(".")
+    p, keep, byte = np.ix_(np.arange(18), np.arange(18), np.arange(32))
+    masks = np.where((p > 0) & (keep > 0) & (byte % 2 == 0) & (byte < 2 * keep - 2), 0xFF, 0)
+    masks = np.where((1 < p) & (p < keep) & (byte == 2 * p - 3), ord("."), masks).astype(np.uint8)
     return _G17Tables(
         ten_hi_hi=hi_hi,
         ten_hi_lo=hi - hi_hi,
         ten_lo=lo,
         digit_words=digit_words.reshape(10000, 8).view(np.uint64).ravel(),
-        trailing=np.cumprod(groups[:, ::-1] == ord("0"), axis=1).sum(axis=1),
-        before18=18 * np.array(before, np.int64),
-        min_keep=np.array([x + 1 if 0 <= x <= 16 else 1 for x in exps], np.int64),
-        suffix=np.array([_word(b"e%+03d" % x if x < -4 or x > 16 else b"") for x in exps], np.uint64),
+        trailing=sum((group % 10**k == 0).astype(np.int64) for k in range(1, 5)),
+        before18=18 * before,
+        min_keep=np.where(fixed, x + 1, 1),
+        suffix=suffix,
         head=head.reshape(-1),
-        masks=np.ascontiguousarray(masks.view(np.uint64).T),
+        masks=np.ascontiguousarray(masks.reshape(18 * 18, 32).view(np.uint64).T),
     )
 
 

@@ -397,7 +397,10 @@ def sobolev_norms(grid: SpatialGrid, values, beta: float) -> np.ndarray:
     For beta in (0, 1): L2 norm plus the one-sided derivative seminorm.
     For beta in (1, 2): additionally the first-derivative L2 norm.
     Index 1 (and anything outside (0, 2)) is rejected, and so are
-    non-finite samples.  One FFT along the last axis serves every term.
+    non-finite samples.  The derivative terms come from one FFT along the
+    last axis by Parseval, sum |m_k|**2 |X_k|**2 / n with |m_k| = |xi_k|**beta
+    and |xi_k|: real rows take the real half spectrum, every mode but the
+    zero and Nyquist ones standing for two, and complex rows the full one.
     Each dx-weighted L2 term is a square root squared again in Python
     floats, whose ``**`` (libm pow) numpy's square does not always match, so
     every norm is bit for bit the one a row summed on its own gives.
@@ -406,16 +409,22 @@ def sobolev_norms(grid: SpatialGrid, values, beta: float) -> np.ndarray:
         raise SingularOrderError(
             f"regularity index must lie in (0,1) or (1,2), got {beta:g}"
         )
-    vals = np.asarray(values, dtype=complex)
-    if vals.shape[-1:] != (grid.n_points,):
-        raise SizeError(f"expected rows of {grid.n_points} samples, got shape {vals.shape}")
-    if not np.all(np.isfinite(vals.view(float))):
+    vals = _as_field(values)
+    n = grid.n_points
+    if vals.shape[-1:] != (n,):
+        raise SizeError(f"expected rows of {n} samples, got shape {vals.shape}")
+    if not np.all(np.isfinite(vals)):
         raise ValueError("grid function samples must be finite")
-    spectrum = np.fft.fft(vals, axis=-1)
-    parts = [vals, np.fft.ifft(liouville_multiplier("left", beta, grid) * spectrum, axis=-1)]
-    if beta > 1.0:
-        parts.append(np.fft.ifft(1j * grid.xi * spectrum, axis=-1))
-    sums = [np.reshape(np.sum(np.abs(part) ** 2, axis=-1), -1).tolist() for part in parts]
+    half = not np.iscomplexobj(vals)
+    spectrum = np.fft.rfft(vals, axis=-1) if half else np.fft.fft(vals, axis=-1)
+    power = spectrum.real**2 + spectrum.imag**2
+    xi = np.abs(grid.xi[: spectrum.shape[-1]])
+    weight = np.full(xi.size, 1.0 / n)
+    if half:
+        weight[1 : n // 2] *= 2.0
+    squares = [xi ** (2.0 * beta)] + ([xi**2] if beta > 1.0 else [])
+    parts = [np.sum(np.abs(vals) ** 2, axis=-1)] + [np.sum(power * (weight * sq), axis=-1) for sq in squares]
+    sums = [np.reshape(part, -1).tolist() for part in parts]
     dx = grid.dx
     norms = []
     for row in zip(*sums):

@@ -108,7 +108,10 @@ def ml_trajectory(
 ) -> np.ndarray:
     """Evaluate t -> E_{alpha,beta'}(t**alpha A) x on a whole time ladder.
 
-    The operator powers A**p x are shared across nodes; per-node scalar
+    The operator powers A**p x are shared across nodes: on an action with a
+    multiplier and real x whose last axis is the action's dimension they
+    are one rfft, p products on the half spectrum and one irfft of the
+    stack, and any other action applies itself p times.  Per-node scalar
     coefficients are formed in log space so large gamma factors never
     overflow.  A coefficient t**(p alpha)/Gamma(beta' + p alpha) beyond the
     double range (a long horizon against a small operator norm) raises
@@ -126,10 +129,13 @@ def ml_trajectory(
     vec = np.asarray(x)
     n_terms = _series_terms(alpha, beta_prime, float(ts.max()), action.norm_bound)
 
-    rows = [vec]
-    for _ in range(n_terms):
-        rows.append(np.asarray(action.apply(rows[-1])))
-    powers = _as_field(np.stack([row.ravel() for row in rows]))
+    if action.multiplier is not None and not np.iscomplexobj(vec) and vec.shape[-1:] == (action.dim,):
+        powers = _multiplier_powers(action, vec, n_terms)
+    else:
+        rows = [vec]
+        for _ in range(n_terms):
+            rows.append(np.asarray(action.apply(rows[-1])))
+        powers = _as_field(np.stack([row.ravel() for row in rows]))
 
     orders = np.arange(n_terms + 1, dtype=float)
     lg = np.array([math.lgamma(beta_prime + p * alpha) for p in orders])
@@ -148,6 +154,22 @@ def ml_trajectory(
 
     out = coeffs @ powers
     return out.reshape((ts.size,) + vec.shape)
+
+
+def _multiplier_powers(action: LinearAction, vec: np.ndarray, n_terms: int) -> np.ndarray:
+    """x, A x, ..., A**n_terms x as raveled rows, for a multiplier A and real x.
+
+    One rfft of x, n_terms products with the multiplier on the half
+    spectrum and one irfft of the whole stack; row 0 is x itself.
+    """
+    spectrum = np.fft.rfft(vec.astype(float, copy=False), axis=-1)
+    stack = np.empty((n_terms,) + spectrum.shape, complex)
+    for p in range(n_terms):
+        spectrum = np.multiply(spectrum, action.multiplier, out=stack[p])
+    powers = np.empty((n_terms + 1, vec.size))
+    powers[0] = vec.ravel()
+    powers[1:] = np.fft.irfft(stack, action.dim, axis=-1).reshape(n_terms, vec.size)
+    return powers
 
 
 def _series_terms(alpha: float, beta: float, t: float, norm: float) -> int:

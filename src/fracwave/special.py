@@ -7,10 +7,12 @@ that sizes operator-valued series from their scalar majorant, and an
 empirical certificate for the exponential growth envelope of the
 Mittag-Leffler function on a rate/time grid.
 
-Two term-ratio loops sum sum_{n>=0} z**n / Gamma(beta + n*alpha), both with
-compensated (Kahan) summation and a running sum of term magnitudes; once
-the magnitude ratio of consecutive terms drops below 1/2 the geometric tail
-bound certifies the truncation.
+Three term-ratio loops sum sum_{n>=0} z**n / Gamma(beta + n*alpha), each
+with a running sum of term magnitudes; once the magnitude ratio of
+consecutive terms drops below 1/2 the geometric tail bound certifies the
+truncation.  `mittag_leffler` climbs a ladder of them: double, then
+double-double for the real arguments the double path leaves, then decimal
+(real) or mpc (complex) at 40, 80, ..., 2560 digits for whatever is left.
 
 * `_series_array` is the double path of `mittag_leffler` (lgamma ratios) on
   a whole argument array, a scalar being an array of one.  Per element it
@@ -18,38 +20,48 @@ bound certifies the truncation.
   and accepts the value when the tail plus the rounding bound, 4 * machine
   epsilon times the sum of term magnitudes, is below the whole, so a series
   without cancellation certifies in double.  An element leaves the working
-  set once it stops or its next term overflows.
-* `_series` is the scalar loop, with the arithmetic passed in by its
+  set once it stops or its next term overflows.  Its sums are compensated
+  (Kahan).
+* `_series_dd` takes every real argument the double path leaves uncertified
+  in one lockstep loop of the same shape, in double-double arithmetic
+  (Dekker products, numpy having no fma) over the 40-digit ratio table
+  split into (hi, lo) pairs.  It stops at a tail below 2**-100 of the sum
+  and accepts a value when 16 * (n + 2) * 2**-106 times the sum of term
+  magnitudes, plus the tail, is within the tolerance: about 32 digits, so
+  the moderate cancellations of real arguments need no decimal sum.
+* `_series` is the scalar Kahan loop, with the arithmetic passed in by its
   callers: `series_term_count` sums the majorant and rejects one that
   overflows (the solver sizes its blocks with it, one magnitude at a time,
   where a numpy loop of size one would cost many times more); and on
-  catastrophic cancellation the retry, `_series_hp`, takes each uncertified
-  element of the double path on its own and redoes the sum at 40, 80, ...,
-  2560 working digits until the rounding bound 10**(5 - digits) times the
-  sum of term magnitudes is below the tolerance: a real argument in
-  `decimal` with two guard digits (a unit roundoff no coarser than mpf's at
-  those digits), a complex one in mpc.
+  cancellation past the double-double budget (or of a complex argument)
+  the retry, `_series_hp`, takes each element left uncertified on its own
+  and redoes the sum at 40, 80, ..., 2560 working digits until the
+  rounding bound 10**(5 - digits) times the sum of term magnitudes is
+  below the tolerance: a real argument in `decimal` with two guard digits
+  (a unit roundoff no coarser than mpf's at those digits), a complex one
+  in mpc.
 
 Term ratios come from tables keyed by (alpha, beta, working digits), the
-double path's under digits None, so the retry pays for its gammaprod
-coefficients once per order pair rather than once per call; a real retry
-also converts each entry once to a Decimal of digits + 5 and keeps it on
-the table.  A table is extended on demand with the same expression at the
-same precision, so a warm table gives the numbers a cold one computes; at
-most `_TABLE_CAP` tables of at most `_MAX_TERMS` + 1 ratios are kept, least
+double path's under digits None, so the retries pay for their gammaprod
+coefficients once per order pair rather than once per call; each entry is
+converted once, to a Decimal of digits + 5 for the real retry and to a
+(hi, lo) pair of doubles for the double-double rung, and kept on the
+table.  A table is extended on demand with the same expression at the same
+precision, so a warm table gives the numbers a cold one computes; at most
+`_TABLE_CAP` tables of at most `_MAX_TERMS` + 1 ratios are kept, least
 recently used first out.
 
 `mittag_leffler_hp` keeps a loop of its own: it is the independent oracle.
 It certifies its own rounding with the retry's bound, raising its working
 digits until the requested digits hold.
 
-mpmath and `decimal` are imported on first use, by the retry, the digit
-tables and the oracle, so runs that never retry do not load them.
+mpmath and `decimal` are imported on first use, by the digit tables, the
+retries and the oracle, so runs that never retry do not load them.
 
 Documented argument ranges: |z| <= 50 is guaranteed for the double path with
-alpha >= 0.5; up to |z| <= 200 the high-precision retry covers whatever the
-double path cannot certify.  Beyond 200 a range error is raised, for an
-array as soon as one of its elements lies there.
+alpha >= 0.5; up to |z| <= 200 the double-double and high-precision retries
+cover whatever the double path cannot certify.  Beyond 200 a range error is
+raised, for an array as soon as one of its elements lies there.
 """
 
 from __future__ import annotations
@@ -163,7 +175,8 @@ class _RatioTable:
 
     Entries are appended in order under the table's lock, so two threads
     extending at once never skip or repeat a term.  A table with digits also
-    keeps its entries as Decimals of dps + 5 digits for the real retry, each
+    keeps its entries as Decimals of dps + 5 digits for the real retry and
+    as double-double (hi, lo) pairs for the double-double rung, each
     converted once and appended under the same lock.
     """
 
@@ -173,6 +186,7 @@ class _RatioTable:
         self.dps = dps
         self.ratios = []
         self.decimals = []
+        self.pairs = []
         self.lock = threading.Lock()
         if dps is None:
             self.first = math.exp(-math.lgamma(beta))
@@ -182,6 +196,7 @@ class _RatioTable:
             with mpmath.workdps(dps):
                 self.first = 1 / mpmath.gamma(beta)
             self.decimal_first = self._as_decimal(self.first)
+            self.first_pair = self._as_pair(self.first)
 
     def _ratio(self, k: int):
         if self.dps is None:
@@ -210,15 +225,29 @@ class _RatioTable:
 
         return decimal.Decimal(mpmath.nstr(value, self.dps + 5))
 
-    def decimal(self, n: int):
-        """Ratio n as a Decimal of dps + 5 digits."""
-        decimals = self.decimals
-        if n >= len(decimals):
+    def _as_pair(self, value) -> tuple:
+        import mpmath
+
+        with mpmath.workdps(self.dps):
+            hi = float(value)
+            return hi, float(value - hi)
+
+    def _converted(self, entries: list, convert, n: int):
+        """Entry n of a list of converted ratios, each converted once, in order under the lock."""
+        if n >= len(entries):
             self(n)
             with self.lock:
-                for k in range(len(decimals), n + 1):
-                    decimals.append(self._as_decimal(self.ratios[k]))
-        return decimals[n]
+                for k in range(len(entries), n + 1):
+                    entries.append(convert(self.ratios[k]))
+        return entries[n]
+
+    def decimal(self, n: int):
+        """Ratio n as a Decimal of dps + 5 digits."""
+        return self._converted(self.decimals, self._as_decimal, n)
+
+    def pair(self, n: int) -> tuple:
+        """Ratio n as a double-double (hi, lo): hi the nearest double, lo the nearest to the rest."""
+        return self._converted(self.pairs, self._as_pair, n)
 
 
 @functools.lru_cache(maxsize=_TABLE_CAP)
@@ -327,15 +356,113 @@ def _series_array(z: np.ndarray, first: float, ratio, stop: float, tiny: float):
     return total, stopped, n_terms, tail, abs_sum
 
 
+_SPLIT = 134217729.0  # 2**27 + 1, Dekker's splitting constant
+_DD_STOP = 2.0**-100  # the double-double rung's relative truncation level
+_DD_UNIT = 2.0**-106  # the unit roundoff of double-double arithmetic
+
+
+def _split(a):
+    """Dekker's split of a into hi + lo, each of at most 26 significant bits."""
+    t = _SPLIT * a
+    hi = t - (t - a)
+    return hi, a - hi
+
+
+def _two_prod(a, b, b_hi, b_lo):
+    """a*b as p + err exactly (Dekker), given b's split; numpy has no fma."""
+    p = a * b
+    a_hi, a_lo = _split(a)
+    return p, ((a_hi * b_hi - p) + a_hi * b_lo + a_lo * b_hi) + a_lo * b_lo
+
+
+def _fast_two_sum(a, b):
+    """a + b as s + err exactly, for |a| >= |b| or a = 0."""
+    s = a + b
+    return s, b - (s - a)
+
+
+def _two_sum(a, b):
+    """a + b as s + err exactly, for any a and b (Knuth)."""
+    s = a + b
+    bb = s - a
+    return s, (a - (s - bb)) + (b - bb)
+
+
+def _series_dd(z: np.ndarray, table: _RatioTable, tol: float):
+    """The series at real arguments in double-double arithmetic, all in lockstep.
+
+    Shaped like `_series_array`: term n + 1 is term n times z times the
+    table's ratio n, here as (hi, lo) pairs of doubles carrying about 106
+    bits, with Dekker products and the accurate double-double sum of Hida,
+    Li and Bailey.  An element stops once r = |z| * ratio(n) < 1/2 and the
+    geometric tail bound is below 2**-100 of its sum.  Each product and each
+    sum loses at most a few units of 2**-106 of its operands, so after n
+    terms the value is off by less than 16 * (n + 2) * 2**-106 * sum|term|
+    (the ratios' 40 digits and their hi/lo rounding included), and an
+    element is certified when that bound plus the tail is within tol of
+    |value| and all three are finite.  An element leaves the working set
+    once it stops, or uncertified once its next term stops being finite (it
+    overflows, or its split does).  Returns
+    the arrays (value, certified), value the pair's hi, the nearest double.
+    """
+    size = z.size
+    value = np.zeros(size)
+    certified = np.zeros(size, dtype=bool)
+    live = np.arange(size)
+    zw, az = z, np.abs(z)
+    z_hi, z_lo = _split(z)
+    first_hi, first_lo = table.first_pair
+    t_hi, t_lo = np.full(size, first_hi), np.full(size, first_lo)
+    s_hi, s_lo = t_hi.copy(), t_lo.copy()
+    mags = np.abs(t_hi)
+    n = 0
+    with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
+        while live.size and n < _MAX_TERMS:
+            r_hi, r_lo = table.pair(n)
+            r = az * r_hi
+            tail = (np.abs(t_hi) * r) / (1 - r)
+            modulus = np.abs(s_hi)
+            done = (r < 0.5) & (tail <= _DD_STOP * modulus)
+            if done.any():
+                out = live[done]
+                bound = 16.0 * (n + 2) * _DD_UNIT * mags[done] + tail[done]
+                value[out] = s_hi[done]
+                certified[out] = np.isfinite(bound) & np.isfinite(modulus[done]) & (bound <= tol * modulus[done])
+            # term * z, z a double
+            p, e = _two_prod(t_hi, zw, z_hi, z_lo)
+            t_hi, t_lo = _fast_two_sum(p, e + t_lo * zw)
+            # term * ratio, ratio a double-double
+            rh_hi, rh_lo = _split(r_hi)
+            p, e = _two_prod(t_hi, r_hi, rh_hi, rh_lo)
+            t_hi, t_lo = _fast_two_sum(p, e + (t_hi * r_lo + t_lo * r_hi))
+            mag = np.abs(t_hi)
+            leave = done | ~(np.isfinite(mag) & np.isfinite(t_lo))
+            if leave.any():
+                keep = ~leave
+                live, zw, az, z_hi, z_lo, t_hi, t_lo, s_hi, s_lo, mags, mag = (
+                    a[keep] for a in (live, zw, az, z_hi, z_lo, t_hi, t_lo, s_hi, s_lo, mags, mag)
+                )
+            # sum + term, the accurate double-double addition
+            s, e = _two_sum(s_hi, t_hi)
+            t, f = _two_sum(s_lo, t_lo)
+            s, e = _fast_two_sum(s, e + t)
+            s_hi, s_lo = _fast_two_sum(s, e + f)
+            mags += mag
+            n += 1
+    return value, certified
+
+
 def mittag_leffler(p: MlParams, z):
     """Two-parameter Mittag-Leffler function E_{alpha,beta}(z).
 
     z is a scalar, which returns a complex, or an array, which returns a
     complex ndarray of its shape.  Relative error is at most p.tol.
     Arguments with |z| > 200 raise MittagLefflerRangeError with a
-    diagnostic, and so does an array holding one; inside that range the
-    double path is attempted first and the high-precision retry covers
-    cancellation, one uncertified element at a time.
+    diagnostic, and so does an array holding one.  Inside that range the
+    double path is attempted first; the real arguments it leaves are summed
+    together in double-double, and every element still uncertified (complex,
+    cancelling past about 32 digits, or overflowing) takes the
+    high-precision retry on its own.
     """
     zs = np.asarray(z)
     zc = zs.astype(complex).ravel()
@@ -356,6 +483,12 @@ def mittag_leffler(p: MlParams, z):
     modulus = np.abs(total)
     certified = stopped & np.isfinite(abs_sum) & (modulus > 0.0) & (4.0 * _EPS * abs_sum + tail <= p.tol * modulus)
     value = total.astype(complex)
+    # the real arguments left take the double-double rung together
+    real = np.flatnonzero(~certified & (zc.imag == 0.0))
+    if real.size:
+        dd, dd_certified = _series_dd(zc.real[real], _ratio_table(p.alpha, p.beta, 40), p.tol)
+        value[real[dd_certified]] = dd[dd_certified]
+        certified[real] = dd_certified
     for k in np.flatnonzero(~certified):
         zk = complex(zc[k])
         hp = _series_hp(p.alpha, p.beta, zk.real if zk.imag == 0.0 else zk, p.tol)

@@ -18,6 +18,7 @@ from hypothesis import given, settings, strategies as st
 import fracwave
 from fracwave import cli, config_hash, ml_trajectory, parse_config, render_config
 from fracwave.cli import _write_manifest, assemble_scenario, entrypoint
+from fracwave import fieldcsv
 from fracwave.fieldcsv import format_g17, write_field_csv
 from fracwave.solution import as_action
 from fracwave.stochastic import stochastic_initial_data, white_noise_representative
@@ -213,6 +214,60 @@ def test_g17_formatter_on_random_bit_patterns():
     bits = np.random.Generator(np.random.Philox(key=0x617)).integers(0, 2**64, 200_000, dtype=np.uint64)
     values = bits.view(np.float64)
     assert format_g17(values) == [("%.17g" % v).encode() for v in values.tolist()]
+
+
+def _g17_tables_by_loops():
+    """The formatter's tables as they were first built, one Python step per entry."""
+
+    def word(text):
+        return int.from_bytes(text.ljust(8, b"\0"), "little")
+
+    exps = range(fieldcsv._X_MIN, fieldcsv._X_MAX + 1)
+    hi = np.empty(len(exps))
+    lo = np.empty(len(exps))
+    for i, x in enumerate(exps):
+        num, den = (10 ** (16 - x), 1) if x <= 16 else (1, 10 ** (x - 16))
+        hi[i] = num / den
+        m, e = hi[i].as_integer_ratio()
+        lo[i] = (num * e - m * den) / (den * e)
+    split = fieldcsv._SPLIT * hi
+    hi_hi = split - (split - hi)
+    groups = np.frombuffer(b"".join(b"%04d" % g for g in range(10000)), np.uint8).reshape(10000, 4)
+    digit_words = np.full((10000, 4, 2), 0xFF, np.uint8)
+    digit_words[:, :, 0] = groups
+    before = [x + 1 if 0 <= x <= 16 else 17 if -4 <= x < 0 else 1 for x in exps]
+    head = np.zeros((len(exps), 2, 2), np.uint64)
+    for i, x in enumerate(exps):
+        lead = b"0." + b"0" * (-x - 1) if -4 <= x < 0 else b""
+        for neg in (0, 1):
+            for more in (0, 1):
+                slot = b"." if more and before[i] == 1 else b"\0"
+                head[i, neg, more] = word((b"-" if neg else b"\0") + lead.ljust(5, b"\0") + b"\0" + slot)
+    masks = np.zeros((18 * 18, 32), np.uint8)
+    for p in range(1, 18):
+        for keep in range(1, 18):
+            masks[18 * p + keep, 0 : 2 * keep - 2 : 2] = 0xFF
+            if 1 < p < keep:
+                masks[18 * p + keep, 2 * p - 3] = ord(".")
+    return fieldcsv._G17Tables(
+        ten_hi_hi=hi_hi,
+        ten_hi_lo=hi - hi_hi,
+        ten_lo=lo,
+        digit_words=digit_words.reshape(10000, 8).view(np.uint64).ravel(),
+        trailing=np.cumprod(groups[:, ::-1] == ord("0"), axis=1).sum(axis=1),
+        before18=18 * np.array(before, np.int64),
+        min_keep=np.array([x + 1 if 0 <= x <= 16 else 1 for x in exps], np.int64),
+        suffix=np.array([word(b"e%+03d" % x if x < -4 or x > 16 else b"") for x in exps], np.uint64),
+        head=head.reshape(-1),
+        masks=np.ascontiguousarray(masks.view(np.uint64).T),
+    )
+
+
+def test_g17_tables_equal_the_loop_built_ones():
+    tables = fieldcsv._g17_tables.__wrapped__()
+    for name, want in zip(fieldcsv._G17Tables._fields, _g17_tables_by_loops()):
+        got = getattr(tables, name)
+        assert (got.dtype, got.shape) == (want.dtype, want.shape) and np.array_equal(got, want), name
 
 
 def test_importing_the_cli_builds_no_formatter_table():

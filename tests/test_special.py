@@ -19,7 +19,7 @@ from fracwave import (
     mittag_leffler_hp,
     series_term_count,
 )
-from fracwave import special
+from fracwave import special, validation
 from fracwave.cli import entrypoint
 
 # 60-digit series sums, computed once with mpmath and frozen
@@ -155,7 +155,8 @@ def test_double_path_agrees_with_hp(alpha, beta, re, im):
 
 
 # negative real arguments the double path cannot certify, so every one takes
-# the high-precision retry; (1, 1, -40) and (1, 1, -60) escalate to 80 digits
+# a retry rung: the double-double sum, or past its budget (alpha = 1 at -60)
+# the decimal retry, which escalates to 80 digits at (1, 1, -60)
 RETRY_CASES = [
     (alpha, beta, -x)
     for alpha in (1.0, 1.5, 2.0)
@@ -176,13 +177,26 @@ def _counting_retry(monkeypatch):
     return calls
 
 
+def _counting_rungs(monkeypatch):
+    """Record the arguments every retry rung is handed: double-double arrays and decimal or mpc scalars."""
+    calls = _counting_retry(monkeypatch)
+    rung = special._series_dd
+
+    def counted(z, table, tol):
+        calls.extend(z.tolist())
+        return rung(z, table, tol)
+
+    monkeypatch.setattr(special, "_series_dd", counted)
+    return calls
+
+
 @pytest.mark.parametrize("alpha, beta, z", RETRY_CASES)
 def test_retry_tables_give_cold_values_warm(monkeypatch, alpha, beta, z):
-    calls = _counting_retry(monkeypatch)
+    calls = _counting_rungs(monkeypatch)
     p = MlParams(alpha, beta)
     special._ratio_table.cache_clear()
     cold = mittag_leffler(p, z)
-    assert calls, "the double path certified this argument; pick one that forces the retry"
+    assert calls, "the double path certified this argument; pick one that forces a retry rung"
     warm = mittag_leffler(p, z)
     special._ratio_table.cache_clear()
     mittag_leffler(p, z / 4.0)  # a shorter table, then extended by the full argument
@@ -212,16 +226,134 @@ def test_real_retry_sums_the_complex_retry_bit_for_bit(alpha, beta, z):
 
 
 @pytest.mark.parametrize("alpha, beta, z", [case for case in RETRY_CASES if isinstance(case[2], float)])
-def test_real_retry_sums_in_decimal(monkeypatch, alpha, beta, z):
-    calls = _counting_retry(monkeypatch)
+def test_real_retry_sums_in_decimal(alpha, beta, z):
     special._ratio_table.cache_clear()
     p = MlParams(alpha, beta)
-    val = mittag_leffler(p, z)
-    assert calls == [z]
+    val = special._series_hp(alpha, beta, z, p.tol)
     # the first rung's Decimal coefficients were built, so the sum ran in decimal
     assert special._ratio_table(alpha, beta, 40).decimals
     ref = mittag_leffler_hp(alpha, beta, z, dps=120)
     assert abs(val - complex(ref)) <= p.tol * abs(ref)
+
+
+def test_a_real_argument_past_the_double_double_budget_sums_in_decimal(monkeypatch):
+    # e**60 of cancellation: the double-double rung cannot certify it
+    calls = _counting_retry(monkeypatch)
+    special._ratio_table.cache_clear()
+    p = MlParams(1.0, 0.1)
+    val = mittag_leffler(p, -60.0)
+    assert calls == [-60.0] and special._ratio_table(1.0, 0.1, 40).decimals
+    ref = mittag_leffler_hp(1.0, 0.1, -60.0, dps=120)
+    assert abs(val - complex(ref)) <= p.tol * abs(ref)
+
+
+def _check_arguments(monkeypatch):
+    """(params, argument array) of every mittag_leffler call of validate checks 1, 4 and 10."""
+    seen = []
+
+    def recording(p, z):
+        seen.append((p, np.array(z, dtype=float)))
+        return mittag_leffler(p, z)
+
+    with monkeypatch.context() as m:
+        m.setattr(validation, "mittag_leffler", recording)
+        for index in (1, 4, 10):
+            validation.run_one(index)
+    return seen
+
+
+def test_validate_checks_1_4_and_10_need_no_decimal_retry(monkeypatch):
+    # the double-double rung certifies every argument the double path leaves
+    # (395 of them, each once a decimal sum)
+    cases = _check_arguments(monkeypatch)
+    calls = _counting_retry(monkeypatch)
+    for p, z in cases:
+        mittag_leffler(p, z)
+    assert len(cases) == 17 and calls == []
+
+
+@pytest.mark.parametrize("alpha", [1.0, 1.25, 1.5, 1.9, 2.0])
+@pytest.mark.parametrize("beta", [0.1, 1.0, 1.9])
+def test_double_double_values_lie_within_tol_of_the_oracle(alpha, beta):
+    z = -np.geomspace(0.25, 200.0, 15)
+    tol = 1e-14
+    value, certified = special._series_dd(z, special._ratio_table(alpha, beta, 40), tol)
+    # the small arguments certify, and at alpha = 1 the far end cancels past the budget
+    assert certified[:4].all() and (alpha != 1.0 or not certified[-1])
+    for zk, vk in zip(z[certified].tolist(), value[certified].tolist()):
+        ref = complex(mittag_leffler_hp(alpha, beta, zk, dps=_oracle_dps(alpha, zk)))
+        assert abs(vk - ref) <= tol * abs(ref)
+
+
+@pytest.mark.parametrize("source", ["retry cases", "checks 1, 4 and 10"])
+def test_double_double_values_are_the_decimal_retry_bit_for_bit(monkeypatch, source):
+    if source == "retry cases":
+        cases = [(MlParams(a, b), np.array([z])) for a, b, z in RETRY_CASES if isinstance(z, float)]
+    else:
+        cases = _check_arguments(monkeypatch)
+    n_both = 0
+    for p, z in cases:
+        z = z.ravel()
+        value, certified = special._series_dd(z, special._ratio_table(p.alpha, p.beta, 40), p.tol)
+        for zk, vk in zip(z[certified].tolist(), value[certified].tolist()):
+            assert repr(complex(vk)) == repr(special._series_hp(p.alpha, p.beta, zk, p.tol))
+            n_both += 1
+    # only alpha = 1 at -60 lies past the budget
+    assert n_both == (15 if source == "retry cases" else sum(z.size for _, z in cases))
+
+
+def test_an_argument_past_the_double_double_budget_reaches_the_decimal_retry_at_80_digits(monkeypatch):
+    calls = _counting_retry(monkeypatch)
+    special._ratio_table.cache_clear()
+    value = mittag_leffler(MlParams(1.0, 1.0), -60.0)
+    assert calls == [-60.0]
+    assert not special._series_dd(np.array([-60.0]), special._ratio_table(1.0, 1.0, 40), 1e-14)[1][0]
+    assert _held(1.0, 1.0, 80) and special._ratio_table(1.0, 1.0, 80).decimals
+    assert abs(value - math.exp(-60.0)) <= 1e-14 * math.exp(-60.0)
+
+
+def test_double_double_tables_give_cold_values_warm_and_extended():
+    z = -np.linspace(0.5, 60.0, 25)
+    for alpha, beta in ((1.5, 0.1), (2.0, 1.9), (1.25, 1.0)):
+        special._ratio_table.cache_clear()
+        cold = special._series_dd(z, special._ratio_table(alpha, beta, 40), 1e-14)
+        warm = special._series_dd(z, special._ratio_table(alpha, beta, 40), 1e-14)
+        special._ratio_table.cache_clear()
+        special._series_dd(z / 4.0, special._ratio_table(alpha, beta, 40), 1e-14)
+        extended = special._series_dd(z, special._ratio_table(alpha, beta, 40), 1e-14)
+        assert cold[1].any()
+        for got in (warm, extended):
+            assert got[0].tobytes() == cold[0].tobytes() and np.array_equal(got[1], cold[1])
+
+
+def test_threads_extend_the_double_double_pairs_in_order():
+    table = special._RatioTable(1.3, 0.7, 40)
+    barrier = threading.Barrier(6)
+
+    def walk(offset):
+        barrier.wait()
+        for n in range(offset, 400, 7):
+            table.pair(n)
+
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        threads = [threading.Thread(target=walk, args=(k,)) for k in range(6)]
+        for t in threads:
+            t.start()
+        for t in threads:
+            t.join(timeout=60.0)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(t.is_alive() for t in threads)
+    fresh = special._RatioTable(1.3, 0.7, 40)
+    assert len(table.pairs) >= 394
+    assert table.pairs == [fresh.pair(n) for n in range(len(table.pairs))]
+    # hi is the nearest double to the 40-digit ratio, and hi + lo carries it to about 106 bits
+    with mpmath.workdps(60):
+        for n in (0, 17, len(table.pairs) - 1):
+            ratio, (hi, lo) = table.ratios[n], table.pairs[n]
+            assert hi == float(ratio) and abs(hi + mpmath.mpf(lo) - ratio) <= mpmath.mpf(2) ** -105 * ratio
 
 
 def test_nonnegative_arguments_certify_in_double(monkeypatch):
