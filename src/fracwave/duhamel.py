@@ -23,11 +23,13 @@ march over blocks of rows: each block sums the history of the earlier rows
 in one dense product, once per solve, and then converges its own fixed point
 before the next block starts.  The derivative form differentiates the whole
 forcing history on every sweep, so it keeps whole-horizon Picard sweeps, each
-one a blocked march of the linear system in which a short operator series,
-certified at the block's own time span, resolves the rows inside a block.
-Its sweeps converge window by window, and the windows are the kernel form's
-blocks without their row cap: the longest runs of rows on which
-Lip f * ||W_BB||_inf <= 1/2.
+one a blocked march of the linear system.  On a Fourier multiplier with real
+data each mode's march is a scalar triangular system, solved exactly with
+the resolvent of the blocks' Toeplitz weights (_mode_volterra); every other
+march resolves the rows inside a block by a short operator series, certified
+at the block's own time span.  Its sweeps converge window by window, and the
+windows are the kernel form's blocks without their row cap: the longest runs
+of rows on which Lip f * ||W_BB||_inf <= 1/2.
 """
 
 from __future__ import annotations
@@ -49,6 +51,7 @@ from .fractional import (
     _as_field,  # float64 or complex128, following the data
     _block_norms,  # ||W_BB||_inf read from the weights' taps
     _row_blocks,  # a lower-triangular product built _BLOCK_ROWS rows at a time
+    _toeplitz_column,  # the diagonal and b_1, b_2, ... of the weights past column 0
     _weights_product,  # real-view product of weights with complex samples
     caputo_derivative,
     first_difference,
@@ -406,6 +409,57 @@ def _volterra(weights: Callable, action: LinearAction, g: np.ndarray, plan: list
     return v.reshape(shape)
 
 
+# the length of the time FFT that applies a block's resolvent: twice a block,
+# so the causal convolution of _BLOCK_ROWS rows does not wrap
+_RESOLVENT_FFT = 2 * _BLOCK_ROWS
+
+
+def _mode_resolvents(alpha: float, n_nodes: int, dt: float, lam: np.ndarray) -> Optional[np.ndarray]:
+    """The time FFTs of the first columns r of (I - lam_k T)^-1, one column per mode; None to keep the series.
+
+    T is the lower-triangular Toeplitz section of the order-alpha weights
+    past column 0, of one block's rows: c_0 = dt**alpha / Gamma(alpha + 2) on
+    the diagonal, then b_1, b_2, ...  Its inverse is lower-triangular Toeplitz
+    too, and r follows from the triangular recursion r_0 = 1 / (1 - lam c_0),
+    r_i = lam r_0 (c_i r_0 + ... + c_1 r_{i-1}), all modes at once.  Where
+    some mode has |1 - lam c_0| < 1/2, r_0 exceeds 2 and the recursion
+    magnifies rounding row by row; None then leaves the solve to the physical series.
+    """
+    c = _toeplitz_column(alpha, n_nodes, dt, _BLOCK_ROWS)
+    pivot = 1.0 - lam * c[0]
+    if np.any(np.abs(pivot) < 0.5):
+        return None
+    r = np.empty((c.size, lam.size), complex)
+    r[0] = 1.0 / pivot
+    gain = lam * r[0]
+    for i in range(1, c.size):
+        r[i] = gain * (c[i:0:-1] @ r[:i])
+    return np.fft.fft(r, _RESOLVENT_FFT, axis=0)
+
+
+def _mode_volterra(weights: Callable, lam: np.ndarray, resolvents: np.ndarray, g: np.ndarray) -> np.ndarray:
+    """Solve y = W (g + lam y) exactly mode by mode; returns v = g + lam y.
+
+    g holds one column per mode and lam its multiplier.  Per block
+    B = [s, e), with v[B] still holding g_B, one product gives
+    W[B, :e] v[:e] = W[B, :s] v[:s] + W_BB g_B, and y_B = R (that) solves
+    (I - lam W_BB) y_B = W[B, :s] v[:s] + W_BB g_B.  Past column 0, W_BB is
+    the Toeplitz section T, so R is each mode's resolvent, applied as a
+    causal convolution along time through the FFT (_mode_resolvents).  In
+    the head block row 0 of W is zero, so its rows 1.. form the same system.
+    Then v_B = g_B + lam y_B.  weights(s, e) gives the rows W[s:e, :e],
+    built per block, so no N x N matrix is held.
+    """
+    v = g.copy()
+    n = v.shape[0]
+    for s in range(0, n, _BLOCK_ROWS):
+        e = min(s + _BLOCK_ROWS, n)
+        spectrum = np.fft.fft(_weights_product(weights(s, e), v[:e]), _RESOLVENT_FFT, axis=0)
+        y = np.fft.ifft(np.multiply(spectrum, resolvents, out=spectrum), axis=0)[: e - s]
+        v[s:e] += lam * y
+    return v
+
+
 def _buffer(buffers: dict, key: str, dtype, shape: tuple) -> np.ndarray:
     """The solve's buffer under key, made anew only when its dtype or shape changes."""
     buf = buffers.get(key)
@@ -584,6 +638,16 @@ def solve_rl_form(p: CauchyProblem, opts: SolverOptions = SolverOptions()) -> So
     rows are built _BLOCK_ROWS at a time from the cached taps, so no N x N
     matrix is held.
 
+    On an action with a multiplier and real data the derivative and the
+    march run on the real half spectrum, and the march solves every mode
+    exactly (_mode_volterra) with resolvents computed once per solve.  Where
+    some mode has |1 - lam dt**alpha / Gamma(alpha + 2)| < 1/2, and for
+    complex data, a variable coefficient, scalars and matrices, the march
+    sums the certified series of _volterra in physical space.  The problem
+    chooses the march once, before the sweeps, and the metadata's "march"
+    names it, "modes" or "series"; a march by modes records series_levels
+    and cold_blocks as 0.
+
     The whole-horizon sweeps converge window by window over the kernel form's
     blocks without their row cap (a nonlinearity one time step cannot resolve
     raises the same ResolutionError); the metadata counts them as windows.  A
@@ -605,30 +669,34 @@ def solve_rl_form(p: CauchyProblem, opts: SolverOptions = SolverOptions()) -> So
 
     singular = _propagated(p, p.alpha, f0) if f0_norm > 0.0 else 0.0
     base = _base_trajectory(p)
+    # the problem chooses the march once: by modes on a multiplier with real data
+    lam = p.action.multiplier
+    real = not any(np.iscomplexobj(x) for x in (base, f0, p.forcing))
+    resolvents = _mode_resolvents(p.alpha, mesh.n_nodes, mesh.dt, lam) if lam is not None and real else None
     weight = p.state_weight
     u = base.copy()
     histories: list = []
     stalled = None
-    lam = p.action.multiplier
-    diagonal = None if lam is None else LinearAction(lambda rows: lam * rows, p.action.norm_bound, lam.size)
     buffers: dict = {}  # the field-sized "centred" buffer, written in place on every sweep
 
     def memory(centred: np.ndarray) -> np.ndarray:
         """W_2 v, where v = g + A y, y = W_alpha (g + A y) and g = rl_derivative(centred), written over centred.
 
         Real data meet a multiplier mode by mode: the derivative and the march
-        run on the real half spectrum, between one rfft and one irfft.  A
-        centred forcing with no nonzero entry has an exactly zero memory,
-        returned as +0 in place without a transform or a product.
+        run on the real half spectrum, between one rfft and one irfft, and
+        the march solves each mode exactly.  A centred forcing with no
+        nonzero entry has an exactly zero memory, returned as +0 in place
+        without a transform or a product.
         """
         if _all_zero(centred):
             centred.fill(0.0)
             return centred
-        if diagonal is None or np.iscomplexobj(centred):
+        # a nonlinearity that turns complex on some real states leaves those sweeps to the series
+        if resolvents is None or np.iscomplexobj(centred):
             v = _volterra(weights_alpha, p.action, rl_derivative(centred, 2.0 - p.alpha, mesh), plan)
         else:
             g = rl_derivative(np.fft.rfft(centred, axis=-1), 2.0 - p.alpha, mesh)
-            v = np.fft.irfft(_volterra(weights_alpha, diagonal, g, plan), p.action.dim, axis=-1)
+            v = np.fft.irfft(_mode_volterra(weights_alpha, lam, resolvents, g), p.action.dim, axis=-1)
         return _row_blocks(weights_two, v, _buffer(buffers, "centred", v.dtype, v.shape))
 
     for s, e, _ in windows:
@@ -646,7 +714,11 @@ def solve_rl_form(p: CauchyProblem, opts: SolverOptions = SolverOptions()) -> So
         if not converged:
             stalled = stalled or (s, e - 1)
         histories.append(history)
-    meta = {**_plan_meta(plan), "windows": len(windows), "initial_forcing_norm": f0_norm}
+    if resolvents is None:
+        march = {"march": "series", **_plan_meta(plan)}
+    else:
+        march = {"march": "modes", **_plan_meta([(s, e, 0) for s, e, _ in plan]), "cold_blocks": 0}
+    meta = {**march, "windows": len(windows), "initial_forcing_norm": f0_norm}
     return _report("rl", u, histories, stalled, meta)
 
 

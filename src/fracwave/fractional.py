@@ -181,6 +181,12 @@ def _weight_taps(gamma_ord: float, n_nodes: int, dt: float) -> tuple:
     return taps, first
 
 
+def _toeplitz_column(gamma_ord: float, n_nodes: int, dt: float, rows: int) -> np.ndarray:
+    """The diagonal and b_1, ..., b_{rows-1}: the first column of W's Toeplitz part past column 0, read-only."""
+    taps = _weight_taps(gamma_ord, n_nodes, dt)[0]
+    return taps[n_nodes - 1 :: -1][:rows]
+
+
 def _block_norms(gamma_ord: float, n_nodes: int, dt: float, start: int, rows: int) -> np.ndarray:
     """||W[start:start + k, start:start + k]||_inf for k = 1..rows, read from the taps, not from rows of W.
 
@@ -193,12 +199,11 @@ def _block_norms(gamma_ord: float, n_nodes: int, dt: float, start: int, rows: in
     way the block's last row gives its norm.  The sums equal the dense row
     sums up to rounding.
     """
-    taps, first = _weight_taps(gamma_ord, n_nodes, dt)
-    sums = np.cumsum(np.abs(taps[n_nodes - 1 :: -1][:rows]))
+    sums = np.cumsum(np.abs(_toeplitz_column(gamma_ord, n_nodes, dt, rows)))
     if start:
         return sums
     # row i >= 1 holds first[i] and the diagonal back to b_{i-1}; row 0 is zero
-    heads = np.abs(first[:rows])
+    heads = np.abs(_weight_taps(gamma_ord, n_nodes, dt)[1][:rows])
     heads[1:] += sums[:-1]
     return heads
 

@@ -39,7 +39,9 @@ double-double for the real arguments the double path leaves, then decimal
   rounding bound 10**(5 - digits) times the sum of term magnitudes is
   below the tolerance: a real argument in `decimal` with two guard digits
   (a unit roundoff no coarser than mpf's at those digits), a complex one
-  in mpc.
+  in mpc.  Before any retry, `_hopeless` refuses in log space, with
+  lgamma, an element whose sum cannot stop within `_MAX_TERMS` terms or
+  whose positive argument has a value past the double range.
 
 Term ratios come from tables keyed by (alpha, beta, working digits), the
 double path's under digits None, so the retries pay for their gammaprod
@@ -256,6 +258,36 @@ def _ratio_table(alpha: float, beta: float, dps: Optional[int]) -> _RatioTable:
     return _RatioTable(alpha, beta, dps)
 
 
+def _hopeless(alpha: float, beta: float, z) -> Optional[str]:
+    """Why `_series_hp` cannot give E_{alpha,beta}(z) in double, or None when it may.
+
+    Decided in log space with lgamma, before any high-precision sum:
+
+    * z > 0 real: every term is positive, so a term past the double range
+      makes the value overflow.  The term taken is next to the largest, at
+      beta + n alpha = |z|**(1/alpha) + 1/2, where the digamma function
+      reaches log|z| / alpha;
+    * the sum cannot stop within `_MAX_TERMS` terms at any precision: its
+      stop test needs |z| * ratio(n) < 1/2, and the ratios fall with n.  Up
+      to |z| = 200 this also refuses every sum whose largest term, near
+      exp(|z|**(1/alpha)), passes 10**2555, past which the last rung's 2560
+      digits cannot hold the cancellation to a value of order one: such a
+      sum stops only near term (2 |z|)**(1/alpha) / alpha, past 30000.
+    """
+    az = abs(z)
+    if az == 0.0:
+        return None
+    log_z = math.log(az)
+    if isinstance(z, float) and z > 0.0 and log_z / alpha < 700.0:
+        n = max(0, round((math.exp(log_z / alpha) + 0.5 - beta) / alpha))
+        if n * log_z - math.lgamma(beta + n * alpha) > math.log(np.finfo(float).max):
+            return f"E_({alpha:g},{beta:g})(z) overflows double precision at |z| = {az:.6g}"
+    last = _MAX_TERMS - 1
+    if log_z + math.lgamma(beta + last * alpha) - math.lgamma(beta + (last + 1) * alpha) > math.log(0.5) + 1e-9:
+        return f"series for E_({alpha:g},{beta:g}) at |z| = {az:.3g} needs more than {_MAX_TERMS} terms"
+    return None
+
+
 def _series_hp(alpha: float, beta: float, z, tol: float) -> complex:
     """High-precision retry with escalating working precision.
 
@@ -462,7 +494,8 @@ def mittag_leffler(p: MlParams, z):
     double path is attempted first; the real arguments it leaves are summed
     together in double-double, and every element still uncertified (complex,
     cancelling past about 32 digits, or overflowing) takes the
-    high-precision retry on its own.
+    high-precision retry on its own.  Before any retry runs, an element that
+    no retry can give (_hopeless) raises MittagLefflerRangeError at once.
     """
     zs = np.asarray(z)
     zc = zs.astype(complex).ravel()
@@ -489,9 +522,15 @@ def mittag_leffler(p: MlParams, z):
         dd, dd_certified = _series_dd(zc.real[real], _ratio_table(p.alpha, p.beta, 40), p.tol)
         value[real[dd_certified]] = dd[dd_certified]
         certified[real] = dd_certified
-    for k in np.flatnonzero(~certified):
-        zk = complex(zc[k])
-        hp = _series_hp(p.alpha, p.beta, zk.real if zk.imag == 0.0 else zk, p.tol)
+    left = np.flatnonzero(~certified)
+    args = [zk.real if zk.imag == 0.0 else zk for zk in zc[left].tolist()]
+    # every element left is judged before any is summed, so a hopeless one refuses at once
+    for zk in args:
+        reason = _hopeless(p.alpha, p.beta, zk)
+        if reason is not None:
+            raise MittagLefflerRangeError(reason)
+    for k, zk in zip(left, args):
+        hp = _series_hp(p.alpha, p.beta, zk, p.tol)
         if not (np.isfinite(hp.real) and np.isfinite(hp.imag)):
             raise MittagLefflerRangeError(
                 f"E_({p.alpha:g},{p.beta:g})(z) overflows double precision at |z| = {az[k]:.6g}"

@@ -716,7 +716,7 @@ def _old_rl_form(p, opts):
         acc = _volterra(weights_alpha, p.action, w_reg, plan)
         return singular + _weights_product(weights_two, acc)
 
-    meta = {**_plan_meta(plan), "windows": len(windows), "initial_forcing_norm": f0_norm}
+    meta = {"march": "series", **_plan_meta(plan), "windows": len(windows), "initial_forcing_norm": f0_norm}
     return picard(p, opts, windows, integral_term, "rl", meta)
 
 
@@ -769,6 +769,11 @@ def _stripped(p):
     return dataclasses.replace(p, operator=dataclasses.replace(p.action, multiplier=None))
 
 
+def _unmarched(meta):
+    """The metadata without the keys that name the march and its series."""
+    return {key: value for key, value in meta.items() if key not in ("march", "series_levels", "cold_blocks")}
+
+
 @pytest.mark.parametrize("mollified", [True, False])
 @pytest.mark.parametrize("kind", KINDS)
 def test_spectral_march_matches_the_physical_one(kind, mollified):
@@ -779,9 +784,75 @@ def test_spectral_march_matches_the_physical_one(kind, mollified):
     spectral, reference = solve_rl_form(p), solve_rl_form(physical)
     assert spectral.converged and reference.converged
     assert list(map(len, spectral.contraction_history)) == list(map(len, reference.contraction_history))
-    assert spectral.metadata == reference.metadata and spectral.metadata["arithmetic"] == "real"
+    # the spectral march solves each mode exactly; the physical one sums the series
+    assert spectral.metadata["march"] == "modes" and reference.metadata["march"] == "series"
+    assert spectral.metadata["series_levels"] == spectral.metadata["cold_blocks"] == 0
+    assert _unmarched(spectral.metadata) == _unmarched(reference.metadata)
+    assert spectral.metadata["arithmetic"] == "real"
     scale = np.abs(reference.trajectory).max()
     assert np.abs(spectral.trajectory - reference.trajectory).max() <= 1e-14 * scale
+
+
+@pytest.mark.parametrize("n_nodes", [2, 3, 64, 65, 66, 150, 513])
+@pytest.mark.parametrize("mollified", [True, False])
+@pytest.mark.parametrize("kind", KINDS)
+def test_the_march_by_modes_is_the_dense_solve_of_every_mode(kind, mollified, n_nodes):
+    # y = W (g + lam y) on the full weight matrix, one dense solve per mode;
+    # 64 to 66 nodes put a block edge next to the last row
+    grid = SpatialGrid(16.0, 64)
+    moll = make_mollifier("bump", 1.0, grid) if mollified else None
+    lam = as_action(build_operator(kind, 1.5, np.full(grid.n_points, 0.1), moll, grid)).multiplier
+    assert (np.abs(lam.imag).max() > 0.1 * np.abs(lam).max()) == kind.startswith("liouville")
+    dt = 1.0 / (n_nodes - 1)
+    resolvents = duhamel._mode_resolvents(ALPHA, n_nodes, dt, lam)
+    assert resolvents is not None
+    rng = np.random.default_rng(n_nodes)
+    g = rng.standard_normal((n_nodes, lam.size)) + 1j * rng.standard_normal((n_nodes, lam.size))
+    v = duhamel._mode_volterra(partial(pi_weights, ALPHA, n_nodes, dt), lam, resolvents, g)
+    weights = pi_weights(ALPHA, n_nodes, dt)
+    for k, lam_k in enumerate(lam):
+        y = np.linalg.solve(np.eye(n_nodes) - lam_k * weights, weights @ g[:, k])
+        assert np.abs(weights @ v[:, k] - y).max() <= 1e-13 * np.abs(y).max()
+        exact = g[:, k] + lam_k * y
+        assert np.abs(v[:, k] - exact).max() <= 1e-13 * np.abs(exact).max()
+
+
+def test_a_mode_next_to_the_pivot_keeps_the_series(monkeypatch):
+    # lam dt**alpha / Gamma(alpha + 2) = 1.2 on the top mode: the resolvent
+    # recursion would divide by |1 - 1.2| < 1/2, so the march sums the series
+    dim, mesh = 16, TimeMesh(1.0, 4)
+    lam = np.linspace(-2.0, 0.0, dim // 2 + 1).astype(complex)
+    lam[-1] = 1.2 * math.gamma(ALPHA + 2.0) / mesh.dt**ALPHA
+    action = LinearAction(
+        lambda rows: np.fft.irfft(lam * np.fft.rfft(rows, axis=-1), dim, axis=-1), float(np.abs(lam).max()), dim, lam
+    )
+    rng = np.random.default_rng(5)
+    # every mode is excited, the top one included, so its growth sets the scale
+    forcing = 0.3 * np.outer(np.cos(3.0 * mesh.nodes), rng.standard_normal(dim))
+    p = CauchyProblem(ALPHA, action, zero_nonlinearity(), rng.standard_normal(dim), mesh, forcing=forcing)
+    assert duhamel._mode_resolvents(ALPHA, mesh.n_nodes, mesh.dt, lam) is None
+    marches = _recorded_mode_marches(monkeypatch)
+    report = solve_rl_form(p)
+    assert report.converged and marches == []
+    assert report.metadata["march"] == "series" and report.metadata["series_levels"] >= 1
+    # it is the physical march, whose propagator applies the operator term by term
+    physical = solve_rl_form(_stripped(p))
+    assert report.metadata == physical.metadata
+    scale = np.abs(physical.trajectory).max()
+    assert np.abs(report.trajectory - physical.trajectory).max() <= 1e-13 * scale
+
+
+def test_the_run_derivative_workload_marches_by_modes(monkeypatch):
+    # the benchmark's derivative-form workload measures the march by modes: no operator series
+    p = _bench_problem("run-derivative")
+    assert p.action.multiplier is not None
+    applies = []
+    apply_rows = LinearAction.apply_rows
+    monkeypatch.setattr(LinearAction, "apply_rows", lambda self, rows: applies.append(1) or apply_rows(self, rows))
+    report = solve_rl_form(p)
+    assert report.converged and applies == []
+    assert report.metadata["march"] == "modes" and report.metadata["series_levels"] == 0
+    assert report.metadata["volterra_blocks"] == 9
 
 
 @pytest.mark.parametrize("entry", ["spectral", "physical"])
@@ -853,6 +924,7 @@ def test_complex_forcing_takes_the_physical_march(monkeypatch):
     assert complex_forcing.action.multiplier is not None
     report = solve_rl_form(complex_forcing)
     assert report.metadata["arithmetic"] == "complex" and "apply_rows" in callers
+    assert report.metadata["march"] == "series"
     # the stripped problem's base applies the operator term by term, not on
     # the half spectrum, so it differs in the last bits only
     stripped = solve_rl_form(_stripped(complex_forcing)).trajectory
@@ -860,7 +932,7 @@ def test_complex_forcing_takes_the_physical_march(monkeypatch):
 
 
 def _homogeneous_problems():
-    """f = 0 and no forcing on a multiplier, a variable-coefficient, a scalar and a matrix operator."""
+    """f = 0 and no forcing on a multiplier (real and complex data), a variable-coefficient, a scalar and a matrix operator."""
     grid = SpatialGrid(16.0, 64)
     mesh = TimeMesh(1.0, 150)
     moll = make_mollifier("bump", 1.0, grid)
@@ -871,6 +943,8 @@ def _homogeneous_problems():
         problems[name] = CauchyProblem(
             ALPHA, op, zero_nonlinearity(), u0, mesh, initial_velocity=0.5 * u0, grid=grid
         )
+    # complex data on the multiplier: the derivative form marches the series
+    problems["complex"] = dataclasses.replace(problems["multiplier"], initial_data=(1.0 + 0.5j) * u0)
     data, velocity = np.array([1.0, -2.0]), np.array([0.3, 0.0])
     problems["scalar"] = CauchyProblem(ALPHA, -0.5, zero_nonlinearity(), data, mesh, initial_velocity=velocity)
     a_mat = np.array([[-1.0, 0.3], [0.2, -0.5]])
@@ -912,8 +986,30 @@ def _same_report(a, b):
     )
 
 
-@pytest.mark.parametrize("solve", [solve_kernel_form, solve_rl_form])
-@pytest.mark.parametrize("name", ["multiplier", "variable", "scalar", "matrix"])
+def _series_marches(names):
+    """(name, solve) pairs whose march sums the series: all but the derivative form on a multiplier."""
+    return [
+        (name, solve)
+        for solve in (solve_kernel_form, solve_rl_form)
+        for name in names
+        if (name, solve) != ("multiplier", solve_rl_form)
+    ]
+
+
+def _recorded_mode_marches(monkeypatch):
+    """Record every call of the march by modes."""
+    calls = []
+    march = duhamel._mode_volterra
+
+    def recorded(*args):
+        calls.append(args[-1].shape)
+        return march(*args)
+
+    monkeypatch.setattr(duhamel, "_mode_volterra", recorded)
+    return calls
+
+
+@pytest.mark.parametrize("name, solve", _series_marches(["multiplier", "complex", "variable", "scalar", "matrix"]))
 def test_a_homogeneous_solve_applies_only_its_propagator(monkeypatch, solve, name):
     p, callers = _operator_callers(monkeypatch, _homogeneous_problems()[name])
     report = solve(p)
@@ -924,6 +1020,20 @@ def test_a_homogeneous_solve_applies_only_its_propagator(monkeypatch, solve, nam
     _skip_off(monkeypatch)
     full = solve(p)
     assert "_chain" in callers
+    assert _same_report(report, full)
+
+
+def test_a_homogeneous_derivative_solve_on_a_multiplier_applies_only_its_propagator(monkeypatch):
+    p, callers = _operator_callers(monkeypatch, _homogeneous_problems()["multiplier"])
+    marches = _recorded_mode_marches(monkeypatch)
+    report = solve_rl_form(p)
+    # every memory is zero: no sweep marches, and the propagator's powers take the half spectrum
+    assert report.converged and callers == [] and marches == []
+    assert report.metadata["march"] == "modes"
+    # the same solve without the skip marches by modes on every sweep, and applies nothing
+    _skip_off(monkeypatch)
+    full = solve_rl_form(p)
+    assert callers == [] and len(marches) == full.sweeps
     assert _same_report(report, full)
 
 
@@ -962,8 +1072,7 @@ def test_a_zero_block_with_a_history_still_runs_its_series(monkeypatch, name):
     assert _same_report(report, solve_kernel_form(p))
 
 
-@pytest.mark.parametrize("solve", [solve_kernel_form, solve_rl_form])
-@pytest.mark.parametrize("name", ["multiplier", "variable", "matrix"])
+@pytest.mark.parametrize("name, solve", _series_marches(["multiplier", "complex", "variable", "matrix"]))
 def test_one_nonzero_forcing_row_runs_the_series_and_matches_the_full_march(monkeypatch, solve, name):
     p, callers = _operator_callers(monkeypatch, _one_row_forcing(_homogeneous_problems()[name], 100))
     report = solve(p)
@@ -975,6 +1084,23 @@ def test_one_nonzero_forcing_row_runs_the_series_and_matches_the_full_march(monk
     full = solve(p)
     assert len(callers) > applies
     assert _same_report(report, full)
+
+
+def test_one_nonzero_forcing_row_on_a_multiplier_marches_by_modes_and_matches_the_full_march(monkeypatch):
+    p = _one_row_forcing(_homogeneous_problems()["multiplier"], 100)
+    physical = solve_rl_form(_stripped(p))
+    p, callers = _operator_callers(monkeypatch, p)
+    marches = _recorded_mode_marches(monkeypatch)
+    report = solve_rl_form(p)
+    modes = p.grid.n_points // 2 + 1
+    assert report.converged and callers == [] and marches == [(p.mesh.n_nodes, modes)] * report.sweeps
+    assert report.metadata["march"] == "modes"
+    _skip_off(monkeypatch)
+    assert _same_report(report, solve_rl_form(p))
+    # the physical march sums the series on the same rows
+    assert physical.metadata["march"] == "series"
+    scale = np.abs(physical.trajectory).max()
+    assert np.abs(report.trajectory - physical.trajectory).max() <= 1e-14 * scale
 
 
 @pytest.mark.parametrize("form", ["kernel", "derivative"])

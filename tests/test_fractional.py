@@ -2,6 +2,7 @@
 
 import math
 
+import mpmath
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -154,6 +155,43 @@ def test_block_norms_at_the_ends_of_the_mesh(alpha, at, n_nodes):
     # row 0 of W is zero; a later one-row block is its diagonal alone
     diagonal = pi_weights(alpha, n_nodes, dt, start, start + 1)[0, start]
     assert norms[0] == (0.0 if start == 0 else abs(diagonal))
+
+
+def _exact_taps(gamma_ord, n_nodes, dt):
+    """The offset kernel b_1, ..., b_{n-1} and the first column at 40 digits, in _weight_taps' units."""
+    with mpmath.workdps(40):
+        g, step = mpmath.mpf(gamma_ord), mpmath.mpf(dt)
+        scale = 1 / mpmath.gamma(g + 2)
+        power = [mpmath.mpf(m) ** (g + 1) for m in range(n_nodes + 1)]
+        offsets = [step**g * (power[m + 1] - 2 * power[m] + power[m - 1]) * scale for m in range(1, n_nodes)]
+        first = [step**g * (power[m - 1] - (m - 1 - g) * mpmath.mpf(m) ** g) * scale for m in range(1, n_nodes)]
+    return offsets, first
+
+
+def _relative_errors(values, exact):
+    with mpmath.workdps(40):
+        return np.array([float(abs((mpmath.mpf(float(v)) - e) / e)) for v, e in zip(values, exact)])
+
+
+@pytest.mark.parametrize("n_nodes", [3, 65, 1025])
+@pytest.mark.parametrize("gamma_ord", [0.5, 1.5, 2.0])
+def test_weight_taps_lose_digits_to_the_second_difference_of_powers(gamma_ord, n_nodes):
+    # b_m is a second difference of t**(gamma + 1) near m**(gamma + 1), while
+    # b_m itself is near gamma (gamma + 1) m**(gamma - 1): the relative error
+    # grows like eps m**2 / (gamma (gamma + 1)), 5.7e-11 at order 1.5 on 1025
+    # nodes.  This pins the present law; a fix should tighten it.
+    dt = 1.0 / (n_nodes - 1)
+    taps, first = fractional._weight_taps(gamma_ord, n_nodes, dt)
+    exact_offsets, exact_first = _exact_taps(gamma_ord, n_nodes, dt)
+    m = np.arange(1, n_nodes, dtype=float)
+    law = 8.0 * np.finfo(float).eps * m**2 / (gamma_ord * (gamma_ord + 1.0))
+    offsets = taps[: n_nodes - 1][::-1]
+    assert np.all(_relative_errors(offsets, exact_offsets) <= law)
+    assert np.all(_relative_errors(first[1:], exact_first) <= law)
+    assert taps[n_nodes - 1] == dt**gamma_ord * (1.0 / G(gamma_ord + 2.0))
+    if gamma_ord == 2.0:
+        # the powers' second difference is exact in integers
+        assert np.all(_relative_errors(offsets, exact_offsets) == 0.0)
 
 
 def test_fractional_integral_of_quadratic():

@@ -272,6 +272,46 @@ def test_validate_checks_1_4_and_10_need_no_decimal_retry(monkeypatch):
     assert len(cases) == 17 and calls == []
 
 
+def _refusing_retry(monkeypatch):
+    def refuse(alpha, beta, z, tol):
+        raise AssertionError(f"the high-precision retry ran at {z!r}")
+
+    monkeypatch.setattr(special, "_series_hp", refuse)
+
+
+@pytest.mark.parametrize(
+    "alpha, beta, z, reason",
+    [
+        # the largest term, near term 80000, lies past the 10000 the sums may take
+        (0.5, 1.0, -200.0, "needs more than 10000 terms"),
+        # every term is positive, and the largest is near exp(6290)
+        (0.6, 1.0, 190.0, "overflows double precision"),
+    ],
+)
+def test_a_hopeless_argument_is_refused_before_the_retry(monkeypatch, alpha, beta, z, reason):
+    _refusing_retry(monkeypatch)
+    for arg in (z, np.array([0.5, z])):
+        with pytest.raises(MittagLefflerRangeError, match=reason):
+            mittag_leffler(MlParams(alpha, beta), arg)
+
+
+@pytest.mark.parametrize("source", ["retry cases", "checks 1, 4 and 10"])
+def test_the_refusal_leaves_every_value_it_lets_through(monkeypatch, source):
+    if source == "retry cases":
+        cases = [(MlParams(a, b), np.array([z])) for a, b, z in RETRY_CASES]
+    else:
+        cases = _check_arguments(monkeypatch)
+    judged = []
+    hopeless = special._hopeless
+    monkeypatch.setattr(special, "_hopeless", lambda *args: judged.append(args) or hopeless(*args))
+    values = [mittag_leffler(p, z) for p, z in cases]
+    monkeypatch.setattr(special, "_hopeless", lambda *args: None)
+    for (p, z), value in zip(cases, values):
+        assert value.tobytes() == mittag_leffler(p, z).tobytes()
+    # the retry cases past the double-double budget were judged, and let through
+    assert (len(judged) == 4) if source == "retry cases" else (judged == [])
+
+
 @pytest.mark.parametrize("alpha", [1.0, 1.25, 1.5, 1.9, 2.0])
 @pytest.mark.parametrize("beta", [0.1, 1.0, 1.9])
 def test_double_double_values_lie_within_tol_of_the_oracle(alpha, beta):
