@@ -15,6 +15,8 @@ from typing import NamedTuple
 
 import numpy as np
 
+from .special import _split, _two_prod
+
 __all__ = ["format_g17", "write_field_csv"]
 
 # A formatted double is a cell of six little-endian uint64 words, NUL-padded:
@@ -25,7 +27,6 @@ __all__ = ["format_g17", "write_field_csv"]
 # NUL from a row of cells leaves the CSV text.
 _CELL_WORDS = 6
 _CHUNK_CELLS = 16384  # CSV rows formatted per buffer: about 2 MB at 512 points
-_SPLIT = 134217729.0  # 2**27 + 1, Dekker's splitting constant
 _LOW, _HIGH = 1e-280, 1e280  # magnitudes the digit pipeline certifies
 _X_MIN, _X_MAX = -282, 281  # decimal exponents it meets on [_LOW, _HIGH]
 # The double-double scaling is within 2**-47 of |v| * 10**(16 - X) < 2**57,
@@ -67,8 +68,7 @@ def _g17_tables() -> _G17Tables:
         hi[i] = num / den
         m, e = hi[i].as_integer_ratio()
         lo[i] = (num * e - m * den) / (den * e)
-    split = _SPLIT * hi
-    hi_hi = split - (split - hi)
+    hi_hi, hi_lo = _split(hi)
     group = np.arange(10000)
     digit_words = np.full((10000, 4, 2), 0xFF, np.uint8)
     digit_words[:, :, 0] = group[:, None] // 10 ** np.arange(3, -1, -1) % 10 + ord("0")
@@ -96,7 +96,7 @@ def _g17_tables() -> _G17Tables:
     masks = np.where((1 < p) & (p < keep) & (byte == 2 * p - 3), ord("."), masks).astype(np.uint8)
     return _G17Tables(
         ten_hi_hi=hi_hi,
-        ten_hi_lo=hi - hi_hi,
+        ten_hi_lo=hi_lo,
         ten_lo=lo,
         digit_words=digit_words.reshape(10000, 8).view(np.uint64).ravel(),
         trailing=sum((group % 10**k == 0).astype(np.int64) for k in range(1, 5)),
@@ -116,11 +116,7 @@ def _scaled(mag: np.ndarray, exp10: np.ndarray, tables: _G17Tables) -> tuple:
     """
     i = exp10 - _X_MIN
     b_hi, b_lo, lo = tables.ten_hi_hi[i], tables.ten_hi_lo[i], tables.ten_lo[i]
-    p = mag * (b_hi + b_lo)
-    split = _SPLIT * mag
-    a_hi = split - (split - mag)
-    a_lo = mag - a_hi
-    err = ((a_hi * b_hi - p) + a_hi * b_lo + a_lo * b_hi) + a_lo * b_lo
+    p, err = _two_prod(mag, b_hi + b_lo, b_hi, b_lo)
     p_int = np.floor(p)
     rest = (p - p_int) + (err + mag * lo)
     rest_int = np.floor(rest)

@@ -11,8 +11,9 @@ Three term-ratio loops sum sum_{n>=0} z**n / Gamma(beta + n*alpha), each
 with a running sum of term magnitudes; once the magnitude ratio of
 consecutive terms drops below 1/2 the geometric tail bound certifies the
 truncation.  `mittag_leffler` climbs a ladder of them: double, then
-double-double for the real arguments the double path leaves, then decimal
-(real) or mpc (complex) at 40, 80, ..., 2560 digits for whatever is left.
+double-double for the real arguments the double path leaves, then mpmath
+at 40, 80, ..., 2560 digits for whatever is left (mpf for a real argument,
+mpc for a complex one).
 
 * `_series_array` is the double path of `mittag_leffler` (lgamma ratios) on
   a whole argument array, a scalar being an array of one.  Per element it
@@ -28,7 +29,7 @@ double-double for the real arguments the double path leaves, then decimal
   split into (hi, lo) pairs.  It stops at a tail below 2**-100 of the sum
   and accepts a value when 16 * (n + 2) * 2**-106 times the sum of term
   magnitudes, plus the tail, is within the tolerance: about 32 digits, so
-  the moderate cancellations of real arguments need no decimal sum.
+  the moderate cancellations of real arguments need no mpmath sum.
 * `_series` is the scalar Kahan loop, with the arithmetic passed in by its
   callers: `series_term_count` sums the majorant and rejects one that
   overflows (the solver sizes its blocks with it, one magnitude at a time,
@@ -37,28 +38,31 @@ double-double for the real arguments the double path leaves, then decimal
   the retry, `_series_hp`, takes each element left uncertified on its own
   and redoes the sum at 40, 80, ..., 2560 working digits until the
   rounding bound 10**(5 - digits) times the sum of term magnitudes is
-  below the tolerance: a real argument in `decimal` with two guard digits
-  (a unit roundoff no coarser than mpf's at those digits), a complex one
-  in mpc.  Before any retry, `_hopeless` refuses in log space, with
+  below the tolerance, in the mpmath context of the ratio table it reads.
+  Before any retry, `_hopeless` refuses in log space, with
   lgamma, an element whose sum cannot stop within `_MAX_TERMS` terms or
   whose positive argument has a value past the double range.
 
 Term ratios come from tables keyed by (alpha, beta, working digits), the
 double path's under digits None, so the retries pay for their gammaprod
-coefficients once per order pair rather than once per call; each entry is
-converted once, to a Decimal of digits + 5 for the real retry and to a
-(hi, lo) pair of doubles for the double-double rung, and kept on the
-table.  A table is extended on demand with the same expression at the same
-precision, so a warm table gives the numbers a cold one computes; at most
-`_TABLE_CAP` tables of at most `_MAX_TERMS` + 1 ratios are kept, least
-recently used first out.
+coefficients once per order pair rather than once per call; for the
+double-double rung each entry is converted once to a (hi, lo) pair of
+doubles and kept on the table.  A table with digits owns an mpmath context
+at those digits: its entries are computed, and the retry sums, in that
+context and under the table's lock.  Nothing here reads or sets mpmath's
+global precision, so a value depends on the table's digits only, not on
+what another thread does with mpmath at the same time.  A table is
+extended on demand with the same expression at the same precision, so a
+warm table gives the numbers a cold one computes; at most `_TABLE_CAP`
+tables of at most `_MAX_TERMS` + 1 ratios are kept, least recently used
+first out.
 
 `mittag_leffler_hp` keeps a loop of its own: it is the independent oracle.
 It certifies its own rounding with the retry's bound, raising its working
-digits until the requested digits hold.
+digits until the requested digits hold, each in a private mpmath context.
 
-mpmath and `decimal` are imported on first use, by the digit tables, the
-retries and the oracle, so runs that never retry do not load them.
+mpmath is imported on first use, by the digit tables and the oracle, so
+runs that never retry do not load it.
 
 Documented argument ranges: |z| <= 50 is guaranteed for the double path with
 alpha >= 0.5; up to |z| <= 200 the double-double and high-precision retries
@@ -176,10 +180,13 @@ class _RatioTable:
     by mpmath at dps digits otherwise.
 
     Entries are appended in order under the table's lock, so two threads
-    extending at once never skip or repeat a term.  A table with digits also
-    keeps its entries as Decimals of dps + 5 digits for the real retry and
-    as double-double (hi, lo) pairs for the double-double rung, each
-    converted once and appended under the same lock.
+    extending at once never skip or repeat a term.  A table with digits owns
+    an mpmath context set once to dps digits: the first term, the ratios and
+    their double-double (hi, lo) pairs for the double-double rung are
+    computed in it, each pair converted once and appended under the same
+    lock, and the retry sums in it.  gammaprod raises its context's
+    precision while it runs, so the context is used only under the
+    (re-entrant) lock.
     """
 
     def __init__(self, alpha: float, beta: float, dps: Optional[int]):
@@ -187,30 +194,27 @@ class _RatioTable:
         self.beta = beta
         self.dps = dps
         self.ratios = []
-        self.decimals = []
         self.pairs = []
-        self.lock = threading.Lock()
+        self.lock = threading.RLock()
         if dps is None:
             self.first = math.exp(-math.lgamma(beta))
         else:
             import mpmath
 
-            with mpmath.workdps(dps):
-                self.first = 1 / mpmath.gamma(beta)
-            self.decimal_first = self._as_decimal(self.first)
-            self.first_pair = self._as_pair(self.first)
+            self.ctx = mpmath.MPContext()
+            self.ctx.dps = dps
+            self.first = 1 / self.ctx.gamma(beta)
+            self.first_pair = _as_pair(self.first)
 
     def _ratio(self, k: int):
         if self.dps is None:
             lo = self.beta + k * self.alpha
             hi = self.beta + (k + 1) * self.alpha
             return math.exp(math.lgamma(lo) - math.lgamma(hi))
-        import mpmath
-
-        with mpmath.workdps(self.dps):
-            # beta + k*alpha in double would carry a relative error near k*eps
-            alpha, beta = mpmath.mpf(self.alpha), mpmath.mpf(self.beta)
-            return mpmath.gammaprod([beta + k * alpha], [beta + (k + 1) * alpha])
+        ctx = self.ctx
+        # beta + k*alpha in double would carry a relative error near k*eps
+        alpha, beta = ctx.mpf(self.alpha), ctx.mpf(self.beta)
+        return ctx.gammaprod([beta + k * alpha], [beta + (k + 1) * alpha])
 
     def __call__(self, n: int):
         ratios = self.ratios
@@ -220,36 +224,20 @@ class _RatioTable:
                     ratios.append(self._ratio(k))
         return ratios[n]
 
-    def _as_decimal(self, value):
-        import decimal
-
-        import mpmath
-
-        return decimal.Decimal(mpmath.nstr(value, self.dps + 5))
-
-    def _as_pair(self, value) -> tuple:
-        import mpmath
-
-        with mpmath.workdps(self.dps):
-            hi = float(value)
-            return hi, float(value - hi)
-
-    def _converted(self, entries: list, convert, n: int):
-        """Entry n of a list of converted ratios, each converted once, in order under the lock."""
-        if n >= len(entries):
-            self(n)
-            with self.lock:
-                for k in range(len(entries), n + 1):
-                    entries.append(convert(self.ratios[k]))
-        return entries[n]
-
-    def decimal(self, n: int):
-        """Ratio n as a Decimal of dps + 5 digits."""
-        return self._converted(self.decimals, self._as_decimal, n)
-
     def pair(self, n: int) -> tuple:
         """Ratio n as a double-double (hi, lo): hi the nearest double, lo the nearest to the rest."""
-        return self._converted(self.pairs, self._as_pair, n)
+        pairs = self.pairs
+        if n >= len(pairs):
+            with self.lock:
+                for k in range(len(pairs), n + 1):
+                    pairs.append(_as_pair(self(k)))
+        return pairs[n]
+
+
+def _as_pair(value) -> tuple:
+    """An mpf as (hi, lo): the rest value - hi is formed at the precision of the mpf's context."""
+    hi = float(value)
+    return hi, float(value - hi)
 
 
 @functools.lru_cache(maxsize=_TABLE_CAP)
@@ -291,7 +279,8 @@ def _hopeless(alpha: float, beta: float, z) -> Optional[str]:
 def _series_hp(alpha: float, beta: float, z, tol: float) -> complex:
     """High-precision retry with escalating working precision.
 
-    z is a float (summed in decimal) or a complex (summed in mpc).  The
+    z is a float (summed in mpf) or a complex (summed in mpc), in the mpmath
+    context of the ratio table at each precision and under its lock.  The
     working precision is escalated until the rounding bound (unit in the last
     place times the sum of term magnitudes) is below tol relative to the
     computed value.  Raises a range error when 2560 digits do not suffice,
@@ -299,29 +288,11 @@ def _series_hp(alpha: float, beta: float, z, tol: float) -> complex:
     """
     for dps in (40, 80, 160, 320, 640, 1280, 2560):
         table = _ratio_table(alpha, beta, dps)
-        if isinstance(z, float):
-            import decimal
-
-            with decimal.localcontext() as ctx:
-                # two guard digits: the unit roundoff is then no coarser than
-                # that of mpf at dps digits
-                ctx.prec = dps + 2
-                ctx.Emax, ctx.Emin = decimal.MAX_EMAX, decimal.MIN_EMIN
-                one = decimal.Decimal(1)
-                ulp = one.scaleb(5 - dps)
-                total, stopped, _, _, abs_sum = _series(
-                    decimal.Decimal(z), table.decimal_first, table.decimal, ulp, one.scaleb(-3000)
-                )
-                certified = stopped and abs_sum * ulp <= decimal.Decimal(tol) * (abs(total) or one)
-        else:
-            import mpmath
-
-            with mpmath.workdps(dps):
-                ulp = mpmath.mpf(10) ** (-dps + 5)
-                total, stopped, _, _, abs_sum = _series(
-                    mpmath.mpc(z), table.first, table, ulp, mpmath.mpf(10) ** -3000
-                )
-                certified = stopped and abs_sum * ulp <= tol * (abs(total) or 1)
+        ctx = table.ctx
+        with table.lock:
+            ulp = ctx.mpf(10) ** (-dps + 5)
+            total, stopped, _, _, abs_sum = _series(ctx.mpmathify(z), table.first, table, ulp, ctx.mpf(10) ** -3000)
+            certified = stopped and abs_sum * ulp <= tol * (abs(total) or 1)
         if certified:
             return complex(total)
     raise MittagLefflerRangeError(
@@ -493,9 +464,10 @@ def mittag_leffler(p: MlParams, z):
     diagnostic, and so does an array holding one.  Inside that range the
     double path is attempted first; the real arguments it leaves are summed
     together in double-double, and every element still uncertified (complex,
-    cancelling past about 32 digits, or overflowing) takes the
-    high-precision retry on its own.  Before any retry runs, an element that
-    no retry can give (_hopeless) raises MittagLefflerRangeError at once.
+    cancelling past about 32 digits, or overflowing) takes the mpmath retry
+    on its own.  Before any retry runs, an element that no retry can give
+    (_hopeless) raises MittagLefflerRangeError at once.  No value depends on
+    mpmath's global precision or on other threads.
     """
     zs = np.asarray(z)
     zc = zs.astype(complex).ravel()
@@ -545,39 +517,43 @@ def mittag_leffler_hp(alpha: float, beta: float, z: complex, dps: int = 50):
     """Series sum to dps significant digits, used as an independent oracle.
 
     Returns an mpmath complex number with a geometric tail certificate and a
-    rounding certificate: the sum is redone at more working digits w until
-    the rounding bound sum|term| * 10**(5 - w) is below 10**-dps relative to
-    the computed value, so a cancelling sum never returns a wrong value at
-    the caller's precision.  No double-precision shortcuts share code with
-    the fast path beyond the series definition.
+    rounding certificate: the sum is redone, each time in a new mpmath
+    context, at more working digits w until the rounding bound
+    sum|term| * 10**(5 - w) is below 10**-dps relative to the computed value,
+    so a cancelling sum never returns a wrong value at the caller's
+    precision.  The number returned belongs to the last of those contexts.
+    No double-precision shortcuts share code with the fast path beyond the
+    series definition.
     """
     import mpmath
 
     work = dps + 10
     while work <= _HP_MAX_DIGITS:
-        with mpmath.workdps(work):
-            zc = mpmath.mpmathify(z)
-            alpha_w, beta_w = mpmath.mpf(alpha), mpmath.mpf(beta)
-            term = 1 / mpmath.gamma(beta_w)
-            total = term
-            abs_sum = abs(term)
-            n = 0
-            while n < 10 * _MAX_TERMS:
-                g_n = mpmath.gammaprod([beta_w + n * alpha_w], [beta_w + (n + 1) * alpha_w])
-                ratio = abs(zc) * g_n
-                if ratio < 0.5:
-                    tail = (abs(term) * ratio) / (1 - ratio)
-                    if tail <= mpmath.mpf(10) ** (-dps - 5) * max(abs(total), mpmath.mpf(10) ** -3000):
-                        break
-                term = term * zc * g_n
-                total += term
-                abs_sum += abs(term)
-                n += 1
-            if abs_sum * mpmath.mpf(10) ** (5 - work) <= mpmath.mpf(10) ** -dps * abs(total):
-                return mpmath.mpc(total)
-            # the digits the cancellation cost at this precision, and a margin
-            lost = mpmath.log10(abs_sum / abs(total)) if total else work
-            work = max(work + 10, dps + 8 + int(lost))
+        # a context of its own: mpmath's shared precision is neither read nor set
+        ctx = mpmath.MPContext()
+        ctx.dps = work
+        zc = ctx.mpmathify(z)
+        alpha_w, beta_w = ctx.mpf(alpha), ctx.mpf(beta)
+        term = 1 / ctx.gamma(beta_w)
+        total = term
+        abs_sum = abs(term)
+        n = 0
+        while n < 10 * _MAX_TERMS:
+            g_n = ctx.gammaprod([beta_w + n * alpha_w], [beta_w + (n + 1) * alpha_w])
+            ratio = abs(zc) * g_n
+            if ratio < 0.5:
+                tail = (abs(term) * ratio) / (1 - ratio)
+                if tail <= ctx.mpf(10) ** (-dps - 5) * max(abs(total), ctx.mpf(10) ** -3000):
+                    break
+            term = term * zc * g_n
+            total += term
+            abs_sum += abs(term)
+            n += 1
+        if abs_sum * ctx.mpf(10) ** (5 - work) <= ctx.mpf(10) ** -dps * abs(total):
+            return ctx.mpc(total)
+        # the digits the cancellation cost at this precision, and a margin
+        lost = ctx.log10(abs_sum / abs(total)) if total else work
+        work = max(work + 10, dps + 8 + int(lost))
     raise MittagLefflerRangeError(
         f"oracle for E_({alpha:g},{beta:g}) at |z| = {abs(complex(z)):.3g} cannot certify "
         f"{dps} digits within {_HP_MAX_DIGITS} working digits"

@@ -18,7 +18,7 @@ from hypothesis import given, settings, strategies as st
 import fracwave
 from fracwave import cli, config_hash, ml_trajectory, parse_config, render_config
 from fracwave.cli import _write_manifest, assemble_scenario, entrypoint
-from fracwave import fieldcsv
+from fracwave import fieldcsv, special
 from fracwave.fieldcsv import format_g17, write_field_csv
 from fracwave.solution import as_action
 from fracwave.stochastic import stochastic_initial_data, white_noise_representative
@@ -230,7 +230,7 @@ def _g17_tables_by_loops():
         hi[i] = num / den
         m, e = hi[i].as_integer_ratio()
         lo[i] = (num * e - m * den) / (den * e)
-    split = fieldcsv._SPLIT * hi
+    split = special._SPLIT * hi
     hi_hi = split - (split - hi)
     groups = np.frombuffer(b"".join(b"%04d" % g for g in range(10000)), np.uint8).reshape(10000, 4)
     digit_words = np.full((10000, 4, 2), 0xFF, np.uint8)
@@ -283,8 +283,8 @@ def test_importing_the_cli_builds_no_formatter_table():
 
 
 def test_importing_the_cli_loads_no_high_precision_module():
-    # mpmath and decimal serve only the Mittag-Leffler retry and the oracle,
-    # which import them on first use
+    # mpmath serves only the Mittag-Leffler retry and the oracle, which
+    # import it on first use; nothing in the package imports decimal
     probe = "import sys, fracwave.cli; print('mpmath' in sys.modules, 'decimal' in sys.modules)"
     env = {**os.environ, "PYTHONPATH": str(Path(fracwave.__file__).resolve().parents[1])}
     out = subprocess.run([sys.executable, "-c", probe], env=env, capture_output=True, text=True, check=True)

@@ -1,8 +1,11 @@
 """Mittag-Leffler evaluation against frozen external references."""
 
 import math
+import os
+import subprocess
 import sys
 import threading
+from pathlib import Path
 
 import mpmath
 import numpy as np
@@ -156,7 +159,7 @@ def test_double_path_agrees_with_hp(alpha, beta, re, im):
 
 # negative real arguments the double path cannot certify, so every one takes
 # a retry rung: the double-double sum, or past its budget (alpha = 1 at -60)
-# the decimal retry, which escalates to 80 digits at (1, 1, -60)
+# the mpmath retry, which escalates to 80 digits at (1, 1, -60)
 RETRY_CASES = [
     (alpha, beta, -x)
     for alpha in (1.0, 1.5, 2.0)
@@ -178,7 +181,7 @@ def _counting_retry(monkeypatch):
 
 
 def _counting_rungs(monkeypatch):
-    """Record the arguments every retry rung is handed: double-double arrays and decimal or mpc scalars."""
+    """Record the arguments every retry rung is handed: double-double arrays and mpmath-retry scalars."""
     calls = _counting_retry(monkeypatch)
     rung = special._series_dd
 
@@ -226,23 +229,21 @@ def test_real_retry_sums_the_complex_retry_bit_for_bit(alpha, beta, z):
 
 
 @pytest.mark.parametrize("alpha, beta, z", [case for case in RETRY_CASES if isinstance(case[2], float)])
-def test_real_retry_sums_in_decimal(alpha, beta, z):
+def test_real_retry_lies_within_tol_of_the_oracle(alpha, beta, z):
     special._ratio_table.cache_clear()
     p = MlParams(alpha, beta)
     val = special._series_hp(alpha, beta, z, p.tol)
-    # the first rung's Decimal coefficients were built, so the sum ran in decimal
-    assert special._ratio_table(alpha, beta, 40).decimals
     ref = mittag_leffler_hp(alpha, beta, z, dps=120)
     assert abs(val - complex(ref)) <= p.tol * abs(ref)
 
 
-def test_a_real_argument_past_the_double_double_budget_sums_in_decimal(monkeypatch):
+def test_a_real_argument_past_the_double_double_budget_takes_the_mpmath_retry(monkeypatch):
     # e**60 of cancellation: the double-double rung cannot certify it
     calls = _counting_retry(monkeypatch)
     special._ratio_table.cache_clear()
     p = MlParams(1.0, 0.1)
     val = mittag_leffler(p, -60.0)
-    assert calls == [-60.0] and special._ratio_table(1.0, 0.1, 40).decimals
+    assert calls == [-60.0]
     ref = mittag_leffler_hp(1.0, 0.1, -60.0, dps=120)
     assert abs(val - complex(ref)) <= p.tol * abs(ref)
 
@@ -262,9 +263,9 @@ def _check_arguments(monkeypatch):
     return seen
 
 
-def test_validate_checks_1_4_and_10_need_no_decimal_retry(monkeypatch):
+def test_validate_checks_1_4_and_10_need_no_mpmath_retry(monkeypatch):
     # the double-double rung certifies every argument the double path leaves
-    # (395 of them, each once a decimal sum)
+    # (395 of them, each once a high-precision sum)
     cases = _check_arguments(monkeypatch)
     calls = _counting_retry(monkeypatch)
     for p, z in cases:
@@ -326,7 +327,7 @@ def test_double_double_values_lie_within_tol_of_the_oracle(alpha, beta):
 
 
 @pytest.mark.parametrize("source", ["retry cases", "checks 1, 4 and 10"])
-def test_double_double_values_are_the_decimal_retry_bit_for_bit(monkeypatch, source):
+def test_double_double_values_are_the_mpmath_retry_bit_for_bit(monkeypatch, source):
     if source == "retry cases":
         cases = [(MlParams(a, b), np.array([z])) for a, b, z in RETRY_CASES if isinstance(z, float)]
     else:
@@ -342,13 +343,13 @@ def test_double_double_values_are_the_decimal_retry_bit_for_bit(monkeypatch, sou
     assert n_both == (15 if source == "retry cases" else sum(z.size for _, z in cases))
 
 
-def test_an_argument_past_the_double_double_budget_reaches_the_decimal_retry_at_80_digits(monkeypatch):
+def test_an_argument_past_the_double_double_budget_reaches_the_retry_at_80_digits(monkeypatch):
     calls = _counting_retry(monkeypatch)
     special._ratio_table.cache_clear()
     value = mittag_leffler(MlParams(1.0, 1.0), -60.0)
     assert calls == [-60.0]
     assert not special._series_dd(np.array([-60.0]), special._ratio_table(1.0, 1.0, 40), 1e-14)[1][0]
-    assert _held(1.0, 1.0, 80) and special._ratio_table(1.0, 1.0, 80).decimals
+    assert _held(1.0, 1.0, 80)
     assert abs(value - math.exp(-60.0)) <= 1e-14 * math.exp(-60.0)
 
 
@@ -590,19 +591,57 @@ def test_threads_extend_one_table_in_order():
     assert table.ratios == [fresh(n) for n in range(len(table.ratios))]
 
 
-def test_threads_extend_the_decimal_coefficients_in_order():
-    table = special._RatioTable(1.3, 0.7, 40)
-    barrier = threading.Barrier(6)
+# cold arguments that read digit tables: a real and a complex one that take
+# the mpmath retry, and a real one the double-double rung certifies
+INTERFERENCE_CASES = [(1.0, 0.1, -60.0), (1.5, 1.0, complex(-28.5, 9.25)), (1.0, 1.0, -10.0)]
 
-    def walk(offset):
+
+def test_values_ignore_the_precision_left_in_mpmath(monkeypatch):
+    def cold_values():
+        values = []
+        for alpha, beta, z in INTERFERENCE_CASES:
+            special._ratio_table.cache_clear()
+            values.append(repr(mittag_leffler(MlParams(alpha, beta), z)))
+        return values
+
+    want = cold_values()
+
+    def at_low_precision(f):
+        # what another thread's workdps exit leaves in mpmath's shared context
+        def patched(*args, **kwargs):
+            mpmath.mp.prec = 20
+            return f(*args, **kwargs)
+
+        return patched
+
+    monkeypatch.setattr(mpmath.mp, "prec", mpmath.mp.prec)  # restored after the test
+    monkeypatch.setattr(special, "_series", at_low_precision(special._series))
+    monkeypatch.setattr(mpmath, "gammaprod", at_low_precision(mpmath.gammaprod))
+    assert cold_values() == want
+
+
+def test_threads_give_the_single_threaded_values():
+    # two threads on cold tables, one on real and one on complex retries,
+    # switching every microsecond
+    orders = [1.0 + k / 1000.0 for k in range(6)]
+    work = {
+        "real": [(MlParams(alpha, 0.1), -60.0) for alpha in orders],
+        "complex": [(MlParams(alpha, 0.3), complex(-50.0, 1.0)) for alpha in orders],
+    }
+    special._ratio_table.cache_clear()
+    want = {key: [repr(mittag_leffler(p, z)) for p, z in cases] for key, cases in work.items()}
+    special._ratio_table.cache_clear()
+    got = {}
+    barrier = threading.Barrier(2)
+
+    def walk(key):
         barrier.wait()
-        for n in range(offset, 400, 7):
-            table.decimal(n)
+        got[key] = [repr(mittag_leffler(p, z)) for p, z in work[key]]
 
     interval = sys.getswitchinterval()
     sys.setswitchinterval(1e-6)
     try:
-        threads = [threading.Thread(target=walk, args=(k,)) for k in range(6)]
+        threads = [threading.Thread(target=walk, args=(key,)) for key in work]
         for t in threads:
             t.start()
         for t in threads:
@@ -610,14 +649,18 @@ def test_threads_extend_the_decimal_coefficients_in_order():
     finally:
         sys.setswitchinterval(interval)
     assert not any(t.is_alive() for t in threads)
-    fresh = special._RatioTable(1.3, 0.7, 40)
-    assert len(table.decimals) >= 394
-    assert table.decimals == [fresh.decimal(n) for n in range(len(table.decimals))]
-    # each entry carries the mpf ratio to dps + 5 digits
-    with mpmath.workdps(60):
-        for n in (0, 17, len(table.decimals) - 1):
-            ratio = table.ratios[n]
-            assert abs(mpmath.mpf(str(table.decimals[n])) - ratio) <= mpmath.mpf(10) ** -44 * ratio
+    assert got == want
+
+
+def test_the_retry_loads_no_decimal_module():
+    probe = (
+        "import sys; from fracwave import MlParams, mittag_leffler; "
+        "mittag_leffler(MlParams(1.0, 0.1), -60.0); "
+        "print('mpmath' in sys.modules, 'decimal' in sys.modules)"
+    )
+    env = {**os.environ, "PYTHONPATH": str(Path(special.__file__).resolve().parents[1])}
+    out = subprocess.run([sys.executable, "-c", probe], env=env, capture_output=True, text=True, check=True)
+    assert out.stdout.split() == ["True", "False"]
 
 
 def _direct_sum(alpha, beta, z):
