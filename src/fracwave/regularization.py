@@ -11,6 +11,7 @@ operator norms stay under an explicit cap that solver runs enforce.
 
 from __future__ import annotations
 
+import functools
 import math
 import warnings
 from dataclasses import dataclass, field
@@ -311,23 +312,33 @@ class RegularizedOperator:
 
         Every kind's symbol is Hermitian (_base_multiplier times the
         transform of a real kernel), so its half spectrum carries the whole
-        action on real samples.
+        action on real samples; with a constant coefficient that action is
+        one multiply by the diagonal between the transforms.
         """
         arr = np.asarray(values)
         if arr.shape[-1] != self.grid.n_points:
             raise SizeError("values do not match the operator grid")
+        diagonal = self.diagonal
+        if diagonal is not None and not np.iscomplexobj(arr):
+            return np.fft.irfft(diagonal * np.fft.rfft(arr, axis=-1), self.dim, axis=-1)
         return self.coeff * _multiply(self.symbol, arr)
 
-    @property
+    @functools.cached_property
+    @np.errstate(over="ignore", invalid="ignore")
     def diagonal(self) -> Optional[np.ndarray]:
         """c * symbol on the real half spectrum when the operator is that multiplier, else None.
 
         An operator of any kind whose coefficient samples are all equal to c
         acts on real samples as rfft, a multiply by this array, then irfft.
+        Computed on first use and read-only; a coefficient with an inf or nan
+        sample gives None, and one whose product overflows gives inf entries,
+        without floating-point warnings (the norm gate rejects both).
         """
         if np.ptp(self.coeff) != 0.0:
             return None
-        return self.coeff[0] * self.symbol[: self.dim // 2 + 1]
+        out = self.coeff[0] * self.symbol[: self.dim // 2 + 1]
+        out.flags.writeable = False
+        return out
 
     def norm_estimate(self) -> "NormEstimate":
         if self._norm is None:

@@ -30,7 +30,7 @@ mpc for a complex one).
   and accepts a value when 16 * (n + 2) * 2**-106 times the sum of term
   magnitudes, plus the tail, is within the tolerance: about 32 digits, so
   the moderate cancellations of real arguments need no mpmath sum.
-* `_series` is the scalar Kahan loop, with the arithmetic passed in by its
+* `_series` is the scalar loop, with the arithmetic passed in by its
   callers: `series_term_count` sums the majorant and rejects one that
   overflows (the solver sizes its blocks with it, one magnitude at a time,
   where a numpy loop of size one would cost many times more); and on
@@ -39,6 +39,7 @@ mpc for a complex one).
   and redoes the sum at 40, 80, ..., 2560 working digits until the
   rounding bound 10**(5 - digits) times the sum of term magnitudes is
   below the tolerance, in the mpmath context of the ratio table it reads.
+  The majorant's sum is compensated (Kahan), the retry's is not.
   Before any retry, `_hopeless` refuses in log space, with
   lgamma, an element whose sum cannot stop within `_MAX_TERMS` terms or
   whose positive argument has a value past the double range.
@@ -134,8 +135,11 @@ class MlParams:
             raise ValueError(f"tol must lie in (0, 1), got {self.tol!r}")
 
 
-def _series(z, first, ratio, stop, tiny):
-    """Compensated (Kahan) term-ratio sum of sum_{n>=0} c_n z**n.
+def _series(z, first, ratio, stop, tiny, compensated=True):
+    """Term-ratio sum of sum_{n>=0} c_n z**n, compensated (Kahan) unless compensated is False.
+
+    `_series_array` steps like the compensated loop; the retry sums
+    uncompensated, where its working digits leave compensation nothing to do.
 
     The caller supplies its arithmetic: the first term c_0, ratio(n) =
     c_{n+1}/c_n, the relative stop level and the floor under |total|.  The
@@ -146,7 +150,7 @@ def _series(z, first, ratio, stop, tiny):
     """
     term = first
     total = term
-    comp = term - term  # a zero of the caller's number type
+    comp = term - term if compensated else None  # a zero of the caller's number type
     abs_sum = abs(term)
     az = abs(z)
     tail = math.inf
@@ -162,10 +166,13 @@ def _series(z, first, ratio, stop, tiny):
         mag = abs(term)
         if mag == math.inf:
             return total, False, n + 1, tail, mag
-        y = term - comp
-        t = total + y
-        comp = (t - total) - y
-        total = t
+        if comp is None:
+            total = total + term
+        else:
+            y = term - comp
+            t = total + y
+            comp = (t - total) - y
+            total = t
         abs_sum += mag
         n += 1
     return total, False, n, tail, abs_sum
@@ -291,7 +298,9 @@ def _series_hp(alpha: float, beta: float, z, tol: float) -> complex:
         ctx = table.ctx
         with table.lock:
             ulp = ctx.mpf(10) ** (-dps + 5)
-            total, stopped, _, _, abs_sum = _series(ctx.mpmathify(z), table.first, table, ulp, ctx.mpf(10) ** -3000)
+            total, stopped, _, _, abs_sum = _series(
+                ctx.mpmathify(z), table.first, table, ulp, ctx.mpf(10) ** -3000, compensated=False
+            )
             certified = stopped and abs_sum * ulp <= tol * (abs(total) or 1)
         if certified:
             return complex(total)

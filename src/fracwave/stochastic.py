@@ -15,6 +15,7 @@ of the central node, which is interior whenever the kernel fits the window).
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 from typing import Callable, Optional
@@ -164,6 +165,21 @@ def _convolve_time(values: np.ndarray, taps: np.ndarray, dt: float) -> np.ndarra
     return np.ascontiguousarray(np.fft.irfft(spectrum, n=size)[:, m : m + n].T)
 
 
+@functools.lru_cache(maxsize=1)
+def _cell_spectrum(master_seed: int, member: int, tag: int, n_nodes: int, n_points: int, scale: float) -> np.ndarray:
+    """Spatial rfft of one stream's cell draws times scale, read-only.
+
+    The draws depend on the seed coordinates and the field's shape alone, so
+    an eps ladder, which changes only the kernels, reuses the last spectrum
+    (one field's worth of memory is kept).
+    """
+    draws = _stream(master_seed, member, tag).standard_normal((n_nodes, n_points))
+    draws *= scale
+    spectrum = np.fft.rfft(draws, axis=-1)
+    spectrum.flags.writeable = False
+    return spectrum
+
+
 def white_noise_representative(
     spec: NoiseSpec, eps: float, grid: SpatialGrid, mesh: TimeMesh
 ) -> NoiseRepresentative:
@@ -171,7 +187,9 @@ def white_noise_representative(
 
     Cell draws are scaled by intensity / sqrt(dx dt) so the smoothed field
     has the closed-form interior variance of mollified_variance; smoothing is
-    periodic in space, zero-extended in time.
+    periodic in space, zero-extended in time.  The scaled draws' spatial
+    transform is kept for the next call with the same seed coordinates, shape
+    and scale, so the rungs of an eps ladder draw their cells once.
     """
     provenance = spec.provenance(eps, _TAG_FORCING)
     n_nodes, n_points = mesh.n_nodes, grid.n_points
@@ -179,10 +197,10 @@ def white_noise_representative(
         values = np.zeros((n_nodes, n_points))
         return NoiseRepresentative(Trajectory(mesh, values, grid), provenance)
     moll, taps = _kernels(spec, eps, grid, mesh)
-    rng = _stream(spec.master_seed, spec.member, _TAG_FORCING)
-    draws = rng.standard_normal((n_nodes, n_points))
-    draws *= spec.intensity / math.sqrt(grid.dx * mesh.dt)
-    smoothed = moll.convolve(draws)
+    scale = spec.intensity / math.sqrt(grid.dx * mesh.dt)
+    spectrum = _cell_spectrum(spec.master_seed, spec.member, _TAG_FORCING, n_nodes, n_points, scale)
+    # moll.convolve of the scaled draws, from their cached transform
+    smoothed = np.fft.irfft(moll.symbol[: n_points // 2 + 1] * spectrum, n_points, axis=-1)
     values = _convolve_time(smoothed, taps, mesh.dt)
     return NoiseRepresentative(Trajectory(mesh, values, grid), provenance)
 

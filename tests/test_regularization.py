@@ -210,6 +210,50 @@ def test_real_input_takes_the_real_transform(kind):
     assert np.max(np.abs(smoothed - moll.convolve(rows.astype(complex)))) <= 1e-14 * np.abs(rows).max()
 
 
+def _coefficient_pass(op, values):
+    """The action as the symbol's transform followed by a pass of the coefficient samples."""
+    return op.coeff * regularization._multiply(op.symbol, values)
+
+
+@pytest.mark.parametrize("kind", KINDS)
+def test_constant_coefficient_apply_is_the_multiplier(kind):
+    grid = SpatialGrid(16.0, 256)
+    moll = make_mollifier("bump", 1.0, grid)
+    rng = np.random.Generator(np.random.Philox(key=0x5F))
+    rows = rng.standard_normal((3, grid.n_points))
+    for c in (1.0, 0.5, 3.7):
+        op = build_operator(kind, 1.5, np.full(grid.n_points, c), moll, grid, eps=2.0**-5)
+        assert op.diagonal is op.diagonal and not op.diagonal.flags.writeable
+        out, want = op.apply(rows), _coefficient_pass(op, rows)
+        assert out.dtype == np.float64
+        if c == 1.0:
+            assert np.array_equal(out, want)
+        else:
+            # c * (symbol * X) against (c * symbol) * X: a few ulp of the row's scale
+            assert np.abs(out - want).max() <= 8 * np.finfo(float).eps * np.abs(want).max()
+        # complex rows keep the complex transform and the coefficient pass, bit for bit
+        wave = rows + 1j * rows[::-1]
+        assert np.array_equal(op.apply(wave), _coefficient_pass(op, wave))
+    variable = build_operator(kind, 1.5, 1.0 + 0.25 / np.cosh(grid.x), moll, grid, eps=2.0**-5)
+    assert variable.diagonal is None
+    assert np.array_equal(variable.apply(rows), _coefficient_pass(variable, rows))
+
+
+def test_a_coefficient_that_is_not_finite_has_no_diagonal_and_warns_nothing():
+    grid = SpatialGrid(16.0, 64)
+    moll = make_mollifier("bump", 1.0, grid)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        for bad in (math.inf, -math.inf, math.nan):
+            one = np.ones(grid.n_points)
+            one[10] = bad
+            for coeff in (one, np.full(grid.n_points, bad)):
+                assert build_operator("riesz", 1.5, coeff, moll, grid).diagonal is None
+        # finite samples whose product with the symbol overflows keep it, with inf entries
+        huge = build_operator("second_derivative", 2.0, np.full(grid.n_points, 1e308), moll, grid)
+        assert np.isinf(huge.diagonal).any()
+
+
 @pytest.mark.parametrize("kind", KINDS)
 def test_sharp_operator_is_the_bare_multiplier(kind):
     # without a mollifier the action is c * ifft(base * fft(v)), the sharp formula

@@ -17,6 +17,7 @@ from fracwave import (
     TimeMesh,
     ensemble_run,
     make_mollifier,
+    moderateness_scan,
     mollified_variance,
     stochastic_initial_data,
     white_noise_representative,
@@ -182,6 +183,74 @@ def test_spec_validation_and_schedule_default():
     assert hx == ht == sched.h(EPS)
     half = NoiseSpec(intensity=0.1, master_seed=0, schedule=sched, temporal_sharpness=32.0)
     assert half.sharpness_at(EPS) == (sched.h(EPS), 32.0)
+
+
+def _ladder_spec(seed=77, member=0, intensity=0.05):
+    """Fixed spatial sharpness, temporal sharpness from a three-rung schedule."""
+    sched = EpsilonSchedule(alpha=1.5, k_min=4, k_max=6)
+    return NoiseSpec(intensity=intensity, master_seed=seed, member=member, spatial_sharpness=0.5, schedule=sched)
+
+
+def _drawn_fresh(spec, eps, grid, mesh):
+    """The field without the memo: draw and scale the cells, smooth in space, then in time."""
+    moll, taps = stochastic._kernels(spec, eps, grid, mesh)
+    draws = stochastic._stream(spec.master_seed, spec.member, 0).standard_normal((mesh.n_nodes, grid.n_points))
+    draws *= spec.intensity / math.sqrt(grid.dx * mesh.dt)
+    return _convolve_time(moll.convolve(draws), taps, mesh.dt)
+
+
+def test_an_eps_ladder_draws_its_forcing_cells_once(monkeypatch):
+    spec = _ladder_spec()
+    streams = []
+    stream = stochastic._stream
+    monkeypatch.setattr(stochastic, "_stream", lambda *key: streams.append(key) or stream(*key))
+    stochastic._cell_spectrum.cache_clear()
+    fields = {}
+
+    def build(eps):
+        fields[eps] = white_noise_representative(spec, eps, GRID, MESH).trajectory.values
+        u0 = GridFunction(GRID, np.exp(-GRID.x**2 / 8))
+        return CauchyProblem(1.5, -0.5, zero_nonlinearity(), u0, MESH, forcing=fields[eps], grid=GRID)
+
+    report = moderateness_scan(build, spec.schedule)
+    assert report.statuses == ["ok"] * 3
+    assert streams == [(77, 0, 0)]
+    # the temporal kernel changes along the ladder, so every rung has its own field
+    values = list(fields.values())
+    assert not np.array_equal(values[0], values[1]) and not np.array_equal(values[1], values[2])
+    for eps, field in fields.items():
+        stochastic._cell_spectrum.cache_clear()
+        cold = white_noise_representative(spec, eps, GRID, MESH).trajectory.values
+        assert np.array_equal(field, cold)
+        assert np.array_equal(cold, _drawn_fresh(spec, eps, GRID, MESH))
+
+
+def test_the_cell_memo_misses_on_any_other_key():
+    base = (77, 0, 0, 65, 64, 0.5)
+    stochastic._cell_spectrum.cache_clear()
+    first = stochastic._cell_spectrum(*base)
+    assert stochastic._cell_spectrum(*base) is first
+    for k, value in enumerate((78, 1, 1, 33, 32, 0.25)):
+        key = base[:k] + (value,) + base[k + 1 :]
+        misses = stochastic._cell_spectrum.cache_info().misses
+        spectrum = stochastic._cell_spectrum(*key)
+        assert stochastic._cell_spectrum.cache_info().misses == misses + 1
+        assert spectrum.shape != first.shape or not np.array_equal(spectrum, first)
+    # through the public function: a stale hit would hand back the weaker field
+    eps = 2.0**-5
+    weak = white_noise_representative(_ladder_spec(intensity=0.05), eps, GRID, MESH).trajectory.values
+    strong = white_noise_representative(_ladder_spec(intensity=0.1), eps, GRID, MESH).trajectory.values
+    assert np.array_equal(strong, 2.0 * weak)
+    for spec in (_ladder_spec(seed=78), _ladder_spec(member=1)):
+        field = white_noise_representative(spec, eps, GRID, MESH).trajectory.values
+        assert np.array_equal(field, _drawn_fresh(spec, eps, GRID, MESH))
+        assert not np.array_equal(field, weak)
+
+
+def test_the_cached_spectrum_is_read_only():
+    spectrum = stochastic._cell_spectrum(77, 0, 0, 65, 64, 0.5)
+    with pytest.raises(ValueError):
+        spectrum[0, 0] = 0.0
 
 
 def _build(member, seed):
