@@ -282,8 +282,9 @@ class SolverReport:
 
 def _row_sup(arr: np.ndarray, weight: float) -> float:
     flat = arr.reshape(arr.shape[0], -1)
-    # the row norms np.linalg.norm(flat, axis=1) evaluates, without its overhead
-    norms = np.sqrt(np.add.reduce((flat.conj() * flat).real, axis=1))
+    # the row norms np.linalg.norm(flat, axis=1) evaluates, without its overhead or conj()'s copy of real rows
+    squares = (flat.conj() * flat).real if np.iscomplexobj(flat) else flat * flat
+    norms = np.sqrt(np.add.reduce(squares, axis=1))
     return float(np.sqrt(weight) * norms.max())
 
 

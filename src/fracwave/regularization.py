@@ -417,6 +417,38 @@ def _unit_scaled(x: np.ndarray) -> tuple:
     return np.ldexp(np.ascontiguousarray(x).view(float), -shift).view(x.dtype), shift
 
 
+_MAX_POWER_STEPS = 10_000
+_BLOCK_STEPS = 64  # a power of two: the table's rows double up to 2 * _BLOCK_STEPS
+
+
+def _diagonal_norm_estimate(gain: np.ndarray, weights: np.ndarray, shift: int) -> NormEstimate:
+    """The power iteration's steps on a diagonal gain g >= 0, with the loop's stop rule, cap and results.
+
+    From start coefficients of squared moduli w, step k's Rayleigh value is
+    sqrt(S(2k - 1) / S(2k - 2)) with S(j) = sum w g**j: one product with a
+    table of the powers of g / max g gives _BLOCK_STEPS steps, then w takes
+    the table's last row (the peak keeps its weight, so no moment underflows).
+    """
+    top = float(np.max(gain))
+    if top == 0.0 or not math.isfinite(top):  # where the loop's first step ends
+        return NormEstimate(0.0, 1, True) if top == 0.0 else NormEstimate(math.nan, 1, False)
+    powers = np.empty((2 * _BLOCK_STEPS + 1, gain.size))
+    powers[0], powers[1] = 1.0, gain / top
+    known = 1
+    while known < 2 * _BLOCK_STEPS:  # rows 0..known hold the powers 0..known
+        np.multiply(powers[1 : known + 1], powers[known], out=powers[known + 1 : 2 * known + 1])
+        known *= 2
+    sigma = math.nan  # no change is measured at the first step
+    for start in range(0, _MAX_POWER_STEPS, _BLOCK_STEPS):
+        moments = powers @ weights
+        steps = np.sqrt(top * moments[1::2] / moments[:-1:2])[: _MAX_POWER_STEPS - start]
+        stops = np.flatnonzero(np.abs(np.diff(steps, prepend=sigma)) <= 1e-6 * np.maximum(steps, 1e-300))
+        if stops.size:
+            return NormEstimate(float(np.ldexp(steps[stops[0]], shift)), start + int(stops[0]) + 1, True)
+        sigma, weights = steps[-1], weights * powers[-1]
+    return NormEstimate(float(np.ldexp(sigma, shift)), _MAX_POWER_STEPS, False)
+
+
 @np.errstate(over="ignore", invalid="ignore")
 def operator_norm_estimate(op: RegularizedOperator) -> NormEstimate:
     """Largest-singular-value estimate by power iteration on A*A.
@@ -427,15 +459,15 @@ def operator_norm_estimate(op: RegularizedOperator) -> NormEstimate:
     basis, so these are the steps of the sample-space iteration v <- A*A v,
     with the same iterates, Rayleigh quotients and stop up to rounding.  In
     coefficients A*A is conj(symbol) * fft(coeff**2 * ifft(symbol * .)): two
-    FFTs per step, and none for a constant coefficient, where it is the
-    diagonal multiply coeff**2 * |symbol|**2.  It runs at unit scale: the
-    coefficient and the symbol are divided by the powers of two at their peaks
-    and the estimate is multiplied back (inf beyond the double range), so an
-    operator 2**k times as large takes the same steps.  The iteration stops at a
-    relative change of 1e-6; one still unconverged after 10 000 steps returns
-    its last value flagged, never raises.  A coefficient or symbol that is not
-    finite returns NaN flagged at the first step, without floating-point
-    warnings, for the gate to reject.
+    FFTs per step; for a constant coefficient it is coeff**2 * |symbol|**2,
+    whose steps _diagonal_norm_estimate sums in closed form.  It runs at unit
+    scale: the coefficient and the symbol are divided by the powers of two at
+    their peaks and the estimate is multiplied back (inf beyond the double
+    range), so an operator 2**k times as large takes the same steps.  The
+    iteration stops at a relative change of 1e-6; one still unconverged after
+    10 000 steps returns its last value flagged, never raises.  A coefficient
+    or symbol that is not finite returns NaN flagged at the first step,
+    without floating-point warnings, for the gate to reject.
     """
     n = op.dim
     rng = np.random.Generator(np.random.Philox(key=0x9E3779B97F4A7C15))
@@ -444,22 +476,14 @@ def operator_norm_estimate(op: RegularizedOperator) -> NormEstimate:
     coeff, coeff_shift = _unit_scaled(op.coeff)
     symbol, symbol_shift = _unit_scaled(op.symbol)
     squared = coeff**2
-    if np.ptp(coeff) == 0.0:
-        gain = squared[0] * (np.conj(symbol) * symbol)
-
-        def gram(x: np.ndarray) -> np.ndarray:
-            return gain * x
-
-    else:
-        adjoint = np.conj(symbol)
-
-        def gram(x: np.ndarray) -> np.ndarray:
-            return adjoint * np.fft.fft(squared * np.fft.ifft(symbol * x))
-
     shift = coeff_shift + symbol_shift
+    if np.ptp(coeff) == 0.0:
+        gain = squared[0] * (symbol.real**2 + symbol.imag**2)
+        return _diagonal_norm_estimate(gain, v.real**2 + v.imag**2, shift)
+    adjoint = np.conj(symbol)
     sigma = 0.0
-    for it in range(1, 10_001):
-        y = gram(v)
+    for it in range(1, _MAX_POWER_STEPS + 1):
+        y = adjoint * np.fft.fft(squared * np.fft.ifft(symbol * v))
         # the sum np.linalg.norm evaluates for a complex vector, without its overhead
         ny = math.sqrt(y.real.dot(y.real) + y.imag.dot(y.imag))
         if not math.isfinite(ny):

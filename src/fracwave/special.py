@@ -135,15 +135,16 @@ class MlParams:
             raise ValueError(f"tol must lie in (0, 1), got {self.tol!r}")
 
 
-def _series(z, first, ratio, stop, tiny, compensated=True):
+def _series(z, first, ratio, stop, tiny, compensated=True, half=0.5, inf=math.inf):
     """Term-ratio sum of sum_{n>=0} c_n z**n, compensated (Kahan) unless compensated is False.
 
     `_series_array` steps like the compensated loop; the retry sums
     uncompensated, where its working digits leave compensation nothing to do.
 
     The caller supplies its arithmetic: the first term c_0, ratio(n) =
-    c_{n+1}/c_n, the relative stop level and the floor under |total|.  The
-    sum stops once |z|*ratio(n) < 1/2 and the geometric tail bound is below
+    c_{n+1}/c_n, the relative stop level, the floor under |total|, and 1/2
+    and inf in its number type, so comparisons convert nothing.  The sum
+    stops once |z|*ratio(n) < 1/2 and the geometric tail bound is below
     stop*max(|total|, tiny).  Returns (total, stopped, n_terms, tail,
     abs_sum); a stop certifies the truncation only while abs_sum is finite,
     so the first term that overflows to infinity ends the sum unstopped.
@@ -158,13 +159,13 @@ def _series(z, first, ratio, stop, tiny, compensated=True):
     while n < _MAX_TERMS:
         step = ratio(n)
         r = az * step
-        if r < 0.5:
+        if r < half:
             tail = (abs(term) * r) / (1 - r)
             if tail <= stop * max(abs(total), tiny):
                 return total, True, n, tail, abs_sum
         term = term * z * step
         mag = abs(term)
-        if mag == math.inf:
+        if mag == inf:
             return total, False, n + 1, tail, mag
         if comp is None:
             total = total + term
@@ -212,6 +213,7 @@ class _RatioTable:
             self.ctx.dps = dps
             self.first = 1 / self.ctx.gamma(beta)
             self.first_pair = _as_pair(self.first)
+            self.half, self.inf = self.ctx.mpf(0.5), self.ctx.inf
 
     def _ratio(self, k: int):
         if self.dps is None:
@@ -299,7 +301,8 @@ def _series_hp(alpha: float, beta: float, z, tol: float) -> complex:
         with table.lock:
             ulp = ctx.mpf(10) ** (-dps + 5)
             total, stopped, _, _, abs_sum = _series(
-                ctx.mpmathify(z), table.first, table, ulp, ctx.mpf(10) ** -3000, compensated=False
+                ctx.mpmathify(z), table.first, table, ulp, ctx.mpf(10) ** -3000,
+                compensated=False, half=table.half, inf=table.inf,
             )
             certified = stopped and abs_sum * ulp <= tol * (abs(total) or 1)
         if certified:

@@ -145,21 +145,27 @@ def _kernels(spec: NoiseSpec, eps: float, grid: SpatialGrid, mesh: TimeMesh) -> 
     return make_mollifier(spec.shape, hx, grid), _time_kernel(spec.shape, ht, mesh)
 
 
+def _smooth_length(n: int) -> int:
+    """The least 2**a * 3**b * 5**c >= n, a length the FFT factors into small primes."""
+    odd = [3**b * 5**c for b in range(n.bit_length()) for c in range(n.bit_length())]
+    return min(p << (-(-n // p) - 1).bit_length() for p in odd)  # p times the least power of two >= n / p
+
+
 def _convolve_time(values: np.ndarray, taps: np.ndarray, dt: float) -> np.ndarray:
     """Discrete convolution of real values along axis 0 with zero extension.
 
     Row i is sum_m dt taps[m_max + m] values[i - m] over the nodes inside
     the window.  Taps with |m| > n - 1 reach no node and are dropped; the
-    rest run as one linear FFT convolution, zero-padded to a power of two
-    >= n + m so that rows [m, m + n) see no wrap-around.  The field is
-    transposed once in and once out, so both transforms run along contiguous
-    memory.
+    rest run as one linear FFT convolution, zero-padded to the least
+    5-smooth length >= n + m (_smooth_length) so that rows [m, m + n) see no
+    wrap-around.  The field is transposed once in and once out, so both
+    transforms run along contiguous memory.
     """
     n = values.shape[0]
     m_max = (taps.size - 1) // 2
     m = min(m_max, n - 1)
     kept = taps[m_max - m : m_max + m + 1] * dt
-    size = 1 << (n + m - 1).bit_length()
+    size = _smooth_length(n + m)
     spectrum = np.fft.rfft(np.ascontiguousarray(values.T), n=size)
     spectrum *= np.fft.rfft(kept, n=size)
     return np.ascontiguousarray(np.fft.irfft(spectrum, n=size)[:, m : m + n].T)

@@ -1151,3 +1151,15 @@ def test_a_kernel_form_solve_builds_each_weight_row_once(monkeypatch):
         report = solve_kernel_form(p)
         assert report.metadata["volterra_blocks"] > 5
         assert sum(rows) == p.mesh.n_nodes
+
+
+@pytest.mark.parametrize("dtype", [float, complex])
+def test_row_sup_is_the_conjugate_product_formula_bit_for_bit(dtype):
+    rng = np.random.Generator(np.random.Philox(key=0xD5))
+    for shape in [(33, 256), (7, 4, 65), (1, 1)]:
+        arr = rng.standard_normal(shape) * np.exp(rng.uniform(-300.0, 300.0, shape))
+        if dtype is complex:
+            arr = arr + 1j * rng.standard_normal(shape)
+        flat = arr.reshape(shape[0], -1)
+        old = float(np.sqrt(0.3) * np.sqrt(np.add.reduce((flat.conj() * flat).real, axis=1)).max())
+        assert duhamel._row_sup(arr, 0.3) == old

@@ -11,10 +11,12 @@ from fracwave import (
     EpsilonSchedule,
     NormEstimate,
     NormGateError,
+    RegularizedOperator,
     ResolutionError,
     SingularOrderError,
     SizeError,
     SpatialGrid,
+    approximate_operator,
     association_diagnostic,
     build_operator,
     check_norm_gate,
@@ -325,16 +327,18 @@ def test_liouville_action_without_nyquist_content_is_the_complex_multiplier(kind
         assert np.abs(new - old).max() <= 1e-14 * coeff.max() * np.abs(symbol).max() * np.abs(rows).max()
 
 
-def _sample_space_norm_estimate(op):
+def _sample_space_norm_estimate(op, max_steps=10_000):
     """The power iteration v <- A*A v on samples: one apply and one adjoint apply per step."""
     n = op.dim
     rng = np.random.Generator(np.random.Philox(key=0x9E3779B97F4A7C15))
     v = rng.standard_normal(n) + 1j * rng.standard_normal(n)
     v = v / np.linalg.norm(v)
     sigma = 0.0
-    for it in range(1, 10_001):
+    for it in range(1, max_steps + 1):
         y = _apply_adjoint(op, op.apply(v))
         ny = np.linalg.norm(y)
+        if not math.isfinite(ny):
+            return NormEstimate(math.nan, it, False)
         if ny == 0.0:
             return NormEstimate(0.0, it, True)
         sigma_new = math.sqrt(float(np.real(np.vdot(v, y))))
@@ -369,6 +373,52 @@ def test_norm_estimate_matches_dense(kind, coefficient, mollified):
     assert abs(est.value - exact) <= 1e-3 * exact
     # the carried estimate is computed once
     assert op.norm_estimate() is op.norm_estimate()
+
+
+@pytest.mark.parametrize("k", range(4, 13))
+def test_constant_coefficient_closed_form_takes_the_sample_space_steps_on_the_ladder(k):
+    # the default ladder's rungs: constant coefficient, 256 points, 107 to 424 steps
+    grid = SpatialGrid(16.0, 256)
+    field = CoefficientField(grid, np.ones(grid.n_points))
+    op = approximate_operator("second_derivative", 2.0, field, EpsilonSchedule(alpha=1.5), 2.0**-k)
+    est = operator_norm_estimate(op)
+    ref = _sample_space_norm_estimate(op)
+    assert (est.iterations, est.converged) == (ref.iterations, ref.converged)
+    assert abs(est.value - ref.value) <= 1e-14 * ref.value
+
+
+def _constant_operator(symbol):
+    grid = SpatialGrid(16.0, symbol.size)
+    return RegularizedOperator("riesz", 1.5, 2.0**-4, grid, np.full(grid.n_points, 1.2), symbol)
+
+
+@pytest.mark.parametrize("bad", [math.inf, math.nan])
+def test_constant_coefficient_with_a_symbol_that_is_not_finite_reads_nan_at_the_first_step(bad):
+    symbol = np.ones(64, dtype=complex)
+    symbol[5] = bad
+    op = _constant_operator(symbol)
+    est = operator_norm_estimate(op)
+    with np.errstate(invalid="ignore"):
+        ref = _sample_space_norm_estimate(op)
+    assert math.isnan(est.value) and math.isnan(ref.value)
+    assert (est.iterations, est.converged) == (ref.iterations, ref.converged) == (1, False)
+
+
+def test_constant_coefficient_closed_form_stops_at_the_step_cap(monkeypatch):
+    # a gain of 1 at one mode and 0.99 at the others needs 420 steps; under a
+    # cap of 150, which ends inside the third block, both iterations give up
+    # there.  (The 10 000-step cap itself is out of reach of a diagonal gain:
+    # two distinct values change the Rayleigh quotient by at most a quarter of
+    # their squared gap per step.)
+    symbol = np.full(64, math.sqrt(0.99), dtype=complex)
+    symbol[0] = 1.0
+    op = _constant_operator(symbol)
+    assert operator_norm_estimate(op).iterations == _sample_space_norm_estimate(op).iterations == 420
+    monkeypatch.setattr(regularization, "_MAX_POWER_STEPS", 150)
+    est = operator_norm_estimate(op)
+    ref = _sample_space_norm_estimate(op, max_steps=150)
+    assert (est.iterations, est.converged) == (ref.iterations, ref.converged) == (150, False)
+    assert abs(est.value - ref.value) <= 1e-14 * ref.value
 
 
 def test_zero_coefficient_has_norm_zero():

@@ -210,6 +210,15 @@ def test_retry_tables_give_cold_values_warm(monkeypatch, alpha, beta, z):
     assert abs(cold - complex(ref)) <= p.tol * abs(ref)
 
 
+@pytest.mark.parametrize("alpha, beta, z", RETRY_CASES)
+def test_retry_compares_against_its_context_constants_bit_for_bit(monkeypatch, alpha, beta, z):
+    value = special._series_hp(alpha, beta, z, 1e-14)
+    series = special._series
+    # the same sums with their stop and overflow tests against Python floats
+    monkeypatch.setattr(special, "_series", lambda *args, half, inf, **kwargs: series(*args, **kwargs))
+    assert repr(special._series_hp(alpha, beta, z, 1e-14)) == repr(value)
+
+
 def _held(alpha, beta, dps):
     hits = special._ratio_table.cache_info().hits
     special._ratio_table(alpha, beta, dps)

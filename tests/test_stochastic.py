@@ -24,7 +24,7 @@ from fracwave import (
     zero_nonlinearity,
 )
 from fracwave import stochastic
-from fracwave.stochastic import _convolve_time, _time_kernel
+from fracwave.stochastic import _convolve_time, _smooth_length, _time_kernel
 
 GRID = SpatialGrid(16.0, 64)
 MESH = TimeMesh(0.25, 64)
@@ -36,7 +36,8 @@ def _spec(member=0, intensity=0.05, seed=77, hx=0.5, ht=32.0):
                      spatial_sharpness=hx, temporal_sharpness=ht)
 
 
-@pytest.mark.parametrize("n, m_max", [(40, 3), (40, 40), (40, 57), (1, 4), (33, 32)])
+# the last two pad n + m = 513 to 540 and 1561 to 1600, where a power of two would be 1024 and 2048
+@pytest.mark.parametrize("n, m_max", [(40, 3), (40, 40), (40, 57), (1, 4), (33, 32), (257, 256), (1025, 536)])
 def test_time_convolution_matches_direct_convolution(n, m_max):
     rng = np.random.Generator(np.random.Philox(key=0xC0))
     values = rng.standard_normal((n, 5))
@@ -50,13 +51,30 @@ def test_time_convolution_matches_direct_convolution(n, m_max):
     assert np.max(np.abs(got - want)) <= 1e-13 * np.max(np.abs(want))
 
 
+def _brute_smooth_length(n):
+    """The least integer >= n with no prime factor above 5, by trial."""
+    k = n
+    while True:
+        rest = k
+        for p in (2, 3, 5):
+            while rest % p == 0:
+                rest //= p
+        if rest == 1:
+            return k
+        k += 1
+
+
+def test_smooth_length_is_the_least_5_smooth_length():
+    assert [_smooth_length(n) for n in range(1, 5001)] == [_brute_smooth_length(n) for n in range(1, 5001)]
+
+
 def _convolve_time_axis0(values, taps, dt):
     """The time smoothing with both transforms along axis 0, as it ran before the transposes."""
     n = values.shape[0]
     m_max = (taps.size - 1) // 2
     m = min(m_max, n - 1)
     kept = taps[m_max - m : m_max + m + 1] * dt
-    size = 1 << (n + m - 1).bit_length()
+    size = _smooth_length(n + m)
     spectrum = np.fft.rfft(values, n=size, axis=0)
     spectrum *= np.fft.rfft(kept, n=size)[:, None]
     return np.fft.irfft(spectrum, n=size, axis=0)[m : m + n].copy()
