@@ -234,39 +234,56 @@ def _finite_or_none(value: float) -> Optional[float]:
     return value if math.isfinite(value) else None
 
 
-def _write_json(path: Path, payload: dict) -> None:
+def _json_bytes(payload: dict) -> bytes:
     text = json.dumps(payload, indent=2, sort_keys=True, default=lambda obj: obj.tolist())
-    path.write_text(text + "\n", encoding="utf-8")
+    return (text + "\n").encode("utf-8")
 
 
-def _write_manifest(dirpath: Path, names: list) -> None:
-    entries = {}
-    for name in sorted(names):
-        digest = hashlib.sha256()
-        size = 0
-        with open(dirpath / name, "rb") as fh:
-            while chunk := fh.read(1 << 20):
-                digest.update(chunk)
-                size += len(chunk)
-        entries[name] = {"sha256": digest.hexdigest(), "bytes": size}
-    _write_json(dirpath / "manifest.json", {"files": entries})
+class _DigestSink:
+    """A binary file that hashes (sha256) and counts the bytes written through it."""
+
+    def __init__(self, fh):
+        self._fh = fh
+        self.sha256 = hashlib.sha256()
+        self.size = 0
+
+    def write(self, data) -> None:
+        self._fh.write(data)
+        self.sha256.update(data)
+        self.size += len(data)
+
+
+def _write_artifact(path: Path, write) -> dict:
+    """Write one file through `write(sink)`; return its manifest entry, taken from the bytes as written."""
+    with open(path, "wb") as fh:
+        sink = _DigestSink(fh)
+        write(sink)
+    return {"sha256": sink.sha256.hexdigest(), "bytes": sink.size}
+
+
+def _write_manifest(dirpath: Path, entries: dict) -> None:
+    """manifest.json: the sha256 and byte count of each file, by name."""
+    (dirpath / "manifest.json").write_bytes(_json_bytes({"files": entries}))
 
 
 def _write_run(cfg: RunConfig, out: Optional[str], stem: str, files: dict, meta: dict) -> Path:
     """Write one run directory and return it.
 
     The directory holds config.txt, each file of `files` (name -> writer taking
-    the path), metadata.json (the shared header plus `meta`) and manifest.json.
+    a binary sink), metadata.json (the shared header plus `meta`) and
+    manifest.json, whose digests are taken as the files are written: no file
+    is read back.
     """
     base = Path(out) if out else Path(cfg.output_directory)
     run_dir = base / f"{stem}-{cfg.label}-{config_hash(cfg)}"
     run_dir.mkdir(parents=True, exist_ok=True)
-    (run_dir / "config.txt").write_text(render_config(cfg), encoding="utf-8")
-    for name, write in files.items():
-        write(run_dir / name)
     header = {"version": __version__, "config_hash": config_hash(cfg), "label": cfg.label, "seed": cfg.master_seed}
-    _write_json(run_dir / "metadata.json", {**header, **meta})
-    _write_manifest(run_dir, ["config.txt", *files, "metadata.json"])
+    files = {
+        "config.txt": lambda sink: sink.write(render_config(cfg).encode("utf-8")),
+        **files,
+        "metadata.json": lambda sink: sink.write(_json_bytes({**header, **meta})),
+    }
+    _write_manifest(run_dir, {name: _write_artifact(run_dir / name, write) for name, write in files.items()})
     return run_dir
 
 
@@ -338,8 +355,8 @@ def cmd_run(cfg: RunConfig, out: Optional[str], quiet: bool) -> int:
         },
     }
 
-    def trajectory(path: Path) -> None:
-        write_field_csv(path, problem.mesh.nodes, problem.grid.x, report.trajectory)
+    def trajectory(sink) -> None:
+        write_field_csv(sink, problem.mesh.nodes, problem.grid.x, report.trajectory)
 
     run_dir = _write_run(cfg, out, "run", {"trajectory.csv": trajectory}, meta)
     if norm is not None:
@@ -415,7 +432,7 @@ def cmd_sweep(cfg: RunConfig, out: Optional[str], quiet: bool) -> int:
         },
         "rungs": rungs,
     }
-    run_dir = _write_run(cfg, out, "sweep", {"sweep.csv": lambda path: path.write_text(table, encoding="utf-8")}, meta)
+    run_dir = _write_run(cfg, out, "sweep", {"sweep.csv": lambda sink: sink.write(table.encode("utf-8"))}, meta)
     if assoc is not None:
         _say(
             quiet,
@@ -454,7 +471,7 @@ def cmd_validate(out: Optional[str], quiet: bool, only: Optional[list]) -> int:
             "passed": n_pass,
             "total": len(results),
         }
-        _write_json(out_dir / "validation.json", payload)
+        (out_dir / "validation.json").write_bytes(_json_bytes(payload))
     return 0 if n_pass == len(results) else 1
 
 
@@ -467,7 +484,7 @@ def cmd_noise_dump(cfg: RunConfig, out: Optional[str], quiet: bool) -> int:
     perturb = cfg.noise_target in ("initial", "both")
     # read the displacement before any output, so a bad profile leaves no directory
     perturbed = stochastic_initial_data(_displacement(cfg, grid), spec, eps, grid) if perturb else None
-    files = {"noise.csv": lambda path: write_field_csv(path, mesh.nodes, grid.x, rep.trajectory.values)}
+    files = {"noise.csv": lambda sink: write_field_csv(sink, mesh.nodes, grid.x, rep.trajectory.values)}
     meta = {
         "verb": "noise-dump",
         "eps": eps,
@@ -475,7 +492,7 @@ def cmd_noise_dump(cfg: RunConfig, out: Optional[str], quiet: bool) -> int:
         "interior_variance": mollified_variance(spec, eps, grid, mesh),
     }
     if perturb:
-        files["initial.csv"] = lambda path: write_field_csv(path, mesh.nodes[:1], grid.x, perturbed.values[None, :])
+        files["initial.csv"] = lambda sink: write_field_csv(sink, mesh.nodes[:1], grid.x, perturbed.values[None, :])
         meta["initial_provenance"] = spec.provenance(eps, 1)
     run_dir = _write_run(cfg, out, "noise", files, meta)
     _say(quiet, f"noise field ({mesh.n_nodes} x {grid.n_points}) written to {run_dir}")

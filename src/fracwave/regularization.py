@@ -449,6 +449,16 @@ def _diagonal_norm_estimate(gain: np.ndarray, weights: np.ndarray, shift: int) -
     return NormEstimate(float(np.ldexp(sigma, shift)), _MAX_POWER_STEPS, False)
 
 
+@functools.lru_cache(maxsize=8)
+def _power_start(n: int) -> np.ndarray:
+    """The power iteration's start: unit DFT coefficients of a fixed draw, read-only."""
+    rng = np.random.Generator(np.random.Philox(key=0x9E3779B97F4A7C15))
+    v = rng.standard_normal(n) + 1j * rng.standard_normal(n)
+    v = np.fft.fft(v / np.linalg.norm(v), norm="ortho")
+    v.flags.writeable = False
+    return v
+
+
 @np.errstate(over="ignore", invalid="ignore")
 def operator_norm_estimate(op: RegularizedOperator) -> NormEstimate:
     """Largest-singular-value estimate by power iteration on A*A.
@@ -469,10 +479,7 @@ def operator_norm_estimate(op: RegularizedOperator) -> NormEstimate:
     or symbol that is not finite returns NaN flagged at the first step,
     without floating-point warnings, for the gate to reject.
     """
-    n = op.dim
-    rng = np.random.Generator(np.random.Philox(key=0x9E3779B97F4A7C15))
-    v = rng.standard_normal(n) + 1j * rng.standard_normal(n)
-    v = np.fft.fft(v / np.linalg.norm(v), norm="ortho")
+    v = _power_start(op.dim)
     coeff, coeff_shift = _unit_scaled(op.coeff)
     symbol, symbol_shift = _unit_scaled(op.symbol)
     squared = coeff**2

@@ -1,5 +1,6 @@
 """End-to-end command-line contract: artifacts, determinism, exit codes."""
 
+import builtins
 import dataclasses
 import hashlib
 import io
@@ -9,6 +10,7 @@ import os
 import subprocess
 import sys
 import warnings
+from decimal import Decimal
 from pathlib import Path
 
 import numpy as np
@@ -204,6 +206,47 @@ def test_field_csv_has_the_bytes_of_savetxt(tmp_path):
         assert body == _savetxt_bytes(t, xs, u.astype(complex))
 
 
+def _is_tie(v):
+    """Whether v lies exactly halfway between two 17-digit decimals."""
+    digits = Decimal(v).normalize().as_tuple().digits
+    return len(digits) == 18 and digits[-1] == 5
+
+
+def test_field_csv_chunks_of_different_magnitudes(tmp_path):
+    # each write chunk of a real and of a complex field holds its own mix of values
+    rng = np.random.Generator(np.random.Philox(key=0x4D1))
+    n_points = 512
+    rows = max(1, fieldcsv._CHUNK_CELLS // n_points)  # time rows per write chunk
+    sign = rng.choice([-1.0, 1.0], (4, rows * n_points))
+    small = rng.uniform(-9.999, 9.999, rows * n_points)
+    # fixed form with a point among digits 1..16, most with 17 digits kept
+    fixed = sign[1] * 10.0 ** rng.uniform(1.0, 16.0, rows * n_points)
+    # ties in fixed form (15 digits, then .125 ...) and in exponent form (2**-25 has 18 digits, the last a 5)
+    ties = rng.integers(10**14, 10**15, 64) + np.tile([0.125, 0.375, 0.625, 0.875], 16)
+    ties = np.concatenate([ties, np.arange(1, 64, 2) * 2.0**-25])
+    exponent = 10.0 ** np.concatenate([rng.uniform(-279.0, -5.0, 4000), rng.uniform(17.0, 279.0, 4000)])
+    exponent = sign[2] * np.resize(np.concatenate([ties, -ties, rng.permutation(exponent)]), rows * n_points)
+    specials = [0.0, -0.0, np.nan, np.inf, -np.inf, 5e-324, -5e-324, 2.2250738585072009e-308, 1e-310, -3e-320]
+    specials = np.resize(np.concatenate([specials, 1e-300 * rng.standard_normal(6)]), rows * n_points)
+    chunks = [small, fixed, exponent, rng.permutation(specials)]
+    texts = [["%.17g" % v for v in chunk.tolist()] for chunk in chunks]
+    assert all(abs(float(t)) < 10 for t in texts[0])
+    assert sum(len(t.lstrip("-")) == 18 and "." in t for t in texts[1]) > rows * n_points // 2
+    tie = [_is_tie(v) for v in chunks[2].tolist()]
+    assert all("e" in t or is_tie for t, is_tie in zip(texts[2], tie))
+    assert any("e" in t and is_tie for t, is_tie in zip(texts[2], tie)) and any("e" not in t for t in texts[2])
+    real = np.concatenate(chunks).reshape(4 * rows, n_points)
+    cplx = real.astype(complex)
+    cplx.imag = np.concatenate([rng.permutation(chunk) for chunk in chunks]).reshape(real.shape)
+    nodes = np.linspace(0.0, 1.0, 4 * rows)
+    xs = np.linspace(-16.0, 16.0, n_points)
+    for name, u in (("real.csv", real), ("complex.csv", cplx)):
+        write_field_csv(tmp_path / name, nodes, xs, u)
+        head, _, body = (tmp_path / name).read_bytes().partition(b"\n")
+        assert head == b"t,x,re_u,im_u"
+        assert body == _savetxt_bytes(nodes, xs, u.astype(complex))
+
+
 @settings(max_examples=300, deadline=None, derandomize=True)
 @given(st.lists(st.floats(allow_nan=True, allow_infinity=True, allow_subnormal=True), min_size=1, max_size=40))
 def test_g17_formatter_matches_python(values):
@@ -233,8 +276,6 @@ def _g17_tables_by_loops():
     split = special._SPLIT * hi
     hi_hi = split - (split - hi)
     groups = np.frombuffer(b"".join(b"%04d" % g for g in range(10000)), np.uint8).reshape(10000, 4)
-    digit_words = np.full((10000, 4, 2), 0xFF, np.uint8)
-    digit_words[:, :, 0] = groups
     before = [x + 1 if 0 <= x <= 16 else 17 if -4 <= x < 0 else 1 for x in exps]
     head = np.zeros((len(exps), 2, 2), np.uint64)
     for i, x in enumerate(exps):
@@ -242,24 +283,33 @@ def _g17_tables_by_loops():
         for neg in (0, 1):
             for more in (0, 1):
                 slot = b"." if more and before[i] == 1 else b"\0"
-                head[i, neg, more] = word((b"-" if neg else b"\0") + lead.ljust(5, b"\0") + b"\0" + slot)
-    masks = np.zeros((18 * 18, 32), np.uint8)
-    for p in range(1, 18):
-        for keep in range(1, 18):
-            masks[18 * p + keep, 0 : 2 * keep - 2 : 2] = 0xFF
-            if 1 < p < keep:
-                masks[18 * p + keep, 2 * p - 3] = ord(".")
+                head[i, neg, more] = word((b"-" if neg else b"\0") + lead.ljust(5, b"\0") + b"0" + slot)
+    # the 16 digit bytes of words 1-2: digits 1..keep-1 kept, or a point after digit p
+    keep_masks = np.zeros((18, 16), np.uint8)
+    point_low = np.zeros((16, 16), np.uint8)
+    point_dot = np.zeros((16, 16), np.uint8)
+    for n in range(18):
+        keep_masks[n, : max(n - 1, 0)] = 0xFF
+    for p in range(16):
+        point_low[p, :p] = 0xFF
+        point_dot[p, p] = ord(".")
+
+    def by_word(stream):
+        return np.ascontiguousarray(stream.view(np.uint64).T)
+
     return fieldcsv._G17Tables(
         ten_hi_hi=hi_hi,
         ten_hi_lo=hi - hi_hi,
         ten_lo=lo,
-        digit_words=digit_words.reshape(10000, 8).view(np.uint64).ravel(),
+        group_ascii=np.array([[word(pad + b"%04d" % g) for g in range(10000)] for pad in (b"", b"\0" * 4)], np.uint64),
         trailing=np.cumprod(groups[:, ::-1] == ord("0"), axis=1).sum(axis=1),
-        before18=18 * np.array(before, np.int64),
         min_keep=np.array([x + 1 if 0 <= x <= 16 else 1 for x in exps], np.int64),
+        interior=np.array([x + 1 if 1 <= x <= 15 else 17 for x in exps], np.int64),
         suffix=np.array([word(b"e%+03d" % x if x < -4 or x > 16 else b"") for x in exps], np.uint64),
         head=head.reshape(-1),
-        masks=np.ascontiguousarray(masks.view(np.uint64).T),
+        keep_masks=by_word(keep_masks),
+        point_low=by_word(point_low),
+        point_dot=by_word(point_dot),
     )
 
 
@@ -292,13 +342,57 @@ def test_importing_the_cli_loads_no_high_precision_module():
 
 
 def test_manifest_hashes_files_larger_than_a_chunk(tmp_path):
-    blob = bytes(range(256)) * 10_000  # about 2.4 MiB: several read chunks
-    (tmp_path / "big.bin").write_bytes(blob)
-    (tmp_path / "empty.txt").write_bytes(b"")
-    _write_manifest(tmp_path, ["empty.txt", "big.bin"])
+    # the digest and the count are taken from the bytes as they pass through the sink
+    chunks = [bytes(range(256)) * 4096, b"", bytes(range(255, -1, -1)) * 3000, b"tail"]
+
+    def body(sink):
+        for chunk in chunks:
+            sink.write(chunk)
+
+    entries = {
+        "big.bin": cli._write_artifact(tmp_path / "big.bin", body),
+        "empty.txt": cli._write_artifact(tmp_path / "empty.txt", lambda sink: None),
+    }
+    _write_manifest(tmp_path, entries)
     files = json.loads((tmp_path / "manifest.json").read_text())["files"]
+    assert list(files) == ["big.bin", "empty.txt"]
+    blob = b"".join(chunks)
+    assert (tmp_path / "big.bin").read_bytes() == blob
     assert files["big.bin"] == {"sha256": hashlib.sha256(blob).hexdigest(), "bytes": len(blob)}
+    assert (tmp_path / "empty.txt").read_bytes() == b""
     assert files["empty.txt"] == {"sha256": hashlib.sha256(b"").hexdigest(), "bytes": 0}
+
+
+SWEEP = BASE.replace("run_k = 6", "k_min = 4\nk_max = 5\nrun_k = 5")
+
+
+@pytest.mark.parametrize(
+    "verb, text, files",
+    [
+        pytest.param("run", NOISY, ["trajectory.csv"], id="run"),
+        pytest.param("sweep-epsilon", SWEEP, ["sweep.csv"], id="sweep-epsilon"),
+        pytest.param("noise-dump", NOISY + "target = both\n", ["noise.csv", "initial.csv"], id="noise-dump"),
+    ],
+)
+def test_run_directory_is_written_without_reading_it_back(tmp_path, monkeypatch, verb, text, files):
+    out = (tmp_path / "out").resolve()
+    real_open, write_run = io.open, cli._write_run
+
+    def write_only_open(file, mode="r", *args, **kwargs):
+        inside = isinstance(file, (str, os.PathLike)) and Path(file).resolve().is_relative_to(out)
+        if inside and not set(mode) & set("wax+"):
+            raise PermissionError(f"{file} opened for reading while its run directory is written")
+        return real_open(file, mode, *args, **kwargs)
+
+    def guarded_write_run(*args, **kwargs):
+        with monkeypatch.context() as patch:
+            patch.setattr(builtins, "open", write_only_open)
+            patch.setattr(io, "open", write_only_open)
+            return write_run(*args, **kwargs)
+
+    monkeypatch.setattr(cli, "_write_run", guarded_write_run)
+    assert entrypoint([verb, "--config", _cfg_file(tmp_path, text), "--out", str(out), "--quiet"]) == 0
+    _check_run_dir(_run_dir(out), verb, text, files)
 
 
 def test_run_reduces_to_propagator_without_forcing(tmp_path):

@@ -461,10 +461,35 @@ def test_norm_estimate_transforms_per_step(coefficient, per_step, monkeypatch):
 
     for name in ("fft", "ifft", "rfft", "irfft"):
         monkeypatch.setattr(regularization.np.fft, name, counted(getattr(regularization.np.fft, name)))
+    regularization._power_start.cache_clear()  # the start vector is built once per grid size
     est = operator_norm_estimate(op)
     assert est.iterations > 10
     # one transform takes the start vector to its coefficients
     assert len(calls) == 1 + per_step * est.iterations
+
+
+def test_norm_estimate_builds_its_start_once_per_grid(monkeypatch):
+    regularization._power_start.cache_clear()
+    built = []
+    philox = np.random.Philox
+
+    def counted(*args, **kwargs):
+        built.append(kwargs)
+        return philox(*args, **kwargs)
+
+    monkeypatch.setattr(regularization.np.random, "Philox", counted)
+    op, other = _gated_operator("liouville_left", "variable", True), _gated_operator("riesz", "constant", True)
+    first = operator_norm_estimate(op)
+    assert len(built) == 1
+    # a second call, and another operator on the same grid, build no generator
+    assert operator_norm_estimate(op) == first
+    warm = operator_norm_estimate(other)
+    assert len(built) == 1
+    # and give what a cold start gives, bit for bit
+    regularization._power_start.cache_clear()
+    assert operator_norm_estimate(other) == warm and len(built) == 2
+    # every call shares the cached vector, which no caller may change
+    assert not regularization._power_start(op.dim).flags.writeable
 
 
 def test_norm_gate_trips_on_tight_cap():
