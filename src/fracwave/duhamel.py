@@ -23,9 +23,9 @@ march over blocks of rows: each block sums the history of the earlier rows
 in one dense product, once per solve, and then converges its own fixed point
 before the next block starts.  The derivative form differentiates the whole
 forcing history on every sweep, so it keeps whole-horizon Picard sweeps, each
-one a blocked march of the linear system.  On a Fourier multiplier with real
-data each mode's march is a scalar triangular system, solved exactly with
-the resolvent of the blocks' Toeplitz weights (_mode_volterra); every other
+one a blocked march of the linear system.  On a Fourier multiplier each
+mode's march is a scalar triangular system, solved exactly with the
+resolvent of the blocks' Toeplitz weights (_mode_volterra); every other
 march resolves the rows inside a block by a short operator series, certified
 at the block's own time span.  Its sweeps converge window by window, and the
 windows are the kernel form's blocks without their row cap: the longest runs
@@ -49,6 +49,7 @@ from .fractional import (
     TimeMesh,
     Trajectory,
     _as_field,  # float64 or complex128, following the data
+    _real_parts,  # a map of real samples taken part by part on complex ones
     _block_norms,  # ||W_BB||_inf read from the weights' taps
     _row_blocks,  # a lower-triangular product built _BLOCK_ROWS rows at a time
     _toeplitz_column,  # the diagonal and b_1, b_2, ... of the weights past column 0
@@ -641,15 +642,15 @@ def solve_rl_form(p: CauchyProblem, opts: SolverOptions = SolverOptions()) -> So
     rows are built _BLOCK_ROWS at a time from the cached taps, so no N x N
     matrix is held.
 
-    On an action with a multiplier and real data the derivative and the
-    march run on the real half spectrum, and the march solves every mode
-    exactly (_mode_volterra) with resolvents computed once per solve.  Where
-    some mode has |1 - lam dt**alpha / Gamma(alpha + 2)| < 1/2, and for
-    complex data, a variable coefficient, scalars and matrices, the march
-    sums the certified series of _volterra in physical space.  The problem
-    chooses the march once, before the sweeps, and the metadata's "march"
-    names it, "modes" or "series"; a march by modes records series_levels
-    and cold_blocks as 0.
+    On an action with a multiplier the derivative and the march run on the
+    real half spectrum, complex data part by part, and the march solves
+    every mode exactly (_mode_volterra) with resolvents computed once per
+    solve.  Where some mode has |1 - lam dt**alpha / Gamma(alpha + 2)| < 1/2,
+    and for a variable coefficient, scalars and matrices, the march sums the
+    certified series of _volterra in physical space.  The operator chooses
+    the march once, before the sweeps, and the metadata's "march" names it,
+    "modes" or "series"; a march by modes records series_levels and
+    cold_blocks as 0.
 
     The whole-horizon sweeps converge window by window over the kernel form's
     blocks without their row cap (a nonlinearity one time step cannot resolve
@@ -672,34 +673,35 @@ def solve_rl_form(p: CauchyProblem, opts: SolverOptions = SolverOptions()) -> So
 
     singular = _propagated(p, p.alpha, f0) if f0_norm > 0.0 else 0.0
     base = _base_trajectory(p)
-    # the problem chooses the march once: by modes on a multiplier with real data
+    # the operator chooses the march once: by modes on a multiplier, whatever the data
     lam = p.action.multiplier
-    real = not any(np.iscomplexobj(x) for x in (base, f0, p.forcing))
-    resolvents = _mode_resolvents(p.alpha, mesh.n_nodes, mesh.dt, lam) if lam is not None and real else None
+    resolvents = None if lam is None else _mode_resolvents(p.alpha, mesh.n_nodes, mesh.dt, lam)
     weight = p.state_weight
     u = base.copy()
     histories: list = []
     stalled = None
     buffers: dict = {}  # the field-sized "centred" buffer, written in place on every sweep
 
+    def by_modes(part: np.ndarray) -> np.ndarray:
+        """v on real centred samples: derivative and march on the real half spectrum, each mode exact."""
+        g = rl_derivative(np.fft.rfft(part, axis=-1), 2.0 - p.alpha, mesh)
+        return np.fft.irfft(_mode_volterra(weights_alpha, lam, resolvents, g), p.action.dim, axis=-1)
+
     def memory(centred: np.ndarray) -> np.ndarray:
         """W_2 v, where v = g + A y, y = W_alpha (g + A y) and g = rl_derivative(centred), written over centred.
 
-        Real data meet a multiplier mode by mode: the derivative and the march
-        run on the real half spectrum, between one rfft and one irfft, and
-        the march solves each mode exactly.  A centred forcing with no
-        nonzero entry has an exactly zero memory, returned as +0 in place
-        without a transform or a product.
+        A multiplier meets the data mode by mode (by_modes, per part of
+        complex data).  A centred forcing with no nonzero entry has an
+        exactly zero memory, returned as +0 in place without a transform or
+        a product.
         """
         if _all_zero(centred):
             centred.fill(0.0)
             return centred
-        # a nonlinearity that turns complex on some real states leaves those sweeps to the series
-        if resolvents is None or np.iscomplexobj(centred):
+        if resolvents is None:
             v = _volterra(weights_alpha, p.action, rl_derivative(centred, 2.0 - p.alpha, mesh), plan)
         else:
-            g = rl_derivative(np.fft.rfft(centred, axis=-1), 2.0 - p.alpha, mesh)
-            v = np.fft.irfft(_mode_volterra(weights_alpha, lam, resolvents, g), p.action.dim, axis=-1)
+            v = _real_parts(by_modes, centred)
         return _row_blocks(weights_two, v, _buffer(buffers, "centred", v.dtype, v.shape))
 
     for s, e, _ in windows:

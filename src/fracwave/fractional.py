@@ -123,6 +123,21 @@ def _as_field(samples) -> np.ndarray:
     return arr.astype(complex if np.iscomplexobj(arr) else float, copy=False)
 
 
+def _real_parts(fn: Callable[[np.ndarray], np.ndarray], x: np.ndarray) -> np.ndarray:
+    """fn(x) for real x; for complex x, fn(x.real) and fn(x.imag) in the real and imaginary views of one array.
+
+    Every operator here is real, so complex samples cross each transform as
+    two real fields.  The views keep each part exact, as re + 1j * im would
+    not (1j * inf has a NaN real part).
+    """
+    if not np.iscomplexobj(x):
+        return fn(x)
+    re = fn(x.real)
+    out = np.empty(re.shape, complex)
+    out.real, out.imag = re, fn(x.imag)
+    return out
+
+
 @dataclass
 class Trajectory:
     """Time-indexed states: values[k] is the state at mesh node k.
@@ -374,8 +389,8 @@ def liouville_multiplier(kind: str, beta: float, grid: SpatialGrid) -> np.ndarra
     """Fourier symbol of a one-sided or symmetric fractional derivative.
 
     left  -> (i xi)**beta,  right -> (-i xi)**beta,
-    riesz -> -|xi|**beta (the normalized symmetric combination; beta = 1 is
-    singular for it and rejected).  The zero frequency maps to zero; the
+    riesz -> -|xi|**beta (the normalized symmetric combination, real; beta = 1
+    is singular for it and rejected).  The zero frequency maps to zero; the
     operators keep only the real part of the Nyquist entry (_base_multiplier).
     """
     if kind not in _MULTIPLIER_KINDS:
@@ -387,7 +402,7 @@ def liouville_multiplier(kind: str, beta: float, grid: SpatialGrid) -> np.ndarra
     if kind == "riesz":
         if abs(math.cos(beta * math.pi / 2.0)) < 1e-12:
             raise SingularOrderError("symmetric combination is singular at order 1")
-        out = -mag.astype(complex)
+        out = -mag
     else:
         sign = 1.0 if kind == "left" else -1.0
         phase = np.exp(1j * sign * (math.pi * beta / 2.0) * np.sign(xi))
@@ -396,16 +411,22 @@ def liouville_multiplier(kind: str, beta: float, grid: SpatialGrid) -> np.ndarra
     return out
 
 
+def _half_power(samples: np.ndarray) -> np.ndarray:
+    """|X_k|**2 of the real FFT of real samples along the last axis."""
+    spectrum = np.fft.rfft(samples, axis=-1)
+    return spectrum.real**2 + spectrum.imag**2
+
+
 def sobolev_norms(grid: SpatialGrid, values, beta: float) -> np.ndarray:
     """Fractional Sobolev norm of regularity index beta of each row of values.
 
     For beta in (0, 1): L2 norm plus the one-sided derivative seminorm.
     For beta in (1, 2): additionally the first-derivative L2 norm.
     Index 1 (and anything outside (0, 2)) is rejected, and so are
-    non-finite samples.  The derivative terms come from one FFT along the
-    last axis by Parseval, sum |m_k|**2 |X_k|**2 / n with |m_k| = |xi_k|**beta
-    and |xi_k|: real rows take the real half spectrum, every mode but the
-    zero and Nyquist ones standing for two, and complex rows the full one.
+    non-finite samples.  The derivative terms come from the real half
+    spectrum by Parseval, sum |m_k|**2 |X_k|**2 / n with |m_k| = |xi_k|**beta
+    and |xi_k|, every mode but the zero and Nyquist ones standing for two; a
+    complex row's power is its real part's plus its imaginary part's.
     Each dx-weighted L2 term is a square root squared again in Python
     floats, whose ``**`` (libm pow) numpy's square does not always match, so
     every norm is bit for bit the one a row summed on its own gives.
@@ -420,13 +441,11 @@ def sobolev_norms(grid: SpatialGrid, values, beta: float) -> np.ndarray:
         raise SizeError(f"expected rows of {n} samples, got shape {vals.shape}")
     if not np.all(np.isfinite(vals)):
         raise ValueError("grid function samples must be finite")
-    half = not np.iscomplexobj(vals)
-    spectrum = np.fft.rfft(vals, axis=-1) if half else np.fft.fft(vals, axis=-1)
-    power = spectrum.real**2 + spectrum.imag**2
-    xi = np.abs(grid.xi[: spectrum.shape[-1]])
+    power = _real_parts(_half_power, vals)
+    power = power.real + power.imag  # a real row's imaginary view is zero
+    xi = np.abs(grid.xi[: n // 2 + 1])
     weight = np.full(xi.size, 1.0 / n)
-    if half:
-        weight[1 : n // 2] *= 2.0
+    weight[1 : n // 2] *= 2.0
     squares = [xi ** (2.0 * beta)] + ([xi**2] if beta > 1.0 else [])
     parts = [np.sum(np.abs(vals) ** 2, axis=-1)] + [np.sum(power * (weight * sq), axis=-1) for sq in squares]
     sums = [np.reshape(part, -1).tolist() for part in parts]

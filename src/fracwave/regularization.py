@@ -20,7 +20,7 @@ from typing import Dict, Optional
 import numpy as np
 
 from .errors import NormGateError, ResolutionError, SingularOrderError, SizeError
-from .fractional import GridFunction, SpatialGrid, liouville_multiplier
+from .fractional import GridFunction, SpatialGrid, _real_parts, liouville_multiplier
 
 __all__ = [
     "BUMP_NORMALIZATION",
@@ -115,13 +115,12 @@ def _multiply(symbol: np.ndarray, arr: np.ndarray) -> np.ndarray:
     """ifft(symbol * fft(arr)) along the last axis; real arr gives a real result.
 
     Every symbol here is Hermitian (the symbol of a map from reals to reals),
-    so on real arr the half spectrum carries the whole action: rfft, a
-    multiply, irfft.  Complex arr takes the full complex transform.
+    so the half spectrum carries the whole action on real samples: rfft, a
+    multiply, irfft; complex arr takes it part by part (_real_parts).
     """
     n = symbol.size
-    if not np.iscomplexobj(arr):
-        return np.fft.irfft(symbol[: n // 2 + 1] * np.fft.rfft(arr, axis=-1), n, axis=-1)
-    return np.fft.ifft(symbol * np.fft.fft(np.asarray(arr, dtype=complex), axis=-1), axis=-1)
+    half = symbol[: n // 2 + 1]
+    return _real_parts(lambda part: np.fft.irfft(half * np.fft.rfft(part, axis=-1), n, axis=-1), arr)
 
 
 def make_mollifier(shape: str, width: float, grid: SpatialGrid) -> Mollifier:
@@ -151,7 +150,8 @@ def make_mollifier(shape: str, width: float, grid: SpatialGrid) -> Mollifier:
         2.0 * grid.half_length
     ) - grid.half_length
     samples = _kernel(shape, width, disp, grid.dx)
-    return Mollifier(grid=grid, samples=samples, symbol=np.fft.fft(samples) * grid.dx)
+    # the kernel is even, so its transform is real: the imaginary parts are rounding
+    return Mollifier(grid=grid, samples=samples, symbol=np.fft.fft(samples).real * grid.dx)
 
 
 def h_schedule(
@@ -269,16 +269,16 @@ _KINDS = ("second_derivative", "liouville_left", "liouville_right", "riesz")
 
 
 def _base_multiplier(kind: str, space_order: float, grid: SpatialGrid) -> np.ndarray:
-    """The derivative's symbol, Hermitian for every kind: the unmirrored Nyquist mode keeps its real part."""
+    """Hermitian derivative symbol, real for the even kinds; the unmirrored Nyquist mode keeps its real part."""
     if kind == "second_derivative":
-        return -(grid.xi.astype(complex) ** 2)
+        return -(grid.xi**2)
     name = {"liouville_left": "left", "liouville_right": "right", "riesz": "riesz"}[kind]
     out = liouville_multiplier(name, space_order, grid)
     out[grid.n_points // 2] = out[grid.n_points // 2].real  # |xi|**s cos(pi s / 2), 0 at order 1
     return out
 
 
-@dataclass
+@dataclass(frozen=True)
 class RegularizedOperator:
     """coefficient times (mollified fractional derivative).
 
@@ -286,7 +286,8 @@ class RegularizedOperator:
     frequency space, then the smoothed coefficient multiplies pointwise.
     build_operator forms the symbol: the base derivative multiplier, times the
     kernel's symbol unless the operator is sharp, the one the mollified family
-    is associated with.
+    is associated with.  Frozen: the diagonal and the norm estimate, cached
+    on first use, stay those of the fields.
     """
 
     kind: str
@@ -295,20 +296,19 @@ class RegularizedOperator:
     grid: SpatialGrid
     coeff: np.ndarray = field(repr=False)
     symbol: np.ndarray = field(repr=False)
-    _norm: Optional["NormEstimate"] = field(default=None, repr=False)
 
     def __post_init__(self):
         coeff = np.asarray(self.coeff, dtype=float)
         if coeff.shape != (self.grid.n_points,):
             raise SizeError("coefficient samples do not match the grid")
-        self.coeff = coeff
+        object.__setattr__(self, "coeff", coeff)
 
     @property
     def dim(self) -> int:
         return self.grid.n_points
 
     def apply(self, values: np.ndarray) -> np.ndarray:
-        """Real values go through real FFTs and stay real; complex values take the complex ones.
+        """Real values go through real FFTs and stay real; complex values take them part by part.
 
         Every kind's symbol is Hermitian (_base_multiplier times the
         transform of a real kernel), so its half spectrum carries the whole
@@ -318,10 +318,13 @@ class RegularizedOperator:
         arr = np.asarray(values)
         if arr.shape[-1] != self.grid.n_points:
             raise SizeError("values do not match the operator grid")
+        return _real_parts(self._apply_real, arr)
+
+    def _apply_real(self, arr: np.ndarray) -> np.ndarray:
         diagonal = self.diagonal
-        if diagonal is not None and not np.iscomplexobj(arr):
-            return np.fft.irfft(diagonal * np.fft.rfft(arr, axis=-1), self.dim, axis=-1)
-        return self.coeff * _multiply(self.symbol, arr)
+        if diagonal is None:
+            return self.coeff * _multiply(self.symbol, arr)
+        return np.fft.irfft(diagonal * np.fft.rfft(arr, axis=-1), self.dim, axis=-1)
 
     @functools.cached_property
     @np.errstate(over="ignore", invalid="ignore")
@@ -329,8 +332,8 @@ class RegularizedOperator:
         """c * symbol on the real half spectrum when the operator is that multiplier, else None.
 
         An operator of any kind whose coefficient samples are all equal to c
-        acts on real samples as rfft, a multiply by this array, then irfft.
-        Computed on first use and read-only; a coefficient with an inf or nan
+        acts on real samples as rfft, a multiply by this array, then irfft;
+        float64 for the even kinds.  Computed on first use and read-only; a coefficient with an inf or nan
         sample gives None, and one whose product overflows gives inf entries,
         without floating-point warnings (the norm gate rejects both).
         """
@@ -340,9 +343,11 @@ class RegularizedOperator:
         out.flags.writeable = False
         return out
 
+    @functools.cached_property
+    def _norm(self) -> "NormEstimate":
+        return operator_norm_estimate(self)
+
     def norm_estimate(self) -> "NormEstimate":
-        if self._norm is None:
-            self._norm = operator_norm_estimate(self)
         return self._norm
 
 
@@ -484,7 +489,7 @@ def operator_norm_estimate(op: RegularizedOperator) -> NormEstimate:
     symbol, symbol_shift = _unit_scaled(op.symbol)
     squared = coeff**2
     shift = coeff_shift + symbol_shift
-    if np.ptp(coeff) == 0.0:
+    if op.diagonal is not None:
         gain = squared[0] * (symbol.real**2 + symbol.imag**2)
         return _diagonal_norm_estimate(gain, v.real**2 + v.imag**2, shift)
     adjoint = np.conj(symbol)

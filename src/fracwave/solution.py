@@ -18,7 +18,7 @@ from typing import Callable, Optional
 import numpy as np
 
 from .errors import FracwaveError, SingularOrderError, SizeError
-from .fractional import TimeMesh, _as_field, rl_integral
+from .fractional import TimeMesh, _as_field, _real_parts, rl_integral
 from .regularization import RegularizedOperator
 from .special import _scalar_powers, gamma, mittag_leffler, MlParams, series_term_count
 
@@ -45,7 +45,8 @@ class LinearAction:
     apply acts along the last axis, so one call maps a single vector or a
     stacked array of them.  multiplier, when set, is the map's diagonal on
     the real half spectrum (a constant-coefficient operator of any kind has
-    one): on real samples apply is irfft(multiplier * rfft(.)).
+    one): apply is irfft(multiplier * rfft(.)) on real samples, and that on
+    each part of complex ones.
     """
 
     apply: Callable[[np.ndarray], np.ndarray]
@@ -109,11 +110,11 @@ def ml_trajectory(
     """Evaluate t -> E_{alpha,beta'}(t**alpha A) x on a whole time ladder.
 
     The operator powers A**p x are shared across nodes: on an action with a
-    multiplier and real x whose last axis is the action's dimension they
-    are one rfft, p products on the half spectrum and one irfft of the
-    stack, and any other action applies itself p times.  Per-node scalar
-    coefficients are formed in log space so large gamma factors never
-    overflow.  A coefficient t**(p alpha)/Gamma(beta' + p alpha) beyond the
+    multiplier and x whose last axis is the action's dimension they are one
+    rfft, p products on the half spectrum and one irfft of the stack (per
+    part of complex x), and any other action applies itself p times.
+    Per-node scalar coefficients are formed in log space so large gamma
+    factors never overflow.  A coefficient t**(p alpha)/Gamma(beta' + p alpha) beyond the
     double range (a long horizon against a small operator norm) raises
     FracwaveError naming the time, whatever the powers are.  Truncation is
     sized once at the largest time, which dominates the majorant for every
@@ -129,8 +130,8 @@ def ml_trajectory(
     vec = np.asarray(x)
     n_terms = _series_terms(alpha, beta_prime, float(ts.max()), action.norm_bound)
 
-    if action.multiplier is not None and not np.iscomplexobj(vec) and vec.shape[-1:] == (action.dim,):
-        powers = _multiplier_powers(action, vec, n_terms)
+    if action.multiplier is not None and vec.shape[-1:] == (action.dim,):
+        powers = _real_parts(lambda part: _multiplier_powers(action, part, n_terms), vec)
     else:
         rows = [vec]
         for _ in range(n_terms):

@@ -918,17 +918,50 @@ def test_the_march_on_a_multiplier_never_applies_the_operator(monkeypatch):
         assert "apply_rows" in callers
 
 
-def test_complex_forcing_takes_the_physical_march(monkeypatch):
+def test_complex_forcing_marches_by_modes(monkeypatch):
+    # the operator is real, so complex data cross the march by modes as two real fields
     callers = _apply_callers(monkeypatch)
     complex_forcing = _constant_problem("riesz", True, forcing_offset=1e-3j)
     assert complex_forcing.action.multiplier is not None
     report = solve_rl_form(complex_forcing)
-    assert report.metadata["arithmetic"] == "complex" and "apply_rows" in callers
-    assert report.metadata["march"] == "series"
-    # the stripped problem's base applies the operator term by term, not on
-    # the half spectrum, so it differs in the last bits only
-    stripped = solve_rl_form(_stripped(complex_forcing)).trajectory
-    assert np.abs(stripped - report.trajectory).max() <= 1e-13 * np.abs(report.trajectory).max()
+    assert report.metadata["arithmetic"] == "complex" and callers == []
+    assert report.metadata["march"] == "modes" and report.metadata["series_levels"] == 0
+    # the stripped problem's march and base apply the operator term by term,
+    # not on the half spectrum, so it differs in the last bits only
+    stripped = solve_rl_form(_stripped(complex_forcing))
+    assert stripped.metadata["march"] == "series" and "apply_rows" in callers
+    assert list(map(len, stripped.contraction_history)) == list(map(len, report.contraction_history))
+    scale = np.abs(report.trajectory).max()
+    assert np.abs(stripped.trajectory - report.trajectory).max() <= 1e-13 * scale
+
+
+def _recorded_complex_transforms(monkeypatch):
+    """Record the axis of every np.fft.fft and np.fft.ifft call."""
+    axes = []
+    for name in ("fft", "ifft"):
+        transform = getattr(np.fft, name)
+
+        def recorded(a, n=None, axis=-1, norm=None, transform=transform):
+            axes.append(axis % np.ndim(a))
+            return transform(a, n, axis, norm)
+
+        monkeypatch.setattr(np.fft, name, recorded)
+    return axes
+
+
+@pytest.mark.parametrize("solve", [solve_kernel_form, solve_rl_form])
+@pytest.mark.parametrize("coefficient", ["constant", "variable"])
+def test_complex_data_cross_no_complex_spatial_transform(monkeypatch, solve, coefficient):
+    p = _constant_problem("riesz", True, forcing_offset=1e-3j)
+    if coefficient == "variable":
+        grid = p.grid
+        op = build_operator("riesz", 1.5, 1.0 + 0.25 / np.cosh(grid.x), make_mollifier("bump", 1.0, grid), grid)
+        p = dataclasses.replace(p, operator=op)
+    axes = _recorded_complex_transforms(monkeypatch)
+    report = solve(p)
+    assert report.converged and report.metadata["arithmetic"] == "complex"
+    # only the march by modes transforms along time, axis 0 of its (nodes, modes) columns
+    assert set(axes) == ({0} if solve is solve_rl_form and coefficient == "constant" else set())
 
 
 def _homogeneous_problems():
@@ -943,7 +976,7 @@ def _homogeneous_problems():
         problems[name] = CauchyProblem(
             ALPHA, op, zero_nonlinearity(), u0, mesh, initial_velocity=0.5 * u0, grid=grid
         )
-    # complex data on the multiplier: the derivative form marches the series
+    # complex data on the multiplier: the operator still acts on the half spectrum, part by part
     problems["complex"] = dataclasses.replace(problems["multiplier"], initial_data=(1.0 + 0.5j) * u0)
     data, velocity = np.array([1.0, -2.0]), np.array([0.3, 0.0])
     problems["scalar"] = CauchyProblem(ALPHA, -0.5, zero_nonlinearity(), data, mesh, initial_velocity=velocity)
@@ -987,12 +1020,12 @@ def _same_report(a, b):
 
 
 def _series_marches(names):
-    """(name, solve) pairs whose march sums the series: all but the derivative form on a multiplier."""
+    """(name, solve) pairs whose march sums the series: all but the derivative form on a multiplier, whatever the data."""
     return [
         (name, solve)
         for solve in (solve_kernel_form, solve_rl_form)
         for name in names
-        if (name, solve) != ("multiplier", solve_rl_form)
+        if not (name in ("multiplier", "complex") and solve is solve_rl_form)
     ]
 
 
@@ -1013,8 +1046,9 @@ def _recorded_mode_marches(monkeypatch):
 def test_a_homogeneous_solve_applies_only_its_propagator(monkeypatch, solve, name):
     p, callers = _operator_callers(monkeypatch, _homogeneous_problems()[name])
     report = solve(p)
-    # a multiplier's propagator powers take the half spectrum, never the operator
-    assert report.converged and (callers == [] if name == "multiplier" else set(callers) == {"ml_trajectory"})
+    # a multiplier's propagator powers take the half spectrum, never the operator, whatever the data
+    on_modes = name in ("multiplier", "complex")
+    assert report.converged and (callers == [] if on_modes else set(callers) == {"ml_trajectory"})
     # the same solve without the skip marches the series, and this test sees it
     callers.clear()
     _skip_off(monkeypatch)

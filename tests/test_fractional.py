@@ -24,7 +24,7 @@ from fracwave import (
     sobolev_norms,
 )
 from fracwave import fractional
-from fracwave.fractional import _BLOCK_ROWS, _block_norms, _weights_product, caputo_derivative_01
+from fracwave.fractional import _BLOCK_ROWS, _block_norms, _real_parts, _weights_product, caputo_derivative_01
 
 G = math.gamma
 
@@ -418,6 +418,39 @@ def test_real_rows_take_the_half_spectrum(beta):
     full = sobolev_norms(grid, field.astype(complex), beta)
     old = np.array([_sobolev_row_by_row(grid, row, beta) for row in field])
     assert np.all(np.abs(stacked - full) <= 1e-13 * full) and np.all(np.abs(stacked - old) <= 1e-13 * old)
+
+
+def test_real_parts_keep_each_part_exact():
+    # built through the views: 1j * inf would put a NaN in the real part
+    x = np.empty(3, complex)
+    x.real, x.imag = [1.5, -2.0, 0.25], [-0.0, np.inf, 3.0]
+    out = _real_parts(lambda part: 2.0 * part, x)
+    assert out.real.tolist() == [3.0, -4.0, 0.5] and out.imag.tolist() == [-0.0, np.inf, 6.0]
+    assert np.signbit(out.imag[0])
+    real = np.array([1.0, -0.5])
+    assert _real_parts(lambda part: part, real) is real
+
+
+def _full_spectrum_norms(grid, field, beta):
+    """The norms from the full complex FFT, every mode standing for itself."""
+    n = grid.n_points
+    spectrum = np.fft.fft(field, axis=-1)
+    power = spectrum.real**2 + spectrum.imag**2
+    xi = np.abs(grid.xi)
+    squares = [xi ** (2.0 * beta)] + ([xi**2] if beta > 1.0 else [])
+    parts = [np.sum(np.abs(field) ** 2, axis=-1)] + [np.sum(power * sq, axis=-1) / n for sq in squares]
+    return np.sqrt(grid.dx * sum(parts))
+
+
+@pytest.mark.parametrize("beta", [0.75, 1.5])
+def test_complex_rows_take_the_half_spectrum_part_by_part(beta):
+    grid = SpatialGrid(12.5, 128)
+    rng = np.random.default_rng(13)
+    field = rng.standard_normal((300, 128)) + 1j * rng.standard_normal((300, 128))
+    field *= 10.0 ** rng.uniform(-6, 6, (300, 1))
+    stacked = sobolev_norms(grid, field, beta)
+    full = _full_spectrum_norms(grid, field, beta)
+    assert np.all(np.abs(stacked - full) <= 4 * np.finfo(float).eps * full)
 
 
 def test_stacked_sobolev_norms_reject_a_nan_row():

@@ -1,5 +1,6 @@
 """Kernel family, width schedule, smoothed coefficients, and the norm gate."""
 
+import dataclasses
 import math
 import warnings
 
@@ -23,8 +24,10 @@ from fracwave import (
     h_schedule,
     make_mollifier,
     operator_norm_estimate,
+    parse_config,
 )
 from fracwave import regularization
+from fracwave.cli import assemble_scenario
 from fracwave.fractional import GridFunction, liouville_multiplier
 from fracwave.regularization import BUMP_NORMALIZATION, GUARD_EPS
 
@@ -233,12 +236,25 @@ def test_constant_coefficient_apply_is_the_multiplier(kind):
         else:
             # c * (symbol * X) against (c * symbol) * X: a few ulp of the row's scale
             assert np.abs(out - want).max() <= 8 * np.finfo(float).eps * np.abs(want).max()
-        # complex rows keep the complex transform and the coefficient pass, bit for bit
+        # complex rows cross the real operator part by part, bit for bit
         wave = rows + 1j * rows[::-1]
-        assert np.array_equal(op.apply(wave), _coefficient_pass(op, wave))
+        parts = np.empty(wave.shape, complex)
+        parts.real, parts.imag = op.apply(wave.real), op.apply(wave.imag)
+        assert np.array_equal(op.apply(wave), parts)
     variable = build_operator(kind, 1.5, 1.0 + 0.25 / np.cosh(grid.x), moll, grid, eps=2.0**-5)
     assert variable.diagonal is None
     assert np.array_equal(variable.apply(rows), _coefficient_pass(variable, rows))
+
+
+@pytest.mark.parametrize("mollified", [True, False], ids=["mollified", "sharp"])
+@pytest.mark.parametrize("kind", KINDS)
+def test_the_even_kinds_have_a_real_diagonal(kind, mollified):
+    grid = SpatialGrid(16.0, 64)
+    moll = make_mollifier("bump", 1.0, grid) if mollified else None
+    op = build_operator(kind, 1.5, np.full(grid.n_points, 0.7), moll, grid)
+    even = kind in ("second_derivative", "riesz")
+    assert op.diagonal.dtype == (np.float64 if even else np.complex128)
+    assert op.symbol.dtype == op.diagonal.dtype
 
 
 def test_a_coefficient_that_is_not_finite_has_no_diagonal_and_warns_nothing():
@@ -520,6 +536,23 @@ def test_norm_gate_rejects_a_norm_that_is_not_a_number(profile):
             assert math.isnan(est.value) and est.iterations == 1 and not est.converged
             with pytest.raises(NormGateError, match=r"not finite \(nan\) at eps = 0.03125"):
                 check_norm_gate(op, EpsilonSchedule(alpha=1.5))
+
+
+def test_a_replaced_coefficient_is_gated_on_its_own_norm():
+    # the estimate belongs to the fields it was computed from: ten times the
+    # default operator's coefficient measures ten times its norm, over the cap
+    parts = assemble_scenario(parse_config(""))
+    op, schedule = parts.problem.operator, parts.schedule
+    value = check_norm_gate(op, schedule)
+    louder = dataclasses.replace(op, coeff=10.0 * op.coeff)
+    assert louder.norm_estimate().value == pytest.approx(10.0 * value, rel=1e-6)
+    assert value <= schedule.cap(op.eps) < louder.norm_estimate().value
+    with pytest.raises(NormGateError, match="exceeds the schedule cap"):
+        check_norm_gate(louder, schedule)
+    # nor can the fields change under the estimate
+    with pytest.raises(dataclasses.FrozenInstanceError):
+        op.coeff = louder.coeff
+    assert check_norm_gate(op, schedule) == value
 
 
 def test_association_errors_decrease():

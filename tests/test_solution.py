@@ -21,6 +21,7 @@ from fracwave import (
     parse_config,
     volterra_residual,
 )
+from fracwave import special
 from fracwave.cli import assemble_scenario
 
 
@@ -68,6 +69,37 @@ def test_power_iteration_approaches_the_norm_from_below():
     estimate = op.norm_estimate().value
     assert estimate == pytest.approx(15.63707, abs=1e-5) and exact == pytest.approx(15.64072, abs=1e-5)
     assert estimate < exact
+
+
+def test_complex_data_on_a_multiplier_apply_nothing():
+    # the powers of a real operator's multiplier act on each part of complex data
+    op = assemble_scenario(parse_config("")).problem.operator
+    applies = []
+    action = LinearAction(lambda v: applies.append(1) or op.apply(v), as_action(op).norm_bound, op.dim, op.diagonal)
+    x = np.exp(-(op.grid.x**2) / 4.0) * (1.0 + 0.5j * np.sin(op.grid.x))
+    times = np.linspace(0.0, 1.0, 9)
+    out = ml_trajectory(1.5, 1.0, action, x, times)
+    assert applies == [] and out.dtype == np.complex128
+    parts = [ml_trajectory(1.5, 1.0, action, part, times) for part in (x.real, x.imag)]
+    scale = np.abs(out).max()
+    assert np.abs(out - (parts[0] + 1j * parts[1])).max() <= 1e-15 * scale
+    # the action without its multiplier applies itself once per term, to the same sum
+    physical = ml_trajectory(1.5, 1.0, LinearAction(op.apply, action.norm_bound, op.dim), x, times)
+    assert np.abs(out - physical).max() <= 1e-13 * scale
+
+
+def test_the_default_operators_modes_need_no_mpmath_retry(monkeypatch):
+    # the even kinds' diagonal is real, so E_alpha(t**alpha lam_k) on every
+    # (node, mode) pair sums in double and double-double arithmetic
+    problem = assemble_scenario(parse_config("")).problem
+    lam = problem.action.multiplier
+    assert lam.dtype == np.float64 and lam.size == 129 and problem.mesh.n_nodes == 257
+    retries = []
+    series_hp = special._series_hp
+    monkeypatch.setattr(special, "_series_hp", lambda *args: retries.append(args) or series_hp(*args))
+    z = problem.mesh.nodes[:, None] ** problem.alpha * lam[None, :]
+    values = mittag_leffler(MlParams(problem.alpha, 1.0), z)
+    assert problem.alpha == 1.5 and retries == [] and np.all(np.isfinite(values))
 
 
 def test_series_matches_eigendecomposition():
