@@ -21,11 +21,13 @@ discrete Volterra system y = W (g + A y), with W a product-quadrature matrix
 and A the operator.  The kernel form folds the nonlinearity into a forward
 march over blocks of rows: each block sums the history of the earlier rows
 in one dense product, once per solve, and then converges its own fixed point
-before the next block starts.  The derivative form differentiates the whole
-forcing history on every sweep, so it keeps whole-horizon Picard sweeps, each
-one a blocked march of the linear system.  On a Fourier multiplier each
-mode's march is a scalar triangular system, solved exactly with the
-resolvent of the blocks' Toeplitz weights (_mode_volterra); every other
+before the next block starts; on a Fourier multiplier a folded block runs
+that chain on the real half spectrum (_mode_chain).  The derivative form
+differentiates the whole forcing history on every sweep, so it keeps
+whole-horizon Picard sweeps, each one a blocked march of the linear system.
+On a Fourier multiplier each mode's march is a scalar triangular system,
+solved exactly with the resolvent of the blocks' Toeplitz weights
+(_mode_volterra); every other
 march resolves the rows inside a block by a short operator series, certified
 at the block's own time span.  Its sweeps converge window by window, and the
 windows are the kernel form's blocks without their row cap: the longest runs
@@ -51,7 +53,7 @@ from .fractional import (
     _as_field,  # float64 or complex128, following the data
     _real_parts,  # a map of real samples taken part by part on complex ones
     _block_norms,  # ||W_BB||_inf read from the weights' taps
-    _row_blocks,  # a lower-triangular product built _BLOCK_ROWS rows at a time
+    _second_integral,  # the order-two weights' product by their exact recursion
     _toeplitz_column,  # the diagonal and b_1, b_2, ... of the weights past column 0
     _weights_product,  # real-view product of weights with complex samples
     caputo_derivative,
@@ -298,6 +300,15 @@ def _relative(change: float, size: float) -> float:
     return change / size if 0.0 < size < 1.0 else change
 
 
+def _stop_size(solved: float, candidate: np.ndarray, weight: float) -> float:
+    """max(solved, the candidate's row sup), the size a block's stop test takes.
+
+    Past solved >= 1 the candidate's norm is not taken: _relative then returns
+    the change whatever the size is.
+    """
+    return solved if solved >= 1.0 else max(solved, _row_sup(candidate, weight))
+
+
 def _propagated(p: CauchyProblem, power: float, x: np.ndarray) -> np.ndarray:
     """t**power E_{alpha,power+1}(t**alpha A) x on every node of the mesh.
 
@@ -392,6 +403,58 @@ def _chain(
         v = g + action.apply_rows(y.reshape(rows_shape)).reshape(g.shape[0], -1)
         y = h + _weights_product(w_bb, v)
     return y, v
+
+
+# chain levels per refresh of f in a folded block on the half spectrum: its
+# linear part contracts about 0.05 per level, and a level costs a small GEMM
+# and a multiply, while a refresh costs f and a transform each way
+_MODE_LEVELS = 2
+
+
+def _half_spectra(rows: np.ndarray, dim: int) -> np.ndarray:
+    """The real half spectra of (n, dim) rows, as (n, parts, dim // 2 + 1).
+
+    A real row is one part.  A complex row's parts are its real and imaginary
+    fields, the pairs of its float view, so it crosses the transform as two
+    real fields, the rule _real_parts keeps, with no copy before it.
+    """
+    flat = np.ascontiguousarray(rows)
+    return np.fft.rfft(flat.view(float).reshape(flat.shape[0], dim, -1).transpose(0, 2, 1), axis=-1)
+
+
+def _samples(spectra: np.ndarray, dim: int) -> np.ndarray:
+    """The (n, dim) rows whose _half_spectra these are: real for one part, complex for two."""
+    fields = np.ascontiguousarray(np.fft.irfft(spectra, dim, axis=-1).transpose(0, 2, 1))
+    return fields.reshape(fields.shape[0], -1).view(complex if spectra.shape[1] == 2 else float)
+
+
+def _common_parts(*spectra) -> list:
+    """The spectra widened to the most parts any has by a zero part (a real row's imaginary field); scalars pass."""
+    parts = max((x.shape[1] for x in spectra if np.ndim(x)), default=1)
+    return [
+        x if not np.ndim(x) or x.shape[1] == parts else np.concatenate((x, np.zeros_like(x)), axis=1) for x in spectra
+    ]
+
+
+def _mode_chain(lam: np.ndarray, w_bb: np.ndarray, h_hat, g_hat: np.ndarray, y_hat: Optional[np.ndarray]) -> tuple:
+    """_MODE_LEVELS levels of _chain on a block's half spectra; returns (y^_B, v^_B).
+
+    The spectra are (rows, parts, modes) (_half_spectra) and lam the
+    multiplier, so A y is lam * y^ and no level transforms.  y^ None is a
+    cold start from v^_B = g^_B.  A cold start whose g^ and h^ hold no
+    nonzero entry returns +0 spectra, whose rows are +0, without a product,
+    as _chain does.
+    """
+    g_hat, h_hat, y_hat = _common_parts(g_hat, h_hat, y_hat)
+    if y_hat is None:
+        if _all_zero(g_hat, h_hat):
+            zero = np.zeros_like(g_hat)
+            return zero, zero
+        y_hat = h_hat + _weights_product(w_bb, g_hat)
+    for _ in range(_MODE_LEVELS):
+        v_hat = g_hat + lam * y_hat
+        y_hat = h_hat + _weights_product(w_bb, v_hat)
+    return y_hat, v_hat
 
 
 def _volterra(weights: Callable, action: LinearAction, g: np.ndarray, plan: list) -> np.ndarray:
@@ -566,24 +629,32 @@ def solve_kernel_form(p: CauchyProblem, opts: SolverOptions = SolverOptions()) -
     is below tol: f is refreshed at the current state, the linear in-block part
     is solved, and y_B = h + W_BB v_B.  The head block takes the rows
     Lip f bounds; every later block also takes no more rows than keep its
-    contraction bound q at most 1/2.  A block with q <= 1/2 refreshes f after
-    every operator apply and warm-starts v_B; any other block runs its
-    certified operator series from a cold start: the head where q > 1/2, and
-    a later block only where its first row alone has q > 1/2.  So a mesh of
-    one block runs the whole-horizon Picard sweeps exactly, and the metadata
-    counts the blocks that ran cold as cold_blocks.  A block that reaches
-    max_iter marks the report unconverged; the march goes on.  Each block is
-    planned from the weights' taps when the one before has converged, and
-    then builds its weight rows W[B, :e] for its history and its sweeps: the
-    solve builds every weight row once, one block at a time.  A block
-    whose forcing rows and history are exactly zero skips its operator
-    series (_chain), so a homogeneous solve costs its propagator only.
+    contraction bound q at most 1/2.  A block with q <= 1/2 folds: it
+    warm-starts its chain and refreshes f after every operator apply, or, on
+    an action with a multiplier, after _MODE_LEVELS levels on the real half
+    spectrum (_mode_chain).  There it transforms h once per block and, per
+    sweep, f(u) + P once and y_B back once; v_B comes back once, when the
+    block has converged.  Any other block runs its certified operator series
+    in physical space from a cold start on each sweep: the head where
+    q > 1/2, and a later block only where its first row alone has q > 1/2.
+    So a mesh of one block runs the whole-horizon Picard sweeps exactly, and
+    the metadata counts the blocks that ran cold as cold_blocks.  A block
+    that reaches max_iter marks the report unconverged; the march goes on.
+    Each block is planned from the weights' taps when the one before has
+    converged, and then builds its weight rows W[B, :e] for its history and
+    its sweeps: the solve builds every weight row once, one block at a time.
+    A block whose forcing rows and history are exactly zero skips its
+    operator series (_chain, _mode_chain), so a homogeneous solve costs its
+    propagator only.
     """
     base = _base_trajectory(p)
     shape = base.shape
     n = shape[0]
     flat_base = base.reshape(n, -1)
     weight = p.state_weight
+    dim = p.action.dim
+    # a multiplier meets rows of its own dimension on the half spectrum, whatever the data
+    lam = p.action.multiplier if shape[1:] == (dim,) else None
     u = np.empty_like(flat_base)
     v = np.empty_like(flat_base)
     histories: list = []
@@ -598,6 +669,8 @@ def solve_kernel_form(p: CauchyProblem, opts: SolverOptions = SolverOptions()) -
         b_b = flat_base[s:e]
         h = _weights_product(weights[:, :s], v[:s]) if s else 0.0
         fold = q <= 0.5
+        on_modes = fold and lam is not None
+        h_hat = _half_spectra(h, dim) if on_modes and s else 0.0
         levels = 1 if fold else _block_levels(p, s, e, p.alpha + 1.0)
         plan.append((s, e, levels))
         qs.append(q)
@@ -605,10 +678,14 @@ def solve_kernel_form(p: CauchyProblem, opts: SolverOptions = SolverOptions()) -
         def sweep(state: tuple) -> tuple:
             cur, y, _ = state
             g = _forced(p, cur.reshape(rows_shape), slice(s, e)).reshape(e - s, -1)
-            y, v_b = _chain(p.action, w_bb, h, g, y if fold else None, levels, rows_shape)
-            candidate = b_b + y
-            size = max(solved, _row_sup(candidate, weight))
-            return (candidate, y, v_b), _relative(_row_sup(candidate - cur, weight), size)
+            if on_modes:
+                y, v_b = _mode_chain(lam, w_bb, h_hat, _half_spectra(g, dim), y)
+                candidate = b_b + _samples(y, dim)
+            else:
+                y, v_b = _chain(p.action, w_bb, h, g, y if fold else None, levels, rows_shape)
+                candidate = b_b + y
+            change = _row_sup(candidate - cur, weight)
+            return (candidate, y, v_b), _relative(change, _stop_size(solved, candidate, weight))
 
         # a later block starts from the data plus its history; the head block
         # starts from the data alone, exactly as whole-horizon Picard does
@@ -618,7 +695,7 @@ def solve_kernel_form(p: CauchyProblem, opts: SolverOptions = SolverOptions()) -
             stalled = stalled or (s, e - 1)
         solved = max(solved, _row_sup(cur, weight))
         u = _stored(u, s, e, cur)
-        v = _stored(v, s, e, v_b)
+        v = _stored(v, s, e, _samples(v_b, dim) if on_modes else v_b)
         histories.append(history)
     # a block that a bound cut short of _BLOCK_ROWS (or of the rows left) sets the row limit
     row_limit = min([e - s for s, e, _ in plan if e - s < min(_BLOCK_ROWS, n - s)], default=_BLOCK_ROWS)
@@ -637,10 +714,11 @@ def solve_rl_form(p: CauchyProblem, opts: SolverOptions = SolverOptions()) -> So
     derivative of F - F(0), is the Caputo derivative of F; it runs through
     rl_derivative of order 2 - alpha and the blocked Volterra march under an
     order-two integral.  One solve therefore covers both derivative
-    conventions.  Each sweep applies the derivative, the march's order-alpha
-    weights and the order-two weights as lower-triangular products whose
-    rows are built _BLOCK_ROWS at a time from the cached taps, so no N x N
-    matrix is held.
+    conventions.  Each sweep applies the derivative and the march's
+    order-alpha weights as lower-triangular products whose rows are built
+    _BLOCK_ROWS at a time from the cached taps, so no N x N matrix is held,
+    and the order-two weights by their exact two-sum recursion
+    (_second_integral).
 
     On an action with a multiplier the derivative and the march run on the
     real half spectrum, complex data part by part, and the march solves
@@ -666,9 +744,8 @@ def solve_rl_form(p: CauchyProblem, opts: SolverOptions = SolverOptions()) -> So
 
     windows = list(_fold_blocks(p, mesh.n_nodes))
     # every sweep builds its weight rows block by block: rl_derivative's of order
-    # 2 - alpha, the order-alpha weights of the march and the order-two weights
+    # 2 - alpha and the order-alpha weights of the march
     weights_alpha = partial(pi_weights, p.alpha, mesh.n_nodes, mesh.dt)
-    weights_two = partial(pi_weights, 2.0, mesh.n_nodes, mesh.dt)
     plan = _block_plan(p)
 
     singular = _propagated(p, p.alpha, f0) if f0_norm > 0.0 else 0.0
@@ -702,7 +779,7 @@ def solve_rl_form(p: CauchyProblem, opts: SolverOptions = SolverOptions()) -> So
             v = _volterra(weights_alpha, p.action, rl_derivative(centred, 2.0 - p.alpha, mesh), plan)
         else:
             v = _real_parts(by_modes, centred)
-        return _row_blocks(weights_two, v, _buffer(buffers, "centred", v.dtype, v.shape))
+        return _second_integral(v, mesh.dt, _buffer(buffers, "centred", v.dtype, v.shape))
 
     for s, e, _ in windows:
 

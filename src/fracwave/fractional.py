@@ -287,6 +287,29 @@ def _weights_product(weights: np.ndarray, samples: np.ndarray, out: Optional[np.
     return res.reshape((weights.shape[0],) + arr.shape[1:])
 
 
+def _second_integral(samples: np.ndarray, dt: float, out: np.ndarray) -> np.ndarray:
+    """out = W_2 samples along axis 0, W_2 the order-two weights, by their exact recursion; returns out.
+
+    The order-two rule integrates the piecewise-linear interpolant v of the
+    samples twice, so with I1 its first integral, on every column,
+    I1[n + 1] = I1[n] + dt (v[n] + v[n + 1]) / 2 and
+    I2[n + 1] = I2[n] + dt I1[n] + dt**2 (2 v[n] + v[n + 1]) / 6:
+    two cumulative sums along time in place of an O(N**2) product.  out must
+    not overlap the samples.
+    """
+    first = np.empty_like(out)
+    first[0] = 0.0
+    np.add(samples[:-1], samples[1:], out=first[1:])
+    first *= 0.5 * dt * dt  # dt I1, summed below
+    np.cumsum(first, axis=0, out=first)
+    np.multiply(samples[:-1], 2.0, out=out[1:])
+    out[1:] += samples[1:]
+    out[1:] *= dt * dt / 6.0
+    out[1:] += first[:-1]
+    out[0] = 0.0
+    return np.cumsum(out, axis=0, out=out)
+
+
 def first_difference(samples: np.ndarray, dt: float) -> np.ndarray:
     """Second-order first derivative: central interior, one-sided ends."""
     arr = _as_field(samples)

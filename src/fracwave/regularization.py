@@ -286,8 +286,9 @@ class RegularizedOperator:
     frequency space, then the smoothed coefficient multiplies pointwise.
     build_operator forms the symbol: the base derivative multiplier, times the
     kernel's symbol unless the operator is sharp, the one the mollified family
-    is associated with.  Frozen: the diagonal and the norm estimate, cached
-    on first use, stay those of the fields.
+    is associated with.  Frozen: coeff and symbol are read-only copies of
+    the arrays passed in, so the diagonal and the norm estimate, cached on
+    first use, stay those of the fields.
     """
 
     kind: str
@@ -298,10 +299,12 @@ class RegularizedOperator:
     symbol: np.ndarray = field(repr=False)
 
     def __post_init__(self):
-        coeff = np.asarray(self.coeff, dtype=float)
+        coeff, symbol = np.array(self.coeff, dtype=float), np.array(self.symbol)
         if coeff.shape != (self.grid.n_points,):
             raise SizeError("coefficient samples do not match the grid")
+        coeff.flags.writeable = symbol.flags.writeable = False
         object.__setattr__(self, "coeff", coeff)
+        object.__setattr__(self, "symbol", symbol)
 
     @property
     def dim(self) -> int:

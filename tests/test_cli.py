@@ -851,13 +851,14 @@ def test_unconverged_run_exits_4(tmp_path, capsys):
 
 @pytest.mark.parametrize("max_iter", [50, 500])
 def test_rounding_level_stall_advises_raising_tol(tmp_path, capsys, max_iter):
-    # a state of row norm about 9e6 stalls near eps * 9e6 = 2e-9 > tol: more sweeps cannot help
-    text = f"[noise]\nintensity = 1e6\n[solver]\nmax_iter = {max_iter}\n"
+    # a state of row norm about 1e7 stalls near eps * 1e7 = 2e-9 > tol: more sweeps cannot help.  The
+    # variable coefficient keeps the physical series; on the default multiplier the chain reaches a fixed point
+    text = f"[operator]\ncoefficient = 1 + 0.25*sech(x)\n[noise]\nintensity = 1e6\n[solver]\nmax_iter = {max_iter}\n"
     out = tmp_path / "out"
     assert entrypoint(["run", "--config", _cfg_file(tmp_path, text), "--out", str(out), "--quiet"]) == 4
     lines = capsys.readouterr().err.splitlines()
     assert len(lines) == 1 and lines[0].startswith(f"divergence: picard did not converge in {max_iter} sweeps")
-    assert lines[0].endswith("the change is at rounding level for a state of size 9.06e+06; raise solver.tol")
+    assert lines[0].endswith("the change is at rounding level for a state of size 1.03e+07; raise solver.tol")
     assert not out.exists()
 
 

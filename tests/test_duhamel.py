@@ -964,6 +964,100 @@ def test_complex_data_cross_no_complex_spatial_transform(monkeypatch, solve, coe
     assert set(axes) == ({0} if solve is solve_rl_form and coefficient == "constant" else set())
 
 
+@pytest.mark.parametrize("offset", [0.0, 1e-3j])
+@pytest.mark.parametrize("kind", KINDS)
+def test_kernel_form_on_the_half_spectrum_matches_the_physical_march(monkeypatch, kind, offset):
+    # every block of these meshes folds, so on the multiplier no sweep applies the operator
+    callers = _apply_callers(monkeypatch)
+    p = _constant_problem(kind, True, forcing_offset=offset)
+    spectral = solve_kernel_form(p)
+    assert callers == []
+    physical = solve_kernel_form(_stripped(p))
+    assert "apply_rows" in callers
+    assert spectral.converged and physical.converged
+    assert spectral.metadata == physical.metadata and spectral.metadata["volterra_blocks"] > 2
+    assert spectral.metadata["arithmetic"] == ("real" if offset == 0.0 else "complex")
+    scale = np.abs(physical.trajectory).max()
+    assert np.abs(spectral.trajectory - physical.trajectory).max() <= 1e-12 * scale
+
+
+def _switching(u):
+    """A nonlinearity whose output is complex on real states and real on complex ones."""
+    return 0.3 * np.sin(u.real) if np.iscomplexobj(u) else (0.3 + 0.2j) * np.sin(u)
+
+
+def test_a_nonlinearity_that_changes_dtype_widens_the_half_spectrum_march():
+    # the first sweep's complex f(u) makes the chain complex; the next sweep's f(u) is real
+    # again and must meet the chain with a zero imaginary part, as numpy's promotion gives
+    f = nonlinearity_from_callable(_switching, "switching")
+    p = dataclasses.replace(_constant_problem("riesz", True), nonlinearity=f)
+    spectral, physical = solve_kernel_form(p), solve_kernel_form(_stripped(p))
+    assert spectral.metadata == physical.metadata and spectral.metadata["arithmetic"] == "complex"
+    scale = np.abs(physical.trajectory).max()
+    assert np.abs(spectral.trajectory - physical.trajectory).max() <= 1e-12 * scale
+
+
+@pytest.mark.parametrize("k", [4, 12])
+def test_only_cold_blocks_apply_the_operator(monkeypatch, k):
+    # a sweep-ladder rung: the head block runs its series cold, every later block folds on the half spectrum
+    p = _bench_problem("sweep-ladder", run_k=k)
+    applies = []
+    apply_rows = LinearAction.apply_rows
+
+    def recorded(self, rows):
+        applies.append(sys._getframe(1).f_code.co_name)
+        return apply_rows(self, rows)
+
+    monkeypatch.setattr(LinearAction, "apply_rows", recorded)
+    chains = _recorded_mode_chains(monkeypatch)
+    report = solve_kernel_form(p)
+    head_sweeps = len(report.contraction_history[0])
+    assert report.converged and report.metadata["cold_blocks"] == 1
+    assert set(applies) == {"_chain"} and len(applies) == head_sweeps * report.metadata["series_levels"]
+    assert len(chains) == report.sweeps - head_sweeps
+    # one level per refresh in physical space needs more sweeps to the same fixed point
+    physical = solve_kernel_form(_stripped(p))
+    assert physical.metadata == report.metadata and physical.sweeps > report.sweeps
+    scale = np.abs(physical.trajectory).max()
+    assert np.abs(report.trajectory - physical.trajectory).max() <= 1e-9 * scale
+
+
+def test_the_stop_test_skips_the_candidate_norm_past_a_solved_size_of_one(monkeypatch):
+    # sweep-ladder rows are of size about 1.9: past the head block every sweep takes one norm, not two
+    p = _bench_problem("sweep-ladder", run_k=8)
+    norms = []
+    row_sup = duhamel._row_sup
+    monkeypatch.setattr(duhamel, "_row_sup", lambda arr, weight: norms.append(1) or row_sup(arr, weight))
+    report = solve_kernel_form(p)
+    skipping = len(norms)
+    norms.clear()
+
+    def every(solved, candidate, weight):
+        return max(solved, duhamel._row_sup(candidate, weight))
+
+    monkeypatch.setattr(duhamel, "_stop_size", every)
+    every_norm = solve_kernel_form(p)
+    assert report.metadata["volterra_blocks"] > 2 and _same_report(report, every_norm)
+    head_sweeps = len(report.contraction_history[0])
+    assert len(norms) - skipping == report.sweeps - head_sweeps
+
+
+def test_a_derivative_solve_builds_no_order_two_weight_row(monkeypatch):
+    orders = []
+    build = fractional.pi_weights
+
+    def recording(gamma_ord, *args):
+        orders.append(gamma_ord)
+        return build(gamma_ord, *args)
+
+    monkeypatch.setattr(duhamel, "pi_weights", recording)
+    monkeypatch.setattr(fractional, "pi_weights", recording)
+    for p in (_bench_problem("run-derivative"), _stripped(_constant_problem("riesz", True))):
+        orders.clear()
+        assert solve_rl_form(p).converged
+        assert p.alpha in orders and 2.0 not in orders
+
+
 def _homogeneous_problems():
     """f = 0 and no forcing on a multiplier (real and complex data), a variable-coefficient, a scalar and a matrix operator."""
     grid = SpatialGrid(16.0, 64)
@@ -1020,12 +1114,16 @@ def _same_report(a, b):
 
 
 def _series_marches(names):
-    """(name, solve) pairs whose march sums the series: all but the derivative form on a multiplier, whatever the data."""
+    """(name, solve) pairs whose march sums the series: all but a multiplier's, whatever the data.
+
+    On a multiplier the derivative form marches by modes, and every block of
+    the kernel form on these meshes folds and runs on the half spectrum.
+    """
     return [
         (name, solve)
         for solve in (solve_kernel_form, solve_rl_form)
         for name in names
-        if not (name in ("multiplier", "complex") and solve is solve_rl_form)
+        if name not in ("multiplier", "complex")
     ]
 
 
@@ -1054,6 +1152,40 @@ def test_a_homogeneous_solve_applies_only_its_propagator(monkeypatch, solve, nam
     _skip_off(monkeypatch)
     full = solve(p)
     assert "_chain" in callers
+    assert _same_report(report, full)
+
+
+def _recorded_mode_chains(monkeypatch):
+    """Record, per _mode_chain call: (cold start, g^ zero, h^ zero, weight products made)."""
+    calls, products = [], []
+    chain, product = duhamel._mode_chain, duhamel._weights_product
+    monkeypatch.setattr(duhamel, "_weights_product", lambda *args: products.append(1) or product(*args))
+
+    def recorded(lam, w_bb, h_hat, g_hat, y_hat):
+        before = len(products)
+        out = chain(lam, w_bb, h_hat, g_hat, y_hat)
+        calls.append((y_hat is None, not np.any(g_hat), not np.any(h_hat), len(products) - before))
+        return out
+
+    monkeypatch.setattr(duhamel, "_mode_chain", recorded)
+    return calls
+
+
+@pytest.mark.parametrize("name", ["multiplier", "complex"])
+def test_a_homogeneous_kernel_solve_on_a_multiplier_applies_only_its_propagator(monkeypatch, name):
+    p, callers = _operator_callers(monkeypatch, _homogeneous_problems()[name])
+    chains = _recorded_mode_chains(monkeypatch)
+    report = solve_kernel_form(p)
+    # every block folds and marches on the half spectrum; every memory is zero,
+    # so each block's one sweep is a cold start that makes no product
+    assert report.converged and callers == [] and report.metadata["cold_blocks"] == 0
+    assert len(chains) == report.sweeps == report.metadata["volterra_blocks"]
+    assert all(cold and g_zero and h_zero and products == 0 for cold, g_zero, h_zero, products in chains)
+    # the same solve without the skip runs the chain's products, and this test sees it
+    chains.clear()
+    _skip_off(monkeypatch)
+    full = solve_kernel_form(p)
+    assert callers == [] and chains and all(products > 0 for *_, products in chains)
     assert _same_report(report, full)
 
 
@@ -1118,6 +1250,28 @@ def test_one_nonzero_forcing_row_runs_the_series_and_matches_the_full_march(monk
     full = solve(p)
     assert len(callers) > applies
     assert _same_report(report, full)
+
+
+@pytest.mark.parametrize("name", ["multiplier", "complex"])
+def test_one_nonzero_forcing_row_runs_the_mode_chain_and_matches_the_full_march(monkeypatch, name):
+    p = _one_row_forcing(_homogeneous_problems()[name], 100)
+    physical = solve_kernel_form(_stripped(p))
+    p, callers = _operator_callers(monkeypatch, p)
+    chains = _recorded_mode_chains(monkeypatch)
+    report = solve_kernel_form(p)
+    # the head block skips its products; the block holding row 100 and the one after it run them
+    assert report.converged and callers == [] and report.metadata["cold_blocks"] == 0
+    assert chains[0] == (True, True, True, 0) and chains[-1][-1] > 0
+    products = sum(made for *_, made in chains)
+    chains.clear()
+    _skip_off(monkeypatch)
+    full = solve_kernel_form(p)
+    assert sum(made for *_, made in chains) > products
+    assert _same_report(report, full)
+    # without the multiplier the same plan folds in physical space
+    assert physical.metadata == report.metadata
+    scale = np.abs(physical.trajectory).max()
+    assert np.abs(report.trajectory - physical.trajectory).max() <= 1e-12 * scale
 
 
 def test_one_nonzero_forcing_row_on_a_multiplier_marches_by_modes_and_matches_the_full_march(monkeypatch):

@@ -94,3 +94,32 @@ def test_every_definition_is_read_in_the_package():
         if bare not in read and qualified not in UNREAD_ON_PURPOSE
     ]
     assert unread == []
+
+
+def _environment_reads(tree: ast.Module) -> list:
+    """Lines where the module reads the process environment: os.environ, os.getenv, or either imported from os."""
+    names = {"environ", "getenv", "environb", "getenvb"}
+    found = [
+        node.lineno
+        for node in ast.walk(tree)
+        if isinstance(node, ast.Attribute) and node.attr in names and isinstance(node.value, ast.Name)
+        and node.value.id == "os"
+    ]
+    found += [
+        node.lineno
+        for node in ast.walk(tree)
+        if isinstance(node, ast.ImportFrom) and node.module == "os" and names & {alias.name for alias in node.names}
+    ]
+    return sorted(found)
+
+
+@pytest.mark.parametrize("name", MODULES + ["__init__"])
+def test_no_module_reads_the_environment(name):
+    # every setting of a run is in its config and its command line, where the manifest records it
+    tree = ast.parse((PACKAGE / f"{name}.py").read_text(encoding="utf-8"))
+    assert _environment_reads(tree) == []
+
+
+def test_the_environment_check_sees_every_spelling():
+    text = "import os\nfrom os import getenv\na = os.environ['X']\nb = os.getenv('Y')\n"
+    assert _environment_reads(ast.parse(text)) == [2, 3, 4]

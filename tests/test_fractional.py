@@ -24,7 +24,14 @@ from fracwave import (
     sobolev_norms,
 )
 from fracwave import fractional
-from fracwave.fractional import _BLOCK_ROWS, _block_norms, _real_parts, _weights_product, caputo_derivative_01
+from fracwave.fractional import (
+    _BLOCK_ROWS,
+    _block_norms,
+    _real_parts,
+    _second_integral,
+    _weights_product,
+    caputo_derivative_01,
+)
 
 G = math.gamma
 
@@ -215,6 +222,23 @@ def test_weights_product_matches_complex_product():
         out = _weights_product(ww, samples)
         assert out.shape == (70, 3, 4) and out.dtype == samples.dtype
         assert np.max(np.abs(out - ref)) <= 1e-14 * np.max(np.abs(ref))
+
+
+@pytest.mark.parametrize("n_nodes, dt", [(2, 0.5), (3, 0.1), (65, 1 / 64), (513, 1 / 512), (1025, 4 / 1024)])
+@pytest.mark.parametrize("dtype", [float, complex])
+def test_second_integral_is_the_order_two_weights_product(n_nodes, dt, dtype):
+    # the recursion is the rule itself: exact moments of t - tau against the piecewise-linear interpolant
+    rng = np.random.default_rng(n_nodes)
+    v = rng.standard_normal((n_nodes, 3)).astype(dtype)
+    if dtype is complex:
+        v += 1j * rng.standard_normal((n_nodes, 3))
+    dense = _weights_product(pi_weights(2.0, n_nodes, dt), v)
+    out = np.full_like(v, np.nan)
+    assert _second_integral(v, dt, out) is out and out.dtype == v.dtype
+    assert np.abs(out - dense).max() <= 1e-14 * np.abs(dense).max()
+    # exact on a piecewise-linear signal: J^2 t = t**3 / 6
+    t = dt * np.arange(n_nodes)
+    assert np.abs(_second_integral(t, dt, np.empty(n_nodes)) - t**3 / 6.0).max() <= 1e-14 * max(t[-1] ** 3, 1.0)
 
 
 def test_caputo_exact_on_cubic():

@@ -555,6 +555,23 @@ def test_a_replaced_coefficient_is_gated_on_its_own_norm():
     assert check_norm_gate(op, schedule) == value
 
 
+def test_the_fields_are_read_only_copies_of_the_callers_arrays():
+    # before, np.asarray kept the caller's coefficient: writing 10x into it left the
+    # cached diagonal and norm (15.637) of the default operator behind
+    parts = assemble_scenario(parse_config(""))
+    op, schedule = parts.problem.operator, parts.schedule
+    value, diagonal = check_norm_gate(op, schedule), op.diagonal.copy()
+    for name in ("coeff", "symbol"):
+        with pytest.raises(ValueError, match="read-only"):
+            getattr(op, name)[:] *= 10.0
+    coeff, symbol = np.array(op.coeff), np.array(op.symbol)
+    rebuilt = dataclasses.replace(op, coeff=coeff, symbol=symbol)
+    assert not np.shares_memory(rebuilt.coeff, coeff) and not np.shares_memory(rebuilt.symbol, symbol)
+    coeff *= 10.0
+    symbol *= 10.0
+    assert np.array_equal(rebuilt.diagonal, diagonal) and check_norm_gate(rebuilt, schedule) == value
+
+
 def test_association_errors_decrease():
     # wave scenario: the width schedule clears its floor on every rung, so
     # each ladder point carries a genuinely different operator
