@@ -22,7 +22,9 @@ and A the operator.  The kernel form folds the nonlinearity into a forward
 march over blocks of rows: each block sums the history of the earlier rows
 in one dense product, once per solve, and then converges its own fixed point
 before the next block starts; on a Fourier multiplier a folded block runs
-that chain on the real half spectrum (_mode_chain).  The derivative form
+the same chain (_chain) on the real half spectrum, where A is the product
+with the multiplier and complex data cross as two real fields
+(fractional._half_spectra).  The derivative form
 differentiates the whole forcing history on every sweep, so it keeps
 whole-horizon Picard sweeps, each one a blocked march of the linear system.
 On a Fourier multiplier each mode's march is a scalar triangular system,
@@ -51,8 +53,9 @@ from .fractional import (
     TimeMesh,
     Trajectory,
     _as_field,  # float64 or complex128, following the data
-    _real_parts,  # a map of real samples taken part by part on complex ones
     _block_norms,  # ||W_BB||_inf read from the weights' taps
+    _half_spectra,  # real half spectra, one part per real field of the samples
+    _samples,  # the samples of such half spectra
     _second_integral,  # the order-two weights' product by their exact recursion
     _toeplitz_column,  # the diagonal and b_1, b_2, ... of the weights past column 0
     _weights_product,  # real-view product of weights with complex samples
@@ -382,16 +385,16 @@ def _all_zero(*arrays) -> bool:
     return not any(np.any(a) for a in arrays)
 
 
-def _chain(
-    action: LinearAction, w_bb: np.ndarray, h, g: np.ndarray, y: Optional[np.ndarray], levels: int, rows_shape: tuple
-) -> tuple:
+def _chain(apply: Callable, w_bb: np.ndarray, h, g: np.ndarray, y: Optional[np.ndarray], levels: int) -> tuple:
     """levels steps of v_B <- g_B + A y_B, y_B <- h + W_BB v_B on one block; returns (y_B, v_B).
 
-    h is the block's history sum, g and y its rows flattened to (rows, -1);
-    y None is a cold start from v_B = g_B.  A cold start whose g and h hold
-    no nonzero entry has an exactly zero memory: it returns +0 rows, the
-    chain's own sums on that input, without applying the operator or W_BB
-    (the chain's v_B may hold -0.0 there, but v only enters weight sums).
+    apply is A on the block's rows: the action's apply_rows on physical
+    rows, or the product with the multiplier on their half spectra.  h is
+    the block's history sum and g its rows, of any trailing shape; y None is
+    a cold start from v_B = g_B.  A cold start whose g and h hold no nonzero
+    entry has an exactly zero memory: it returns +0 rows, the chain's own
+    sums on that input, without applying the operator or W_BB (the chain's
+    v_B may hold -0.0 there, but v only enters weight sums).
     """
     if y is None:
         if _all_zero(g, h):
@@ -400,7 +403,7 @@ def _chain(
         v = g
         y = h + _weights_product(w_bb, g)
     for _ in range(levels):
-        v = g + action.apply_rows(y.reshape(rows_shape)).reshape(g.shape[0], -1)
+        v = g + apply(y)
         y = h + _weights_product(w_bb, v)
     return y, v
 
@@ -411,50 +414,13 @@ def _chain(
 _MODE_LEVELS = 2
 
 
-def _half_spectra(rows: np.ndarray, dim: int) -> np.ndarray:
-    """The real half spectra of (n, dim) rows, as (n, parts, dim // 2 + 1).
-
-    A real row is one part.  A complex row's parts are its real and imaginary
-    fields, the pairs of its float view, so it crosses the transform as two
-    real fields, the rule _real_parts keeps, with no copy before it.
-    """
-    flat = np.ascontiguousarray(rows)
-    return np.fft.rfft(flat.view(float).reshape(flat.shape[0], dim, -1).transpose(0, 2, 1), axis=-1)
-
-
-def _samples(spectra: np.ndarray, dim: int) -> np.ndarray:
-    """The (n, dim) rows whose _half_spectra these are: real for one part, complex for two."""
-    fields = np.ascontiguousarray(np.fft.irfft(spectra, dim, axis=-1).transpose(0, 2, 1))
-    return fields.reshape(fields.shape[0], -1).view(complex if spectra.shape[1] == 2 else float)
-
-
 def _common_parts(*spectra) -> list:
-    """The spectra widened to the most parts any has by a zero part (a real row's imaginary field); scalars pass."""
-    parts = max((x.shape[1] for x in spectra if np.ndim(x)), default=1)
+    """The half spectra widened by a zero part (a real row's imaginary field) to the most parts of any; scalars pass."""
+    parts = max((x.shape[-2] for x in spectra if np.ndim(x)), default=1)
     return [
-        x if not np.ndim(x) or x.shape[1] == parts else np.concatenate((x, np.zeros_like(x)), axis=1) for x in spectra
+        x if not np.ndim(x) or x.shape[-2] == parts else np.concatenate((x, np.zeros_like(x)), axis=-2)
+        for x in spectra
     ]
-
-
-def _mode_chain(lam: np.ndarray, w_bb: np.ndarray, h_hat, g_hat: np.ndarray, y_hat: Optional[np.ndarray]) -> tuple:
-    """_MODE_LEVELS levels of _chain on a block's half spectra; returns (y^_B, v^_B).
-
-    The spectra are (rows, parts, modes) (_half_spectra) and lam the
-    multiplier, so A y is lam * y^ and no level transforms.  y^ None is a
-    cold start from v^_B = g^_B.  A cold start whose g^ and h^ hold no
-    nonzero entry returns +0 spectra, whose rows are +0, without a product,
-    as _chain does.
-    """
-    g_hat, h_hat, y_hat = _common_parts(g_hat, h_hat, y_hat)
-    if y_hat is None:
-        if _all_zero(g_hat, h_hat):
-            zero = np.zeros_like(g_hat)
-            return zero, zero
-        y_hat = h_hat + _weights_product(w_bb, g_hat)
-    for _ in range(_MODE_LEVELS):
-        v_hat = g_hat + lam * y_hat
-        y_hat = h_hat + _weights_product(w_bb, v_hat)
-    return y_hat, v_hat
 
 
 def _volterra(weights: Callable, action: LinearAction, g: np.ndarray, plan: list) -> np.ndarray:
@@ -466,14 +432,13 @@ def _volterra(weights: Callable, action: LinearAction, g: np.ndarray, plan: list
     history h = W[B, :s] v[:s] is one product; the block is then a
     cold-started _chain of its plan's levels.
     """
-    shape = g.shape
-    flat = _as_field(g).reshape(shape[0], -1)
-    v = np.empty_like(flat)
+    g = _as_field(g)
+    v = np.empty_like(g)
     for s, e, levels in plan:
         w = weights(s, e)
         h = _weights_product(w[:, :s], v[:s]) if s else 0.0
-        v = _stored(v, s, e, _chain(action, w[:, s:], h, flat[s:e], None, levels, (e - s,) + shape[1:])[1])
-    return v.reshape(shape)
+        v = _stored(v, s, e, _chain(action.apply_rows, w[:, s:], h, g[s:e], None, levels)[1])
+    return v
 
 
 # the length of the time FFT that applies a block's resolvent: twice a block,
@@ -507,7 +472,9 @@ def _mode_resolvents(alpha: float, n_nodes: int, dt: float, lam: np.ndarray) -> 
 def _mode_volterra(weights: Callable, lam: np.ndarray, resolvents: np.ndarray, g: np.ndarray) -> np.ndarray:
     """Solve y = W (g + lam y) exactly mode by mode; returns v = g + lam y.
 
-    g holds one column per mode and lam its multiplier.  Per block
+    g holds one column per mode along its last axis, after any other axes
+    (the parts of _half_spectra), lam is its multiplier and resolvents
+    broadcast against the blocks' time FFTs of g.  Per block
     B = [s, e), with v[B] still holding g_B, one product gives
     W[B, :e] v[:e] = W[B, :s] v[:s] + W_BB g_B, and y_B = R (that) solves
     (I - lam W_BB) y_B = W[B, :s] v[:s] + W_BB g_B.  Past column 0, W_BB is
@@ -630,12 +597,14 @@ def solve_kernel_form(p: CauchyProblem, opts: SolverOptions = SolverOptions()) -
     is solved, and y_B = h + W_BB v_B.  The head block takes the rows
     Lip f bounds; every later block also takes no more rows than keep its
     contraction bound q at most 1/2.  A block with q <= 1/2 folds: it
-    warm-starts its chain and refreshes f after every operator apply, or, on
-    an action with a multiplier, after _MODE_LEVELS levels on the real half
-    spectrum (_mode_chain).  There it transforms h once per block and, per
-    sweep, f(u) + P once and y_B back once; v_B comes back once, when the
-    block has converged.  Any other block runs its certified operator series
-    in physical space from a cold start on each sweep: the head where
+    warm-starts its chain (_chain) and refreshes f after every operator
+    apply, or, on an action with a multiplier, after _MODE_LEVELS levels of
+    the same chain on the real half spectra (fractional._half_spectra, two
+    real fields for complex rows), where A is the product with the
+    multiplier.  There it transforms h once per block and, per sweep,
+    f(u) + P once and y_B back once; v_B comes back once, when the block has
+    converged.  Any other block runs its certified operator series in
+    physical space from a cold start on each sweep: the head where
     q > 1/2, and a later block only where its first row alone has q > 1/2.
     So a mesh of one block runs the whole-horizon Picard sweeps exactly, and
     the metadata counts the blocks that ran cold as cold_blocks.  A block
@@ -644,19 +613,17 @@ def solve_kernel_form(p: CauchyProblem, opts: SolverOptions = SolverOptions()) -
     converged, and then builds its weight rows W[B, :e] for its history and
     its sweeps: the solve builds every weight row once, one block at a time.
     A block whose forcing rows and history are exactly zero skips its
-    operator series (_chain, _mode_chain), so a homogeneous solve costs its
-    propagator only.
+    operator series (_chain), so a homogeneous solve costs its propagator
+    only.
     """
     base = _base_trajectory(p)
-    shape = base.shape
-    n = shape[0]
-    flat_base = base.reshape(n, -1)
+    n = base.shape[0]
     weight = p.state_weight
     dim = p.action.dim
     # a multiplier meets rows of its own dimension on the half spectrum, whatever the data
-    lam = p.action.multiplier if shape[1:] == (dim,) else None
-    u = np.empty_like(flat_base)
-    v = np.empty_like(flat_base)
+    lam = p.action.multiplier if base.shape[1:] == (dim,) else None
+    u = np.empty_like(base)
+    v = np.empty_like(base)
     histories: list = []
     plan: list = []
     qs: list = []
@@ -664,26 +631,28 @@ def solve_kernel_form(p: CauchyProblem, opts: SolverOptions = SolverOptions()) -
     solved = 0.0  # the largest row-sup size of the rows already solved
     for s, e, q in _fold_blocks(p, fold_later=True):
         weights = pi_weights(p.alpha, n, p.mesh.dt, s, e)
-        rows_shape = (e - s,) + shape[1:]
         w_bb = weights[:, s:]
-        b_b = flat_base[s:e]
+        b_b = base[s:e]
         h = _weights_product(weights[:, :s], v[:s]) if s else 0.0
         fold = q <= 0.5
         on_modes = fold and lam is not None
-        h_hat = _half_spectra(h, dim) if on_modes and s else 0.0
         levels = 1 if fold else _block_levels(p, s, e, p.alpha + 1.0)
         plan.append((s, e, levels))
         qs.append(q)
+        if on_modes:
+            # the chain runs on the half spectra, where A is the product with lam
+            apply, chain_levels = partial(np.multiply, lam), _MODE_LEVELS
+            h_chain = _half_spectra(h) if s else 0.0
+        else:
+            apply, chain_levels, h_chain = p.action.apply_rows, levels, h
 
         def sweep(state: tuple) -> tuple:
             cur, y, _ = state
-            g = _forced(p, cur.reshape(rows_shape), slice(s, e)).reshape(e - s, -1)
+            g, h_b, y = _forced(p, cur, slice(s, e)), h_chain, y if fold else None
             if on_modes:
-                y, v_b = _mode_chain(lam, w_bb, h_hat, _half_spectra(g, dim), y)
-                candidate = b_b + _samples(y, dim)
-            else:
-                y, v_b = _chain(p.action, w_bb, h, g, y if fold else None, levels, rows_shape)
-                candidate = b_b + y
+                g, h_b, y = _common_parts(_half_spectra(g), h_b, y)
+            y, v_b = _chain(apply, w_bb, h_b, g, y, chain_levels)
+            candidate = b_b + (_samples(y, dim) if on_modes else y)
             change = _row_sup(candidate - cur, weight)
             return (candidate, y, v_b), _relative(change, _stop_size(solved, candidate, weight))
 
@@ -701,7 +670,7 @@ def solve_kernel_form(p: CauchyProblem, opts: SolverOptions = SolverOptions()) -
     row_limit = min([e - s for s, e, _ in plan if e - s < min(_BLOCK_ROWS, n - s)], default=_BLOCK_ROWS)
     folded = sum(q <= 0.5 for q in qs)
     meta = {**_plan_meta(plan, row_limit, folded), "block_q_max": max(qs)}
-    return _report("kernel", u.reshape(shape), histories, stalled, meta)
+    return _report("kernel", u, histories, stalled, meta)
 
 
 def solve_rl_form(p: CauchyProblem, opts: SolverOptions = SolverOptions()) -> SolverReport:
@@ -721,9 +690,11 @@ def solve_rl_form(p: CauchyProblem, opts: SolverOptions = SolverOptions()) -> So
     (_second_integral).
 
     On an action with a multiplier the derivative and the march run on the
-    real half spectrum, complex data part by part, and the march solves
-    every mode exactly (_mode_volterra) with resolvents computed once per
-    solve.  Where some mode has |1 - lam dt**alpha / Gamma(alpha + 2)| < 1/2,
+    (nodes, parts, modes) real half spectra of the data (two real fields for
+    complex data, fractional._half_spectra), and the march solves every mode
+    exactly (_mode_volterra) with resolvents computed once per solve and
+    broadcast over the parts.  Where some mode has
+    |1 - lam dt**alpha / Gamma(alpha + 2)| < 1/2,
     and for a variable coefficient, scalars and matrices, the march sums the
     certified series of _volterra in physical space.  The operator chooses
     the march once, before the sweeps, and the metadata's "march" names it,
@@ -759,18 +730,12 @@ def solve_rl_form(p: CauchyProblem, opts: SolverOptions = SolverOptions()) -> So
     stalled = None
     buffers: dict = {}  # the field-sized "centred" buffer, written in place on every sweep
 
-    def by_modes(part: np.ndarray) -> np.ndarray:
-        """v on real centred samples: derivative and march on the real half spectrum, each mode exact."""
-        g = rl_derivative(np.fft.rfft(part, axis=-1), 2.0 - p.alpha, mesh)
-        return np.fft.irfft(_mode_volterra(weights_alpha, lam, resolvents, g), p.action.dim, axis=-1)
-
     def memory(centred: np.ndarray) -> np.ndarray:
         """W_2 v, where v = g + A y, y = W_alpha (g + A y) and g = rl_derivative(centred), written over centred.
 
-        A multiplier meets the data mode by mode (by_modes, per part of
-        complex data).  A centred forcing with no nonzero entry has an
-        exactly zero memory, returned as +0 in place without a transform or
-        a product.
+        A multiplier meets the data mode by mode on their half spectra.  A
+        centred forcing with no nonzero entry has an exactly zero memory,
+        returned as +0 in place without a transform or a product.
         """
         if _all_zero(centred):
             centred.fill(0.0)
@@ -778,7 +743,8 @@ def solve_rl_form(p: CauchyProblem, opts: SolverOptions = SolverOptions()) -> So
         if resolvents is None:
             v = _volterra(weights_alpha, p.action, rl_derivative(centred, 2.0 - p.alpha, mesh), plan)
         else:
-            v = _real_parts(by_modes, centred)
+            g = rl_derivative(_half_spectra(centred), 2.0 - p.alpha, mesh)
+            v = _samples(_mode_volterra(weights_alpha, lam, resolvents[:, None], g), p.action.dim)
         return _second_integral(v, mesh.dt, _buffer(buffers, "centred", v.dtype, v.shape))
 
     for s, e, _ in windows:

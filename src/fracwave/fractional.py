@@ -123,18 +123,33 @@ def _as_field(samples) -> np.ndarray:
     return arr.astype(complex if np.iscomplexobj(arr) else float, copy=False)
 
 
-def _real_parts(fn: Callable[[np.ndarray], np.ndarray], x: np.ndarray) -> np.ndarray:
-    """fn(x) for real x; for complex x, fn(x.real) and fn(x.imag) in the real and imaginary views of one array.
+def _half_spectra(samples: np.ndarray) -> np.ndarray:
+    """The real half spectra of samples along the last axis, as (..., parts, n // 2 + 1).
 
-    Every operator here is real, so complex samples cross each transform as
-    two real fields.  The views keep each part exact, as re + 1j * im would
-    not (1j * inf has a NaN real part).
+    Every operator here is real, so every spatial transform runs on the real
+    half spectrum.  A real field is one part (a view of its rfft); a complex
+    field is two, its real and its imaginary field, each transformed on its
+    own, so each part stays exact: re + 1j * im would not (1j * inf has a
+    NaN real part).
     """
-    if not np.iscomplexobj(x):
-        return fn(x)
-    re = fn(x.real)
-    out = np.empty(re.shape, complex)
-    out.real, out.imag = re, fn(x.imag)
+    if not np.iscomplexobj(samples):
+        return np.fft.rfft(samples, axis=-1)[..., None, :]
+    out = np.empty(samples.shape[:-1] + (2, samples.shape[-1] // 2 + 1), complex)
+    np.fft.rfft(samples.real, axis=-1, out=out[..., 0, :])
+    np.fft.rfft(samples.imag, axis=-1, out=out[..., 1, :])
+    return out
+
+
+def _samples(spectra: np.ndarray, n: int) -> np.ndarray:
+    """The n samples per row whose _half_spectra these are: real for one part, complex for two.
+
+    A complex row's parts are written into its real and imaginary views.
+    """
+    if spectra.shape[-2] == 1:
+        return np.fft.irfft(spectra[..., 0, :], n, axis=-1)
+    out = np.empty(spectra.shape[:-2] + (n,), complex)
+    np.fft.irfft(spectra[..., 0, :], n, axis=-1, out=out.real)
+    np.fft.irfft(spectra[..., 1, :], n, axis=-1, out=out.imag)
     return out
 
 
@@ -434,12 +449,6 @@ def liouville_multiplier(kind: str, beta: float, grid: SpatialGrid) -> np.ndarra
     return out
 
 
-def _half_power(samples: np.ndarray) -> np.ndarray:
-    """|X_k|**2 of the real FFT of real samples along the last axis."""
-    spectrum = np.fft.rfft(samples, axis=-1)
-    return spectrum.real**2 + spectrum.imag**2
-
-
 def sobolev_norms(grid: SpatialGrid, values, beta: float) -> np.ndarray:
     """Fractional Sobolev norm of regularity index beta of each row of values.
 
@@ -464,8 +473,8 @@ def sobolev_norms(grid: SpatialGrid, values, beta: float) -> np.ndarray:
         raise SizeError(f"expected rows of {n} samples, got shape {vals.shape}")
     if not np.all(np.isfinite(vals)):
         raise ValueError("grid function samples must be finite")
-    power = _real_parts(_half_power, vals)
-    power = power.real + power.imag  # a real row's imaginary view is zero
+    spectra = _half_spectra(vals)
+    power = np.sum(spectra.real**2 + spectra.imag**2, axis=-2)
     xi = np.abs(grid.xi[: n // 2 + 1])
     weight = np.full(xi.size, 1.0 / n)
     weight[1 : n // 2] *= 2.0

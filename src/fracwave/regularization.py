@@ -20,7 +20,7 @@ from typing import Dict, Optional
 import numpy as np
 
 from .errors import NormGateError, ResolutionError, SingularOrderError, SizeError
-from .fractional import GridFunction, SpatialGrid, _real_parts, liouville_multiplier
+from .fractional import GridFunction, SpatialGrid, _half_spectra, _samples, liouville_multiplier
 
 __all__ = [
     "BUMP_NORMALIZATION",
@@ -115,12 +115,14 @@ def _multiply(symbol: np.ndarray, arr: np.ndarray) -> np.ndarray:
     """ifft(symbol * fft(arr)) along the last axis; real arr gives a real result.
 
     Every symbol here is Hermitian (the symbol of a map from reals to reals),
-    so the half spectrum carries the whole action on real samples: rfft, a
-    multiply, irfft; complex arr takes it part by part (_real_parts).
+    so its modes 0..n/2, all of symbol or its first half, carry the whole
+    action: one multiply between _half_spectra and _samples, which take
+    complex arr part by part.
     """
-    n = symbol.size
-    half = symbol[: n // 2 + 1]
-    return _real_parts(lambda part: np.fft.irfft(half * np.fft.rfft(part, axis=-1), n, axis=-1), arr)
+    n = arr.shape[-1]
+    spectra = _half_spectra(arr)
+    # symbol first: numpy's complex product is not always commutative bit for bit
+    return _samples(np.multiply(symbol[: n // 2 + 1], spectra, out=spectra), n)
 
 
 def make_mollifier(shape: str, width: float, grid: SpatialGrid) -> Mollifier:
@@ -316,18 +318,21 @@ class RegularizedOperator:
         Every kind's symbol is Hermitian (_base_multiplier times the
         transform of a real kernel), so its half spectrum carries the whole
         action on real samples; with a constant coefficient that action is
-        one multiply by the diagonal between the transforms.
+        one multiply by the diagonal between the transforms.  A variable
+        coefficient scales each part's field on its own, as a real times
+        complex product would not (it puts a NaN in the real part where the
+        imaginary part is inf).
         """
         arr = np.asarray(values)
         if arr.shape[-1] != self.grid.n_points:
             raise SizeError("values do not match the operator grid")
-        return _real_parts(self._apply_real, arr)
-
-    def _apply_real(self, arr: np.ndarray) -> np.ndarray:
         diagonal = self.diagonal
-        if diagonal is None:
-            return self.coeff * _multiply(self.symbol, arr)
-        return np.fft.irfft(diagonal * np.fft.rfft(arr, axis=-1), self.dim, axis=-1)
+        if diagonal is not None:
+            return _multiply(diagonal, arr)
+        out = _multiply(self.symbol, arr)
+        fields = out.view(float).reshape(out.shape + (-1,))  # (..., n, parts)
+        fields *= self.coeff[:, None]
+        return out
 
     @functools.cached_property
     @np.errstate(over="ignore", invalid="ignore")

@@ -18,7 +18,7 @@ from typing import Callable, Optional
 import numpy as np
 
 from .errors import FracwaveError, SingularOrderError, SizeError
-from .fractional import TimeMesh, _as_field, _real_parts, rl_integral
+from .fractional import TimeMesh, _as_field, _half_spectra, _samples, rl_integral
 from .regularization import RegularizedOperator
 from .special import _scalar_powers, gamma, mittag_leffler, MlParams, series_term_count
 
@@ -46,7 +46,7 @@ class LinearAction:
     stacked array of them.  multiplier, when set, is the map's diagonal on
     the real half spectrum (a constant-coefficient operator of any kind has
     one): apply is irfft(multiplier * rfft(.)) on real samples, and that on
-    each part of complex ones.
+    each part of complex ones (fractional._half_spectra).
     """
 
     apply: Callable[[np.ndarray], np.ndarray]
@@ -111,8 +111,9 @@ def ml_trajectory(
 
     The operator powers A**p x are shared across nodes: on an action with a
     multiplier and x whose last axis is the action's dimension they are one
-    rfft, p products on the half spectrum and one irfft of the stack (per
-    part of complex x), and any other action applies itself p times.
+    transform of x to its half spectra (two real fields for complex x), p
+    products there and one inverse transform of the stack, and any other
+    action applies itself p times.
     Per-node scalar coefficients are formed in log space so large gamma
     factors never overflow.  A coefficient t**(p alpha)/Gamma(beta' + p alpha) beyond the
     double range (a long horizon against a small operator norm) raises
@@ -131,7 +132,7 @@ def ml_trajectory(
     n_terms = _series_terms(alpha, beta_prime, float(ts.max()), action.norm_bound)
 
     if action.multiplier is not None and vec.shape[-1:] == (action.dim,):
-        powers = _real_parts(lambda part: _multiplier_powers(action, part, n_terms), vec)
+        powers = _multiplier_powers(action, vec, n_terms)
     else:
         rows = [vec]
         for _ in range(n_terms):
@@ -158,18 +159,19 @@ def ml_trajectory(
 
 
 def _multiplier_powers(action: LinearAction, vec: np.ndarray, n_terms: int) -> np.ndarray:
-    """x, A x, ..., A**n_terms x as raveled rows, for a multiplier A and real x.
+    """x, A x, ..., A**n_terms x as raveled rows, for a multiplier A; real for real x.
 
-    One rfft of x, n_terms products with the multiplier on the half
-    spectrum and one irfft of the whole stack; row 0 is x itself.
+    One transform of x to its half spectra, n_terms products with the
+    multiplier there and one inverse transform of the whole stack; row 0 is
+    x itself.
     """
-    spectrum = np.fft.rfft(vec.astype(float, copy=False), axis=-1)
-    stack = np.empty((n_terms,) + spectrum.shape, complex)
+    spectra = _half_spectra(vec)
+    stack = np.empty((n_terms,) + spectra.shape, complex)
     for p in range(n_terms):
-        spectrum = np.multiply(spectrum, action.multiplier, out=stack[p])
-    powers = np.empty((n_terms + 1, vec.size))
+        spectra = np.multiply(spectra, action.multiplier, out=stack[p])
+    powers = np.empty((n_terms + 1, vec.size), complex if spectra.shape[-2] == 2 else float)
     powers[0] = vec.ravel()
-    powers[1:] = np.fft.irfft(stack, action.dim, axis=-1).reshape(n_terms, vec.size)
+    powers[1:] = _samples(stack, action.dim).reshape(n_terms, vec.size)
     return powers
 
 

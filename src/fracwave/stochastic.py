@@ -24,7 +24,7 @@ import numpy as np
 
 from .duhamel import CauchyProblem, SolverOptions, solve_kernel_form
 from .errors import FracwaveError, ResolutionError
-from .fractional import GridFunction, SpatialGrid, TimeMesh, Trajectory
+from .fractional import GridFunction, SpatialGrid, TimeMesh, Trajectory, _half_spectra, _samples
 from .regularization import EpsilonSchedule, make_mollifier
 from .regularization import _kernel, _support_radius  # the shared kernel family
 
@@ -173,7 +173,7 @@ def _convolve_time(values: np.ndarray, taps: np.ndarray, dt: float) -> np.ndarra
 
 @functools.lru_cache(maxsize=1)
 def _cell_spectrum(master_seed: int, member: int, tag: int, n_nodes: int, n_points: int, scale: float) -> np.ndarray:
-    """Spatial rfft of one stream's cell draws times scale, read-only.
+    """The half spectra (fractional._half_spectra) of one stream's cell draws times scale, read-only.
 
     The draws depend on the seed coordinates and the field's shape alone, so
     an eps ladder, which changes only the kernels, reuses the last spectrum
@@ -181,7 +181,7 @@ def _cell_spectrum(master_seed: int, member: int, tag: int, n_nodes: int, n_poin
     """
     draws = _stream(master_seed, member, tag).standard_normal((n_nodes, n_points))
     draws *= scale
-    spectrum = np.fft.rfft(draws, axis=-1)
+    spectrum = _half_spectra(draws)
     spectrum.flags.writeable = False
     return spectrum
 
@@ -206,7 +206,7 @@ def white_noise_representative(
     scale = spec.intensity / math.sqrt(grid.dx * mesh.dt)
     spectrum = _cell_spectrum(spec.master_seed, spec.member, _TAG_FORCING, n_nodes, n_points, scale)
     # moll.convolve of the scaled draws, from their cached transform
-    smoothed = np.fft.irfft(moll.symbol[: n_points // 2 + 1] * spectrum, n_points, axis=-1)
+    smoothed = _samples(moll.symbol[: n_points // 2 + 1] * spectrum, n_points)
     values = _convolve_time(smoothed, taps, mesh.dt)
     return NoiseRepresentative(Trajectory(mesh, values, grid), provenance)
 

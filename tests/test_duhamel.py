@@ -243,19 +243,20 @@ def test_later_blocks_fold_and_agree_with_the_lipschitz_plan(monkeypatch):
     chain = duhamel._chain
     levels = []
 
-    def counted(action, w_bb, h, g, y, n_levels, rows_shape):
+    def counted(apply, w_bb, h, g, y, n_levels):
         levels.append(n_levels)
-        return chain(action, w_bb, h, g, y, n_levels, rows_shape)
+        return chain(apply, w_bb, h, g, y, n_levels)
 
     monkeypatch.setattr(duhamel, "_chain", counted)
     new = solve_kernel_form(p)
     ((head, *later),) = new_plans
     assert head == old_plan[0]
     assert later and all(q <= 0.5 for _, _, q in later)
-    # the head block's sweeps run its certified series, every later sweep one level
+    # the head block's sweeps run its certified series, every later sweep the
+    # multiplier's levels on the half spectrum
     head_sweeps = len(new.contraction_history[0])
     assert levels[:head_sweeps] == [new.metadata["series_levels"]] * head_sweeps
-    assert levels[head_sweeps:] == [1] * (len(levels) - head_sweeps)
+    assert len(levels) > head_sweeps and levels[head_sweeps:] == [duhamel._MODE_LEVELS] * (len(levels) - head_sweeps)
     assert new.converged and new.metadata["cold_blocks"] == 1
     scale = np.abs(old.trajectory).max()
     assert np.abs(new.trajectory - old.trajectory).max() <= 1e-9 * scale
@@ -807,14 +808,17 @@ def test_the_march_by_modes_is_the_dense_solve_of_every_mode(kind, mollified, n_
     resolvents = duhamel._mode_resolvents(ALPHA, n_nodes, dt, lam)
     assert resolvents is not None
     rng = np.random.default_rng(n_nodes)
-    g = rng.standard_normal((n_nodes, lam.size)) + 1j * rng.standard_normal((n_nodes, lam.size))
-    v = duhamel._mode_volterra(partial(pi_weights, ALPHA, n_nodes, dt), lam, resolvents, g)
+    g = rng.standard_normal((n_nodes, 2, lam.size)) + 1j * rng.standard_normal((n_nodes, 2, lam.size))
     weights = pi_weights(ALPHA, n_nodes, dt)
-    for k, lam_k in enumerate(lam):
-        y = np.linalg.solve(np.eye(n_nodes) - lam_k * weights, weights @ g[:, k])
-        assert np.abs(weights @ v[:, k] - y).max() <= 1e-13 * np.abs(y).max()
-        exact = g[:, k] + lam_k * y
-        assert np.abs(v[:, k] - exact).max() <= 1e-13 * np.abs(exact).max()
+    # one column per mode, and the (nodes, parts, modes) half spectra of a complex field
+    for g_in, r in ((g[:, 0], resolvents), (g, resolvents[:, None])):
+        v = duhamel._mode_volterra(partial(pi_weights, ALPHA, n_nodes, dt), lam, r, g_in)
+        v, g_parts = v.reshape(n_nodes, -1, lam.size), g_in.reshape(n_nodes, -1, lam.size)
+        for k, lam_k in enumerate(lam):
+            y = np.linalg.solve(np.eye(n_nodes) - lam_k * weights, weights @ g_parts[:, :, k])
+            assert np.abs(weights @ v[:, :, k] - y).max() <= 1e-13 * np.abs(y).max()
+            exact = g_parts[:, :, k] + lam_k * y
+            assert np.abs(v[:, :, k] - exact).max() <= 1e-13 * np.abs(exact).max()
 
 
 def test_a_mode_next_to_the_pivot_keeps_the_series(monkeypatch):
@@ -870,8 +874,9 @@ def test_each_derivative_form_sweep_differentiates_once_through_rl_derivative(mo
     monkeypatch.setattr(duhamel, "rl_derivative", recording)
     report = solve_rl_form(p)
     assert report.converged and report.sweeps > 1 and len(calls) == report.sweeps
-    width, dtype = (p.grid.n_points // 2 + 1, complex) if entry == "spectral" else (p.grid.n_points, float)
-    assert set(calls) == {((p.mesh.n_nodes, width), np.dtype(dtype), 2.0 - ALPHA)}
+    # the spectral entry's (nodes, parts, modes) half spectra: one part, the field is real
+    shape, dtype = ((1, p.grid.n_points // 2 + 1), complex) if entry == "spectral" else ((p.grid.n_points,), float)
+    assert set(calls) == {((p.mesh.n_nodes,) + shape, np.dtype(dtype), 2.0 - ALPHA)}
 
 
 def test_multiplier_is_the_half_spectrum_of_a_real_constant_coefficient_operator():
@@ -1156,18 +1161,22 @@ def test_a_homogeneous_solve_applies_only_its_propagator(monkeypatch, solve, nam
 
 
 def _recorded_mode_chains(monkeypatch):
-    """Record, per _mode_chain call: (cold start, g^ zero, h^ zero, weight products made)."""
+    """Record, per _chain call on the half spectra: (cold start, g^ zero, h^ zero, weight products made).
+
+    Such a call's A is the multiplier's product, not a LinearAction's apply_rows.
+    """
     calls, products = [], []
-    chain, product = duhamel._mode_chain, duhamel._weights_product
+    chain, product = duhamel._chain, duhamel._weights_product
     monkeypatch.setattr(duhamel, "_weights_product", lambda *args: products.append(1) or product(*args))
 
-    def recorded(lam, w_bb, h_hat, g_hat, y_hat):
+    def recorded(apply, w_bb, h_hat, g_hat, y_hat, levels):
         before = len(products)
-        out = chain(lam, w_bb, h_hat, g_hat, y_hat)
-        calls.append((y_hat is None, not np.any(g_hat), not np.any(h_hat), len(products) - before))
+        out = chain(apply, w_bb, h_hat, g_hat, y_hat, levels)
+        if not isinstance(getattr(apply, "__self__", None), LinearAction):
+            calls.append((y_hat is None, not np.any(g_hat), not np.any(h_hat), len(products) - before))
         return out
 
-    monkeypatch.setattr(duhamel, "_mode_chain", recorded)
+    monkeypatch.setattr(duhamel, "_chain", recorded)
     return calls
 
 
@@ -1215,9 +1224,9 @@ def _recorded_chains(monkeypatch):
     chain, apply_rows = duhamel._chain, LinearAction.apply_rows
     monkeypatch.setattr(LinearAction, "apply_rows", lambda self, rows: applies.append(1) or apply_rows(self, rows))
 
-    def recorded(action, w_bb, h, g, y, levels, rows_shape):
+    def recorded(apply, w_bb, h, g, y, levels):
         before = len(applies)
-        out = chain(action, w_bb, h, g, y, levels, rows_shape)
+        out = chain(apply, w_bb, h, g, y, levels)
         calls.append((y is None, not np.any(g), not np.any(h), len(applies) - before))
         return out
 
@@ -1281,7 +1290,7 @@ def test_one_nonzero_forcing_row_on_a_multiplier_marches_by_modes_and_matches_th
     marches = _recorded_mode_marches(monkeypatch)
     report = solve_rl_form(p)
     modes = p.grid.n_points // 2 + 1
-    assert report.converged and callers == [] and marches == [(p.mesh.n_nodes, modes)] * report.sweeps
+    assert report.converged and callers == [] and marches == [(p.mesh.n_nodes, 1, modes)] * report.sweeps
     assert report.metadata["march"] == "modes"
     _skip_off(monkeypatch)
     assert _same_report(report, solve_rl_form(p))
@@ -1321,10 +1330,10 @@ def test_a_skipped_chain_returns_the_full_chains_memory_bit_for_bit(monkeypatch,
     w_bb = pi_weights(ALPHA, 20, 0.05, 10, 20)[:, 10:]
     g = np.full((10, 2), -0.0)
     for h in (0.0, np.full((10, 2), -0.0), np.zeros((10, 2))):
-        y, _ = duhamel._chain(action, w_bb, h, g, None, 3, (10, 2))
+        y, _ = duhamel._chain(action.apply_rows, w_bb, h, g, None, 3)
         with monkeypatch.context() as m:
             _skip_off(m)
-            full, _ = duhamel._chain(action, w_bb, h, g, None, 3, (10, 2))
+            full, _ = duhamel._chain(action.apply_rows, w_bb, h, g, None, 3)
         assert y.dtype == full.dtype and y.tobytes() == full.tobytes()
         assert not np.signbit(y).any()
 

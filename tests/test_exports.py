@@ -123,3 +123,63 @@ def test_no_module_reads_the_environment(name):
 def test_the_environment_check_sees_every_spelling():
     text = "import os\nfrom os import getenv\na = os.environ['X']\nb = os.getenv('Y')\n"
     assert _environment_reads(ast.parse(text)) == [2, 3, 4]
+
+
+# every spatial transform crosses the real half spectrum through fractional's pair;
+# these run along time, take the full spectrum of a field that is not real, or
+# only build frequencies
+FFT_OUTSIDE_THE_PAIR = {
+    "fractional._half_spectra",
+    "fractional._samples",
+    "fractional.SpatialGrid.xi",  # fftfreq, no transform
+    "stochastic._convolve_time",
+    "duhamel._mode_resolvents",
+    "duhamel._mode_volterra",
+    "regularization.make_mollifier",  # the kernel's full symbol
+    "regularization._power_start",
+    "regularization.operator_norm_estimate",
+}
+
+
+def _fft_uses(name: str, tree: ast.Module) -> list:
+    """(enclosing definition, line) of every np.fft attribute and every import of numpy's fft module."""
+    found = []
+
+    def visit(node, scope):
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+            scope = f"{scope}.{node.name}"
+        if (
+            isinstance(node, ast.Attribute)
+            and isinstance(node.value, ast.Attribute)
+            and node.value.attr == "fft"
+            and isinstance(node.value.value, ast.Name)
+            and node.value.value.id == "np"
+        ):
+            found.append((scope, node.lineno))
+        elif isinstance(node, ast.Import) and any(alias.name.startswith("numpy.fft") for alias in node.names):
+            found.append((scope, node.lineno))
+        elif isinstance(node, ast.ImportFrom) and (
+            (node.module or "").startswith("numpy.fft")
+            or (node.module == "numpy" and any(alias.name == "fft" for alias in node.names))
+        ):
+            found.append((scope, node.lineno))
+        for child in ast.iter_child_nodes(node):
+            visit(child, scope)
+
+    visit(tree, name)
+    return found
+
+
+@pytest.mark.parametrize("name", MODULES)
+def test_every_fft_lies_in_the_half_spectrum_pair_or_the_allowlist(name):
+    tree = ast.parse((PACKAGE / f"{name}.py").read_text(encoding="utf-8"))
+    assert [use for use in _fft_uses(name, tree) if use[0] not in FFT_OUTSIDE_THE_PAIR] == []
+
+
+def test_the_fft_check_sees_every_spelling():
+    text = (
+        "import numpy.fft\nfrom numpy import fft\nfrom numpy.fft import rfft\n"
+        "def f(x):\n    return np.fft.rfft(x)\n"
+        "class C:\n    def g(self):\n        def h():\n            return np.fft.irfft\n"
+    )
+    assert _fft_uses("m", ast.parse(text)) == [("m", 1), ("m", 2), ("m", 3), ("m.f", 5), ("m.C.g.h", 9)]

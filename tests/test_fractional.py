@@ -14,9 +14,11 @@ from fracwave import (
     SizeError,
     SpatialGrid,
     TimeMesh,
+    build_operator,
     caputo_derivative,
     first_difference,
     liouville_multiplier,
+    make_mollifier,
     pi_weights,
     rl_derivative,
     rl_integral,
@@ -27,7 +29,8 @@ from fracwave import fractional
 from fracwave.fractional import (
     _BLOCK_ROWS,
     _block_norms,
-    _real_parts,
+    _half_spectra,
+    _samples,
     _second_integral,
     _weights_product,
     caputo_derivative_01,
@@ -444,15 +447,36 @@ def test_real_rows_take_the_half_spectrum(beta):
     assert np.all(np.abs(stacked - full) <= 1e-13 * full) and np.all(np.abs(stacked - old) <= 1e-13 * old)
 
 
-def test_real_parts_keep_each_part_exact():
+def test_half_spectra_keep_each_part_exact():
     # built through the views: 1j * inf would put a NaN in the real part
-    x = np.empty(3, complex)
-    x.real, x.imag = [1.5, -2.0, 0.25], [-0.0, np.inf, 3.0]
-    out = _real_parts(lambda part: 2.0 * part, x)
-    assert out.real.tolist() == [3.0, -4.0, 0.5] and out.imag.tolist() == [-0.0, np.inf, 6.0]
-    assert np.signbit(out.imag[0])
-    real = np.array([1.0, -0.5])
-    assert _real_parts(lambda part: part, real) is real
+    x = np.empty((2, 3), complex)
+    x.real = [[1.5, -2.0, 0.25], [0.5, 1.0, -1.0]]
+    x.imag = [[-0.0, np.inf, 3.0], [-0.0, -0.0, -0.0]]
+    with np.errstate(all="ignore"):
+        spectra = _half_spectra(x)
+        back = _samples(spectra, 3)
+        alone = [_samples(_half_spectra(part.copy()), 3) for part in (x.real, x.imag)]
+    assert spectra.shape == (2, 2, 2) and back.dtype == np.complex128
+    # each part crosses on its own: the pair's parts are the parts' own round trips, bit for bit
+    assert back.real.tobytes() == alone[0].tobytes() and back.imag.tobytes() == alone[1].tobytes()
+    assert np.allclose(back.real, x.real, rtol=0.0, atol=1e-15) and not np.isfinite(back.imag[0]).any()
+    # a real field is one part, a view of its rfft, and comes back real
+    real = x.real.copy()
+    assert _half_spectra(real).shape == (2, 1, 2) and _samples(_half_spectra(real), 3).dtype == np.float64
+    # the operator, constant and variable coefficient: the real part of a complex
+    # apply is the apply of the real part, bit for bit, though the imaginary part is inf
+    grid = SpatialGrid(16.0, 64)
+    moll = make_mollifier("bump", 1.0, grid)
+    row = np.empty(grid.n_points, complex)
+    row.real, row.imag = np.cos(grid.x), np.sin(grid.x)
+    row.imag[7] = np.inf
+    for kind in ("riesz", "liouville_left"):
+        for coeff in (np.full(grid.n_points, 0.7), 1.0 + 0.25 / np.cosh(grid.x)):
+            op = build_operator(kind, 1.5, coeff, moll, grid)
+            with np.errstate(all="ignore"):
+                out = op.apply(row)
+            assert out.real.tobytes() == op.apply(row.real.copy()).tobytes()
+            assert np.isfinite(out.real).all() and not np.isfinite(out.imag).any()
 
 
 def _full_spectrum_norms(grid, field, beta):
